@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fmt lint vuln docs-check bench bench-fleet bench-record bench-stream bench-coord bench-sim bench-train
+.PHONY: all build test race fmt lint vuln docs-check bench bench-e2e bench-e2e-compare bench-fleet bench-record bench-stream bench-coord bench-sim bench-train
 
 all: build test
 
@@ -54,6 +54,22 @@ fmt:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# bench-e2e runs the end-to-end benchmark (bench/cocgbench: four workloads,
+# seven end-to-end metrics untraced plus the traced per-layer budget, ~3.5
+# min) and writes the document to BENCH_E2E.json — the one record a
+# performance claim is judged on (see bench/README.md). bench-e2e-compare
+# judges a new document against an old one, metric by metric against the
+# bounds in BENCHMARK.json, and exits non-zero on a regression:
+#   make bench-e2e E2E_OUT=/tmp/new.json
+#   make bench-e2e-compare OLD=BENCH_E2E.json NEW=/tmp/new.json
+E2E_OUT ?= BENCH_E2E.json
+bench-e2e:
+	$(GO) run ./bench/cocgbench -out $(E2E_OUT)
+
+bench-e2e-compare:
+	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "usage: make bench-e2e-compare OLD=old.json NEW=new.json"; exit 2; }
+	$(GO) run ./bench/cocgbench -compare $(OLD) $(NEW)
 
 # bench-fleet runs the fleet-scale placement benchmarks: a full distributor
 # scan of a warm 1k-server fleet (Poisson arrivals over the five-game mix)

@@ -36,16 +36,18 @@ type HardCapper interface {
 	HardCapped() bool
 }
 
-// ForecastRevisioner is an optional Controller refinement: a controller
-// whose predicted demand timeline is a pure function of internal state
-// stamped by a revision counter. While ForecastRev is unchanged the
-// controller's forecast is guaranteed unchanged, so a policy may cache
-// aggregates derived from it (the CoCG distributor caches each server's
-// summed hosted-demand timeline this way). Controllers that cannot make
-// this guarantee simply don't implement the interface and are re-read every
-// evaluation.
-type ForecastRevisioner interface {
-	ForecastRev() uint64
+// ForecastNotifier is an optional Controller refinement: a controller whose
+// predicted demand timeline is a pure function of internal state that moves
+// only when the controller completes a detection frame. Server.Add hands such
+// a controller its server's forecast-generation counter, and the controller
+// increments it — from Tick, so on the goroutine ticking that server — each
+// time a frame completes. While Server.ForecastGen and Server.Rev are
+// unchanged, every hosted forecast is unchanged, so a policy may cache
+// aggregates derived from them under that one stamp. Controllers that cannot
+// make this guarantee simply don't implement the interface and are re-read
+// every evaluation.
+type ForecastNotifier interface {
+	NotifyForecast(gen *uint64)
 }
 
 // SteadyRequester is an optional Controller refinement: a controller whose
@@ -165,16 +167,24 @@ type Server struct {
 	// bulk advancement it is sampled only on the per-second ticks that
 	// actually run (see docs/PERFORMANCE.md).
 	peakUtil resources.Vector
-	// rev counts membership changes (admissions and departures). Together
-	// with the hosted controllers' ForecastRevs it stamps everything a
-	// cached per-server aggregate forecast depends on.
-	rev uint64
+	// rev counts membership changes (admissions and departures); forecastGen
+	// counts detection frames completed by hosted ForecastNotifier
+	// controllers. Together they stamp everything a cached per-server
+	// aggregate forecast depends on. The counter lives here rather than in a
+	// policy's cache because several policy instances may observe one server.
+	rev         uint64
+	forecastGen uint64
 }
 
 // Rev returns the server's membership revision: it bumps whenever a session
 // is added or swept out, never otherwise. Policies key per-server forecast
 // caches on it.
 func (s *Server) Rev() uint64 { return s.rev }
+
+// ForecastGen returns the server's forecast generation: it moves exactly when
+// a hosted ForecastNotifier controller completes a detection frame, so with
+// an unchanged Rev it stamps every hosted forecast in O(1).
+func (s *Server) ForecastGen() uint64 { return s.forecastGen }
 
 // NewServer returns a server with the given capacity, sharing the cluster
 // clock.
@@ -195,6 +205,9 @@ func (s *Server) Add(spec *gamesim.GameSpec, sess *gamesim.Session, ctl Controll
 	s.nextID++
 	s.rev++
 	s.Hosted = append(s.Hosted, h)
+	if fn, ok := ctl.(ForecastNotifier); ok {
+		fn.NotifyForecast(&s.forecastGen)
+	}
 	return h
 }
 

@@ -202,6 +202,49 @@ func TestServerUtilizationAccessors(t *testing.T) {
 	}
 }
 
+// frameController is a ForecastNotifier that completes a "frame" on every
+// third tick.
+type frameController struct {
+	passthroughController
+	gen   *uint64
+	ticks int
+}
+
+func (f *frameController) NotifyForecast(gen *uint64) { f.gen = gen }
+func (f *frameController) Tick(resources.Vector) resources.Vector {
+	if f.ticks++; f.ticks%3 == 0 {
+		*f.gen++
+	}
+	return f.req
+}
+
+// TestServerAddHandsOutForecastGen: the counter is handed over inside
+// Server.Add itself — callers that bypass Cluster.tryPlace get it too — and
+// only notifying controllers can move it.
+func TestServerAddHandsOutForecastGen(t *testing.T) {
+	srv, _ := newTestServer(t)
+	addSession(t, srv, gamesim.Contra(), 1, resources.Uniform(30))
+	for i := 0; i < 6; i++ {
+		srv.Tick(&admitAllPolicy{})
+	}
+	if got := srv.ForecastGen(); got != 0 {
+		t.Fatalf("ForecastGen = %d with no notifying controller hosted", got)
+	}
+	for seed := int64(2); seed <= 3; seed++ {
+		sess, err := gamesim.NewSession(gamesim.Contra(), 0, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.Add(gamesim.Contra(), sess, &frameController{passthroughController: passthroughController{req: resources.Uniform(30)}})
+	}
+	for i := 1; i <= 7; i++ {
+		srv.Tick(&admitAllPolicy{})
+		if got, want := srv.ForecastGen(), uint64(2*(i/3)); got != want {
+			t.Fatalf("after %d ticks ForecastGen = %d, want %d", i, got, want)
+		}
+	}
+}
+
 func TestDrainStopsPlacement(t *testing.T) {
 	pol := &admitAllPolicy{req: resources.FullServer}
 	c := NewCluster(1, pol)

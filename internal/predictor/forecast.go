@@ -1,6 +1,8 @@
 package predictor
 
 import (
+	"slices"
+
 	"cocg/internal/dataset"
 	"cocg/internal/profiler"
 	"cocg/internal/resources"
@@ -21,20 +23,33 @@ func (pr *Predictor) CurrentStage() int {
 
 // ForecastRev returns the predictor's forecast revision: it bumps exactly
 // when a detection frame completes, and every input a forecast reads mutates
-// only inside that step. Two calls to ForecastDemand/ForecastCurve between
-// identical revisions therefore return identical timelines, which is what
-// lets the distributor cache per-server aggregate forecasts (see
-// scheduler.CoCG) instead of re-forecasting every hosted session for every
-// candidate.
+// only inside that step. Two forecasts between identical revisions therefore
+// return identical timelines, which is what lets the distributor cache
+// per-server aggregate forecasts (see scheduler.CoCG) instead of
+// re-forecasting every hosted session for every candidate. The scheduler's
+// controller reports each completed frame to its hosting server
+// (platform.ForecastNotifier), so the cache compares one per-server counter
+// instead of polling this one per session.
 func (pr *Predictor) ForecastRev() uint64 { return pr.rev }
 
+// Segment is one run of a forecast timeline: Frames consecutive detection
+// frames at one Demand. A stage is forecast at a single level, so a timeline
+// is a handful of runs (a 120-frame horizon is typically 6-14) and consumers
+// that can work run by run never touch the per-frame expansion.
+type Segment struct {
+	Frames int
+	Demand resources.Vector
+}
+
 // ForecastScratch owns the reusable buffers one forecasting goroutine needs:
-// the working stage history the iterative prediction extends and the feature
-// vector handed to the model. A zero value is ready to use; a scratch must
-// not be shared between concurrent forecasts.
+// the working stage history the iterative prediction extends, the feature
+// vector handed to the model, and the runs a dense forecast is expanded from.
+// A zero value is ready to use; a scratch must not be shared between
+// concurrent forecasts.
 type ForecastScratch struct {
 	hist []dataset.StageObs
 	feat []float64
+	runs []Segment
 }
 
 // ForecastCurve projects the session's expected allocation over the next
@@ -42,7 +57,7 @@ type ForecastScratch struct {
 // model-predicted stages separated by typical loading gaps.
 func (pr *Predictor) ForecastCurve(frames int) []resources.Vector {
 	var s ForecastScratch
-	return pr.forecastInto(frames, true, make([]resources.Vector, 0, frames), &s)
+	return expandRuns(make([]resources.Vector, 0, frames), pr.forecastRuns(nil, frames, true, &s))
 }
 
 // ForecastDemand is ForecastCurve without the allocation headroom: the raw
@@ -51,7 +66,7 @@ func (pr *Predictor) ForecastCurve(frames int) []resources.Vector {
 // safety margin.
 func (pr *Predictor) ForecastDemand(frames int) []resources.Vector {
 	var s ForecastScratch
-	return pr.forecastInto(frames, false, make([]resources.Vector, 0, frames), &s)
+	return pr.ForecastDemandInto(frames, make([]resources.Vector, 0, frames), &s)
 }
 
 // ForecastDemandInto is ForecastDemand into caller-provided storage: the
@@ -59,7 +74,29 @@ func (pr *Predictor) ForecastDemand(frames int) []resources.Vector {
 // returned, with all intermediate state drawn from scratch. Steady-state
 // calls allocate nothing, which keeps the admission path allocation-free.
 func (pr *Predictor) ForecastDemandInto(frames int, dst []resources.Vector, scratch *ForecastScratch) []resources.Vector {
-	return pr.forecastInto(frames, false, dst, scratch)
+	scratch.runs = pr.forecastRuns(scratch.runs[:0], frames, false, scratch)
+	return expandRuns(dst[:0], scratch.runs)
+}
+
+// AppendForecastRuns appends the raw demand timeline of the next `frames`
+// detection frames to dst as runs, in time order; the appended run lengths
+// sum to frames. It is the form the distributor consumes: ForecastDemandInto
+// is exactly its per-frame expansion.
+func (pr *Predictor) AppendForecastRuns(dst []Segment, frames int, scratch *ForecastScratch) []Segment {
+	return pr.forecastRuns(dst, frames, false, scratch)
+}
+
+// expandRuns appends every run's demand, once per frame, to dst.
+func expandRuns(dst []resources.Vector, runs []Segment) []resources.Vector {
+	for i := range runs {
+		n := len(dst)
+		dst = slices.Grow(dst, runs[i].Frames)[:n+runs[i].Frames]
+		span := dst[n:]
+		for t := range span {
+			span[t] = runs[i].Demand
+		}
+	}
+	return dst
 }
 
 // padDemand applies the second-level allocation headroom when forecasting
@@ -71,18 +108,33 @@ func padDemand(v resources.Vector, headroom bool) resources.Vector {
 	return v.Scale(allocHeadroomScale).Add(resources.Uniform(allocHeadroomAbs)).Clamp(0, 100)
 }
 
-// forecastInto builds the projected timeline. The arithmetic is identical at
-// every call site and with every scratch (buffer reuse never changes a
-// value), so the cached-aggregate property tests can compare it against
-// freshly allocated runs byte for byte.
-func (pr *Predictor) forecastInto(frames int, headroom bool, dst []resources.Vector, scratch *ForecastScratch) []resources.Vector {
-	curve := dst[:0]
-	loadSig, _ := pr.profile.Stage(profiler.LoadingStageID)
-	loadFrames := int(loadSig.MeanDurFrames + 0.5)
+// forecastRuns is the one forecast generator: it appends the projected
+// timeline to dst as stage runs, cutting the last run at the horizon. The
+// arithmetic is identical at every call site and with every scratch (buffer
+// reuse never changes a value), so the cached-aggregate property tests can
+// compare it against freshly allocated runs byte for byte.
+//
+//cocg:hot
+func (pr *Predictor) forecastRuns(dst []Segment, frames int, headroom bool, scratch *ForecastScratch) []Segment {
+	left := frames
+	// run appends up to n frames at demand d, never past the horizon.
+	run := func(n int, d resources.Vector) {
+		if n > left {
+			n = left
+		}
+		if n > 0 {
+			dst = append(dst, Segment{Frames: n, Demand: d})
+			left -= n
+		}
+	}
+	// Catalog entries are read in place: Profile.Stage returns the 120-byte
+	// signature by value, which this loop would copy once per predicted stage.
+	catalog := pr.profile.Catalog
+	loadFrames := int(catalog[profiler.LoadingStageID].MeanDurFrames + 0.5)
 	if loadFrames < 1 {
 		loadFrames = 2
 	}
-	loadAlloc := padDemand(loadSig.Peak, headroom)
+	loadAlloc := padDemand(catalog[profiler.LoadingStageID].Peak, headroom)
 
 	// Working copy of the stage history for iterative prediction.
 	hist := append(scratch.hist[:0], pr.hist...)
@@ -90,23 +142,19 @@ func (pr *Predictor) forecastInto(frames int, headroom bool, dst []resources.Vec
 
 	// Phase 1: the rest of the current stage (or loading).
 	if pr.Loading() {
-		for i := 0; i < loadFrames && len(curve) < frames; i++ {
-			curve = append(curve, loadAlloc)
-		}
+		run(loadFrames, loadAlloc)
 	} else if pr.haveStage {
-		s, ok := pr.profile.Stage(pr.curID)
 		remaining := 2
 		alloc := pr.peakM
-		if ok {
+		if pr.curID >= 0 && pr.curID < len(catalog) {
+			s := &catalog[pr.curID]
 			remaining = int(s.MeanDurFrames+0.5) - pr.curFrames
 			if remaining < 1 {
 				remaining = 1
 			}
 			alloc = padDemand(s.Peak, headroom)
 		}
-		for i := 0; i < remaining && len(curve) < frames; i++ {
-			curve = append(curve, alloc)
-		}
+		run(remaining, alloc)
 		hist = append(hist, dataset.StageObs{
 			ID:     pr.curID,
 			Frames: pr.curFrames,
@@ -116,12 +164,12 @@ func (pr *Predictor) forecastInto(frames int, headroom bool, dst []resources.Vec
 	}
 
 	// Phase 2: iterate model predictions until the horizon fills.
-	for len(curve) < frames {
+	for left > 0 {
 		next := -1
 		if len(hist) > 0 {
 			scratch.feat = dataset.AppendFeatures(scratch.feat, hist, pos-1)
 			if n, err := pr.models[pr.active].Predict(scratch.feat); err == nil &&
-				n > profiler.LoadingStageID && n < pr.profile.NumStageTypes() {
+				n > profiler.LoadingStageID && n < len(catalog) {
 				next = n
 			}
 		} else if pr.predicted >= 0 {
@@ -129,32 +177,28 @@ func (pr *Predictor) forecastInto(frames int, headroom bool, dst []resources.Vec
 		}
 		if next < 0 {
 			// No usable prediction: fill the rest with the safe peak.
-			for len(curve) < frames {
-				curve = append(curve, pr.peakM)
-			}
+			run(left, pr.peakM)
 			break
 		}
-		// Loading gap, then the predicted stage.
-		for i := 0; i < loadFrames && len(curve) < frames; i++ {
-			curve = append(curve, loadAlloc)
-		}
-		s, ok := pr.profile.Stage(next)
-		dur := int(s.MeanDurFrames + 0.5)
-		if dur < 1 {
-			dur = 2
-		}
+		// Loading gap, then the predicted stage; a stage the catalog does not
+		// know runs two frames at the safe peak.
+		run(loadFrames, loadAlloc)
+		obs := dataset.StageObs{ID: next, Frames: 2}
 		alloc := pr.peakM
-		if ok {
+		if next < len(catalog) {
+			s := &catalog[next]
+			if obs.Frames = int(s.MeanDurFrames + 0.5); obs.Frames < 1 {
+				obs.Frames = 2
+			}
+			obs.Mean = s.Mean
 			alloc = padDemand(s.Peak, headroom)
 		}
-		for i := 0; i < dur && len(curve) < frames; i++ {
-			curve = append(curve, alloc)
-		}
-		hist = append(hist, dataset.StageObs{ID: next, Frames: dur, Mean: s.Mean})
+		run(obs.Frames, alloc)
+		hist = append(hist, obs)
 		pos++
 	}
 	scratch.hist = hist[:0]
-	return curve
+	return dst
 }
 
 func maxInt(a, b int) int {

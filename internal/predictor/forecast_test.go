@@ -68,3 +68,51 @@ func TestForecastDemandIntoMatchesFresh(t *testing.T) {
 		t.Fatal("ForecastRev never advanced over a whole session")
 	}
 }
+
+// forecastBenchPredictors returns one predictor per game × script, each
+// stopped at a different point of its session: the mix of histories, running
+// stages and loading gaps the distributor forecasts from.
+func forecastBenchPredictors(b *testing.B) []*Predictor {
+	var prs []*Predictor
+	for gi, spec := range gamesim.AllGames() {
+		tr := trainedFor(b, spec)
+		for script := range spec.Scripts {
+			sess, err := gamesim.NewSession(spec, script, int64(77+script))
+			if err != nil {
+				b.Fatal(err)
+			}
+			pr, err := tr.NewSessionPredictor(Config{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < 200+137*(gi+3*script) && !sess.Done(); i++ {
+				pr.Observe(sess.Demand())
+				sess.Step(pr.Alloc())
+			}
+			prs = append(prs, pr)
+		}
+	}
+	return prs
+}
+
+func BenchmarkForecastDemandInto(b *testing.B) {
+	prs := forecastBenchPredictors(b)
+	var scratch ForecastScratch
+	var dst []resources.Vector
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst = prs[i%len(prs)].ForecastDemandInto(120, dst, &scratch)
+	}
+}
+
+func BenchmarkAppendForecastRuns(b *testing.B) {
+	prs := forecastBenchPredictors(b)
+	var scratch ForecastScratch
+	var runs []Segment
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runs = prs[i%len(prs)].AppendForecastRuns(runs[:0], 120, &scratch)
+	}
+}

@@ -81,7 +81,7 @@ type Predictor struct {
 	cfg     Config
 
 	det     *profiler.Detector
-	sampler *telemetry.Sampler
+	sampler telemetry.Sampler
 
 	hist      []dataset.StageObs
 	pos       int // execution stage index within the session
@@ -109,7 +109,7 @@ type Predictor struct {
 	// forecast reads (detector belief, stage history, running stage stats,
 	// pending prediction, active model) mutates only inside step, so a
 	// forecast is guaranteed unchanged while rev is unchanged. The
-	// distributor's per-server forecast cache invalidates on it.
+	// distributor's per-server forecast cache invalidates on each bump.
 	rev uint64
 	// featBuf backs predictNext's feature assembly across frames.
 	featBuf []float64
@@ -133,7 +133,7 @@ func New(p *profiler.Profile, models []mlmodels.Classifier, cfg Config) (*Predic
 		models:       models,
 		cfg:          c,
 		det:          profiler.NewDetector(p),
-		sampler:      telemetry.NewSampler(c.SensorNoise, c.Seed),
+		sampler:      *telemetry.NewSampler(c.SensorNoise, c.Seed),
 		predicted:    -1,
 		predictedFor: -1,
 		prevStage:    -1,

@@ -15,7 +15,7 @@ import (
 // trainedFor caches one trained bundle per game for the whole test package.
 var trainedCache = map[string]*Trained{}
 
-func trainedFor(t *testing.T, spec *gamesim.GameSpec) *Trained {
+func trainedFor(t testing.TB, spec *gamesim.GameSpec) *Trained {
 	t.Helper()
 	if tr, ok := trainedCache[spec.Name]; ok {
 		return tr

@@ -79,6 +79,9 @@ type Profile struct {
 
 	sigIndex map[string]int
 	minShare float64
+	// peak is PeakDemand's result, folded once when Build or UnmarshalJSON
+	// finishes the catalog, which is immutable afterwards.
+	peak resources.Vector
 }
 
 // Config controls profile construction.
@@ -156,6 +159,7 @@ func Build(traces []*gamesim.Trace, cfg Config) (*Profile, error) {
 	}
 	p.prune()
 	p.recomputeStats(traces)
+	p.peak = p.catalogPeak()
 	return p, nil
 }
 
@@ -476,7 +480,10 @@ func (p *Profile) CandidateStages(clusterID int) []int {
 
 // PeakDemand returns the component-wise maximum demand over the whole
 // catalog — the game's peak consumption M of Eq. 1.
-func (p *Profile) PeakDemand() resources.Vector {
+func (p *Profile) PeakDemand() resources.Vector { return p.peak }
+
+// catalogPeak folds the catalog's sustained peaks.
+func (p *Profile) catalogPeak() resources.Vector {
 	var peak resources.Vector
 	for _, s := range p.Catalog {
 		peak = peak.Max(s.Peak)

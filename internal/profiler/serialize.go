@@ -65,5 +65,6 @@ func (p *Profile) UnmarshalJSON(b []byte) error {
 	if p.minShare <= 0 {
 		p.minShare = 0.34
 	}
+	p.peak = p.catalogPeak()
 	return nil
 }

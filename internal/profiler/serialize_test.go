@@ -24,6 +24,11 @@ func TestProfileJSONRoundTrip(t *testing.T) {
 		if back.NumStageTypes() != p.NumStageTypes() {
 			t.Errorf("%s: catalog size changed", spec.Name)
 		}
+		// The stored peak is the catalog fold on both construction paths.
+		if p.PeakDemand() != p.catalogPeak() || back.PeakDemand() != p.PeakDemand() {
+			t.Errorf("%s: PeakDemand built %v, loaded %v, catalog fold %v",
+				spec.Name, p.PeakDemand(), back.PeakDemand(), p.catalogPeak())
+		}
 		// The loaded profile classifies and detects identically.
 		tr, err := gamesim.Record(spec, 0, 999)
 		if err != nil {

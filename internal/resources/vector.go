@@ -88,10 +88,19 @@ func (v Vector) Scale(k float64) Vector {
 	return v
 }
 
+// Min, Max, Clamp and ClampNonNegative are compare-select loops rather than
+// math.Min/math.Max calls: those are assembly stubs on amd64, so they never
+// inline and every call site would copy both vectors through memory. On
+// finite operands the results are identical except that a (-0, +0) pair
+// keeps the receiver's zero instead of math's sign rule; a NaN component in
+// w is ignored rather than propagated. The simulator produces neither.
+
 // Min returns the component-wise minimum of v and w.
 func (v Vector) Min(w Vector) Vector {
 	for d := range v {
-		v[d] = math.Min(v[d], w[d])
+		if w[d] < v[d] {
+			v[d] = w[d]
+		}
 	}
 	return v
 }
@@ -99,7 +108,9 @@ func (v Vector) Min(w Vector) Vector {
 // Max returns the component-wise maximum of v and w.
 func (v Vector) Max(w Vector) Vector {
 	for d := range v {
-		v[d] = math.Max(v[d], w[d])
+		if w[d] > v[d] {
+			v[d] = w[d]
+		}
 	}
 	return v
 }
@@ -107,13 +118,25 @@ func (v Vector) Max(w Vector) Vector {
 // Clamp limits every component of v to the range [lo, hi].
 func (v Vector) Clamp(lo, hi float64) Vector {
 	for d := range v {
-		v[d] = math.Max(lo, math.Min(hi, v[d]))
+		if v[d] > hi {
+			v[d] = hi
+		}
+		if v[d] < lo {
+			v[d] = lo
+		}
 	}
 	return v
 }
 
 // ClampNonNegative zeroes any negative component.
-func (v Vector) ClampNonNegative() Vector { return v.Max(Zero) }
+func (v Vector) ClampNonNegative() Vector {
+	for d := range v {
+		if v[d] < 0 {
+			v[d] = 0
+		}
+	}
+	return v
+}
 
 // Fits reports whether v fits within capacity cap in every dimension.
 func (v Vector) Fits(cap Vector) bool {

@@ -81,6 +81,73 @@ func TestFits(t *testing.T) {
 	}
 }
 
+// TestMinMaxClampMatchMath pins the compare-select Min/Max/Clamp/
+// ClampNonNegative to math.Min/math.Max, bit for bit, on every pair of finite
+// and infinite operands that are not a (-0, +0) pair, and records the only two
+// divergences: a zero pair keeps the receiver's sign (math prefers -0 for Min
+// and +0 for Max), and a NaN in the argument is ignored where math propagates
+// it. The simulator produces neither input.
+func TestMinMaxClampMatchMath(t *testing.T) {
+	inf := math.Inf(1)
+	vals := []float64{
+		-inf, -math.MaxFloat64, -150, -1, -math.SmallestNonzeroFloat64, 0,
+		math.SmallestNonzeroFloat64, 1e-9, 0.35, 1, 94.99999999999999, 95, 100,
+		100.00000000000001, 150, math.MaxFloat64, inf,
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, a := range vals {
+		for _, b := range vals {
+			if got, want := Uniform(a).Min(Uniform(b))[0], math.Min(a, b); !same(got, want) {
+				t.Errorf("Min(%v, %v) = %v, math.Min = %v", a, b, got, want)
+			}
+			if got, want := Uniform(a).Max(Uniform(b))[0], math.Max(a, b); !same(got, want) {
+				t.Errorf("Max(%v, %v) = %v, math.Max = %v", a, b, got, want)
+			}
+		}
+		if got, want := Uniform(a).ClampNonNegative()[0], math.Max(a, 0); !same(got, want) {
+			t.Errorf("ClampNonNegative(%v) = %v, math.Max(., 0) = %v", a, got, want)
+		}
+		for _, r := range [][2]float64{{0, 100}, {-1, 1}, {95, 95}, {-inf, inf}} {
+			if got, want := Uniform(a).Clamp(r[0], r[1])[0], math.Max(r[0], math.Min(r[1], a)); !same(got, want) {
+				t.Errorf("Clamp(%v; %v, %v) = %v, math = %v", a, r[0], r[1], got, want)
+			}
+		}
+	}
+
+	negZero := math.Copysign(0, -1)
+	nan := math.NaN()
+	divergences := []struct {
+		name      string
+		got, math float64
+	}{
+		{"Min(+0, -0)", Uniform(0).Min(Uniform(negZero))[0], math.Min(0, negZero)},
+		{"Max(-0, +0)", Uniform(negZero).Max(Uniform(0))[0], math.Max(negZero, 0)},
+		{"ClampNonNegative(-0)", Uniform(negZero).ClampNonNegative()[0], math.Max(negZero, 0)},
+		{"Clamp(-0; 0, 100)", Uniform(negZero).Clamp(0, 100)[0], math.Max(0, math.Min(100, negZero))},
+		{"Min(1, NaN)", Uniform(1).Min(Uniform(nan))[0], math.Min(1, nan)},
+		{"Max(1, NaN)", Uniform(1).Max(Uniform(nan))[0], math.Max(1, nan)},
+	}
+	for _, c := range divergences {
+		if same(c.got, c.math) {
+			t.Errorf("%s = %v now matches math; update the divergence list in vector.go", c.name, c.got)
+		}
+		if c.got != 0 && c.got != 1 {
+			t.Errorf("%s = %v, want the receiver's component kept", c.name, c.got)
+		}
+	}
+	// A NaN in the receiver survives every operation, as in math.
+	for name, got := range map[string]float64{
+		"Min":              Uniform(nan).Min(Uniform(1))[0],
+		"Max":              Uniform(nan).Max(Uniform(1))[0],
+		"Clamp":            Uniform(nan).Clamp(0, 100)[0],
+		"ClampNonNegative": Uniform(nan).ClampNonNegative()[0],
+	} {
+		if !math.IsNaN(got) {
+			t.Errorf("%s of a NaN receiver = %v, want NaN", name, got)
+		}
+	}
+}
+
 func TestMaxComponentAndDominant(t *testing.T) {
 	v := New(10, 80, 30, 40)
 	d, m := v.MaxComponent()

@@ -1,11 +1,13 @@
 // Fleet load accountant: the incremental backing store for ClusterLoad and
 // FleetLoadInto. The distributor's per-server forecast caches (scheduler.go)
-// already stamp every quantity a fleet summary needs under the
-// (Server.Rev, ForecastRev, horizon) revision scheme from PR 4; this file
-// adds a per-server load memo on top of those stamps and keeps the cluster
-// aggregate in a fixed-topology pairwise summation tree, so a steady-state
-// poll costs one revision probe per server — O(dirty·log n) fold work —
-// instead of the full O(n·horizon·dims) timeline rescan.
+// already hold every quantity a fleet summary needs under one
+// (Server.Rev, Server.ForecastGen, horizon, draining) stamp; this file adds a
+// per-server load memo on top of that stamp and keeps the cluster aggregate
+// in a fixed-topology pairwise summation tree, so a poll costs one stamp
+// comparison per server plus O(dirty·log n) fold work. A busy fleet dirties
+// every hosting server once per frame, so the per-dirty-server refill — which
+// reads the cached forecast runs instead of forecasting again — is what a
+// poll costs in practice.
 //
 // The tree is a complete binary tree over power-of-two leaf slots stored in
 // flat arrays (node i's children are 2i and 2i+1, leaf slot s lives at index
@@ -20,27 +22,23 @@ package scheduler
 
 import (
 	"cocg/internal/platform"
+	"cocg/internal/predictor"
 	"cocg/internal/resources"
 )
 
 // acctSlot stamps what one leaf of the summation tree was computed from. A
 // slot is dirty — its leaf must be recomputed — when the server occupying it
-// changed identity, membership revision, draining state, or any hosted
-// forecast revision, or when the horizon moved. The revs slice is the slot's
-// own copy of the fill-time forecast revisions: it must not alias the
-// serverCache's stamps, because the admission path refreshes those without
-// updating the leaf.
+// changed identity or its stamp moved. The slot keeps its own copy of the
+// stamp: the admission path refreshes the serverCache's without updating the
+// leaf.
 type acctSlot struct {
-	srv      *platform.Server
-	rev      uint64
-	horizon  int
-	draining bool
+	srv   *platform.Server
+	stamp stamp
 	// volatile marks servers whose demand mutates outside any revision
 	// counter (foreign controllers, untrained specs — the same condition
 	// that makes a serverCache uncacheable); their leaves recompute every
 	// poll.
 	volatile bool
-	revs     []uint64
 }
 
 // fleetAccountant is the fixed-topology summation tree plus its leaf stamps.
@@ -112,7 +110,7 @@ func (a *fleetAccountant) clearLeaf(slot int) {
 	for j := range b {
 		b[j] = 0
 	}
-	a.slots[slot] = acctSlot{revs: a.slots[slot].revs[:0]}
+	a.slots[slot] = acctSlot{}
 }
 
 // foldPath refolds every ancestor of a leaf, bottom-up. Dirty leaves are
@@ -139,44 +137,12 @@ func (a *fleetAccountant) foldPath(slot int) {
 	}
 }
 
-// slotDirty reports whether the leaf stamped by sl no longer reflects srv at
-// horizon h. When sl.rev equals the server's current membership revision the
-// hosted set is unchanged since the stamp, so the per-session revision walk
-// below probes exactly the sessions the stamp covered.
+// dirty reports whether the leaf stamped by sl no longer reflects srv at
+// horizon h.
 //
 //cocg:hot
-func (c *CoCG) slotDirty(sl *acctSlot, srv *platform.Server, h int) bool {
-	if sl.srv != srv || sl.volatile || sl.horizon != h ||
-		sl.draining != srv.Draining || sl.rev != srv.Rev() {
-		return true
-	}
-	if len(sl.revs) != len(srv.Hosted) {
-		return true
-	}
-	for i, hosted := range srv.Hosted {
-		ctl, ok := hosted.Controller.(*Controller)
-		if !ok || ctl.pr.ForecastRev() != sl.revs[i] {
-			return true
-		}
-	}
-	return false
-}
-
-// stampSlot records what the leaf was just computed from.
-func (c *CoCG) stampSlot(sl *acctSlot, srv *platform.Server, cc *serverCache, h int) {
-	sl.srv = srv
-	sl.rev = srv.Rev()
-	sl.horizon = h
-	sl.draining = srv.Draining
-	sl.volatile = !cc.cacheable
-	sl.revs = sl.revs[:0]
-	for _, hosted := range srv.Hosted {
-		if ctl, ok := hosted.Controller.(*Controller); ok {
-			sl.revs = append(sl.revs, ctl.pr.ForecastRev())
-		} else {
-			sl.revs = append(sl.revs, 0)
-		}
-	}
+func (sl *acctSlot) dirty(srv *platform.Server, h int) bool {
+	return sl.srv != srv || sl.volatile || sl.stamp != stampOf(srv, h)
 }
 
 // worstFrac is the worst per-dimension fraction of capacity a demand vector
@@ -194,27 +160,36 @@ func worstFrac(v, capacity resources.Vector) float64 {
 	return worst
 }
 
+// fracSum is one session's contribution to its game's predicted demand: the
+// worst per-dimension capacity fraction of every forecast frame, summed in
+// frame order. The fraction is computed once per run and re-added Frames
+// times, so the sum keeps the bits of the per-frame fold.
+//
+//cocg:hot
+func fracSum(runs []predictor.Segment, capacity resources.Vector) float64 {
+	var sum float64
+	for i := range runs {
+		w := worstFrac(runs[i].Demand, capacity)
+		for n := runs[i].Frames; n > 0; n-- {
+			sum += w
+		}
+	}
+	return sum
+}
+
 // serverLoadMemo fills the cache's fleet-accounting memo — the server's
 // predicted headroom and per-game demand contributions — under the cache's
-// current stamps. refresh clears loadValid on every rebuild, so the memo is
+// current stamp. refresh clears loadValid on every rebuild, so the memo is
 // recomputed lazily on the first summary after a change and the admission
-// path never pays for it. The headroom scan is the exact operation sequence
-// of ClusterLoadFullScan, so per-server headroom bits match the legacy path.
-func (c *CoCG) serverLoadMemo(cc *serverCache, srv *platform.Server, h int) {
+// path never pays for it. Headroom takes the per-dimension peak of the summed
+// timeline first and divides once: correctly rounded division by a positive
+// capacity is monotone, so max_t(x_t/c) == max_t(x_t)/c exactly and the bits
+// match ClusterLoadFullScan's divide-every-frame scan.
+func (c *CoCG) serverLoadMemo(cc *serverCache, srv *platform.Server) {
 	if cc.loadValid {
 		return
 	}
-	peak := 0.0
-	for t := range cc.total {
-		for d := range cc.total[t] {
-			if capd := srv.Capacity[d]; capd > 0 {
-				if f := cc.total[t][d] / capd; f > peak {
-					peak = f
-				}
-			}
-		}
-	}
-	head := 1 - peak
+	head := 1 - worstFrac(resources.PeakOf(cc.total), srv.Capacity)
 	if head < 0 {
 		head = 0
 	}
@@ -225,41 +200,35 @@ func (c *CoCG) serverLoadMemo(cc *serverCache, srv *platform.Server, h int) {
 		cc.gameDemand = make([]float64, g)
 	}
 	cc.gameDemand = cc.gameDemand[:g]
-	for i := range cc.gameDemand {
-		cc.gameDemand[i] = 0
-	}
-	for _, hosted := range srv.Hosted {
+	clear(cc.gameDemand)
+	h := float64(cc.stamp.horizon)
+	start := 0
+	for i, hosted := range srv.Hosted {
+		runs := cc.runs[start:cc.runEnd[i]]
+		start = cc.runEnd[i]
 		gi, known := c.gameIdx[hosted.Spec.Name]
 		if !known {
 			continue
 		}
 		var sum float64
-		if ctl, native := hosted.Controller.(*Controller); native {
-			es := &c.scratch
-			es.curve = ctl.pr.ForecastDemandInto(h, es.curve, &es.fc)
-			n := h
-			if len(es.curve) < n {
-				n = len(es.curve)
-			}
-			for t := 0; t < n; t++ {
-				sum += worstFrac(es.curve[t], srv.Capacity)
-			}
+		if _, native := hosted.Controller.(*Controller); native {
+			sum = fracSum(runs, srv.Capacity)
 		} else {
 			// Foreign controller: the conservative flat timeline refresh
 			// uses — the session holds its current request for the whole
 			// horizon.
-			sum = worstFrac(hosted.Request, srv.Capacity) * float64(h)
+			sum = worstFrac(hosted.Request, srv.Capacity) * h
 		}
-		cc.gameDemand[gi] += sum / float64(h)
+		cc.gameDemand[gi] += sum / h
 	}
 	cc.loadValid = true
 }
 
 // FleetLoadInto implements platform.FleetSummarizer: the extended per-game
-// cluster summary, computed incrementally. Dirty slots (revision mismatch,
-// drain flip, membership change, horizon move) refresh their cache, refill
-// the load memo, rewrite their leaf and refold its root path; clean slots
-// cost only the revision probes in slotDirty. Out's GameDemand storage is
+// cluster summary, computed incrementally. Dirty slots (stamp mismatch: a
+// membership change, a completed frame, a drain flip, a horizon move) refresh
+// their cache, refill the load memo, rewrite their leaf and refold its root
+// path; clean slots cost one stamp comparison. Out's GameDemand storage is
 // reused across polls and Games aliases the policy's immutable sorted list,
 // so a steady-state poll performs zero heap allocations. Like Admit, Score
 // and ClusterLoad this is a serial entry point.
@@ -272,7 +241,7 @@ func (c *CoCG) FleetLoadInto(servers []*platform.Server, out *platform.FleetLoad
 
 	for i, srv := range servers {
 		sl := &a.slots[i]
-		if !c.slotDirty(sl, srv, h) {
+		if !sl.dirty(srv, h) {
 			continue
 		}
 		cc := c.caches[srv]
@@ -281,8 +250,8 @@ func (c *CoCG) FleetLoadInto(servers []*platform.Server, out *platform.FleetLoad
 			c.caches[srv] = cc
 		}
 		c.refresh(cc, srv, h, &c.scratch)
-		c.serverLoadMemo(cc, srv, h)
-		c.stampSlot(sl, srv, cc, h)
+		c.serverLoadMemo(cc, srv)
+		*sl = acctSlot{srv: srv, stamp: cc.stamp, volatile: !cc.cacheable}
 		if srv.Draining {
 			a.setLeaf(i, 0, cc.gameDemand, 0, 0, 1)
 		} else {

@@ -204,6 +204,19 @@ func TestFleetLoadSteadyStateAllocationFree(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("steady-state ClusterLoad allocates %.1f objects per poll, want 0", allocs)
 	}
+	// The poll a busy fleet actually pays for: every stamp moved since the
+	// last one, so every cache refills and every leaf refolds.
+	if allocs := testing.AllocsPerRun(100, func() {
+		for _, cc := range p.caches {
+			cc.stamp = stamp{}
+		}
+		for i := range p.acct.slots {
+			p.acct.slots[i].stamp = stamp{}
+		}
+		p.FleetLoadInto(c.Servers, &out)
+	}); allocs != 0 {
+		t.Errorf("refilling FleetLoadInto allocates %.1f objects per poll, want 0", allocs)
+	}
 }
 
 // TestCacheSweepEvictsRemovedServers covers the satellite fix for the

@@ -41,7 +41,7 @@ type Config struct {
 	// MinMeanSat is the minimum predicted mean demand-satisfaction over the
 	// admission window. Section IV-D's operators accept bounded degradation
 	// from brief peak interleaving (which the regulator then spreads over
-	// loading stages), but not sustained oversubscription. <=0 means 0.92.
+	// loading stages), but not sustained oversubscription. <=0 means 0.95.
 	MinMeanSat float64
 	// FPSSafety scales the hard per-game FPS floor: every co-located game
 	// must be predicted to keep FPSSafety × 30 FPS even at the worst
@@ -133,12 +133,26 @@ func New(bundles []*predictor.Trained, cfg Config) *CoCG {
 }
 
 // EvalScratch owns the reusable buffers one admission-evaluating goroutine
-// needs: the forecast scratch and the per-hosted curve buffer a cache refill
-// reads each hosted game's timeline into. A zero value is ready to use; a
-// scratch must not be shared between concurrent evaluations.
+// needs: the forecast scratch a cache refill generates each hosted game's
+// runs with. A zero value is ready to use; a scratch must not be shared
+// between concurrent evaluations.
 type EvalScratch struct {
-	fc    predictor.ForecastScratch
-	curve []resources.Vector
+	fc predictor.ForecastScratch
+}
+
+// stamp is everything a per-server aggregate is computed from: the membership
+// revision, the forecast generation (one counter for every hosted predictor,
+// see platform.ForecastNotifier), the horizon and the draining flag. The
+// forecast cache, its verdict memo and the accountant's leaf all revalidate
+// by comparing one stamp — O(1) however many sessions the server hosts.
+type stamp struct {
+	rev, gen uint64
+	horizon  int
+	draining bool
+}
+
+func stampOf(srv *platform.Server, h int) stamp {
+	return stamp{rev: srv.Rev(), gen: srv.ForecastGen(), horizon: h, draining: srv.Draining}
 }
 
 // serverCache is the distributor's per-server aggregate forecast: the hosted
@@ -146,21 +160,17 @@ type EvalScratch struct {
 // guards read, so evaluating a candidate only adds the candidate's own curve
 // instead of re-forecasting every hosted session per candidate per server.
 //
-// Validity is stamped, never pushed: the cache holds the server membership
-// revision and each hosted predictor's forecast revision at fill time, and
-// is rebuilt whenever any stamp (or the horizon) disagrees — admissions and
-// departures bump Server.Rev, completed detection frames bump ForecastRev,
-// and nothing else can change a forecast.
+// Validity is stamped, never pushed: the cache is rebuilt whenever the
+// server's stamp disagrees with the one it was filled under. In a busy fleet
+// that is every frame — each hosted predictor completes one — so the refill
+// below, not the warm hit, is the steady state.
 type serverCache struct {
-	valid bool
 	// cacheable is false when any hosted session has a foreign controller or
 	// an untrained spec: those paths read hosted.Request, which mutates every
 	// tick outside any revision counter, so the cache is rebuilt per
-	// evaluation (exactly the old recompute, with reused storage).
-	cacheable  bool
-	rev        uint64
-	horizon    int
-	hostedRevs []uint64
+	// evaluation. The zero value is uncacheable, so a new cache fills itself.
+	cacheable bool
+	stamp     stamp
 
 	// hostedFloor is the max FPS-floor over hosted games (order-independent,
 	// so caching it is exact).
@@ -176,11 +186,17 @@ type serverCache struct {
 	// total is the hosted games' summed demand timeline, horizon frames
 	// long, accumulated in hosted order (float addition order matters).
 	total []resources.Vector
+	// runs holds every hosted session's forecast as stage runs, back to back
+	// in hosted order; runEnd[i] is where hosted i's runs end. Each session
+	// is forecast once per stamp: total is accumulated from these runs and
+	// the fleet accountant reads them again for the per-game demand.
+	runs   []predictor.Segment
+	runEnd []int
 
 	// memo caches evaluate's verdict per candidate game under the current
-	// stamps: Algorithm 1 is a pure function of the stamped server state and
-	// the candidate's immutable training bundle, so within one set of stamps
-	// repeated pending arrivals of the same game cost O(1) after the first.
+	// stamp: Algorithm 1 is a pure function of the stamped server state and
+	// the candidate's immutable training bundle, so within one stamp repeated
+	// pending arrivals of the same game cost O(1) after the first.
 	memo map[string]evalMemo
 
 	// seen stamps the cache with the epoch of the last sweep that found its
@@ -188,7 +204,7 @@ type serverCache struct {
 	seen uint64
 
 	// Fleet-accounting memo (see accountant.go): the server's headroom and
-	// per-game demand contributions under the stamps above. loadValid is
+	// per-game demand contributions under the stamp above. loadValid is
 	// cleared on every rebuild — the admission path never pays for it; the
 	// accountant computes it lazily on first summary after a change.
 	loadValid  bool
@@ -220,30 +236,29 @@ func (c *CoCG) PreparePlacement(servers []*platform.Server) {
 	}
 }
 
-// refresh brings srv's cache up to date, rebuilding the aggregates when any
-// revision stamp (or the horizon) disagrees. The rebuild walks srv.Hosted
-// once in order, so every cached float is produced by the exact operation
-// sequence the uncached evaluate used.
+// refresh brings srv's cache up to date, rebuilding the aggregates when the
+// server's stamp moved. The rebuild walks srv.Hosted once in order and
+// forecasts each session once, so every cached float is produced by the exact
+// operation sequence the uncached evaluate used.
 func (c *CoCG) refresh(cc *serverCache, srv *platform.Server, h int, es *EvalScratch) {
-	if cc.valid && cc.cacheable && cc.rev == srv.Rev() && cc.horizon == h && c.stampsMatch(cc, srv) {
+	st := stampOf(srv, h)
+	if cc.cacheable && cc.stamp == st {
 		return
 	}
-	cc.rev = srv.Rev()
-	cc.horizon = h
+	cc.stamp = st
 	cc.cacheable = true
 	cc.loadValid = false
 	clear(cc.memo)
-	cc.hostedRevs = cc.hostedRevs[:0]
 	cc.hostedPeaks = cc.hostedPeaks[:0]
+	cc.runs = cc.runs[:0]
+	cc.runEnd = cc.runEnd[:0]
 	cc.hostedFloor = 0
 	cc.sumPeaks = resources.Zero
 	if cap(cc.total) < h {
 		cc.total = make([]resources.Vector, h)
 	}
 	cc.total = cc.total[:h]
-	for t := range cc.total {
-		cc.total[t] = resources.Zero
-	}
+	clear(cc.total)
 	for _, hosted := range srv.Hosted {
 		if f := c.cfg.FPSSafety * 30 / hosted.Spec.EffectiveFPS(); f > cc.hostedFloor {
 			cc.hostedFloor = f
@@ -261,37 +276,37 @@ func (c *CoCG) refresh(cc *serverCache, srv *platform.Server, h int, es *EvalScr
 		}
 		cc.hostedPeaks = append(cc.hostedPeaks, peak)
 		cc.sumPeaks = cc.sumPeaks.Add(peak)
+		start := len(cc.runs)
 		if native {
-			es.curve = ctl.pr.ForecastDemandInto(h, es.curve, &es.fc)
-			for t := 0; t < h && t < len(es.curve); t++ {
-				cc.total[t] = cc.total[t].Add(es.curve[t])
-			}
-			cc.hostedRevs = append(cc.hostedRevs, ctl.pr.ForecastRev())
+			cc.runs = ctl.pr.AppendForecastRuns(cc.runs, h, &es.fc)
 		} else {
 			// Foreign controller: assume its game holds its current request
 			// forever (the conservative flat timeline).
-			for t := 0; t < h; t++ {
-				cc.total[t] = cc.total[t].Add(hosted.Request)
-			}
-			cc.hostedRevs = append(cc.hostedRevs, 0)
+			cc.runs = append(cc.runs, predictor.Segment{Frames: h, Demand: hosted.Request})
 		}
+		addRuns(cc.total, cc.runs[start:])
+		cc.runEnd = append(cc.runEnd, len(cc.runs))
 	}
-	cc.valid = true
 }
 
-// stampsMatch reports whether every hosted predictor's forecast revision
-// still equals its fill-time stamp.
-func (c *CoCG) stampsMatch(cc *serverCache, srv *platform.Server) bool {
-	if len(cc.hostedRevs) != len(srv.Hosted) {
-		return false
-	}
-	for i, hosted := range srv.Hosted {
-		ctl, ok := hosted.Controller.(*Controller)
-		if !ok || ctl.pr.ForecastRev() != cc.hostedRevs[i] {
-			return false
+// addRuns adds one session's run-length timeline onto the dense total in
+// place. Frame t receives exactly the addition the per-frame expansion would
+// have given it, so the accumulated bits do not depend on the run structure.
+//
+//cocg:hot
+func addRuns(total []resources.Vector, runs []predictor.Segment) {
+	for i := range runs {
+		span, d := total[:runs[i].Frames], &runs[i].Demand
+		for t := range span {
+			// In place, component by component: the same additions as
+			// Vector.Add without moving both vectors through the stack.
+			v := &span[t]
+			for k := range v {
+				v[k] += d[k]
+			}
 		}
+		total = total[len(span):]
 	}
-	return true
 }
 
 // Name implements platform.Policy.
@@ -301,6 +316,9 @@ func (c *CoCG) Name() string { return "CoCG" }
 // per-second ticks to the predictor's frame loop.
 type Controller struct {
 	pr *predictor.Predictor
+	// gen is the hosting server's forecast-generation counter (nil until the
+	// controller is hosted), bumped whenever pr completes a frame.
+	gen *uint64
 }
 
 // Name implements platform.Controller.
@@ -308,9 +326,14 @@ func (ctl *Controller) Name() string { return "CoCG" }
 
 // Tick implements platform.Controller.
 func (ctl *Controller) Tick(util resources.Vector) resources.Vector {
-	ctl.pr.Observe(util)
+	if _, frame := ctl.pr.Observe(util); frame && ctl.gen != nil {
+		*ctl.gen++
+	}
 	return ctl.pr.Alloc()
 }
+
+// NotifyForecast implements platform.ForecastNotifier.
+func (ctl *Controller) NotifyForecast(gen *uint64) { ctl.gen = gen }
 
 // Loading implements platform.Controller.
 func (ctl *Controller) Loading() bool { return ctl.pr.Loading() }
@@ -376,7 +399,7 @@ func (c *CoCG) scoreWith(srv *platform.Server, spec *gamesim.GameSpec, es *EvalS
 
 // evaluate runs the Algorithm 1 feasibility test and returns the predicted
 // mean satisfaction over the candidate's lifetime. It reads the server's
-// cached aggregate forecast (refreshed on revision mismatch), so the
+// cached aggregate forecast (refreshed on stamp mismatch), so the
 // steady-state cost per candidate is the horizon loop alone — and zero heap
 // allocations. Every float it produces is computed by the same operation
 // sequence as the original per-call recompute, so admission decisions are
@@ -412,7 +435,7 @@ func (c *CoCG) evaluate(srv *platform.Server, spec *gamesim.GameSpec, es *EvalSc
 // verdict is the uncached Algorithm 1 feasibility test against a refreshed
 // server cache.
 func (c *CoCG) verdict(cc *serverCache, srv *platform.Server, b *predictor.Trained, spec *gamesim.GameSpec) (bool, float64) {
-	h := cc.horizon
+	h := cc.stamp.horizon
 
 	// The hard satisfaction floor: the most demanding frame lock among the
 	// games that would share the server. A 60 FPS-locked game needs half
@@ -465,17 +488,18 @@ func (c *CoCG) verdict(cc *serverCache, srv *platform.Server, b *predictor.Train
 	}
 	var satSum float64
 	for t := 0; t < window; t++ {
-		sum := cc.total[t]
+		// Both operands are read in place (a Vector.Add here moves 96 bytes
+		// through the stack per frame); past the typical curve the candidate
+		// is assumed to hold its peak.
+		hosted, add := &cc.total[t], &candPeak
 		if t < len(cand) {
-			sum = sum.Add(cand[t])
-		} else {
-			sum = sum.Add(b.Profile.PeakDemand())
+			add = &cand[t]
 		}
 		// Predicted satisfaction under proportional scaling at this moment.
 		sat := 1.0
-		for d := range sum {
-			if sum[d] > limit[d] && sum[d] > 0 {
-				if s := limit[d] / sum[d]; s < sat {
+		for d := range hosted {
+			if sum := hosted[d] + add[d]; sum > limit[d] && sum > 0 {
+				if s := limit[d] / sum; s < sat {
 					sat = s
 				}
 			}
@@ -494,7 +518,7 @@ func (c *CoCG) verdict(cc *serverCache, srv *platform.Server, b *predictor.Train
 // predicted per-dimension utilization fraction over the horizon (clamped at
 // 0); the cluster's headroom is the mean over non-draining servers. Since
 // PR 10 it delegates to the incremental fleet accountant (accountant.go), so
-// a steady-state poll costs one revision probe per server instead of a
+// a steady-state poll costs one stamp comparison per server instead of a
 // horizon×dims rescan. Like Admit and Score this is a serial entry point:
 // it may refresh caches through the policy's own scratch.
 func (c *CoCG) ClusterLoad(servers []*platform.Server) (float64, bool) {
@@ -576,7 +600,8 @@ func (c *CoCG) Regulate(srv *platform.Server) {
 
 // ConcurrentTickSafe implements platform.ConcurrentTicker: within a tick,
 // Regulate and the per-session controllers touch only the server they are
-// handed (requests, hosted predictor state) — never the forecast caches,
+// handed (requests, hosted predictor state, the server's own forecast
+// generation) — never the forecast caches,
 // which are read and refreshed only from the serial placement entry points
 // (Admit, Score, ClusterLoad, PreparePlacement). Distinct servers may
 // therefore tick on distinct goroutines.

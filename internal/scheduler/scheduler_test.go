@@ -275,12 +275,15 @@ func TestScorePrefersAdmissibleServers(t *testing.T) {
 // compares the long-lived policy's cached evaluation against a fresh policy
 // instance with empty caches over the very same servers and controllers. The
 // verdicts, scores, and cached aggregate timelines must agree bit for bit,
-// which is the cache-invalidation contract: stamps catch every mutation a
-// forecast can depend on.
+// which is the cache-invalidation contract: the stamp catches every mutation
+// a forecast can depend on. A second long-lived policy instance that never
+// created a controller scores the same servers and must agree too — the
+// forecast generation lives on the server, not in the placing policy's cache.
 func TestCachedEvaluateMatchesFreshRecompute(t *testing.T) {
 	do, co := gamesim.DOTA2(), gamesim.Contra()
 	bundles := []*predictor.Trained{bundleFor(t, do), bundleFor(t, co)}
 	p := New(bundles, Config{})
+	observer := New(bundles, Config{})
 	c := platform.NewCluster(3, p)
 	c.Jobs = 3
 	specs := []*gamesim.GameSpec{do, co}
@@ -310,10 +313,14 @@ func TestCachedEvaluateMatchesFreshRecompute(t *testing.T) {
 					t.Fatalf("tick %d server %d %s: cached (%v, %v) != fresh (%v, %v)",
 						tick, srv.ID, spec.Name, gs, gok, ws, wok)
 				}
+				if os, ook := observer.Score(srv, spec, int64(i)); ook != wok || os != ws {
+					t.Fatalf("tick %d server %d %s: observing policy (%v, %v) != fresh (%v, %v)",
+						tick, srv.ID, spec.Name, os, ook, ws, wok)
+				}
 			}
 			cp, rp := p.caches[srv], ref.caches[srv]
-			if cp == nil || rp == nil || !cp.valid || !rp.valid {
-				t.Fatalf("tick %d server %d: missing or invalid cache after scoring", tick, srv.ID)
+			if cp == nil || rp == nil || cp.stamp != stampOf(srv, p.cfg.HorizonFrames) || rp.stamp != cp.stamp {
+				t.Fatalf("tick %d server %d: missing or stale cache after scoring", tick, srv.ID)
 			}
 			if len(cp.total) != len(rp.total) {
 				t.Fatalf("tick %d server %d: timeline length %d != %d", tick, srv.ID, len(cp.total), len(rp.total))
@@ -331,6 +338,75 @@ func TestCachedEvaluateMatchesFreshRecompute(t *testing.T) {
 	}
 	if len(c.Records()) == 0 {
 		t.Error("no session departed; the membership-revision stamp went unexercised")
+	}
+}
+
+// TestForecastGenTracksHostedRevs is the O(1)-staleness contract: on every
+// tick a server's ForecastGen advances by exactly the number of detection
+// frames its hosted predictors completed — so it moves iff some hosted
+// ForecastRev moved — whether the session arrived through the cluster queue or
+// through a bare Server.Add, and a foreign controller never moves it.
+func TestForecastGenTracksHostedRevs(t *testing.T) {
+	do, co := gamesim.DOTA2(), gamesim.Contra()
+	p := policyFor(t, do, co)
+	c := platform.NewCluster(2, p)
+
+	// Server 0 fills through the queue; server 1 only ever sees direct Adds,
+	// one of them a controller the policy does not know.
+	c.Drain(1)
+	for i := 0; i < 3; i++ {
+		c.Submit(platform.Arrival{Spec: co, Script: i % len(co.Scripts), Habit: int64(i), SessionSeed: int64(40 + i)})
+	}
+	direct := c.Servers[1]
+	sess, err := gamesim.NewSession(do, 0, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl, err := p.NewController(do, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct.Add(do, sess, ctl)
+	stubSess, err := gamesim.NewSession(co, 0, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct.Add(co, stubSess, &stubController{})
+
+	type watched struct {
+		pr  *predictor.Predictor
+		rev uint64
+	}
+	moved, quiet := 0, 0
+	for tick := 0; tick < 1500; tick++ {
+		var before [2][]watched
+		var gen [2]uint64
+		for i, srv := range c.Servers {
+			gen[i] = srv.ForecastGen()
+			for _, hosted := range srv.Hosted {
+				if native, ok := hosted.Controller.(*Controller); ok {
+					before[i] = append(before[i], watched{native.pr, native.pr.ForecastRev()})
+				}
+			}
+		}
+		c.Tick()
+		for i, srv := range c.Servers {
+			var frames uint64
+			for _, w := range before[i] {
+				frames += w.pr.ForecastRev() - w.rev // sessions that departed this tick included
+			}
+			if got := srv.ForecastGen() - gen[i]; got != frames {
+				t.Fatalf("tick %d server %d: ForecastGen advanced by %d, hosted ForecastRevs by %d", tick, srv.ID, got, frames)
+			}
+			if frames > 0 {
+				moved++
+			} else if len(before[i]) > 0 {
+				quiet++
+			}
+		}
+	}
+	if c.Placements != 3 || moved == 0 || quiet == 0 {
+		t.Fatalf("scenario proved nothing: %d placements, %d moving and %d quiet server-ticks", c.Placements, moved, quiet)
 	}
 }
 
@@ -373,6 +449,13 @@ func TestEvaluateSteadyStateAllocationFree(t *testing.T) {
 		p.Score(srv, spec, 1)
 	}); n != 0 {
 		t.Errorf("warm unmemoized Score allocates %.1f/op, want 0", n)
+	}
+	// The refill — every frame's first evaluation in a busy fleet.
+	if n := testing.AllocsPerRun(200, func() {
+		cc.stamp = stamp{}
+		p.Score(srv, spec, 1)
+	}); n != 0 {
+		t.Errorf("refilling Score allocates %.1f/op, want 0", n)
 	}
 }
 

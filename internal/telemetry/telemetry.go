@@ -13,17 +13,27 @@ import (
 
 // Sampler folds per-second observations into frames of simclock.FrameLen
 // seconds. Each observation may be perturbed by Gaussian sensor noise, as
-// real utilization counters are.
+// real utilization counters are. Owners may hold a Sampler by value; a copy
+// shares the noise source, so copy only to move it.
 type Sampler struct {
 	noise float64
-	rng   *rand.Rand
-	buf   []resources.Vector
+	rng   *rand.Rand // nil when noise is off: the source is never read
+	// sum is the in-order running sum of the n observations of the current
+	// frame — the same fold resources.Mean performs over a buffer.
+	sum resources.Vector
+	n   int
 }
 
 // NewSampler returns a sampler with the given per-second sensor-noise
-// standard deviation (in percent points).
+// standard deviation (in percent points). The noise source is seeded only
+// when noise is on: seeding math/rand's 607-word state costs more than a
+// short session's whole telemetry fold.
 func NewSampler(noiseStd float64, seed int64) *Sampler {
-	return &Sampler{noise: noiseStd, rng: rand.New(rand.NewSource(seed))}
+	s := &Sampler{noise: noiseStd}
+	if noiseStd > 0 {
+		s.rng = rand.New(rand.NewSource(seed))
+	}
+	return s
 }
 
 // Observe records one second of utilization. When the observation completes
@@ -35,20 +45,21 @@ func (s *Sampler) Observe(v resources.Vector) (frame resources.Vector, ok bool) 
 		}
 		v = v.Clamp(0, 100)
 	}
-	s.buf = append(s.buf, v)
-	if len(s.buf) < int(simclock.FrameLen) {
+	s.sum = s.sum.Add(v)
+	s.n++
+	if s.n < int(simclock.FrameLen) {
 		return resources.Zero, false
 	}
-	frame = resources.Mean(s.buf)
-	s.buf = s.buf[:0]
+	frame = s.sum.Scale(1 / float64(s.n))
+	s.Reset()
 	return frame, true
 }
 
 // Pending returns how many seconds of the current frame have been observed.
-func (s *Sampler) Pending() int { return len(s.buf) }
+func (s *Sampler) Pending() int { return s.n }
 
 // Reset discards any partial frame.
-func (s *Sampler) Reset() { s.buf = s.buf[:0] }
+func (s *Sampler) Reset() { s.sum, s.n = resources.Zero, 0 }
 
 // History is a bounded ring buffer of the most recent frames.
 type History struct {

@@ -42,6 +42,27 @@ func TestSamplerAveragesWithinFrame(t *testing.T) {
 	}
 }
 
+// TestSamplerFrameIsMeanOfObservations pins the running-sum fold to
+// resources.Mean over the frame's observations, bit for bit, on values whose
+// sum rounds differently in a different order.
+func TestSamplerFrameIsMeanOfObservations(t *testing.T) {
+	s := NewSampler(0, 1)
+	var obs []resources.Vector
+	for i := 0; i < 4*int(simclock.FrameLen); i++ {
+		x := float64(i)
+		v := resources.New(0.1+x/3, 1e-9*x, 97.3-x/7, 33.3333*x)
+		obs = append(obs, v)
+		frame, ok := s.Observe(v)
+		if !ok {
+			continue
+		}
+		if want := resources.Mean(obs); frame != want {
+			t.Fatalf("frame ending at second %d = %v, want Mean = %v", i, frame, want)
+		}
+		obs = obs[:0]
+	}
+}
+
 func TestSamplerNoiseBounded(t *testing.T) {
 	s := NewSampler(5, 2)
 	for i := 0; i < 100; i++ {
