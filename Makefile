@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fmt lint vuln docs-check bench bench-e2e bench-e2e-compare bench-fleet bench-record bench-stream bench-coord bench-sim bench-train
+.PHONY: all build test race fmt fuzz-smoke lint vuln docs-check bench bench-e2e bench-e2e-compare bench-fleet bench-record bench-stream bench-coord bench-sim bench-train
 
 all: build test
 
@@ -51,6 +51,19 @@ fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
+
+# fuzz-smoke runs every Fuzz* target in the tree for FUZZTIME each (go test
+# takes one fuzz target per invocation, so the recipe walks them): the wire
+# codec, StepBulk and the tick-equivalence fuzzers, none of which any other
+# recipe runs beyond their seed corpus.
+FUZZTIME ?= 5s
+fuzz-smoke:
+	@grep -rl --include='*_test.go' '^func Fuzz' . | xargs -n1 dirname | sort -u | while read pkg; do \
+		for f in $$(grep -ho '^func Fuzz[A-Za-z0-9_]*' $$pkg/*_test.go | sed 's/^func //'); do \
+			echo "fuzz $$pkg $$f"; \
+			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+		done; \
+	done
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -131,14 +144,16 @@ bench-coord: lint
 # the legacy per-second cluster tick at 64 and 4096 sessions (the "before",
 # recorded first and embedded as the baseline), then the event-driven span
 # driver over the identical populations plus the 100k-session demonstration
-# run and the zero-alloc steady server tick. The headline number is the
-# sess-sec/s custom metric (session-seconds simulated per wall second).
+# run and the server-tick micro views: the zero-alloc steady tick and a warm
+# six-session CoCG server on the fused pass (uncontended) and on the general
+# path (contended). The headline number is the sess-sec/s custom metric
+# (session-seconds simulated per wall second).
 # Lint-gated like every recorded measurement.
 SIM_BENCH_OUT ?= BENCH_PR8.json
 bench-sim: lint
 	$(GO) run ./cmd/cocg-bench -bench 'SimTickLegacy' \
 		-pkgs ./internal/platform -out /tmp/cocg-sim-baseline.json
-	$(GO) run ./cmd/cocg-bench -bench 'SimTickLegacy|SimEvent|ServerTickSteady' \
+	$(GO) run ./cmd/cocg-bench -bench 'SimTickLegacy|SimEvent|ServerTick' \
 		-pkgs ./internal/platform -baseline /tmp/cocg-sim-baseline.json -out $(SIM_BENCH_OUT)
 
 # bench-train runs the model-training benchmarks and records BENCH_PR9.json:

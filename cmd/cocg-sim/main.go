@@ -118,6 +118,15 @@ func main() {
 		fmt.Printf("  throughput (Eq. 2): %.0f   still running: %d   pending: %d\n",
 			platform.Throughput(recs, nil), c.RunningSessions(), len(c.Pending))
 		fmt.Printf("  QoS: %s\n", platform.Summarize(recs))
+		// Uncontended server-seconds granted every session its demand as asked;
+		// the rest met a request cap, the regulator or the server's capacity.
+		var ticks, uncontended uint64
+		for _, srv := range c.Servers {
+			s, u := srv.TickCounts()
+			ticks, uncontended = ticks+s, uncontended+u
+		}
+		fmt.Printf("  ticks: %d server-seconds, %.1f %% uncontended\n",
+			ticks, 100*float64(uncontended)/float64(max(ticks, 1)))
 		names := make([]string, 0, len(byGame))
 		for g := range byGame {
 			names = append(names, g)

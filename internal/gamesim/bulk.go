@@ -158,63 +158,85 @@ func (s *Session) envelopeCovered(g resources.Vector) bool {
 //
 //cocg:hot
 func (s *Session) fastRun(k int) int {
+	// The phase only changes on a transition, which ends the run.
+	spiky := s.phase == PhaseExec && s.Spec.SpikeRate > 0
+	for i := 0; i < k; i++ {
+		if spiky {
+			// Demand()'s spike bookkeeping, in draw order: onset decisions
+			// precede the step's spike-duration countdown.
+			s.spikeAdvance()
+		}
+		if s.stepSatisfied() {
+			return i + 1
+		}
+	}
+	return k
+}
+
+// StepSatisfied is Step(s.Demand()): one second under a grant equal to the
+// tick's realised demand, which is what a server hands every session on a
+// second it can prove uncontended. Bitwise the same state as Step leaves,
+// without the satisfaction ratio, the cpuSat divisions or the lag branch.
+//
+//cocg:hot
+func (s *Session) StepSatisfied() {
+	if !s.demandValid {
+		s.Demand() // the tick's spike draw happens when its demand is realised
+	}
+	s.demandValid = false
+	s.stepSatisfied()
+}
+
+// stepSatisfied is the one copy of Step specialised to satisfaction exactly
+// 1.0, minus the demand evaluation: the caller has realised the tick's demand
+// (StepSatisfied) or replayed its only side effect, spikeAdvance (fastRun).
+// It reports whether the second fired a stage, segment or loading transition.
+// Float by float against Step with granted == demand >= 0: each ratio is
+// d/d == 1 (0/0 counts as 1), so sat == cpuSat == 1; loadExtended += 1-1 is a
+// bitwise no-op on a non-negative accumulator; fps == EffectiveFPS*1.0 is
+// bitwise EffectiveFPS; sat < 0.95 and sat < lagThreshold are false, so
+// degraded stays and progress is exactly 1.0.
+//
+//cocg:hot
+func (s *Session) stepSatisfied() bool {
 	switch s.phase {
 	case PhaseLoading:
-		for i := 0; i < k; i++ {
-			s.elapsed++
-			s.loadSeconds++
-			// Step with cpuSat == 1.0: loadLeft -= 1.0 and loadExtended += 0,
-			// the latter a bitwise no-op on a non-negative accumulator.
-			s.loadLeft -= 1.0
-			s.lastFPS = 0
-			s.lastSat = 1
-			if s.loadLeft <= 0 {
-				s.finishLoading()
-				return i + 1
-			}
+		s.elapsed++
+		s.loadSeconds++
+		s.loadLeft -= 1.0
+		s.lastFPS = 0
+		s.lastSat = 1
+		if s.loadLeft <= 0 {
+			s.finishLoading()
+			return true
 		}
-		return k
 	case PhaseExec:
-		// With sat == 1.0 the frame rate is the spec's effective FPS exactly
-		// (x * 1.0 is bitwise x), so the histogram bucket and QoS predicates
-		// are loop invariants.
+		s.elapsed++
+		s.execSeconds++
+		if s.spikeLeft > 0 {
+			s.spikeLeft--
+		}
 		fps := s.Spec.EffectiveFPS()
+		s.lastFPS = fps
+		s.lastSat = 1
+		s.fpsSum += fps
 		bucket := int(fps / 4)
 		if bucket > fpsBuckets {
 			bucket = fpsBuckets
 		}
-		good := fps >= 30
-		spiky := s.Spec.SpikeRate > 0
-		for i := 0; i < k; i++ {
-			s.elapsed++
-			if spiky {
-				// Demand()'s spike bookkeeping, in draw order: onset decisions
-				// precede Step's spike-duration countdown.
-				s.spikeAdvance()
-			}
-			s.execSeconds++
-			if s.spikeLeft > 0 {
-				s.spikeLeft--
-			}
-			s.lastFPS = fps
-			s.lastSat = 1
-			s.fpsSum += fps
-			s.fpsHist[bucket]++
-			if good {
-				s.goodFPS++
-			}
-			s.execRemaining -= 1.0
-			s.segmentLeft -= 1.0
-			if s.execRemaining <= 0 {
-				s.enterNextLoading()
-				return i + 1
-			} else if s.segmentLeft <= 0 {
-				s.advanceSegment()
-				return i + 1
-			}
+		s.fpsHist[bucket]++
+		if fps >= 30 {
+			s.goodFPS++
 		}
-		return k
-	default:
-		return k
+		s.execRemaining -= 1.0
+		s.segmentLeft -= 1.0
+		if s.execRemaining <= 0 {
+			s.enterNextLoading()
+			return true
+		} else if s.segmentLeft <= 0 {
+			s.advanceSegment()
+			return true
+		}
 	}
+	return false
 }

@@ -157,6 +157,47 @@ func TestStepBulkRunToCompletion(t *testing.T) {
 	}
 }
 
+// TestStepSatisfiedMatchesStep: StepSatisfied leaves bitwise the state
+// Step(Demand()) leaves — the property Server.tickAt's fused pass rests on —
+// whether or not the caller realised the demand first, and from states that
+// throttled seconds (stretched loading, lag, spikes in flight) have produced.
+func TestStepSatisfiedMatchesStep(t *testing.T) {
+	for _, spec := range AllGames() {
+		for script := range spec.Scripts {
+			for seed := int64(1); seed <= 4; seed++ {
+				ref, err := NewPlayerSession(spec, script, seed*11, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fast, _ := NewPlayerSession(spec, script, seed*11, seed)
+				prng := rand.New(rand.NewSource(seed * 131))
+				for sec := 0; !ref.Done() && sec < 40_000; sec++ {
+					if prng.Intn(5) == 0 {
+						// A throttled second on both, to move off the all-satisfied
+						// trajectory.
+						g := grantFor(2+prng.Intn(3), ref, prng)
+						ref.Step(g)
+						fast.Step(g)
+					} else {
+						d := ref.Demand()
+						ref.Step(d)
+						if prng.Intn(2) == 0 {
+							if got := fast.Demand(); got != d {
+								t.Fatalf("%s: demands diverged at %d: %v vs %v", spec.Name, sec, got, d)
+							}
+						}
+						fast.StepSatisfied()
+					}
+					requireSameState(t, ref, fast, spec.Name)
+				}
+				if !ref.Done() {
+					t.Fatalf("%s script %d seed %d: did not finish", spec.Name, script, seed)
+				}
+			}
+		}
+	}
+}
+
 // FuzzStepBulkEquivalence fuzzes the equivalence over seeds and chunk
 // layouts; the checked property is identical to TestStepBulkMatchesStep.
 func FuzzStepBulkEquivalence(f *testing.F) {

@@ -142,8 +142,7 @@ func NewPlayerSession(spec *GameSpec, scriptIdx int, habitSeed, sessionSeed int6
 		phase:     PhaseLoading,
 		curStage:  LoadingType,
 	}
-	habit := rand.New(rand.NewSource(habitSeed))
-	s.plan = s.realizePlan(spec.Scripts[scriptIdx].Body, habit)
+	s.plan = s.realizePlan(spec.Scripts[scriptIdx].Body, habitSeed)
 	s.loadLeft = s.drawLoad(1)
 	s.noiseSeed = s.rng.Uint64()
 	if spec.SpikeRate > 0 {
@@ -156,13 +155,16 @@ func NewPlayerSession(spec *GameSpec, scriptIdx int, habitSeed, sessionSeed int6
 // realizePlan applies the category's user-influence model to the script's
 // nominal body: habitual reordering and repeats (habit RNG), session-level
 // deviations from habit, duration draws, and per-stage cluster visiting
-// orders (session RNG).
-func (s *Session) realizePlan(body []int, habit *rand.Rand) []plannedStage {
+// orders (session RNG). The habit RNG is seeded only by the categories that
+// draw from it: seeding math/rand fills a 607-word state, more than the rest
+// of a Console or Web session's construction.
+func (s *Session) realizePlan(body []int, habitSeed int64) []plannedStage {
 	ui := s.Spec.Category.UserInfluence()
 	order := append([]int(nil), body...)
 
 	switch s.Spec.Category {
 	case Mobile:
+		habit := rand.New(rand.NewSource(habitSeed))
 		// Players habitually reorder their daily tasks: adjacent swaps after
 		// the first entry (the login menu always comes first)...
 		for i := 1; i < len(order)-1; i++ {
@@ -181,6 +183,7 @@ func (s *Session) realizePlan(body []int, habit *rand.Rand) []plannedStage {
 		// times and occasionally swap adjacent phases. The repeat pattern is
 		// driven by the habit RNG — players who queue together (a cohort in
 		// the corpus generator) share it — with per-session swaps on top.
+		habit := rand.New(rand.NewSource(habitSeed))
 		var expanded []int
 		for _, t := range order {
 			expanded = append(expanded, t)

@@ -3,8 +3,10 @@ package platform_test
 import (
 	"testing"
 
+	"cocg/internal/core"
 	"cocg/internal/gamesim"
 	"cocg/internal/platform"
+	"cocg/internal/resources"
 	"cocg/internal/simclock"
 )
 
@@ -38,15 +40,29 @@ func buildSteadyCluster(nServers, perServer int) *platform.Cluster {
 }
 
 // TestServerTickZeroAllocs is the acceptance gate for the scratch-backed tick
-// loop: once warm, Server.Tick must not allocate at all.
+// loop: once warm, Server.Tick must not allocate at all — on the fused pass
+// (the steady requests cover every demand) and on the general path alike.
 func TestServerTickZeroAllocs(t *testing.T) {
-	c := buildSteadyCluster(1, 2)
-	srv, pol := c.Servers[0], c.Policy
-	for i := 0; i < 10; i++ {
-		srv.Tick(pol)
-	}
-	if avg := testing.AllocsPerRun(200, func() { srv.Tick(pol) }); avg != 0 {
-		t.Fatalf("Server.Tick allocates %v allocs/op in steady state; want 0", avg)
+	for _, general := range []bool{false, true} {
+		c := buildSteadyCluster(1, 2)
+		srv, pol := c.Servers[0], c.Policy
+		if general {
+			srv.ForceGeneralTick()
+		}
+		for i := 0; i < 10; i++ {
+			srv.Tick(pol)
+		}
+		if avg := testing.AllocsPerRun(200, func() { srv.Tick(pol) }); avg != 0 {
+			t.Errorf("general=%v: Server.Tick allocates %v allocs/op in steady state; want 0", general, avg)
+		}
+		seconds, uncontended := srv.TickCounts()
+		want := seconds
+		if general {
+			want = 0
+		}
+		if uncontended != want {
+			t.Errorf("general=%v: %d of %d seconds took the fused pass, want %d", general, uncontended, seconds, want)
+		}
 	}
 }
 
@@ -102,3 +118,52 @@ func BenchmarkServerTickSteady(b *testing.B) {
 		srv.Tick(pol)
 	}
 }
+
+// benchCoCGTick measures Server.Tick on a warm six-session server under the
+// CoCG policy (predictor-backed controllers, loading-steal regulator). The
+// same six sessions run at both capacities: four servers' worth, where
+// capacity never binds and only the seconds a predictor under-requested take
+// the general path, and one server's worth, where nearly all do. A server that
+// loses a session is rebuilt and re-warmed off the clock.
+func benchCoCGTick(b *testing.B, capacity resources.Vector) {
+	b.ReportAllocs()
+	games := gamesim.AllGames()
+	var hosts []host
+	for i := 0; i < 6; i++ {
+		g := games[i%len(games)]
+		hosts = append(hosts, host{spec: g, script: len(g.Scripts) - 1, seed: int64(200 + i)})
+	}
+	var srv *platform.Server
+	var pol platform.Policy
+	// Tick counts of the timed seconds only: [sec0, unc0] is the server's
+	// reading after its warm-up.
+	var seconds, uncontended, sec0, unc0 uint64
+	settle := func() {
+		if srv != nil {
+			s, u := srv.TickCounts()
+			seconds, uncontended = seconds+s-sec0, uncontended+u-unc0
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if srv == nil || srv.NumHosted() < len(hosts) {
+			b.StopTimer()
+			settle()
+			p := newTickPair(b, core.PolicyCoCG, capacity, hosts...)
+			srv, pol = p.srv[0], p.pol[0]
+			for w := 0; w < 30; w++ {
+				srv.Tick(pol)
+			}
+			sec0, unc0 = srv.TickCounts()
+			b.StartTimer()
+		}
+		srv.Tick(pol)
+	}
+	b.StopTimer()
+	settle()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(hosts)), "ns/sess-sec")
+	b.ReportMetric(100*float64(uncontended)/float64(seconds), "%uncontended")
+}
+
+func BenchmarkServerTickCoCGUncontended(b *testing.B) { benchCoCGTick(b, resources.Uniform(400)) }
+func BenchmarkServerTickCoCGContended(b *testing.B)   { benchCoCGTick(b, resources.FullServer) }

@@ -174,6 +174,13 @@ type Server struct {
 	// policy's cache because several policy instances may observe one server.
 	rev         uint64
 	forecastGen uint64
+	// ticks counts the non-empty seconds this server has simulated and
+	// uncontended those among them that met tickAt's certificate; the
+	// difference is the seconds on which demand met a cap or capacity.
+	ticks, uncontended uint64
+	// forceGeneral sends every second down the general path; only the
+	// differential tests set it (export_test.go).
+	forceGeneral bool
 }
 
 // Rev returns the server's membership revision: it bumps whenever a session
@@ -185,6 +192,12 @@ func (s *Server) Rev() uint64 { return s.rev }
 // a hosted ForecastNotifier controller completes a detection frame, so with
 // an unchanged Rev it stamps every hosted forecast in O(1).
 func (s *Server) ForecastGen() uint64 { return s.forecastGen }
+
+// TickCounts returns how many non-empty virtual seconds the server has
+// simulated and how many of those were uncontended: every realised demand
+// within its (regulated) request and their sum within capacity, so every
+// session was granted exactly what it asked for.
+func (s *Server) TickCounts() (seconds, uncontended uint64) { return s.ticks, s.uncontended }
 
 // NewServer returns a server with the given capacity, sharing the cluster
 // clock.
@@ -283,12 +296,19 @@ func (s *Server) Tick(p Policy) {
 // servers ahead of the shared cluster clock, so completion records must be
 // stamped with the virtual second being simulated rather than the clock.
 //
+// After regulation it decides, from the second's realised demands, whether the
+// second is uncontended — every demand within its request, the demands summing
+// within capacity. On such a second the grant computation is the identity, and
+// one fused pass replaces the general path's four; any other second takes the
+// general path. docs/PERFORMANCE.md ("The scratch-backed tick") has the proof.
+//
 //cocg:hot
 func (s *Server) tickAt(p Policy, now simclock.Seconds) {
 	n := len(s.Hosted)
 	if n == 0 {
 		return
 	}
+	s.ticks++
 	if cap(s.scratch.demands) < n {
 		s.scratch.grow(n)
 	}
@@ -311,16 +331,48 @@ func (s *Server) tickAt(p Policy, now simclock.Seconds) {
 	p.Regulate(s)
 
 	// Effective needs under the (possibly regulated) requests; the request
-	// total is re-derived because Regulate may have lowered requests.
+	// total is re-derived because Regulate may have lowered requests. covered
+	// stays true while every demand is within its request, compared as
+	// !(d <= r) so that a NaN request fails it.
 	needs := s.scratch.needs[:n]
 	var total resources.Vector
 	reqTotal = resources.Zero
+	covered := !s.forceGeneral
 	for i, h := range s.Hosted {
 		needs[i] = demands[i].Min(h.Request)
 		total = total.Add(needs[i])
 		reqTotal = reqTotal.Add(h.Request)
+		for d := range needs[i] {
+			if !(demands[i][d] <= h.Request[d]) {
+				covered = false
+			}
+		}
 	}
 	s.reqTotal = reqTotal
+
+	if covered && total.Fits(s.Capacity) {
+		// Uncontended: the general path below would compute exactly this. With
+		// needs == demands every scale is 1 (x*1 == x), every deficit is
+		// d-d == +0 so no share is taken (and d+0 == d for the non-negative
+		// demands Session.Demand clamps to), Request.Max(d) keeps Request, and
+		// all three grant folds are total. docs/PERFORMANCE.md goes through it
+		// float by float.
+		s.uncontended++
+		finished := false
+		for i, h := range s.Hosted {
+			h.Granted = demands[i]
+			h.lastGrant = h.Request
+			h.Session.StepSatisfied()
+			finished = finished || h.Session.Done()
+		}
+		s.peakUtil = s.peakUtil.Max(total)
+		s.utilTotal = total
+		if finished {
+			s.sweep(now)
+		}
+		return
+	}
+
 	// Per-dimension scale factor when needs exceed capacity.
 	var scale resources.Vector
 	for d := range scale {
@@ -367,6 +419,7 @@ func (s *Server) tickAt(p Policy, now simclock.Seconds) {
 		}
 	}
 	granted = resources.Zero
+	finished := false
 	for i, h := range s.Hosted {
 		extra := deficits[i]
 		for d := range extra {
@@ -377,11 +430,20 @@ func (s *Server) tickAt(p Policy, now simclock.Seconds) {
 		h.lastGrant = h.Request.Max(g) // the game could use up to this
 		granted = granted.Add(g)
 		h.Session.Step(g)
+		finished = finished || h.Session.Done()
 	}
 	s.peakUtil = s.peakUtil.Max(granted)
 	s.utilTotal = granted
+	if finished {
+		s.sweep(now)
+	}
+}
 
-	// Sweep completed sessions into records.
+// sweep moves completed sessions into records; both tick paths call it, and
+// only on a second some session finished (otherwise it would change nothing).
+//
+//cocg:hot
+func (s *Server) sweep(now simclock.Seconds) {
 	remaining := s.Hosted[:0]
 	for _, h := range s.Hosted {
 		if h.Session.Done() {
@@ -390,14 +452,10 @@ func (s *Server) tickAt(p Policy, now simclock.Seconds) {
 			remaining = append(remaining, h)
 		}
 	}
-	if len(remaining) != len(s.Hosted) {
-		s.rev++
-		s.Hosted = remaining
-		// A departed grant cannot be subtracted bitwise; restart the folds.
-		s.recomputeTotals()
-		return
-	}
+	s.rev++
 	s.Hosted = remaining
+	// A departed grant cannot be subtracted bitwise; restart the folds.
+	s.recomputeTotals()
 }
 
 // emitRecord routes one completed session's record to the sink, or retains

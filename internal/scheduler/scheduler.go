@@ -574,15 +574,15 @@ func (c *CoCG) ClusterLoadFullScan(servers []*platform.Server) (float64, bool) {
 // frames at a peak (Observation 4) — and only the platform's proportional
 // scaling touches executing games if that is not enough.
 func (c *CoCG) Regulate(srv *platform.Server) {
-	if c.cfg.DisableLoadingSteal {
+	// The common second: requests fit under the margin. For finite totals
+	// a-b <= 0 exactly when a <= b, so this decides what testing the clamped
+	// excess for zero did, without building it.
+	total := srv.RequestTotal()
+	if c.cfg.DisableLoadingSteal || total.FitsWithin(srv.Capacity, c.cfg.SafetyMargin) {
 		return
 	}
 	limit := srv.Capacity.Sub(resources.Uniform(c.cfg.SafetyMargin))
-	total := srv.RequestTotal()
 	over := total.Sub(limit).ClampNonNegative()
-	if over.IsZero() {
-		return
-	}
 	for _, hosted := range srv.Hosted {
 		if over.IsZero() {
 			break
@@ -608,8 +608,11 @@ func (c *CoCG) Regulate(srv *platform.Server) {
 //
 // CoCG deliberately does not implement NoopRegulator — loading-steal
 // regulation must see every second — and its controllers adapt to measured
-// utilization, so the event-driven driver always ticks CoCG servers
-// per-second; only the parallel fan-out applies.
+// utilization, so the event-driven driver ticks CoCG servers every second.
+// What makes most of those seconds cheap is not a policy marker but the
+// platform's per-second certificate (Server.tickAt): Regulate returns at its
+// first test whenever requests fit under the margin, and a second whose
+// realised demands fit their requests takes the fused grant pass.
 func (c *CoCG) ConcurrentTickSafe() bool { return true }
 
 // PredictionLatencyFor reports the simulated prediction latency for a game's
