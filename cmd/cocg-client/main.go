@@ -22,15 +22,7 @@ func main() {
 	script := flag.Int("script", 0, "script index to play")
 	timeout := flag.Duration("timeout", 2*time.Minute, "session timeout")
 	link := flag.String("link", "", "simulate a last-mile network: fiber, cable, or mobile")
-	proto := flag.String("proto", "binary", "max wire protocol to offer: binary or json (legacy)")
 	flag.Parse()
-
-	protos := map[string]int{"binary": streaming.ProtoBinary, "json": streaming.ProtoJSON}
-	maxProto, ok := protos[strings.ToLower(*proto)]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "cocg-client: unknown protocol %q\n", *proto)
-		os.Exit(2)
-	}
 
 	var nl *netmodel.Link
 	switch strings.ToLower(*link) {
@@ -54,18 +46,14 @@ func main() {
 
 	fmt.Printf("connecting to %s to play %s (script %d)...\n", *addr, game, *script)
 	stats, err := streaming.Play(*addr, streaming.ClientConfig{
-		Game: game, Script: *script, Timeout: *timeout, Link: nl, MaxProto: maxProto,
+		Game: game, Script: *script, Timeout: *timeout, Link: nl,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	wire := "json"
-	if stats.Proto == streaming.ProtoBinary {
-		wire = "binary"
-	}
-	fmt.Printf("session %d finished: played %d s of virtual time over the %s protocol\n",
-		stats.SessionID, stats.Final.DurationSec, wire)
+	fmt.Printf("session %d finished: played %d s of virtual time\n",
+		stats.SessionID, stats.Final.DurationSec)
 	if stats.SeqGaps > 0 {
 		fmt.Printf("  drops:  %d sequence gaps (server coalesced or dropped batches under backpressure)\n", stats.SeqGaps)
 	}

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	cocg-loadgen [-addr host:port] [-n 64] [-c 32] [-game Contra] [-script -1]
-//	             [-mix] [-proto binary|json] [-timeout 2m]
+//	             [-mix] [-timeout 2m]
 //
 // A -script of -1 rotates every session through the game's script list, so
 // the offered load exercises all trained stage mixes. -mix is the fleet
@@ -48,16 +48,9 @@ func main() {
 	game := flag.String("game", "Contra", "game to request")
 	mix := flag.Bool("mix", false, "fleet mode: rotate sessions through every registered game (ignores -game)")
 	script := flag.Int("script", -1, "script index; -1 rotates through the game's scripts")
-	proto := flag.String("proto", "binary", "max wire protocol to offer: binary or json (legacy)")
 	timeout := flag.Duration("timeout", 2*time.Minute, "per-session timeout")
 	flag.Parse()
 
-	protos := map[string]int{"binary": streaming.ProtoBinary, "json": streaming.ProtoJSON}
-	maxProto, ok := protos[strings.ToLower(*proto)]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "cocg-loadgen: unknown protocol %q\n", *proto)
-		os.Exit(2)
-	}
 	games := []*gamesim.GameSpec{}
 	if *mix {
 		games = gamesim.AllGames()
@@ -78,8 +71,8 @@ func main() {
 	if *mix {
 		offered = fmt.Sprintf("a %d-game mix", len(games))
 	}
-	fmt.Printf("cocg-loadgen: %d sessions of %s against %s (%s wire, %d in flight)\n",
-		*n, offered, *addr, *proto, *c)
+	fmt.Printf("cocg-loadgen: %d sessions of %s against %s (%d in flight)\n",
+		*n, offered, *addr, *c)
 
 	results := make([]sessionResult, *n)
 	var inFlight, peak atomic.Int64
@@ -105,7 +98,7 @@ func main() {
 			var mu sync.Mutex
 			var last time.Time
 			r.stats, r.err = streaming.Play(*addr, streaming.ClientConfig{
-				Game: spec.Name, Script: sc, Timeout: *timeout, MaxProto: maxProto,
+				Game: spec.Name, Script: sc, Timeout: *timeout,
 				OnFrames: func(f *streaming.FrameBatch) {
 					now := time.Now()
 					mu.Lock()

@@ -5,11 +5,11 @@
 // Usage:
 //
 //	cocg-sim [-servers N] [-hours H] [-rate R] [-policy cocg|vbp|gaugur|reactive]
-//	         [-seed S] [-jobs J] [-sessions N] [-engine legacy|event]
+//	         [-seed S] [-jobs J] [-sessions N]
 //
-// -engine event pregenerates the arrival schedule and runs the event-driven
-// cluster driver (bit-identical outputs, far fewer executed ticks when the
-// policy certifies bulk windows); -sessions pre-submits N arrivals at t=0 for
+// The arrival schedule is pregenerated and the cluster runs on the
+// event-driven driver (far fewer executed ticks when the policy certifies
+// bulk windows); -sessions pre-submits N arrivals at t=0 for
 // large-population runs.
 package main
 
@@ -38,13 +38,7 @@ func main() {
 	jobs := flag.Int("jobs", 0, "placement-scan and tick-fanout worker goroutines (<=1 serial; any value simulates identically)")
 	bundle := flag.String("bundle", "", "load a pre-trained system from this cocg-train bundle instead of training")
 	sessions := flag.Int("sessions", 0, "arrivals pre-submitted at t=0 (round-robin over the mix), on top of the stream")
-	engine := flag.String("engine", "legacy", "cluster driver: legacy (per-second loop) or event (bulk span advancement)")
 	flag.Parse()
-
-	if *engine != "legacy" && *engine != "event" {
-		fmt.Fprintf(os.Stderr, "cocg-sim: unknown engine %q\n", *engine)
-		os.Exit(2)
-	}
 
 	kinds := map[string]core.PolicyKind{
 		"cocg": core.PolicyCoCG, "vbp": core.PolicyVBP,
@@ -88,13 +82,9 @@ func main() {
 			c.Submit(gen.Next(mix[i%len(mix)]))
 		}
 		t0 := time.Now()
-		if *engine == "event" {
-			c.RunEvented(horizon, stream.Schedule(0, horizon))
-		} else {
-			for i := simclock.Seconds(0); i < horizon; i++ {
-				stream.Feed(c)
-				c.Tick()
-			}
+		if err := c.RunEvented(horizon, stream.Schedule(0, horizon)); err != nil {
+			fmt.Fprintln(os.Stderr, "cocg-sim:", err)
+			os.Exit(1)
 		}
 		recs := c.Records()
 		type agg struct {

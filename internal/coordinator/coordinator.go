@@ -8,9 +8,9 @@
 // The coordinator speaks the internal/streaming protocol on both sides and
 // adds no framing of its own. Per session it relays the JSON Hello/Accept
 // handshake message-by-message (stamping Accept.Cluster so the client learns
-// where it landed), then collapses into a raw byte pipe — the negotiated
-// session codec, binary or JSON, passes through untouched, so the
-// coordinator adds one hop but zero re-encoding to the hot path.
+// where it landed), then collapses into a raw byte pipe — the session's
+// binary frames pass through untouched, so the coordinator adds one hop but
+// zero re-encoding to the hot path.
 // Cluster load is pulled over the same wire: a background prober per cluster
 // holds a summary feed (MsgSummaryReq/MsgSummary, protocol-negotiated like
 // any session) and refreshes a ClusterSummary every ProbeEvery; consecutive

@@ -1,8 +1,12 @@
 package coordinator
 
 import (
+	"fmt"
+	"net"
 	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -100,9 +104,6 @@ func TestFleetRoutesToNearestCluster(t *testing.T) {
 	if stats.Frames == 0 || stats.Final.DurationSec == 0 {
 		t.Errorf("proxied session streamed nothing: %+v", stats)
 	}
-	if stats.Proto < streaming.ProtoBinary {
-		t.Errorf("proxied session negotiated proto %d, want binary end to end", stats.Proto)
-	}
 	if got := co.decisions.Load(); got != 1 {
 		t.Errorf("routing decisions %d, want 1", got)
 	}
@@ -163,6 +164,119 @@ func TestFleetFailsOverWhenClusterDies(t *testing.T) {
 	}
 	if stats.Cluster != "survivor" {
 		t.Errorf("post-mark-down session routed to %q", stats.Cluster)
+	}
+}
+
+// feedRejectingCluster is a stand-in cluster that speaks the summary feed
+// until refuse flips, then hangs up on the open feed and answers every new
+// first request with a Reject — a peer whose wire version no longer matches.
+// Its handlers end when the coordinator under test closes its connections.
+func feedRejectingCluster(t *testing.T, refuse *atomic.Bool) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	summary := &streaming.Envelope{Type: streaming.MsgSummary, Summary: &streaming.ClusterSummary{
+		Proto: streaming.ProtoBinary3, Servers: 4, Headroom: 1,
+	}}
+	serve := func(nc net.Conn) {
+		defer nc.Close()
+		conn := streaming.NewConn(nc)
+		if _, err := conn.Recv(); err != nil {
+			return
+		}
+		if refuse.Load() {
+			_ = conn.Send(&streaming.Envelope{Type: streaming.MsgReject,
+				Reject: &streaming.Reject{Reason: "unsupported wire protocol version 3"}})
+			return
+		}
+		if conn.Send(summary) != nil {
+			return
+		}
+		conn.SetProto(streaming.ProtoBinary3)
+		for {
+			if _, err := conn.Recv(); err != nil || refuse.Load() || conn.Send(summary) != nil {
+				return
+			}
+		}
+	}
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go serve(nc)
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestFeedRejectMarksClusterDown covers the one-layout wire's failure mode on
+// the control plane: a cluster that answers the summary feed with a Reject is
+// a failed probe like any other — marked down after DownAfter of them, with
+// the reason logged, and left out of routing even when it is the nearest.
+func TestFeedRejectMarksClusterDown(t *testing.T) {
+	var refuse atomic.Bool
+	real := startCluster(t, time.Millisecond)
+	var logMu sync.Mutex
+	var logged []string
+	co, err := Serve("127.0.0.1:0", Config{
+		Clusters: []ClusterSpec{
+			{Name: "mismatched", Addr: feedRejectingCluster(t, &refuse), LatencyMS: 1},
+			{Name: "real", Addr: real.Addr(), LatencyMS: 120},
+		},
+		ProbeEvery: 5 * time.Millisecond,
+		DownAfter:  3,
+		Logf: func(format string, args ...any) {
+			logMu.Lock()
+			logged = append(logged, fmt.Sprintf(format, args...))
+			logMu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { co.Close() })
+	mismatched := co.members[0]
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+	waitFor("both clusters healthy", func() bool {
+		return mismatched.view().Healthy && co.members[1].view().Healthy
+	})
+
+	refuse.Store(true)
+	waitFor("the rejecting cluster to be marked down", func() bool { return !mismatched.view().Healthy })
+	if got := mismatched.probeFails.Load(); got < 3 {
+		t.Errorf("marked down after %d failed probes, want DownAfter=3", got)
+	}
+	if got := co.markedDown.Load(); got != 1 {
+		t.Errorf("marked-down transitions %d, want 1", got)
+	}
+	logMu.Lock()
+	lines := strings.Join(logged, "\n")
+	logMu.Unlock()
+	if !strings.Contains(lines, "mismatched") || !strings.Contains(lines, "summary feed rejected") {
+		t.Errorf("mark-down log does not carry the reject reason:\n%s", lines)
+	}
+
+	stats, err := streaming.Play(co.Addr(), streaming.ClientConfig{Game: "Contra", Script: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Cluster != "real" {
+		t.Errorf("session routed to %q, want the cluster whose feed works", stats.Cluster)
+	}
+	if got := mismatched.routed.Load(); got != 0 {
+		t.Errorf("the marked-down cluster was dialed for %d sessions", got)
 	}
 }
 

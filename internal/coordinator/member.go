@@ -1,6 +1,7 @@
 package coordinator
 
 import (
+	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -135,10 +136,15 @@ func (co *Coordinator) probeLoop(m *member) {
 
 // probeOnce pulls one summary over the feed, dialing it first when absent,
 // and returns the feed for the next round (nil after an error, so the next
-// round redials).
+// round redials). The first request of a feed negotiates the wire protocol,
+// exactly like a session Hello: request and reply travel as JSON, the rest
+// of the feed is binary. A cluster that answers with a Reject (or a version
+// this build does not speak) fails the probe like any transport error.
 func (co *Coordinator) probeOnce(m *member, feed *streaming.Conn) *streaming.Conn {
 	deadline := time.Now().Add(co.cfg.ProbeTimeout)
-	if feed == nil {
+	var req streaming.SummaryReq
+	opening := feed == nil
+	if opening {
 		nc, err := net.DialTimeout("tcp", m.addr, co.cfg.DialTimeout)
 		if err != nil {
 			co.probeFailed(m, err)
@@ -148,43 +154,45 @@ func (co *Coordinator) probeOnce(m *member, feed *streaming.Conn) *streaming.Con
 		m.nc = nc
 		m.connMu.Unlock()
 		feed = streaming.NewConn(nc)
-		// First request negotiates the wire protocol, exactly like a session
-		// Hello: request and reply travel as JSON, the rest of the feed
-		// switches to the negotiated framing (the extended-summary binary
-		// layout against a current cluster, which carries the per-game
-		// demand breakdown; plain binary or JSON against older ones).
-		_ = nc.SetDeadline(deadline)
-		if err := feed.Send(&streaming.Envelope{Type: streaming.MsgSummaryReq,
-			SummaryReq: &streaming.SummaryReq{Proto: streaming.ProtoBinary3}}); err != nil {
-			m.closeFeed()
-			co.probeFailed(m, err)
-			return nil
-		}
-		env, err := feed.Recv()
-		if err != nil || env.Type != streaming.MsgSummary {
-			m.closeFeed()
-			co.probeFailed(m, err)
-			return nil
-		}
-		feed.SetProto(streaming.NegotiateProto(streaming.ProtoBinary3, env.Summary.Proto))
-		m.noteSummary(*env.Summary)
-		return feed
+		req.Proto = streaming.ProtoBinary3
 	}
 	_ = m.ncDeadline(deadline)
-	if err := feed.Send(&streaming.Envelope{Type: streaming.MsgSummaryReq,
-		SummaryReq: &streaming.SummaryReq{}}); err != nil {
+	sum, err := pullSummary(feed, &req)
+	if err == nil && opening {
+		if streaming.NegotiateProto(streaming.ProtoBinary3, sum.Proto) == 0 {
+			err = fmt.Errorf("coordinator: feed chose unsupported wire protocol version %d", sum.Proto)
+		} else {
+			feed.SetProto(streaming.ProtoBinary3)
+		}
+	}
+	if err != nil {
 		m.closeFeed()
 		co.probeFailed(m, err)
 		return nil
+	}
+	m.noteSummary(*sum)
+	return feed
+}
+
+// pullSummary sends one request over the feed and reads its reply, turning
+// anything but a summary — a Reject above all — into the error the probe
+// fails with.
+func pullSummary(feed *streaming.Conn, req *streaming.SummaryReq) (*streaming.ClusterSummary, error) {
+	if err := feed.Send(&streaming.Envelope{Type: streaming.MsgSummaryReq, SummaryReq: req}); err != nil {
+		return nil, err
 	}
 	env, err := feed.Recv()
-	if err != nil || env.Type != streaming.MsgSummary {
-		m.closeFeed()
-		co.probeFailed(m, err)
-		return nil
+	if err != nil {
+		return nil, err
 	}
-	m.noteSummary(*env.Summary)
-	return feed
+	switch env.Type {
+	case streaming.MsgSummary:
+		return env.Summary, nil
+	case streaming.MsgReject:
+		return nil, fmt.Errorf("coordinator: summary feed rejected: %s", env.Reject.Reason)
+	default:
+		return nil, fmt.Errorf("coordinator: unexpected feed reply %q", env.Type)
+	}
 }
 
 // ncDeadline stamps the probe deadline on the feed's transport, tolerating a

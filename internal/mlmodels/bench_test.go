@@ -14,7 +14,6 @@ type benchFixture struct {
 	dtc *DecisionTree
 	rf  *RandomForest
 	gb  *GBDT
-	knn *KNN
 }
 
 // benchDataset builds the benchmark corpus: 2000 stage transitions with 8
@@ -50,9 +49,8 @@ func newBenchFixture(b *testing.B) *benchFixture {
 		dtc: NewDecisionTree(TreeConfig{Seed: 1}),
 		rf:  NewRandomForest(ForestConfig{NumTrees: 40, Seed: 1}),
 		gb:  NewGBDT(GBDTConfig{NumRounds: 40, Seed: 1}),
-		knn: NewKNN(5),
 	}
-	for _, m := range []Classifier{fx.dtc, fx.rf, fx.gb, fx.knn} {
+	for _, m := range []Classifier{fx.dtc, fx.rf, fx.gb} {
 		if err := m.Fit(ds); err != nil {
 			b.Fatal(err)
 		}
@@ -79,7 +77,6 @@ func benchPredict(b *testing.B, fx *benchFixture, m Classifier) {
 func BenchmarkDTCPredict(b *testing.B)  { fx := newBenchFixture(b); benchPredict(b, fx, fx.dtc) }
 func BenchmarkRFPredict(b *testing.B)   { fx := newBenchFixture(b); benchPredict(b, fx, fx.rf) }
 func BenchmarkGBDTPredict(b *testing.B) { fx := newBenchFixture(b); benchPredict(b, fx, fx.gb) }
-func BenchmarkKNNPredict(b *testing.B)  { fx := newBenchFixture(b); benchPredict(b, fx, fx.knn) }
 
 // benchPredictFn measures a raw prediction function (the pointer-walk
 // reference paths); comparing against the flat benchmarks above quantifies
@@ -136,11 +133,6 @@ func BenchmarkRFPredictBatch(b *testing.B) {
 func BenchmarkGBDTPredictBatch(b *testing.B) {
 	fx := newBenchFixture(b)
 	benchPredictBatch(b, fx, fx.gb)
-}
-
-func BenchmarkKNNPredictBatch(b *testing.B) {
-	fx := newBenchFixture(b)
-	benchPredictBatch(b, fx, fx.knn)
 }
 
 // benchFitDataset is the training-benchmark corpus: the same feature/label

@@ -99,7 +99,6 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 		NewDecisionTree(TreeConfig{Seed: 2}),
 		NewRandomForest(ForestConfig{NumTrees: 15, Seed: 2}),
 		NewGBDT(GBDTConfig{NumRounds: 10, Seed: 2}),
-		NewKNN(5),
 		&Majority{},
 	}
 	for _, m := range models {

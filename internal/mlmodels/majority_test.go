@@ -2,57 +2,6 @@ package mlmodels
 
 import "testing"
 
-func TestKNNLearnsSeparableData(t *testing.T) {
-	ds := synthDataset(300, 31)
-	train, test := ds.Split(0.75, 3)
-	k := NewKNN(5)
-	if err := k.Fit(train); err != nil {
-		t.Fatal(err)
-	}
-	acc, err := Evaluate(k, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if acc < 0.8 {
-		t.Errorf("kNN accuracy %.3f on separable data", acc)
-	}
-}
-
-func TestKNNErrorsAndDefaults(t *testing.T) {
-	k := NewKNN(0)
-	if k.K != 5 {
-		t.Errorf("default K = %d", k.K)
-	}
-	if _, err := k.Predict([]float64{1}); err != ErrNotFitted {
-		t.Errorf("unfitted err = %v", err)
-	}
-	if err := k.Fit(&Dataset{}); err != ErrEmptyDataset {
-		t.Errorf("empty fit err = %v", err)
-	}
-	ds := synthDataset(20, 32)
-	if err := k.Fit(ds); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := k.Predict([]float64{1}); err != ErrBadFeatureLen {
-		t.Errorf("bad length err = %v", err)
-	}
-}
-
-func TestKNNKLargerThanTrainingSet(t *testing.T) {
-	ds := synthDataset(3, 33)
-	k := NewKNN(50)
-	if err := k.Fit(ds); err != nil {
-		t.Fatal(err)
-	}
-	got, err := k.Predict(ds.Samples[0].Features)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got < 0 || got >= ds.NumClasses {
-		t.Errorf("prediction %d out of range", got)
-	}
-}
-
 func TestMajorityBaseline(t *testing.T) {
 	samples := []Sample{
 		{Features: []float64{1}, Label: 2},
@@ -85,8 +34,8 @@ func TestMajorityBaseline(t *testing.T) {
 }
 
 func TestTreesBeatFloorBaselines(t *testing.T) {
-	// On the XOR task, kNN does fine but Majority is ~50 %; the trees must
-	// clear both comfortably.
+	// On the XOR task Majority is ~50 %; the trees must clear it
+	// comfortably.
 	ds := xorDataset(600, 34)
 	train, test := ds.Split(0.75, 7)
 	floor := NewMajority()

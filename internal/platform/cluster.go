@@ -105,25 +105,14 @@ type PlacementPreparer interface {
 	PreparePlacement(servers []*Server)
 }
 
-// LoadSummarizer is an optional Policy refinement for the multi-cluster
-// coordinator tier: ClusterLoad reports the fraction of the fleet's capacity
-// (0 = saturated, 1 = idle) the policy predicts will remain free over its
-// forecast horizon. Policies without forward-looking models return ok=false
-// and the caller falls back to instantaneous utilization. Like Admit and
-// Score, ClusterLoad is a serial entry point — callers must not invoke it
-// concurrently with other policy methods on the same instance.
-type LoadSummarizer interface {
-	ClusterLoad(servers []*Server) (headroom float64, ok bool)
-}
-
-// FleetLoad is the extended per-cluster summary the coordinator tier and the
-// (upcoming) autoscaler consume: one scalar headroom cannot say *which* game
-// the demand belongs to or how many machines could drain, so the summarizer
-// also breaks predicted demand out per game and counts idle and draining
-// servers. Slice fields follow a split ownership: Games is owned by the
-// summarizer (a stable, sorted, immutable list — callers must not mutate it),
-// while GameDemand is caller storage the summarizer overwrites in place, so a
-// steady-state poll allocates nothing.
+// FleetLoad is the per-cluster summary the coordinator tier and the
+// (upcoming) autoscaler consume: the mean predicted headroom routing scores
+// on, plus — because one scalar cannot say *which* game the demand belongs to
+// or how many machines could drain — predicted demand broken out per game and
+// counts of idle and draining servers. Slice fields follow a split
+// ownership: Games is owned by the summarizer (a stable, sorted, immutable
+// list — callers must not mutate it), while GameDemand is caller storage the
+// summarizer overwrites in place, so a steady-state poll allocates nothing.
 type FleetLoad struct {
 	// Servers is the total server count the summary covers.
 	Servers int
@@ -146,11 +135,15 @@ type FleetLoad struct {
 	GameDemand []float64
 }
 
-// FleetSummarizer is an optional LoadSummarizer refinement: FleetLoadInto
-// fills the extended per-game summary into caller storage. Implementations
-// are expected to be incremental — a poll over an unchanged fleet should cost
-// per-server revision probes, not a full demand-timeline rescan — so callers
-// may poll continuously. Like ClusterLoad it is a serial entry point.
+// FleetSummarizer is an optional Policy refinement for the multi-cluster
+// coordinator tier: FleetLoadInto fills the policy's forward-looking cluster
+// summary into caller storage. Policies without forward-looking models do not
+// implement it (or return false) and the caller falls back to instantaneous
+// utilization. Implementations are expected to be incremental — a poll over
+// an unchanged fleet should cost per-server revision probes, not a full
+// demand-timeline rescan — so callers may poll continuously. Like Admit and
+// Score it is a serial entry point: callers must not invoke it concurrently
+// with other policy methods on the same instance.
 type FleetSummarizer interface {
 	FleetLoadInto(servers []*Server, out *FleetLoad) bool
 }

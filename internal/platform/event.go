@@ -53,21 +53,29 @@ func (c *Cluster) TickSpan(span simclock.Seconds) {
 }
 
 // RunEvented advances the cluster for d seconds, feeding it the pregenerated
-// arrival schedule (ascending Submitted, e.g. from workload.MixStream's
-// Schedule). It reproduces the legacy Feed+Tick loop's outputs exactly —
-// Records, Placements, RejectedTicks, starvation blocking — while skipping
-// every second on which provably nothing can happen: placement is only
-// attempted on frame boundaries while arrivals are pending, which is the
-// only time the legacy loop's tryPlace does anything either.
-func (c *Cluster) RunEvented(d simclock.Seconds, schedule []Arrival) {
+// arrival schedule (e.g. from workload.MixStream's Schedule). It reproduces
+// the legacy Feed+Tick loop's outputs exactly — Records, Placements,
+// RejectedTicks, starvation blocking — while skipping every second on which
+// provably nothing can happen: placement is only attempted on frame
+// boundaries while arrivals are pending, which is the only time the legacy
+// loop's tryPlace does anything either.
+//
+// The schedule must be ascending in Submitted (several arrivals may share a
+// second) and start no earlier than the current clock; one that is not is
+// refused with an error before the clock moves or anything is enqueued.
+func (c *Cluster) RunEvented(d simclock.Seconds, schedule []Arrival) error {
+	prev := c.Clock.Now()
+	for i := range schedule {
+		if schedule[i].Submitted < prev {
+			return fmt.Errorf("platform: schedule not ascending: arrival %d is submitted at %d, after one at %d (or the clock)",
+				i, schedule[i].Submitted, prev)
+		}
+		prev = schedule[i].Submitted
+	}
 	end := c.Clock.Now() + d
 	idx := 0
 	for now := c.Clock.Now(); now < end; now = c.Clock.Now() {
 		for idx < len(schedule) && schedule[idx].Submitted <= now {
-			if schedule[idx].Submitted < now {
-				panic(fmt.Sprintf("platform: arrival scheduled at %d reached at %d (schedule not ascending?)",
-					schedule[idx].Submitted, now))
-			}
 			c.Pending = append(c.Pending, schedule[idx])
 			idx++
 		}
@@ -87,6 +95,7 @@ func (c *Cluster) RunEvented(d simclock.Seconds, schedule []Arrival) {
 		}
 		c.TickSpan(stop - now)
 	}
+	return nil
 }
 
 // nextFrameBoundary returns the first frame boundary strictly after t.

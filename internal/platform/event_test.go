@@ -289,3 +289,54 @@ func TestStreamingSinksMatchSliceAggregation(t *testing.T) {
 		t.Errorf("QoSAgg means diverge beyond association tolerance:\nagg:   %+v\nslice: %+v", got, want)
 	}
 }
+
+// TestRunEventedRejectsUnsortedSchedule pins the schedule contract: a
+// schedule that steps backwards — or starts before the cluster's clock — is
+// an error reported before anything moves, while several arrivals on one
+// second are as valid as ever.
+func TestRunEventedRejectsUnsortedSchedule(t *testing.T) {
+	at := func(secs ...simclock.Seconds) []platform.Arrival {
+		gen := workload.NewGenerator(nil, 5)
+		out := make([]platform.Arrival, len(secs))
+		for i, s := range secs {
+			out[i] = gen.Next(gamesim.Contra())
+			out[i].Submitted = s
+		}
+		return out
+	}
+	cases := []struct {
+		name     string
+		start    simclock.Seconds
+		schedule []platform.Arrival
+		wantErr  bool
+	}{
+		{"ascending", 0, at(0, 5, 9), false},
+		{"several on one second", 0, at(5, 5, 5, 10), false},
+		{"empty", 0, nil, false},
+		{"out of order", 0, at(0, 10, 5), true},
+		{"before the clock", 20, at(10, 30), true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := platform.NewCluster(2, &steadyTestPolicy{})
+			c.Clock.Advance(tc.start)
+			err := c.RunEvented(60, tc.schedule)
+			if !tc.wantErr {
+				if err != nil {
+					t.Fatalf("valid schedule refused: %v", err)
+				}
+				if got := c.Placements + len(c.Pending); got != len(tc.schedule) {
+					t.Errorf("%d of %d arrivals reached the cluster", got, len(tc.schedule))
+				}
+				return
+			}
+			if err == nil {
+				t.Fatal("schedule accepted")
+			}
+			if c.Clock.Now() != tc.start || len(c.Pending) != 0 || c.Placements != 0 {
+				t.Errorf("refused run still moved the cluster: clock %d, %d pending, %d placed",
+					c.Clock.Now(), len(c.Pending), c.Placements)
+			}
+		})
+	}
+}

@@ -89,7 +89,7 @@ type NoopRegulator interface {
 // policy's per-second methods (Regulate, plus any Controller state it
 // shares) touch only the server they are handed, never policy-global state,
 // so distinct servers may tick on distinct goroutines. Serial entry points
-// (Admit, Score, ClusterLoad) keep their existing single-caller contract.
+// (Admit, Score, FleetLoadInto) keep their existing single-caller contract.
 type ConcurrentTicker interface {
 	ConcurrentTickSafe() bool
 }

@@ -19,9 +19,10 @@ func cloneFleetLoad(fl platform.FleetLoad) platform.FleetLoad {
 }
 
 // requireBitIdentical fails unless two summaries agree exactly — float
-// fields compared by bits, not tolerance. This is the accountant's core
-// guarantee: the fixed-topology tree makes the incremental path reproduce a
-// full recompute to the last bit, no matter which servers changed.
+// fields compared by bits, not tolerance. This is the summary's core
+// guarantee: memoized per-server contributions folded in server order
+// reproduce a full recompute to the last bit, no matter which servers
+// changed.
 func requireBitIdentical(t *testing.T, label string, got, want platform.FleetLoad) {
 	t.Helper()
 	if got.Servers != want.Servers || got.Active != want.Active ||
@@ -49,7 +50,7 @@ func requireBitIdentical(t *testing.T, label string, got, want platform.FleetLoa
 
 // fleetChurnScenario drives one cluster through admission, forecast
 // progression, drain flips, session endings, and membership churn (grow,
-// shrink, replace), polling the incremental accountant at every checkpoint.
+// shrink, replace), polling the incremental summary at every checkpoint.
 // Each poll is verified bit-identical to a from-scratch recompute by an
 // independent policy instance (so the incremental chain under test is never
 // reset), and the per-checkpoint summaries are returned for cross-jobs
@@ -73,14 +74,14 @@ func fleetChurnScenario(t *testing.T, jobs int) []platform.FleetLoad {
 			t.Fatalf("%s: FleetLoadFull returned false", label)
 		}
 		requireBitIdentical(t, label, out, full)
-		// The legacy linear scan accumulates headroom in a different order
-		// than the pairwise tree, so it agrees to rounding, not bits.
+		// The full scan divides every frame of every timeline and shares
+		// only the server order with the memoized fold: same bits.
 		head, ok := ref.ClusterLoadFullScan(c.Servers)
 		if !ok {
 			t.Fatalf("%s: ClusterLoadFullScan returned false", label)
 		}
-		if math.Abs(head-out.MeanHeadroom) > 1e-9 {
-			t.Fatalf("%s: tree mean %.17g vs linear full scan %.17g", label, out.MeanHeadroom, head)
+		if head != out.MeanHeadroom {
+			t.Fatalf("%s: memoized mean %.17g vs full scan %.17g", label, out.MeanHeadroom, head)
 		}
 		snaps = append(snaps, cloneFleetLoad(out))
 	}
@@ -135,7 +136,7 @@ func fleetChurnScenario(t *testing.T, jobs int) []platform.FleetLoad {
 // TestFleetLoadMatchesFullRecompute is the equivalence gate: under
 // admission, forecast progression, drain flips, session endings, and
 // membership churn, the incremental summary must stay bit-identical to a
-// full recompute — and identical across -jobs settings, since the accountant
+// full recompute — and identical across -jobs settings, since the summary
 // runs on the serial entry points only.
 func TestFleetLoadMatchesFullRecompute(t *testing.T) {
 	serial := fleetChurnScenario(t, 1)
@@ -148,35 +149,53 @@ func TestFleetLoadMatchesFullRecompute(t *testing.T) {
 	}
 }
 
-// TestClusterLoadDelegatesToAccountant pins that the coordinator-facing
-// scalar is exactly the accountant's mean headroom.
+// TestClusterLoadDelegatesToAccountant pins that the scalar the coordinator
+// routes on is exactly the full scan's mean headroom, also on a poll that
+// answers from the memos (the second, over an unchanged fleet). The fleet is
+// 24 servers with one to three sessions of three games each: enough distinct
+// headrooms that a sum in any order but server order lands on different
+// last bits.
 func TestClusterLoadDelegatesToAccountant(t *testing.T) {
-	spec := gamesim.Contra()
-	p := policyFor(t, spec)
-	c := platform.NewCluster(4, p)
-	for i := 0; i < 4; i++ {
-		c.Submit(platform.Arrival{Spec: spec, Script: 0, Habit: int64(10 + i), SessionSeed: int64(10 + i)})
+	specs := []*gamesim.GameSpec{gamesim.Contra(), gamesim.GenshinImpact(), gamesim.DevilMayCry()}
+	p := policyFor(t, specs...)
+	c := platform.NewCluster(24, p)
+	for i, srv := range c.Servers {
+		for k := 0; k <= i%3; k++ {
+			spec, id := specs[(i+k)%3], int64(i*10+k)
+			sess, err := gamesim.NewSession(spec, 0, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctl, err := p.NewController(spec, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv.Add(spec, sess, ctl)
+		}
+		c.Tick()
 	}
 	for i := 0; i < 20; i++ {
 		c.Tick()
 	}
-	head, ok := p.ClusterLoad(c.Servers)
+	head, ok := policyFor(t, specs...).ClusterLoadFullScan(c.Servers)
 	if !ok {
-		t.Fatal("ClusterLoad returned false")
+		t.Fatal("ClusterLoadFullScan returned false")
 	}
 	var fl platform.FleetLoad
-	if !p.FleetLoadInto(c.Servers, &fl) {
-		t.Fatal("FleetLoadInto returned false")
-	}
-	if math.Float64bits(head) != math.Float64bits(fl.MeanHeadroom) {
-		t.Fatalf("ClusterLoad %.17g != accountant mean %.17g", head, fl.MeanHeadroom)
+	for poll := 0; poll < 2; poll++ {
+		if !p.FleetLoadInto(c.Servers, &fl) {
+			t.Fatal("FleetLoadInto returned false")
+		}
+		if math.Float64bits(head) != math.Float64bits(fl.MeanHeadroom) {
+			t.Fatalf("poll %d: full scan %.17g != summary mean %.17g", poll, head, fl.MeanHeadroom)
+		}
 	}
 }
 
 // TestFleetLoadSteadyStateAllocationFree is the poll-path allocation gate:
 // once warm, a summary over an unchanged fleet performs zero heap
-// allocations — the revision probes, the tree reads, and the reused output
-// buffer all live in pre-grown storage.
+// allocations — the revision probes, the per-position cache pointers and the
+// reused output buffer all live in pre-grown storage.
 func TestFleetLoadSteadyStateAllocationFree(t *testing.T) {
 	spec := gamesim.GenshinImpact()
 	p := policyFor(t, spec)
@@ -190,7 +209,7 @@ func TestFleetLoadSteadyStateAllocationFree(t *testing.T) {
 		c.Tick()
 	}
 	var out platform.FleetLoad
-	p.FleetLoadInto(c.Servers, &out) // warm caches, memos, tree, output buffer
+	p.FleetLoadInto(c.Servers, &out) // warm caches, memos, output buffer
 	p.FleetLoadInto(c.Servers, &out)
 
 	if allocs := testing.AllocsPerRun(100, func() {
@@ -198,20 +217,11 @@ func TestFleetLoadSteadyStateAllocationFree(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("steady-state FleetLoadInto allocates %.1f objects per poll, want 0", allocs)
 	}
-	p.ClusterLoad(c.Servers)
-	if allocs := testing.AllocsPerRun(100, func() {
-		p.ClusterLoad(c.Servers)
-	}); allocs != 0 {
-		t.Errorf("steady-state ClusterLoad allocates %.1f objects per poll, want 0", allocs)
-	}
 	// The poll a busy fleet actually pays for: every stamp moved since the
-	// last one, so every cache refills and every leaf refolds.
+	// last one, so every cache and every memo refills.
 	if allocs := testing.AllocsPerRun(100, func() {
 		for _, cc := range p.caches {
 			cc.stamp = stamp{}
-		}
-		for i := range p.acct.slots {
-			p.acct.slots[i].stamp = stamp{}
 		}
 		p.FleetLoadInto(c.Servers, &out)
 	}); allocs != 0 {
@@ -229,10 +239,11 @@ func TestCacheSweepEvictsRemovedServers(t *testing.T) {
 	p := policyFor(t, spec)
 	c := platform.NewCluster(2, p)
 	bound := 2*len(c.Servers) + cacheSweepSlack + 1
+	var fl platform.FleetLoad
 	for i := 0; i < 300; i++ {
 		c.Servers[0] = platform.NewServer(1000+i, resources.FullServer, c.Clock)
-		if _, ok := p.ClusterLoad(c.Servers); !ok {
-			t.Fatal("ClusterLoad returned false")
+		if !p.FleetLoadInto(c.Servers, &fl) {
+			t.Fatal("FleetLoadInto returned false")
 		}
 		if len(p.caches) > bound {
 			t.Fatalf("after %d replacements the cache map holds %d entries (bound %d): sweep not working", i+1, len(p.caches), bound)

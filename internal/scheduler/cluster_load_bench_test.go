@@ -36,28 +36,9 @@ func buildLoadedCluster(b *testing.B, n int) (*CoCG, *platform.Cluster) {
 	return p, c
 }
 
-// BenchmarkClusterLoad measures the per-cluster load summary the coordinator
-// tier polls at the original 256-server scale: since PR 10 it rides the
-// incremental fleet accountant, so steady state costs one revision probe per
-// server plus tree reads — compare BenchmarkClusterLoadFullScan for the
-// legacy rescan it replaced.
-func BenchmarkClusterLoad(b *testing.B) {
-	p, c := buildLoadedCluster(b, 256)
-	if _, ok := p.ClusterLoad(c.Servers); !ok {
-		b.Fatal("CoCG did not implement ClusterLoad")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.ClusterLoad(c.Servers)
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "summaries/s")
-}
-
-// BenchmarkClusterLoadFullScan is the pre-accountant baseline: the full
-// horizon×dims headroom rescan over every server, at 256/1024/4096 servers.
-// Recorded first by `make bench-fleet` and embedded as the baseline of
-// BENCH_PR10.json.
+// BenchmarkClusterLoadFullScan is the reference scan: the full horizon×dims
+// headroom rescan over every server, at 256/1024/4096 servers — what a poll
+// would cost without the per-server load memo.
 func BenchmarkClusterLoadFullScan(b *testing.B) {
 	for _, n := range []int{256, 1024, 4096} {
 		b.Run(fmt.Sprintf("servers=%d", n), func(b *testing.B) {
@@ -73,18 +54,16 @@ func BenchmarkClusterLoadFullScan(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetLoadSteady is the accountant's steady-state poll at
-// 256/1024/4096 servers: nothing changed since the last summary, so the cost
-// is the per-server revision probes alone — the continuous-poll rate ROADMAP
-// item 2's autoscaler budget assumes. Must stay at 0 allocs/op (the
-// equivalence and allocation gates in accountant_test.go enforce the
-// semantics; this records the speed).
+// BenchmarkFleetLoadSteady is the nothing-changed poll at 256/1024/4096
+// servers: one stamp comparison and one memo fold per server. Must stay at
+// 0 allocs/op (the equivalence and allocation gates in accountant_test.go
+// enforce the semantics; this records the speed).
 func BenchmarkFleetLoadSteady(b *testing.B) {
 	for _, n := range []int{256, 1024, 4096} {
 		b.Run(fmt.Sprintf("servers=%d", n), func(b *testing.B) {
 			p, c := buildLoadedCluster(b, n)
 			var out platform.FleetLoad
-			p.FleetLoadInto(c.Servers, &out) // warm caches, memos, tree
+			p.FleetLoadInto(c.Servers, &out) // warm caches and memos
 			p.FleetLoadInto(c.Servers, &out)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -99,8 +78,8 @@ func BenchmarkFleetLoadSteady(b *testing.B) {
 // BenchmarkFleetLoadChurn polls after one simulated second advances the
 // cluster (forecast revisions move on detection-frame boundaries, dirtying
 // the loaded quarter of the fleet), so the measured cost is the O(dirty)
-// leaf recomputes plus their log-depth refolds — the accountant's worst
-// realistic round. The tick itself runs outside the timer.
+// cache and memo refills plus the fold. The tick itself runs outside the
+// timer.
 func BenchmarkFleetLoadChurn(b *testing.B) {
 	for _, n := range []int{256, 1024, 4096} {
 		b.Run(fmt.Sprintf("servers=%d", n), func(b *testing.B) {

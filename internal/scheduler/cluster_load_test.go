@@ -7,15 +7,23 @@ import (
 	"cocg/internal/platform"
 )
 
+// meanHeadroom polls the fleet summary and returns the scalar the
+// coordinator tier routes on.
+func meanHeadroom(t *testing.T, p *CoCG, c *platform.Cluster) float64 {
+	t.Helper()
+	var fl platform.FleetLoad
+	if !p.FleetLoadInto(c.Servers, &fl) {
+		t.Fatal("CoCG did not produce a fleet summary")
+	}
+	return fl.MeanHeadroom
+}
+
 // TestClusterLoadEmptyClusterIsIdle pins the summary the coordinator tier
 // reads: a cluster with no sessions forecasts (close to) full headroom.
 func TestClusterLoadEmptyClusterIsIdle(t *testing.T) {
 	p := policyFor(t, gamesim.Contra())
 	c := platform.NewCluster(4, p)
-	head, ok := p.ClusterLoad(c.Servers)
-	if !ok {
-		t.Fatal("CoCG did not implement ClusterLoad")
-	}
+	head := meanHeadroom(t, p, c)
 	if head < 0.9 || head > 1 {
 		t.Errorf("empty cluster headroom %.3f, want ~1", head)
 	}
@@ -30,7 +38,7 @@ func TestClusterLoadDropsUnderLoad(t *testing.T) {
 	c := platform.NewCluster(1, p)
 	srv := c.Servers[0]
 
-	prev, _ := p.ClusterLoad(c.Servers)
+	prev := meanHeadroom(t, p, c)
 	for i := int64(0); i < 2; i++ {
 		sess, err := gamesim.NewSession(spec, 2, 100+i)
 		if err != nil {
@@ -44,10 +52,7 @@ func TestClusterLoadDropsUnderLoad(t *testing.T) {
 		for j := 0; j < 30; j++ {
 			c.Tick() // let controllers tick so demand forecasts are realistic
 		}
-		head, ok := p.ClusterLoad(c.Servers)
-		if !ok {
-			t.Fatal("CoCG did not implement ClusterLoad")
-		}
+		head := meanHeadroom(t, p, c)
 		if head < 0 || head > 1 {
 			t.Fatalf("headroom %.3f out of [0,1]", head)
 		}
@@ -66,8 +71,7 @@ func TestClusterLoadAllDraining(t *testing.T) {
 	for _, srv := range c.Servers {
 		srv.Draining = true
 	}
-	head, ok := p.ClusterLoad(c.Servers)
-	if !ok || head != 0 {
-		t.Errorf("all-draining cluster: headroom %.3f ok=%v, want 0 true", head, ok)
+	if head := meanHeadroom(t, p, c); head != 0 {
+		t.Errorf("all-draining cluster: headroom %.3f, want 0", head)
 	}
 }

@@ -97,14 +97,13 @@ type CoCG struct {
 	scratch EvalScratch
 
 	// games lists the trained game names in sorted order; gameIdx inverts it.
-	// The fleet accountant's per-game demand columns use these indices, and
+	// The fleet summary's per-game demand columns use these indices, and
 	// FleetLoad.Games aliases the slice (immutable after New).
 	games   []string
 	gameIdx map[string]int
-	// acct is the incremental fleet accountant (see accountant.go); fleet is
-	// the reusable output ClusterLoad delegates through.
-	acct  fleetAccountant
-	fleet platform.FleetLoad
+	// byPos is the cache FleetLoadInto resolved for each server position on
+	// its previous poll (see accountant.go).
+	byPos []*serverCache
 }
 
 // New builds the policy from the offline training bundles of every game the
@@ -143,7 +142,7 @@ type EvalScratch struct {
 // stamp is everything a per-server aggregate is computed from: the membership
 // revision, the forecast generation (one counter for every hosted predictor,
 // see platform.ForecastNotifier), the horizon and the draining flag. The
-// forecast cache, its verdict memo and the accountant's leaf all revalidate
+// forecast cache, its verdict memo and its fleet-load memo all revalidate
 // by comparing one stamp — O(1) however many sessions the server hosts.
 type stamp struct {
 	rev, gen uint64
@@ -165,6 +164,8 @@ func stampOf(srv *platform.Server, h int) stamp {
 // that is every frame — each hosted predictor completes one — so the refill
 // below, not the warm hit, is the steady state.
 type serverCache struct {
+	// srv is the server the cache describes (the key it is filed under).
+	srv *platform.Server
 	// cacheable is false when any hosted session has a foreign controller or
 	// an untrained spec: those paths read hosted.Request, which mutates every
 	// tick outside any revision counter, so the cache is rebuilt per
@@ -189,7 +190,7 @@ type serverCache struct {
 	// runs holds every hosted session's forecast as stage runs, back to back
 	// in hosted order; runEnd[i] is where hosted i's runs end. Each session
 	// is forecast once per stamp: total is accumulated from these runs and
-	// the fleet accountant reads them again for the per-game demand.
+	// the fleet summary reads them again for the per-game demand.
 	runs   []predictor.Segment
 	runEnd []int
 
@@ -205,8 +206,8 @@ type serverCache struct {
 
 	// Fleet-accounting memo (see accountant.go): the server's headroom and
 	// per-game demand contributions under the stamp above. loadValid is
-	// cleared on every rebuild — the admission path never pays for it; the
-	// accountant computes it lazily on first summary after a change.
+	// cleared on every rebuild — the admission path never pays for it;
+	// FleetLoadInto computes it lazily on the first summary after a change.
 	loadValid  bool
 	headroom   float64
 	gameDemand []float64
@@ -230,10 +231,19 @@ const peakSlack = 1e-6
 func (c *CoCG) PreparePlacement(servers []*platform.Server) {
 	c.sweepCaches(servers)
 	for _, srv := range servers {
-		if _, ok := c.caches[srv]; !ok {
-			c.caches[srv] = &serverCache{}
-		}
+		c.cacheFor(srv)
 	}
+}
+
+// cacheFor returns srv's forecast cache, creating it on first sight. It
+// writes the map, so only the serial entry points may call it.
+func (c *CoCG) cacheFor(srv *platform.Server) *serverCache {
+	cc := c.caches[srv]
+	if cc == nil {
+		cc = &serverCache{srv: srv}
+		c.caches[srv] = cc
+	}
+	return cc
 }
 
 // refresh brings srv's cache up to date, rebuilding the aggregates when the
@@ -411,14 +421,10 @@ func (c *CoCG) evaluate(srv *platform.Server, spec *gamesim.GameSpec, es *EvalSc
 	}
 	h := c.cfg.HorizonFrames
 
-	cc := c.caches[srv]
-	if cc == nil {
-		// Serial entry (Admit/Score outside a prepared placement scan): safe
-		// to create the cache here. The parallel scan never reaches this —
-		// PreparePlacement pre-created every entry.
-		cc = &serverCache{}
-		c.caches[srv] = cc
-	}
+	// On a serial entry (Admit/Score outside a prepared placement scan) this
+	// may create the cache; the parallel scan only ever finds the entry
+	// PreparePlacement pre-created.
+	cc := c.cacheFor(srv)
 	c.refresh(cc, srv, h, es)
 
 	if m, hit := cc.memo[spec.Name]; hit {
@@ -513,24 +519,12 @@ func (c *CoCG) verdict(cc *serverCache, srv *platform.Server, b *predictor.Train
 	return meanSat >= c.cfg.MinMeanSat, meanSat
 }
 
-// ClusterLoad implements platform.LoadSummarizer: the per-cluster summary
-// the coordinator tier routes on. A server's headroom is 1 minus its worst
-// predicted per-dimension utilization fraction over the horizon (clamped at
-// 0); the cluster's headroom is the mean over non-draining servers. Since
-// PR 10 it delegates to the incremental fleet accountant (accountant.go), so
-// a steady-state poll costs one stamp comparison per server instead of a
-// horizon×dims rescan. Like Admit and Score this is a serial entry point:
-// it may refresh caches through the policy's own scratch.
-func (c *CoCG) ClusterLoad(servers []*platform.Server) (float64, bool) {
-	c.FleetLoadInto(servers, &c.fleet)
-	return c.fleet.MeanHeadroom, true
-}
-
-// ClusterLoadFullScan is the pre-accountant ClusterLoad, kept verbatim as
-// the benchmark baseline and the reference the equivalence tests compare the
-// incremental path against (linear accumulation order, so means agree with
-// the tree's pairwise order to rounding, not bitwise — the bitwise gate is
-// FleetLoadFull, which rebuilds the same tree from scratch).
+// ClusterLoadFullScan is the independent reference for FleetLoadInto's mean
+// headroom: a server's headroom is 1 minus its worst predicted per-dimension
+// utilization fraction over the horizon (clamped at 0), found by dividing
+// every frame of the summed timeline, and the cluster's is the mean over
+// non-draining servers in server order. The equivalence tests require the
+// two to agree bitwise.
 func (c *CoCG) ClusterLoadFullScan(servers []*platform.Server) (float64, bool) {
 	h := c.cfg.HorizonFrames
 	var sum float64
@@ -539,11 +533,7 @@ func (c *CoCG) ClusterLoadFullScan(servers []*platform.Server) (float64, bool) {
 		if srv.Draining {
 			continue
 		}
-		cc := c.caches[srv]
-		if cc == nil {
-			cc = &serverCache{}
-			c.caches[srv] = cc
-		}
+		cc := c.cacheFor(srv)
 		c.refresh(cc, srv, h, &c.scratch)
 		peak := 0.0
 		for t := range cc.total {
@@ -603,7 +593,7 @@ func (c *CoCG) Regulate(srv *platform.Server) {
 // handed (requests, hosted predictor state, the server's own forecast
 // generation) — never the forecast caches,
 // which are read and refreshed only from the serial placement entry points
-// (Admit, Score, ClusterLoad, PreparePlacement). Distinct servers may
+// (Admit, Score, FleetLoadInto, PreparePlacement). Distinct servers may
 // therefore tick on distinct goroutines.
 //
 // CoCG deliberately does not implement NoopRegulator — loading-steal

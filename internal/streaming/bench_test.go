@@ -1,7 +1,6 @@
 package streaming
 
 import (
-	"encoding/json"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -60,42 +59,6 @@ func BenchmarkWireFrameBatchDecode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := env.DecodeFrom(body); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWireFrameBatchJSONEncode is the pre-PR5 wire path for the same
-// payload: the JSON codec, one marshal per batch. Kept in-tree as the
-// recorded baseline for BENCH_PR5.json.
-func BenchmarkWireFrameBatchJSONEncode(b *testing.B) {
-	env := benchFrameBatch()
-	blob, err := json.Marshal(env)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(blob)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := json.Marshal(env); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkWireFrameBatchJSONDecode is the pre-PR5 client-side mirror.
-func BenchmarkWireFrameBatchJSONDecode(b *testing.B) {
-	blob, err := json.Marshal(benchFrameBatch())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(len(blob)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var env Envelope
-		if err := json.Unmarshal(blob, &env); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -172,7 +135,7 @@ func benchSessions(b *testing.B, n int) (*Server, []*liveSession) {
 		}
 		srv := s.cluster.Servers[i%len(s.cluster.Servers)]
 		hosted := srv.Add(spec, sess, ctl)
-		s.reg.add(&liveSession{id: int64(i + 1), hosted: hosted, proto: ProtoBinary, out: newOutQueue(8)})
+		s.reg.add(&liveSession{id: int64(i + 1), hosted: hosted, out: newOutQueue(8)})
 	}
 	// Warm every session past its loading screen, then drain the queues.
 	snap := s.reg.snapshotInto(nil)
@@ -244,44 +207,4 @@ func BenchmarkStreamTick256Jobs1(b *testing.B) { benchStreamTick(b, 256, 1) }
 func BenchmarkStreamTick256Jobs8(b *testing.B) { benchStreamTick(b, 256, 8) }
 func BenchmarkStreamTick1024Jobs8(b *testing.B) {
 	benchStreamTick(b, 1024, 8)
-}
-
-// BenchmarkStreamTick256Legacy is the pre-PR5 delivery walk over the same
-// 256 sessions: one global lock serializing the whole pass, a freshly
-// allocated envelope and frame slice per session, and the JSON codec. Kept
-// in-tree as the recorded baseline for BENCH_PR5.json.
-func BenchmarkStreamTick256Legacy(b *testing.B) {
-	s, snap := benchSessions(b, 256)
-	s.tickBoundary = true
-	var mu sync.Mutex // the old code held one mutex across the entire walk
-	var seq int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mu.Lock()
-		for _, ls := range snap {
-			sess := ls.hosted.Session
-			loading := sess.Phase() == gamesim.PhaseLoading
-			fps := sess.LastFPS()
-			seq++
-			kbps := s.cfg.Encoder.Encode(fps, ls.hosted.Granted, loading)
-			env := &Envelope{Type: MsgFrames, Frames: &FrameBatch{
-				SessionID:   ls.id,
-				Seq:         seq,
-				FPS:         fps,
-				BitrateKbps: kbps,
-				Stage:       sess.StageType(),
-				Loading:     loading,
-				Frames:      s.cfg.Encoder.AppendFrames(nil, fps, kbps),
-			}}
-			if _, err := json.Marshal(env); err != nil {
-				b.Fatal(err)
-			}
-		}
-		mu.Unlock()
-	}
-	b.StopTimer()
-	perOp := b.Elapsed().Seconds() / float64(b.N)
-	b.ReportMetric(perOp*1e9/256, "ns/session")
-	b.ReportMetric(256/perOp, "frames/sec")
 }

@@ -17,7 +17,6 @@ type ClientStats struct {
 	Game        string
 	SessionID   int64
 	Cluster     string  // region/zone that hosted the session (set when played through a coordinator)
-	Proto       int     // negotiated wire protocol version
 	Frames      int     // frame batches received
 	SeqGaps     int     // batches the server dropped or coalesced under backpressure
 	LoadingSec  int     // seconds spent on loading screens
@@ -45,9 +44,6 @@ type ClientConfig struct {
 	// reported in ClientStats.Net (the operator-managed connection of
 	// Fig. 1).
 	Link *netmodel.Link
-	// MaxProto caps the wire protocol the client offers in its Hello;
-	// 0 means the newest version, ProtoJSON emulates a legacy client.
-	MaxProto int
 	// OnFrames, when set, observes every received frame batch before it is
 	// folded into the statistics — the load generator's timing hook. The
 	// batch is only valid for the duration of the call (its storage is
@@ -57,18 +53,15 @@ type ClientConfig struct {
 
 // Play connects to a streaming server, plays one full session, and returns
 // the client-side statistics — the measurement point of the player
-// experience in Fig. 1. The handshake always runs over JSON; the session
-// body uses whatever protocol version the server negotiated, received into
-// one reused envelope so the per-batch client cost is allocation-free.
+// experience in Fig. 1. The handshake runs over JSON; the session body is
+// binary, received into one reused envelope so the per-batch client cost is
+// allocation-free.
 func Play(addr string, cfg ClientConfig) (*ClientStats, error) {
 	if cfg.InputEvery <= 0 {
 		cfg.InputEvery = 2
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 2 * time.Minute
-	}
-	if cfg.MaxProto <= 0 {
-		cfg.MaxProto = maxKnownProto
 	}
 	nc, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
@@ -82,7 +75,7 @@ func Play(addr string, cfg ClientConfig) (*ClientStats, error) {
 	defer func() { _ = conn.Close() }() // teardown; session errors surface first
 
 	if err := conn.Send(&Envelope{Type: MsgHello, Hello: &Hello{
-		Game: cfg.Game, Script: cfg.Script, Habit: cfg.Habit, Proto: cfg.MaxProto,
+		Game: cfg.Game, Script: cfg.Script, Habit: cfg.Habit, Proto: ProtoBinary3,
 	}}); err != nil {
 		return nil, err
 	}
@@ -97,10 +90,13 @@ func Play(addr string, cfg ClientConfig) (*ClientStats, error) {
 	default:
 		return nil, fmt.Errorf("streaming: unexpected reply %q", env.Type)
 	}
-	proto := NegotiateProto(cfg.MaxProto, env.Accept.Proto)
+	proto := NegotiateProto(ProtoBinary3, env.Accept.Proto)
+	if proto == 0 {
+		return nil, fmt.Errorf("streaming: server chose unsupported wire protocol version %d", env.Accept.Proto)
+	}
 	conn.SetProto(proto)
 
-	stats := &ClientStats{Game: cfg.Game, SessionID: env.Accept.SessionID, Cluster: env.Accept.Cluster, Proto: proto}
+	stats := &ClientStats{Game: cfg.Game, SessionID: env.Accept.SessionID, Cluster: env.Accept.Cluster}
 	var fpsSum, brSum, rttSum float64
 	var rttN int
 	var inputSeq, lastSeq int64

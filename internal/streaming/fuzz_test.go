@@ -137,10 +137,17 @@ func FuzzBinaryDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xEE, 1, 2, 3})
 	f.Add([]byte{tagFrames, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x80})
+	// A summary of the retired version-2 length: the one input that is a
+	// known error rather than "either outcome is fine".
+	old := v2LengthSummary(f)
+	f.Add(old)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var e Envelope
 		if err := e.DecodeFrom(data); err != nil {
 			return
+		}
+		if bytes.Equal(data, old) {
+			t.Fatalf("DecodeFrom mis-decoded a version-2-length summary: %+v", e.Summary)
 		}
 		if verr := e.validate(); verr != nil {
 			t.Fatalf("DecodeFrom accepted an invalid envelope: %v", verr)

@@ -32,8 +32,6 @@ type snapshot struct {
 	FramesCoalesced uint64 `json:"frames_coalesced"`
 	FramesDropped   uint64 `json:"frames_dropped"`
 	ShardContention uint64 `json:"shard_contention"`
-	SessionsJSON    uint64 `json:"sessions_json"`
-	SessionsBinary  uint64 `json:"sessions_binary"`
 	SummariesServed uint64 `json:"summaries_served"`
 }
 
@@ -65,10 +63,6 @@ func (s *Server) snapshot() snapshot {
 	out.FramesCoalesced = s.framesCoalesced.Load()
 	out.FramesDropped = s.framesDropped.Load()
 	out.ShardContention = s.reg.contention.Load()
-	out.SessionsJSON = s.protoSessions[ProtoJSON].Load()
-	// Both binary layouts (v2 and the extended-summary v3) are one framing
-	// to the operator.
-	out.SessionsBinary = s.protoSessions[ProtoBinary].Load() + s.protoSessions[ProtoBinary3].Load()
 	out.SummariesServed = s.summariesServed.Load()
 	return out
 }
@@ -92,10 +86,6 @@ func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE cocg_stream_frames_dropped_total counter\ncocg_stream_frames_dropped_total %d\n", snap.FramesDropped)
 	fmt.Fprintf(w, "# HELP cocg_stream_shard_contention_total Session-registry shard lock acquisitions that found the lock held.\n")
 	fmt.Fprintf(w, "# TYPE cocg_stream_shard_contention_total counter\ncocg_stream_shard_contention_total %d\n", snap.ShardContention)
-	fmt.Fprintf(w, "# HELP cocg_stream_sessions_total Sessions admitted, by negotiated wire protocol.\n")
-	fmt.Fprintf(w, "# TYPE cocg_stream_sessions_total counter\n")
-	fmt.Fprintf(w, "cocg_stream_sessions_total{proto=\"json\"} %d\n", snap.SessionsJSON)
-	fmt.Fprintf(w, "cocg_stream_sessions_total{proto=\"binary\"} %d\n", snap.SessionsBinary)
 	fmt.Fprintf(w, "# HELP cocg_stream_summaries_served_total Cluster load summaries served to coordinators.\n")
 	fmt.Fprintf(w, "# TYPE cocg_stream_summaries_served_total counter\ncocg_stream_summaries_served_total %d\n", snap.SummariesServed)
 	fmt.Fprintf(w, "# HELP cocg_server_hosted Games hosted per backend server.\n")

@@ -5,10 +5,10 @@
 // package carries the player-facing loop around it.
 //
 // Two wire framings are spoken over the same connection: newline-delimited
-// JSON (small, debuggable, entirely stdlib — every connection starts here)
-// and a length-prefixed binary codec negotiated in the Hello/Accept
-// handshake (see wire.go), which the high-throughput tick pipeline uses to
-// stream frame batches without per-message allocation.
+// JSON for the one-request, one-reply handshake (small, debuggable, entirely
+// stdlib — every connection starts here) and a length-prefixed binary codec
+// for everything after it (see wire.go), which the high-throughput tick
+// pipeline uses to stream frame batches without per-message allocation.
 package streaming
 
 import (
@@ -65,19 +65,19 @@ type Hello struct {
 	Script int    `json:"script"`
 	// Habit identifies a returning player; 0 lets the server assign one.
 	Habit int64 `json:"habit,omitempty"`
-	// Proto is the highest wire protocol version the client speaks;
-	// 0 (an old client that predates negotiation) means ProtoJSON.
+	// Proto is the highest wire protocol version the client speaks. A Hello
+	// that omits it, or offers less than ProtoBinary3, is rejected.
 	Proto int `json:"proto,omitempty"`
 }
 
 // Accept confirms placement. It is always sent in the JSON framing; both
-// sides switch to the negotiated Proto for everything after it.
+// sides switch to the binary framing for everything after it.
 type Accept struct {
 	SessionID int64  `json:"session_id"`
 	Server    int    `json:"server"`
 	Game      string `json:"game"`
 	// Proto is the wire protocol version the server chose for the rest of
-	// the session; 0 (an old server) means ProtoJSON.
+	// the session: ProtoBinary3.
 	Proto int `json:"proto,omitempty"`
 	// Cluster names the region/zone that hosts the session. A cocg-server
 	// leaves it empty; the coordinator stamps it while relaying the Accept so
@@ -86,7 +86,8 @@ type Accept struct {
 	Cluster string `json:"cluster,omitempty"`
 }
 
-// Reject declines a Hello.
+// Reject declines a Hello, or a SummaryReq whose sender cannot speak
+// ProtoBinary3.
 type Reject struct {
 	Reason string `json:"reason"`
 }
@@ -145,15 +146,15 @@ type SessionStat struct {
 // Like Hello, the first SummaryReq of a connection is always sent in the JSON
 // framing and negotiates the protocol for the rest of the feed.
 type SummaryReq struct {
-	// Proto is the highest wire protocol version the requester speaks;
-	// 0 means ProtoJSON (see Hello.Proto).
+	// Proto is the highest wire protocol version the requester speaks on
+	// the feed's first request (see Hello.Proto); later requests leave it 0.
 	Proto int `json:"proto,omitempty"`
 }
 
 // ClusterSummary is one cluster's load summary (cluster -> coordinator): the
 // per-cluster rollup the coordinator tier routes on. Headroom is the
 // scheduler's forecast-backed estimate when the policy implements
-// platform.LoadSummarizer (CoCG sums its cached per-server demand timelines),
+// platform.FleetSummarizer (CoCG sums its cached per-server demand timelines),
 // else the instantaneous utilization fallback.
 type ClusterSummary struct {
 	// Proto is the wire protocol version the server chose for the feed; set
@@ -176,13 +177,12 @@ type ClusterSummary struct {
 	// in percent — the reactive complement to the forecast-backed Headroom.
 	UtilPct float64 `json:"util_pct"`
 	// IdleServers counts non-draining servers hosting zero sessions — the
-	// pool an autoscaler can drain without migrating anything. Carried on
-	// the wire from version ProtoBinary3 (JSON always carries it).
+	// pool an autoscaler can drain without migrating anything.
 	IdleServers int `json:"idle_servers,omitempty"`
 	// Games and GameDemand break predicted demand out per game: GameDemand[i]
 	// is the fleet's predicted demand for Games[i] over the forecast horizon,
 	// in units of one server's capacity. Populated when the policy implements
-	// platform.FleetSummarizer; carried on the wire from ProtoBinary3.
+	// platform.FleetSummarizer.
 	Games      []string  `json:"games,omitempty"`
 	GameDemand []float64 `json:"game_demand,omitempty"`
 }
@@ -197,48 +197,44 @@ var wirebufPool = sync.Pool{New: func() any { return make([]byte, 0, 4096) }}
 // SetProto may only be called at the negotiation point, before the other
 // side of the pipe is driven concurrently.
 type Conn struct {
-	c     net.Conn
-	r     *bufio.Reader
-	enc   *json.Encoder
-	proto int
+	c   net.Conn
+	r   *bufio.Reader
+	enc *json.Encoder
+	// binary is false while the connection is still in its JSON handshake.
+	binary bool
 
 	rhdr [4]byte
 	rbuf []byte // binary frame read buffer, reused across Recv calls
 	wbuf []byte // binary frame write buffer, reused across Send calls
 }
 
-// NewConn frames an established connection; it starts in ProtoJSON.
+// NewConn frames an established connection; it starts in the JSON handshake
+// framing.
 func NewConn(c net.Conn) *Conn {
-	return &Conn{c: c, r: bufio.NewReader(c), enc: json.NewEncoder(c), proto: ProtoJSON}
+	return &Conn{c: c, r: bufio.NewReader(c), enc: json.NewEncoder(c)}
 }
 
-// Proto returns the framing currently in effect.
-func (c *Conn) Proto() int { return c.proto }
-
-// SetProto switches the connection to the negotiated framing. The caller
-// must guarantee no Send or Recv is in flight — in the protocol this is the
-// instant after the Accept is sent (server) or received (client).
+// SetProto ends the handshake: given ProtoBinary3 — the only value
+// NegotiateProto returns for a pair that can talk — it switches the
+// connection to the binary framing. Any other value leaves the connection in
+// the handshake framing; no session can run on it. The caller must guarantee
+// no Send or Recv is in flight — in the protocol this is the instant after
+// the Accept is sent (server) or received (client).
 func (c *Conn) SetProto(p int) {
-	if p == c.proto {
+	if p != ProtoBinary3 || c.binary {
 		return
 	}
-	c.proto = p
-	if p >= ProtoBinary {
-		if c.wbuf == nil {
-			c.wbuf = wirebufPool.Get().([]byte)[:0] //cocg:lint-ignore poolcheck connection-lifetime borrow; Conn.Release returns both buffers to the pool
-		}
-		if c.rbuf == nil {
-			c.rbuf = wirebufPool.Get().([]byte)[:0] //cocg:lint-ignore poolcheck connection-lifetime borrow; Conn.Release returns both buffers to the pool
-		}
-	}
+	c.binary = true
+	c.wbuf = wirebufPool.Get().([]byte)[:0] //cocg:lint-ignore poolcheck connection-lifetime borrow; Conn.Release returns both buffers to the pool
+	c.rbuf = wirebufPool.Get().([]byte)[:0] //cocg:lint-ignore poolcheck connection-lifetime borrow; Conn.Release returns both buffers to the pool
 }
 
 // Send writes one envelope in the connection's current framing.
 func (c *Conn) Send(e *Envelope) error {
-	if c.proto < ProtoBinary {
+	if !c.binary {
 		return c.enc.Encode(e)
 	}
-	buf, err := e.AppendToProto(c.wbuf[:0], c.proto)
+	buf, err := e.AppendTo(c.wbuf[:0])
 	if err != nil {
 		return err
 	}
@@ -262,7 +258,7 @@ func (c *Conn) Recv() (*Envelope, error) {
 // time. Payloads of non-matching types are detached, and e is left untouched
 // on error.
 func (c *Conn) RecvInto(e *Envelope) error {
-	if c.proto < ProtoBinary {
+	if !c.binary {
 		line, err := c.r.ReadBytes('\n')
 		if err != nil {
 			return err
@@ -291,7 +287,7 @@ func (c *Conn) RecvInto(e *Envelope) error {
 	if _, err := io.ReadFull(c.r, body); err != nil {
 		return err
 	}
-	return e.DecodeFromProto(body, c.proto)
+	return e.DecodeFrom(body)
 }
 
 // Close closes the underlying connection. It is safe to call while a reader
@@ -302,10 +298,9 @@ func (c *Conn) Close() error { return c.c.Close() }
 // RelayTo copies raw bytes from this connection to dst until EOF or error,
 // starting with anything this side's reader has already buffered. After a
 // handshake is relayed message-by-message, two RelayTo calls (one per
-// direction) turn a proxy into a framing-agnostic byte pipe — the negotiated
-// session codec, JSON or binary, passes through untouched. It returns the
-// bytes copied and the first error (io.EOF is reported as nil, as io.Copy
-// does).
+// direction) turn a proxy into a framing-agnostic byte pipe — the session's
+// binary frames pass through untouched. It returns the bytes copied and the
+// first error (io.EOF is reported as nil, as io.Copy does).
 func (c *Conn) RelayTo(dst *Conn) (int64, error) {
 	return io.Copy(dst.c, c.r)
 }

@@ -35,9 +35,6 @@ type ServerConfig struct {
 	// the cluster itself always ticks serially, and the walk only reads
 	// per-session state and writes to per-session queues.
 	Jobs int
-	// MaxProto caps the wire protocol the server will negotiate
-	// (ProtoJSON pins every session to JSON); 0 means the newest version.
-	MaxProto int
 	// QueueLen is the per-session outbound queue capacity; <=0 means 64.
 	// When a client falls this far behind, frame batches are coalesced and
 	// then dropped oldest-first (see outQueue) rather than buffered without
@@ -83,7 +80,6 @@ type Server struct {
 	framesCoalesced atomic.Uint64
 	framesDropped   atomic.Uint64
 	summariesServed atomic.Uint64
-	protoSessions   [maxKnownProto + 1]atomic.Uint64
 
 	// Tick-walk reusables: the snapshot buffer and the hoisted chunk body
 	// (built once — constructing a closure per tick would allocate).
@@ -91,8 +87,8 @@ type Server struct {
 	tickBoundary bool
 	tickBody     func(chunk, lo, hi int)
 
-	// fleetLoad is the reusable output buffer for the policy's incremental
-	// fleet summary; guarded by clusterMu like the cluster itself.
+	// fleetLoad is the reusable output buffer for the policy's fleet
+	// summary; guarded by clusterMu like the cluster itself.
 	fleetLoad platform.FleetLoad
 }
 
@@ -104,7 +100,6 @@ type liveSession struct {
 	id     int64
 	conn   *Conn
 	hosted *platform.Hosted
-	proto  int
 	seq    int64
 	ended  bool
 
@@ -155,9 +150,6 @@ func Serve(addr string, cfg ServerConfig) (*Server, error) {
 	}
 	if cfg.Jobs <= 0 {
 		cfg.Jobs = 1
-	}
-	if cfg.MaxProto <= 0 {
-		cfg.MaxProto = maxKnownProto
 	}
 	if cfg.QueueLen <= 0 {
 		cfg.QueueLen = 64
@@ -238,7 +230,9 @@ func (s *Server) acceptLoop() {
 
 // handle runs one client connection: admission and protocol negotiation,
 // then the input-reading loop, with a paired writer goroutine draining the
-// session's outbound queue.
+// session's outbound queue. Every refusal — a peer that cannot speak
+// ProtoBinary3, an unknown game or script, a full cluster — is a Reject with
+// the reason, then a close.
 func (s *Server) handle(conn *Conn) {
 	env, err := conn.Recv()
 	if err != nil {
@@ -254,27 +248,25 @@ func (s *Server) handle(conn *Conn) {
 		return
 	}
 	hello := env.Hello
-	spec, err := gamesim.GameByName(hello.Game)
-	if err != nil {
-		_ = conn.Send(&Envelope{Type: MsgReject, Reject: &Reject{Reason: err.Error()}})
-		_ = conn.Close()
-		return
+	var ls *liveSession
+	var reason string
+	if NegotiateProto(hello.Proto, ProtoBinary3) == 0 {
+		reason = unsupportedProto(hello.Proto)
+	} else if spec, err := gamesim.GameByName(hello.Game); err != nil {
+		reason = err.Error()
+	} else if hello.Script < 0 || hello.Script >= len(spec.Scripts) {
+		reason = "no such script"
+	} else {
+		ls, reason = s.place(conn, spec, hello)
 	}
-	if hello.Script < 0 || hello.Script >= len(spec.Scripts) {
-		_ = conn.Send(&Envelope{Type: MsgReject, Reject: &Reject{Reason: "no such script"}})
-		_ = conn.Close()
-		return
-	}
-	ls, reason := s.place(conn, spec, hello)
 	if ls == nil {
 		_ = conn.Send(&Envelope{Type: MsgReject, Reject: &Reject{Reason: reason}})
 		_ = conn.Close()
 		return
 	}
 	// The Accept went out (in JSON) inside place; switch both directions to
-	// the negotiated framing before any concurrent use of the connection.
-	conn.SetProto(ls.proto)
-	s.protoSessions[ls.proto].Add(1)
+	// the binary framing before any concurrent use of the connection.
+	conn.SetProto(ProtoBinary3)
 
 	writerDone := make(chan struct{})
 	s.wg.Add(1)
@@ -366,14 +358,13 @@ func (s *Server) place(conn *Conn, spec *gamesim.GameSpec, hello *Hello) (*liveS
 			id:     s.nextID,
 			conn:   conn,
 			hosted: hosted,
-			proto:  NegotiateProto(hello.Proto, s.cfg.MaxProto),
 			out:    newOutQueue(s.cfg.QueueLen),
 		}
 		s.reg.add(ls)
 		// Best-effort: if the accept never lands, the input loop's Recv
 		// fails and tears the session down.
 		_ = conn.Send(&Envelope{Type: MsgAccept, Accept: &Accept{
-			SessionID: ls.id, Server: srv.ID, Game: spec.Name, Proto: ls.proto,
+			SessionID: ls.id, Server: srv.ID, Game: spec.Name, Proto: ProtoBinary3,
 		}})
 		return ls, ""
 	}
@@ -480,9 +471,9 @@ func (s *Server) emitSession(ls *liveSession) {
 // serveSummaryFeed runs one coordinator load/health feed: the first
 // MsgSummaryReq negotiates the protocol (exactly like Hello/Accept, the
 // request and its reply travel as JSON and everything after switches to the
-// negotiated framing), then each further MsgSummaryReq is answered with a
-// fresh ClusterSummary. The feed ends when the peer disconnects or the
-// server closes.
+// binary framing; a requester that cannot speak it gets a Reject), then each
+// further MsgSummaryReq is answered with a fresh ClusterSummary. The feed
+// ends when the peer disconnects or the server closes.
 func (s *Server) serveSummaryFeed(conn *Conn, req *SummaryReq) {
 	s.summaryMu.Lock()
 	s.summaryConns[conn] = struct{}{}
@@ -495,13 +486,16 @@ func (s *Server) serveSummaryFeed(conn *Conn, req *SummaryReq) {
 		conn.Release()
 	}()
 
-	proto := NegotiateProto(req.Proto, s.cfg.MaxProto)
+	if NegotiateProto(req.Proto, ProtoBinary3) == 0 {
+		_ = conn.Send(&Envelope{Type: MsgReject, Reject: &Reject{Reason: unsupportedProto(req.Proto)}})
+		return
+	}
 	first := s.LoadSummary()
-	first.Proto = proto
+	first.Proto = ProtoBinary3
 	if conn.Send(&Envelope{Type: MsgSummary, Summary: &first}) != nil {
 		return
 	}
-	conn.SetProto(proto)
+	conn.SetProto(ProtoBinary3)
 	s.summariesServed.Add(1)
 
 	var env Envelope
@@ -518,14 +512,12 @@ func (s *Server) serveSummaryFeed(conn *Conn, req *SummaryReq) {
 }
 
 // LoadSummary snapshots the cluster's load under the cluster lock: the
-// per-cluster rollup the coordinator tier routes sessions on. Headroom comes
-// from the policy's forecast caches when it implements
-// platform.LoadSummarizer (the CoCG distributor's stamped per-server demand
-// timelines); policies that additionally implement platform.FleetSummarizer
-// (CoCG's incremental accountant) also fill the extended fields — idle
-// server count and the per-game predicted-demand breakdown. For policies
-// without forward-looking state it falls back to 1 − mean worst-dimension
-// utilization.
+// per-cluster rollup the coordinator tier routes sessions on. Headroom, the
+// idle server count and the per-game predicted-demand breakdown come from
+// the policy's forecast caches when it implements platform.FleetSummarizer
+// (the CoCG distributor's stamped per-server demand timelines). For policies
+// without forward-looking state Headroom falls back to 1 − mean
+// worst-dimension utilization.
 func (s *Server) LoadSummary() ClusterSummary {
 	s.clusterMu.Lock()
 	defer s.clusterMu.Unlock()
@@ -563,12 +555,6 @@ func (s *Server) LoadSummary() ClusterSummary {
 			// LoadSummary overwrites, so the escaping summary gets a copy.
 			sum.Games = fl.Games
 			sum.GameDemand = append([]float64(nil), fl.GameDemand...)
-			return sum
-		}
-	}
-	if ls, ok := s.cluster.Policy.(platform.LoadSummarizer); ok {
-		if head, ok := ls.ClusterLoad(s.cluster.Servers); ok {
-			sum.Headroom = head
 			return sum
 		}
 	}

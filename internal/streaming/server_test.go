@@ -5,6 +5,7 @@ import (
 	"net"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,66 +14,89 @@ import (
 	"cocg/internal/gamesim"
 )
 
-// TestSessionSpeaksBinaryByDefault pins the happy-path negotiation: a
-// current client against a current server streams the whole session over
-// the binary codec and still measures a healthy experience.
+// TestSessionSpeaksBinaryByDefault pins the happy-path negotiation: the
+// public client offers ProtoBinary3, the server accepts it, and the whole
+// session streams over the binary codec with a healthy experience.
 func TestSessionSpeaksBinaryByDefault(t *testing.T) {
 	s := startServer(t)
 	stats, err := Play(s.Addr(), ClientConfig{Game: "Contra", Script: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Proto != ProtoBinary3 {
-		t.Fatalf("negotiated proto %d, want newest binary", stats.Proto)
-	}
-	if stats.Frames == 0 || stats.Final.DurationSec == 0 {
-		t.Fatalf("binary session streamed nothing: %+v", stats)
-	}
-	if got := s.snapshot(); got.SessionsBinary != 1 || got.SessionsJSON != 0 {
-		t.Errorf("proto counters: %+v", got)
+	if stats.Frames == 0 || stats.Final.DurationSec == 0 || stats.Final.FPSRatio < 0.8 {
+		t.Fatalf("binary session streamed nothing or degraded: %+v", stats)
 	}
 }
 
-// TestLegacyJSONClientAgainstNewServer is the cross-version test via the
-// public client: a client capped at ProtoJSON (the old wire protocol)
-// completes a full session against a binary-capable server.
+// requireVersionReject opens a connection, sends one raw JSON handshake line
+// and requires the server's whole answer to be a MsgReject that names the
+// version it does speak, followed by a close — never a downgraded session.
+func requireVersionReject(t *testing.T, addr, line string) {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	_ = nc.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := nc.Write([]byte(line + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	conn := NewConn(nc)
+	env, err := conn.Recv()
+	if err != nil {
+		t.Fatalf("%s: no reply: %v", line, err)
+	}
+	if env.Type != MsgReject {
+		t.Fatalf("%s: answered with %q, want a reject", line, env.Type)
+	}
+	if want := fmt.Sprintf("version %d only", ProtoBinary3); !strings.Contains(env.Reject.Reason, want) {
+		t.Errorf("%s: reject reason %q does not name the supported version (%q)", line, env.Reject.Reason, want)
+	}
+	if extra, err := conn.Recv(); err == nil {
+		t.Errorf("%s: connection stayed open after the reject (got %q)", line, extra.Type)
+	}
+}
+
+// TestLegacyJSONClientAgainstNewServer is the old-peer test: a client that
+// offers only the JSON framing, and one that predates negotiation and sends
+// no proto at all, are each told why and disconnected, no session is placed,
+// and the server shuts down clean afterwards.
 func TestLegacyJSONClientAgainstNewServer(t *testing.T) {
-	s := startServer(t)
-	stats, err := Play(s.Addr(), ClientConfig{Game: "Contra", Script: 0, MaxProto: ProtoJSON})
+	before := runtime.NumGoroutine()
+	s, err := Serve("127.0.0.1:0", ServerConfig{System: testSystem(t), Policy: core.PolicyCoCG, TickEvery: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Proto != ProtoJSON {
-		t.Fatalf("negotiated proto %d, want JSON", stats.Proto)
+	requireVersionReject(t, s.Addr(), `{"type":"hello","hello":{"game":"Contra","script":0,"proto":1}}`)
+	requireVersionReject(t, s.Addr(), `{"type":"hello","hello":{"game":"Contra","script":0}}`)
+	if sum := s.LoadSummary(); sum.Placements != 0 || sum.LiveSessions != 0 {
+		t.Errorf("a rejected hello was placed: %+v", sum)
 	}
-	if stats.Frames == 0 || stats.Final.FPSRatio < 0.8 {
-		t.Fatalf("JSON session degraded: %+v", stats)
-	}
-	if got := s.snapshot(); got.SessionsJSON != 1 {
-		t.Errorf("proto counters: %+v", got)
-	}
+	requireCleanClose(t, s, before)
 }
 
-// TestServerPinnedToJSON covers the other negotiation direction: a server
-// capped at ProtoJSON forces a binary-capable client down to JSON.
-func TestServerPinnedToJSON(t *testing.T) {
-	s, err := Serve("127.0.0.1:0", ServerConfig{
-		System:    testSystem(t),
-		Policy:    core.PolicyCoCG,
-		TickEvery: time.Millisecond,
-		MaxProto:  ProtoJSON,
-	})
-	if err != nil {
-		t.Fatal(err)
+// requireCleanClose closes the server and requires every goroutine it
+// started to be gone (slack for runtime/test helpers that come and go).
+func requireCleanClose(t *testing.T, s *Server, before int) {
+	t.Helper()
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("close: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close() hung — goroutine leak")
 	}
-	t.Cleanup(func() { s.Close() })
-	stats, err := Play(s.Addr(), ClientConfig{Game: "Contra", Script: 0})
-	if err != nil {
-		t.Fatal(err)
+	for end := time.Now().Add(5 * time.Second); time.Now().Before(end); {
+		if runtime.NumGoroutine() <= before+2 {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
-	if stats.Proto != ProtoJSON {
-		t.Fatalf("negotiated proto %d, want JSON", stats.Proto)
-	}
+	t.Fatalf("goroutines: %d before, %d after close", before, runtime.NumGoroutine())
 }
 
 // TestCloseWithLiveSessionsLeaksNothing is the shutdown audit: closing a
@@ -110,27 +134,10 @@ func TestCloseWithLiveSessionsLeaksNothing(t *testing.T) {
 		t.Fatalf("only %d of %d sessions appeared", s.Sessions(), n)
 	}
 
-	closed := make(chan error, 1)
-	go func() { closed <- s.Close() }()
-	select {
-	case err := <-closed:
-		if err != nil {
-			t.Fatalf("close: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Close() hung with live sessions — goroutine leak")
-	}
+	// The clients fail as soon as the server goes away, so they are gone too
+	// by the time the goroutine count settles.
+	requireCleanClose(t, s, before)
 	wg.Wait()
-
-	// Every server goroutine must be gone; allow slack for runtime/test
-	// helpers that come and go.
-	for end := time.Now().Add(5 * time.Second); time.Now().Before(end); {
-		if runtime.NumGoroutine() <= before+2 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	t.Fatalf("goroutines: %d before, %d after close", before, runtime.NumGoroutine())
 }
 
 // sessionOutcomesAtJobs runs a fixed scripted client set against a server
@@ -267,15 +274,15 @@ func TestBackpressureCountsAndSeqGaps(t *testing.T) {
 		}
 		acceptRead <- err
 	}()
-	ls, reason := s.place(conn, spec, &Hello{Game: spec.Name, Proto: ProtoBinary})
+	ls, reason := s.place(conn, spec, &Hello{Game: spec.Name, Proto: ProtoBinary3})
 	if ls == nil {
 		t.Fatalf("place rejected: %s", reason)
 	}
 	if err := <-acceptRead; err != nil {
 		t.Fatal(err)
 	}
-	conn.SetProto(ls.proto)
-	peer.SetProto(ls.proto)
+	conn.SetProto(ProtoBinary3)
+	peer.SetProto(ProtoBinary3)
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)

@@ -11,7 +11,7 @@ import (
 // TestSummaryFeedNegotiatesAndServes drives the coordinator-facing load feed
 // by hand: the first MsgSummaryReq travels as JSON and negotiates the wire
 // protocol exactly like a session Hello, every further round runs over the
-// negotiated binary framing, and each reply carries a sane cluster rollup.
+// binary framing, and each reply carries a sane cluster rollup.
 func TestSummaryFeedNegotiatesAndServes(t *testing.T) {
 	s := startServer(t)
 	nc, err := net.Dial("tcp", s.Addr())
@@ -23,7 +23,7 @@ func TestSummaryFeedNegotiatesAndServes(t *testing.T) {
 	feed := NewConn(nc)
 
 	if err := feed.Send(&Envelope{Type: MsgSummaryReq,
-		SummaryReq: &SummaryReq{Proto: ProtoBinary}}); err != nil {
+		SummaryReq: &SummaryReq{Proto: ProtoBinary3}}); err != nil {
 		t.Fatal(err)
 	}
 	env, err := feed.Recv()
@@ -33,8 +33,8 @@ func TestSummaryFeedNegotiatesAndServes(t *testing.T) {
 	if env.Type != MsgSummary || env.Summary == nil {
 		t.Fatalf("summary request answered with %q", env.Type)
 	}
-	if env.Summary.Proto != ProtoBinary {
-		t.Fatalf("feed negotiated proto %d, want binary", env.Summary.Proto)
+	if env.Summary.Proto != ProtoBinary3 {
+		t.Fatalf("feed negotiated proto %d, want %d", env.Summary.Proto, ProtoBinary3)
 	}
 	if env.Summary.Servers != 2 {
 		t.Errorf("summary reports %d servers, cluster has 2", env.Summary.Servers)
@@ -43,8 +43,8 @@ func TestSummaryFeedNegotiatesAndServes(t *testing.T) {
 		t.Errorf("headroom %.3f out of [0,1]", env.Summary.Headroom)
 	}
 
-	// Second round over the negotiated binary framing.
-	feed.SetProto(NegotiateProto(ProtoBinary, env.Summary.Proto))
+	// Second round over the binary framing.
+	feed.SetProto(NegotiateProto(ProtoBinary3, env.Summary.Proto))
 	if err := feed.Send(&Envelope{Type: MsgSummaryReq, SummaryReq: &SummaryReq{}}); err != nil {
 		t.Fatal(err)
 	}
@@ -55,8 +55,12 @@ func TestSummaryFeedNegotiatesAndServes(t *testing.T) {
 	if env2.Type != MsgSummary {
 		t.Fatalf("binary summary round answered with %q", env2.Type)
 	}
-	if got := s.snapshot().SummariesServed; got != 2 {
-		t.Errorf("summaries-served counter %d, want 2", got)
+	// The server counts a reply after sending it, so the second count can
+	// trail the reply by a moment.
+	for deadline := time.Now().Add(5 * time.Second); s.snapshot().SummariesServed != 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("summaries-served counter %d, want 2", s.snapshot().SummariesServed)
+		}
 	}
 }
 
@@ -116,7 +120,7 @@ func TestCloseUnblocksSummaryFeeds(t *testing.T) {
 	defer nc.Close()
 	feed := NewConn(nc)
 	if err := feed.Send(&Envelope{Type: MsgSummaryReq,
-		SummaryReq: &SummaryReq{Proto: ProtoBinary}}); err != nil {
+		SummaryReq: &SummaryReq{Proto: ProtoBinary3}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := feed.Recv(); err != nil {

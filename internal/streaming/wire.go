@@ -7,46 +7,38 @@ import (
 	"math"
 )
 
-// Wire protocol versions. Every connection opens speaking ProtoJSON — the
-// newline-delimited JSON framing the package shipped with — so any client
-// ever written can at least complete the Hello/Accept handshake. The Hello
-// carries the highest version the client speaks and the Accept answers with
-// the version the server chose; both sides switch codecs only after that
-// exchange, so old JSON clients interoperate with new servers (and new
-// clients with old servers, whose Accept simply omits the field).
+// Wire protocol versions. Every connection opens in the newline-delimited
+// JSON framing (ProtoJSON) and exchanges exactly one request and one reply in
+// it — Hello/Accept, or the first SummaryReq/Summary of a feed, or a Reject.
+// The request carries the highest version its sender speaks and the reply
+// the version the server chose; everything after that exchange travels in
+// the one binary layout, ProtoBinary3. Version 2, an earlier binary layout
+// without the extended ClusterSummary, is retired and its number is not
+// reused.
 const (
-	// ProtoJSON is the newline-delimited JSON framing (version 1).
+	// ProtoJSON is the JSON handshake framing (version 1). It carries no
+	// session or feed traffic: a peer that advertises nothing newer is
+	// rejected.
 	ProtoJSON = 1
-	// ProtoBinary is the length-prefixed binary framing (version 2).
-	ProtoBinary = 2
-	// ProtoBinary3 is the same binary framing with the extended
-	// ClusterSummary layout (version 3): idle-server count and the per-game
-	// predicted-demand breakdown the fleet accountant produces. Every other
-	// message tag is byte-identical to version 2.
+	// ProtoBinary3 is the length-prefixed binary framing (version 3).
 	ProtoBinary3 = 3
-
-	// maxKnownProto is the newest version this build speaks.
-	maxKnownProto = ProtoBinary3
 )
 
 // NegotiateProto resolves the version both ends of a handshake speak:
-// the minimum of the two advertised maxima, where anything <= 0 (an old
-// peer that never sent the field) means ProtoJSON.
+// ProtoBinary3 when each advertises at least that, else 0 — there is no
+// older layout to fall back to, so a server answers 0 with a Reject and a
+// client treats it as a failed handshake.
 func NegotiateProto(clientMax, serverMax int) int {
-	if clientMax <= 0 {
-		clientMax = ProtoJSON
+	if clientMax >= ProtoBinary3 && serverMax >= ProtoBinary3 {
+		return ProtoBinary3
 	}
-	if serverMax <= 0 {
-		serverMax = ProtoJSON
-	}
-	p := clientMax
-	if serverMax < p {
-		p = serverMax
-	}
-	if p > maxKnownProto {
-		p = maxKnownProto
-	}
-	return p
+	return 0
+}
+
+// unsupportedProto is the Reject reason for a peer that cannot reach
+// ProtoBinary3.
+func unsupportedProto(offered int) string {
+	return fmt.Sprintf("unsupported wire protocol version %d: this server speaks version %d only", offered, ProtoBinary3)
 }
 
 // Binary framing: every message is
@@ -55,8 +47,7 @@ func NegotiateProto(clientMax, serverMax int) int {
 //
 // where n counts the tag and payload. Integers are varints (zigzag for
 // signed), floats are 8-byte IEEE 754 little-endian, strings and byte
-// slices are length-prefixed. The layout per tag is fixed — the protocol
-// version negotiated in Hello/Accept is the schema version.
+// slices are length-prefixed. The layout per tag is fixed.
 
 // maxWireFrame bounds a binary frame so a corrupt or hostile length prefix
 // cannot make the reader allocate unbounded memory.
@@ -76,20 +67,13 @@ const (
 
 var errWireTruncated = errors.New("streaming: truncated binary frame")
 
-// AppendTo appends the envelope as one complete binary frame in the newest
-// layout this build speaks. Connections use AppendToProto with their
-// negotiated version.
-func (e *Envelope) AppendTo(buf []byte) ([]byte, error) {
-	return e.AppendToProto(buf, maxKnownProto)
-}
-
-// AppendToProto appends the envelope as one complete binary frame (length
-// prefix included) in the layout of wire version proto, and returns the
-// extended slice. It never allocates when buf has sufficient capacity, so
-// hot paths can reuse one buffer per connection across every send.
+// AppendTo appends the envelope as one complete binary frame (length prefix
+// included) and returns the extended slice. It never allocates when buf has
+// sufficient capacity, so hot paths can reuse one buffer per connection
+// across every send.
 //
 //cocg:hot
-func (e *Envelope) AppendToProto(buf []byte, proto int) ([]byte, error) {
+func (e *Envelope) AppendTo(buf []byte) ([]byte, error) {
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0) // length prefix, patched below
 	var err error
@@ -162,17 +146,15 @@ func (e *Envelope) AppendToProto(buf []byte, proto int) ([]byte, error) {
 		buf = appendSvarint(buf, int64(sm.Completed))
 		buf = appendFloat(buf, sm.Headroom)
 		buf = appendFloat(buf, sm.UtilPct)
-		if proto >= ProtoBinary3 {
-			if len(sm.Games) != len(sm.GameDemand) {
-				err = fmt.Errorf("streaming: summary has %d games but %d demand entries", len(sm.Games), len(sm.GameDemand)) //cocg:lint-ignore hotalloc error path; boxing only happens on a malformed summary
-				break
-			}
-			buf = appendSvarint(buf, int64(sm.IdleServers))
-			buf = binary.AppendUvarint(buf, uint64(len(sm.Games)))
-			for i, g := range sm.Games {
-				buf = appendString(buf, g)
-				buf = appendFloat(buf, sm.GameDemand[i])
-			}
+		if len(sm.Games) != len(sm.GameDemand) {
+			err = fmt.Errorf("streaming: summary has %d games but %d demand entries", len(sm.Games), len(sm.GameDemand)) //cocg:lint-ignore hotalloc error path; boxing only happens on a malformed summary
+			break
+		}
+		buf = appendSvarint(buf, int64(sm.IdleServers))
+		buf = binary.AppendUvarint(buf, uint64(len(sm.Games)))
+		for i, g := range sm.Games {
+			buf = appendString(buf, g)
+			buf = appendFloat(buf, sm.GameDemand[i])
 		}
 	default:
 		err = fmt.Errorf("streaming: cannot encode message type %q", e.Type) //cocg:lint-ignore hotalloc error path; boxing for %q only happens on an unencodable type
@@ -188,22 +170,15 @@ func (e *Envelope) AppendToProto(buf []byte, proto int) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeFrom decodes one binary frame body in the newest layout this build
-// speaks. Connections use DecodeFromProto with their negotiated version.
-func (e *Envelope) DecodeFrom(data []byte) error {
-	return e.DecodeFromProto(data, maxKnownProto)
-}
-
-// DecodeFromProto decodes one binary frame body (tag + payload, without the
-// length prefix) in the layout of wire version proto into e. Payload structs
-// already attached to e are reused — including the FrameBatch.Frames and
-// InputBatch.Codes backing arrays — so a pooled envelope decodes with zero
-// allocations in steady state; payload pointers of other message types are
-// cleared. Corrupt input yields an error, never a panic, and never a
-// partially valid envelope.
+// DecodeFrom decodes one binary frame body (tag + payload, without the
+// length prefix) into e. Payload structs already attached to e are reused —
+// including the FrameBatch.Frames and InputBatch.Codes backing arrays — so a
+// pooled envelope decodes with zero allocations in steady state; payload
+// pointers of other message types are cleared. Corrupt input yields an
+// error, never a panic, and never a partially valid envelope.
 //
 //cocg:hot
-func (e *Envelope) DecodeFromProto(data []byte, proto int) error {
+func (e *Envelope) DecodeFrom(data []byte) error {
 	if len(data) == 0 {
 		return errWireTruncated
 	}
@@ -346,30 +321,22 @@ func (e *Envelope) DecodeFromProto(data []byte, proto int) error {
 		sm.Completed = int(r.svarint())
 		sm.Headroom = r.float()
 		sm.UtilPct = r.float()
-		if proto >= ProtoBinary3 {
-			sm.IdleServers = int(r.svarint())
-			n := int(r.uvarint())
-			if n < 0 || n > r.remaining() {
-				return r.fail()
-			}
-			games := sm.Games[:0]
-			demand := sm.GameDemand[:0]
-			for i := 0; i < n; i++ {
-				games = append(games, r.str())
-				demand = append(demand, r.float())
-			}
-			if len(games) == 0 {
-				games, demand = nil, nil
-			}
-			sm.Games = games
-			sm.GameDemand = demand
-		} else {
-			// Older layouts cannot carry the extended fields; clear any
-			// leftovers from a reused payload struct.
-			sm.IdleServers = 0
-			sm.Games = nil
-			sm.GameDemand = nil
+		sm.IdleServers = int(r.svarint())
+		n := int(r.uvarint())
+		if n < 0 || n > r.remaining() {
+			return r.fail()
 		}
+		games := sm.Games[:0]
+		demand := sm.GameDemand[:0]
+		for i := 0; i < n; i++ {
+			games = append(games, r.str())
+			demand = append(demand, r.float())
+		}
+		if len(games) == 0 {
+			games, demand = nil, nil
+		}
+		sm.Games = games
+		sm.GameDemand = demand
 		if !r.done() {
 			return r.fail()
 		}

@@ -4,17 +4,21 @@ import (
 	"bufio"
 	"encoding/binary"
 	"encoding/json"
+	"io"
 	"net"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
+
+	"cocg/internal/core"
 )
 
 // wireEnvelopes is one of every message type with every field exercised.
 func wireEnvelopes() []*Envelope {
 	return []*Envelope{
-		{Type: MsgHello, Hello: &Hello{Game: "Contra", Script: 2, Habit: -77, Proto: ProtoBinary}},
-		{Type: MsgAccept, Accept: &Accept{SessionID: 9, Server: 1, Game: "Genshin Impact", Proto: ProtoBinary, Cluster: "us-east"}},
+		{Type: MsgHello, Hello: &Hello{Game: "Contra", Script: 2, Habit: -77, Proto: ProtoBinary3}},
+		{Type: MsgAccept, Accept: &Accept{SessionID: 9, Server: 1, Game: "Genshin Impact", Proto: ProtoBinary3, Cluster: "us-east"}},
 		{Type: MsgReject, Reject: &Reject{Reason: "no server can host this game right now"}},
 		{Type: MsgInput, Input: &InputBatch{SessionID: 9, Seq: 41, Events: 3, SentAtMS: 171234, Codes: []byte{7, 14, 21}}},
 		{Type: MsgFrames, Frames: &FrameBatch{
@@ -23,9 +27,9 @@ func wireEnvelopes() []*Envelope {
 			Frames: []FrameInfo{{SizeBytes: 40000, Key: true}, {SizeBytes: 10000}, {SizeBytes: 9999}},
 		}},
 		{Type: MsgEnd, End: &SessionStat{SessionID: 9, DurationSec: 900, AvgFPS: 58.2, FPSRatio: 0.97, Degraded: 0.01}},
-		{Type: MsgSummaryReq, SummaryReq: &SummaryReq{Proto: ProtoBinary}},
+		{Type: MsgSummaryReq, SummaryReq: &SummaryReq{Proto: ProtoBinary3}},
 		{Type: MsgSummary, Summary: &ClusterSummary{
-			Proto: ProtoBinary, Servers: 16, Draining: 2, LiveSessions: 41,
+			Proto: ProtoBinary3, Servers: 16, Draining: 2, LiveSessions: 41,
 			Pending: 3, Placements: 977, Completed: 936, Headroom: 0.375, UtilPct: 61.5,
 			IdleServers: 4, Games: []string{"Contra", "Genshin Impact"},
 			GameDemand: []float64{0.5, 3.25},
@@ -104,6 +108,7 @@ func TestBinaryDecodeRejectsCorruptInput(t *testing.T) {
 		"huge count":      {tagFrames, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x80},
 		"string overrun":  {tagHello, 0xFF, 0x01, 'x'},
 		"frames no float": {tagFrames, 2, 2, 1, 2},
+		"v2 summary":      v2LengthSummary(t),
 	}
 	for name, data := range cases {
 		var e Envelope
@@ -120,18 +125,32 @@ func TestBinaryAppendToUnknownType(t *testing.T) {
 	}
 }
 
+// v2LengthSummary is a well-formed summary frame body cut where the retired
+// version-2 layout ended (after UtilPct, before the idle-server count and the
+// per-game list) — what an old peer would still send.
+func v2LengthSummary(t testing.TB) []byte {
+	t.Helper()
+	e := &Envelope{Type: MsgSummary, Summary: &ClusterSummary{Servers: 8, LiveSessions: 20, Headroom: 0.5, UtilPct: 40}}
+	blob, err := e.AppendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// With no idle servers and no games the version-3 tail is two one-byte
+	// varints.
+	return blob[4 : len(blob)-2]
+}
+
 func TestNegotiateProto(t *testing.T) {
 	cases := []struct{ client, server, want int }{
-		{0, 0, ProtoJSON},           // two legacy ends
-		{0, ProtoBinary, ProtoJSON}, // legacy client, new server
-		{ProtoBinary, 0, ProtoJSON}, // new client, legacy server
-		{ProtoBinary, ProtoBinary, ProtoBinary},
-		{ProtoJSON, ProtoBinary, ProtoJSON}, // client pinned to JSON
-		{ProtoBinary, ProtoJSON, ProtoJSON}, // server pinned to JSON
-		{99, 99, ProtoBinary3},              // future versions cap at known
 		{ProtoBinary3, ProtoBinary3, ProtoBinary3},
-		{ProtoBinary, ProtoBinary3, ProtoBinary}, // v2 peer holds the pair at v2
-		{-3, ProtoBinary, ProtoJSON},             // nonsense advertises as legacy
+		{99, ProtoBinary3, ProtoBinary3}, // a newer peer settles on the version we speak
+		{ProtoBinary3, 99, ProtoBinary3},
+		{0, ProtoBinary3, 0},         // a peer that predates negotiation
+		{ProtoJSON, ProtoBinary3, 0}, // a peer that offers only the handshake framing
+		{2, ProtoBinary3, 0},         // the retired binary layout
+		{ProtoBinary3, 2, 0},
+		{ProtoBinary3, 0, 0},
+		{-3, ProtoBinary3, 0},
 	}
 	for _, c := range cases {
 		if got := NegotiateProto(c.client, c.server); got != c.want {
@@ -140,66 +159,35 @@ func TestNegotiateProto(t *testing.T) {
 	}
 }
 
-// TestSummaryCrossVersion pins the v2/v3 summary layouts against each other:
-// a v2 frame carries no extended fields (and decoding one must clear any
-// stale extended fields in a reused payload), a v3 frame round-trips them,
-// and a summary whose Games and GameDemand disagree in length refuses to
-// encode rather than writing a frame its peer cannot parse.
+// TestSummaryCrossVersion pins what happens where an old summary peer meets
+// this build: a frame body of the retired version-2 length is a decode error,
+// never a summary with its extended fields silently zero; a summary whose
+// Games and GameDemand disagree in length refuses to encode rather than
+// writing a frame its peer cannot parse; and a feed opened by a requester
+// that offers version 2 is rejected with the reason and closed.
 func TestSummaryCrossVersion(t *testing.T) {
-	full := &Envelope{Type: MsgSummary, Summary: &ClusterSummary{
-		Servers: 8, LiveSessions: 20, Headroom: 0.5, UtilPct: 40,
-		IdleServers: 3, Games: []string{"Contra"}, GameDemand: []float64{1.25},
-	}}
-
-	v2, err := full.AppendToProto(nil, ProtoBinary)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v3, err := full.AppendToProto(nil, ProtoBinary3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v2) >= len(v3) {
-		t.Fatalf("v3 frame (%d bytes) should extend the v2 frame (%d bytes)", len(v3), len(v2))
-	}
-
-	// v3 round trip keeps the extended fields.
 	var out Envelope
-	if err := out.DecodeFromProto(v3[4:], ProtoBinary3); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(full, &out) {
-		t.Errorf("v3 round trip changed the summary:\n in: %+v\nout: %+v", full.Summary, out.Summary)
-	}
-
-	// Decoding the v2 frame into the same (reused) envelope must clear the
-	// extended fields a previous v3 decode left behind.
-	if err := out.DecodeFromProto(v2[4:], ProtoBinary); err != nil {
-		t.Fatal(err)
-	}
-	sm := out.Summary
-	if sm.IdleServers != 0 || sm.Games != nil || sm.GameDemand != nil {
-		t.Errorf("v2 decode left extended fields set: %+v", sm)
-	}
-	if sm.Servers != 8 || sm.Headroom != 0.5 {
-		t.Errorf("v2 decode lost base fields: %+v", sm)
-	}
-
-	// A v3 decoder must reject the shorter v2 body (truncated extension).
-	if err := out.DecodeFromProto(v2[4:], ProtoBinary3); err == nil {
-		t.Error("v3 decode accepted a v2-layout summary frame")
-	}
-	// And a v2 decoder must reject the longer v3 body (trailing bytes).
-	if err := out.DecodeFromProto(v3[4:], ProtoBinary); err == nil {
-		t.Error("v2 decode accepted a v3-layout summary frame")
+	if err := out.DecodeFrom(v2LengthSummary(t)); err == nil {
+		t.Errorf("decode accepted a version-2-length summary frame: %+v", out.Summary)
 	}
 
 	bad := &Envelope{Type: MsgSummary, Summary: &ClusterSummary{
 		Games: []string{"Contra"}, GameDemand: []float64{1, 2},
 	}}
-	if _, err := bad.AppendToProto(nil, ProtoBinary3); err == nil {
+	if _, err := bad.AppendTo(nil); err == nil {
 		t.Error("encoded a summary with mismatched Games/GameDemand lengths")
 	}
+
+	before := runtime.NumGoroutine()
+	s, err := Serve("127.0.0.1:0", ServerConfig{System: testSystem(t), Policy: core.PolicyCoCG, TickEvery: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireVersionReject(t, s.Addr(), `{"type":"summary_req","summary_req":{"proto":2}}`)
+	if got := s.snapshot().SummariesServed; got != 0 {
+		t.Errorf("a rejected feed was served %d summaries", got)
+	}
+	requireCleanClose(t, s, before)
 }
 
 // TestConnBinaryConversation drives both framings over a live pipe through
@@ -219,11 +207,11 @@ func TestConnBinaryConversation(t *testing.T) {
 		env, err := cb.Recv()
 		if err == nil {
 			err = cb.Send(&Envelope{Type: MsgAccept, Accept: &Accept{
-				SessionID: 1, Game: env.Hello.Game, Proto: ProtoBinary,
+				SessionID: 1, Game: env.Hello.Game, Proto: ProtoBinary3,
 			}})
 		}
 		if err == nil {
-			cb.SetProto(ProtoBinary)
+			cb.SetProto(ProtoBinary3)
 			_, err = cb.Recv() // binary input batch
 		}
 		if err == nil {
@@ -232,17 +220,14 @@ func TestConnBinaryConversation(t *testing.T) {
 		done <- err
 	}()
 
-	if err := ca.Send(&Envelope{Type: MsgHello, Hello: &Hello{Game: "Contra", Proto: ProtoBinary}}); err != nil {
+	if err := ca.Send(&Envelope{Type: MsgHello, Hello: &Hello{Game: "Contra", Proto: ProtoBinary3}}); err != nil {
 		t.Fatal(err)
 	}
 	acc, err := ca.Recv()
 	if err != nil || acc.Type != MsgAccept {
 		t.Fatalf("accept: %v %v", acc, err)
 	}
-	ca.SetProto(NegotiateProto(ProtoBinary, acc.Accept.Proto))
-	if ca.Proto() != ProtoBinary {
-		t.Fatalf("negotiated %d", ca.Proto())
-	}
+	ca.SetProto(NegotiateProto(ProtoBinary3, acc.Accept.Proto))
 	if err := ca.Send(wireEnvelopes()[3]); err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +251,7 @@ func TestConnRejectsOversizedBinaryFrame(t *testing.T) {
 	defer b.Close()
 	_ = b.SetDeadline(time.Now().Add(2 * time.Second))
 	conn := NewConn(b)
-	conn.SetProto(ProtoBinary)
+	conn.SetProto(ProtoBinary3)
 	go func() {
 		var hdr [4]byte
 		binary.LittleEndian.PutUint32(hdr[:], maxWireFrame+1)
@@ -277,52 +262,72 @@ func TestConnRejectsOversizedBinaryFrame(t *testing.T) {
 	}
 }
 
-// TestJSONWireCompatibility pins the JSON framing: a hand-rolled legacy
-// client (raw json over the socket, no Proto field anywhere) must complete
-// a whole session against the current server — the cross-version guarantee.
-func TestJSONWireCompatibility(t *testing.T) {
-	s := startServer(t)
-	nc, err := net.Dial("tcp", s.Addr())
+// jsonExchange sends one raw JSON handshake line on a fresh connection and
+// returns the reply line decoded as a generic object, plus the reader for
+// whatever follows — the hand-rolled peer TestJSONWireCompatibility plays.
+func jsonExchange(t *testing.T, addr, line string) (map[string]any, *bufio.Reader) {
+	t.Helper()
+	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer nc.Close()
+	t.Cleanup(func() { nc.Close() })
 	_ = nc.SetDeadline(time.Now().Add(time.Minute))
-	enc := json.NewEncoder(nc)
-	dec := json.NewDecoder(bufio.NewReader(nc))
+	if _, err := nc.Write([]byte(line + "\n")); err != nil {
+		t.Fatal(err)
+	}
+	r := bufio.NewReader(nc)
+	reply, err := r.ReadBytes('\n')
+	if err != nil {
+		t.Fatalf("%s: %v", line, err)
+	}
+	var obj map[string]any
+	if err := json.Unmarshal(reply, &obj); err != nil {
+		t.Fatalf("%s: reply %q is not a JSON line: %v", line, reply, err)
+	}
+	return obj, r
+}
 
-	// A pre-negotiation client: its Hello has no proto field at all.
-	if err := enc.Encode(map[string]any{
-		"type": "hello", "hello": map[string]any{"game": "Contra", "script": 0},
-	}); err != nil {
+// TestJSONWireCompatibility pins the JSON handshake by field name: a peer
+// that hand-rolls its JSON (no Go structs from this package) gets an accept,
+// a reject and a first summary it can read, each as one newline-terminated
+// object, and the session body that follows an accept is binary frames.
+func TestJSONWireCompatibility(t *testing.T) {
+	s := startServer(t)
+
+	reply, r := jsonExchange(t, s.Addr(), `{"type":"hello","hello":{"game":"Contra","script":0,"proto":3}}`)
+	accept, _ := reply["accept"].(map[string]any)
+	if reply["type"] != "accept" || accept == nil {
+		t.Fatalf("hello answered with %v", reply)
+	}
+	if accept["proto"] != float64(ProtoBinary3) || accept["game"] != "Contra" || accept["session_id"] == nil {
+		t.Errorf("accept fields: %v", accept)
+	}
+	var hdr [4]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		t.Fatal(err)
 	}
-	var accept Envelope
-	if err := dec.Decode(&accept); err != nil {
+	body := make([]byte, binary.LittleEndian.Uint32(hdr[:]))
+	if _, err := io.ReadFull(r, body); err != nil {
 		t.Fatal(err)
 	}
-	if accept.Type != MsgAccept {
-		t.Fatalf("legacy hello answered with %q", accept.Type)
+	var first Envelope
+	if err := first.DecodeFrom(body); err != nil || first.Type != MsgFrames {
+		t.Fatalf("session body did not open with a binary frame batch: %+v, %v", first, err)
 	}
-	if accept.Accept.Proto != ProtoJSON {
-		t.Fatalf("server negotiated proto %d with a legacy client", accept.Accept.Proto)
+
+	reply, _ = jsonExchange(t, s.Addr(), `{"type":"hello","hello":{"game":"No Such Game","proto":3}}`)
+	reject, _ := reply["reject"].(map[string]any)
+	if reply["type"] != "reject" || reject == nil || reject["reason"] == "" {
+		t.Errorf("unknown game answered with %v", reply)
 	}
-	frames := 0
-	for {
-		var env Envelope
-		if err := dec.Decode(&env); err != nil {
-			t.Fatalf("after %d frames: %v", frames, err)
-		}
-		switch env.Type {
-		case MsgFrames:
-			frames++
-		case MsgEnd:
-			if frames == 0 {
-				t.Fatal("session ended with no frames")
-			}
-			return
-		default:
-			t.Fatalf("unexpected %q", env.Type)
-		}
+
+	reply, _ = jsonExchange(t, s.Addr(), `{"type":"summary_req","summary_req":{"proto":3}}`)
+	sum, _ := reply["summary"].(map[string]any)
+	if reply["type"] != "summary" || sum == nil {
+		t.Fatalf("summary request answered with %v", reply)
+	}
+	if sum["proto"] != float64(ProtoBinary3) || sum["servers"] != float64(2) || sum["headroom"] == nil {
+		t.Errorf("summary fields: %v", sum)
 	}
 }
