@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fmt fuzz-smoke lint vuln docs-check bench bench-e2e bench-e2e-compare bench-layers
+.PHONY: all build test race fmt fuzz-smoke lint vuln docs-check bench bench-e2e bench-e2e-compare bench-pairs bench-layers
 
 all: build test
 
@@ -58,7 +58,7 @@ fmt:
 # recipe runs beyond their seed corpus.
 FUZZTIME ?= 5s
 fuzz-smoke:
-	@grep -rl --include='*_test.go' '^func Fuzz' . | xargs -n1 dirname | sort -u | while read pkg; do \
+	@grep -rl --include='*_test.go' --exclude-dir=.bench_build '^func Fuzz' . | xargs -n1 dirname | sort -u | while read pkg; do \
 		for f in $$(grep -ho '^func Fuzz[A-Za-z0-9_]*' $$pkg/*_test.go | sed 's/^func //'); do \
 			echo "fuzz $$pkg $$f"; \
 			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
@@ -83,6 +83,18 @@ bench-e2e:
 bench-e2e-compare:
 	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "usage: make bench-e2e-compare OLD=old.json NEW=new.json"; exit 2; }
 	$(GO) run ./bench/cocgbench -compare $(OLD) $(NEW)
+
+# bench-pairs is the paired measurement a performance claim needs: N
+# alternating parent/change runs of one workload in driver mode, seeds 1, 2, 3
+# in rotation, each tree building its own binary (scripts/bench-pairs.sh; the
+# parent's files are extracted under .bench_build/). It prints, per end-to-end
+# metric, medians, quartiles, pair ratios and pairs won, and whether the output
+# digests agreed:
+#   make bench-pairs PARENT=HEAD~1 WORKLOAD=fleet-cocg N=10
+N ?= 10
+bench-pairs:
+	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pairs PARENT=<rev> WORKLOAD=<name> [N=10]"; exit 2; }
+	bash scripts/bench-pairs.sh $(PARENT) $(WORKLOAD) $(N)
 
 # bench-layers runs the per-layer micro-benchmarks once, with -benchmem, and
 # prints go test's own table: the placement scan and fleet summary, the

@@ -11,9 +11,9 @@ import (
 // Event-driven cluster advancement.
 //
 // The legacy loop pays O(sessions) every virtual second even when nothing
-// happens. This driver advances between *stop points* — the simulation end,
-// the next placement frame while arrivals are queued, and each scheduled
-// arrival's submission second — and lets every server cross the span in
+// happens. This driver advances between *stop points* — the simulation end
+// and the frame boundaries at which an arrival is queued or due, the only
+// seconds placement can happen — and lets every server cross the span in
 // bulk. A server whose policy provably cannot intervene (NoopRegulator, all
 // controllers steady, requests covering every session's demand envelope
 // within capacity) advances each session with Session.StepBulk and runs one
@@ -55,16 +55,23 @@ func (c *Cluster) TickSpan(span simclock.Seconds) {
 // RunEvented advances the cluster for d seconds, feeding it the pregenerated
 // arrival schedule (e.g. from workload.MixStream's Schedule). It reproduces
 // the legacy Feed+Tick loop's outputs exactly — Records, Placements,
-// RejectedTicks, starvation blocking — while skipping every second on which
-// provably nothing can happen: placement is only attempted on frame
-// boundaries while arrivals are pending, which is the only time the legacy
-// loop's tryPlace does anything either.
+// RejectedTicks, starvation blocking — while stopping the fleet only where
+// placement can happen: at the end, and at a frame boundary at which an arrival
+// is pending or due. Between stops every server runs its seconds back to back
+// (Server.advanceSpan), so a frame costs one visit per server however many
+// arrivals fall inside it.
+//
+// An arrival becomes visible in Pending, in schedule order, at the first stop
+// at or after its Submitted second: the frame boundary it can first be placed
+// on, or the return. Nothing reads Pending in between — the legacy loop's
+// tryPlace acts on frame boundaries only — and on return every scheduled
+// arrival is in Pending or placed.
 //
 // The schedule must be ascending in Submitted (several arrivals may share a
-// second) and start no earlier than the current clock; one that is not is
-// refused with an error before the clock moves or anything is enqueued.
+// second) and lie inside [now, now+d); one that is not is refused with an
+// error before the clock moves or anything is enqueued.
 func (c *Cluster) RunEvented(d simclock.Seconds, schedule []Arrival) error {
-	prev := c.Clock.Now()
+	prev, end := c.Clock.Now(), c.Clock.Now()+d
 	for i := range schedule {
 		if schedule[i].Submitted < prev {
 			return fmt.Errorf("platform: schedule not ascending: arrival %d is submitted at %d, after one at %d (or the clock)",
@@ -72,7 +79,9 @@ func (c *Cluster) RunEvented(d simclock.Seconds, schedule []Arrival) error {
 		}
 		prev = schedule[i].Submitted
 	}
-	end := c.Clock.Now() + d
+	if len(schedule) > 0 && prev >= end {
+		return fmt.Errorf("platform: schedule outruns the run: an arrival is submitted at %d, the run ends at %d", prev, end)
+	}
 	idx := 0
 	for now := c.Clock.Now(); now < end; now = c.Clock.Now() {
 		for idx < len(schedule) && schedule[idx].Submitted <= now {
@@ -82,19 +91,22 @@ func (c *Cluster) RunEvented(d simclock.Seconds, schedule []Arrival) error {
 		if simclock.IsFrameBoundary(now) {
 			c.tryPlace()
 		}
-		// Next stop point: simulation end, the next placement boundary while
-		// anything is pending, or the next scheduled arrival.
+		// Next stop: the next frame boundary while anything is pending, else
+		// the first boundary at or after the next arrival, else the end.
 		stop := end
 		if len(c.Pending) > 0 {
-			if b := nextFrameBoundary(now); b < stop {
-				stop = b
-			}
+			stop = nextFrameBoundary(now)
+		} else if idx < len(schedule) {
+			stop = nextFrameBoundary(schedule[idx].Submitted - 1)
 		}
-		if idx < len(schedule) && schedule[idx].Submitted < stop {
-			stop = schedule[idx].Submitted
+		if stop > end {
+			stop = end
 		}
 		c.TickSpan(stop - now)
 	}
+	// The last stop is the end, where the loop no longer runs: arrivals due
+	// after the last boundary are still to be enqueued.
+	c.Pending = append(c.Pending, schedule[idx:]...)
 	return nil
 }
 

@@ -291,19 +291,12 @@ func TestStreamingSinksMatchSliceAggregation(t *testing.T) {
 }
 
 // TestRunEventedRejectsUnsortedSchedule pins the schedule contract: a
-// schedule that steps backwards — or starts before the cluster's clock — is
-// an error reported before anything moves, while several arrivals on one
-// second are as valid as ever.
+// schedule that steps backwards, starts before the cluster's clock or reaches
+// the run's end (such an arrival would never be enqueued) is an error reported
+// before anything moves, while several arrivals on one second are as valid as
+// ever.
 func TestRunEventedRejectsUnsortedSchedule(t *testing.T) {
-	at := func(secs ...simclock.Seconds) []platform.Arrival {
-		gen := workload.NewGenerator(nil, 5)
-		out := make([]platform.Arrival, len(secs))
-		for i, s := range secs {
-			out[i] = gen.Next(gamesim.Contra())
-			out[i].Submitted = s
-		}
-		return out
-	}
+	at := arrivalsAt
 	cases := []struct {
 		name     string
 		start    simclock.Seconds
@@ -315,6 +308,9 @@ func TestRunEventedRejectsUnsortedSchedule(t *testing.T) {
 		{"empty", 0, nil, false},
 		{"out of order", 0, at(0, 10, 5), true},
 		{"before the clock", 20, at(10, 30), true},
+		{"last second of the run", 20, at(30, 79), false},
+		{"at the end of the run", 0, at(10, 60), true},
+		{"past the end of the run", 20, at(30, 90), true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -338,5 +334,118 @@ func TestRunEventedRejectsUnsortedSchedule(t *testing.T) {
 					c.Clock.Now(), len(c.Pending), c.Placements)
 			}
 		})
+	}
+}
+
+// visitLogPolicy records the order servers are ticked in: Regulate runs once
+// per executed server-second. It is not a ConcurrentTicker, so the cluster
+// ticks serially and the log is the visit order.
+type visitLogPolicy struct{ visits []int }
+
+func (p *visitLogPolicy) Name() string { return "visit-log" }
+func (p *visitLogPolicy) Admit(srv *platform.Server, _ *gamesim.GameSpec, _ int64) bool {
+	return len(srv.Hosted) == 0
+}
+func (p *visitLogPolicy) NewController(*gamesim.GameSpec, int64) (platform.Controller, error) {
+	return &adaptiveCtl{req: resources.FullServer}, nil
+}
+func (p *visitLogPolicy) Regulate(srv *platform.Server) { p.visits = append(p.visits, srv.ID) }
+
+// arrivalsAt returns one Contra arrival per given submission second.
+func arrivalsAt(secs ...simclock.Seconds) []platform.Arrival {
+	gen := workload.NewGenerator(nil, 5)
+	out := make([]platform.Arrival, len(secs))
+	for i, s := range secs {
+		out[i] = gen.Next(gamesim.Contra())
+		out[i].Submitted = s
+	}
+	return out
+}
+
+// TestRunEventedVisitsEachServerOncePerFrame is the stop rule seen from a
+// server: with an arrival on every second the fleet still stops on frame
+// boundaries only, so each hosting server runs its five seconds back to back
+// before the next server is touched — not one second of every server in turn.
+func TestRunEventedVisitsEachServerOncePerFrame(t *testing.T) {
+	const horizon = 12 * simclock.FrameLen
+	pol := &visitLogPolicy{}
+	c := platform.NewCluster(3, pol)
+	var every []simclock.Seconds
+	for s := simclock.Seconds(0); s < horizon; s++ {
+		every = append(every, s)
+	}
+	if err := c.RunEvented(horizon, arrivalsAt(every...)); err != nil {
+		t.Fatal(err)
+	}
+	if c.Placements != 3 || len(c.Pending) != len(every)-3 {
+		t.Fatalf("%d placed, %d pending; want one session per server and the rest queued", c.Placements, len(c.Pending))
+	}
+	// Second 0's arrival lands on server 0 at once, the next two at the second
+	// boundary: frame 0 is ticked by server 0 alone and every later frame by
+	// all three, five seconds each, in server order.
+	var want []int
+	for f := 0; f < int(horizon/simclock.FrameLen); f++ {
+		for id := 0; id < 3 && (f > 0 || id == 0); id++ {
+			for s := simclock.Seconds(0); s < simclock.FrameLen; s++ {
+				want = append(want, id)
+			}
+		}
+	}
+	if len(pol.visits) != len(want) {
+		t.Fatalf("%d server-seconds ticked, want %d", len(pol.visits), len(want))
+	}
+	for i := range want {
+		if pol.visits[i] != want[i] {
+			t.Fatalf("server-second %d ran on server %d, want %d: a server's frame is not contiguous", i, pol.visits[i], want[i])
+		}
+	}
+}
+
+// TestRunEventedEnqueuesTheTail covers the stop rule's edges. Arrivals inside
+// the run's last frame are never placed by that run — its last stop is its end,
+// where the loop no longer executes — but they must all be in Pending on
+// return, in schedule order, and land at the next run's first boundary. An
+// arrival exactly on a boundary is placed on it; a run of no length is a no-op.
+func TestRunEventedEnqueuesTheTail(t *testing.T) {
+	c := platform.NewCluster(8, &adaptiveTestPolicy{})
+	tail := arrivalsAt(1, 2, 3, 4)
+	if err := c.RunEvented(simclock.FrameLen, tail); err != nil {
+		t.Fatal(err)
+	}
+	if c.Clock.Now() != simclock.FrameLen || c.Placements != 0 || len(c.Pending) != len(tail) {
+		t.Fatalf("after the first frame: clock %d, %d placed, %d pending; want %d, 0, %d",
+			c.Clock.Now(), c.Placements, len(c.Pending), simclock.FrameLen, len(tail))
+	}
+	for i, a := range c.Pending {
+		if a.Submitted != tail[i].Submitted || a.SessionSeed != tail[i].SessionSeed {
+			t.Fatalf("pending[%d] is the arrival of second %d, want second %d", i, a.Submitted, tail[i].Submitted)
+		}
+	}
+	// The next run places them on its first second, and an arrival due exactly
+	// on the following boundary on that boundary.
+	if err := c.RunEvented(2*simclock.FrameLen, arrivalsAt(2*simclock.FrameLen)); err != nil {
+		t.Fatal(err)
+	}
+	if c.Placements != len(tail)+1 || len(c.Pending) != 0 {
+		t.Fatalf("after the second run: %d placed, %d pending; want %d, 0", c.Placements, len(c.Pending), len(tail)+1)
+	}
+	at := map[simclock.Seconds]int{}
+	for _, srv := range c.Servers {
+		for _, h := range srv.Hosted {
+			at[h.Arrived]++
+		}
+	}
+	if at[simclock.FrameLen] != len(tail) || at[2*simclock.FrameLen] != 1 {
+		t.Errorf("sessions arrived at %v; want %d at second %d and 1 at second %d", at, len(tail), simclock.FrameLen, 2*simclock.FrameLen)
+	}
+
+	for _, d := range []simclock.Seconds{0, -3} {
+		before := c.Clock.Now()
+		if err := c.RunEvented(d, nil); err != nil || c.Clock.Now() != before || len(c.Pending) != 0 {
+			t.Errorf("RunEvented(%d, nil): err %v, clock %d -> %d, %d pending; want a no-op", d, err, before, c.Clock.Now(), len(c.Pending))
+		}
+		if err := c.RunEvented(d, arrivalsAt(before)); err == nil || c.Clock.Now() != before || len(c.Pending) != 0 {
+			t.Errorf("RunEvented(%d, one arrival): err %v, %d pending; want the schedule refused", d, err, len(c.Pending))
+		}
 	}
 }

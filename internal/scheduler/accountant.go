@@ -55,15 +55,15 @@ func fracSum(runs []predictor.Segment, capacity resources.Vector) float64 {
 // predicted headroom and per-game demand contributions — under the cache's
 // current stamp. refresh clears loadValid on every rebuild, so the memo is
 // recomputed lazily on the first summary after a change and the admission
-// path never pays for it. Headroom takes the per-dimension peak of the summed
-// timeline first and divides once: correctly rounded division by a positive
-// capacity is monotone, so max_t(x_t/c) == max_t(x_t)/c exactly and the bits
-// match ClusterLoadFullScan's divide-every-frame scan.
+// path never pays for it. Headroom divides the summed timeline's per-dimension
+// peak (taken by mergeRuns as it builds the timeline) once: correctly rounded
+// division by a positive capacity is monotone, so max_t(x_t/c) == max_t(x_t)/c
+// exactly and the bits match ClusterLoadFullScan's divide-every-frame scan.
 func (c *CoCG) serverLoadMemo(cc *serverCache, srv *platform.Server) {
 	if cc.loadValid {
 		return
 	}
-	head := 1 - worstFrac(resources.PeakOf(cc.total), srv.Capacity)
+	head := 1 - worstFrac(cc.peak, srv.Capacity)
 	if head < 0 {
 		head = 0
 	}
@@ -80,12 +80,12 @@ func (c *CoCG) serverLoadMemo(cc *serverCache, srv *platform.Server) {
 	for i, hosted := range srv.Hosted {
 		runs := cc.runs[start:cc.runEnd[i]]
 		start = cc.runEnd[i]
-		gi, known := c.gameIdx[hosted.Spec.Name]
-		if !known {
+		gi, ctl := c.gameOf(hosted)
+		if gi < 0 {
 			continue
 		}
 		var sum float64
-		if _, native := hosted.Controller.(*Controller); native {
+		if ctl != nil {
 			sum = fracSum(runs, srv.Capacity)
 		} else {
 			// Foreign controller: the conservative flat timeline refresh
@@ -111,12 +111,8 @@ func (c *CoCG) serverLoadMemo(cc *serverCache, srv *platform.Server) {
 // no map lookup and no heap allocation. Like Admit and Score this is a serial
 // entry point.
 func (c *CoCG) FleetLoadInto(servers []*platform.Server, out *platform.FleetLoad) bool {
-	c.sweepCaches(servers)
+	c.resolve(servers)
 	h := c.cfg.HorizonFrames
-	if cap(c.byPos) < len(servers) {
-		c.byPos = make([]*serverCache, len(servers))
-	}
-	c.byPos = c.byPos[:len(servers)]
 	g := len(c.games)
 	if cap(out.GameDemand) < g {
 		out.GameDemand = make([]float64, g)
@@ -128,10 +124,6 @@ func (c *CoCG) FleetLoadInto(servers []*platform.Server, out *platform.FleetLoad
 	active, idle := 0, 0
 	for i, srv := range servers {
 		cc := c.byPos[i]
-		if cc == nil || cc.srv != srv {
-			cc = c.cacheFor(srv)
-			c.byPos[i] = cc
-		}
 		c.refresh(cc, srv, h, &c.scratch)
 		c.serverLoadMemo(cc, srv)
 		for j, d := range cc.gameDemand {
@@ -180,9 +172,9 @@ const cacheSweepSlack = 32
 // leak once autoscaling makes membership churn routine. The sweep is
 // amortized: it runs only when the map has outgrown the live fleet by more
 // than half, stamps the live entries with a fresh epoch, and deletes the
-// rest. FleetLoadInto's per-position pointers are dropped with them, so a
-// server that later returns resolves through the map again instead of
-// through a cache the map no longer knows.
+// rest. The per-position pointers (byPos) are dropped with them, so a server
+// that later returns resolves through the map again instead of through a
+// cache the map no longer knows.
 func (c *CoCG) sweepCaches(servers []*platform.Server) {
 	if len(c.caches) <= 2*len(servers)+cacheSweepSlack {
 		return

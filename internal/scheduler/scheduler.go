@@ -79,11 +79,11 @@ func (c Config) withDefaults() Config {
 // Concurrency: Admit and Score are serial entry points (they may insert into
 // the forecast-cache map). The cluster's parallel placement scan instead
 // calls PreparePlacement once, serially, then ScoreScratch concurrently —
-// after preparation every cache struct exists, the scan only reads the map,
-// and each server's cache is touched by exactly one scoring goroutine.
+// after preparation every cache struct exists, the scan only reads the map
+// and the per-position cache list, and each server's cache is touched by
+// exactly one scoring goroutine.
 type CoCG struct {
-	trained map[string]*predictor.Trained
-	cfg     Config
+	cfg Config
 
 	// caches holds one aggregate-forecast cache per server this policy has
 	// evaluated. A Policy is per-cluster (see the package comment), so the
@@ -96,14 +96,26 @@ type CoCG struct {
 	// scratch serves the serial entry points (Admit, Score).
 	scratch EvalScratch
 
-	// games lists the trained game names in sorted order; gameIdx inverts it.
-	// The fleet summary's per-game demand columns use these indices, and
-	// FleetLoad.Games aliases the slice (immutable after New).
+	// games lists the trained game names in sorted order; gameIdx inverts it
+	// and game is parallel to it. The fleet summary's per-game demand columns
+	// and the verdict memos use these indices, and FleetLoad.Games aliases the
+	// slice (all three immutable after New).
 	games   []string
 	gameIdx map[string]int
-	// byPos is the cache FleetLoadInto resolved for each server position on
-	// its previous poll (see accountant.go).
+	game    []gameEntry
+	// byPos[i] is the cache of the i-th server of the list last handed to
+	// PreparePlacement or FleetLoadInto (see resolve).
 	byPos []*serverCache
+}
+
+// gameEntry is one trained game's bundle beside the two admission constants
+// derived from it, computed once instead of per hosted session per refill.
+type gameEntry struct {
+	b *predictor.Trained
+	// floor is the game's hard satisfaction floor, FPSSafety × 30 FPS over
+	// the best frame rate it can reach; peak is its worst-case demand.
+	floor float64
+	peak  resources.Vector
 }
 
 // New builds the policy from the offline training bundles of every game the
@@ -118,25 +130,37 @@ func New(bundles []*predictor.Trained, cfg Config) *CoCG {
 		m[b.Spec.Name] = b
 	}
 	sort.Strings(games)
-	idx := make(map[string]int, len(games))
-	for i, g := range games {
-		idx[g] = i
-	}
-	return &CoCG{
-		trained: m,
+	c := &CoCG{
 		cfg:     cfg.withDefaults(),
 		caches:  map[*platform.Server]*serverCache{},
 		games:   games,
-		gameIdx: idx,
+		gameIdx: make(map[string]int, len(games)),
+		game:    make([]gameEntry, len(games)),
 	}
+	for i, g := range games {
+		b := m[g]
+		c.gameIdx[g] = i
+		c.game[i] = gameEntry{b: b, floor: c.cfg.FPSSafety * 30 / b.Spec.EffectiveFPS(), peak: b.Profile.PeakDemand()}
+	}
+	return c
 }
 
 // EvalScratch owns the reusable buffers one admission-evaluating goroutine
 // needs: the forecast scratch a cache refill generates each hosted game's
-// runs with. A zero value is ready to use; a scratch must not be shared
-// between concurrent evaluations.
+// runs with and the cursors it merges them through. A zero value is ready to
+// use; a scratch must not be shared between concurrent evaluations.
 type EvalScratch struct {
-	fc predictor.ForecastScratch
+	fc  predictor.ForecastScratch
+	cur []runCursor
+
+	// Two lookups remembered between evaluations, both re-checked by identity
+	// so they never change a result: the game index (-1: untrained) the
+	// candidate spec resolved to under policy, and pos, where in policy.byPos
+	// a scan in server-list order finds its next server's cache.
+	policy *CoCG
+	spec   *gamesim.GameSpec
+	gi     int
+	pos    int
 }
 
 // stamp is everything a per-server aggregate is computed from: the membership
@@ -184,21 +208,26 @@ type serverCache struct {
 	// O(1) pre-filter; it may differ from the exact ordered sum by float
 	// rounding, which the pre-filter's slack absorbs.
 	sumPeaks resources.Vector
-	// total is the hosted games' summed demand timeline, horizon frames
-	// long, accumulated in hosted order (float addition order matters).
-	total []resources.Vector
 	// runs holds every hosted session's forecast as stage runs, back to back
 	// in hosted order; runEnd[i] is where hosted i's runs end. Each session
-	// is forecast once per stamp: total is accumulated from these runs and
-	// the fleet summary reads them again for the per-game demand.
+	// is forecast once per stamp: total is merged from these runs and the
+	// fleet summary reads them again for the per-game demand.
 	runs   []predictor.Segment
 	runEnd []int
+	// total is the hosted games' summed demand timeline as runs covering the
+	// horizon (see mergeRuns), and peak its per-dimension maximum.
+	total []predictor.Segment
+	peak  resources.Vector
 
-	// memo caches evaluate's verdict per candidate game under the current
-	// stamp: Algorithm 1 is a pure function of the stamped server state and
-	// the candidate's immutable training bundle, so within one stamp repeated
-	// pending arrivals of the same game cost O(1) after the first.
-	memo map[string]evalMemo
+	// memo caches evaluate's verdict per candidate game index under the
+	// current stamp: Algorithm 1 is a pure function of the stamped server
+	// state and the candidate's immutable training bundle, so within one
+	// stamp repeated pending arrivals of the same game cost O(1) after the
+	// first.
+	memo []evalMemo
+	// pos is the byPos position the cache was last filed at: where a scan
+	// that lost its place resumes.
+	pos int
 
 	// seen stamps the cache with the epoch of the last sweep that found its
 	// server in the fleet; sweepCaches evicts entries whose stamp lags.
@@ -215,7 +244,7 @@ type serverCache struct {
 
 // evalMemo is one memoized evaluate verdict.
 type evalMemo struct {
-	ok      bool
+	set, ok bool
 	meanSat float64
 }
 
@@ -228,15 +257,31 @@ const peakSlack = 1e-6
 // PreparePlacement implements platform.PlacementPreparer: it creates the
 // cache structs for every server serially, so the concurrent scoring scan
 // never writes the map.
-func (c *CoCG) PreparePlacement(servers []*platform.Server) {
+func (c *CoCG) PreparePlacement(servers []*platform.Server) { c.resolve(servers) }
+
+// resolve makes byPos[i] the cache of servers[i], creating caches on first
+// sight. A position whose server has not changed since the last call costs
+// one pointer comparison, so over a stable fleet neither a placement round nor
+// a summary poll hashes anything. It writes the map, so only the serial entry
+// points may call it.
+func (c *CoCG) resolve(servers []*platform.Server) {
 	c.sweepCaches(servers)
-	for _, srv := range servers {
-		c.cacheFor(srv)
+	if cap(c.byPos) < len(servers) {
+		c.byPos = make([]*serverCache, len(servers))
+	}
+	c.byPos = c.byPos[:len(servers)]
+	for i, srv := range servers {
+		if cc := c.byPos[i]; cc == nil || cc.srv != srv {
+			cc = c.cacheFor(srv)
+			cc.pos = i
+			c.byPos[i] = cc
+		}
 	}
 }
 
 // cacheFor returns srv's forecast cache, creating it on first sight. It
-// writes the map, so only the serial entry points may call it.
+// writes the map then, so the parallel scan may only call it for servers
+// PreparePlacement has seen.
 func (c *CoCG) cacheFor(srv *platform.Server) *serverCache {
 	cc := c.caches[srv]
 	if cc == nil {
@@ -244,6 +289,40 @@ func (c *CoCG) cacheFor(srv *platform.Server) *serverCache {
 		c.caches[srv] = cc
 	}
 	return cc
+}
+
+// cacheAt is cacheFor for a scan: a caller walking the resolved server list
+// in order finds each cache at its scratch's cursor through byPos, checked by
+// identity, and only a scan that lost its place — its first server, one after
+// a skipped server, a serial Admit — goes through the map and resumes from
+// where that cache is filed. Server IDs play no part, so they may be sparse,
+// growing or duplicated.
+func (c *CoCG) cacheAt(srv *platform.Server, es *EvalScratch) *serverCache {
+	if p := es.pos; p < len(c.byPos) {
+		if cc := c.byPos[p]; cc != nil && cc.srv == srv {
+			es.pos = p + 1
+			return cc
+		}
+	}
+	cc := c.cacheFor(srv)
+	es.pos = cc.pos + 1
+	return cc
+}
+
+// gameOf resolves a hosted session to its trained game index (-1 when the
+// policy has no bundle for it) and its native controller (nil when foreign).
+// A controller this policy minted carries its index; one from another CoCG
+// instance indexes that instance's games, so it is looked up by name like a
+// foreign one.
+func (c *CoCG) gameOf(hosted *platform.Hosted) (int, *Controller) {
+	ctl, _ := hosted.Controller.(*Controller)
+	if ctl != nil && ctl.policy == c {
+		return ctl.gi, ctl
+	}
+	if gi, ok := c.gameIdx[hosted.Spec.Name]; ok {
+		return gi, ctl
+	}
+	return -1, ctl
 }
 
 // refresh brings srv's cache up to date, rebuilding the aggregates when the
@@ -258,65 +337,103 @@ func (c *CoCG) refresh(cc *serverCache, srv *platform.Server, h int, es *EvalScr
 	cc.stamp = st
 	cc.cacheable = true
 	cc.loadValid = false
+	if cc.memo == nil {
+		cc.memo = make([]evalMemo, len(c.games))
+	}
 	clear(cc.memo)
 	cc.hostedPeaks = cc.hostedPeaks[:0]
 	cc.runs = cc.runs[:0]
 	cc.runEnd = cc.runEnd[:0]
 	cc.hostedFloor = 0
 	cc.sumPeaks = resources.Zero
-	if cap(cc.total) < h {
-		cc.total = make([]resources.Vector, h)
-	}
-	cc.total = cc.total[:h]
-	clear(cc.total)
 	for _, hosted := range srv.Hosted {
-		if f := c.cfg.FPSSafety * 30 / hosted.Spec.EffectiveFPS(); f > cc.hostedFloor {
-			cc.hostedFloor = f
-		}
-		hb, trainedOK := c.trained[hosted.Spec.Name]
-		ctl, native := hosted.Controller.(*Controller)
-		if !trainedOK || !native {
-			cc.cacheable = false
-		}
+		gi, ctl := c.gameOf(hosted)
+		var floor float64
 		var peak resources.Vector
-		if trainedOK {
-			peak = hb.Profile.PeakDemand()
+		if gi >= 0 {
+			floor, peak = c.game[gi].floor, c.game[gi].peak
 		} else {
-			peak = hosted.Request
+			floor, peak = c.cfg.FPSSafety*30/hosted.Spec.EffectiveFPS(), hosted.Request
+		}
+		if floor > cc.hostedFloor {
+			cc.hostedFloor = floor
+		}
+		if gi < 0 || ctl == nil {
+			cc.cacheable = false
 		}
 		cc.hostedPeaks = append(cc.hostedPeaks, peak)
 		cc.sumPeaks = cc.sumPeaks.Add(peak)
-		start := len(cc.runs)
-		if native {
+		if ctl != nil {
 			cc.runs = ctl.pr.AppendForecastRuns(cc.runs, h, &es.fc)
 		} else {
 			// Foreign controller: assume its game holds its current request
 			// forever (the conservative flat timeline).
 			cc.runs = append(cc.runs, predictor.Segment{Frames: h, Demand: hosted.Request})
 		}
-		addRuns(cc.total, cc.runs[start:])
 		cc.runEnd = append(cc.runEnd, len(cc.runs))
 	}
+	if cap(es.cur) < len(cc.runEnd) {
+		es.cur = make([]runCursor, len(cc.runEnd))
+	}
+	cc.total, cc.peak = mergeRuns(cc.total[:0], cc.runs, cc.runEnd, h, es.cur)
 }
 
-// addRuns adds one session's run-length timeline onto the dense total in
-// place. Frame t receives exactly the addition the per-frame expansion would
-// have given it, so the accumulated bits do not depend on the run structure.
+// runCursor is one session's place in mergeRuns: the run it is in, where its
+// runs end, and how many of that run's frames are still to be merged (none
+// once the session's runs are used up).
+type runCursor struct{ at, end, left int }
+
+// mergeRuns sums the sessions' run-length timelines (runs, back to back, the
+// i-th session's ending at runEnd[i]) over h frames and appends the sum to dst
+// as runs: a merged run ends wherever any session's run ends, and its value
+// is the fold from zero, in session order, of the sessions' demands there —
+// the additions a dense per-frame accumulation gives every frame of the run,
+// so expanding the result reproduces that accumulation bit for bit. It also
+// returns the sum's per-dimension peak (from zero, as resources.PeakOf). cur
+// is scratch for at least len(runEnd) cursors.
 //
 //cocg:hot
-func addRuns(total []resources.Vector, runs []predictor.Segment) {
-	for i := range runs {
-		span, d := total[:runs[i].Frames], &runs[i].Demand
-		for t := range span {
+func mergeRuns(dst, runs []predictor.Segment, runEnd []int, h int, cur []runCursor) ([]predictor.Segment, resources.Vector) {
+	cur = cur[:len(runEnd)]
+	start := 0
+	for i, end := range runEnd {
+		cur[i] = runCursor{at: start, end: end}
+		if start < end {
+			cur[i].left = runs[start].Frames
+		}
+		start = end
+	}
+	var peak resources.Vector
+	for t := 0; t < h; {
+		n := h - t
+		var sum resources.Vector
+		for i := range cur {
+			c := &cur[i]
+			if c.left <= 0 {
+				continue
+			}
+			if c.left < n {
+				n = c.left
+			}
 			// In place, component by component: the same additions as
 			// Vector.Add without moving both vectors through the stack.
-			v := &span[t]
-			for k := range v {
-				v[k] += d[k]
+			d := &runs[c.at].Demand
+			for k := range sum {
+				sum[k] += d[k]
 			}
 		}
-		total = total[len(span):]
+		dst = append(dst, predictor.Segment{Frames: n, Demand: sum})
+		peak = peak.Max(sum)
+		for i := range cur {
+			c := &cur[i]
+			if c.left -= n; c.left == 0 && c.at+1 < c.end {
+				c.at++
+				c.left = runs[c.at].Frames
+			}
+		}
+		t += n
 	}
+	return dst, peak
 }
 
 // Name implements platform.Policy.
@@ -329,6 +446,9 @@ type Controller struct {
 	// gen is the hosting server's forecast-generation counter (nil until the
 	// controller is hosted), bumped whenever pr completes a frame.
 	gen *uint64
+	// policy minted the controller, for game policy.games[gi] (see gameOf).
+	policy *CoCG
+	gi     int
 }
 
 // Name implements platform.Controller.
@@ -353,15 +473,15 @@ func (ctl *Controller) Predictor() *predictor.Predictor { return ctl.pr }
 
 // NewController implements platform.Policy.
 func (c *CoCG) NewController(spec *gamesim.GameSpec, habit int64) (platform.Controller, error) {
-	b, ok := c.trained[spec.Name]
+	gi, ok := c.gameIdx[spec.Name]
 	if !ok {
 		return nil, fmt.Errorf("scheduler: no trained bundle for %s", spec.Name)
 	}
-	pr, err := b.NewSessionPredictorForHabit(habit, c.cfg.Predictor)
+	pr, err := c.game[gi].b.NewSessionPredictorForHabit(habit, c.cfg.Predictor)
 	if err != nil {
 		return nil, err
 	}
-	return &Controller{pr: pr}, nil
+	return &Controller{pr: pr, policy: c, gi: gi}, nil
 }
 
 // Admit implements platform.Policy: Algorithm 1. It sums each hosted game's
@@ -415,39 +535,48 @@ func (c *CoCG) scoreWith(srv *platform.Server, spec *gamesim.GameSpec, es *EvalS
 // sequence as the original per-call recompute, so admission decisions are
 // bit-identical to the uncached implementation.
 func (c *CoCG) evaluate(srv *platform.Server, spec *gamesim.GameSpec, es *EvalScratch) (bool, float64) {
-	b, ok := c.trained[spec.Name]
-	if !ok {
+	gi := c.candidate(spec, es)
+	if gi < 0 {
 		return false, 0
 	}
-	h := c.cfg.HorizonFrames
-
 	// On a serial entry (Admit/Score outside a prepared placement scan) this
 	// may create the cache; the parallel scan only ever finds the entry
 	// PreparePlacement pre-created.
-	cc := c.cacheFor(srv)
-	c.refresh(cc, srv, h, es)
+	cc := c.cacheAt(srv, es)
+	c.refresh(cc, srv, c.cfg.HorizonFrames, es)
 
-	if m, hit := cc.memo[spec.Name]; hit {
-		return m.ok, m.meanSat
+	m := &cc.memo[gi]
+	if !m.set {
+		m.set = true
+		m.ok, m.meanSat = c.verdict(cc, srv, &c.game[gi])
 	}
-	admitted, meanSat := c.verdict(cc, srv, b, spec)
-	if cc.memo == nil {
-		cc.memo = make(map[string]evalMemo, 8)
+	return m.ok, m.meanSat
+}
+
+// candidate returns the arriving game's index, -1 when the policy has no
+// bundle for it. A scan offers one spec to every server, so the name is
+// looked up only when the scratch last resolved a different spec.
+func (c *CoCG) candidate(spec *gamesim.GameSpec, es *EvalScratch) int {
+	if es.spec != spec || es.policy != c {
+		gi, ok := c.gameIdx[spec.Name]
+		if !ok {
+			gi = -1
+		}
+		es.policy, es.spec, es.gi = c, spec, gi
 	}
-	cc.memo[spec.Name] = evalMemo{ok: admitted, meanSat: meanSat}
-	return admitted, meanSat
+	return es.gi
 }
 
 // verdict is the uncached Algorithm 1 feasibility test against a refreshed
 // server cache.
-func (c *CoCG) verdict(cc *serverCache, srv *platform.Server, b *predictor.Trained, spec *gamesim.GameSpec) (bool, float64) {
-	h := cc.stamp.horizon
-
+//
+//cocg:hot
+func (c *CoCG) verdict(cc *serverCache, srv *platform.Server, g *gameEntry) (bool, float64) {
 	// The hard satisfaction floor: the most demanding frame lock among the
 	// games that would share the server. A 60 FPS-locked game needs half
 	// its demand satisfied to stay above 30 FPS; an uncapped 200 FPS game
 	// tolerates far deeper throttling.
-	satFloor := c.cfg.FPSSafety * 30 / spec.EffectiveFPS()
+	satFloor := g.floor
 	if cc.hostedFloor > satFloor {
 		satFloor = cc.hostedFloor
 	}
@@ -467,7 +596,7 @@ func (c *CoCG) verdict(cc *serverCache, srv *platform.Server, b *predictor.Train
 	// guard O(1) per dimension, skipping provably-infeasible servers before
 	// any per-hosted work. The slack keeps the skip sound under summation
 	// rounding; anything that passes still faces the exact ordered guard.
-	candPeak := b.Profile.PeakDemand()
+	candPeak := g.peak
 	scaledCap := srv.Capacity.Scale(2 - satFloor)
 	for d := range candPeak {
 		if candPeak[d]+cc.sumPeaks[d] > scaledCap[d]+peakSlack {
@@ -484,36 +613,46 @@ func (c *CoCG) verdict(cc *serverCache, srv *platform.Server, b *predictor.Train
 
 	// The arriving game's expected footprint, from its profiling corpus,
 	// overlaid on the cached hosted-demand timeline.
-	cand := b.TypicalCurve
+	cand := g.b.TypicalCurve
 	limit := srv.Capacity.Sub(resources.Uniform(c.cfg.SafetyMargin))
 	// The judgment window is the candidate's expected lifetime (capped by
 	// the horizon): overlaps after it has finished are irrelevant.
-	window := h
+	window := cc.stamp.horizon
 	if len(cand) > 0 && len(cand) < window {
 		window = len(cand)
 	}
+	// Run-major over the hosted timeline, frame order within and across runs:
+	// every frame's satisfaction is computed and summed exactly as a dense
+	// walk would, and the first frame below the floor still ends it.
 	var satSum float64
-	for t := 0; t < window; t++ {
+	t := 0
+	for i := 0; t < window; i++ {
 		// Both operands are read in place (a Vector.Add here moves 96 bytes
 		// through the stack per frame); past the typical curve the candidate
 		// is assumed to hold its peak.
-		hosted, add := &cc.total[t], &candPeak
-		if t < len(cand) {
-			add = &cand[t]
+		hosted, end := &cc.total[i].Demand, t+cc.total[i].Frames
+		if end > window {
+			end = window
 		}
-		// Predicted satisfaction under proportional scaling at this moment.
-		sat := 1.0
-		for d := range hosted {
-			if sum := hosted[d] + add[d]; sum > limit[d] && sum > 0 {
-				if s := limit[d] / sum; s < sat {
-					sat = s
+		for ; t < end; t++ {
+			add := &candPeak
+			if t < len(cand) {
+				add = &cand[t]
+			}
+			// Predicted satisfaction under proportional scaling at this moment.
+			sat := 1.0
+			for d := range hosted {
+				if sum := hosted[d] + add[d]; sum > limit[d] && sum > 0 {
+					if s := limit[d] / sum; s < sat {
+						sat = s
+					}
 				}
 			}
+			if sat < satFloor {
+				return false, 0
+			}
+			satSum += sat
 		}
-		if sat < satFloor {
-			return false, 0
-		}
-		satSum += sat
 	}
 	meanSat := satSum / float64(window)
 	return meanSat >= c.cfg.MinMeanSat, meanSat
@@ -522,9 +661,9 @@ func (c *CoCG) verdict(cc *serverCache, srv *platform.Server, b *predictor.Train
 // ClusterLoadFullScan is the independent reference for FleetLoadInto's mean
 // headroom: a server's headroom is 1 minus its worst predicted per-dimension
 // utilization fraction over the horizon (clamped at 0), found by dividing
-// every frame of the summed timeline, and the cluster's is the mean over
-// non-draining servers in server order. The equivalence tests require the
-// two to agree bitwise.
+// every frame of the summed timeline (each run expanded, frame by frame), and
+// the cluster's is the mean over non-draining servers in server order. The
+// equivalence tests require the two to agree bitwise.
 func (c *CoCG) ClusterLoadFullScan(servers []*platform.Server) (float64, bool) {
 	h := c.cfg.HorizonFrames
 	var sum float64
@@ -536,12 +675,10 @@ func (c *CoCG) ClusterLoadFullScan(servers []*platform.Server) (float64, bool) {
 		cc := c.cacheFor(srv)
 		c.refresh(cc, srv, h, &c.scratch)
 		peak := 0.0
-		for t := range cc.total {
-			for d := range cc.total[t] {
-				if capd := srv.Capacity[d]; capd > 0 {
-					if f := cc.total[t][d] / capd; f > peak {
-						peak = f
-					}
+		for _, run := range cc.total {
+			for n := run.Frames; n > 0; n-- {
+				if f := worstFrac(run.Demand, srv.Capacity); f > peak {
+					peak = f
 				}
 			}
 		}
@@ -608,10 +745,11 @@ func (c *CoCG) ConcurrentTickSafe() bool { return true }
 // PredictionLatencyFor reports the simulated prediction latency for a game's
 // active models (Fig. 12).
 func (c *CoCG) PredictionLatencyFor(game string) (simclock.Seconds, bool) {
-	b, ok := c.trained[game]
+	gi, ok := c.gameIdx[game]
 	if !ok {
 		return 0, false
 	}
+	b := c.game[gi].b
 	var worst simclock.Seconds
 	for _, m := range b.Models {
 		if l := predictor.PredictionLatency(m, b.Profile.NumStageTypes()); l > worst {

@@ -279,6 +279,9 @@ func TestScorePrefersAdmissibleServers(t *testing.T) {
 // a forecast can depend on. A second long-lived policy instance that never
 // created a controller scores the same servers and must agree too — the
 // forecast generation lives on the server, not in the placing policy's cache.
+// Every hosted controller was minted by p, so the observer and the fresh
+// policy both resolve them by name (gameOf's other-instance fallback) while p
+// takes the index they carry.
 func TestCachedEvaluateMatchesFreshRecompute(t *testing.T) {
 	do, co := gamesim.DOTA2(), gamesim.Contra()
 	bundles := []*predictor.Trained{bundleFor(t, do), bundleFor(t, co)}
@@ -322,12 +325,12 @@ func TestCachedEvaluateMatchesFreshRecompute(t *testing.T) {
 			if cp == nil || rp == nil || cp.stamp != stampOf(srv, p.cfg.HorizonFrames) || rp.stamp != cp.stamp {
 				t.Fatalf("tick %d server %d: missing or stale cache after scoring", tick, srv.ID)
 			}
-			if len(cp.total) != len(rp.total) {
-				t.Fatalf("tick %d server %d: timeline length %d != %d", tick, srv.ID, len(cp.total), len(rp.total))
+			if len(cp.total) != len(rp.total) || cp.peak != rp.peak {
+				t.Fatalf("tick %d server %d: %d runs peaking at %v != %d at %v", tick, srv.ID, len(cp.total), cp.peak, len(rp.total), rp.peak)
 			}
 			for ti := range cp.total {
 				if cp.total[ti] != rp.total[ti] {
-					t.Fatalf("tick %d server %d frame %d: cached timeline %v != fresh %v",
+					t.Fatalf("tick %d server %d run %d: cached timeline %v != fresh %v",
 						tick, srv.ID, ti, cp.total[ti], rp.total[ti])
 				}
 			}
