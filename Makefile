@@ -54,8 +54,8 @@ fmt:
 
 # fuzz-smoke runs every Fuzz* target in the tree for FUZZTIME each (go test
 # takes one fuzz target per invocation, so the recipe walks them): the wire
-# codec, StepBulk and the tick-equivalence fuzzers, none of which any other
-# recipe runs beyond their seed corpus.
+# codec, StepBulk, the tick-equivalence fuzzers and lazyrand's stream against
+# math/rand, none of which any other recipe runs beyond their seed corpus.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	@grep -rl --include='*_test.go' --exclude-dir=.bench_build '^func Fuzz' . | xargs -n1 dirname | sort -u | while read pkg; do \
@@ -100,11 +100,13 @@ bench-pairs:
 # prints go test's own table: the placement scan and fleet summary, the
 # prediction and clustering kernels, the serving path (codec, registry, tick
 # walk), routing, the simulation core and model training, legacy twins
-# included. Nothing is recorded or compared — bench/cocgbench (bench-e2e
-# above) is the judge of a performance claim; these numbers say where inside a
-# layer the time goes. BENCH_PR3.json … BENCH_PR10.json are the per-layer
-# records earlier PRs took and stay as history only.
+# included, and the two shared kernels under all of them — vector folds and
+# short-lived generator seeding. Nothing is recorded or compared —
+# bench/cocgbench (bench-e2e above) is the judge of a performance claim; these
+# numbers say where inside a layer the time goes. BENCH_PR3.json …
+# BENCH_PR10.json are the per-layer records earlier PRs took and stay as
+# history only.
 bench-layers:
 	$(GO) test -run '^$$' -benchmem \
-		-bench 'FleetPlacement|Evaluate|FleetLoad|ClusterLoadFullScan|Predict|KMeans|Forecast|WireFrameBatch|Registry|StreamTick|FleetRoute|SimTickLegacy|SimEvent|ServerTick|(DTC|RF|GBDT)Fit' \
+		-bench 'FleetPlacement|Evaluate|FleetLoad|ClusterLoadFullScan|Predict|KMeans|Forecast|WireFrameBatch|Registry|StreamTick|FleetRoute|SimTickLegacy|SimEvent|ServerTick|(DTC|RF|GBDT)Fit|NewPlayerSession|SourceSeedAndDraw|VectorFold' \
 		. ./internal/...

@@ -61,9 +61,9 @@ func main() {
 		fatal(err)
 	}
 
-	// One escape-analysis compile feeds hotalloc across every package; on
-	// unchanged code cmd/go replays the cached compiler output, so this stays
-	// well inside the lint-gate time budget.
+	// One -gcflags=-m compile feeds hotalloc and hotinline across every
+	// package; on unchanged code cmd/go replays the cached compiler output, so
+	// this stays well inside the lint-gate time budget.
 	escapes, err := lint.LoadEscapes(loader.ModuleDir, pkgs)
 	if err != nil {
 		fatal(err)

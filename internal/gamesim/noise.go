@@ -22,6 +22,8 @@ package gamesim
 const noiseGamma uint64 = 0x9E3779B97F4A7C15
 
 // noiseMix is the splitmix64 output mix: a bijective avalanche over 64 bits.
+//
+//cocg:inline
 func noiseMix(z uint64) uint64 {
 	z ^= z >> 30
 	z *= 0xBF58476D1CE4E5B9
@@ -32,6 +34,8 @@ func noiseMix(z uint64) uint64 {
 }
 
 // noiseUnit maps 64 hash bits to a uniform in [0, 1) with 53-bit resolution.
+//
+//cocg:inline
 func noiseUnit(bits uint64) float64 {
 	return float64(bits>>11) / (1 << 53)
 }

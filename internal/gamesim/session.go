@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 
+	"cocg/internal/lazyrand"
 	"cocg/internal/resources"
 	"cocg/internal/simclock"
 )
@@ -138,7 +139,7 @@ func NewPlayerSession(spec *GameSpec, scriptIdx int, habitSeed, sessionSeed int6
 		Spec:      spec,
 		ScriptIdx: scriptIdx,
 		PlayerID:  habitSeed,
-		rng:       rand.New(rand.NewSource(sessionSeed)),
+		rng:       rand.New(lazyrand.NewSource(sessionSeed)),
 		phase:     PhaseLoading,
 		curStage:  LoadingType,
 	}
@@ -155,16 +156,17 @@ func NewPlayerSession(spec *GameSpec, scriptIdx int, habitSeed, sessionSeed int6
 // realizePlan applies the category's user-influence model to the script's
 // nominal body: habitual reordering and repeats (habit RNG), session-level
 // deviations from habit, duration draws, and per-stage cluster visiting
-// orders (session RNG). The habit RNG is seeded only by the categories that
-// draw from it: seeding math/rand fills a 607-word state, more than the rest
-// of a Console or Web session's construction.
+// orders (session RNG). The habit RNG is built only by the categories that
+// draw from it, and both generators are lazyrand sources: a session draws a
+// few dozen values, and math/rand's own seeding fills a 607-word state — more
+// than the rest of the construction — before the first one.
 func (s *Session) realizePlan(body []int, habitSeed int64) []plannedStage {
 	ui := s.Spec.Category.UserInfluence()
 	order := append([]int(nil), body...)
 
 	switch s.Spec.Category {
 	case Mobile:
-		habit := rand.New(rand.NewSource(habitSeed))
+		habit := rand.New(lazyrand.NewSource(habitSeed))
 		// Players habitually reorder their daily tasks: adjacent swaps after
 		// the first entry (the login menu always comes first)...
 		for i := 1; i < len(order)-1; i++ {
@@ -183,7 +185,7 @@ func (s *Session) realizePlan(body []int, habitSeed int64) []plannedStage {
 		// times and occasionally swap adjacent phases. The repeat pattern is
 		// driven by the habit RNG — players who queue together (a cohort in
 		// the corpus generator) share it — with per-session swaps on top.
-		habit := rand.New(rand.NewSource(habitSeed))
+		habit := rand.New(lazyrand.NewSource(habitSeed))
 		var expanded []int
 		for _, t := range order {
 			expanded = append(expanded, t)
@@ -249,33 +251,46 @@ func (s *Session) PlanTypes() []int {
 }
 
 // Demand returns the resource demand for the current tick. It is stable
-// within a tick: repeated calls before Step return the same vector.
+// within a tick: repeated calls before Step return the same vector. It runs
+// once per session-second, so it is straight-line (docs/PERFORMANCE.md,
+// "Vector arithmetic and the compiler"): the cluster read through a pointer,
+// one demandNoise per dimension, the [0, 100] clamp on scalars.
 func (s *Session) Demand() resources.Vector {
 	if s.demandValid {
 		return s.demand
 	}
 	var d resources.Vector
-	switch s.phase {
-	case PhaseDone:
-		d = resources.Zero
-	default:
-		c := s.Spec.Clusters[s.curCluster]
-		base := c.Demand
+	if s.phase != PhaseDone {
+		c := &s.Spec.Clusters[s.curCluster]
+		base := &c.Demand
 		if s.phase == PhaseExec {
 			s.spikeAdvance()
 			if s.spikeLeft > 0 {
-				base = s.spikeTarget
+				base = &s.spikeTarget
 			}
 		}
-		d = base
-		for dim := range d {
-			d[dim] += demandNoise(s.noiseSeed, int64(s.elapsed), dim) * c.Jitter
+		seed, t, jitter := s.noiseSeed, int64(s.elapsed), c.Jitter
+		d = resources.Vector{
+			clampPercent(base[0] + demandNoise(seed, t, 0)*jitter),
+			clampPercent(base[1] + demandNoise(seed, t, 1)*jitter),
+			clampPercent(base[2] + demandNoise(seed, t, 2)*jitter),
+			clampPercent(base[3] + demandNoise(seed, t, 3)*jitter),
 		}
-		d = d.Clamp(0, 100)
 	}
 	s.demand = d
 	s.demandValid = true
 	return d
+}
+
+// clampPercent is resources.Vector.Clamp(0, 100) on one component.
+func clampPercent(x float64) float64 {
+	if x > 100 {
+		x = 100
+	}
+	if x < 0 {
+		x = 0
+	}
+	return x
 }
 
 // drawSpikeGap draws the number of eligible (non-spiking) execution seconds

@@ -392,3 +392,19 @@ func TestPropertyPlanAlternatesLoadingAndExec(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// BenchmarkNewPlayerSession is the per-admission cost of realising a session:
+// a Console game builds one generator, a Mobile game a second one for the
+// player's habits. Both are lazyrand sources (docs/PERFORMANCE.md, "Seeding").
+func BenchmarkNewPlayerSession(b *testing.B) {
+	for _, g := range []*GameSpec{DevilMayCry(), GenshinImpact()} {
+		b.Run(g.Category.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := NewPlayerSession(g, i%len(g.Scripts), int64(i%97), int64(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

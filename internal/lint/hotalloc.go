@@ -46,9 +46,18 @@ type EscapeDiag struct {
 	Msg       string
 }
 
-// EscapeData holds escape diagnostics grouped by absolute source filename.
+// EscapeData holds what one `go build -gcflags=-m` said about the annotated
+// packages: escape diagnostics grouped by absolute source filename (hotalloc)
+// and the lines of the functions reported `can inline` (hotinline).
 type EscapeData struct {
-	byFile map[string][]EscapeDiag
+	byFile    map[string][]EscapeDiag
+	inlinable map[funcLine]bool
+}
+
+// funcLine is where a function is declared: the line of its `func` keyword.
+type funcLine struct {
+	file string
+	line int
 }
 
 // Add records one diagnostic for file (absolute path).
@@ -85,7 +94,7 @@ func runHotAlloc(pass *Pass) {
 		}
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !isHotFunc(fd) {
+			if !ok || fd.Body == nil || !hasDirective(fd, HotDirective) {
 				continue
 			}
 			lo := pass.Fset.Position(fd.Pos()).Line
@@ -102,15 +111,21 @@ func runHotAlloc(pass *Pass) {
 	}
 }
 
-// isHotFunc reports whether fd carries the //cocg:hot directive in its doc
-// comment group.
-func isHotFunc(fd *ast.FuncDecl) bool {
+// isDirective reports whether a comment's text is the given directive,
+// alone or followed by free text.
+func isDirective(text, directive string) bool {
+	text = strings.TrimSpace(text)
+	return text == directive || strings.HasPrefix(text, directive+" ")
+}
+
+// hasDirective reports whether fd carries the directive in its doc comment
+// group.
+func hasDirective(fd *ast.FuncDecl, directive string) bool {
 	if fd.Doc == nil {
 		return false
 	}
 	for _, c := range fd.Doc.List {
-		text := strings.TrimSpace(c.Text)
-		if text == HotDirective || strings.HasPrefix(text, HotDirective+" ") {
+		if isDirective(c.Text, directive) {
 			return true
 		}
 	}
@@ -129,7 +144,8 @@ func posForLineCol(tf *token.File, line, col int) token.Pos {
 }
 
 // HotPackages returns the import paths of the packages that contain at least
-// one //cocg:hot directive — the only ones worth recompiling for escape data.
+// one //cocg:hot or //cocg:inline directive — the only ones worth recompiling
+// for compiler diagnostics.
 func HotPackages(pkgs []*Package) []string {
 	var out []string
 	for _, pkg := range pkgs {
@@ -137,8 +153,7 @@ func HotPackages(pkgs []*Package) []string {
 		for _, file := range pkg.Files {
 			for _, cg := range file.Comments {
 				for _, c := range cg.List {
-					t := strings.TrimSpace(c.Text)
-					if t == HotDirective || strings.HasPrefix(t, HotDirective+" ") {
+					if isDirective(c.Text, HotDirective) || isDirective(c.Text, inlineDirective) {
 						found = true
 					}
 				}
@@ -177,12 +192,14 @@ func LoadEscapes(moduleDir string, pkgs []*Package) (*EscapeData, error) {
 }
 
 // ParseEscapes scans `go build -gcflags=-m` stderr for heap-escape
-// diagnostics (`file:line:col: msg`) and records them against absolute
-// filenames. Inlining and other -m chatter is dropped.
+// diagnostics (`file:line:col: msg`) and `can inline` reports and records
+// them against absolute filenames. Other -m chatter is dropped.
 func ParseEscapes(data *EscapeData, moduleDir, output string) {
 	for _, line := range strings.Split(output, "\n") {
 		line = strings.TrimSpace(line)
-		if !strings.Contains(line, "escapes to heap") && !strings.Contains(line, "moved to heap") {
+		escape := strings.Contains(line, "escapes to heap") || strings.Contains(line, "moved to heap")
+		inline := strings.Contains(line, ": can inline ")
+		if !escape && !inline {
 			continue
 		}
 		file, row, col, msg, ok := splitDiag(line)
@@ -192,7 +209,14 @@ func ParseEscapes(data *EscapeData, moduleDir, output string) {
 		if !filepath.IsAbs(file) {
 			file = filepath.Join(moduleDir, file)
 		}
-		data.Add(file, EscapeDiag{Line: row, Col: col, Msg: msg})
+		if !inline {
+			data.Add(file, EscapeDiag{Line: row, Col: col, Msg: msg})
+			continue
+		}
+		if data.inlinable == nil {
+			data.inlinable = make(map[funcLine]bool)
+		}
+		data.inlinable[funcLine{file, row}] = true
 	}
 }
 

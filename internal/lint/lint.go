@@ -57,6 +57,7 @@ func All() []*Analyzer {
 		PoolCheck,
 		AtomicMix,
 		HotAlloc,
+		HotInline,
 	}
 }
 
@@ -120,8 +121,8 @@ type Pass struct {
 	// to recognise internal/ packages.
 	Module string
 
-	// Escapes is the compiler escape-analysis output consumed by hotalloc;
-	// nil when the driver did not supply any (hotalloc is then inert).
+	// Escapes is the compiler -m output consumed by hotalloc and hotinline;
+	// nil when the driver did not supply any (both are then inert).
 	Escapes *EscapeData
 
 	findings *[]Finding
@@ -155,8 +156,8 @@ func (p *Pass) IsTestFile(f *ast.File) bool {
 
 // Options carries driver-level inputs shared by every pass.
 type Options struct {
-	// Escapes feeds hotalloc; build it once with LoadEscapes so one compile
-	// serves the whole analyzer set.
+	// Escapes feeds hotalloc and hotinline; build it once with LoadEscapes
+	// so one compile serves the whole analyzer set.
 	Escapes *EscapeData
 }
 

@@ -282,15 +282,7 @@ func TestHotAllocGolden(t *testing.T) {
 // an artificial escape inside a //cocg:hot function, compiled with the real
 // LoadEscapes pipeline, must fail the analyzer.
 func TestHotAllocNegative(t *testing.T) {
-	dir := t.TempDir()
-	writeFile := func(name, content string) {
-		t.Helper()
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	writeFile("go.mod", "module hotneg\n\ngo 1.22\n")
-	writeFile("hot.go", `package hotneg
+	findings := scratchModuleFindings(t, HotAlloc, `package scratch
 
 var sink *[64]byte
 
@@ -302,6 +294,27 @@ func Escapes() *[64]byte {
 	return &b
 }
 `)
+	if len(findings) == 0 {
+		t.Fatal("artificial escape in a //cocg:hot function produced no hotalloc finding")
+	}
+	for _, f := range findings {
+		if f.Analyzer != HotAlloc.Name || !strings.Contains(f.Message, "Escapes") {
+			t.Errorf("unexpected finding: %s", f)
+		}
+	}
+}
+
+// scratchModuleFindings writes src as the only file of a scratch module,
+// compiles it through the real LoadEscapes pipeline and returns what the
+// analyzer reports.
+func scratchModuleFindings(t *testing.T, a *Analyzer, src string) []Finding {
+	t.Helper()
+	dir := t.TempDir()
+	for name, content := range map[string]string{"go.mod": "module scratch\n\ngo 1.22\n", "scratch.go": src} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	loader, err := NewLoader(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -314,14 +327,63 @@ func Escapes() *[64]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings := RunWith(pkgs, []*Analyzer{HotAlloc}, Options{Escapes: escapes})
-	if len(findings) == 0 {
-		t.Fatal("artificial escape in a //cocg:hot function produced no hotalloc finding")
+	return RunWith(pkgs, []*Analyzer{a}, Options{Escapes: escapes})
+}
+
+// TestHotInlineGolden fabricates the compiler's `can inline` lines from the
+// INLINE markers in the golden file and checks that exactly the annotated
+// function without one is reported.
+func TestHotInlineGolden(t *testing.T) {
+	goldenPath := filepath.Join("testdata", "src", "hotinline", "inline.go")
+	raw, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, f := range findings {
-		if f.Analyzer != HotAlloc.Name || !strings.Contains(f.Message, "Escapes") {
-			t.Errorf("unexpected finding: %s", f)
+	var out strings.Builder
+	for i, line := range strings.Split(string(raw), "\n") {
+		if _, name, found := strings.Cut(line, "// INLINE:"); found {
+			fmt.Fprintf(&out, "%s:%d:6: can inline %s\n", goldenPath, i+1, strings.TrimSpace(name))
 		}
+	}
+	if out.Len() == 0 {
+		t.Fatal("no INLINE markers in golden file")
+	}
+	data := &EscapeData{}
+	ParseEscapes(data, "", out.String())
+
+	pkg := loadTestdata(t, "hotinline", "cocg/internal/inlinelike")
+	checkGoldenWith(t, pkg, []*Analyzer{HotInline}, Options{Escapes: data})
+
+	// Without compiler output the analyzer is inert, not wrong.
+	if fs := Run([]*Package{pkg}, []*Analyzer{HotInline}); len(fs) != 0 {
+		t.Errorf("hotinline without compiler output produced findings: %v", fs)
+	}
+}
+
+// TestHotInlineNegative is the gate's end-to-end proof: a scratch module whose
+// only directive is //cocg:inline (so the package is compiled for that alone),
+// run through the real LoadEscapes pipeline, must pass the function the
+// compiler can inline and fail the one it cannot.
+func TestHotInlineNegative(t *testing.T) {
+	findings := scratchModuleFindings(t, HotInline, `package scratch
+
+// Small is what the annotation is for.
+//
+//cocg:inline
+func Small(a, b float64) float64 { return a + b }
+
+// Recursive claims to be inlinable; no recursive function is.
+//
+//cocg:inline
+func Recursive(n int) int {
+	if n <= 1 {
+		return 1
+	}
+	return n * Recursive(n-1)
+}
+`)
+	if len(findings) != 1 || findings[0].Analyzer != HotInline.Name || !strings.Contains(findings[0].Message, "function Recursive ") {
+		t.Fatalf("got findings %v, want exactly one hotinline finding, for Recursive", findings)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 
+	"cocg/internal/lazyrand"
 	"cocg/internal/parallel"
 )
 
@@ -109,7 +110,7 @@ func (f *RandomForest) Fit(ds *Dataset) error {
 	// missed it, or -1 when sample i was in tree t's bag.
 	oobPred := make([][]int32, f.cfg.NumTrees)
 	parallel.For(f.cfg.Workers, f.cfg.NumTrees, func(t int) {
-		treeRNG := rand.New(rand.NewSource(seeds[t]))
+		treeRNG := rand.New(lazyrand.NewSource(seeds[t]))
 		ts := <-f.fit.free
 		// Bootstrap sample with replacement: the same n draws the legacy
 		// builder makes, recorded as per-row multiplicities instead of a
@@ -214,7 +215,7 @@ func (f *RandomForest) fitLegacy(ds *Dataset) error {
 	f.trees = make([]*treeNode, f.cfg.NumTrees)
 	oobPred := make([][]int32, f.cfg.NumTrees)
 	parallel.For(f.cfg.Workers, f.cfg.NumTrees, func(t int) {
-		treeRNG := rand.New(rand.NewSource(seeds[t]))
+		treeRNG := rand.New(lazyrand.NewSource(seeds[t]))
 		inBag := make([]bool, n)
 		idx := make([]int, n)
 		for i := range idx {

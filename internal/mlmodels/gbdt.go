@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 
+	"cocg/internal/lazyrand"
 	"cocg/internal/parallel"
 )
 
@@ -141,7 +142,7 @@ func (g *GBDT) Fit(ds *Dataset) error {
 		}
 		roundTrees := make([]*treeNode, k)
 		parallel.For(workers, k, func(c int) {
-			classRNG := rand.New(rand.NewSource(seeds[c]))
+			classRNG := rand.New(lazyrand.NewSource(seeds[c]))
 			ts := <-g.fit.free
 			ts.beginFull()
 			copy(ts.tgt[:n], residuals[c])
@@ -242,7 +243,7 @@ func (g *GBDT) fitLegacy(ds *Dataset) error {
 		}
 		roundTrees := make([]*treeNode, k)
 		parallel.For(workers, k, func(c int) {
-			classRNG := rand.New(rand.NewSource(seeds[c]))
+			classRNG := rand.New(lazyrand.NewSource(seeds[c]))
 			roundTrees[c] = buildRegTree(ds, residuals[c], g.cfg.Tree, 0, classRNG, leaf)
 		})
 		parallel.ForChunks(workers, n, func(_, lo, hi int) {

@@ -64,31 +64,37 @@ var Zero Vector
 // dimension.
 var FullServer = Uniform(100)
 
+// The arithmetic below is written component by component with constant
+// indices, not as `for d := range v`: the compiler keeps a [4]float64 in
+// memory and does not unroll the loop (docs/PERFORMANCE.md, "Vector arithmetic
+// and the compiler"). Each method performs the same IEEE operation on the
+// same operands as the loop it replaced (kept in vector_test.go as the
+// reference) and must stay inlinable, which //cocg:inline makes `make lint`
+// check. The guard stops compiling when NumDims is not the 4 they unroll.
+var _ [0]struct{} = [NumDims - 4]struct{}{}
+
 // Add returns v + w component-wise.
+//
+//cocg:inline
 func (v Vector) Add(w Vector) Vector {
-	for d := range v {
-		v[d] += w[d]
-	}
-	return v
+	return Vector{v[0] + w[0], v[1] + w[1], v[2] + w[2], v[3] + w[3]}
 }
 
 // Sub returns v - w component-wise.
+//
+//cocg:inline
 func (v Vector) Sub(w Vector) Vector {
-	for d := range v {
-		v[d] -= w[d]
-	}
-	return v
+	return Vector{v[0] - w[0], v[1] - w[1], v[2] - w[2], v[3] - w[3]}
 }
 
 // Scale returns v with every component multiplied by k.
+//
+//cocg:inline
 func (v Vector) Scale(k float64) Vector {
-	for d := range v {
-		v[d] *= k
-	}
-	return v
+	return Vector{v[0] * k, v[1] * k, v[2] * k, v[3] * k}
 }
 
-// Min, Max, Clamp and ClampNonNegative are compare-select loops rather than
+// Min, Max, Clamp and ClampNonNegative are compare-selects rather than
 // math.Min/math.Max calls: those are assembly stubs on amd64, so they never
 // inline and every call site would copy both vectors through memory. On
 // finite operands the results are identical except that a (-0, +0) pair
@@ -96,26 +102,45 @@ func (v Vector) Scale(k float64) Vector {
 // w is ignored rather than propagated. The simulator produces neither.
 
 // Min returns the component-wise minimum of v and w.
+//
+//cocg:inline
 func (v Vector) Min(w Vector) Vector {
-	for d := range v {
-		if w[d] < v[d] {
-			v[d] = w[d]
-		}
+	if w[0] < v[0] {
+		v[0] = w[0]
+	}
+	if w[1] < v[1] {
+		v[1] = w[1]
+	}
+	if w[2] < v[2] {
+		v[2] = w[2]
+	}
+	if w[3] < v[3] {
+		v[3] = w[3]
 	}
 	return v
 }
 
 // Max returns the component-wise maximum of v and w.
+//
+//cocg:inline
 func (v Vector) Max(w Vector) Vector {
-	for d := range v {
-		if w[d] > v[d] {
-			v[d] = w[d]
-		}
+	if w[0] > v[0] {
+		v[0] = w[0]
+	}
+	if w[1] > v[1] {
+		v[1] = w[1]
+	}
+	if w[2] > v[2] {
+		v[2] = w[2]
+	}
+	if w[3] > v[3] {
+		v[3] = w[3]
 	}
 	return v
 }
 
-// Clamp limits every component of v to the range [lo, hi].
+// Clamp limits every component of v to the range [lo, hi]. It stays a loop:
+// unrolled it is eight branches, past the inliner's budget.
 func (v Vector) Clamp(lo, hi float64) Vector {
 	for d := range v {
 		if v[d] > hi {
@@ -129,34 +154,38 @@ func (v Vector) Clamp(lo, hi float64) Vector {
 }
 
 // ClampNonNegative zeroes any negative component.
+//
+//cocg:inline
 func (v Vector) ClampNonNegative() Vector {
-	for d := range v {
-		if v[d] < 0 {
-			v[d] = 0
-		}
+	if v[0] < 0 {
+		v[0] = 0
+	}
+	if v[1] < 0 {
+		v[1] = 0
+	}
+	if v[2] < 0 {
+		v[2] = 0
+	}
+	if v[3] < 0 {
+		v[3] = 0
 	}
 	return v
 }
 
-// Fits reports whether v fits within capacity cap in every dimension.
+// Fits reports whether v fits within capacity cap in every dimension. A NaN
+// component on either side compares false and so "fits", as it always has.
+//
+//cocg:inline
 func (v Vector) Fits(cap Vector) bool {
-	for d := range v {
-		if v[d] > cap[d] {
-			return false
-		}
-	}
-	return true
+	return !(v[0] > cap[0] || v[1] > cap[1] || v[2] > cap[2] || v[3] > cap[3])
 }
 
 // FitsWithin reports whether v fits within cap with headroom slack percent
 // reserved in every dimension (i.e. v <= cap - slack).
+//
+//cocg:inline
 func (v Vector) FitsWithin(cap Vector, slack float64) bool {
-	for d := range v {
-		if v[d] > cap[d]-slack {
-			return false
-		}
-	}
-	return true
+	return !(v[0] > cap[0]-slack || v[1] > cap[1]-slack || v[2] > cap[2]-slack || v[3] > cap[3]-slack)
 }
 
 // MaxComponent returns the largest component of v and its dimension.

@@ -330,3 +330,174 @@ func TestPropertyMeanBetweenMinAndMax(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// The loop bodies the straight-line methods in vector.go replaced, kept as
+// the reference they must agree with bit for bit.
+var loopReference = struct {
+	add, sub, min, max func(v, w Vector) Vector
+	scale              func(v Vector, k float64) Vector
+	clampNonNegative   func(v Vector) Vector
+	fits               func(v, cap Vector) bool
+	fitsWithin         func(v, cap Vector, slack float64) bool
+}{
+	add: func(v, w Vector) Vector {
+		for d := range v {
+			v[d] += w[d]
+		}
+		return v
+	},
+	sub: func(v, w Vector) Vector {
+		for d := range v {
+			v[d] -= w[d]
+		}
+		return v
+	},
+	min: func(v, w Vector) Vector {
+		for d := range v {
+			if w[d] < v[d] {
+				v[d] = w[d]
+			}
+		}
+		return v
+	},
+	max: func(v, w Vector) Vector {
+		for d := range v {
+			if w[d] > v[d] {
+				v[d] = w[d]
+			}
+		}
+		return v
+	},
+	scale: func(v Vector, k float64) Vector {
+		for d := range v {
+			v[d] *= k
+		}
+		return v
+	},
+	clampNonNegative: func(v Vector) Vector {
+		for d := range v {
+			if v[d] < 0 {
+				v[d] = 0
+			}
+		}
+		return v
+	},
+	fits: func(v, cap Vector) bool {
+		for d := range v {
+			if v[d] > cap[d] {
+				return false
+			}
+		}
+		return true
+	},
+	fitsWithin: func(v, cap Vector, slack float64) bool {
+		for d := range v {
+			if v[d] > cap[d]-slack {
+				return false
+			}
+		}
+		return true
+	},
+}
+
+// TestVectorOpsMatchLoopReference compares every straight-line method with
+// its loop form on operands that include both zeros, infinities, NaN on either
+// side, negatives, and values one ulp either side of the clamp and capacity
+// bounds. Vectors are rotations of the value list, so every component index
+// sees every ordered pair of values with different neighbours beside it — a
+// transposed index in an unrolled body cannot pass.
+func TestVectorOpsMatchLoopReference(t *testing.T) {
+	inf, nan, negZero := math.Inf(1), math.NaN(), math.Copysign(0, -1)
+	vals := []float64{
+		0, negZero, inf, -inf, nan, -150, -1, -math.SmallestNonzeroFloat64,
+		math.SmallestNonzeroFloat64, 0.1, 1, 5, math.Nextafter(95, 0), 95,
+		math.Nextafter(95, 100), 100 - 0.1, math.Nextafter(100, 0), 100,
+		math.Nextafter(100, 200), 150, math.MaxFloat64,
+	}
+	rot := func(i int) Vector {
+		var v Vector
+		for d := range v {
+			v[d] = vals[(i+d)%len(vals)]
+		}
+		return v
+	}
+	sameVec := func(a, b Vector) bool {
+		for d := range a {
+			if math.Float64bits(a[d]) != math.Float64bits(b[d]) {
+				return false
+			}
+		}
+		return true
+	}
+	ref := loopReference
+	for i := range vals {
+		v := rot(i)
+		if got, want := v.ClampNonNegative(), ref.clampNonNegative(v); !sameVec(got, want) {
+			t.Errorf("ClampNonNegative(%v) = %v, loop %v", v, got, want)
+		}
+		for j := range vals {
+			w := rot(j)
+			for _, op := range []struct {
+				name      string
+				got, want Vector
+			}{
+				{"Add", v.Add(w), ref.add(v, w)},
+				{"Sub", v.Sub(w), ref.sub(v, w)},
+				{"Min", v.Min(w), ref.min(v, w)},
+				{"Max", v.Max(w), ref.max(v, w)},
+				{"Scale", v.Scale(vals[j]), ref.scale(v, vals[j])},
+			} {
+				if !sameVec(op.got, op.want) {
+					t.Errorf("%s(%v, %v) = %v, loop %v", op.name, v, w, op.got, op.want)
+				}
+			}
+			if got, want := v.Fits(w), ref.fits(v, w); got != want {
+				t.Errorf("Fits(%v, %v) = %v, loop %v", v, w, got, want)
+			}
+			for _, slack := range []float64{0, 0.1, 5, negZero, nan, inf} {
+				if got, want := v.FitsWithin(w, slack), ref.fitsWithin(v, w, slack); got != want {
+					t.Errorf("FitsWithin(%v, %v, %v) = %v, loop %v", v, w, slack, got, want)
+				}
+			}
+		}
+	}
+
+	// The boundary the scheduler's safety margin sits on: exactly cap - slack
+	// fits, one ulp above does not, in whichever dimension it occurs.
+	for d := range Zero {
+		for _, slack := range []float64{0.1, 5} {
+			at, above := Uniform(1), Uniform(1)
+			at[d] = 100 - slack
+			above[d] = math.Nextafter(100-slack, 200)
+			if !at.FitsWithin(FullServer, slack) || above.FitsWithin(FullServer, slack) {
+				t.Errorf("dim %d slack %v: FitsWithin(cap-slack) = %v, one ulp above = %v; want true, false",
+					d, slack, at.FitsWithin(FullServer, slack), above.FitsWithin(FullServer, slack))
+			}
+		}
+	}
+}
+
+// BenchmarkVectorFold is the tick's inner shape: a running sum of a hosted
+// list's vectors, compared against capacity once at the end.
+func BenchmarkVectorFold(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	vs := make([]Vector, 16)
+	for i := range vs {
+		vs[i] = randVec(r).Scale(1.0 / 16)
+	}
+	fit := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var sum, peak Vector
+		for _, v := range vs {
+			sum = sum.Add(v)
+			peak = peak.Max(v)
+		}
+		if sum.Sub(peak).ClampNonNegative().FitsWithin(FullServer, 5) {
+			fit++
+		}
+	}
+	if fit != b.N {
+		b.Fatalf("fold fitted %d of %d times", fit, b.N)
+	}
+}

@@ -415,8 +415,8 @@ func mergeRuns(dst, runs []predictor.Segment, runEnd []int, h int, cur []runCurs
 			if c.left < n {
 				n = c.left
 			}
-			// In place, component by component: the same additions as
-			// Vector.Add without moving both vectors through the stack.
+			// In place, component by component: the same additions as an
+			// inlined Vector.Add, without its two operand copies.
 			d := &runs[c.at].Demand
 			for k := range sum {
 				sum[k] += d[k]
@@ -627,9 +627,9 @@ func (c *CoCG) verdict(cc *serverCache, srv *platform.Server, g *gameEntry) (boo
 	var satSum float64
 	t := 0
 	for i := 0; t < window; i++ {
-		// Both operands are read in place (a Vector.Add here moves 96 bytes
-		// through the stack per frame); past the typical curve the candidate
-		// is assumed to hold its peak.
+		// Both operands are read in place (an inlined Vector.Add still copies
+		// both, 64 bytes a frame — docs/PERFORMANCE.md, "Vector arithmetic");
+		// past the typical curve the candidate is assumed to hold its peak.
 		hosted, end := &cc.total[i].Demand, t+cc.total[i].Frames
 		if end > window {
 			end = window
