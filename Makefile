@@ -108,5 +108,5 @@ bench-pairs:
 # history only.
 bench-layers:
 	$(GO) test -run '^$$' -benchmem \
-		-bench 'FleetPlacement|Evaluate|FleetLoad|ClusterLoadFullScan|Predict|KMeans|Forecast|WireFrameBatch|Registry|StreamTick|FleetRoute|SimTickLegacy|SimEvent|ServerTick|(DTC|RF|GBDT)Fit|NewPlayerSession|SourceSeedAndDraw|VectorFold' \
+		-bench 'FleetPlacement|Evaluate|FleetLoad|ClusterLoadFullScan|Predict|KMeans|Forecast|WireFrameBatch|Registry|StreamTick|FleetRoute|ServerTick|(DTC|RF|GBDT)Fit|NewPlayerSession|SourceSeedAndDraw|VectorFold' \
 		. ./internal/...

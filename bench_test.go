@@ -589,13 +589,12 @@ func fleetForBench(b *testing.B) *fleetState {
 	return fleet
 }
 
-// benchFleetPlacement measures one distributor scan — scoring an arrival
+// BenchmarkFleetPlacement1k measures one distributor scan — scoring an arrival
 // against every server and picking the argmax — without placing the winner,
 // so every iteration sees the same fleet.
-func benchFleetPlacement(b *testing.B, jobs int) {
+func BenchmarkFleetPlacement1k(b *testing.B) {
 	st := fleetForBench(b)
 	c := st.cluster
-	c.Jobs = jobs
 	b.ReportAllocs()
 	b.ResetTimer()
 	picked := 0
@@ -608,6 +607,3 @@ func benchFleetPlacement(b *testing.B, jobs int) {
 	b.ReportMetric(float64(fleetServers), "servers")
 	b.ReportMetric(float64(picked)/float64(b.N), "placeable-frac")
 }
-
-func BenchmarkFleetPlacement1kJobs1(b *testing.B) { benchFleetPlacement(b, 1) }
-func BenchmarkFleetPlacement1kJobs8(b *testing.B) { benchFleetPlacement(b, 8) }

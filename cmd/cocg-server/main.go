@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	cocg-server [-addr :9555] [-servers N] [-policy cocg|vbp|gaugur|reactive] [-speed X] [-jobs N]
+//	cocg-server [-addr :9555] [-servers N] [-policy cocg|vbp|gaugur|reactive] [-speed X]
 package main
 
 import (
@@ -28,7 +28,6 @@ func main() {
 	policy := flag.String("policy", "cocg", "scheduling policy")
 	speed := flag.Float64("speed", 100, "simulation speed: virtual seconds per real second")
 	seed := flag.Int64("seed", 1, "random seed")
-	jobs := flag.Int("jobs", 0, "goroutines for the per-tick delivery walk (<=1 serial; outcomes are identical at any value)")
 	bundle := flag.String("bundle", "", "load a pre-trained system from this cocg-train bundle instead of training")
 	metricsAddr := flag.String("metrics", "", "serve /metrics and /status on this address (e.g. :9556)")
 	flag.Parse()
@@ -66,7 +65,6 @@ func main() {
 		Servers:     *servers,
 		TickEvery:   time.Duration(float64(time.Second) / *speed),
 		SessionSeed: *seed,
-		Jobs:        *jobs,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

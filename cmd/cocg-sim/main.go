@@ -8,8 +8,8 @@
 //	         [-seed S] [-jobs J] [-sessions N]
 //
 // The arrival schedule is pregenerated and the cluster runs on the
-// event-driven driver (far fewer executed ticks when the policy certifies
-// bulk windows); -sessions pre-submits N arrivals at t=0 for
+// event-driven driver (the fleet stops only at frame boundaries where
+// placement can happen); -sessions pre-submits N arrivals at t=0 for
 // large-population runs.
 package main
 
@@ -35,7 +35,7 @@ func main() {
 	rate := flag.Float64("rate", 0.02, "mean arrivals per simulated second")
 	policy := flag.String("policy", "cocg", "scheduling policy: cocg, vbp, gaugur, reactive, all")
 	seed := flag.Int64("seed", 1, "random seed")
-	jobs := flag.Int("jobs", 0, "placement-scan and tick-fanout worker goroutines (<=1 serial; any value simulates identically)")
+	jobs := flag.Int("jobs", 0, "tick fan-out worker goroutines (<=1 serial; any value simulates identically)")
 	bundle := flag.String("bundle", "", "load a pre-trained system from this cocg-train bundle instead of training")
 	sessions := flag.Int("sessions", 0, "arrivals pre-submitted at t=0 (round-robin over the mix), on top of the stream")
 	flag.Parse()

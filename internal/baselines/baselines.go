@@ -42,10 +42,6 @@ func (f *flatController) Tick(resources.Vector) resources.Vector { return f.req 
 func (f *flatController) Loading() bool                          { return false }
 func (f *flatController) HardCapped() bool                       { return f.hard }
 
-// SteadyRequest implements platform.SteadyRequester: the request never moves
-// and Tick keeps no state, so skipped ticks are unobservable.
-func (f *flatController) SteadyRequest() (resources.Vector, bool) { return f.req, true }
-
 // --- VBP ---
 
 // VBP is Vector Bin Packing (Section V-B2): each game is assumed to run
@@ -105,9 +101,6 @@ func (v *VBP) NewController(spec *gamesim.GameSpec, habit int64) (platform.Contr
 
 // Regulate implements platform.Policy; VBP has no runtime regulation.
 func (v *VBP) Regulate(*platform.Server) {}
-
-// RegulateIsNoop implements platform.NoopRegulator.
-func (v *VBP) RegulateIsNoop() bool { return true }
 
 // ConcurrentTickSafe implements platform.ConcurrentTicker: VBP's runtime
 // behavior is entirely per-server flat controllers.
@@ -205,9 +198,6 @@ func (g *GAugur) NewController(spec *gamesim.GameSpec, habit int64) (platform.Co
 // Regulate implements platform.Policy; GAugur's limits are fixed by design.
 func (g *GAugur) Regulate(*platform.Server) {}
 
-// RegulateIsNoop implements platform.NoopRegulator.
-func (g *GAugur) RegulateIsNoop() bool { return true }
-
 // ConcurrentTickSafe implements platform.ConcurrentTicker: fixed per-session
 // limits share nothing across servers at runtime.
 func (g *GAugur) ConcurrentTickSafe() bool { return true }
@@ -293,11 +283,6 @@ func (r *Reactive) NewController(spec *gamesim.GameSpec, habit int64) (platform.
 // Regulate implements platform.Policy; the reactive scheme adjusts per game
 // only.
 func (r *Reactive) Regulate(*platform.Server) {}
-
-// RegulateIsNoop implements platform.NoopRegulator. Note reactiveController
-// is deliberately NOT a SteadyRequester — it adapts to measured frames — so
-// Reactive servers still tick per-second; only the Regulate skip applies.
-func (r *Reactive) RegulateIsNoop() bool { return true }
 
 // ConcurrentTickSafe implements platform.ConcurrentTicker: each controller's
 // sampler state is per-session.

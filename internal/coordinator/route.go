@@ -104,7 +104,9 @@ func Rank(views []ClusterView, spec *gamesim.GameSpec, w RouteWeights, jobs int)
 
 // RankInto is Rank with caller-owned storage: order and scores are reset and
 // reused, so a hot routing path allocates nothing in steady state. After the
-// call *order holds the preference-ordered cluster IDs.
+// call *order holds the preference-ordered cluster IDs. The jobs parameter is
+// pinned by bench/cocgbench's coordinator.rank_ns probe: the fan-out's verdict
+// (ROADMAP 6(b)) waits for the PR that may edit bench/ (item 1).
 //
 //cocg:hot
 func RankInto(views []ClusterView, spec *gamesim.GameSpec, w RouteWeights, jobs int, order *[]int, scores *[]float64) {

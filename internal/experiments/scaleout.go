@@ -42,10 +42,6 @@ func ScaleOut(ctx *Context) (*ScaleOutResult, error) {
 	for _, n := range sizes {
 		c := ctx.System.NewCluster(n, core.PolicyCoCG)
 		c.StarveLimit = 5 * simclock.Minute
-		// Placement fans out over the experiment's worker budget; every job
-		// count places identically (see platform.Cluster.Jobs), so this only
-		// changes wall-clock, never a figure.
-		c.Jobs = ctx.workers()
 		gen := ctx.System.Generator(ctx.Opt.Seed + int64(n))
 		stream := workload.NewMixStream(gen, gamesim.AllGames(), baseRate*float64(n), ctx.Opt.Seed+int64(10*n))
 		for i := simclock.Seconds(0); i < horizon; i++ {

@@ -17,6 +17,10 @@ import (
 // spike events. The per-second demand jitter never needs to be evaluated on
 // the fast path because it is stateless (noise.go) and cannot change the
 // outcome once the envelope is covered.
+//
+// No driver calls these since PR 23 (platform ticks every second); the only
+// caller left is bench/cocgbench's gamesim.stepbulk_ns_per_second probe, and
+// the file goes with that probe (ROADMAP item 1).
 
 // spikeBoostBound is the componentwise supremum of the burst boost a spike
 // onset can apply (spikeAdvance draws boost < 30 and shapes it by these

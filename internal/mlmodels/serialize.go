@@ -42,13 +42,14 @@ func flatten(n *treeNode, out *[]nodeDTO) int {
 	return idx
 }
 
-// unflatten rebuilds the subtree at index i.
-func unflatten(nodes []nodeDTO, i int) (*treeNode, error) {
-	if i == -1 {
-		return nil, nil
-	}
+// unflatten rebuilds the subtree at index i and returns the index after its
+// last node. flatten writes preorder, so a left child sits right after its
+// parent and a right child right after the left subtree; a file that says
+// otherwise (a cycle, a back-edge, a shared or out-of-range node) is refused
+// instead of followed — a cycle would recurse until the stack overflows.
+func unflatten(nodes []nodeDTO, i int) (*treeNode, int, error) {
 	if i < 0 || i >= len(nodes) {
-		return nil, fmt.Errorf("mlmodels: node index %d out of range", i)
+		return nil, 0, fmt.Errorf("mlmodels: node index %d out of range", i)
 	}
 	d := nodes[i]
 	n := &treeNode{
@@ -57,17 +58,28 @@ func unflatten(nodes []nodeDTO, i int) (*treeNode, error) {
 		label:     d.Label,
 		value:     d.Value,
 	}
-	var err error
-	if n.left, err = unflatten(nodes, d.Left); err != nil {
-		return nil, err
+	next := i + 1
+	child := func(idx int) (c *treeNode, err error) {
+		if idx == -1 {
+			return nil, nil
+		}
+		if idx != next {
+			return nil, fmt.Errorf("mlmodels: node %d has child %d, preorder puts it at %d", i, idx, next)
+		}
+		c, next, err = unflatten(nodes, idx)
+		return c, err
 	}
-	if n.right, err = unflatten(nodes, d.Right); err != nil {
-		return nil, err
+	var err error
+	if n.left, err = child(d.Left); err != nil {
+		return nil, 0, err
+	}
+	if n.right, err = child(d.Right); err != nil {
+		return nil, 0, err
 	}
 	if !n.isLeaf() && (n.left == nil || n.right == nil) {
-		return nil, fmt.Errorf("mlmodels: split node %d missing children", i)
+		return nil, 0, fmt.Errorf("mlmodels: split node %d missing children", i)
 	}
-	return n, nil
+	return n, next, nil
 }
 
 // treeDTO serializes one tree.
@@ -85,7 +97,8 @@ func fromTreeDTO(d treeDTO) (*treeNode, error) {
 	if len(d.Nodes) == 0 {
 		return nil, fmt.Errorf("mlmodels: empty tree")
 	}
-	return unflatten(d.Nodes, 0)
+	root, _, err := unflatten(d.Nodes, 0)
+	return root, err
 }
 
 // dtcDTO serializes a DecisionTree.

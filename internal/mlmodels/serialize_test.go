@@ -2,6 +2,7 @@ package mlmodels
 
 import (
 	"encoding/json"
+	"fmt"
 	"testing"
 )
 
@@ -88,6 +89,38 @@ func TestLoadCorruptPayloads(t *testing.T) {
 	half := `{"tree":{"nodes":[{"f":0,"t":1,"l":1,"r":-1},{"f":-1,"c":0,"l":-1,"r":-1}]},"n_feat":1}`
 	if _, err := LoadModel(&SavedModel{Kind: "DTC", Model: []byte(half)}); err == nil {
 		t.Error("half-split node loaded")
+	}
+}
+
+// TestLoadRejectsNonPreorderChildren feeds every model kind trees whose child
+// indices are not where the preorder writer puts them. Each must come back as
+// an error: followed naively, the cyclic ones recurse until the process dies.
+func TestLoadRejectsNonPreorderChildren(t *testing.T) {
+	const leaf = `{"f":-1,"l":-1,"r":-1}`
+	cases := []struct {
+		name, nodes string
+		ok          bool
+	}{
+		{"well-formed", `[{"f":0,"t":1,"l":1,"r":2},` + leaf + `,` + leaf + `]`, true},
+		{"self-loop", `[{"f":0,"t":1,"l":0,"r":0}]`, false},
+		{"back-edge", `[{"f":0,"t":1,"l":1,"r":4},{"f":0,"t":1,"l":2,"r":3},` + leaf + `,{"f":0,"t":1,"l":0,"r":0},` + leaf + `]`, false},
+		{"two-node cycle", `[{"f":0,"t":1,"l":1,"r":1},{"f":0,"t":1,"l":0,"r":0}]`, false},
+		{"out of range", `[{"f":0,"t":1,"l":1,"r":7},` + leaf + `]`, false},
+		{"shared child", `[{"f":0,"t":1,"l":1,"r":1},` + leaf + `]`, false},
+	}
+	wrap := map[string]string{
+		"DTC":  `{"tree":{"nodes":%s},"n_feat":1}`,
+		"RF":   `{"trees":[{"nodes":%s}],"n_feat":1,"n_class":2}`,
+		"GBDT": `{"rounds":[[{"nodes":%s}]],"prior":[0],"n_feat":1,"n_class":1,"lr":0.2}`,
+	}
+	for kind, format := range wrap {
+		for _, tc := range cases {
+			payload := fmt.Sprintf(format, tc.nodes)
+			_, err := LoadModel(&SavedModel{Kind: kind, Model: []byte(payload)})
+			if (err == nil) != tc.ok {
+				t.Errorf("%s, %s: LoadModel error %v, want loaded=%v", kind, tc.name, err, tc.ok)
+			}
+		}
 	}
 }
 

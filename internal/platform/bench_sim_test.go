@@ -7,16 +7,12 @@ import (
 	"cocg/internal/gamesim"
 	"cocg/internal/platform"
 	"cocg/internal/resources"
-	"cocg/internal/simclock"
 )
 
-// Simulation-core benchmarks: the legacy per-second cluster tick versus the
-// event-driven span driver over identical populations, plus the steady-state
-// allocation proof for Server.Tick. The populations are Contra sessions under
-// the steady test policy — the envelope-certifiable workload where the bulk
-// fast path should carry almost every second — rebuilt per iteration with the
-// timer stopped so no iteration ever ticks an emptied cluster (sessions that
-// complete mid-measurement would silently deflate the per-tick work).
+// Simulation-core benchmarks: Server.Tick's steady-state cost and allocation
+// proof, under the steady test policy and under CoCG. Populations are rebuilt
+// with the timer stopped whenever a session completes, so no iteration ticks a
+// thinned server (that would silently deflate the per-tick work).
 
 // buildSteadyCluster populates nServers servers with perServer Contra
 // sessions each, under flat steady controllers whose requests cover the
@@ -65,41 +61,6 @@ func TestServerTickZeroAllocs(t *testing.T) {
 		}
 	}
 }
-
-// benchSpan measures advancing the whole population by span virtual seconds,
-// reporting session-seconds simulated per wall second — the sessions/sec
-// capacity number BENCH_PR8.json tracks.
-func benchSpan(b *testing.B, nServers, perServer int, span simclock.Seconds, evented bool) {
-	b.ReportAllocs()
-	sessions := nServers * perServer
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		c := buildSteadyCluster(nServers, perServer)
-		b.StartTimer()
-		if evented {
-			c.TickSpan(span)
-		} else {
-			for t := simclock.Seconds(0); t < span; t++ {
-				c.Tick()
-			}
-		}
-	}
-	b.ReportMetric(float64(b.N)*float64(sessions)*float64(span)/b.Elapsed().Seconds(), "sess-sec/s")
-}
-
-// The "before": the legacy loop ticking every server every virtual second.
-func BenchmarkSimTickLegacy64(b *testing.B)   { benchSpan(b, 32, 2, 120, false) }
-func BenchmarkSimTickLegacy4096(b *testing.B) { benchSpan(b, 2048, 2, 120, false) }
-
-// The "after": the event-driven driver over the identical population.
-func BenchmarkSimEvent64(b *testing.B)   { benchSpan(b, 32, 2, 120, true) }
-func BenchmarkSimEvent4096(b *testing.B) { benchSpan(b, 2048, 2, 120, true) }
-
-// BenchmarkSimEvent100k demonstrates the event core at 100k+ concurrent
-// sessions (33,334 servers x 3 Contra), the waypoint toward million-session
-// runs.
-func BenchmarkSimEvent100k(b *testing.B) { benchSpan(b, 33334, 3, 120, true) }
 
 // BenchmarkServerTickSteady is the per-tick micro view of the scratch-backed
 // server loop (two hosted sessions, no completions inside the run).

@@ -2,7 +2,6 @@ package platform
 
 import (
 	"cocg/internal/gamesim"
-	"cocg/internal/parallel"
 	"cocg/internal/resources"
 	"cocg/internal/simclock"
 )
@@ -37,12 +36,10 @@ type Cluster struct {
 	// independently and the distributor places whatever fits.
 	StarveLimit simclock.Seconds
 
-	// Jobs bounds the goroutines pickServer fans the per-server scoring scan
-	// over, and — when the policy is a ConcurrentTicker — the per-server
-	// tick fan-out as well. Values <= 1 run serially; every value yields
-	// bit-identical results, because both scans decompose into fixed chunks
-	// over independent per-server state and every reduction walks server
-	// order serially.
+	// Jobs bounds the goroutines TickSpan fans the per-server ticks over when
+	// the policy is a ConcurrentTicker. Values <= 1 run serially; every value
+	// yields bit-identical results, because the fan-out decomposes into fixed
+	// chunks over independent per-server state. Placement is always serial.
 	Jobs int
 
 	// FailedPlacements counts arrivals that won a server but could not be
@@ -53,12 +50,6 @@ type Cluster struct {
 
 	// Logf, when non-nil, receives diagnostic messages (dropped arrivals).
 	Logf func(format string, args ...any)
-
-	// pickServer's reusable scratch: per-server score slots plus per-chunk
-	// policy scratches, grown once and reused across placement rounds.
-	pickScores    []float64
-	pickOK        []bool
-	pickScratches []any
 }
 
 // NewCluster builds a cluster of n full-capacity servers under the policy.
@@ -84,10 +75,11 @@ type Scorer interface {
 }
 
 // ScratchScorer is an optional Scorer refinement for policies whose scoring
-// needs working buffers: the cluster hands each scoring goroutine its own
-// scratch (created by NewScratch, reused across rounds), so a fleet scan
-// allocates nothing in steady state. ScoreScratch must return exactly what
-// Score would — scratch is storage, never state.
+// needs working buffers: a caller scanning the fleet itself brings its own
+// scratch (created by NewScratch, reused across rounds). ScoreScratch must
+// return exactly what Score would — scratch is storage, never state.
+// The cluster's own scan calls Score; bench/cocgbench's scoreProbe is the only
+// remaining caller, and the interface goes when bench/ is next editable.
 type ScratchScorer interface {
 	Scorer
 	// NewScratch returns a fresh scratch for one scoring goroutine.
@@ -97,10 +89,9 @@ type ScratchScorer interface {
 }
 
 // PlacementPreparer is an optional Policy refinement: PreparePlacement runs
-// serially before each (possibly parallel) scoring scan, giving the policy a
-// safe point to set up shared per-server state — the CoCG distributor creates
-// its forecast-cache map entries here so the concurrent scan only ever
-// touches disjoint, pre-existing structs.
+// once before each scoring scan with the server list the scan will walk — the
+// CoCG distributor files its forecast caches by list position here, so the
+// scan finds each without hashing, and evicts those of departed servers.
 type PlacementPreparer interface {
 	PreparePlacement(servers []*Server)
 }
@@ -148,18 +139,9 @@ type FleetSummarizer interface {
 	FleetLoadInto(servers []*Server, out *FleetLoad) bool
 }
 
-// placementChunk is the fleet-scan granularity: servers are scored in
-// fixed 32-wide chunks so a parallel scan keeps every worker busy on a
-// 1k-server fleet while the chunk boundaries (and hence per-chunk scratch
-// assignment) stay independent of the worker count.
-const placementChunk = 32
-
 // pickServer chooses the server for an arrival: best score under a Scorer
-// policy, else first fit. Under a Scorer the per-server scan fans out over
-// Jobs goroutines into per-server score slots; the argmax reduction then
-// walks the slots serially in server order with a strict >, so the result —
-// including tie-breaks toward the lowest server ID — is bit-identical to the
-// serial scan at every worker count.
+// policy, else first fit. The scan is one serial pass in server order with a
+// strict >, so exact score ties go to the lowest server ID.
 func (c *Cluster) pickServer(a Arrival) *Server {
 	sc, isScorer := c.Policy.(Scorer)
 	if !isScorer {
@@ -177,60 +159,14 @@ func (c *Cluster) pickServer(a Arrival) *Server {
 	if pp, ok := c.Policy.(PlacementPreparer); ok {
 		pp.PreparePlacement(c.Servers)
 	}
-
-	n := len(c.Servers)
-	if cap(c.pickScores) < n {
-		c.pickScores = make([]float64, n)
-		c.pickOK = make([]bool, n)
-	}
-	scores, oks := c.pickScores[:n], c.pickOK[:n]
-
-	ss, hasScratch := c.Policy.(ScratchScorer)
-	if chunks := parallel.NumChunksOf(n, placementChunk); hasScratch && len(c.pickScratches) < chunks {
-		grown := make([]any, chunks)
-		copy(grown, c.pickScratches)
-		c.pickScratches = grown
-	}
-
-	jobs := c.Jobs
-	if jobs <= 0 {
-		jobs = 1
-	}
-	parallel.ForChunksOf(jobs, n, placementChunk, func(chunk, lo, hi int) {
-		// Each chunk runs on exactly one goroutine and distinct chunks use
-		// distinct slots, so the lazy scratch fill is race-free.
-		var scratch any
-		if hasScratch {
-			scratch = c.pickScratches[chunk]
-			if scratch == nil {
-				scratch = ss.NewScratch()
-				c.pickScratches[chunk] = scratch
-			}
-		}
-		for i := lo; i < hi; i++ {
-			oks[i] = false
-			srv := c.Servers[i]
-			if srv.Draining {
-				continue
-			}
-			var s float64
-			var ok bool
-			if hasScratch {
-				s, ok = ss.ScoreScratch(srv, a.Spec, a.Habit, scratch)
-			} else {
-				s, ok = sc.Score(srv, a.Spec, a.Habit)
-			}
-			if ok {
-				scores[i], oks[i] = s, true
-			}
-		}
-	})
-
 	var best *Server
 	bestScore := 0.0
-	for i, srv := range c.Servers {
-		if oks[i] && (best == nil || scores[i] > bestScore) {
-			best, bestScore = srv, scores[i]
+	for _, srv := range c.Servers {
+		if srv.Draining {
+			continue
+		}
+		if s, ok := sc.Score(srv, a.Spec, a.Habit); ok && (best == nil || s > bestScore) {
+			best, bestScore = srv, s
 		}
 	}
 	return best

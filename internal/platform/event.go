@@ -4,27 +4,22 @@ import (
 	"fmt"
 
 	"cocg/internal/parallel"
-	"cocg/internal/resources"
 	"cocg/internal/simclock"
 )
 
 // Event-driven cluster advancement.
 //
-// The legacy loop pays O(sessions) every virtual second even when nothing
-// happens. This driver advances between *stop points* — the simulation end
+// The per-second loop (Cluster.Tick) stops the whole fleet every virtual
+// second. This driver advances between *stop points* — the simulation end
 // and the frame boundaries at which an arrival is queued or due, the only
-// seconds placement can happen — and lets every server cross the span in
-// bulk. A server whose policy provably cannot intervene (NoopRegulator, all
-// controllers steady, requests covering every session's demand envelope
-// within capacity) advances each session with Session.StepBulk and runs one
-// real per-second tick at the window's last second; that closing tick
-// performs the full grant/regulate/sweep bookkeeping, which is what makes
-// the whole construction bitwise-identical to ticking every second (see
-// docs/PERFORMANCE.md for the certificate).
+// seconds placement can happen — and lets every server run the span's
+// seconds back to back (Server.advanceSpan): one visit per server per span,
+// every second still a real tickAt, so the outputs are the per-second loop's
+// bit for bit.
 
-// tickChunk is the granularity of the parallel per-server fan-out. Like the
-// placement scan, fixed chunks keep the work decomposition — and therefore
-// every per-server result — independent of the worker count.
+// tickChunk is the granularity of the parallel per-server fan-out: fixed
+// chunks keep the work decomposition — and therefore every per-server result
+// — independent of the worker count.
 const tickChunk = 32
 
 // TickSpan advances every server by span seconds and moves the cluster
@@ -115,98 +110,12 @@ func nextFrameBoundary(t simclock.Seconds) simclock.Seconds {
 	return simclock.FrameStart(t) + simclock.FrameLen
 }
 
-// advanceSpan advances one server span seconds past base. Every second the
-// server cannot certify runs as a normal per-second tick; certified windows
-// advance all sessions StepBulk-fast through the window's first w-1 seconds
-// and close with one real tick, so grants, regulation, records and revision
-// bookkeeping happen exactly where the legacy loop would have produced
-// observable effects.
+// advanceSpan runs one server through the span seconds after base, one tickAt
+// per second — the paper's controllers observe and regulate every second, so
+// none can be skipped. A server that empties stops early: ticking it is a
+// no-op.
 func (s *Server) advanceSpan(p Policy, base, span simclock.Seconds) {
-	for off := simclock.Seconds(0); off < span; {
-		if len(s.Hosted) == 0 {
-			// An empty server's tick is a no-op; skip the rest of the span.
-			return
-		}
-		var w simclock.Seconds
-		if rem := span - off; rem >= 2 {
-			// Certification only pays for itself when a window of at least
-			// two seconds could result; a single-second remainder ticks
-			// directly.
-			w = simclock.Seconds(s.bulkWindow(p, int(rem)))
-		}
-		if w >= 2 {
-			steady := s.scratch.steady[:len(s.Hosted)]
-			for i, h := range s.Hosted {
-				h.Session.StepBulk(steady[i], int(w)-1)
-			}
-			// bulkWindow's certificate (requests cover the envelopes, the
-			// envelopes fit capacity) implies tickAt's on each skipped second.
-			s.ticks += uint64(w - 1)
-			s.uncontended += uint64(w - 1)
-			s.tickAt(p, base+off+w-1)
-			off += w
-		} else {
-			s.tickAt(p, base+off)
-			off++
-		}
+	for off := simclock.Seconds(0); off < span && len(s.Hosted) > 0; off++ {
+		s.tickAt(p, base+off)
 	}
-}
-
-// bulkWindow returns the widest window (capped at maxSpan) the server can
-// certify for bulk advancement, or 0 when it must tick per-second. The
-// certificate, checked per window against the *current* session states:
-//
-//  1. the policy's Regulate is a pure no-op (NoopRegulator);
-//  2. every hosted controller is steady (SteadyRequester), so skipped Tick
-//     calls are unobservable and requests cannot change inside the window;
-//  3. each steady request covers its session's demand envelope, and the
-//     envelope sum fits capacity — then needs equal demands, the
-//     proportional scale is exactly 1, deficits are exactly zero, and every
-//     grant is bitwise the demand, i.e. satisfaction is exactly 1.0;
-//  4. the window never outruns a session's event horizon, so stage, segment
-//     and loading transitions land on the window's closing per-second tick.
-//
-// On success the hosted controllers' steady requests are left in
-// scratch.steady for the caller.
-func (s *Server) bulkWindow(p Policy, maxSpan int) int {
-	nr, ok := p.(NoopRegulator)
-	if !ok || !nr.RegulateIsNoop() {
-		return 0
-	}
-	if cap(s.scratch.steady) < len(s.Hosted) {
-		s.scratch.grow(len(s.Hosted))
-	}
-	steady := s.scratch.steady[:len(s.Hosted)]
-	w := maxSpan
-	var envTotal resources.Vector
-	for i, h := range s.Hosted {
-		sr, ok := h.Controller.(SteadyRequester)
-		if !ok {
-			return 0
-		}
-		req, ok := sr.SteadyRequest()
-		if !ok {
-			return 0
-		}
-		req = req.ClampNonNegative()
-		wc := h.Session.DemandEnvelope()
-		for d := range wc {
-			if req[d] < wc[d] {
-				return 0
-			}
-		}
-		envTotal = envTotal.Add(wc)
-		steady[i] = req
-		if hz := h.Session.BulkHorizon(); hz < w {
-			w = hz
-		}
-	}
-	// Envelope sum within capacity: float sums are monotone, so the real
-	// per-second demand totals cannot exceed it either.
-	for d := range envTotal {
-		if envTotal[d] > s.Capacity[d] {
-			return 0
-		}
-	}
-	return w
 }

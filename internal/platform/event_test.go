@@ -16,21 +16,18 @@ import (
 
 // The golden equivalence suite: the event-driven cluster driver must
 // reproduce the legacy per-second Feed+Tick loop byte-for-byte — records,
-// placement counters, queue state — at every -jobs setting, both when the
-// bulk fast path engages (steady policy) and when every second falls back to
-// a real tick (adaptive policy).
+// placement counters, queue state, per-server peaks and tick counts — at every
+// -jobs setting, both when every second is uncontended (steady policy) and
+// when requests chase measured utilization (adaptive policy).
 
-// flatSteadyCtl is a constant-request controller: eligible for bulk
-// advancement via SteadyRequest.
+// flatSteadyCtl is a constant-request controller.
 type flatSteadyCtl struct{ req resources.Vector }
 
-func (f *flatSteadyCtl) Name() string                            { return "flat-steady" }
-func (f *flatSteadyCtl) Tick(resources.Vector) resources.Vector  { return f.req }
-func (f *flatSteadyCtl) Loading() bool                           { return false }
-func (f *flatSteadyCtl) SteadyRequest() (resources.Vector, bool) { return f.req, true }
+func (f *flatSteadyCtl) Name() string                           { return "flat-steady" }
+func (f *flatSteadyCtl) Tick(resources.Vector) resources.Vector { return f.req }
+func (f *flatSteadyCtl) Loading() bool                          { return false }
 
-// adaptiveCtl tracks measured utilization, so it is deliberately NOT a
-// SteadyRequester: skipping its Tick calls would be observable.
+// adaptiveCtl tracks measured utilization: every Tick call is observable.
 type adaptiveCtl struct{ req resources.Vector }
 
 func (a *adaptiveCtl) Name() string  { return "adaptive" }
@@ -40,17 +37,16 @@ func (a *adaptiveCtl) Tick(util resources.Vector) resources.Vector {
 	return a.req
 }
 
-// countedPolicy exposes how many per-second server ticks actually executed —
-// Regulate runs exactly once per executed tick, so the counter proves the
-// bulk path engaged (or did not).
+// countedPolicy exposes how many per-second server ticks actually executed:
+// Regulate runs exactly once per executed tick.
 type countedPolicy interface {
 	platform.Policy
 	ticks() int64
 }
 
 // steadyTestPolicy admits by worst-case demand sums and hands every session a
-// flat request covering its spec's WorstCaseDemand, so every hosted set it
-// builds certifies for bulk advancement in every phase.
+// flat request covering its spec's WorstCaseDemand, so every second of every
+// hosted set it builds is uncontended.
 type steadyTestPolicy struct{ regulates atomic.Int64 }
 
 func (p *steadyTestPolicy) Name() string { return "steady-test" }
@@ -70,12 +66,11 @@ func (p *steadyTestPolicy) NewController(spec *gamesim.GameSpec, _ int64) (platf
 	return &flatSteadyCtl{req: spec.WorstCaseDemand()}, nil
 }
 func (p *steadyTestPolicy) Regulate(*platform.Server) { p.regulates.Add(1) }
-func (p *steadyTestPolicy) RegulateIsNoop() bool      { return true }
 func (p *steadyTestPolicy) ConcurrentTickSafe() bool  { return true }
 func (p *steadyTestPolicy) ticks() int64              { return p.regulates.Load() }
 
-// adaptiveTestPolicy pairs adapting controllers with a non-noop-marked
-// Regulate, so the event driver must run every single second.
+// adaptiveTestPolicy hands out adapting controllers, so a skipped second
+// would change every later request.
 type adaptiveTestPolicy struct{ regulates atomic.Int64 }
 
 func (p *adaptiveTestPolicy) Name() string { return "adaptive-test" }
@@ -141,10 +136,9 @@ func TestEventedMatchesLegacyGolden(t *testing.T) {
 	cases := []struct {
 		name string
 		mk   func() countedPolicy
-		bulk bool // the steady case must demonstrably skip seconds
 	}{
-		{"steady-bulk", func() countedPolicy { return &steadyTestPolicy{} }, true},
-		{"adaptive-fallback", func() countedPolicy { return &adaptiveTestPolicy{} }, false},
+		{"steady-bulk", func() countedPolicy { return &steadyTestPolicy{} }},
+		{"adaptive-fallback", func() countedPolicy { return &adaptiveTestPolicy{} }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -187,13 +181,21 @@ func TestEventedMatchesLegacyGolden(t *testing.T) {
 				if got.Clock.Now() != base.Clock.Now() {
 					t.Errorf("%s: clock diverges: %d vs %d", v.name, got.Clock.Now(), base.Clock.Now())
 				}
-				if v.evented && tc.bulk && pol.ticks() >= basePol.ticks()*8/10 {
-					t.Errorf("%s: bulk path never engaged: %d executed ticks vs %d legacy",
+				if pol.ticks() != basePol.ticks() {
+					t.Errorf("%s: every hosting server-second must tick: %d vs %d",
 						v.name, pol.ticks(), basePol.ticks())
 				}
-				if v.evented && !tc.bulk && pol.ticks() != basePol.ticks() {
-					t.Errorf("%s: fallback should tick every second: %d vs %d",
-						v.name, pol.ticks(), basePol.ticks())
+				for i, srv := range got.Servers {
+					want := base.Servers[i]
+					if srv.PeakUtilization() != want.PeakUtilization() {
+						t.Errorf("%s: server %d peak utilization %v, legacy %v",
+							v.name, i, srv.PeakUtilization(), want.PeakUtilization())
+					}
+					gs, gu := srv.TickCounts()
+					ws, wu := want.TickCounts()
+					if gs != ws || gu != wu {
+						t.Errorf("%s: server %d tick counts %d/%d, legacy %d/%d", v.name, i, gs, gu, ws, wu)
+					}
 				}
 			}
 		})

@@ -50,18 +50,6 @@ type ForecastNotifier interface {
 	NotifyForecast(gen *uint64)
 }
 
-// SteadyRequester is an optional Controller refinement: a controller whose
-// Tick is a constant function — it returns the same request vector every
-// second regardless of the observed utilization, and keeps no per-call state,
-// so skipping Tick calls is unobservable. SteadyRequest returns that vector
-// (ok=false when the controller is only conditionally steady). The bulk
-// advancement path uses it to prove a server's grants for a whole window
-// without ticking controllers second-by-second; a controller that ever
-// adapts to util must not implement it.
-type SteadyRequester interface {
-	SteadyRequest() (req resources.Vector, ok bool)
-}
-
 // Policy is a complete co-location scheduling scheme: admission (the
 // distributor), per-game control, and server-level regulation.
 type Policy interface {
@@ -75,14 +63,6 @@ type Policy interface {
 	// oversubscribe (e.g. extend loading stages). It runs once per second
 	// after all controllers ticked.
 	Regulate(srv *Server)
-}
-
-// NoopRegulator is an optional Policy refinement: a marker that Regulate
-// never observes or mutates anything (a pure no-op), so per-second Regulate
-// calls may be skipped entirely. Event-driven bulk advancement requires it —
-// a policy that regulates must see every second.
-type NoopRegulator interface {
-	RegulateIsNoop() bool
 }
 
 // ConcurrentTicker is an optional Policy refinement: a marker that the
@@ -163,9 +143,7 @@ type Server struct {
 	// zero vectors, which cannot change either fold).
 	reqTotal  resources.Vector
 	utilTotal resources.Vector
-	// peakUtil tracks the highest total grant observed, for reporting. Under
-	// bulk advancement it is sampled only on the per-second ticks that
-	// actually run (see docs/PERFORMANCE.md).
+	// peakUtil tracks the highest total grant observed, for reporting.
 	peakUtil resources.Vector
 	// rev counts membership changes (admissions and departures); forecastGen
 	// counts detection frames completed by hosted ForecastNotifier
@@ -265,9 +243,6 @@ type tickScratch struct {
 	needs    []resources.Vector
 	grants   []resources.Vector
 	deficits []resources.Vector
-	// steady caches each hosted controller's steady request during bulk
-	// window certification (event.go).
-	steady []resources.Vector
 }
 
 // grow resizes every scratch slice to at least n entries. It runs only when
@@ -281,7 +256,6 @@ func (t *tickScratch) grow(n int) {
 	t.needs = make([]resources.Vector, n)
 	t.grants = make([]resources.Vector, n)
 	t.deficits = make([]resources.Vector, n)
-	t.steady = make([]resources.Vector, n)
 }
 
 // Tick advances the server by one virtual second under the given policy:

@@ -3,6 +3,7 @@ package platform
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"cocg/internal/gamesim"
@@ -309,7 +310,7 @@ func TestFailedPlacementBadScript(t *testing.T) {
 }
 
 // occupancyScorer scores by server occupancy modulo 3, producing many exact
-// ties so the parallel scan's lowest-ID tie-break is load-bearing.
+// ties so the scan's lowest-ID tie-break is load-bearing.
 type occupancyScorer struct {
 	admitAllPolicy
 	cap int
@@ -322,68 +323,50 @@ func (s *occupancyScorer) Score(srv *Server, spec *gamesim.GameSpec, habit int64
 	return float64(srv.NumHosted() % 3), true
 }
 
-// occupancyScratchScorer is occupancyScorer through the scratch-scoring
-// interface, covering the per-chunk scratch plumbing.
-type occupancyScratchScorer struct{ occupancyScorer }
-
-type occupancyScratch struct{ evals int }
-
-func (s *occupancyScratchScorer) NewScratch() any { return &occupancyScratch{} }
-
-func (s *occupancyScratchScorer) ScoreScratch(srv *Server, spec *gamesim.GameSpec, habit int64, scratch any) (float64, bool) {
-	scratch.(*occupancyScratch).evals++
-	return s.Score(srv, spec, habit)
+// tableScorer answers Score from a per-server table and fails the test when
+// asked about a draining server.
+type tableScorer struct {
+	admitAllPolicy
+	t      *testing.T
+	scores []float64
+	admits []bool
 }
 
-// occupancyTrace runs a fixed arrival stream over a 70-server cluster (three
-// placement chunks) and returns the per-tick hosted counts of every server.
-func occupancyTrace(t *testing.T, pol Policy, jobs int) []int {
-	t.Helper()
-	c := NewCluster(70, pol)
-	c.Jobs = jobs
-	var trace []int
-	for tick := 0; tick < 120; tick++ {
-		if tick%2 == 0 {
-			c.Submit(Arrival{
-				Spec:        gamesim.Contra(),
-				Script:      tick % 3,
-				Habit:       int64(tick),
-				SessionSeed: int64(1000 + tick),
-			})
-		}
-		c.Tick()
-		for _, srv := range c.Servers {
-			trace = append(trace, srv.NumHosted())
-		}
+func (s *tableScorer) Score(srv *Server, _ *gamesim.GameSpec, _ int64) (float64, bool) {
+	if srv.Draining {
+		s.t.Errorf("draining server %d was scored", srv.ID)
 	}
-	if c.Placements == 0 {
-		t.Fatal("stream placed nothing; the trace proves nothing")
-	}
-	return trace
+	return s.scores[srv.ID], s.admits[srv.ID]
 }
 
-func TestParallelPlacementMatchesSerial(t *testing.T) {
-	for _, mk := range []struct {
-		name string
-		pol  func() Policy
-	}{
-		{"scorer", func() Policy { return &occupancyScorer{cap: 4} }},
-		{"scratch-scorer", func() Policy { return &occupancyScratchScorer{occupancyScorer{cap: 4}} }},
-	} {
-		t.Run(mk.name, func(t *testing.T) {
-			want := occupancyTrace(t, mk.pol(), 1)
-			for _, jobs := range []int{2, 7, 16} {
-				got := occupancyTrace(t, mk.pol(), jobs)
-				if len(got) != len(want) {
-					t.Fatalf("jobs=%d: trace length %d != %d", jobs, len(got), len(want))
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("jobs=%d: trace diverges at %d: got %d, want %d", jobs, i, got[i], want[i])
-					}
-				}
+// TestPickServerLowestIDAmongTiesSkipsDraining is the placement scan's
+// contract: over random fleets whose scores come from three values (so exact
+// ties are the rule), PickServer returns the lowest-ID server among the
+// admitting, non-draining ones with the highest score, and nil when there is
+// none.
+func TestPickServerLowestIDAmongTiesSkipsDraining(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	a := Arrival{Spec: gamesim.Contra()}
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(70)
+		pol := &tableScorer{t: t, scores: make([]float64, n), admits: make([]bool, n)}
+		c := NewCluster(n, pol)
+		want := -1
+		for i, srv := range c.Servers {
+			pol.scores[i] = float64(rng.Intn(3)) - 1 // a negative best must still win
+			pol.admits[i] = rng.Intn(4) > 0
+			srv.Draining = rng.Intn(4) == 0
+			if pol.admits[i] && !srv.Draining && (want < 0 || pol.scores[i] > pol.scores[want]) {
+				want = i
 			}
-		})
+		}
+		got := -1
+		if srv := c.PickServer(a); srv != nil {
+			got = srv.ID
+		}
+		if got != want {
+			t.Fatalf("trial %d: picked server %d, want %d (scores %v, admits %v)", trial, got, want, pol.scores, pol.admits)
+		}
 	}
 }
 

@@ -76,12 +76,11 @@ func (c Config) withDefaults() Config {
 
 // CoCG is the paper's scheduling policy over a set of offline-trained games.
 //
-// Concurrency: Admit and Score are serial entry points (they may insert into
-// the forecast-cache map). The cluster's parallel placement scan instead
-// calls PreparePlacement once, serially, then ScoreScratch concurrently —
-// after preparation every cache struct exists, the scan only reads the map
-// and the per-position cache list, and each server's cache is touched by
-// exactly one scoring goroutine.
+// Concurrency: every placement entry point — Admit, Score, PreparePlacement,
+// FleetLoadInto — is serial: they read and refill the forecast caches and may
+// insert into the cache map. Only the per-second side (Regulate, the
+// controllers) may run on several goroutines, one server each; see
+// ConcurrentTickSafe.
 type CoCG struct {
 	cfg Config
 
@@ -254,16 +253,15 @@ type evalMemo struct {
 // guard below would also reject.
 const peakSlack = 1e-6
 
-// PreparePlacement implements platform.PlacementPreparer: it creates the
-// cache structs for every server serially, so the concurrent scoring scan
-// never writes the map.
+// PreparePlacement implements platform.PlacementPreparer: it files the cache
+// of every server by list position, so the scoring scan that follows finds
+// each without hashing.
 func (c *CoCG) PreparePlacement(servers []*platform.Server) { c.resolve(servers) }
 
 // resolve makes byPos[i] the cache of servers[i], creating caches on first
 // sight. A position whose server has not changed since the last call costs
 // one pointer comparison, so over a stable fleet neither a placement round nor
-// a summary poll hashes anything. It writes the map, so only the serial entry
-// points may call it.
+// a summary poll hashes anything.
 func (c *CoCG) resolve(servers []*platform.Server) {
 	c.sweepCaches(servers)
 	if cap(c.byPos) < len(servers) {
@@ -279,9 +277,7 @@ func (c *CoCG) resolve(servers []*platform.Server) {
 	}
 }
 
-// cacheFor returns srv's forecast cache, creating it on first sight. It
-// writes the map then, so the parallel scan may only call it for servers
-// PreparePlacement has seen.
+// cacheFor returns srv's forecast cache, creating it on first sight.
 func (c *CoCG) cacheFor(srv *platform.Server) *serverCache {
 	cc := c.caches[srv]
 	if cc == nil {
@@ -508,11 +504,12 @@ func (c *CoCG) Score(srv *platform.Server, spec *gamesim.GameSpec, habit int64) 
 	return c.scoreWith(srv, spec, &c.scratch)
 }
 
-// NewScratch implements platform.ScratchScorer.
+// NewScratch implements platform.ScratchScorer, which only bench/cocgbench's
+// scoreProbe still calls.
 func (c *CoCG) NewScratch() any { return &EvalScratch{} }
 
 // ScoreScratch implements platform.ScratchScorer: Score with all temporary
-// storage drawn from the scoring goroutine's own scratch.
+// storage drawn from the caller's scratch.
 func (c *CoCG) ScoreScratch(srv *platform.Server, spec *gamesim.GameSpec, habit int64, scratch any) (float64, bool) {
 	return c.scoreWith(srv, spec, scratch.(*EvalScratch))
 }
@@ -539,9 +536,6 @@ func (c *CoCG) evaluate(srv *platform.Server, spec *gamesim.GameSpec, es *EvalSc
 	if gi < 0 {
 		return false, 0
 	}
-	// On a serial entry (Admit/Score outside a prepared placement scan) this
-	// may create the cache; the parallel scan only ever finds the entry
-	// PreparePlacement pre-created.
 	cc := c.cacheAt(srv, es)
 	c.refresh(cc, srv, c.cfg.HorizonFrames, es)
 
@@ -733,13 +727,11 @@ func (c *CoCG) Regulate(srv *platform.Server) {
 // (Admit, Score, FleetLoadInto, PreparePlacement). Distinct servers may
 // therefore tick on distinct goroutines.
 //
-// CoCG deliberately does not implement NoopRegulator — loading-steal
-// regulation must see every second — and its controllers adapt to measured
-// utilization, so the event-driven driver ticks CoCG servers every second.
-// What makes most of those seconds cheap is not a policy marker but the
-// platform's per-second certificate (Server.tickAt): Regulate returns at its
-// first test whenever requests fit under the margin, and a second whose
-// realised demands fit their requests takes the fused grant pass.
+// Loading-steal regulation must see every second and the controllers adapt to
+// measured utilization, so no second is skipped. What makes most of them
+// cheap is the platform's per-second certificate (Server.tickAt): Regulate
+// returns at its first test whenever requests fit under the margin, and a
+// second whose realised demands fit their requests takes the fused grant pass.
 func (c *CoCG) ConcurrentTickSafe() bool { return true }
 
 // PredictionLatencyFor reports the simulated prediction latency for a game's

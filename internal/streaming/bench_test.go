@@ -8,7 +8,6 @@ import (
 
 	"cocg/internal/core"
 	"cocg/internal/gamesim"
-	"cocg/internal/parallel"
 )
 
 // benchFrameBatch is a realistic per-tick payload: one 60 FPS detection
@@ -155,47 +154,35 @@ func benchSessions(b *testing.B, n int) (*Server, []*liveSession) {
 }
 
 // benchStreamTick measures one steady-state delivery walk over n live
-// sessions at the given fan-out: every session gets a frame batch emitted
-// through the pooled pipeline, pushed to its bounded queue, drained, and
-// encoded to wire bytes — exactly what the per-session writer does, minus
-// the socket. The simulation clock is frozen, so every op is identical.
-func benchStreamTick(b *testing.B, n, jobs int) {
+// sessions: every session gets a frame batch emitted through the pooled
+// pipeline, pushed to its bounded queue, drained, and encoded to wire bytes —
+// exactly what the per-session writer does, minus the socket. The simulation
+// clock is frozen, so every op is identical.
+func benchStreamTick(b *testing.B, n int) {
 	s, snap := benchSessions(b, n)
-	s.tickBoundary = true
-	nchunks := parallel.NumChunksOf(len(snap), tickChunk)
-	bufs := make([][]byte, nchunks)
-	body := func(chunk, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ls := snap[i]
-			s.emitSession(ls)
+	var buf []byte
+	walk := func() {
+		for _, ls := range snap {
+			s.emitSession(ls, true)
 			for {
 				e, ok := ls.out.tryPop()
 				if !ok {
 					break
 				}
 				var err error
-				bufs[chunk], err = e.AppendTo(bufs[chunk][:0])
+				buf, err = e.AppendTo(buf[:0])
 				putFramesEnv(e)
 				if err != nil {
-					panic(err)
+					b.Fatal(err)
 				}
 			}
 		}
 	}
-	// One warm walk sizes the pools and buffers before measuring.
-	if jobs <= 1 {
-		body(0, 0, len(snap))
-	} else {
-		parallel.ForChunksOf(jobs, len(snap), tickChunk, body)
-	}
+	walk() // sizes the pools and the buffer before measuring
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if jobs <= 1 {
-			body(0, 0, len(snap))
-		} else {
-			parallel.ForChunksOf(jobs, len(snap), tickChunk, body)
-		}
+		walk()
 	}
 	b.StopTimer()
 	perOp := b.Elapsed().Seconds() / float64(b.N)
@@ -203,8 +190,5 @@ func benchStreamTick(b *testing.B, n, jobs int) {
 	b.ReportMetric(float64(n)/perOp, "frames/sec")
 }
 
-func BenchmarkStreamTick256Jobs1(b *testing.B) { benchStreamTick(b, 256, 1) }
-func BenchmarkStreamTick256Jobs8(b *testing.B) { benchStreamTick(b, 256, 8) }
-func BenchmarkStreamTick1024Jobs8(b *testing.B) {
-	benchStreamTick(b, 1024, 8)
-}
+func BenchmarkStreamTick256(b *testing.B)  { benchStreamTick(b, 256) }
+func BenchmarkStreamTick1024(b *testing.B) { benchStreamTick(b, 1024) }

@@ -10,7 +10,6 @@ import (
 
 	"cocg/internal/core"
 	"cocg/internal/gamesim"
-	"cocg/internal/parallel"
 	"cocg/internal/platform"
 	"cocg/internal/simclock"
 )
@@ -30,11 +29,6 @@ type ServerConfig struct {
 	Encoder Encoder
 	// SessionSeed seeds arriving sessions.
 	SessionSeed int64
-	// Jobs bounds the goroutines the per-tick delivery walk fans out over;
-	// <=1 walks serially. Simulation outcomes are identical at every value:
-	// the cluster itself always ticks serially, and the walk only reads
-	// per-session state and writes to per-session queues.
-	Jobs int
 	// QueueLen is the per-session outbound queue capacity; <=0 means 64.
 	// When a client falls this far behind, frame batches are coalesced and
 	// then dropped oldest-first (see outQueue) rather than buffered without
@@ -46,13 +40,12 @@ type ServerConfig struct {
 // cluster and streams encoded frames to connected clients.
 //
 // Concurrency model: the cluster (and placement state) is guarded by
-// clusterMu — the simulation always advances serially, so outcomes cannot
-// depend on delivery parallelism. Live sessions live in a sharded registry
-// (16 shards keyed by session ID) so the accept, input, teardown, and
-// metrics paths never serialize on one lock. The per-tick delivery walk
-// fans out over cfg.Jobs goroutines in fixed chunks, builds frame batches
-// in pooled envelopes, and pushes them to per-session bounded queues; one
-// writer goroutine per session drains its queue to the wire.
+// clusterMu — the simulation and the delivery walk after it run serially on
+// the tick goroutine. Live sessions live in a sharded registry (16 shards
+// keyed by session ID) so the accept, input, teardown, and metrics paths
+// never serialize on one lock. The per-tick delivery walk builds frame
+// batches in pooled envelopes and pushes them to per-session bounded queues;
+// one writer goroutine per session drains its queue to the wire.
 type Server struct {
 	cfg     ServerConfig
 	cluster *platform.Cluster
@@ -81,11 +74,8 @@ type Server struct {
 	framesDropped   atomic.Uint64
 	summariesServed atomic.Uint64
 
-	// Tick-walk reusables: the snapshot buffer and the hoisted chunk body
-	// (built once — constructing a closure per tick would allocate).
-	tickSnap     []*liveSession
-	tickBoundary bool
-	tickBody     func(chunk, lo, hi int)
+	// tickSnap is the tick walk's reused registry snapshot.
+	tickSnap []*liveSession
 
 	// fleetLoad is the reusable output buffer for the policy's fleet
 	// summary; guarded by clusterMu like the cluster itself.
@@ -93,8 +83,8 @@ type Server struct {
 }
 
 // liveSession ties a hosted game to its client connection. Fields written
-// by the tick walk (seq, ended) are touched only there — chunks are
-// disjoint within a tick and ticks are serialized — so they need no lock;
+// by the tick walk (seq, ended) are touched only there — ticks are
+// serialized — so they need no lock;
 // the input mirror has its own mutex because the read loop races the walk.
 type liveSession struct {
 	id     int64
@@ -109,11 +99,6 @@ type liveSession struct {
 
 	out *outQueue
 }
-
-// tickChunk is the delivery-walk granularity: sessions are visited in fixed
-// 32-wide chunks so the fan-out keeps workers busy at hundreds of sessions
-// while chunk boundaries stay independent of the worker count.
-const tickChunk = 32
 
 // framesEnvPool recycles frame-batch envelopes (and their FrameBatch and
 // per-frame slice backing arrays) between the tick walk and the session
@@ -148,9 +133,6 @@ func Serve(addr string, cfg ServerConfig) (*Server, error) {
 	if cfg.Encoder == (Encoder{}) {
 		cfg.Encoder = DefaultEncoder()
 	}
-	if cfg.Jobs <= 0 {
-		cfg.Jobs = 1
-	}
 	if cfg.QueueLen <= 0 {
 		cfg.QueueLen = 64
 	}
@@ -165,11 +147,6 @@ func Serve(addr string, cfg ServerConfig) (*Server, error) {
 		nextSeed:     cfg.SessionSeed,
 		summaryConns: make(map[*Conn]struct{}),
 		done:         make(chan struct{}),
-	}
-	s.tickBody = func(chunk, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s.emitSession(s.tickSnap[i])
-		}
 	}
 	s.wg.Add(2)
 	go s.acceptLoop()
@@ -387,9 +364,8 @@ func (s *Server) tickLoop() {
 	}
 }
 
-// tickOnce advances the simulation serially, then fans the delivery walk
-// out over cfg.Jobs goroutines: snapshot the registry (reused buffer), walk
-// it in fixed chunks, emit one pooled frame batch per live session on frame
+// tickOnce advances the simulation one second, then walks a snapshot of the
+// registry (reused buffer): one pooled frame batch per live session on frame
 // boundaries and an End for every finished session.
 //
 //cocg:hot
@@ -400,15 +376,11 @@ func (s *Server) tickOnce() {
 		return
 	}
 	s.cluster.Tick()
-	s.tickBoundary = simclock.IsFrameBoundary(s.cluster.Clock.Now())
+	boundary := simclock.IsFrameBoundary(s.cluster.Clock.Now())
 	s.tickSnap = s.reg.snapshotInto(s.tickSnap[:0])
-	if s.cfg.Jobs <= 1 {
-		// Serial fast path: one flat walk, no fan-out closure, zero
-		// steady-state allocations per tick.
-		s.tickBody(0, 0, len(s.tickSnap))
-		return
+	for _, ls := range s.tickSnap {
+		s.emitSession(ls, boundary)
 	}
-	parallel.ForChunksOf(s.cfg.Jobs, len(s.tickSnap), tickChunk, s.tickBody)
 }
 
 // emitSession delivers one tick's worth of messages to one session: the End
@@ -416,7 +388,7 @@ func (s *Server) tickOnce() {
 // one pooled frame batch, pushed under the queue's backpressure policy.
 //
 //cocg:hot
-func (s *Server) emitSession(ls *liveSession) {
+func (s *Server) emitSession(ls *liveSession, boundary bool) {
 	if ls.ended {
 		return
 	}
@@ -438,7 +410,7 @@ func (s *Server) emitSession(ls *liveSession) {
 		putFramesEnv(displaced)
 		return
 	}
-	if !s.tickBoundary {
+	if !boundary {
 		return // stream one batch per detection frame
 	}
 	ls.seq++
