@@ -54,8 +54,9 @@ fmt:
 
 # fuzz-smoke runs every Fuzz* target in the tree for FUZZTIME each (go test
 # takes one fuzz target per invocation, so the recipe walks them): the wire
-# codec, StepBulk, the tick-equivalence fuzzers and lazyrand's stream against
-# math/rand, none of which any other recipe runs beyond their seed corpus.
+# codec, StepBulk, the tick-equivalence fuzzers, the scheduler's run merge and
+# one-division verdict, and lazyrand's stream against math/rand, none of which
+# any other recipe runs beyond their seed corpus.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	@grep -rl --include='*_test.go' --exclude-dir=.bench_build '^func Fuzz' . | xargs -n1 dirname | sort -u | while read pkg; do \
@@ -97,7 +98,8 @@ bench-pairs:
 	bash scripts/bench-pairs.sh $(PARENT) $(WORKLOAD) $(N)
 
 # bench-layers runs the per-layer micro-benchmarks once, with -benchmem, and
-# prints go test's own table: the placement scan and fleet summary, the
+# prints go test's own table: the placement scan, fleet summary and one
+# saturated fleet frame at 128 and 1024 servers, the
 # prediction and clustering kernels, the serving path (codec, registry, tick
 # walk), routing, the simulation core and model training, legacy twins
 # included, and the two shared kernels under all of them — vector folds and
@@ -108,5 +110,5 @@ bench-pairs:
 # history only.
 bench-layers:
 	$(GO) test -run '^$$' -benchmem \
-		-bench 'FleetPlacement|Evaluate|FleetLoad|ClusterLoadFullScan|Predict|KMeans|Forecast|WireFrameBatch|Registry|StreamTick|FleetRoute|ServerTick|(DTC|RF|GBDT)Fit|NewPlayerSession|SourceSeedAndDraw|VectorFold' \
+		-bench 'FleetPlacement|FleetFrame|Evaluate|FleetLoad|ClusterLoadFullScan|Predict|KMeans|Forecast|WireFrameBatch|Registry|StreamTick|FleetRoute|ServerTick|(DTC|RF|GBDT)Fit|NewPlayerSession|SourceSeedAndDraw|VectorFold' \
 		. ./internal/...

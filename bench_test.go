@@ -21,6 +21,7 @@ import (
 	"cocg/internal/parallel"
 	"cocg/internal/platform"
 	"cocg/internal/resources"
+	"cocg/internal/simclock"
 	"cocg/internal/workload"
 )
 
@@ -607,3 +608,79 @@ func BenchmarkFleetPlacement1k(b *testing.B) {
 	b.ReportMetric(float64(fleetServers), "servers")
 	b.ReportMetric(float64(picked)/float64(b.N), "placeable-frac")
 }
+
+// --- One saturated fleet frame ---
+//
+// What fleet-cocg (bench/cocgbench) pays per frame, without the end-to-end
+// harness: a fleet under the benchmark's own per-server arrival rate, run to
+// saturation, then one iteration = one RunEvented(FrameLen) with the frame's
+// arrivals plus the coordinator's FleetLoadInto poll. The two sizes carry the
+// same per-server load, so their ns/session-second differ only by what a
+// larger working set costs: the 128-server fleet's per-frame state sits in a
+// 2 MB L2, the 1024-server one's does not (docs/PERFORMANCE.md, "Memory-bound
+// at fleet scale").
+
+const (
+	fleetFrameRatePer1k = 3.6 // arrivals per virtual second per 1024 servers
+	fleetFrameWarm      = 180 // frames (15 virtual minutes) before measuring
+)
+
+// fleetFrame is a saturated fleet that advances one frame per call; it keeps
+// running across the harness's calls with growing b.N.
+type fleetFrame struct {
+	c      *platform.Cluster
+	stream *workload.MixStream
+	fs     platform.FleetSummarizer
+	load   platform.FleetLoad
+}
+
+var fleetFrames = map[int]*fleetFrame{}
+
+func fleetFrameFor(b *testing.B, servers int) *fleetFrame {
+	b.Helper()
+	if f := fleetFrames[servers]; f != nil {
+		return f
+	}
+	ctx := ctxForBench(b)
+	c := ctx.System.NewCluster(servers, core.PolicyCoCG)
+	c.StarveLimit = 5 * simclock.Minute
+	f := &fleetFrame{
+		c:      c,
+		stream: workload.NewMixStream(ctx.System.Generator(8), gamesim.AllGames(), fleetFrameRatePer1k*float64(servers)/1024, 12),
+		fs:     c.Policy.(platform.FleetSummarizer),
+	}
+	for i := 0; i < fleetFrameWarm; i++ {
+		f.frame(b)
+	}
+	if len(c.Pending) == 0 {
+		b.Fatalf("%d servers: the queue is empty after %d frames; the fleet is not saturated", servers, fleetFrameWarm)
+	}
+	fleetFrames[servers] = f
+	return f
+}
+
+// frame runs one frame and the poll after it, and returns the session-seconds
+// the frame simulated (sessions running at its end, FrameLen seconds each).
+func (f *fleetFrame) frame(b *testing.B) float64 {
+	sched := f.stream.Schedule(f.c.Clock.Now(), simclock.FrameLen)
+	if err := f.c.RunEvented(simclock.FrameLen, sched); err != nil {
+		b.Fatal(err)
+	}
+	f.fs.FleetLoadInto(f.c.Servers, &f.load)
+	return float64(f.c.RunningSessions()) * float64(simclock.FrameLen)
+}
+
+func benchFleetFrame(b *testing.B, servers int) {
+	f := fleetFrameFor(b, servers)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sessionSeconds float64
+	for i := 0; i < b.N; i++ {
+		sessionSeconds += f.frame(b)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/sessionSeconds, "ns/session-second")
+	b.ReportMetric(float64(servers), "servers")
+}
+
+func BenchmarkFleetFrame128(b *testing.B) { benchFleetFrame(b, 128) }
+func BenchmarkFleetFrame1k(b *testing.B)  { benchFleetFrame(b, 1024) }

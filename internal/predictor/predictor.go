@@ -80,7 +80,7 @@ type Predictor struct {
 	active  int
 	cfg     Config
 
-	det     *profiler.Detector
+	det     profiler.Detector
 	sampler telemetry.Sampler
 
 	hist      []dataset.StageObs
@@ -132,7 +132,7 @@ func New(p *profiler.Profile, models []mlmodels.Classifier, cfg Config) (*Predic
 		profile:      p,
 		models:       models,
 		cfg:          c,
-		det:          profiler.NewDetector(p),
+		det:          *profiler.NewDetector(p),
 		sampler:      *telemetry.NewSampler(c.SensorNoise, c.Seed),
 		predicted:    -1,
 		predictedFor: -1,

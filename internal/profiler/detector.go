@@ -2,7 +2,7 @@ package profiler
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"cocg/internal/resources"
 )
@@ -66,7 +66,9 @@ type Detector struct {
 	p         *Profile
 	inLoading bool
 	curStage  int
-	curSet    map[int]bool
+	// curSet is the set of clusters seen in the current stage, one bit per
+	// cluster ID (a profile has at most MaxClusters).
+	curSet uint64
 	// execFrames counts frames since the stage was entered. The first frame
 	// after loading straddles the phase boundary (its 5 seconds mix loading
 	// and execution), so identification is tentative until the second,
@@ -81,10 +83,7 @@ type Detector struct {
 // NewDetector returns a detector that believes the game starts in loading
 // (sessions always begin with initialization).
 func NewDetector(p *Profile) *Detector {
-	return &Detector{
-		p: p, inLoading: true, curStage: LoadingStageID,
-		curSet: map[int]bool{}, pendingCluster: -1,
-	}
+	return &Detector{p: p, inLoading: true, curStage: LoadingStageID, pendingCluster: -1}
 }
 
 // Current returns the detector's believed stage and whether it is loading.
@@ -99,10 +98,10 @@ func (d *Detector) ForceStage(id int) {
 	d.inLoading = id == LoadingStageID
 	d.execFrames = 2 // forced identification is authoritative, not tentative
 	d.pendingCluster = -1
-	d.curSet = map[int]bool{}
+	d.curSet = 0
 	if s, ok := d.p.Stage(id); ok && !s.Loading {
 		for _, c := range s.ClusterSet {
-			d.curSet[c] = true
+			d.curSet |= 1 << uint(c)
 		}
 	}
 }
@@ -111,13 +110,14 @@ func (d *Detector) ForceStage(id int) {
 // conclusion.
 func (d *Detector) Observe(frame resources.Vector) Event {
 	cl := d.p.ClassifyFrame(frame)
+	mask := uint64(1) << uint(cl)
 	if cl == d.p.LoadingClusterID {
 		if d.inLoading {
 			return Event{Kind: EventSame, StageID: LoadingStageID, Cluster: cl, Candidate: -1}
 		}
 		d.inLoading = true
 		d.curStage = LoadingStageID
-		d.curSet = map[int]bool{}
+		d.curSet = 0
 		return Event{Kind: EventLoadingEntered, StageID: LoadingStageID, Cluster: cl, Candidate: -1}
 	}
 
@@ -126,30 +126,31 @@ func (d *Detector) Observe(frame resources.Vector) Event {
 		// from the clusters it could belong to. The identification stays
 		// tentative for one frame because this frame straddles the boundary.
 		d.inLoading = false
-		d.curSet = map[int]bool{cl: true}
-		d.curStage = d.identify(cl)
+		d.curSet = mask
+		d.curStage = d.p.entry[cl]
 		d.execFrames = 1
 		return Event{Kind: EventStageEntered, StageID: d.curStage, Cluster: cl, Candidate: -1}
 	}
 
 	// Mid-execution frame.
 	d.execFrames++
-	if d.execFrames == 2 && !d.curSet[cl] {
+	seen := d.curSet&mask != 0
+	if d.execFrames == 2 && !seen {
 		// Second frame disagrees with the boundary-polluted first frame:
 		// re-identify from this pure frame.
-		d.curSet = map[int]bool{cl: true}
-		d.curStage = d.identify(cl)
+		d.curSet = mask
+		d.curStage = d.p.entry[cl]
 		d.pendingCluster = -1
 		return Event{Kind: EventRefined, StageID: d.curStage, Cluster: cl, Candidate: -1}
 	}
-	if d.curSet[cl] {
+	if seen {
 		d.pendingCluster = -1
 		return Event{Kind: EventSame, StageID: d.curStage, Cluster: cl, Candidate: -1}
 	}
 	cur, _ := d.p.Stage(d.curStage)
 	if inSet(cur.ClusterSet, cl) {
 		// A new-but-expected cluster of the current multi-cluster stage.
-		d.curSet[cl] = true
+		d.curSet |= mask
 		d.pendingCluster = -1
 		return Event{Kind: EventSame, StageID: d.curStage, Cluster: cl, Candidate: -1}
 	}
@@ -162,14 +163,13 @@ func (d *Detector) Observe(frame resources.Vector) Event {
 		return Event{Kind: EventSame, StageID: d.curStage, Cluster: cl, Candidate: -1}
 	}
 	d.pendingCluster = -1
-	union := make([]int, 0, len(d.curSet)+1)
-	for c := range d.curSet {
-		union = append(union, c)
+	// Walking the bits low to high lists the union in ascending order.
+	union := make([]int, 0, bits.OnesCount64(d.curSet)+1)
+	for set := d.curSet | mask; set != 0; set &= set - 1 {
+		union = append(union, bits.TrailingZeros64(set))
 	}
-	union = append(union, cl)
-	sort.Ints(union)
 	if id, ok := d.p.StageByClusters(union); ok {
-		d.curSet[cl] = true
+		d.curSet |= mask
 		d.curStage = id
 		return Event{Kind: EventRefined, StageID: id, Cluster: cl, Candidate: -1}
 	}
@@ -179,19 +179,6 @@ func (d *Detector) Observe(frame resources.Vector) Event {
 		candidate = ids[0]
 	}
 	return Event{Kind: EventMismatch, StageID: d.curStage, Cluster: cl, Candidate: candidate}
-}
-
-// identify picks the catalog stage a game most likely entered given its
-// first execution cluster: an exact single-cluster signature when one
-// exists, otherwise the most frequently observed containing stage.
-func (d *Detector) identify(cl int) int {
-	if id, ok := d.p.StageByClusters([]int{cl}); ok {
-		return id
-	}
-	if ids := d.p.CandidateStages(cl); len(ids) > 0 {
-		return ids[0]
-	}
-	return -1
 }
 
 func inSet(set []int, c int) bool {

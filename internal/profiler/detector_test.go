@@ -1,6 +1,8 @@
 package profiler
 
 import (
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"cocg/internal/gamesim"
@@ -157,7 +159,7 @@ func TestDetectorMismatchOnForeignCluster(t *testing.T) {
 	}
 	d.Observe(exec)
 	// Pretend the detector believes a stage whose set excludes execCl.
-	d.curSet = map[int]bool{}
+	d.curSet = 0
 	d.curStage = -1
 	ev := d.Observe(exec)
 	if ev.Kind == EventSame {
@@ -205,5 +207,46 @@ func TestDetectorInvariants(t *testing.T) {
 		if ev.Kind == EventMismatch && ev.Candidate >= p.NumStageTypes() {
 			t.Fatalf("candidate %d beyond catalog", ev.Candidate)
 		}
+	}
+}
+
+// TestEntryStageTable pins the precomputed entry table to the lookup it
+// replaced — the exact single-cluster signature, else the most observed
+// containing stage, else -1 — for built and for reloaded profiles, and Build's
+// refusal of more clusters than the detector's mask holds.
+func TestEntryStageTable(t *testing.T) {
+	for _, spec := range []*gamesim.GameSpec{gamesim.Contra(), gamesim.DevilMayCry(), gamesim.GenshinImpact()} {
+		built := buildFor(t, spec, 2)
+		blob, err := json.Marshal(built)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var loaded Profile
+		if err := json.Unmarshal(blob, &loaded); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []*Profile{built, &loaded} {
+			if len(p.entry) != len(p.Clusters.Centroids) {
+				t.Fatalf("%s: %d entries for %d clusters", spec.Name, len(p.entry), len(p.Clusters.Centroids))
+			}
+			for cl, got := range p.entry {
+				want := -1
+				if id, ok := p.StageByClusters([]int{cl}); ok {
+					want = id
+				} else if ids := p.CandidateStages(cl); len(ids) > 0 {
+					want = ids[0]
+				}
+				if got != want {
+					t.Errorf("%s cluster %d: entry stage %d, want %d", spec.Name, cl, got, want)
+				}
+			}
+		}
+	}
+	traces, err := gamesim.RecordCorpus(gamesim.Contra(), 2, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Build(traces, Config{K: MaxClusters + 1, Seed: 7}); err == nil || !strings.Contains(err.Error(), "at most 64") {
+		t.Errorf("Build with K = %d: err = %v, want one naming the limit of 64", MaxClusters+1, err)
 	}
 }

@@ -19,6 +19,11 @@ import (
 // LoadingStageID is the catalog ID reserved for the loading stage type.
 const LoadingStageID = 0
 
+// MaxClusters is the most frame clusters a profile may have: the online
+// detector keeps the clusters seen in a stage as one bit each of a uint64.
+// The paper's elbow sweep stops at 8.
+const MaxClusters = 64
+
 // ErrNoTraces is returned when a profile is built from no data.
 var ErrNoTraces = errors.New("profiler: no traces")
 
@@ -79,9 +84,12 @@ type Profile struct {
 
 	sigIndex map[string]int
 	minShare float64
-	// peak is PeakDemand's result, folded once when Build or UnmarshalJSON
-	// finishes the catalog, which is immutable afterwards.
-	peak resources.Vector
+	// peak is PeakDemand's result and entry[cl] the stage a game entering
+	// execution on cluster cl is identified as (see entryStage); both are
+	// derived once when Build or UnmarshalJSON finishes the catalog, which is
+	// immutable afterwards.
+	peak  resources.Vector
+	entry []int
 }
 
 // Config controls profile construction.
@@ -134,6 +142,9 @@ func Build(traces []*gamesim.Trace, cfg Config) (*Profile, error) {
 		}
 		k = cluster.Elbow(curve, 0.06)
 	}
+	if k > MaxClusters {
+		return nil, fmt.Errorf("profiler: %d frame clusters requested, at most %d are supported", k, MaxClusters)
+	}
 	res, err := cluster.KMeans(frames, cluster.Config{K: k, Seed: c.Seed, Workers: c.Workers})
 	if err != nil {
 		return nil, err
@@ -159,8 +170,31 @@ func Build(traces []*gamesim.Trace, cfg Config) (*Profile, error) {
 	}
 	p.prune()
 	p.recomputeStats(traces)
-	p.peak = p.catalogPeak()
+	p.finish()
 	return p, nil
+}
+
+// finish derives what the immutable catalog determines: the game's peak
+// demand and every cluster's entry stage.
+func (p *Profile) finish() {
+	p.peak = p.catalogPeak()
+	p.entry = make([]int, len(p.Clusters.Centroids))
+	for cl := range p.entry {
+		p.entry[cl] = p.entryStage(cl)
+	}
+}
+
+// entryStage picks the catalog stage a game most likely entered given its
+// first execution cluster: an exact single-cluster signature when one
+// exists, otherwise the most frequently observed containing stage.
+func (p *Profile) entryStage(cl int) int {
+	if id, ok := p.StageByClusters([]int{cl}); ok {
+		return id
+	}
+	if ids := p.CandidateStages(cl); len(ids) > 0 {
+		return ids[0]
+	}
+	return -1
 }
 
 // recomputeStats rebuilds each catalog stage's Mean and sustained Peak from

@@ -40,6 +40,9 @@ func (p *Profile) UnmarshalJSON(b []byte) error {
 	if len(d.Centroids) == 0 {
 		return fmt.Errorf("profiler: profile without centroids")
 	}
+	if len(d.Centroids) > MaxClusters {
+		return fmt.Errorf("profiler: profile has %d frame clusters, at most %d are supported", len(d.Centroids), MaxClusters)
+	}
 	if len(d.Catalog) == 0 || !d.Catalog[LoadingStageID].Loading {
 		return fmt.Errorf("profiler: profile catalog missing its loading stage")
 	}
@@ -65,6 +68,6 @@ func (p *Profile) UnmarshalJSON(b []byte) error {
 	if p.minShare <= 0 {
 		p.minShare = 0.34
 	}
-	p.peak = p.catalogPeak()
+	p.finish()
 	return nil
 }

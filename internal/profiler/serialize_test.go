@@ -2,6 +2,7 @@ package profiler
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"cocg/internal/gamesim"
@@ -66,5 +67,18 @@ func TestProfileJSONRejectsCorrupt(t *testing.T) {
 		if err := json.Unmarshal([]byte(doc), &p); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+	}
+	// The detector's cluster set is a 64-bit mask: one cluster more is refused
+	// with an error that names the limit, exactly MaxClusters loads.
+	many := func(n int) string {
+		return `{"game":"X","centroids":[` + strings.TrimSuffix(strings.Repeat("[1,2,3,4],", n), ",") +
+			`],"catalog":[{"ID":0,"Loading":true,"ClusterSet":[0]}]}`
+	}
+	var p Profile
+	if err := json.Unmarshal([]byte(many(MaxClusters+1)), &p); err == nil || !strings.Contains(err.Error(), "at most 64") {
+		t.Errorf("%d clusters: err = %v, want one naming the limit of 64", MaxClusters+1, err)
+	}
+	if err := json.Unmarshal([]byte(many(MaxClusters)), &p); err != nil {
+		t.Errorf("%d clusters refused: %v", MaxClusters, err)
 	}
 }

@@ -5,12 +5,14 @@
 // that stamp and folds the memos into the cluster summary in one pass in
 // server order. A poll costs one stamp comparison per server plus a refill
 // of every server whose stamp moved. A busy fleet dirties every hosting
-// server once per frame, so that refill — which reads the cached forecast
-// runs instead of forecasting again — is what a poll costs in practice; the
-// fold itself is a handful of additions per server and needs no structure of
-// its own. Because it accumulates in server order, its mean headroom carries
-// the bits of ClusterLoadFullScan's, and a rebuild from nothing
-// (FleetLoadFull) reproduces every field exactly.
+// server once per frame, so the memo is what a poll costs in practice, and it
+// is made where the data is hot: a refill whose predecessor's memo was read
+// computes the new one off the runs it has just forecast (refill), and a
+// policy nobody polls never computes any; only the first poll after a quiet
+// spell forecasts a second time. The fold itself is a handful of additions
+// per server and needs no structure of its own. Because it accumulates in
+// server order, its mean headroom carries the bits of ClusterLoadFullScan's,
+// and a rebuild from nothing (FleetLoadFull) reproduces every field exactly.
 package scheduler
 
 import (
@@ -51,51 +53,18 @@ func fracSum(runs []predictor.Segment, capacity resources.Vector) float64 {
 	return sum
 }
 
-// serverLoadMemo fills the cache's fleet-accounting memo — the server's
-// predicted headroom and per-game demand contributions — under the cache's
-// current stamp. refresh clears loadValid on every rebuild, so the memo is
-// recomputed lazily on the first summary after a change and the admission
-// path never pays for it. Headroom divides the summed timeline's per-dimension
-// peak (taken by mergeRuns as it builds the timeline) once: correctly rounded
-// division by a positive capacity is monotone, so max_t(x_t/c) == max_t(x_t)/c
-// exactly and the bits match ClusterLoadFullScan's divide-every-frame scan.
-func (c *CoCG) serverLoadMemo(cc *serverCache, srv *platform.Server) {
-	if cc.loadValid {
-		return
+// serverLoadMemo makes the cache's fleet-accounting memo — the server's
+// predicted headroom and per-game demand contributions — valid under the
+// cache's current stamp, and notes that a summary read it, so the next refill
+// computes the memo itself (refresh). When the refill that stamped the cache
+// did not — nothing had read the previous memo — the server is refilled once
+// more, memo included: the same pure function of the stamped state, so the
+// same aggregates, and only the first poll after a quiet spell pays for it.
+func (c *CoCG) serverLoadMemo(cc *serverCache, srv *platform.Server, es *EvalScratch) {
+	if !cc.loadValid {
+		c.refill(cc, srv, cc.stamp, es, true)
 	}
-	head := 1 - worstFrac(cc.peak, srv.Capacity)
-	if head < 0 {
-		head = 0
-	}
-	cc.headroom = head
-
-	g := len(c.games)
-	if cap(cc.gameDemand) < g {
-		cc.gameDemand = make([]float64, g)
-	}
-	cc.gameDemand = cc.gameDemand[:g]
-	clear(cc.gameDemand)
-	h := float64(cc.stamp.horizon)
-	start := 0
-	for i, hosted := range srv.Hosted {
-		runs := cc.runs[start:cc.runEnd[i]]
-		start = cc.runEnd[i]
-		gi, ctl := c.gameOf(hosted)
-		if gi < 0 {
-			continue
-		}
-		var sum float64
-		if ctl != nil {
-			sum = fracSum(runs, srv.Capacity)
-		} else {
-			// Foreign controller: the conservative flat timeline refresh
-			// uses — the session holds its current request for the whole
-			// horizon.
-			sum = worstFrac(hosted.Request, srv.Capacity) * h
-		}
-		cc.gameDemand[gi] += sum / h
-	}
-	cc.loadValid = true
+	cc.loadUsed = true
 }
 
 // FleetLoadInto implements platform.FleetSummarizer: the per-cluster summary
@@ -103,9 +72,9 @@ func (c *CoCG) serverLoadMemo(cc *serverCache, srv *platform.Server) {
 // Each server is refreshed (O(1) when its stamp has not moved; a membership
 // change, a completed frame, a drain flip or a horizon move rebuilds it, and
 // uncacheable servers rebuild every poll), its load memo is filled if the
-// refresh invalidated it, and the memo is added into out in server order. A
-// draining server contributes its sessions' demand — they still consume —
-// but no headroom. Out's GameDemand storage is reused across polls, Games
+// refresh did not already make it, and the memo is added into out in server
+// order. A draining server contributes its sessions' demand — they still
+// consume — but no headroom. Out's GameDemand storage is reused across polls, Games
 // aliases the policy's immutable sorted list, and the cache each server
 // position resolved to is remembered, so a poll over an unchanged fleet does
 // no map lookup and no heap allocation. Like Admit and Score this is a serial
@@ -125,7 +94,7 @@ func (c *CoCG) FleetLoadInto(servers []*platform.Server, out *platform.FleetLoad
 	for i, srv := range servers {
 		cc := c.byPos[i]
 		c.refresh(cc, srv, h, &c.scratch)
-		c.serverLoadMemo(cc, srv)
+		c.serverLoadMemo(cc, srv, &c.scratch)
 		for j, d := range cc.gameDemand {
 			demand[j] += d
 		}

@@ -146,11 +146,19 @@ func New(bundles []*predictor.Trained, cfg Config) *CoCG {
 
 // EvalScratch owns the reusable buffers one admission-evaluating goroutine
 // needs: the forecast scratch a cache refill generates each hosted game's
-// runs with and the cursors it merges them through. A zero value is ready to
-// use; a scratch must not be shared between concurrent evaluations.
+// runs with, the runs themselves and the cursors it merges them through. A
+// zero value is ready to use; a scratch must not be shared between concurrent
+// evaluations.
 type EvalScratch struct {
 	fc  predictor.ForecastScratch
 	cur []runCursor
+	// runs holds every hosted session's forecast as stage runs, back to back
+	// in hosted order; runEnd[i] is where hosted i's runs end. They live for
+	// one refill: the server total is merged from them, the fleet summary's
+	// per-game demand is read off them while they are hot, and the next
+	// server's refill overwrites them.
+	runs   []predictor.Segment
+	runEnd []int
 
 	// Two lookups remembered between evaluations, both re-checked by identity
 	// so they never change a result: the game index (-1: untrained) the
@@ -185,7 +193,9 @@ func stampOf(srv *platform.Server, h int) stamp {
 // Validity is stamped, never pushed: the cache is rebuilt whenever the
 // server's stamp disagrees with the one it was filled under. In a busy fleet
 // that is every frame — each hosted predictor completes one — so the refill
-// below, not the warm hit, is the steady state.
+// below, not the warm hit, is the steady state. The per-session runs the
+// total is merged from are not kept: they live in the caller's EvalScratch
+// for the length of one refill.
 type serverCache struct {
 	// srv is the server the cache describes (the key it is filed under).
 	srv *platform.Server
@@ -207,12 +217,6 @@ type serverCache struct {
 	// O(1) pre-filter; it may differ from the exact ordered sum by float
 	// rounding, which the pre-filter's slack absorbs.
 	sumPeaks resources.Vector
-	// runs holds every hosted session's forecast as stage runs, back to back
-	// in hosted order; runEnd[i] is where hosted i's runs end. Each session
-	// is forecast once per stamp: total is merged from these runs and the
-	// fleet summary reads them again for the per-game demand.
-	runs   []predictor.Segment
-	runEnd []int
 	// total is the hosted games' summed demand timeline as runs covering the
 	// horizon (see mergeRuns), and peak its per-dimension maximum.
 	total []predictor.Segment
@@ -233,12 +237,13 @@ type serverCache struct {
 	seen uint64
 
 	// Fleet-accounting memo (see accountant.go): the server's headroom and
-	// per-game demand contributions under the stamp above. loadValid is
-	// cleared on every rebuild — the admission path never pays for it;
-	// FleetLoadInto computes it lazily on the first summary after a change.
-	loadValid  bool
-	headroom   float64
-	gameDemand []float64
+	// per-game demand contributions under the stamp above, valid when
+	// loadValid. loadUsed records that a summary read the memo since the last
+	// refill: the next refill then computes it off the runs it has just
+	// forecast, and a policy nobody polls never pays for it.
+	loadValid, loadUsed bool
+	headroom            float64
+	gameDemand          []float64
 }
 
 // evalMemo is one memoized evaluate verdict.
@@ -321,25 +326,38 @@ func (c *CoCG) gameOf(hosted *platform.Hosted) (int, *Controller) {
 	return -1, ctl
 }
 
-// refresh brings srv's cache up to date, rebuilding the aggregates when the
-// server's stamp moved. The rebuild walks srv.Hosted once in order and
-// forecasts each session once, so every cached float is produced by the exact
-// operation sequence the uncached evaluate used.
+// refresh brings srv's cache up to date, refilling it when the server's stamp
+// moved — with the fleet-accounting memo if the last one was read.
 func (c *CoCG) refresh(cc *serverCache, srv *platform.Server, h int, es *EvalScratch) {
 	st := stampOf(srv, h)
 	if cc.cacheable && cc.stamp == st {
 		return
 	}
+	c.refill(cc, srv, st, es, cc.loadUsed)
+}
+
+// refill rebuilds the cache's aggregates under stamp st. It walks srv.Hosted
+// once in order and forecasts each session once, into the scratch, so every
+// cached float is produced by the exact operation sequence the uncached
+// evaluate used. With load set it also fills the fleet-accounting memo (see
+// accountant.go) — each session's demand share is read off its runs right
+// after they are forecast — and otherwise leaves it invalid.
+//
+//cocg:hot
+func (c *CoCG) refill(cc *serverCache, srv *platform.Server, st stamp, es *EvalScratch, load bool) {
+	h := st.horizon
 	cc.stamp = st
 	cc.cacheable = true
-	cc.loadValid = false
 	if cc.memo == nil {
-		cc.memo = make([]evalMemo, len(c.games))
+		cc.allocMemos(len(c.games))
 	}
 	clear(cc.memo)
+	if load {
+		clear(cc.gameDemand)
+	}
 	cc.hostedPeaks = cc.hostedPeaks[:0]
-	cc.runs = cc.runs[:0]
-	cc.runEnd = cc.runEnd[:0]
+	es.runs = es.runs[:0]
+	es.runEnd = es.runEnd[:0]
 	cc.hostedFloor = 0
 	cc.sumPeaks = resources.Zero
 	for _, hosted := range srv.Hosted {
@@ -359,20 +377,56 @@ func (c *CoCG) refresh(cc *serverCache, srv *platform.Server, h int, es *EvalScr
 		}
 		cc.hostedPeaks = append(cc.hostedPeaks, peak)
 		cc.sumPeaks = cc.sumPeaks.Add(peak)
+		start := len(es.runs)
 		if ctl != nil {
-			cc.runs = ctl.pr.AppendForecastRuns(cc.runs, h, &es.fc)
+			es.runs = ctl.pr.AppendForecastRuns(es.runs, h, &es.fc)
 		} else {
 			// Foreign controller: assume its game holds its current request
 			// forever (the conservative flat timeline).
-			cc.runs = append(cc.runs, predictor.Segment{Frames: h, Demand: hosted.Request})
+			es.runs = append(es.runs, predictor.Segment{Frames: h, Demand: hosted.Request})
 		}
-		cc.runEnd = append(cc.runEnd, len(cc.runs))
+		es.runEnd = append(es.runEnd, len(es.runs))
+		if load && gi >= 0 {
+			fh := float64(h)
+			var sum float64
+			if ctl != nil {
+				sum = fracSum(es.runs[start:], srv.Capacity)
+			} else {
+				// The flat timeline above, summed as one product.
+				sum = worstFrac(hosted.Request, srv.Capacity) * fh
+			}
+			cc.gameDemand[gi] += sum / fh
+		}
 	}
-	if cap(es.cur) < len(cc.runEnd) {
-		es.cur = make([]runCursor, len(cc.runEnd))
+	if cap(es.cur) < len(es.runEnd) {
+		es.growCursors(len(es.runEnd))
 	}
-	cc.total, cc.peak = mergeRuns(cc.total[:0], cc.runs, cc.runEnd, h, es.cur)
+	cc.total, cc.peak = mergeRuns(cc.total[:0], es.runs, es.runEnd, h, es.cur)
+	cc.loadValid, cc.loadUsed = load, false
+	if load {
+		// Headroom divides the summed timeline's per-dimension peak once:
+		// correctly rounded division by a positive capacity is monotone, so
+		// max_t(x_t/c) == max_t(x_t)/c exactly and the bits match
+		// ClusterLoadFullScan's divide-every-frame scan.
+		cc.headroom = 1 - worstFrac(cc.peak, srv.Capacity)
+		if cc.headroom < 0 {
+			cc.headroom = 0
+		}
+	}
 }
+
+// allocMemos and growCursors are refill's two allocations, both cold — once
+// per cache, once per new high-water session count — and kept out of line so
+// hotalloc does not charge them to the steady state.
+//
+//go:noinline
+func (cc *serverCache) allocMemos(games int) {
+	cc.memo = make([]evalMemo, games)
+	cc.gameDemand = make([]float64, games)
+}
+
+//go:noinline
+func (es *EvalScratch) growCursors(n int) { es.cur = make([]runCursor, n) }
 
 // runCursor is one session's place in mergeRuns: the run it is in, where its
 // runs end, and how many of that run's frames are still to be merged (none
@@ -615,41 +669,93 @@ func (c *CoCG) verdict(cc *serverCache, srv *platform.Server, g *gameEntry) (boo
 	if len(cand) > 0 && len(cand) < window {
 		window = len(cand)
 	}
-	// Run-major over the hosted timeline, frame order within and across runs:
-	// every frame's satisfaction is computed and summed exactly as a dense
-	// walk would, and the first frame below the floor still ends it.
+	satSum, ok := overlaySat(cc.total, cand, &candPeak, limit, window, satFloor, uniformLimit(limit))
+	if !ok {
+		return false, 0
+	}
+	meanSat := satSum / float64(window)
+	return meanSat >= c.cfg.MinMeanSat, meanSat
+}
+
+// overlaySat's one-division path names the four dimensions; the guard stops
+// compiling when resources.NumDims is not the 4 it unrolls.
+var _ [0]struct{} = [resources.NumDims - 4]struct{}{}
+
+// uniformLimit reports whether every dimension has the same positive limit —
+// a server whose capacity is the same in every dimension, the fleet's only
+// shape today — which is when a frame's satisfaction takes one division.
+func uniformLimit(limit resources.Vector) bool {
+	return limit[0] > 0 && limit == resources.Uniform(limit[0])
+}
+
+// overlaySat walks the first window frames of the hosted timeline total with
+// the candidate's curve cand laid over it (candPeak past the curve's end) and
+// returns the sum of the frames' predicted satisfaction under proportional
+// scaling, or false at the first frame below satFloor. It is run-major, frame
+// order within and across runs: every frame's satisfaction is computed and
+// summed exactly as a dense walk would.
+//
+// A frame's satisfaction is the least limit[d]/sum[d] over the dimensions
+// whose sum exceeds a positive limit, 1 when none does. With uniform set
+// (uniformLimit(limit) must hold) it is taken as L/max_d(sum[d]) instead: a
+// correctly rounded quotient is monotone in its divisor, so the least
+// quotient is the quotient by the greatest sum, bit for bit, for one division
+// in place of up to four.
+//
+//cocg:hot
+func overlaySat(total []predictor.Segment, cand []resources.Vector, candPeak *resources.Vector,
+	limit resources.Vector, window int, satFloor float64, uniform bool) (float64, bool) {
 	var satSum float64
 	t := 0
 	for i := 0; t < window; i++ {
 		// Both operands are read in place (an inlined Vector.Add still copies
 		// both, 64 bytes a frame — docs/PERFORMANCE.md, "Vector arithmetic");
 		// past the typical curve the candidate is assumed to hold its peak.
-		hosted, end := &cc.total[i].Demand, t+cc.total[i].Frames
+		hosted, end := &total[i].Demand, t+total[i].Frames
 		if end > window {
 			end = window
 		}
 		for ; t < end; t++ {
-			add := &candPeak
+			add := candPeak
 			if t < len(cand) {
 				add = &cand[t]
 			}
-			// Predicted satisfaction under proportional scaling at this moment.
 			sat := 1.0
-			for d := range hosted {
-				if sum := hosted[d] + add[d]; sum > limit[d] && sum > 0 {
-					if s := limit[d] / sum; s < sat {
-						sat = s
+			if uniform {
+				// worst starts at the limit, so only a sum above it (a NaN
+				// never is) can move it.
+				worst := limit[0]
+				if sum := hosted[0] + add[0]; sum > worst {
+					worst = sum
+				}
+				if sum := hosted[1] + add[1]; sum > worst {
+					worst = sum
+				}
+				if sum := hosted[2] + add[2]; sum > worst {
+					worst = sum
+				}
+				if sum := hosted[3] + add[3]; sum > worst {
+					worst = sum
+				}
+				if worst > limit[0] {
+					sat = limit[0] / worst
+				}
+			} else {
+				for d := range hosted {
+					if sum := hosted[d] + add[d]; sum > limit[d] && sum > 0 {
+						if s := limit[d] / sum; s < sat {
+							sat = s
+						}
 					}
 				}
 			}
 			if sat < satFloor {
-				return false, 0
+				return 0, false
 			}
 			satSum += sat
 		}
 	}
-	meanSat := satSum / float64(window)
-	return meanSat >= c.cfg.MinMeanSat, meanSat
+	return satSum, true
 }
 
 // ClusterLoadFullScan is the independent reference for FleetLoadInto's mean
