@@ -55,8 +55,10 @@ fmt:
 # fuzz-smoke runs every Fuzz* target in the tree for FUZZTIME each (go test
 # takes one fuzz target per invocation, so the recipe walks them): the wire
 # codec, StepBulk, the tick-equivalence fuzzers, the scheduler's run merge and
-# one-division verdict, and lazyrand's stream against math/rand, none of which
-# any other recipe runs beyond their seed corpus.
+# one-division verdict, lazyrand's stream against math/rand, the model loader
+# (FuzzLoadModel) and the tree trainer against its legacy oracle
+# (FuzzFitMatchesLegacy), none of which any other recipe runs beyond their
+# seed corpus.
 FUZZTIME ?= 5s
 fuzz-smoke:
 	@grep -rl --include='*_test.go' --exclude-dir=.bench_build '^func Fuzz' . | xargs -n1 dirname | sort -u | while read pkg; do \
@@ -101,9 +103,11 @@ bench-pairs:
 # prints go test's own table: the placement scan, fleet summary and one
 # saturated fleet frame at 128 and 1024 servers, the
 # prediction and clustering kernels, the serving path (codec, registry, tick
-# walk), routing, the simulation core and model training, legacy twins
-# included, and the two shared kernels under all of them — vector folds and
-# short-lived generator seeding. Nothing is recorded or compared —
+# walk), routing, the simulation core, and model training beside the legacy
+# trainer the tests keep as its oracle (*FitLegacy), and the two shared
+# kernels under all of them — vector folds and short-lived generator seeding.
+# Prediction is the per-call Predict alone: the pointer-walk and batch twins
+# are gone. Nothing is recorded or compared —
 # bench/cocgbench (bench-e2e above) is the judge of a performance claim; these
 # numbers say where inside a layer the time goes. BENCH_PR3.json …
 # BENCH_PR10.json are the per-layer records earlier PRs took and stay as

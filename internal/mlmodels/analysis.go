@@ -13,8 +13,7 @@ type ConfusionMatrix struct {
 	Counts  [][]int // Counts[true][pred]
 }
 
-// Confusion evaluates the classifier on the dataset and returns the matrix;
-// prediction goes through the batch path when the model has one.
+// Confusion evaluates the classifier on the dataset and returns the matrix.
 func Confusion(c Classifier, test *Dataset) (*ConfusionMatrix, error) {
 	if test.Len() == 0 {
 		return nil, ErrEmptyDataset

@@ -78,63 +78,6 @@ func BenchmarkDTCPredict(b *testing.B)  { fx := newBenchFixture(b); benchPredict
 func BenchmarkRFPredict(b *testing.B)   { fx := newBenchFixture(b); benchPredict(b, fx, fx.rf) }
 func BenchmarkGBDTPredict(b *testing.B) { fx := newBenchFixture(b); benchPredict(b, fx, fx.gb) }
 
-// benchPredictFn measures a raw prediction function (the pointer-walk
-// reference paths); comparing against the flat benchmarks above quantifies
-// what the contiguous layout buys on the same queries.
-func benchPredictFn(b *testing.B, fx *benchFixture, fn func(x []float64) int) {
-	b.Helper()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fn(fx.xs[i%len(fx.xs)])
-	}
-}
-
-func BenchmarkDTCPredictPointer(b *testing.B) {
-	fx := newBenchFixture(b)
-	benchPredictFn(b, fx, fx.dtc.predictPointer)
-}
-
-func BenchmarkRFPredictPointer(b *testing.B) {
-	fx := newBenchFixture(b)
-	benchPredictFn(b, fx, fx.rf.predictPointer)
-}
-
-func BenchmarkGBDTPredictPointer(b *testing.B) {
-	fx := newBenchFixture(b)
-	benchPredictFn(b, fx, fx.gb.predictPointer)
-}
-
-// benchPredictBatch measures PredictBatch over the full query matrix and
-// reports the amortized per-row cost as a custom metric.
-func benchPredictBatch(b *testing.B, fx *benchFixture, m BatchPredictor) {
-	b.Helper()
-	b.ReportAllocs()
-	out := make([]int, len(fx.xs))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := m.PredictBatch(fx.xs, out); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(fx.xs)), "ns/row")
-}
-
-func BenchmarkDTCPredictBatch(b *testing.B) {
-	fx := newBenchFixture(b)
-	benchPredictBatch(b, fx, fx.dtc)
-}
-
-func BenchmarkRFPredictBatch(b *testing.B) {
-	fx := newBenchFixture(b)
-	benchPredictBatch(b, fx, fx.rf)
-}
-
-func BenchmarkGBDTPredictBatch(b *testing.B) {
-	fx := newBenchFixture(b)
-	benchPredictBatch(b, fx, fx.gb)
-}
-
 // benchFitDataset is the training-benchmark corpus: the same feature/label
 // shape as benchDataset but 6000 transitions — the steady-state retraining
 // regime, where a habit's sample pool has accumulated a few dozen sessions
@@ -164,9 +107,9 @@ func benchFitDataset(b *testing.B) *Dataset {
 // benchFit measures steady-state training: the same model refits the same
 // dataset every iteration, so after the first fit the pre-sorted path runs
 // entirely in its reused arena — the online learner's retraining shape. The
-// legacy reference builders are benchmarked through the same harness (the
-// *FitLegacy variants below) and recorded as the baseline of BENCH_PR9.json
-// by `make bench-train`.
+// legacy builders — the tests' oracle — are benchmarked through the same
+// harness (the *FitLegacy variants below); BENCH_PR9.json recorded them as
+// its baseline.
 func benchFit(b *testing.B, fit func(*Dataset) error, ds *Dataset) {
 	b.Helper()
 	b.ReportAllocs()
@@ -183,7 +126,7 @@ func BenchmarkDTCFit(b *testing.B) {
 }
 
 func BenchmarkDTCFitLegacy(b *testing.B) {
-	benchFit(b, NewDecisionTree(TreeConfig{Seed: 1}).fitLegacy, benchFitDataset(b))
+	benchFit(b, legacy(NewDecisionTree(TreeConfig{Seed: 1})), benchFitDataset(b))
 }
 
 func BenchmarkRFFit(b *testing.B) {
@@ -191,7 +134,7 @@ func BenchmarkRFFit(b *testing.B) {
 }
 
 func BenchmarkRFFitLegacy(b *testing.B) {
-	benchFit(b, NewRandomForest(ForestConfig{NumTrees: 40, Seed: 1}).fitLegacy, benchFitDataset(b))
+	benchFit(b, legacy(NewRandomForest(ForestConfig{NumTrees: 40, Seed: 1})), benchFitDataset(b))
 }
 
 func BenchmarkGBDTFit(b *testing.B) {
@@ -199,5 +142,13 @@ func BenchmarkGBDTFit(b *testing.B) {
 }
 
 func BenchmarkGBDTFitLegacy(b *testing.B) {
-	benchFit(b, NewGBDT(GBDTConfig{NumRounds: 40, Seed: 1}).fitLegacy, benchFitDataset(b))
+	benchFit(b, legacy(NewGBDT(GBDTConfig{NumRounds: 40, Seed: 1})), benchFitDataset(b))
+}
+
+// legacy adapts a model's oracle trainer to benchFit.
+func legacy(m legacyFitter) func(*Dataset) error {
+	return func(ds *Dataset) error {
+		_, err := m.fitLegacy(ds)
+		return err
+	}
 }

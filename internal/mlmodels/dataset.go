@@ -112,17 +112,15 @@ func Evaluate(c Classifier, test *Dataset) (float64, error) {
 	return s.Evaluate(c, test)
 }
 
-// EvalScratch holds the reusable buffers of repeated evaluations (the batch
-// view of the samples and the prediction output), so scoring many models or
-// many splits in a loop does not re-allocate per call. The zero value is
-// ready to use; a scratch must not be shared between goroutines.
+// EvalScratch holds the reusable prediction output of repeated evaluations,
+// so scoring many models or many splits in a loop does not re-allocate per
+// call. The zero value is ready to use; a scratch must not be shared between
+// goroutines.
 type EvalScratch struct {
-	xs  [][]float64
 	out []int
 }
 
-// Evaluate scores the classifier on the test set, using its native batch
-// path when it has one. Results are identical to per-sample Predict calls.
+// Evaluate scores the classifier on the test set.
 func (s *EvalScratch) Evaluate(c Classifier, test *Dataset) (float64, error) {
 	if test.Len() == 0 {
 		return 0, ErrEmptyDataset
@@ -141,28 +139,14 @@ func (s *EvalScratch) Evaluate(c Classifier, test *Dataset) (float64, error) {
 }
 
 // Predict fills and returns the scratch's prediction buffer with c's label
-// for every sample, through PredictBatch when c implements BatchPredictor
-// and per-call Predict otherwise. The returned slice is valid until the next
-// use of the scratch.
+// for every sample. The returned slice is valid until the next use of the
+// scratch.
 func (s *EvalScratch) Predict(c Classifier, ds *Dataset) ([]int, error) {
 	n := ds.Len()
 	if cap(s.out) < n {
 		s.out = make([]int, n)
 	}
 	out := s.out[:n]
-	if bp, ok := c.(BatchPredictor); ok {
-		if cap(s.xs) < n {
-			s.xs = make([][]float64, n)
-		}
-		xs := s.xs[:n]
-		for i, smp := range ds.Samples {
-			xs[i] = smp.Features
-		}
-		if err := bp.PredictBatch(xs, out); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
 	for i, smp := range ds.Samples {
 		p, err := c.Predict(smp.Features)
 		if err != nil {
@@ -171,19 +155,4 @@ func (s *EvalScratch) Predict(c Classifier, ds *Dataset) ([]int, error) {
 		out[i] = p
 	}
 	return out, nil
-}
-
-// majorityLabel returns the most frequent label among idx rows of samples.
-func majorityLabel(samples []Sample, idx []int, numClasses int) int {
-	counts := make([]int, numClasses)
-	for _, i := range idx {
-		counts[samples[i].Label]++
-	}
-	best, bestN := 0, -1
-	for c, n := range counts {
-		if n > bestN {
-			best, bestN = c, n
-		}
-	}
-	return best
 }

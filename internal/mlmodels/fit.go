@@ -9,24 +9,26 @@ import (
 )
 
 // Pre-sorted exact-greedy tree training (XGBoost's exact mode, sklearn's
-// presort splitter). The legacy builders in tree.go rebuild and re-sort a
-// (value, payload) slice for every candidate feature at every node —
-// O(features · n log n) sorting per node and fresh count/index slices
-// throughout. This file replaces that with a column index sorted ONCE per
-// Fit: per feature, a []int32 row order sorted by (value, row id). Nodes
-// then own a contiguous segment [lo, hi) of every feature's order array;
+// presort splitter). The legacy builders (now the tests' oracle, in
+// legacy_test.go) rebuild and re-sort a (value, payload) slice for every
+// candidate feature at every node — O(features · n log n) sorting per node
+// and fresh count/index slices throughout. This file replaces that with a
+// column index sorted ONCE per Fit: per feature, a []int32 row order sorted
+// by (value, row id). Nodes then own a contiguous segment [lo, hi) of every feature's order array;
 // split scans are single linear passes with incremental Gini/MSE statistics,
 // and the chosen split is propagated by a stable in-place partition that
 // keeps both children contiguous and value-sorted — no re-sorting ever.
 //
-// All scratch lives in a reusable fitScratch arena (the PR 3 idiom), so
-// steady-state retraining — the online learner's recurring cost — allocates
-// only the result tree nodes. The scan kernels are annotated //cocg:hot and
-// gated by the hotalloc analyzer plus TestFitSteadyStateAllocationFree.
+// All scratch lives in a reusable fitScratch arena (the PR 3 idiom), and
+// nodes append straight into a scratch node buffer in the DFS preorder the
+// growth visits, so steady-state retraining — the online learner's recurring
+// cost — allocates only the result arena (TestRefitAllocsIndependentOfNodeCount).
+// The scan kernels are annotated //cocg:hot and gated by the hotalloc
+// analyzer plus TestFitSteadyStateAllocationFree.
 //
 // Exactness contract: the new trainer must produce byte-identical
-// serialized models to the legacy builders (fitLegacy) at every Workers
-// value. The load-bearing facts, proven by the golden suite in fit_test.go:
+// serialized models to the legacy builders (the tests' oracle) at every
+// Workers value. The load-bearing facts, proven by the golden suite in fit_test.go:
 //
 //   - RNG: candidateFeatures consumes the node RNG identically (one
 //     rng.Shuffle iff 0 < FeatureSubset < NumFeatures) and nodes visit in
@@ -39,7 +41,7 @@ import (
 //   - Regression: the MSE scan folds float targets in sorted order, so tie
 //     order IS observable. Both sides therefore share one defined total
 //     order — (value, then row position) — via the stable legacy sort (see
-//     mseVals in tree.go) and this file's column index.
+//     mseVals in legacy_test.go) and this file's column index.
 //   - Ties across candidates: per-feature minima merge in candidate order
 //     under strict <, which is exactly the legacy running argmin — earliest
 //     candidate (lowest feature index when all features are candidates)
@@ -130,10 +132,10 @@ type treeScratch struct {
 	// block at d*2*nclass+nclass.
 	cntStk []int
 
-	// oobFlat is a per-scratch flat-compile buffer: RF's out-of-bag pass
-	// walks each freshly grown tree for every held-out sample, and the
-	// contiguous arena walks ~2x faster than chasing heap tree nodes.
-	oobFlat []flatNode
+	// nodes is the buffer trees grow into, in preorder with offsets into
+	// nodes itself; it holds every tree this scratch grew in the current
+	// Fit (treeRef locates each) until publish copies them out.
+	nodes []flatNode
 
 	// Feature-scan fan-out state. The body closure and the Shuffle swap are
 	// built once per scratch — a closure per node would put an allocation on
@@ -168,6 +170,7 @@ func (ts *treeScratch) ensure(ci *colIndex, jobs, maxDepth int) {
 	}
 	ts.ci = ci
 	ts.jobs = jobs
+	ts.nodes = ts.nodes[:0]
 	n, nf, nc := ci.n, ci.nfeat, ci.nclass
 	// One slot of slack on cur and rows: beginBag's branchless compaction
 	// writes every source entry and advances the cursor only for in-bag
@@ -249,26 +252,27 @@ func (ts *treeScratch) beginBag() {
 	}
 }
 
-// growClass mirrors buildClassTree over the pre-sorted segment [lo, hi).
-// wTot is the node's total weight — exactly len(idx) in the legacy builder,
-// bootstrap duplicates included. Stop checks, RNG consumption, and the
-// left-before-right recursion all match the legacy builder, so the RNG
+// growClass mirrors buildClassTree over the pre-sorted segment [lo, hi),
+// appending the subtree to ts.nodes in preorder and returning its root
+// offset. wTot is the node's total weight — exactly len(idx) in the legacy
+// builder, bootstrap duplicates included. Stop checks, RNG consumption, and
+// the left-before-right recursion all match the legacy builder, so the RNG
 // stream — and with it the tree — is identical.
 // cnt is the node's weighted class counts when the parent already knows
 // them (nil only at the root, which tallies them from its rows).
-func (ts *treeScratch) growClass(cfg TreeConfig, rng *rand.Rand, lo, hi, wTot, d int, cnt []int) *treeNode {
+func (ts *treeScratch) growClass(cfg TreeConfig, rng *rand.Rand, lo, hi, wTot, d int, cnt []int) int32 {
 	if cnt == nil {
 		ts.countNode(lo, hi)
 	} else {
 		copy(ts.ncnt, cnt)
 	}
 	if d >= cfg.MaxDepth || wTot < cfg.MinSamplesSplit || ts.pureNode() {
-		return &treeNode{feature: -1, label: ts.majorityNode()}
+		return ts.leaf(ts.majorityNode(), 0)
 	}
 	feats := ts.candidateFeaturesInto(cfg.FeatureSubset, rng)
 	feat, c := ts.bestSplit(feats, lo, hi, float64(wTot), false)
 	if !c.ok {
-		return &treeNode{feature: -1, label: ts.majorityNode()}
+		return ts.leaf(ts.majorityNode(), 0)
 	}
 	var nLeft, wLeft int
 	if c.thr < c.nv {
@@ -288,7 +292,7 @@ func (ts *treeScratch) growClass(cfg TreeConfig, rng *rand.Rand, lo, hi, wTot, d
 		// recursive calls overwrite) stays valid through this leaf.
 		nLeft, wLeft = ts.markClass(feat, c.thr, lo, hi)
 		if nLeft == 0 || nLeft == hi-lo {
-			return &treeNode{feature: -1, label: ts.majorityNode()}
+			return ts.leaf(ts.majorityNode(), 0)
 		}
 	}
 	// A child that will stop immediately (depth cap, below MinSamplesSplit,
@@ -313,30 +317,32 @@ func (ts *treeScratch) growClass(cfg TreeConfig, rng *rand.Rand, lo, hi, wTot, d
 	for c2, n := range ts.ncnt {
 		childR[c2] = n - ts.lcnt[c2]
 	}
-	left := ts.growClass(cfg, rng, lo, lo+nLeft, wLeft, d+1, childL)
-	right := ts.growClass(cfg, rng, lo+nLeft, hi, wTot-wLeft, d+1, childR)
-	return &treeNode{feature: feat, threshold: c.thr, left: left, right: right}
+	idx := ts.split(feat, c.thr)
+	ts.growClass(cfg, rng, lo, lo+nLeft, wLeft, d+1, childL)
+	ts.nodes[idx].right = ts.growClass(cfg, rng, lo+nLeft, hi, wTot-wLeft, d+1, childR)
+	return idx
 }
 
-// growReg mirrors buildRegTree over the pre-sorted segment [lo, hi). leaf
-// folds the targets of ts.rows[lo:hi] in slice order; in every branch that
-// reaches it that order equals the legacy rows order (a degenerate
-// partition is the identity permutation), so the float fold matches.
+// growReg mirrors buildRegTree over the pre-sorted segment [lo, hi),
+// appending to ts.nodes like growClass. leaf folds the targets of
+// ts.rows[lo:hi] in slice order; in every branch that reaches it that order
+// equals the legacy rows order (a degenerate partition is the identity
+// permutation), so the float fold matches.
 func (ts *treeScratch) growReg(cfg TreeConfig, rng *rand.Rand, lo, hi, d int,
-	leaf func(rows []int32, tgt []float64) float64) *treeNode {
+	leaf func(rows []int32, tgt []float64) float64) int32 {
 
 	rows := ts.rows[lo:hi]
 	if d >= cfg.MaxDepth || hi-lo < cfg.MinSamplesSplit || ts.constTargets(rows) {
-		return &treeNode{feature: -1, value: leaf(rows, ts.tgt)}
+		return ts.leaf(0, leaf(rows, ts.tgt))
 	}
 	feats := ts.candidateFeaturesInto(cfg.FeatureSubset, rng)
 	feat, c := ts.bestSplit(feats, lo, hi, float64(hi-lo), true)
 	if !c.ok {
-		return &treeNode{feature: -1, value: leaf(rows, ts.tgt)}
+		return ts.leaf(0, leaf(rows, ts.tgt))
 	}
 	nLeft, leftConst, rightConst := ts.markReg(feat, c.thr, lo, hi)
 	if nLeft == 0 || nLeft == hi-lo {
-		return &treeNode{feature: -1, value: leaf(rows, ts.tgt)}
+		return ts.leaf(0, leaf(rows, ts.tgt))
 	}
 	// Terminal-child detection, mirroring growClass: GBDT's shallow trees
 	// make the deepest split level the widest, and its children are all
@@ -346,9 +352,24 @@ func (ts *treeScratch) growReg(cfg TreeConfig, rng *rand.Rand, lo, hi, d int,
 	leftTerm := childDeep || nLeft < cfg.MinSamplesSplit || leftConst
 	rightTerm := childDeep || (hi-lo)-nLeft < cfg.MinSamplesSplit || rightConst
 	ts.propagate(lo, hi, !leftTerm, !rightTerm, feat)
-	left := ts.growReg(cfg, rng, lo, lo+nLeft, d+1, leaf)
-	right := ts.growReg(cfg, rng, lo+nLeft, hi, d+1, leaf)
-	return &treeNode{feature: feat, threshold: c.thr, left: left, right: right}
+	idx := ts.split(feat, c.thr)
+	ts.growReg(cfg, rng, lo, lo+nLeft, d+1, leaf)
+	ts.nodes[idx].right = ts.growReg(cfg, rng, lo+nLeft, hi, d+1, leaf)
+	return idx
+}
+
+// leaf appends a leaf node and returns its offset.
+func (ts *treeScratch) leaf(label int, value float64) int32 {
+	ts.nodes = append(ts.nodes, flatNode{feature: -1, left: -1, right: -1, label: int32(label), param: value})
+	return int32(len(ts.nodes) - 1)
+}
+
+// split appends a split node whose left child — preorder — is the next node
+// appended; the caller sets right once the left subtree is in.
+func (ts *treeScratch) split(feat int, thr float64) int32 {
+	idx := int32(len(ts.nodes))
+	ts.nodes = append(ts.nodes, flatNode{feature: int32(feat), param: thr, left: idx + 1})
+	return idx
 }
 
 // countNode tallies weighted class counts for ts.rows[lo:hi] into ncnt.
@@ -496,7 +517,7 @@ func (ts *treeScratch) scanChunk(chunk, clo, chi int) {
 	}
 }
 
-// giniNZ is gini (tree.go) with zero-count classes skipped. Skipping class
+// giniNZ is gini (legacy_test.go) with zero-count classes skipped. Skipping class
 // c == 0 elides the exact no-op g -= (0/n)*(0/n) == g - 0, so the result is
 // bit-identical to the legacy fold while concentrated nodes — most nodes
 // below the first few levels — skip most of the float divisions, the

@@ -43,14 +43,15 @@ func goldenDatasets() map[string]*Dataset {
 	}
 }
 
-// mustMarshal serializes a fitted model through its MarshalJSON — the
-// pointer trees are the serialization source of truth, so byte equality
-// here means split-for-split, threshold-for-threshold identical models.
-func mustMarshal(t *testing.T, m Classifier) []byte {
+// mustMarshal serializes a fitted model (or an oracle) through its
+// MarshalJSON — every node is written, split, threshold and leaf payload, so
+// byte equality here means split-for-split, threshold-for-threshold
+// identical models.
+func mustMarshal(t testing.TB, m json.Marshaler) []byte {
 	t.Helper()
 	raw, err := json.Marshal(m)
 	if err != nil {
-		t.Fatalf("marshal %s: %v", m.Name(), err)
+		t.Fatalf("marshal %T: %v", m, err)
 	}
 	return raw
 }
@@ -70,8 +71,8 @@ func TestDTCFitMatchesLegacyGolden(t *testing.T) {
 	}
 	for name, ds := range goldenDatasets() {
 		for _, cfg := range cfgs {
-			ref := NewDecisionTree(cfg)
-			if err := ref.fitLegacy(ds); err != nil {
+			ref, err := NewDecisionTree(cfg).fitLegacy(ds)
+			if err != nil {
 				t.Fatalf("%s %+v: legacy fit: %v", name, cfg, err)
 			}
 			got := NewDecisionTree(cfg)
@@ -97,8 +98,8 @@ func TestRFFitMatchesLegacyGolden(t *testing.T) {
 	}
 	for name, ds := range goldenDatasets() {
 		for _, cfg := range cfgs {
-			ref := NewRandomForest(cfg)
-			if err := ref.fitLegacy(ds); err != nil {
+			ref, err := NewRandomForest(cfg).fitLegacy(ds)
+			if err != nil {
 				t.Fatalf("%s %+v: legacy fit: %v", name, cfg, err)
 			}
 			got := NewRandomForest(cfg)
@@ -108,8 +109,8 @@ func TestRFFitMatchesLegacyGolden(t *testing.T) {
 			if !bytes.Equal(mustMarshal(t, got), mustMarshal(t, ref)) {
 				t.Errorf("%s workers=%d: pre-sorted RF differs from legacy builder", name, cfg.Workers)
 			}
-			if got.OOBAccuracy() != ref.OOBAccuracy() {
-				t.Errorf("%s workers=%d: OOB %v != legacy %v", name, cfg.Workers, got.OOBAccuracy(), ref.OOBAccuracy())
+			if got.OOBAccuracy() != ref.oob {
+				t.Errorf("%s workers=%d: OOB %v != legacy %v", name, cfg.Workers, got.OOBAccuracy(), ref.oob)
 			}
 		}
 	}
@@ -128,8 +129,8 @@ func TestGBDTFitMatchesLegacyGolden(t *testing.T) {
 	}
 	for name, ds := range goldenDatasets() {
 		for _, cfg := range cfgs {
-			ref := NewGBDT(cfg)
-			if err := ref.fitLegacy(ds); err != nil {
+			ref, err := NewGBDT(cfg).fitLegacy(ds)
+			if err != nil {
 				t.Fatalf("%s %+v: legacy fit: %v", name, cfg, err)
 			}
 			got := NewGBDT(cfg)
@@ -245,5 +246,151 @@ func TestFitSteadyStateAllocationFree(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(50, regCycle); allocs != 0 {
 		t.Errorf("regression split cycle allocates %v/op, want 0", allocs)
+	}
+}
+
+// legacyFitter is a model with a legacy oracle (legacy_test.go).
+type legacyFitter interface {
+	Classifier
+	json.Marshaler
+	fitLegacy(ds *Dataset) (*oracle, error)
+}
+
+// fitBoth fits the legacy oracle and then m, with m's configuration, on ds.
+func fitBoth(t testing.TB, m legacyFitter, ds *Dataset) *oracle {
+	t.Helper()
+	ref, err := m.fitLegacy(ds)
+	if err == nil {
+		err = m.Fit(ds)
+	}
+	if err != nil {
+		t.Fatalf("%s: %v", m.Name(), err)
+	}
+	return ref
+}
+
+// FuzzFitMatchesLegacy runs random small datasets — any size, width and
+// class count, continuous or on a duplicate-heavy value grid — through Fit
+// and the legacy oracle for every kind, depth, FeatureSubset and Workers 1/8:
+// the JSON must be equal, RF's OOB estimate equal, and Predict equal to the
+// oracle's pointer walk on the training rows and on fresh queries.
+func FuzzFitMatchesLegacy(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(60), uint8(3), uint8(2), uint8(0), uint8(0), uint8(0), false)
+	f.Add(int64(2), uint8(1), uint8(40), uint8(5), uint8(3), uint8(3), uint8(0), uint8(2), true)
+	f.Add(int64(3), uint8(2), uint8(50), uint8(2), uint8(4), uint8(1), uint8(3), uint8(0), true)
+	f.Add(int64(4), uint8(0), uint8(7), uint8(1), uint8(0), uint8(2), uint8(8), uint8(1), false)
+	f.Add(int64(5), uint8(1), uint8(0), uint8(4), uint8(1), uint8(0), uint8(2), uint8(0), false)
+	f.Fuzz(func(t *testing.T, seed int64, kind, n, nfeat, nclass, grid, depth, subset uint8, wide bool) {
+		r := rand.New(rand.NewSource(seed))
+		nf, nc, g := 1+int(nfeat)%6, 1+int(nclass)%5, int(grid)%6
+		// grid 0 draws continuous values; otherwise every feature takes one
+		// of g+1 integers, so tie runs are long and cross class boundaries.
+		value := func() float64 {
+			if g == 0 {
+				return r.Float64()
+			}
+			return float64(r.Intn(g + 1))
+		}
+		samples := make([]Sample, 2+int(n)%80)
+		for i := range samples {
+			x := make([]float64, nf)
+			sum := 0.0
+			for d := range x {
+				x[d] = value()
+				sum += x[d] * float64(d%3)
+			}
+			label := int(sum*2) % nc
+			if r.Intn(4) == 0 {
+				label = r.Intn(nc)
+			}
+			samples[i] = Sample{Features: x, Label: label}
+		}
+		ds := &Dataset{Samples: samples, NumFeatures: nf, NumClasses: nc}
+		workers := 1
+		if wide {
+			workers = 8
+		}
+		tree := TreeConfig{Seed: seed, MaxDepth: int(depth) % 9, FeatureSubset: int(subset) % (nf + 1)}
+		var m legacyFitter
+		switch kind % 3 {
+		case 0:
+			tree.Workers = workers
+			m = NewDecisionTree(tree)
+		case 1:
+			m = NewRandomForest(ForestConfig{NumTrees: 6, Tree: tree, Seed: seed, Workers: workers})
+		default:
+			m = NewGBDT(GBDTConfig{NumRounds: 4, Tree: tree, Seed: seed, Workers: workers})
+		}
+		ref := fitBoth(t, m, ds)
+		if got, want := mustMarshal(t, m), mustMarshal(t, ref); !bytes.Equal(got, want) {
+			t.Fatalf("%s differs from the oracle:\n%s\n%s", m.Name(), got, want)
+		}
+		if rf, ok := m.(*RandomForest); ok && rf.OOBAccuracy() != ref.oob {
+			t.Fatalf("RF OOB %v, oracle %v", rf.OOBAccuracy(), ref.oob)
+		}
+		qs := queries(r, 40, nf)
+		for _, x := range qs {
+			for d := range x {
+				x[d] *= float64(g + 1)
+			}
+		}
+		for _, s := range samples {
+			qs = append(qs, s.Features)
+		}
+		for qi, x := range qs {
+			got, err := m.Predict(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := ref.predict(x); got != want {
+				t.Fatalf("%s query %d: Predict %d, oracle %d", m.Name(), qi, got, want)
+			}
+		}
+	})
+}
+
+// TestRefitAllocsIndependentOfNodeCount gates the arena: a refit allocates
+// its result arena once, not a heap object per node, so a dataset that grows
+// at least 4× the nodes costs a refit no more allocations. Both datasets
+// share rows and features; only the labels differ — a clean threshold on
+// feature 0, or noise.
+func TestRefitAllocsIndependentOfNodeCount(t *testing.T) {
+	labelled := func(noise bool) *Dataset {
+		r := rand.New(rand.NewSource(5))
+		ds := synthDataset(400, 5)
+		for i := range ds.Samples {
+			ds.Samples[i].Label = ds.Samples[i].Label % 2
+			if noise {
+				ds.Samples[i].Label = r.Intn(2)
+			}
+		}
+		ds.NumClasses = 2
+		return ds
+	}
+	few, many := labelled(false), labelled(true)
+	for _, mk := range []func() Classifier{
+		func() Classifier { return NewDecisionTree(TreeConfig{Seed: 1}) },
+		func() Classifier { return NewRandomForest(ForestConfig{NumTrees: 8, Seed: 1, Workers: 1}) },
+		func() Classifier { return NewGBDT(GBDTConfig{NumRounds: 6, Seed: 1, Workers: 1}) },
+	} {
+		refit := func(ds *Dataset) (allocs float64, nodes int) {
+			m := mk()
+			allocs = testing.AllocsPerRun(3, func() {
+				if err := m.Fit(ds); err != nil {
+					t.Fatal(err)
+				}
+			})
+			return allocs, shape(m)[1]
+		}
+		aFew, nFew := refit(few)
+		aMany, nMany := refit(many)
+		name := mk().Name()
+		t.Logf("%s: %d nodes %v allocs, %d nodes %v allocs", name, nFew, aFew, nMany, aMany)
+		if nMany < 4*nFew {
+			t.Fatalf("%s fixture: %d nodes against %d, want at least 4x", name, nMany, nFew)
+		}
+		if aMany > aFew {
+			t.Errorf("%s: a refit growing %d nodes allocates %v times, one growing %d allocates %v", name, nMany, aMany, nFew, aFew)
+		}
 	}
 }

@@ -1,25 +1,16 @@
 package mlmodels
 
-import "errors"
+// The tree arena: every fitted tree — grown by Fit, or decoded by
+// UnmarshalJSON — is a run of flatNodes in preorder inside one contiguous
+// []flatNode, and that is its only representation. The online loop calls
+// Predict once per stage boundary for every co-located session, so the walk
+// is a production hot path: preorder puts a split's left child in the next
+// record, so a root-to-leaf walk mostly stays inside a few cache lines, and
+// an ensemble's trees share one allocation.
 
-// Flat inference layout: after fitting, every tree ensemble compiles its
-// pointer-linked treeNodes into one contiguous []flatNode arena walked
-// iteratively at prediction time. The online loop calls Predict once per
-// stage boundary for every co-located session, so prediction is a production
-// hot path: a pointer tree costs one likely cache miss per level per tree,
-// while the arena packs nodes in preorder (a node's left child is always the
-// next element) so a root-to-leaf walk mostly stays inside a few cache lines.
-// Compilation changes only the memory layout — the walk performs exactly the
-// same comparisons in the same order as the pointer tree, so predictions are
-// byte-identical.
-
-// ErrShortOutput is returned by PredictBatch when the out slice cannot hold
-// one prediction per input row.
-var ErrShortOutput = errors.New("mlmodels: output slice shorter than input batch")
-
-// flatNode is one compiled tree node in the arena. Children are int32
-// offsets into the same arena; feature == -1 marks a leaf carrying either a
-// classification label or a regression value.
+// flatNode is one tree node in the arena. Children are int32 offsets into the
+// same arena; feature == -1 marks a leaf carrying either a classification
+// label or a regression value.
 type flatNode struct {
 	// param is the split threshold for interior nodes; for leaves it holds
 	// the regression payload (GBDT member trees) instead — the two roles
@@ -44,82 +35,8 @@ func (n *flatNode) leafValue() float64 { return n.param }
 // fall back to an allocation.
 const scratchClasses = 64
 
-// countNodes sizes an arena so compilation allocates exactly once.
-func countNodes(n *treeNode) int {
-	if n == nil {
-		return 0
-	}
-	return 1 + countNodes(n.left) + countNodes(n.right)
-}
-
-// appendFlat compiles the subtree rooted at n into the arena in preorder and
-// returns its root offset.
-func appendFlat(arena *[]flatNode, n *treeNode) int32 {
-	idx := int32(len(*arena))
-	param := n.threshold
-	if n.feature < 0 {
-		param = n.value
-	}
-	*arena = append(*arena, flatNode{
-		feature: int32(n.feature),
-		param:   param,
-		label:   int32(n.label),
-		left:    -1,
-		right:   -1,
-	})
-	if n.feature >= 0 {
-		l := appendFlat(arena, n.left)
-		r := appendFlat(arena, n.right)
-		(*arena)[idx].left = l
-		(*arena)[idx].right = r
-	}
-	return idx
-}
-
-// compileTree compiles one tree into its own arena.
-func compileTree(root *treeNode) []flatNode {
-	arena := make([]flatNode, 0, countNodes(root))
-	appendFlat(&arena, root)
-	return arena
-}
-
-// compileForest compiles a list of trees into one shared arena, returning
-// each tree's root offset.
-func compileForest(trees []*treeNode) ([]flatNode, []int32) {
-	total := 0
-	for _, t := range trees {
-		total += countNodes(t)
-	}
-	arena := make([]flatNode, 0, total)
-	roots := make([]int32, len(trees))
-	for i, t := range trees {
-		roots[i] = appendFlat(&arena, t)
-	}
-	return arena, roots
-}
-
-// compileRounds compiles GBDT's trees[round][class] grid into one arena.
-func compileRounds(rounds [][]*treeNode) ([]flatNode, [][]int32) {
-	total := 0
-	for _, round := range rounds {
-		for _, t := range round {
-			total += countNodes(t)
-		}
-	}
-	arena := make([]flatNode, 0, total)
-	roots := make([][]int32, len(rounds))
-	for r, round := range rounds {
-		roots[r] = make([]int32, len(round))
-		for c, t := range round {
-			roots[r][c] = appendFlat(&arena, t)
-		}
-	}
-	return arena, roots
-}
-
 // flatLeaf walks the tree rooted at offset root and returns the leaf x lands
-// in. The comparison (x[f] <= threshold goes left) matches the pointer walk
-// exactly.
+// in: x[feature] <= threshold goes left.
 func flatLeaf(arena []flatNode, root int32, x []float64) *flatNode {
 	n := &arena[root]
 	for n.feature >= 0 {
@@ -132,25 +49,53 @@ func flatLeaf(arena []flatNode, root int32, x []float64) *flatNode {
 	return n
 }
 
-// BatchPredictor is implemented by classifiers with a batch prediction path:
-// out[i] receives the prediction for xs[i]. Implementations keep all scratch
-// on the stack or in caller-provided buffers, so steady-state batch
-// prediction does zero allocation. Results are identical to calling Predict
-// per row.
-type BatchPredictor interface {
-	Classifier
-	// PredictBatch predicts every row of xs into out, which must be at
-	// least len(xs) long.
-	PredictBatch(xs [][]float64, out []int) error
+// treeEnd returns the offset one past the last node of the tree rooted at
+// root: in preorder that last node is the leaf at the end of the rightmost
+// path.
+func treeEnd(arena []flatNode, root int32) int32 {
+	for arena[root].feature >= 0 {
+		root = arena[root].right
+	}
+	return root + 1
 }
 
-// checkBatch validates the common PredictBatch preconditions.
-func checkBatch(fitted bool, xs [][]float64, out []int) error {
-	if !fitted {
-		return ErrNotFitted
+// treeDepth returns the depth of the subtree rooted at i (a leaf has depth 1).
+func treeDepth(arena []flatNode, i int32) int {
+	n := &arena[i]
+	if n.feature < 0 {
+		return 1
 	}
-	if len(out) < len(xs) {
-		return ErrShortOutput
+	return 1 + max(treeDepth(arena, n.left), treeDepth(arena, n.right))
+}
+
+// treeRef locates one freshly grown tree: the node span [lo, hi) it occupies
+// in the buffer of the scratch that grew it. Preorder puts the root first,
+// so lo is the offset growClass/growReg returned.
+type treeRef struct {
+	ts     *treeScratch
+	lo, hi int32
+}
+
+// publish concatenates the trees refs locate, in order, into one fresh arena
+// sized exactly, rebasing their child offsets, and returns it with each
+// tree's root offset. A published arena is never written again.
+func publish(refs []treeRef) ([]flatNode, []int32) {
+	total := 0
+	for _, r := range refs {
+		total += int(r.hi - r.lo)
 	}
-	return nil
+	arena := make([]flatNode, 0, total)
+	roots := make([]int32, len(refs))
+	for i, r := range refs {
+		roots[i] = int32(len(arena))
+		delta := roots[i] - r.lo
+		for _, n := range r.ts.nodes[r.lo:r.hi] {
+			if n.feature >= 0 {
+				n.left += delta
+				n.right += delta
+			}
+			arena = append(arena, n)
+		}
+	}
+	return arena, roots
 }

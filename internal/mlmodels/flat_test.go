@@ -45,9 +45,9 @@ func queries(r *rand.Rand, n, nfeat int) [][]float64 {
 	return out
 }
 
-// TestFlatMatchesPointer is the core compilation property: for every model
-// the flat-arena walk must return exactly the label the pointer-tree
-// reference walk returns, on every query, over many randomized datasets.
+// TestFlatMatchesPointer is the arena's core property: for every model the
+// arena walk must return exactly the label the legacy oracle's pointer walk
+// returns, on every query, over many randomized datasets.
 func TestFlatMatchesPointer(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		trial := trial
@@ -57,29 +57,19 @@ func TestFlatMatchesPointer(t *testing.T) {
 			nclass := 2 + r.Intn(6)
 			ds := randDataset(t, r, 150+r.Intn(300), nfeat, nclass)
 			qs := queries(r, 200, nfeat)
-
-			dtc := NewDecisionTree(TreeConfig{Seed: int64(trial)})
-			rf := NewRandomForest(ForestConfig{NumTrees: 12, Seed: int64(trial)})
-			gb := NewGBDT(GBDTConfig{NumRounds: 8, Seed: int64(trial)})
-			for _, m := range []Classifier{dtc, rf, gb} {
-				if err := m.Fit(ds); err != nil {
-					t.Fatal(err)
-				}
-			}
-			refs := map[string]func(x []float64) int{
-				"DTC":  dtc.predictPointer,
-				"RF":   rf.predictPointer,
-				"GBDT": gb.predictPointer,
-			}
-			for _, m := range []Classifier{dtc, rf, gb} {
-				ref := refs[m.Name()]
+			for _, m := range []legacyFitter{
+				NewDecisionTree(TreeConfig{Seed: int64(trial)}),
+				NewRandomForest(ForestConfig{NumTrees: 12, Seed: int64(trial)}),
+				NewGBDT(GBDTConfig{NumRounds: 8, Seed: int64(trial)}),
+			} {
+				ref := fitBoth(t, m, ds)
 				for qi, x := range qs {
 					got, err := m.Predict(x)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if want := ref(x); got != want {
-						t.Fatalf("%s query %d: flat predict %d, pointer predict %d", m.Name(), qi, got, want)
+					if want := ref.predict(x); got != want {
+						t.Fatalf("%s query %d: arena predict %d, pointer predict %d", m.Name(), qi, got, want)
 					}
 				}
 			}
@@ -87,64 +77,10 @@ func TestFlatMatchesPointer(t *testing.T) {
 	}
 }
 
-// TestPredictBatchMatchesPredict checks the batch path returns exactly the
-// per-call labels for every model that implements BatchPredictor.
-func TestPredictBatchMatchesPredict(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	nfeat, nclass := 6, 5
-	ds := randDataset(t, r, 400, nfeat, nclass)
-	qs := queries(r, 300, nfeat)
-
-	models := []Classifier{
-		NewDecisionTree(TreeConfig{Seed: 2}),
-		NewRandomForest(ForestConfig{NumTrees: 15, Seed: 2}),
-		NewGBDT(GBDTConfig{NumRounds: 10, Seed: 2}),
-		&Majority{},
-	}
-	for _, m := range models {
-		if err := m.Fit(ds); err != nil {
-			t.Fatalf("%s: %v", m.Name(), err)
-		}
-		bp, ok := m.(BatchPredictor)
-		if !ok {
-			t.Fatalf("%s does not implement BatchPredictor", m.Name())
-		}
-		out := make([]int, len(qs))
-		if err := bp.PredictBatch(qs, out); err != nil {
-			t.Fatalf("%s: %v", m.Name(), err)
-		}
-		for i, x := range qs {
-			want, err := m.Predict(x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if out[i] != want {
-				t.Fatalf("%s query %d: batch %d, per-call %d", m.Name(), i, out[i], want)
-			}
-		}
-	}
-}
-
-// TestPredictBatchShortOutput checks the batch path rejects an undersized
-// output slice instead of writing out of bounds.
-func TestPredictBatchShortOutput(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	ds := randDataset(t, r, 100, 4, 3)
-	m := NewDecisionTree(TreeConfig{Seed: 1})
-	if err := m.Fit(ds); err != nil {
-		t.Fatal(err)
-	}
-	qs := queries(r, 10, 4)
-	err := m.PredictBatch(qs, make([]int, 5))
-	if err == nil {
-		t.Fatal("PredictBatch accepted a short output slice")
-	}
-}
-
-// TestSerializeRebuildsFlat checks the JSON round-trip rebuilds the flat
-// arenas: a deserialized model must predict identically to the original on
-// fresh queries (the deserialized model's Predict runs on its recompiled
-// arena, so equality here proves the arena was rebuilt correctly).
+// TestSerializeRebuildsFlat checks the JSON round-trip rebuilds the arenas: a
+// deserialized model must predict identically to the original on fresh
+// queries (the deserialized model's Predict runs on its decoded arena, so
+// equality here proves the arena was rebuilt correctly).
 func TestSerializeRebuildsFlat(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	nfeat, nclass := 7, 4

@@ -31,11 +31,8 @@ func (c ForestConfig) withDefaults() ForestConfig {
 // RandomForest is the paper's RF predictor: bagged CART trees with random
 // feature subsets at every split, majority vote at prediction time.
 type RandomForest struct {
-	cfg ForestConfig
-	// trees holds the pointer trees (serialization source of truth);
-	// prediction walks the shared flat arena instead.
-	trees  []*treeNode
-	flat   []flatNode // all member trees compiled contiguously
+	cfg    ForestConfig
+	nodes  []flatNode // every member tree in preorder, back to back
 	roots  []int32    // arena offset of each member tree's root
 	nfeat  int
 	nclass int
@@ -70,9 +67,12 @@ func (f *RandomForest) Name() string { return "RF" }
 // Fit implements Classifier. Training runs on the pre-sorted column index
 // (fit.go): the dataset is indexed once, each bagged tree compacts the
 // shared index down to its bootstrap rows (multiplicities become per-row
-// weights), and tree workers draw reusable scratches from a free list. The
-// fitted forest — trees and OOB estimate — is byte-identical to the legacy
-// per-node-sorting builder (fitLegacy) at every worker count.
+// weights), and tree workers draw reusable scratches from a free list and
+// grow each tree into the scratch's node buffer, where its out-of-bag
+// predictions walk it; after the fan-out publish concatenates the trees in
+// tree order. The fitted forest — trees and OOB estimate — is byte-identical
+// to the legacy per-node-sorting builder (the tests' oracle) at every worker
+// count.
 func (f *RandomForest) Fit(ds *Dataset) error {
 	if ds == nil || ds.Len() == 0 {
 		return ErrEmptyDataset
@@ -105,7 +105,7 @@ func (f *RandomForest) Fit(ds *Dataset) error {
 		scratches = f.cfg.NumTrees
 	}
 	f.fit.prepare(ds, f.cfg.Workers, scratches, 1, treeCfg.MaxDepth)
-	f.trees = make([]*treeNode, f.cfg.NumTrees)
+	refs := make([]treeRef, f.cfg.NumTrees)
 	// oobPred[t][i] is tree t's prediction for sample i when the bootstrap
 	// missed it, or -1 when sample i was in tree t's bag.
 	oobPred := make([][]int32, f.cfg.NumTrees)
@@ -123,33 +123,34 @@ func (f *RandomForest) Fit(ds *Dataset) error {
 			w[treeRNG.Intn(n)]++
 		}
 		ts.beginBag()
-		tree := ts.growClass(treeCfg, treeRNG, 0, ts.m, n, 0, nil)
-		// OOB predictions read ts.w (the in-bag marks), so they run before
-		// the scratch goes back to the free list. The walk runs over a
-		// flat compile of the fresh tree (reusing the scratch's arena
-		// buffer) — same tree, same predictions, contiguous nodes.
-		ts.oobFlat = ts.oobFlat[:0]
-		appendFlat(&ts.oobFlat, tree)
+		root := ts.growClass(treeCfg, treeRNG, 0, ts.m, n, 0, nil)
+		// OOB predictions read ts.w (the in-bag marks) and walk the tree
+		// where it grew, so they run before the scratch goes back to the
+		// free list.
 		pred := make([]int32, n)
 		for i, s := range ds.Samples {
 			if ts.w[i] > 0 {
 				pred[i] = -1
 				continue
 			}
-			pred[i] = flatLeaf(ts.oobFlat, 0, s.Features).label
+			pred[i] = flatLeaf(ts.nodes, root, s.Features).label
 		}
+		refs[t] = treeRef{ts: ts, lo: root, hi: int32(len(ts.nodes))}
 		f.fit.free <- ts
-		f.trees[t] = tree
 		oobPred[t] = pred
 	})
-	f.finishFit(ds, oobPred)
+	f.nodes, f.roots = publish(refs)
+	f.oob = oobAccuracy(ds, oobPred)
+	f.nfeat = ds.NumFeatures
+	f.nclass = ds.NumClasses
+	f.fitted = true
 	return nil
 }
 
-// finishFit aggregates the per-tree OOB predictions into the forest's OOB
-// accuracy and compiles the flat inference arena — the tail both Fit and
-// fitLegacy share.
-func (f *RandomForest) finishFit(ds *Dataset, oobPred [][]int32) {
+// oobAccuracy aggregates the per-tree OOB predictions (-1 where the tree's
+// bag held the sample) into the forest's OOB accuracy, or -1 when no sample
+// was ever out of bag.
+func oobAccuracy(ds *Dataset, oobPred [][]int32) float64 {
 	n := ds.Len()
 	// oobVotes[i][c] counts class-c votes for sample i from trees that did
 	// not see it; integer accumulation, so merge order is irrelevant.
@@ -181,73 +182,15 @@ func (f *RandomForest) finishFit(ds *Dataset, oobPred [][]int32) {
 			correct++
 		}
 	}
-	if scored > 0 {
-		f.oob = float64(correct) / float64(scored)
-	} else {
-		f.oob = -1
+	if scored == 0 {
+		return -1
 	}
-	f.flat, f.roots = compileForest(f.trees)
-	f.nfeat = ds.NumFeatures
-	f.nclass = ds.NumClasses
-	f.fitted = true
+	return float64(correct) / float64(scored)
 }
 
-// fitLegacy is the pre-sorted trainer's reference implementation: the
-// original builder that re-sorts every feature at every node, retained for
-// the golden equivalence suite and the recorded before/after benchmarks.
-func (f *RandomForest) fitLegacy(ds *Dataset) error {
-	if ds == nil || ds.Len() == 0 {
-		return ErrEmptyDataset
-	}
-	rng := rand.New(rand.NewSource(f.cfg.Seed))
-	treeCfg := f.cfg.Tree
-	if treeCfg.FeatureSubset <= 0 {
-		treeCfg.FeatureSubset = int(math.Sqrt(float64(ds.NumFeatures)))
-		if treeCfg.FeatureSubset < 1 {
-			treeCfg.FeatureSubset = 1
-		}
-	}
-	n := ds.Len()
-	seeds := make([]int64, f.cfg.NumTrees)
-	for t := range seeds {
-		seeds[t] = rng.Int63()
-	}
-	f.trees = make([]*treeNode, f.cfg.NumTrees)
-	oobPred := make([][]int32, f.cfg.NumTrees)
-	parallel.For(f.cfg.Workers, f.cfg.NumTrees, func(t int) {
-		treeRNG := rand.New(lazyrand.NewSource(seeds[t]))
-		inBag := make([]bool, n)
-		idx := make([]int, n)
-		for i := range idx {
-			idx[i] = treeRNG.Intn(n)
-			inBag[idx[i]] = true
-		}
-		tree := buildClassTree(ds, idx, treeCfg, 0, treeRNG)
-		f.trees[t] = tree
-		pred := make([]int32, n)
-		for i, s := range ds.Samples {
-			if inBag[i] {
-				pred[i] = -1
-				continue
-			}
-			node := tree
-			for !node.isLeaf() {
-				if s.Features[node.feature] <= node.threshold {
-					node = node.left
-				} else {
-					node = node.right
-				}
-			}
-			pred[i] = int32(node.label)
-		}
-		oobPred[t] = pred
-	})
-	f.finishFit(ds, oobPred)
-	return nil
-}
-
-// Predict implements Classifier by majority vote over the trees. Votes
-// accumulate in a fixed stack buffer, so a call allocates nothing.
+// Predict implements Classifier by majority vote over the trees; ties break
+// toward the lower class ID. Votes accumulate in a fixed stack buffer, so a
+// call allocates nothing.
 func (f *RandomForest) Predict(x []float64) (int, error) {
 	if !f.fitted {
 		return 0, ErrNotFitted
@@ -256,73 +199,20 @@ func (f *RandomForest) Predict(x []float64) (int, error) {
 		return 0, ErrBadFeatureLen
 	}
 	var buf [scratchClasses]int
-	votes := voteScratch(buf[:], f.nclass)
+	votes := buf[:]
+	if f.nclass > len(buf) {
+		votes = make([]int, f.nclass)
+	}
+	votes = votes[:f.nclass]
 	return f.vote(x, votes), nil
 }
 
-// PredictBatch implements BatchPredictor: one vote buffer serves the whole
-// batch, so steady-state batch prediction does zero allocation.
-func (f *RandomForest) PredictBatch(xs [][]float64, out []int) error {
-	if err := checkBatch(f.fitted, xs, out); err != nil {
-		return err
-	}
-	var buf [scratchClasses]int
-	votes := voteScratch(buf[:], f.nclass)
-	for i, x := range xs {
-		if len(x) != f.nfeat {
-			return ErrBadFeatureLen
-		}
-		for c := range votes {
-			votes[c] = 0
-		}
-		out[i] = f.vote(x, votes)
-	}
-	return nil
-}
-
-// vote casts every member tree's flat-walk vote into votes (zeroed,
-// nclass-long) and returns the winning class; ties break toward the lower
-// class ID, exactly like the pointer-tree implementation did.
+// vote casts every member tree's vote into votes (zeroed, nclass-long) and
+// returns the winning class. It stays out of line: folded into Predict, the
+// walk measured 2–4 % slower (BenchmarkRFPredict, BenchmarkGBDTPredict).
 func (f *RandomForest) vote(x []float64, votes []int) int {
 	for _, r := range f.roots {
-		votes[flatLeaf(f.flat, r, x).label]++
-	}
-	best, bestN := 0, -1
-	for c, v := range votes {
-		if v > bestN {
-			best, bestN = c, v
-		}
-	}
-	return best
-}
-
-// voteScratch slices a zeroed n-class vote buffer out of buf, falling back
-// to an allocation for class counts beyond the stack scratch.
-func voteScratch(buf []int, n int) []int {
-	if n > len(buf) {
-		return make([]int, n)
-	}
-	votes := buf[:n]
-	for i := range votes {
-		votes[i] = 0
-	}
-	return votes
-}
-
-// predictPointer is the pre-compilation pointer walk, kept as the reference
-// implementation for the flat-vs-pointer property tests and benchmarks.
-func (f *RandomForest) predictPointer(x []float64) int {
-	votes := make([]int, f.nclass)
-	for _, t := range f.trees {
-		n := t
-		for !n.isLeaf() {
-			if x[n.feature] <= n.threshold {
-				n = n.left
-			} else {
-				n = n.right
-			}
-		}
-		votes[n.label]++
+		votes[flatLeaf(f.nodes, r, x).label]++
 	}
 	best, bestN := 0, -1
 	for c, v := range votes {
@@ -334,4 +224,4 @@ func (f *RandomForest) predictPointer(x []float64) int {
 }
 
 // NumTrees returns how many trees were trained.
-func (f *RandomForest) NumTrees() int { return len(f.trees) }
+func (f *RandomForest) NumTrees() int { return len(f.roots) }

@@ -42,12 +42,9 @@ func (c GBDTConfig) withDefaults() GBDTConfig {
 // class to the negative gradient (one-hot minus predicted probability) and
 // uses the standard Newton leaf value.
 type GBDT struct {
-	cfg GBDTConfig
-	// trees is the pointer-tree grid (serialization source of truth);
-	// prediction walks the shared flat arena instead.
-	trees  [][]*treeNode // trees[round][class]
-	flat   []flatNode    // every round's trees compiled contiguously
-	roots  [][]int32     // roots[round][class] arena offsets
+	cfg    GBDTConfig
+	nodes  []flatNode // every round's class trees in preorder, back to back
+	roots  [][]int32  // roots[round][class] arena offsets
 	nfeat  int
 	nclass int
 	prior  []float64 // initial log-odds per class
@@ -69,9 +66,11 @@ func (g *GBDT) Name() string { return "GBDT" }
 // Fit implements Classifier. Training runs on the pre-sorted column index
 // (fit.go): the dataset is indexed once for all rounds (residuals change
 // every round, feature order never does), class trees draw reusable
-// scratches from a free list, and each round's trees grow by linear scans.
-// The fitted model is byte-identical to the legacy per-node-sorting builder
-// (fitLegacy) at every worker count.
+// scratches from a free list, and each round's trees grow by linear scans
+// into their scratch's node buffer, where the round's score update walks
+// them; publish concatenates every round's trees once boosting ends. The
+// fitted model is byte-identical to the legacy per-node-sorting builder (the
+// tests' oracle) at every worker count.
 func (g *GBDT) Fit(ds *Dataset) error {
 	if ds == nil || ds.Len() == 0 {
 		return ErrEmptyDataset
@@ -80,7 +79,6 @@ func (g *GBDT) Fit(ds *Dataset) error {
 	k, scores := g.initBoost(ds)
 	rng := rand.New(rand.NewSource(g.cfg.Seed))
 
-	g.trees = make([][]*treeNode, 0, g.cfg.NumRounds)
 	kf := float64(k)
 	workers := g.cfg.Workers
 	// The per-class trees own the worker budget; each scans its features
@@ -117,6 +115,7 @@ func (g *GBDT) Fit(ds *Dataset) error {
 	for c := range residuals {
 		residuals[c] = make([]float64, n)
 	}
+	refs := make([]treeRef, g.cfg.NumRounds*k) // round-major, then class
 	for round := 0; round < g.cfg.NumRounds; round++ {
 		// Residuals for every class under the current model; each sample's
 		// row is independent, so the pass fans out over sample chunks.
@@ -140,26 +139,27 @@ func (g *GBDT) Fit(ds *Dataset) error {
 		for c := range seeds {
 			seeds[c] = rng.Int63()
 		}
-		roundTrees := make([]*treeNode, k)
+		roundRefs := refs[round*k : (round+1)*k]
 		parallel.For(workers, k, func(c int) {
 			classRNG := rand.New(lazyrand.NewSource(seeds[c]))
 			ts := <-g.fit.free
 			ts.beginFull()
 			copy(ts.tgt[:n], residuals[c])
-			roundTrees[c] = ts.growReg(treeCfg, classRNG, 0, n, 0, leaf)
+			root := ts.growReg(treeCfg, classRNG, 0, n, 0, leaf)
+			roundRefs[c] = treeRef{ts: ts, lo: root, hi: int32(len(ts.nodes))}
 			g.fit.free <- ts
 		})
 		// Update scores with the shrunken tree outputs.
 		parallel.ForChunks(workers, n, func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
-				for c := 0; c < k; c++ {
-					scores[i][c] += g.cfg.LearningRate * predictReg(roundTrees[c], ds.Samples[i].Features)
+				for c, r := range roundRefs {
+					scores[i][c] += g.cfg.LearningRate * flatLeaf(r.ts.nodes, r.lo, ds.Samples[i].Features).leafValue()
 				}
 			}
 		})
-		g.trees = append(g.trees, roundTrees)
 	}
-	g.flat, g.roots = compileRounds(g.trees)
+	nodes, roots := publish(refs)
+	g.nodes, g.roots = nodes, byRound(roots, k)
 	g.nfeat = ds.NumFeatures
 	g.nclass = k
 	g.fitted = true
@@ -167,7 +167,7 @@ func (g *GBDT) Fit(ds *Dataset) error {
 }
 
 // initBoost computes the Laplace-smoothed log priors and the per-sample
-// score matrix both builders start from.
+// score matrix both builders (Fit and the tests' oracle) start from.
 func (g *GBDT) initBoost(ds *Dataset) (k int, scores [][]float64) {
 	n := ds.Len()
 	k = ds.NumClasses
@@ -192,81 +192,13 @@ func (g *GBDT) initBoost(ds *Dataset) (k int, scores [][]float64) {
 	return k, scores
 }
 
-// fitLegacy is the pre-sorted trainer's reference implementation: the
-// original builder that re-sorts every feature at every node and round,
-// retained for the golden equivalence suite and the recorded before/after
-// benchmarks.
-func (g *GBDT) fitLegacy(ds *Dataset) error {
-	if ds == nil || ds.Len() == 0 {
-		return ErrEmptyDataset
-	}
-	n := ds.Len()
-	k, scores := g.initBoost(ds)
-	rng := rand.New(rand.NewSource(g.cfg.Seed))
-
-	g.trees = make([][]*treeNode, 0, g.cfg.NumRounds)
-	kf := float64(k)
-	workers := g.cfg.Workers
-	leaf := func(rows []regTarget) float64 {
-		var num, den float64
-		for _, r := range rows {
-			num += r.target
-			a := math.Abs(r.target)
-			den += a * (1 - a)
-		}
-		if den < 1e-12 {
-			return 0
-		}
-		return (kf - 1) / kf * num / den
-	}
-	residuals := make([][]regTarget, k)
-	for c := range residuals {
-		residuals[c] = make([]regTarget, n)
-	}
-	for round := 0; round < g.cfg.NumRounds; round++ {
-		parallel.ForChunks(workers, n, func(_, lo, hi int) {
-			probs := make([]float64, k)
-			for i := lo; i < hi; i++ {
-				softmaxInto(scores[i], probs)
-				for c := 0; c < k; c++ {
-					y := 0.0
-					if ds.Samples[i].Label == c {
-						y = 1.0
-					}
-					residuals[c][i] = regTarget{idx: i, target: y - probs[c]}
-				}
-			}
-		})
-		seeds := make([]int64, k)
-		for c := range seeds {
-			seeds[c] = rng.Int63()
-		}
-		roundTrees := make([]*treeNode, k)
-		parallel.For(workers, k, func(c int) {
-			classRNG := rand.New(lazyrand.NewSource(seeds[c]))
-			roundTrees[c] = buildRegTree(ds, residuals[c], g.cfg.Tree, 0, classRNG, leaf)
-		})
-		parallel.ForChunks(workers, n, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				for c := 0; c < k; c++ {
-					scores[i][c] += g.cfg.LearningRate * predictReg(roundTrees[c], ds.Samples[i].Features)
-				}
-			}
-		})
-		g.trees = append(g.trees, roundTrees)
-	}
-	g.flat, g.roots = compileRounds(g.trees)
-	g.nfeat = ds.NumFeatures
-	g.nclass = k
-	g.fitted = true
-	return nil
-}
-
 // Predict implements Classifier. Score accumulators live in a fixed stack
-// buffer and the trees are walked in the compiled arena, so a call allocates
-// nothing. Accumulation order (round-major, then class) matches the
-// pointer-tree implementation exactly, keeping the floating-point scores —
-// and therefore the argmax — byte-identical.
+// buffer and the trees are walked in the arena, so a call allocates nothing.
+// Accumulation order is round-major, then class — the order the legacy
+// builder's model used — so the floating-point scores, and the argmax, are
+// byte-identical to it.
+//
+//cocg:hot
 func (g *GBDT) Predict(x []float64) (int, error) {
 	if !g.fitted {
 		return 0, ErrNotFitted
@@ -275,36 +207,22 @@ func (g *GBDT) Predict(x []float64) (int, error) {
 		return 0, ErrBadFeatureLen
 	}
 	var buf [scratchClasses]float64
-	scores := scoreScratch(buf[:], g.nclass)
+	scores := buf[:]
+	if g.nclass > len(buf) {
+		scores = make([]float64, g.nclass) //cocg:lint-ignore hotalloc grow path; only runs when nclass exceeds the stack scratch
+	}
+	scores = scores[:g.nclass]
 	return g.score(x, scores), nil
 }
 
-// PredictBatch implements BatchPredictor: one score buffer serves the whole
-// batch, so steady-state batch prediction does zero allocation.
-//
-//cocg:hot
-func (g *GBDT) PredictBatch(xs [][]float64, out []int) error {
-	if err := checkBatch(g.fitted, xs, out); err != nil {
-		return err
-	}
-	var buf [scratchClasses]float64
-	scores := scoreScratch(buf[:], g.nclass) //cocg:lint-ignore hotalloc grow path; the inlined make only runs when nclass exceeds the stack scratch
-	for i, x := range xs {
-		if len(x) != g.nfeat {
-			return ErrBadFeatureLen
-		}
-		out[i] = g.score(x, scores)
-	}
-	return nil
-}
-
 // score accumulates every round's shrunken tree outputs into scores
-// (nclass-long scratch, overwritten) and returns the argmax class.
+// (nclass-long scratch, overwritten) and returns the argmax class; out of
+// line for the reason RandomForest.vote is.
 func (g *GBDT) score(x []float64, scores []float64) int {
 	copy(scores, g.prior)
 	for _, round := range g.roots {
 		for c, r := range round {
-			scores[c] += g.cfg.LearningRate * flatLeaf(g.flat, r, x).leafValue()
+			scores[c] += g.cfg.LearningRate * flatLeaf(g.nodes, r, x).leafValue()
 		}
 	}
 	best, bestS := 0, math.Inf(-1)
@@ -316,36 +234,17 @@ func (g *GBDT) score(x []float64, scores []float64) int {
 	return best
 }
 
-// scoreScratch slices an n-class score buffer out of buf, falling back to an
-// allocation for class counts beyond the stack scratch.
-func scoreScratch(buf []float64, n int) []float64 {
-	if n > len(buf) {
-		return make([]float64, n)
+// byRound views round-major root offsets as roots[round][class].
+func byRound(roots []int32, k int) [][]int32 {
+	out := make([][]int32, len(roots)/k)
+	for r := range out {
+		out[r] = roots[r*k : (r+1)*k]
 	}
-	return buf[:n]
-}
-
-// predictPointer is the pre-compilation pointer walk, kept as the reference
-// implementation for the flat-vs-pointer property tests and benchmarks.
-func (g *GBDT) predictPointer(x []float64) int {
-	scores := make([]float64, g.nclass)
-	copy(scores, g.prior)
-	for _, round := range g.trees {
-		for c, t := range round {
-			scores[c] += g.cfg.LearningRate * predictReg(t, x)
-		}
-	}
-	best, bestS := 0, math.Inf(-1)
-	for c, s := range scores {
-		if s > bestS {
-			best, bestS = c, s
-		}
-	}
-	return best
+	return out
 }
 
 // Rounds returns how many boosting rounds were trained.
-func (g *GBDT) Rounds() int { return len(g.trees) }
+func (g *GBDT) Rounds() int { return len(g.roots) }
 
 // softmaxInto writes softmax(scores) into out (same length), using the
 // max-subtraction trick for numerical stability.

@@ -45,17 +45,3 @@ func (m *Majority) Predict(x []float64) (int, error) {
 	}
 	return m.label, nil
 }
-
-// PredictBatch implements BatchPredictor.
-func (m *Majority) PredictBatch(xs [][]float64, out []int) error {
-	if err := checkBatch(m.fitted, xs, out); err != nil {
-		return err
-	}
-	for i, x := range xs {
-		if len(x) != m.nfeat {
-			return ErrBadFeatureLen
-		}
-		out[i] = m.label
-	}
-	return nil
-}

@@ -3,14 +3,16 @@ package mlmodels
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 )
 
-// Tree serialization: nodes flatten into an index-linked array so the three
-// model types round-trip through JSON. A fitted model saved once serves
+// Tree serialization: each tree is written as its own index-linked node
+// array, in the arena's preorder with tree-relative child indices, so the
+// three model types round-trip through JSON. A fitted model saved once serves
 // every future session — the paper's "contention feature profiling and model
 // training only need to be performed once".
 
-// nodeDTO is one flattened tree node; children reference array indices, -1
+// nodeDTO is one serialized tree node; children reference array indices, -1
 // meaning none.
 type nodeDTO struct {
 	Feature   int     `json:"f"`
@@ -21,84 +23,94 @@ type nodeDTO struct {
 	Value     float64 `json:"v,omitempty"`
 }
 
-// flatten appends the subtree rooted at n and returns its index.
-func flatten(n *treeNode, out *[]nodeDTO) int {
-	if n == nil {
-		return -1
-	}
-	idx := len(*out)
-	*out = append(*out, nodeDTO{}) // reserve
-	dto := nodeDTO{
-		Feature:   n.feature,
-		Threshold: n.threshold,
-		Label:     n.label,
-		Value:     n.value,
-		Left:      -1,
-		Right:     -1,
-	}
-	dto.Left = flatten(n.left, out)
-	dto.Right = flatten(n.right, out)
-	(*out)[idx] = dto
-	return idx
-}
-
-// unflatten rebuilds the subtree at index i and returns the index after its
-// last node. flatten writes preorder, so a left child sits right after its
-// parent and a right child right after the left subtree; a file that says
-// otherwise (a cycle, a back-edge, a shared or out-of-range node) is refused
-// instead of followed — a cycle would recurse until the stack overflows.
-func unflatten(nodes []nodeDTO, i int) (*treeNode, int, error) {
-	if i < 0 || i >= len(nodes) {
-		return nil, 0, fmt.Errorf("mlmodels: node index %d out of range", i)
-	}
-	d := nodes[i]
-	n := &treeNode{
-		feature:   d.Feature,
-		threshold: d.Threshold,
-		label:     d.Label,
-		value:     d.Value,
-	}
-	next := i + 1
-	child := func(idx int) (c *treeNode, err error) {
-		if idx == -1 {
-			return nil, nil
-		}
-		if idx != next {
-			return nil, fmt.Errorf("mlmodels: node %d has child %d, preorder puts it at %d", i, idx, next)
-		}
-		c, next, err = unflatten(nodes, idx)
-		return c, err
-	}
-	var err error
-	if n.left, err = child(d.Left); err != nil {
-		return nil, 0, err
-	}
-	if n.right, err = child(d.Right); err != nil {
-		return nil, 0, err
-	}
-	if !n.isLeaf() && (n.left == nil || n.right == nil) {
-		return nil, 0, fmt.Errorf("mlmodels: split node %d missing children", i)
-	}
-	return n, next, nil
-}
-
 // treeDTO serializes one tree.
 type treeDTO struct {
 	Nodes []nodeDTO `json:"nodes"`
 }
 
-func toTreeDTO(root *treeNode) treeDTO {
-	var nodes []nodeDTO
-	flatten(root, &nodes)
+// maxClasses bounds a loaded forest's class count: the trainer packs labels
+// into 16 bits (treeScratch.wlab), so no fitted model has more, and Predict
+// sizes its vote buffer by it.
+const maxClasses = 1 << 16
+
+// encodeTree serializes the tree rooted at root.
+func encodeTree(arena []flatNode, root int32) treeDTO {
+	src := arena[root:treeEnd(arena, root)]
+	nodes := make([]nodeDTO, len(src))
+	for i, n := range src {
+		d := nodeDTO{Feature: int(n.feature), Label: int(n.label), Left: -1, Right: -1}
+		if n.feature < 0 {
+			d.Value = n.param
+		} else {
+			d.Threshold = n.param
+			d.Left, d.Right = int(n.left-root), int(n.right-root)
+		}
+		nodes[i] = d
+	}
 	return treeDTO{Nodes: nodes}
 }
 
-func fromTreeDTO(d treeDTO) (*treeNode, error) {
-	if len(d.Nodes) == 0 {
-		return nil, fmt.Errorf("mlmodels: empty tree")
+// decodeTrees lays serialized trees out back to back in one fresh arena and
+// returns each tree's root offset. The writer emits preorder — a split's left
+// child is the next node, its right child the node after the left subtree —
+// so a tree that says otherwise (a cycle, a back-edge, a shared, dangling or
+// missing child, a trailing node) is refused instead of followed, as is any
+// node Predict could not walk: a feature outside [0, nfeat) on a split or
+// below -1, or a label outside [0, nclass).
+func decodeTrees(trees []treeDTO, nfeat, nclass int) ([]flatNode, []int32, error) {
+	if nfeat < 0 || nfeat > math.MaxInt32 {
+		return nil, nil, fmt.Errorf("mlmodels: %d features", nfeat)
 	}
-	root, _, err := unflatten(d.Nodes, 0)
-	return root, err
+	total := 0
+	for _, t := range trees {
+		total += len(t.Nodes)
+	}
+	arena := make([]flatNode, 0, total)
+	roots := make([]int32, len(trees))
+	var open []int // splits whose right child is still to come
+	for ti, t := range trees {
+		if len(t.Nodes) == 0 {
+			return nil, nil, fmt.Errorf("mlmodels: empty tree")
+		}
+		base := len(arena)
+		roots[ti] = int32(base)
+		open = open[:0]
+		for i, d := range t.Nodes {
+			if i > 0 && t.Nodes[i-1].Feature < 0 {
+				// A leaf closed a left subtree: node i is the right child
+				// of the innermost split still open.
+				if len(open) == 0 {
+					return nil, nil, fmt.Errorf("mlmodels: node %d trails a complete tree", i)
+				}
+				p := open[len(open)-1]
+				open = open[:len(open)-1]
+				if t.Nodes[p].Right != i {
+					return nil, nil, fmt.Errorf("mlmodels: node %d has child %d, preorder puts it at %d", p, t.Nodes[p].Right, i)
+				}
+				arena[base+p].right = int32(base + i)
+			}
+			switch {
+			case d.Feature < -1 || d.Feature >= nfeat:
+				return nil, nil, fmt.Errorf("mlmodels: node %d splits on feature %d of %d", i, d.Feature, nfeat)
+			case d.Label < 0 || d.Label >= nclass:
+				return nil, nil, fmt.Errorf("mlmodels: node %d has label %d outside [0, %d)", i, d.Label, nclass)
+			case d.Feature >= 0 && d.Left != i+1:
+				return nil, nil, fmt.Errorf("mlmodels: node %d has child %d, preorder puts it at %d", i, d.Left, i+1)
+			case d.Feature < 0 && (d.Left != -1 || d.Right != -1):
+				return nil, nil, fmt.Errorf("mlmodels: leaf node %d has children", i)
+			}
+			n := flatNode{feature: int32(d.Feature), param: d.Value, left: -1, right: -1, label: int32(d.Label)}
+			if d.Feature >= 0 {
+				n.param, n.left = d.Threshold, int32(base+i+1)
+				open = append(open, i)
+			}
+			arena = append(arena, n)
+		}
+		if len(open) > 0 {
+			return nil, nil, fmt.Errorf("mlmodels: split node %d missing children", open[len(open)-1])
+		}
+	}
+	return arena, roots, nil
 }
 
 // dtcDTO serializes a DecisionTree.
@@ -112,7 +124,7 @@ func (t *DecisionTree) MarshalJSON() ([]byte, error) {
 	if !t.fitted {
 		return nil, ErrNotFitted
 	}
-	return json.Marshal(dtcDTO{Tree: toTreeDTO(t.root), NFeat: t.nfeat})
+	return json.Marshal(dtcDTO{Tree: encodeTree(t.nodes, 0), NFeat: t.nfeat})
 }
 
 // UnmarshalJSON implements json.Unmarshaler.
@@ -121,12 +133,11 @@ func (t *DecisionTree) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &d); err != nil {
 		return err
 	}
-	root, err := fromTreeDTO(d.Tree)
+	nodes, _, err := decodeTrees([]treeDTO{d.Tree}, d.NFeat, math.MaxInt32)
 	if err != nil {
 		return err
 	}
-	t.root = root
-	t.flat = compileTree(t.root)
+	t.nodes = nodes
 	t.nfeat = d.NFeat
 	t.fitted = true
 	return nil
@@ -144,9 +155,9 @@ func (f *RandomForest) MarshalJSON() ([]byte, error) {
 	if !f.fitted {
 		return nil, ErrNotFitted
 	}
-	d := rfDTO{NFeat: f.nfeat, NClass: f.nclass}
-	for _, tr := range f.trees {
-		d.Trees = append(d.Trees, toTreeDTO(tr))
+	d := rfDTO{Trees: make([]treeDTO, len(f.roots)), NFeat: f.nfeat, NClass: f.nclass}
+	for i, r := range f.roots {
+		d.Trees[i] = encodeTree(f.nodes, r)
 	}
 	return json.Marshal(d)
 }
@@ -160,15 +171,14 @@ func (f *RandomForest) UnmarshalJSON(b []byte) error {
 	if len(d.Trees) == 0 {
 		return fmt.Errorf("mlmodels: forest without trees")
 	}
-	f.trees = f.trees[:0]
-	for _, td := range d.Trees {
-		root, err := fromTreeDTO(td)
-		if err != nil {
-			return err
-		}
-		f.trees = append(f.trees, root)
+	if d.NClass > maxClasses {
+		return fmt.Errorf("mlmodels: forest with %d classes", d.NClass)
 	}
-	f.flat, f.roots = compileForest(f.trees)
+	nodes, roots, err := decodeTrees(d.Trees, d.NFeat, d.NClass)
+	if err != nil {
+		return err
+	}
+	f.nodes, f.roots = nodes, roots
 	f.nfeat = d.NFeat
 	f.nclass = d.NClass
 	f.fitted = true
@@ -190,15 +200,15 @@ func (g *GBDT) MarshalJSON() ([]byte, error) {
 		return nil, ErrNotFitted
 	}
 	d := gbdtDTO{
-		Prior: g.prior, NFeat: g.nfeat, NClass: g.nclass,
+		Rounds: make([][]treeDTO, len(g.roots)),
+		Prior:  g.prior, NFeat: g.nfeat, NClass: g.nclass,
 		LearningRate: g.cfg.LearningRate,
 	}
-	for _, round := range g.trees {
-		var r []treeDTO
-		for _, tr := range round {
-			r = append(r, toTreeDTO(tr))
+	for i, round := range g.roots {
+		d.Rounds[i] = make([]treeDTO, len(round))
+		for c, r := range round {
+			d.Rounds[i][c] = encodeTree(g.nodes, r)
 		}
-		d.Rounds = append(d.Rounds, r)
 	}
 	return json.Marshal(d)
 }
@@ -209,25 +219,25 @@ func (g *GBDT) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &d); err != nil {
 		return err
 	}
-	if len(d.Prior) == 0 {
+	k := len(d.Prior)
+	if k == 0 {
 		return fmt.Errorf("mlmodels: gbdt without priors")
 	}
-	g.trees = g.trees[:0]
-	for _, round := range d.Rounds {
-		var r []*treeNode
-		for _, td := range round {
-			root, err := fromTreeDTO(td)
-			if err != nil {
-				return err
-			}
-			r = append(r, root)
-		}
-		if len(r) != len(d.Prior) {
-			return fmt.Errorf("mlmodels: gbdt round width %d != classes %d", len(r), len(d.Prior))
-		}
-		g.trees = append(g.trees, r)
+	if d.NClass != k {
+		return fmt.Errorf("mlmodels: gbdt n_class %d != %d priors", d.NClass, k)
 	}
-	g.flat, g.roots = compileRounds(g.trees)
+	trees := make([]treeDTO, 0, len(d.Rounds)*k)
+	for _, round := range d.Rounds {
+		if len(round) != k {
+			return fmt.Errorf("mlmodels: gbdt round width %d != classes %d", len(round), k)
+		}
+		trees = append(trees, round...)
+	}
+	nodes, roots, err := decodeTrees(trees, d.NFeat, math.MaxInt32)
+	if err != nil {
+		return err
+	}
+	g.nodes, g.roots = nodes, byRound(roots, k)
 	g.prior = d.Prior
 	g.nfeat = d.NFeat
 	g.nclass = d.NClass

@@ -1,8 +1,10 @@
 package mlmodels
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -69,52 +71,60 @@ func TestLoadUnknownKind(t *testing.T) {
 	}
 }
 
+// corruptPayloads are model payloads LoadModel must refuse, keyed by what is
+// wrong with them. The last four used to load, and Predict then panicked with
+// an index out of range (or, for the negative feature, walked a split as a
+// leaf).
+var corruptPayloads = []struct{ name, kind, payload string }{
+	{"empty tree", "DTC", `{"tree":{"nodes":[]},"n_feat":2}`},
+	{"no trees", "RF", `{"trees":[],"n_feat":2,"n_class":2}`},
+	{"no priors", "GBDT", `{"rounds":[],"prior":[],"n_feat":2,"n_class":2,"lr":0.2}`},
+	{"dangling child", "DTC", `{"tree":{"nodes":[{"f":0,"t":1,"l":5,"r":-1}]},"n_feat":1}`},
+	{"half split", "DTC", `{"tree":{"nodes":[{"f":0,"t":1,"l":1,"r":-1},{"f":-1,"c":0,"l":-1,"r":-1}]},"n_feat":1}`},
+	{"feature past n_feat", "DTC", `{"tree":{"nodes":[{"f":3,"t":1,"l":1,"r":2},{"f":-1,"l":-1,"r":-1},{"f":-1,"l":-1,"r":-1}]},"n_feat":1}`},
+	{"feature below -1", "RF", `{"trees":[{"nodes":[{"f":-2,"t":1,"l":1,"r":2},{"f":-1,"l":-1,"r":-1},{"f":-1,"l":-1,"r":-1}]}],"n_feat":1,"n_class":2}`},
+	{"label past n_class", "RF", `{"trees":[{"nodes":[{"f":-1,"c":5,"l":-1,"r":-1}]}],"n_feat":1,"n_class":2}`},
+	{"n_class != priors", "GBDT", `{"rounds":[[{"nodes":[{"f":-1,"v":1,"l":-1,"r":-1}]},{"nodes":[{"f":-1,"v":2,"l":-1,"r":-1}]}]],"prior":[0,0],"n_feat":1,"n_class":1,"lr":0.2}`},
+}
+
 func TestLoadCorruptPayloads(t *testing.T) {
-	cases := map[string]string{
-		"DTC":  `{"tree":{"nodes":[]},"n_feat":2}`,
-		"RF":   `{"trees":[],"n_feat":2,"n_class":2}`,
-		"GBDT": `{"rounds":[],"prior":[],"n_feat":2,"n_class":2,"lr":0.2}`,
-	}
-	for kind, payload := range cases {
-		if _, err := LoadModel(&SavedModel{Kind: kind, Model: []byte(payload)}); err == nil {
-			t.Errorf("%s: corrupt payload loaded", kind)
+	for _, tc := range corruptPayloads {
+		if _, err := LoadModel(&SavedModel{Kind: tc.kind, Model: []byte(tc.payload)}); err == nil {
+			t.Errorf("%s %s: corrupt payload loaded", tc.kind, tc.name)
 		}
 	}
-	// Dangling child index.
-	bad := `{"tree":{"nodes":[{"f":0,"t":1,"l":5,"r":-1}]},"n_feat":1}`
-	if _, err := LoadModel(&SavedModel{Kind: "DTC", Model: []byte(bad)}); err == nil {
-		t.Error("dangling node index loaded")
-	}
-	// Split node with one child missing.
-	half := `{"tree":{"nodes":[{"f":0,"t":1,"l":1,"r":-1},{"f":-1,"c":0,"l":-1,"r":-1}]},"n_feat":1}`
-	if _, err := LoadModel(&SavedModel{Kind: "DTC", Model: []byte(half)}); err == nil {
-		t.Error("half-split node loaded")
-	}
 }
+
+// preorderCases are trees whose child indices are, or are not, where the
+// preorder writer puts them; preorderWrap embeds one in each model kind.
+var (
+	preorderLeaf  = `{"f":-1,"l":-1,"r":-1}`
+	preorderCases = []struct {
+		name, nodes string
+		ok          bool
+	}{
+		{"well-formed", `[{"f":0,"t":1,"l":1,"r":2},` + preorderLeaf + `,` + preorderLeaf + `]`, true},
+		{"self-loop", `[{"f":0,"t":1,"l":0,"r":0}]`, false},
+		{"back-edge", `[{"f":0,"t":1,"l":1,"r":4},{"f":0,"t":1,"l":2,"r":3},` + preorderLeaf + `,{"f":0,"t":1,"l":0,"r":0},` + preorderLeaf + `]`, false},
+		{"two-node cycle", `[{"f":0,"t":1,"l":1,"r":1},{"f":0,"t":1,"l":0,"r":0}]`, false},
+		{"out of range", `[{"f":0,"t":1,"l":1,"r":7},` + preorderLeaf + `]`, false},
+		{"shared child", `[{"f":0,"t":1,"l":1,"r":1},` + preorderLeaf + `]`, false},
+		{"trailing node", `[` + preorderLeaf + `,` + preorderLeaf + `]`, false},
+		{"leaf with child", `[{"f":-1,"l":1,"r":-1},` + preorderLeaf + `]`, false},
+	}
+	preorderWrap = map[string]string{
+		"DTC":  `{"tree":{"nodes":%s},"n_feat":1}`,
+		"RF":   `{"trees":[{"nodes":%s}],"n_feat":1,"n_class":2}`,
+		"GBDT": `{"rounds":[[{"nodes":%s}]],"prior":[0],"n_feat":1,"n_class":1,"lr":0.2}`,
+	}
+)
 
 // TestLoadRejectsNonPreorderChildren feeds every model kind trees whose child
 // indices are not where the preorder writer puts them. Each must come back as
 // an error: followed naively, the cyclic ones recurse until the process dies.
 func TestLoadRejectsNonPreorderChildren(t *testing.T) {
-	const leaf = `{"f":-1,"l":-1,"r":-1}`
-	cases := []struct {
-		name, nodes string
-		ok          bool
-	}{
-		{"well-formed", `[{"f":0,"t":1,"l":1,"r":2},` + leaf + `,` + leaf + `]`, true},
-		{"self-loop", `[{"f":0,"t":1,"l":0,"r":0}]`, false},
-		{"back-edge", `[{"f":0,"t":1,"l":1,"r":4},{"f":0,"t":1,"l":2,"r":3},` + leaf + `,{"f":0,"t":1,"l":0,"r":0},` + leaf + `]`, false},
-		{"two-node cycle", `[{"f":0,"t":1,"l":1,"r":1},{"f":0,"t":1,"l":0,"r":0}]`, false},
-		{"out of range", `[{"f":0,"t":1,"l":1,"r":7},` + leaf + `]`, false},
-		{"shared child", `[{"f":0,"t":1,"l":1,"r":1},` + leaf + `]`, false},
-	}
-	wrap := map[string]string{
-		"DTC":  `{"tree":{"nodes":%s},"n_feat":1}`,
-		"RF":   `{"trees":[{"nodes":%s}],"n_feat":1,"n_class":2}`,
-		"GBDT": `{"rounds":[[{"nodes":%s}]],"prior":[0],"n_feat":1,"n_class":1,"lr":0.2}`,
-	}
-	for kind, format := range wrap {
-		for _, tc := range cases {
+	for kind, format := range preorderWrap {
+		for _, tc := range preorderCases {
 			payload := fmt.Sprintf(format, tc.nodes)
 			_, err := LoadModel(&SavedModel{Kind: kind, Model: []byte(payload)})
 			if (err == nil) != tc.ok {
@@ -124,18 +134,86 @@ func TestLoadRejectsNonPreorderChildren(t *testing.T) {
 	}
 }
 
+// TestFlattenUnflattenIdentity checks the arena ⇄ node-array conversion is
+// lossless for all three kinds: a fitted model's bytes survive Load →
+// Marshal unchanged, and so do its shape accessors.
 func TestFlattenUnflattenIdentity(t *testing.T) {
 	ds := xorDataset(200, 13)
-	m := NewDecisionTree(TreeConfig{Seed: 1})
-	if err := m.Fit(ds); err != nil {
-		t.Fatal(err)
+	for _, m := range allModels() {
+		if err := m.Fit(ds); err != nil {
+			t.Fatal(err)
+		}
+		back := roundTrip(t, m)
+		if !bytes.Equal(mustMarshal(t, back.(json.Marshaler)), mustMarshal(t, m.(json.Marshaler))) {
+			t.Errorf("%s: bytes changed over a save/load round trip", m.Name())
+		}
+		if shape(back) != shape(m) {
+			t.Errorf("%s: shape changed: %v -> %v", m.Name(), shape(m), shape(back))
+		}
 	}
-	dto := toTreeDTO(m.root)
-	back, err := fromTreeDTO(dto)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// shape reads a model's tree-count accessors.
+func shape(c Classifier) [3]int {
+	switch m := c.(type) {
+	case *DecisionTree:
+		return [3]int{m.Depth(), len(m.nodes), m.nfeat}
+	case *RandomForest:
+		return [3]int{m.NumTrees(), len(m.nodes), m.nfeat}
+	case *GBDT:
+		return [3]int{m.Rounds(), len(m.nodes), m.nfeat}
 	}
-	if depth(back) != depth(m.root) {
-		t.Errorf("depth changed: %d -> %d", depth(m.root), depth(back))
+	return [3]int{}
+}
+
+// FuzzLoadModel: whatever LoadModel accepts must predict on any vector of
+// its feature width without panicking, and re-serialize stably — Marshal →
+// Load → Marshal gives the same bytes.
+func FuzzLoadModel(f *testing.F) {
+	for _, tc := range corruptPayloads {
+		f.Add(tc.kind, []byte(tc.payload))
 	}
+	for kind, format := range preorderWrap {
+		for _, tc := range preorderCases {
+			f.Add(kind, []byte(fmt.Sprintf(format, tc.nodes)))
+		}
+	}
+	ds := xorDataset(60, 3)
+	for _, m := range []Classifier{
+		NewDecisionTree(TreeConfig{Seed: 1}),
+		NewRandomForest(ForestConfig{NumTrees: 3, Seed: 1}),
+		NewGBDT(GBDTConfig{NumRounds: 2, Seed: 1}),
+	} {
+		if err := m.Fit(ds); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(m.Name(), mustMarshal(f, m.(json.Marshaler)))
+	}
+	f.Fuzz(func(t *testing.T, kind string, payload []byte) {
+		m, err := LoadModel(&SavedModel{Kind: kind, Model: payload})
+		if err != nil {
+			return
+		}
+		// Predict reads every feature a split names, so one vector per fill
+		// value covers the walk; widths past a few thousand only cost memory.
+		if nf := shape(m)[2]; nf <= 4096 {
+			x := make([]float64, nf)
+			for _, v := range []float64{math.Inf(-1), -1, 0, 0.5, 1, math.MaxFloat64, math.NaN()} {
+				for i := range x {
+					x[i] = v
+				}
+				if _, err := m.Predict(x); err != nil {
+					t.Fatalf("loaded %s predicts %v: %v", kind, v, err)
+				}
+			}
+		}
+		b1 := mustMarshal(t, m.(json.Marshaler))
+		m2, err := LoadModel(&SavedModel{Kind: kind, Model: b1})
+		if err != nil {
+			t.Fatalf("re-load of %s: %v\n%s", kind, err, b1)
+		}
+		if b2 := mustMarshal(t, m2.(json.Marshaler)); !bytes.Equal(b1, b2) {
+			t.Fatalf("%s re-serializes differently:\n%s\n%s", kind, b1, b2)
+		}
+	})
 }

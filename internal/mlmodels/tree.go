@@ -1,9 +1,8 @@
 package mlmodels
 
 import (
-	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // TreeConfig controls CART tree induction for both the standalone DTC and
@@ -34,25 +33,10 @@ func (c TreeConfig) withDefaults() TreeConfig {
 	return c
 }
 
-// treeNode is one node of a CART tree; leaves have feature == -1.
-type treeNode struct {
-	feature   int     // split feature, -1 for leaf
-	threshold float64 // go left when x[feature] <= threshold
-	left      *treeNode
-	right     *treeNode
-	label     int     // classification leaf output
-	value     float64 // regression leaf output (GBDT)
-}
-
-func (n *treeNode) isLeaf() bool { return n.feature == -1 }
-
 // DecisionTree is the paper's DTC: a CART classifier split on Gini impurity.
 type DecisionTree struct {
-	cfg TreeConfig
-	// root is the pointer tree built during induction; it stays the
-	// serialization source of truth, but prediction runs on flat.
-	root   *treeNode
-	flat   []flatNode // compiled inference layout (see flat.go)
+	cfg    TreeConfig
+	nodes  []flatNode // the fitted tree in preorder, root at 0 (see flat.go)
 	nfeat  int
 	fitted bool
 	// fit is the reusable pre-sorted training arena (see fit.go); it is
@@ -69,9 +53,10 @@ func NewDecisionTree(cfg TreeConfig) *DecisionTree {
 func (t *DecisionTree) Name() string { return "DTC" }
 
 // Fit implements Classifier. Training runs on the pre-sorted column index
-// (fit.go): each feature is sorted once, nodes grow by linear scans, and
-// the scratch arena is reused across refits. The fitted tree is
-// byte-identical to the legacy per-node-sorting builder (fitLegacy).
+// (fit.go): each feature is sorted once, nodes grow by linear scans into the
+// scratch node buffer, and the scratch is reused across refits; the fitted
+// tree is a fresh copy of that buffer. It is byte-identical to the legacy
+// per-node-sorting builder (the tests' oracle).
 func (t *DecisionTree) Fit(ds *Dataset) error {
 	if ds == nil || ds.Len() == 0 {
 		return ErrEmptyDataset
@@ -83,36 +68,16 @@ func (t *DecisionTree) Fit(ds *Dataset) error {
 	rng := rand.New(rand.NewSource(t.cfg.Seed))
 	ts := <-t.fit.free
 	ts.beginFull()
-	t.root = ts.growClass(t.cfg, rng, 0, ts.m, ts.m, 0, nil)
+	ts.growClass(t.cfg, rng, 0, ts.m, ts.m, 0, nil)
+	t.nodes = slices.Clone(ts.nodes)
 	t.fit.free <- ts
-	t.flat = compileTree(t.root)
 	t.nfeat = ds.NumFeatures
 	t.fitted = true
 	return nil
 }
 
-// fitLegacy is the pre-sorted trainer's reference implementation: the
-// original per-node sorting builder, retained — exactly as predictPointer
-// was for inference — for the golden equivalence suite and the recorded
-// before/after training benchmarks.
-func (t *DecisionTree) fitLegacy(ds *Dataset) error {
-	if ds == nil || ds.Len() == 0 {
-		return ErrEmptyDataset
-	}
-	idx := make([]int, ds.Len())
-	for i := range idx {
-		idx[i] = i
-	}
-	rng := rand.New(rand.NewSource(t.cfg.Seed))
-	t.root = buildClassTree(ds, idx, t.cfg, 0, rng)
-	t.flat = compileTree(t.root)
-	t.nfeat = ds.NumFeatures
-	t.fitted = true
-	return nil
-}
-
-// Predict implements Classifier with an iterative walk over the compiled
-// arena; it allocates nothing.
+// Predict implements Classifier with an iterative walk over the arena; it
+// allocates nothing.
 func (t *DecisionTree) Predict(x []float64) (int, error) {
 	if !t.fitted {
 		return 0, ErrNotFitted
@@ -120,300 +85,14 @@ func (t *DecisionTree) Predict(x []float64) (int, error) {
 	if len(x) != t.nfeat {
 		return 0, ErrBadFeatureLen
 	}
-	return int(flatLeaf(t.flat, 0, x).label), nil
-}
-
-// PredictBatch implements BatchPredictor.
-func (t *DecisionTree) PredictBatch(xs [][]float64, out []int) error {
-	if err := checkBatch(t.fitted, xs, out); err != nil {
-		return err
-	}
-	for i, x := range xs {
-		if len(x) != t.nfeat {
-			return ErrBadFeatureLen
-		}
-		out[i] = int(flatLeaf(t.flat, 0, x).label)
-	}
-	return nil
-}
-
-// predictPointer is the pre-compilation pointer walk, kept as the reference
-// implementation for the flat-vs-pointer property tests and benchmarks.
-func (t *DecisionTree) predictPointer(x []float64) int {
-	n := t.root
-	for !n.isLeaf() {
-		if x[n.feature] <= n.threshold {
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	return n.label
+	return int(flatLeaf(t.nodes, 0, x).label), nil
 }
 
 // Depth returns the depth of the fitted tree (a single leaf has depth 1);
 // useful for overhead experiments.
-func (t *DecisionTree) Depth() int { return depth(t.root) }
-
-func depth(n *treeNode) int {
-	if n == nil {
+func (t *DecisionTree) Depth() int {
+	if len(t.nodes) == 0 {
 		return 0
 	}
-	if n.isLeaf() {
-		return 1
-	}
-	l, r := depth(n.left), depth(n.right)
-	if l > r {
-		return l + 1
-	}
-	return r + 1
-}
-
-// buildClassTree grows a classification tree on the rows in idx.
-func buildClassTree(ds *Dataset, idx []int, cfg TreeConfig, d int, rng *rand.Rand) *treeNode {
-	if d >= cfg.MaxDepth || len(idx) < cfg.MinSamplesSplit || pureLabels(ds.Samples, idx) {
-		return &treeNode{feature: -1, label: majorityLabel(ds.Samples, idx, ds.NumClasses)}
-	}
-	feat, thr, ok := bestGiniSplit(ds, idx, cfg, rng)
-	if !ok {
-		return &treeNode{feature: -1, label: majorityLabel(ds.Samples, idx, ds.NumClasses)}
-	}
-	var leftIdx, rightIdx []int
-	for _, i := range idx {
-		if ds.Samples[i].Features[feat] <= thr {
-			leftIdx = append(leftIdx, i)
-		} else {
-			rightIdx = append(rightIdx, i)
-		}
-	}
-	if len(leftIdx) == 0 || len(rightIdx) == 0 {
-		return &treeNode{feature: -1, label: majorityLabel(ds.Samples, idx, ds.NumClasses)}
-	}
-	return &treeNode{
-		feature:   feat,
-		threshold: thr,
-		left:      buildClassTree(ds, leftIdx, cfg, d+1, rng),
-		right:     buildClassTree(ds, rightIdx, cfg, d+1, rng),
-	}
-}
-
-func pureLabels(samples []Sample, idx []int) bool {
-	if len(idx) == 0 {
-		return true
-	}
-	first := samples[idx[0]].Label
-	for _, i := range idx[1:] {
-		if samples[i].Label != first {
-			return false
-		}
-	}
-	return true
-}
-
-// giniVals sorts the classification scan's (value, label) pairs by value
-// through typed methods instead of sort.Slice's reflection-based swapper.
-// The sort may stay unstable: every statistic the scan derives from a run
-// of equal values is an integer class count over the run's multiset, so
-// any permutation within a tie run yields the same split.
-type giniVal struct {
-	v     float64
-	label int
-}
-
-type giniVals []giniVal
-
-func (s giniVals) Len() int           { return len(s) }
-func (s giniVals) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
-func (s giniVals) Less(i, j int) bool { return s[i].v < s[j].v }
-
-// bestGiniSplit scans candidate features for the split with the lowest
-// weighted Gini impurity.
-func bestGiniSplit(ds *Dataset, idx []int, cfg TreeConfig, rng *rand.Rand) (feat int, thr float64, ok bool) {
-	features := candidateFeatures(ds.NumFeatures, cfg.FeatureSubset, rng)
-	bestScore := math.Inf(1)
-	vals := make(giniVals, 0, len(idx))
-	for _, f := range features {
-		vals = vals[:0]
-		for _, i := range idx {
-			vals = append(vals, giniVal{ds.Samples[i].Features[f], ds.Samples[i].Label})
-		}
-		sort.Sort(vals)
-
-		// Incremental class counts for left/right partitions.
-		leftCounts := make([]int, ds.NumClasses)
-		rightCounts := make([]int, ds.NumClasses)
-		for _, x := range vals {
-			rightCounts[x.label]++
-		}
-		n := float64(len(vals))
-		for i := 0; i < len(vals)-1; i++ {
-			leftCounts[vals[i].label]++
-			rightCounts[vals[i].label]--
-			if vals[i].v == vals[i+1].v {
-				continue // cannot split between equal values
-			}
-			nl := float64(i + 1)
-			nr := n - nl
-			score := nl/n*gini(leftCounts, nl) + nr/n*gini(rightCounts, nr)
-			if score < bestScore {
-				bestScore = score
-				feat = f
-				thr = (vals[i].v + vals[i+1].v) / 2
-				ok = true
-			}
-		}
-	}
-	return feat, thr, ok
-}
-
-func gini(counts []int, n float64) float64 {
-	if n == 0 {
-		return 0
-	}
-	g := 1.0
-	for _, c := range counts {
-		p := float64(c) / n
-		g -= p * p
-	}
-	return g
-}
-
-// candidateFeatures returns the features a split may use: all of them, or a
-// random subset of size m (without replacement) for Random Forest trees.
-func candidateFeatures(nf, m int, rng *rand.Rand) []int {
-	all := make([]int, nf)
-	for i := range all {
-		all[i] = i
-	}
-	if m <= 0 || m >= nf {
-		return all
-	}
-	rng.Shuffle(nf, func(i, j int) { all[i], all[j] = all[j], all[i] })
-	return all[:m]
-}
-
-// --- regression tree (used by GBDT) ---
-
-// regTarget pairs a row index with its regression target.
-type regTarget struct {
-	idx    int
-	target float64
-}
-
-// buildRegTree grows a regression tree minimizing squared error over the
-// given targets; leafValue computes the leaf output from the targets that
-// reach it (GBDT uses a Newton step rather than the plain mean).
-func buildRegTree(ds *Dataset, rows []regTarget, cfg TreeConfig, d int,
-	rng *rand.Rand, leafValue func([]regTarget) float64) *treeNode {
-
-	if d >= cfg.MaxDepth || len(rows) < cfg.MinSamplesSplit || constantTargets(rows) {
-		return &treeNode{feature: -1, value: leafValue(rows)}
-	}
-	feat, thr, ok := bestMSESplit(ds, rows, cfg, rng)
-	if !ok {
-		return &treeNode{feature: -1, value: leafValue(rows)}
-	}
-	var left, right []regTarget
-	for _, r := range rows {
-		if ds.Samples[r.idx].Features[feat] <= thr {
-			left = append(left, r)
-		} else {
-			right = append(right, r)
-		}
-	}
-	if len(left) == 0 || len(right) == 0 {
-		return &treeNode{feature: -1, value: leafValue(rows)}
-	}
-	return &treeNode{
-		feature:   feat,
-		threshold: thr,
-		left:      buildRegTree(ds, left, cfg, d+1, rng, leafValue),
-		right:     buildRegTree(ds, right, cfg, d+1, rng, leafValue),
-	}
-}
-
-func constantTargets(rows []regTarget) bool {
-	if len(rows) == 0 {
-		return true
-	}
-	first := rows[0].target
-	for _, r := range rows[1:] {
-		if r.target != first {
-			return false
-		}
-	}
-	return true
-}
-
-// mseVals sorts the regression scan's (value, target) pairs by value. It is
-// sorted with sort.Stable, and that stability is load-bearing: the scan
-// folds float targets in sorted order, so the order WITHIN a run of equal
-// values is observable in the split scores. Stable sorting pins that tie
-// order to the node-row insertion order — the same (value, then row
-// position) total order the pre-sorted trainer's column index uses — which
-// is what makes byte-identical equivalence between the two builders
-// provable. The previous unstable sort.Slice left tie runs in whatever
-// permutation pdqsort produced.
-type mseVals []mseVal
-
-type mseVal struct {
-	v, t float64
-}
-
-func (s mseVals) Len() int           { return len(s) }
-func (s mseVals) Swap(i, j int)      { s[i], s[j] = s[j], s[i] }
-func (s mseVals) Less(i, j int) bool { return s[i].v < s[j].v }
-
-// bestMSESplit finds the split minimizing the within-partition sum of squared
-// deviations, computed incrementally from running sums.
-func bestMSESplit(ds *Dataset, rows []regTarget, cfg TreeConfig, rng *rand.Rand) (feat int, thr float64, ok bool) {
-	features := candidateFeatures(ds.NumFeatures, cfg.FeatureSubset, rng)
-	bestScore := math.Inf(1)
-	vals := make(mseVals, 0, len(rows))
-	var totalSum, totalSum2 float64
-	for _, r := range rows {
-		totalSum += r.target
-		totalSum2 += r.target * r.target
-	}
-	n := float64(len(rows))
-	for _, f := range features {
-		vals = vals[:0]
-		for _, r := range rows {
-			vals = append(vals, mseVal{ds.Samples[r.idx].Features[f], r.target})
-		}
-		sort.Stable(vals)
-		var ls, ls2 float64
-		for i := 0; i < len(vals)-1; i++ {
-			ls += vals[i].t
-			ls2 += vals[i].t * vals[i].t
-			if vals[i].v == vals[i+1].v {
-				continue
-			}
-			nl := float64(i + 1)
-			nr := n - nl
-			rs := totalSum - ls
-			rs2 := totalSum2 - ls2
-			// SSE of each side = sum(t^2) - (sum t)^2 / n.
-			score := (ls2 - ls*ls/nl) + (rs2 - rs*rs/nr)
-			if score < bestScore {
-				bestScore = score
-				feat = f
-				thr = (vals[i].v + vals[i+1].v) / 2
-				ok = true
-			}
-		}
-	}
-	return feat, thr, ok
-}
-
-// predictReg walks a regression tree.
-func predictReg(n *treeNode, x []float64) float64 {
-	for !n.isLeaf() {
-		if x[n.feature] <= n.threshold {
-			n = n.left
-		} else {
-			n = n.right
-		}
-	}
-	return n.value
+	return treeDepth(t.nodes, 0)
 }
