@@ -101,11 +101,11 @@ bench-pairs:
 
 # bench-layers runs the per-layer micro-benchmarks once, with -benchmem, and
 # prints go test's own table: the placement scan, fleet summary and one
-# saturated fleet frame at 128 and 1024 servers, the
-# prediction and clustering kernels, the serving path (codec, registry, tick
-# walk), routing, the simulation core, and model training beside the legacy
-# trainer the tests keep as its oracle (*FitLegacy), and the two shared
-# kernels under all of them — vector folds and short-lived generator seeding.
+# saturated fleet frame at 128 and 1024 servers, the prediction and
+# clustering kernels, the serving path (codec, tick walk), routing, the
+# simulation core, and model training beside the legacy trainer the tests
+# keep as its oracle (*FitLegacy), and the two shared kernels under all of
+# them — vector folds and short-lived generator seeding.
 # Prediction is the per-call Predict alone: the pointer-walk and batch twins
 # are gone. Nothing is recorded or compared —
 # bench/cocgbench (bench-e2e above) is the judge of a performance claim; these
@@ -114,5 +114,5 @@ bench-pairs:
 # history only.
 bench-layers:
 	$(GO) test -run '^$$' -benchmem \
-		-bench 'FleetPlacement|FleetFrame|Evaluate|FleetLoad|ClusterLoadFullScan|Predict|KMeans|Forecast|WireFrameBatch|Registry|StreamTick|FleetRoute|ServerTick|(DTC|RF|GBDT)Fit|NewPlayerSession|SourceSeedAndDraw|VectorFold' \
+		-bench 'FleetPlacement|FleetFrame|Evaluate|FleetLoad|ClusterLoadFullScan|Predict|KMeans|Forecast|WireFrameBatch|StreamTick|FleetRoute|ServerTick|(DTC|RF|GBDT)Fit|NewPlayerSession|SourceSeedAndDraw|VectorFold' \
 		. ./internal/...

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	cocg-coordinator -clusters "us-east=127.0.0.1:9555@12,eu-west=127.0.0.1:9565@85" \
-//	                 [-addr :9500] [-metrics :9501] [-jobs N] [-probe 500ms] [-down-after 2]
+//	                 [-addr :9500] [-metrics :9501] [-probe 500ms] [-down-after 2]
 //
 // Each -clusters entry is "name=addr@latencyMS": the address of a running
 // cocg-server plus the simulated user→region round-trip the routing score
@@ -39,7 +39,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:9500", "session listen address")
 	metricsAddr := flag.String("metrics", "", "serve fleet /metrics and /status on this address (e.g. :9501)")
 	clusters := flag.String("clusters", "", `comma-separated fleet: "name=addr@latencyMS,..."`)
-	jobs := flag.Int("jobs", 0, "goroutines for the routing scoring scan (<=1 serial; decisions are identical at any value)")
 	probe := flag.Duration("probe", 500*time.Millisecond, "cluster summary-feed refresh period")
 	downAfter := flag.Int("down-after", 2, "consecutive probe failures that mark a cluster down")
 	latWeight := flag.Float64("latency-weight", 0, "routing score cost of the reference latency at full sensitivity (0 = default 0.5)")
@@ -54,7 +53,6 @@ func main() {
 
 	cfg := coordinator.Config{
 		Clusters:   specs,
-		Jobs:       *jobs,
 		ProbeEvery: *probe,
 		DownAfter:  *downAfter,
 		Weights:    coordinator.RouteWeights{Latency: *latWeight},

@@ -16,13 +16,11 @@
 // any session) and refreshes a ClusterSummary every ProbeEvery; consecutive
 // probe failures mark the cluster down until a probe lands again.
 //
-// Routing is deterministic by the same rule as every other fan-out in this
-// repo: the per-cluster scoring scan decomposes into fixed chunks
-// (independent of Config.Jobs) and the preference order is produced by a
-// serial strict-comparison sort with lowest-ID tie-break, so a frozen fleet
-// snapshot yields bit-identical decisions at every worker count. See
-// docs/FLEET.md for the operator view: routing policy, failover semantics,
-// and the fleet metrics reference.
+// Routing is deterministic: the preference order is produced by a serial
+// strict-comparison sort with lowest-ID tie-break, so a frozen fleet
+// snapshot always yields the same decision. See docs/FLEET.md for the
+// operator view: routing policy, failover semantics, and the fleet metrics
+// reference.
 package coordinator
 
 import (
@@ -41,9 +39,6 @@ import (
 type Config struct {
 	// Clusters lists the fleet, in ID order. At least one is required.
 	Clusters []ClusterSpec
-	// Jobs bounds the goroutines the routing scoring scan fans out over;
-	// <=1 scans serially. Decisions are identical at every value.
-	Jobs int
 	// Weights tunes the routing score; the zero value uses the defaults.
 	Weights RouteWeights
 	// ProbeEvery is the summary-feed refresh period; <=0 means 500 ms.
@@ -72,10 +67,13 @@ type Coordinator struct {
 	wg     sync.WaitGroup
 	closed atomic.Bool
 
-	// pairsMu guards the set of live proxied sessions so Close can force
-	// both legs of every pipe down.
-	pairsMu sync.Mutex
-	pairs   map[*proxyPair]struct{}
+	// connsMu guards conns: every accepted client connection until its
+	// handler returns and every dialed backend connection until it is
+	// closed, so Close can force each one down.
+	connsMu sync.Mutex
+	conns   map[*streaming.Conn]struct{}
+	// sessions counts the spliced sessions.
+	sessions atomic.Int64
 
 	// Fleet counters (see MetricsHandler).
 	decisions  atomic.Uint64 // routing decisions taken
@@ -85,18 +83,10 @@ type Coordinator struct {
 	markedDown atomic.Uint64 // health transitions to down
 }
 
-// proxyPair is one live proxied session's two legs.
-type proxyPair struct {
-	client, backend *streaming.Conn
-}
-
 // Serve starts a coordinator listening for sessions on addr.
 func Serve(addr string, cfg Config) (*Coordinator, error) {
 	if len(cfg.Clusters) == 0 {
 		return nil, errors.New("coordinator: Config.Clusters is required")
-	}
-	if cfg.Jobs <= 0 {
-		cfg.Jobs = 1
 	}
 	if cfg.ProbeEvery <= 0 {
 		cfg.ProbeEvery = 500 * time.Millisecond
@@ -118,7 +108,7 @@ func Serve(addr string, cfg Config) (*Coordinator, error) {
 		cfg:   cfg,
 		ln:    ln,
 		done:  make(chan struct{}),
-		pairs: make(map[*proxyPair]struct{}),
+		conns: make(map[*streaming.Conn]struct{}),
 	}
 	for i, cs := range cfg.Clusters {
 		name := cs.Name
@@ -140,9 +130,9 @@ func Serve(addr string, cfg Config) (*Coordinator, error) {
 // Addr returns the session listening address.
 func (co *Coordinator) Addr() string { return co.ln.Addr().String() }
 
-// Close stops the coordinator: the listener, every prober, and both legs of
-// every live proxied session are down when it returns, and no goroutine the
-// coordinator started survives it.
+// Close stops the coordinator: the listener, every prober, and every client
+// and backend connection — mid-handshake, mid-admission or spliced — are
+// down when it returns, and no goroutine the coordinator started survives it.
 func (co *Coordinator) Close() error {
 	if !co.closed.CompareAndSwap(false, true) {
 		return nil
@@ -152,14 +142,34 @@ func (co *Coordinator) Close() error {
 	for _, m := range co.members {
 		m.closeFeed() // unblock probers waiting in Recv
 	}
-	co.pairsMu.Lock()
-	for p := range co.pairs {
-		_ = p.client.Close()
-		_ = p.backend.Close()
+	co.connsMu.Lock()
+	for c := range co.conns {
+		_ = c.Close() // best-effort disconnect during teardown
 	}
-	co.pairsMu.Unlock()
+	co.connsMu.Unlock()
 	co.wg.Wait()
 	return err
+}
+
+// track enters a connection into the set Close tears down. After Close it
+// closes the connection instead and returns false.
+func (co *Coordinator) track(c *streaming.Conn) bool {
+	co.connsMu.Lock()
+	defer co.connsMu.Unlock()
+	if co.closed.Load() {
+		_ = c.Close()
+		return false
+	}
+	co.conns[c] = struct{}{}
+	return true
+}
+
+// untrack closes a connection and drops it from the set.
+func (co *Coordinator) untrack(c *streaming.Conn) {
+	co.connsMu.Lock()
+	delete(co.conns, c)
+	co.connsMu.Unlock()
+	_ = c.Close()
 }
 
 // acceptLoop admits client connections.
@@ -170,10 +180,15 @@ func (co *Coordinator) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
+		client := streaming.NewConn(c)
+		if !co.track(client) {
+			continue
+		}
 		co.wg.Add(1)
 		go func() {
 			defer co.wg.Done()
-			co.handle(streaming.NewConn(c))
+			defer co.untrack(client)
+			co.handle(client)
 		}()
 	}
 }
@@ -186,17 +201,17 @@ func (co *Coordinator) rank(spec *gamesim.GameSpec) []int {
 	for i, m := range co.members {
 		views[i] = m.view()
 	}
-	return Rank(views, spec, co.cfg.Weights, co.cfg.Jobs)
+	return Rank(views, spec, co.cfg.Weights)
 }
 
 // handle runs one client session end to end: read the Hello, walk the
 // routing preference order admitting against each cluster in turn
 // (transport failures and rejections fail over to the next), then splice
-// the two connections into a raw byte pipe for the session body.
+// the two connections into a raw byte pipe for the session body. The caller
+// closes the client connection when handle returns.
 func (co *Coordinator) handle(client *streaming.Conn) {
 	env, err := client.Recv()
 	if err != nil || env.Type != streaming.MsgHello {
-		_ = client.Close()
 		return
 	}
 	// The spec only tunes the latency weight; unknown games route with
@@ -221,24 +236,22 @@ func (co *Coordinator) handle(client *streaming.Conn) {
 		admitted.Accept.Cluster = m.name
 		m.admitted.Add(1)
 		co.admissions.Add(1)
-		if client.Send(admitted) != nil {
-			_ = backend.Close()
-			_ = client.Close()
-			return
+		if client.Send(admitted) == nil {
+			co.pipe(client, backend)
 		}
-		co.pipe(client, backend)
+		co.untrack(backend)
 		return
 	}
 	co.rejections.Add(1)
 	_ = client.Send(&streaming.Envelope{Type: streaming.MsgReject,
 		Reject: &streaming.Reject{Reason: reason}}) // best-effort: the client may already be gone
-	_ = client.Close()
 }
 
-// admitOn offers the Hello to one cluster and returns the open backend
-// connection plus the Accept on success. Transport errors count against the
-// member's health (a refused dial is the fastest down-detector there is);
-// an explicit Reject does not — a full cluster is healthy, just busy.
+// admitOn offers the Hello to one cluster and returns the open, tracked
+// backend connection plus the Accept on success; the caller untracks it.
+// Transport errors count against the member's health (a refused dial is the
+// fastest down-detector there is); an explicit Reject does not — a full
+// cluster is healthy, just busy.
 func (co *Coordinator) admitOn(m *member, hello *streaming.Envelope) (*streaming.Conn, *streaming.Envelope, string) {
 	nc, err := net.DialTimeout("tcp", m.addr, co.cfg.DialTimeout)
 	if err != nil {
@@ -247,15 +260,16 @@ func (co *Coordinator) admitOn(m *member, hello *streaming.Envelope) (*streaming
 		return nil, nil, err.Error()
 	}
 	backend := streaming.NewConn(nc)
-	if err := backend.Send(hello); err != nil {
-		_ = backend.Close()
-		m.transport.Add(1)
-		co.probeFailed(m, err)
-		return nil, nil, err.Error()
+	if !co.track(backend) {
+		return nil, nil, "coordinator shutting down"
 	}
-	reply, err := backend.Recv()
+	var reply *streaming.Envelope
+	err = backend.Send(hello)
+	if err == nil {
+		reply, err = backend.Recv()
+	}
 	if err != nil {
-		_ = backend.Close()
+		co.untrack(backend)
 		m.transport.Add(1)
 		co.probeFailed(m, err)
 		return nil, nil, err.Error()
@@ -264,11 +278,11 @@ func (co *Coordinator) admitOn(m *member, hello *streaming.Envelope) (*streaming
 	case streaming.MsgAccept:
 		return backend, reply, ""
 	case streaming.MsgReject:
-		_ = backend.Close()
+		co.untrack(backend)
 		m.rejected.Add(1)
 		return nil, nil, reply.Reject.Reason
 	default:
-		_ = backend.Close()
+		co.untrack(backend)
 		m.transport.Add(1)
 		return nil, nil, fmt.Sprintf("unexpected admission reply %q", reply.Type)
 	}
@@ -278,11 +292,8 @@ func (co *Coordinator) admitOn(m *member, hello *streaming.Envelope) (*streaming
 // (one goroutine per direction, both tracked for shutdown) and blocks until
 // the session ends. Either side closing tears both legs down.
 func (co *Coordinator) pipe(client, backend *streaming.Conn) {
-	p := &proxyPair{client: client, backend: backend}
-	co.pairsMu.Lock()
-	co.pairs[p] = struct{}{}
-	co.pairsMu.Unlock()
-
+	co.sessions.Add(1)
+	defer co.sessions.Add(-1)
 	downstream := make(chan struct{})
 	co.wg.Add(1)
 	go func() {
@@ -296,18 +307,10 @@ func (co *Coordinator) pipe(client, backend *streaming.Conn) {
 	_ = backend.Close()
 	_ = client.Close()
 	<-downstream
-
-	co.pairsMu.Lock()
-	delete(co.pairs, p)
-	co.pairsMu.Unlock()
 }
 
 // Sessions returns the number of sessions currently proxied.
-func (co *Coordinator) Sessions() int {
-	co.pairsMu.Lock()
-	defer co.pairsMu.Unlock()
-	return len(co.pairs)
-}
+func (co *Coordinator) Sessions() int { return int(co.sessions.Load()) }
 
 // String describes the coordinator.
 func (co *Coordinator) String() string {

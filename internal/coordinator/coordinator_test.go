@@ -358,3 +358,119 @@ func TestServeRejectsEmptyFleet(t *testing.T) {
 		t.Fatal("Serve accepted an empty fleet")
 	}
 }
+
+// helloSilentCluster is a stand-in cluster that serves the summary feed, so
+// the coordinator routes to it, but never answers a Hello: a session sent
+// there leaves the coordinator blocked in admission. hellos receives one
+// value per Hello taken. Its handlers end when the coordinator under test
+// closes its connections.
+func helloSilentCluster(t *testing.T, hellos chan<- struct{}) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	summary := &streaming.Envelope{Type: streaming.MsgSummary, Summary: &streaming.ClusterSummary{
+		Proto: streaming.ProtoBinary3, Servers: 4, Headroom: 1,
+	}}
+	serve := func(nc net.Conn) {
+		defer nc.Close()
+		conn := streaming.NewConn(nc)
+		env, err := conn.Recv()
+		if err != nil {
+			return
+		}
+		if env.Type == streaming.MsgHello {
+			hellos <- struct{}{}
+			_, _ = conn.Recv() // silent until the coordinator hangs up
+			return
+		}
+		if conn.Send(summary) != nil {
+			return
+		}
+		conn.SetProto(streaming.ProtoBinary3)
+		for {
+			if _, err := conn.Recv(); err != nil || conn.Send(summary) != nil {
+				return
+			}
+		}
+	}
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go serve(nc)
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// closeWithin runs Close and fails the test if it has not returned after d.
+func closeWithin(t *testing.T, co *Coordinator, d time.Duration) {
+	t.Helper()
+	closed := make(chan error, 1)
+	go func() { closed <- co.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("close: %v", err)
+		}
+	case <-time.After(d):
+		t.Fatalf("Close() still blocked after %v", d)
+	}
+}
+
+// TestCloseWithSilentPeer pins shutdown for peers that go quiet before a
+// session is spliced: a client that connects and never sends its Hello, and
+// a cluster that takes a Hello and never answers it. Close must force those
+// connections down within 2 s.
+func TestCloseWithSilentPeer(t *testing.T) {
+	t.Run("client", func(t *testing.T) {
+		// No cluster ever comes up, so every Hello is answered with a Reject.
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		down := ln.Addr().String()
+		ln.Close()
+		co, err := Serve("127.0.0.1:0", Config{Clusters: []ClusterSpec{{Name: "down", Addr: down}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		silent, err := net.Dial("tcp", co.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer silent.Close()
+		// Connections are accepted in order: once a later Hello is answered,
+		// the silent one has its handler.
+		if _, err := streaming.Play(co.Addr(), streaming.ClientConfig{Game: "Contra"}); err == nil {
+			t.Fatal("session against a fleet with no healthy cluster succeeded")
+		}
+		closeWithin(t, co, 2*time.Second)
+	})
+	t.Run("backend", func(t *testing.T) {
+		hellos := make(chan struct{}, 1)
+		co := startFleet(t, []ClusterSpec{{Name: "silent", Addr: helloSilentCluster(t, hellos)}})
+		nc, err := net.Dial("tcp", co.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		client := streaming.NewConn(nc)
+		if err := client.Send(&streaming.Envelope{Type: streaming.MsgHello, Hello: &streaming.Hello{
+			Game: "Contra", Proto: streaming.ProtoBinary3,
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-hellos:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the Hello never reached the cluster")
+		}
+		closeWithin(t, co, 2*time.Second)
+	})
+}

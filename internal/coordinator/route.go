@@ -77,10 +77,9 @@ func LatencySensitivity(spec *gamesim.GameSpec) float64 {
 	return s
 }
 
-// routeChunk is the scoring-scan granularity: views are scored in fixed
+// routeChunk is RankInto's fan-out granularity: views are scored in fixed
 // 8-wide chunks so the decomposition — and therefore every float the scan
-// produces — is independent of the worker count (the same rule as the
-// placement and delivery walks).
+// produces — is independent of the worker count.
 const routeChunk = 8
 
 // Rank scores every healthy cluster view and returns their IDs in preference
@@ -90,23 +89,24 @@ const routeChunk = 8
 //	Headroom − Latency × (LatencyMS / RefLatencyMS) × LatencySensitivity(spec)
 //
 // — predicted load headroom traded against user→region latency, weighted by
-// how much this game cares. The per-view scoring fans out over jobs
-// goroutines in fixed chunks; the order is then produced serially by a
-// strict comparison sort with lowest-ID tie-break, so the result is
-// bit-identical at every jobs value. Unhealthy views are excluded; an empty
-// result means no cluster is routable.
-func Rank(views []ClusterView, spec *gamesim.GameSpec, w RouteWeights, jobs int) []int {
+// how much this game cares. The views are scored serially, then ordered by
+// a strict comparison sort with lowest-ID tie-break. Unhealthy views are
+// excluded; an empty result means no cluster is routable.
+func Rank(views []ClusterView, spec *gamesim.GameSpec, w RouteWeights) []int {
 	order := make([]int, 0, len(views))
 	scores := make([]float64, len(views))
-	RankInto(views, spec, w, jobs, &order, &scores)
+	RankInto(views, spec, w, 1, &order, &scores)
 	return order
 }
 
 // RankInto is Rank with caller-owned storage: order and scores are reset and
 // reused, so a hot routing path allocates nothing in steady state. After the
-// call *order holds the preference-ordered cluster IDs. The jobs parameter is
-// pinned by bench/cocgbench's coordinator.rank_ns probe: the fan-out's verdict
-// (ROADMAP 6(b)) waits for the PR that may edit bench/ (item 1).
+// call *order holds the preference-ordered cluster IDs. With jobs > 1 the
+// scoring fans out in fixed chunks and the result is bit-identical at every
+// jobs value. The coordinator never fans out — it routes over a handful of
+// regions; jobs and the fan-out stay only because bench/cocgbench's
+// coordinator.rank_ns probe calls RankInto (with 1), and they go when bench/
+// is next editable (ROADMAP item 2).
 //
 //cocg:hot
 func RankInto(views []ClusterView, spec *gamesim.GameSpec, w RouteWeights, jobs int, order *[]int, scores *[]float64) {

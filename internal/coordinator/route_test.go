@@ -3,6 +3,7 @@ package coordinator
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"cocg/internal/gamesim"
@@ -28,16 +29,18 @@ func randomViews(seed int64, n int) []ClusterView {
 // TestRankInvariantAcrossJobs is the routing determinism gate: for frozen
 // fleet snapshots of every size around the chunk boundary, the preference
 // order is bit-identical whether the scoring scan runs serially or fanned
-// out over 8 goroutines.
+// out over 8 goroutines by RankInto.
 func TestRankInvariantAcrossJobs(t *testing.T) {
 	specs := []*gamesim.GameSpec{nil, gamesim.Contra(), gamesim.GenshinImpact()}
 	for _, n := range []int{1, 7, 8, 9, 64, 200} {
 		for seed := int64(0); seed < 20; seed++ {
 			views := randomViews(seed, n)
 			for _, spec := range specs {
-				serial := Rank(views, spec, RouteWeights{}, 1)
-				par := Rank(views, spec, RouteWeights{}, 8)
-				if !reflect.DeepEqual(serial, par) {
+				serial := Rank(views, spec, RouteWeights{})
+				var par []int
+				var scores []float64
+				RankInto(views, spec, RouteWeights{}, 8, &par, &scores)
+				if !slices.Equal(serial, par) {
 					t.Fatalf("n=%d seed=%d: order depends on jobs:\n jobs=1: %v\n jobs=8: %v",
 						n, seed, serial, par)
 				}
@@ -54,7 +57,9 @@ func TestRankBreaksTiesByLowestID(t *testing.T) {
 		views[i] = ClusterView{ID: i, Healthy: true, LatencyMS: 25, Headroom: 0.5}
 	}
 	for _, jobs := range []int{1, 8} {
-		order := Rank(views, nil, RouteWeights{}, jobs)
+		var order []int
+		var scores []float64
+		RankInto(views, nil, RouteWeights{}, jobs, &order, &scores)
 		for i, id := range order {
 			if id != i {
 				t.Fatalf("jobs=%d: tied clusters ranked %v, want ascending IDs", jobs, order)
@@ -71,13 +76,13 @@ func TestRankExcludesUnhealthy(t *testing.T) {
 		{ID: 1, Healthy: true, Headroom: 0.2, LatencyMS: 90},
 		{ID: 2, Healthy: true, Headroom: 0.9, LatencyMS: 10},
 	}
-	order := Rank(views, nil, RouteWeights{}, 1)
+	order := Rank(views, nil, RouteWeights{})
 	want := []int{2, 1}
 	if !reflect.DeepEqual(order, want) {
 		t.Fatalf("order %v, want %v", order, want)
 	}
 	views[1].Healthy, views[2].Healthy = false, false
-	if order := Rank(views, nil, RouteWeights{}, 1); len(order) != 0 {
+	if order := Rank(views, nil, RouteWeights{}); len(order) != 0 {
 		t.Fatalf("all-down fleet still produced an order: %v", order)
 	}
 }
@@ -90,14 +95,14 @@ func TestRankPrefersHeadroomThenLatency(t *testing.T) {
 		{ID: 0, Healthy: true, Headroom: 0.05, LatencyMS: 5},  // near but saturated
 		{ID: 1, Healthy: true, Headroom: 0.95, LatencyMS: 80}, // far but idle
 	}
-	if order := Rank(views, nil, RouteWeights{}, 1); order[0] != 1 {
+	if order := Rank(views, nil, RouteWeights{}); order[0] != 1 {
 		t.Errorf("saturated near cluster beat idle far one: %v", order)
 	}
 	equal := []ClusterView{
 		{ID: 0, Healthy: true, Headroom: 0.5, LatencyMS: 80},
 		{ID: 1, Healthy: true, Headroom: 0.5, LatencyMS: 5},
 	}
-	if order := Rank(equal, nil, RouteWeights{}, 1); order[0] != 1 {
+	if order := Rank(equal, nil, RouteWeights{}); order[0] != 1 {
 		t.Errorf("at equal load the farther cluster won: %v", order)
 	}
 }

@@ -9,19 +9,19 @@ import (
 )
 
 // LockOrder builds a per-package lock-acquisition graph and flags cyclic
-// acquisition order. PRs 4–6 spread mutexes across the coordinator, the
-// sharded session registry, the per-session queues, and the scheduler; a
-// deadlock needs only two code paths that nest two of those locks in opposite
-// orders, and no test reliably provokes one. The analyzer tracks which lock
+// acquisition order. Mutexes guard the coordinator, the streaming server,
+// the per-session queues, and the scheduler; a deadlock needs only two code
+// paths that nest two of those locks in opposite orders, and no test
+// reliably provokes one. The analyzer tracks which lock
 // classes are held at every statement (including TryLock-guarded branches,
 // deferred unlocks, and lock methods bound as values), records an edge A→B
 // whenever B is acquired — directly or via a same-package call — while A is
 // held, and reports every edge that participates in a cycle.
 //
 // A lock class is the *declaration* of the mutex: a struct field
-// (`regShard.mu` is one class across all sixteen shards), a package-level
+// (`outQueue.mu` is one class across every session's queue), a package-level
 // var, or a local var. Two instances of the same class nested inside each
-// other (shard-vs-shard) are invisible to this analysis and must be policed
+// other (queue-vs-queue) are invisible to this analysis and must be policed
 // by convention; distinct classes are exactly what it sees.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
@@ -478,7 +478,7 @@ func (w *lockWalker) walkExpr(e ast.Expr, isDefer bool) {
 	case *ast.FuncLit:
 		// A bare closure in expression position is walked with the current
 		// stack: the dominant idiom here is a synchronous callback
-		// (parallel.For bodies, registry.each visitors).
+		// (parallel.For bodies, sort comparators).
 		saved := w.snapshot()
 		w.walkStmt(x.Body)
 		w.restore(saved)

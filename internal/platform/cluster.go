@@ -201,10 +201,40 @@ func (c *Cluster) Undrain(serverID int) bool {
 	return false
 }
 
+// Place runs the distributor for one arrival and hosts it: pickServer, then
+// the session, its controller and Server.Add. It counts Placements and
+// FailedPlacements. It returns nil, nil, nil when no server admits the
+// arrival; an arrival that won a server but could not be materialized
+// (malformed script index, controller construction error) returns that
+// server with the error. The simulation queue and the streaming front end
+// both place through it.
+func (c *Cluster) Place(a Arrival) (*Server, *Hosted, error) {
+	srv := c.pickServer(a)
+	if srv == nil {
+		return nil, nil, nil
+	}
+	sess, err := gamesim.NewPlayerSession(a.Spec, a.Script, a.Habit, a.SessionSeed)
+	if err != nil {
+		c.FailedPlacements++
+		c.logf("platform: dropping arrival %s (script %d): %v", a.Spec.Name, a.Script, err)
+		return srv, nil, err
+	}
+	ctl, err := c.Policy.NewController(a.Spec, a.Habit)
+	if err != nil {
+		c.FailedPlacements++
+		c.logf("platform: dropping arrival %s: no controller: %v", a.Spec.Name, err)
+		return srv, nil, err
+	}
+	c.Placements++
+	return srv, srv.Add(a.Spec, sess, ctl), nil
+}
+
 // tryPlace attempts to place pending arrivals FIFO; each arrival is offered
-// to every server once per attempt round. With StarveLimit set, an arrival
-// that has waited past it blocks younger arrivals until it lands, so a heavy
-// game is never starved by a stream of small ones.
+// to every server once per attempt round. An arrival that wins a server
+// leaves the queue even when it cannot be materialized — retrying it would
+// fail identically. With StarveLimit set, an arrival that has waited past it
+// blocks younger arrivals until it lands, so a heavy game is never starved
+// by a stream of small ones.
 func (c *Cluster) tryPlace() {
 	remaining := c.Pending[:0]
 	blocked := false
@@ -213,27 +243,13 @@ func (c *Cluster) tryPlace() {
 			remaining = append(remaining, a)
 			continue
 		}
-		placed := false
-		if srv := c.pickServer(a); srv != nil {
-			placed = true // even malformed arrivals leave the queue
-			sess, err := gamesim.NewPlayerSession(a.Spec, a.Script, a.Habit, a.SessionSeed)
-			if err != nil {
-				c.FailedPlacements++
-				c.logf("platform: dropping arrival %s (script %d): %v", a.Spec.Name, a.Script, err)
-			} else if ctl, cerr := c.Policy.NewController(a.Spec, a.Habit); cerr != nil {
-				c.FailedPlacements++
-				c.logf("platform: dropping arrival %s: no controller: %v", a.Spec.Name, cerr)
-			} else {
-				srv.Add(a.Spec, sess, ctl)
-				c.Placements++
-			}
+		if srv, _, _ := c.Place(a); srv != nil {
+			continue
 		}
-		if !placed {
-			c.RejectedTicks++
-			remaining = append(remaining, a)
-			if c.StarveLimit > 0 && c.Clock.Now()-a.Submitted > c.StarveLimit {
-				blocked = true
-			}
+		c.RejectedTicks++
+		remaining = append(remaining, a)
+		if c.StarveLimit > 0 && c.Clock.Now()-a.Submitted > c.StarveLimit {
+			blocked = true
 		}
 	}
 	c.Pending = remaining

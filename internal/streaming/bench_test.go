@@ -1,8 +1,6 @@
 package streaming
 
 import (
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -63,50 +61,9 @@ func BenchmarkWireFrameBatchDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkRegistryShardedChurn hammers the sharded session registry from
-// GOMAXPROCS goroutines with the live mix of operations: admissions,
-// teardowns, and count reads.
-func BenchmarkRegistryShardedChurn(b *testing.B) {
-	var r registry
-	var nextID atomic.Int64
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			id := nextID.Add(1)
-			r.add(&liveSession{id: id})
-			_ = r.len()
-			r.remove(id)
-		}
-	})
-}
-
-// BenchmarkRegistryGlobalLockChurn is the pre-PR5 registry — one mutex, one
-// map — under the identical operation mix. Kept in-tree as the recorded
-// baseline for BENCH_PR5.json.
-func BenchmarkRegistryGlobalLockChurn(b *testing.B) {
-	var mu sync.Mutex
-	sessions := make(map[int64]*liveSession)
-	var nextID atomic.Int64
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			id := nextID.Add(1)
-			mu.Lock()
-			sessions[id] = &liveSession{id: id}
-			mu.Unlock()
-			mu.Lock()
-			_ = len(sessions)
-			mu.Unlock()
-			mu.Lock()
-			delete(sessions, id)
-			mu.Unlock()
-		}
-	})
-}
-
-// benchSessions registers n wire-less live sessions on a served cluster and
-// warms them past the loading screen, returning the server and a frozen
-// session snapshot. The simulation is then left untouched so every measured
+// benchSessions builds n wire-less live sessions on a served cluster and
+// warms them past the loading screen, returning the server and its live
+// slice. The simulation is then left untouched so every measured
 // op sees the identical steady state.
 func benchSessions(b *testing.B, n int) (*Server, []*liveSession) {
 	b.Helper()
@@ -134,14 +91,13 @@ func benchSessions(b *testing.B, n int) (*Server, []*liveSession) {
 		}
 		srv := s.cluster.Servers[i%len(s.cluster.Servers)]
 		hosted := srv.Add(spec, sess, ctl)
-		s.reg.add(&liveSession{id: int64(i + 1), hosted: hosted, out: newOutQueue(8)})
+		s.live = append(s.live, &liveSession{id: int64(i + 1), idx: i, hosted: hosted, out: newOutQueue(8)})
 	}
 	// Warm every session past its loading screen, then drain the queues.
-	snap := s.reg.snapshotInto(nil)
 	for t := 0; t < 80; t++ {
 		s.tickOnce()
 	}
-	for _, ls := range snap {
+	for _, ls := range s.live {
 		for {
 			e, ok := ls.out.tryPop()
 			if !ok {
@@ -150,7 +106,7 @@ func benchSessions(b *testing.B, n int) (*Server, []*liveSession) {
 			putFramesEnv(e)
 		}
 	}
-	return s, snap
+	return s, s.live
 }
 
 // benchStreamTick measures one steady-state delivery walk over n live

@@ -31,7 +31,6 @@ type snapshot struct {
 	FramesSent      uint64 `json:"frames_sent"`
 	FramesCoalesced uint64 `json:"frames_coalesced"`
 	FramesDropped   uint64 `json:"frames_dropped"`
-	ShardContention uint64 `json:"shard_contention"`
 	SummariesServed uint64 `json:"summaries_served"`
 }
 
@@ -45,12 +44,12 @@ type serverSnapshot struct {
 func (s *Server) snapshot() snapshot {
 	s.clusterMu.Lock()
 	out := snapshot{
-		LiveSessions: s.reg.len(),
+		LiveSessions: len(s.live),
 		Placements:   s.cluster.Placements,
 		Pending:      len(s.cluster.Pending),
+		Completed:    int(s.completed),
 	}
 	for _, srv := range s.cluster.Servers {
-		out.Completed += len(srv.Records)
 		out.Servers = append(out.Servers, serverSnapshot{
 			ID:     srv.ID,
 			Hosted: srv.NumHosted(),
@@ -62,7 +61,6 @@ func (s *Server) snapshot() snapshot {
 	out.FramesSent = s.framesSent.Load()
 	out.FramesCoalesced = s.framesCoalesced.Load()
 	out.FramesDropped = s.framesDropped.Load()
-	out.ShardContention = s.reg.contention.Load()
 	out.SummariesServed = s.summariesServed.Load()
 	return out
 }
@@ -84,8 +82,6 @@ func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE cocg_stream_frames_coalesced_total counter\ncocg_stream_frames_coalesced_total %d\n", snap.FramesCoalesced)
 	fmt.Fprintf(w, "# HELP cocg_stream_frames_dropped_total Frame batches dropped oldest-first under backpressure.\n")
 	fmt.Fprintf(w, "# TYPE cocg_stream_frames_dropped_total counter\ncocg_stream_frames_dropped_total %d\n", snap.FramesDropped)
-	fmt.Fprintf(w, "# HELP cocg_stream_shard_contention_total Session-registry shard lock acquisitions that found the lock held.\n")
-	fmt.Fprintf(w, "# TYPE cocg_stream_shard_contention_total counter\ncocg_stream_shard_contention_total %d\n", snap.ShardContention)
 	fmt.Fprintf(w, "# HELP cocg_stream_summaries_served_total Cluster load summaries served to coordinators.\n")
 	fmt.Fprintf(w, "# TYPE cocg_stream_summaries_served_total counter\ncocg_stream_summaries_served_total %d\n", snap.SummariesServed)
 	fmt.Fprintf(w, "# HELP cocg_server_hosted Games hosted per backend server.\n")

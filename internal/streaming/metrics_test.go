@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -84,4 +85,47 @@ func TestMetricsWhileSessionLive(t *testing.T) {
 		t.Errorf("live session not reported:\n%s", body)
 	}
 	<-done
+}
+
+// TestFinishedSessionsKeepNoRecords pins the daemon's memory bound: the
+// server counts finished sessions through the cluster's record sink, so
+// /status still reports every completion while the backends retain no
+// per-session Record.
+func TestFinishedSessionsKeepNoRecords(t *testing.T) {
+	s := startServer(t)
+	const n = 3
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := Play(s.Addr(), ClientConfig{Game: "Contra", Script: i % 3}); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	ts := httptest.NewServer(s.MetricsHandler())
+	defer ts.Close()
+	resp, err := ts.Client().Get(ts.URL + "/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap struct {
+		Completed int `json:"completed"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Completed != n {
+		t.Errorf("/status completed = %d, want %d", snap.Completed, n)
+	}
+	s.clusterMu.Lock()
+	defer s.clusterMu.Unlock()
+	for _, srv := range s.cluster.Servers {
+		if len(srv.Records) != 0 {
+			t.Errorf("backend %d retains %d records", srv.ID, len(srv.Records))
+		}
+	}
 }

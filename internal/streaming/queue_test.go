@@ -102,75 +102,3 @@ func TestOutQueueCloseUnblocksAndDrains(t *testing.T) {
 	q2.close()
 	wg.Wait()
 }
-
-func TestRegistryAddRemoveSnapshot(t *testing.T) {
-	var r registry
-	sessions := make([]*liveSession, 100)
-	for i := range sessions {
-		sessions[i] = &liveSession{id: int64(i + 1)}
-		r.add(sessions[i])
-	}
-	if r.len() != 100 {
-		t.Fatalf("len = %d", r.len())
-	}
-	snap := r.snapshotInto(nil)
-	if len(snap) != 100 {
-		t.Fatalf("snapshot has %d sessions", len(snap))
-	}
-	seen := map[int64]bool{}
-	for _, ls := range snap {
-		if seen[ls.id] {
-			t.Fatalf("session %d visited twice", ls.id)
-		}
-		seen[ls.id] = true
-	}
-	// Remove odd IDs (exercises swap-delete in every shard) and re-walk.
-	for id := int64(1); id <= 100; id += 2 {
-		r.remove(id)
-	}
-	r.remove(999) // unknown: no-op
-	if r.len() != 50 {
-		t.Fatalf("len after removal = %d", r.len())
-	}
-	snap = r.snapshotInto(snap[:0])
-	if len(snap) != 50 {
-		t.Fatalf("snapshot after removal has %d", len(snap))
-	}
-	for _, ls := range snap {
-		if ls.id%2 != 0 {
-			t.Fatalf("removed session %d still walked", ls.id)
-		}
-	}
-}
-
-func TestRegistryConcurrentChurn(t *testing.T) {
-	var r registry
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				id := int64(g*1000 + i)
-				r.add(&liveSession{id: id})
-				if i%3 == 0 {
-					r.remove(id)
-				}
-			}
-		}(g)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		buf := make([]*liveSession, 0, 4096)
-		for i := 0; i < 200; i++ {
-			buf = r.snapshotInto(buf[:0])
-		}
-	}()
-	wg.Wait()
-	<-done
-	want := 8 * (500 - 167) // 167 removals per goroutine (i%3==0 over 0..499)
-	if r.len() != want {
-		t.Fatalf("len = %d, want %d", r.len(), want)
-	}
-}

@@ -25,8 +25,6 @@ type ServerConfig struct {
 	// TickEvery is the real duration of one virtual second; <=0 means
 	// 10 ms (a 100x-speed simulation — tests and demos don't wait).
 	TickEvery time.Duration
-	// Encoder models the video encoder; the zero value uses defaults.
-	Encoder Encoder
 	// SessionSeed seeds arriving sessions.
 	SessionSeed int64
 	// QueueLen is the per-session outbound queue capacity; <=0 means 64.
@@ -39,31 +37,34 @@ type ServerConfig struct {
 // Server is the cloud end of Fig. 1: it hosts game sessions on a scheduled
 // cluster and streams encoded frames to connected clients.
 //
-// Concurrency model: the cluster (and placement state) is guarded by
-// clusterMu — the simulation and the delivery walk after it run serially on
-// the tick goroutine. Live sessions live in a sharded registry (16 shards
-// keyed by session ID) so the accept, input, teardown, and metrics paths
-// never serialize on one lock. The per-tick delivery walk builds frame
-// batches in pooled envelopes and pushes them to per-session bounded queues;
-// one writer goroutine per session drains its queue to the wire.
+// Concurrency model: one lock, clusterMu, guards the cluster, placement,
+// the live-session slice and the connection set; the simulation and the
+// delivery walk after it run serially under it on the tick goroutine. The
+// walk builds frame batches in pooled envelopes and pushes them to
+// per-session bounded queues; one writer goroutine per session drains its
+// queue to the wire. Every connection is in the set from Accept until its
+// handler returns, so Close reaches each one — session, summary feed, or a
+// peer that has not finished its handshake.
 type Server struct {
 	cfg     ServerConfig
 	cluster *platform.Cluster
 	ln      net.Listener
 
-	// clusterMu guards the cluster, placement state, and the tick walk.
+	// clusterMu guards the cluster, placement state, the tick walk, live,
+	// conns, completed and fleetLoad.
 	clusterMu sync.Mutex
 	nextID    int64
 	nextSeed  int64
 	closed    bool
 
-	reg registry
-
-	// summaryMu guards the set of open summary-feed connections (coordinator
-	// health/load probes) so Close can force them down; they are not sessions
-	// and never enter the registry.
-	summaryMu    sync.Mutex
-	summaryConns map[*Conn]struct{}
+	// live holds the connected sessions; liveSession.idx is each one's
+	// position, so removal is an O(1) swap-delete.
+	live []*liveSession
+	// conns holds every open client connection so Close can force it down.
+	conns map[*Conn]struct{}
+	// completed is the cluster's record sink: it counts finished sessions,
+	// so the backends retain no Records.
+	completed completedCount
 
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -74,20 +75,17 @@ type Server struct {
 	framesDropped   atomic.Uint64
 	summariesServed atomic.Uint64
 
-	// tickSnap is the tick walk's reused registry snapshot.
-	tickSnap []*liveSession
-
 	// fleetLoad is the reusable output buffer for the policy's fleet
 	// summary; guarded by clusterMu like the cluster itself.
 	fleetLoad platform.FleetLoad
 }
 
-// liveSession ties a hosted game to its client connection. Fields written
-// by the tick walk (seq, ended) are touched only there — ticks are
-// serialized — so they need no lock;
-// the input mirror has its own mutex because the read loop races the walk.
+// liveSession ties a hosted game to its client connection. idx, seq and
+// ended are guarded by clusterMu (the tick walk runs under it); the input
+// mirror has its own mutex because the read loop races the walk.
 type liveSession struct {
 	id     int64
+	idx    int
 	conn   *Conn
 	hosted *platform.Hosted
 	seq    int64
@@ -99,6 +97,14 @@ type liveSession struct {
 
 	out *outQueue
 }
+
+// completedCount is a platform.RecordSink that only counts. The cluster
+// ticks serially under clusterMu, so a plain counter read under the lock is
+// enough.
+type completedCount int
+
+// ConsumeRecord implements platform.RecordSink.
+func (n *completedCount) ConsumeRecord(int, platform.Record) { *n++ }
 
 // framesEnvPool recycles frame-batch envelopes (and their FrameBatch and
 // per-frame slice backing arrays) between the tick walk and the session
@@ -130,9 +136,6 @@ func Serve(addr string, cfg ServerConfig) (*Server, error) {
 	if cfg.TickEvery <= 0 {
 		cfg.TickEvery = 10 * time.Millisecond
 	}
-	if cfg.Encoder == (Encoder{}) {
-		cfg.Encoder = DefaultEncoder()
-	}
 	if cfg.QueueLen <= 0 {
 		cfg.QueueLen = 64
 	}
@@ -141,13 +144,14 @@ func Serve(addr string, cfg ServerConfig) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:          cfg,
-		cluster:      cfg.System.NewCluster(cfg.Servers, cfg.Policy),
-		ln:           ln,
-		nextSeed:     cfg.SessionSeed,
-		summaryConns: make(map[*Conn]struct{}),
-		done:         make(chan struct{}),
+		cfg:      cfg,
+		cluster:  cfg.System.NewCluster(cfg.Servers, cfg.Policy),
+		ln:       ln,
+		nextSeed: cfg.SessionSeed,
+		conns:    make(map[*Conn]struct{}),
+		done:     make(chan struct{}),
 	}
+	s.cluster.SetSink(&s.completed)
 	s.wg.Add(2)
 	go s.acceptLoop()
 	go s.tickLoop()
@@ -158,8 +162,8 @@ func Serve(addr string, cfg ServerConfig) (*Server, error) {
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Close stops the server and disconnects all clients. Every goroutine the
-// server started — accept loop, tick loop, per-session readers and writers
-// — has exited when Close returns.
+// server started — accept loop, tick loop, per-session readers and writers,
+// summary feeds and handshakes in progress — has exited when Close returns.
 func (s *Server) Close() error {
 	s.clusterMu.Lock()
 	if s.closed {
@@ -167,29 +171,23 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
+	// Closing a queue unblocks its writer; closing a connection unblocks its
+	// reader, whatever it is waiting for, and any in-flight Send.
+	for _, ls := range s.live {
+		ls.out.close()
+	}
+	for conn := range s.conns {
+		_ = conn.Close() // best-effort disconnect during teardown
+	}
 	s.clusterMu.Unlock()
 	close(s.done)
 	err := s.ln.Close()
-	// Force every live session down: closing the queue unblocks its writer,
-	// closing the connection unblocks its reader (and any in-flight Send).
-	s.reg.each(func(ls *liveSession) {
-		ls.out.close()
-		if ls.conn != nil { // benchmarks register wire-less sessions
-			_ = ls.conn.Close() // best-effort disconnect during teardown
-		}
-	})
-	// Summary feeds block in Recv between coordinator probes; closing the
-	// connection unblocks them so wg.Wait cannot hang on a quiet feed.
-	s.summaryMu.Lock()
-	for conn := range s.summaryConns {
-		_ = conn.Close() // best-effort disconnect during teardown
-	}
-	s.summaryMu.Unlock()
 	s.wg.Wait()
 	return err
 }
 
-// acceptLoop admits client connections.
+// acceptLoop admits client connections, entering each into the connection
+// set before its handler starts; one that arrives after Close is closed.
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
 	for {
@@ -197,10 +195,19 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
+		conn := NewConn(c)
+		s.clusterMu.Lock()
+		if s.closed {
+			s.clusterMu.Unlock()
+			_ = conn.Close()
+			continue
+		}
+		s.conns[conn] = struct{}{}
+		s.clusterMu.Unlock()
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			s.handle(NewConn(c))
+			s.handle(conn)
 		}()
 	}
 }
@@ -209,11 +216,18 @@ func (s *Server) acceptLoop() {
 // then the input-reading loop, with a paired writer goroutine draining the
 // session's outbound queue. Every refusal — a peer that cannot speak
 // ProtoBinary3, an unknown game or script, a full cluster — is a Reject with
-// the reason, then a close.
+// the reason, then a close. The connection leaves the set, closed, when
+// handle returns.
 func (s *Server) handle(conn *Conn) {
+	defer func() {
+		s.clusterMu.Lock()
+		delete(s.conns, conn)
+		s.clusterMu.Unlock()
+		_ = conn.Close()
+		conn.Release()
+	}()
 	env, err := conn.Recv()
 	if err != nil {
-		_ = conn.Close()
 		return
 	}
 	if env.Type == MsgSummaryReq {
@@ -221,7 +235,6 @@ func (s *Server) handle(conn *Conn) {
 		return
 	}
 	if env.Type != MsgHello {
-		_ = conn.Close()
 		return
 	}
 	hello := env.Hello
@@ -238,7 +251,6 @@ func (s *Server) handle(conn *Conn) {
 	}
 	if ls == nil {
 		_ = conn.Send(&Envelope{Type: MsgReject, Reject: &Reject{Reason: reason}})
-		_ = conn.Close()
 		return
 	}
 	// The Accept went out (in JSON) inside place; switch both directions to
@@ -259,8 +271,19 @@ func (s *Server) handle(conn *Conn) {
 	ls.out.close()
 	_ = conn.Close()
 	<-writerDone
-	s.reg.remove(ls.id)
-	conn.Release()
+	s.removeLive(ls)
+}
+
+// removeLive swap-deletes a session from the live slice.
+func (s *Server) removeLive(ls *liveSession) {
+	s.clusterMu.Lock()
+	defer s.clusterMu.Unlock()
+	last := len(s.live) - 1
+	moved := s.live[last]
+	moved.idx = ls.idx
+	s.live[ls.idx] = moved
+	s.live[last] = nil
+	s.live = s.live[:last]
 }
 
 // readLoop consumes input batches for RTT echoing, decoding into one reused
@@ -299,7 +322,8 @@ func (s *Server) writeLoop(ls *liveSession) {
 	}
 }
 
-// place runs the distributor for an arriving client and hosts the session.
+// place runs the cluster's distributor for an arriving client and hosts the
+// session on the server it picks.
 func (s *Server) place(conn *Conn, spec *gamesim.GameSpec, hello *Hello) (*liveSession, string) {
 	s.clusterMu.Lock()
 	defer s.clusterMu.Unlock()
@@ -314,38 +338,31 @@ func (s *Server) place(conn *Conn, spec *gamesim.GameSpec, hello *Hello) (*liveS
 			habit = s.nextSeed + 991
 		}
 	}
-	policy := s.cluster.Policy
-	for _, srv := range s.cluster.Servers {
-		if !policy.Admit(srv, spec, habit) {
-			continue
-		}
-		s.nextSeed++
-		sess, err := gamesim.NewPlayerSession(spec, hello.Script, habit, s.nextSeed)
-		if err != nil {
-			return nil, err.Error()
-		}
-		ctl, err := policy.NewController(spec, habit)
-		if err != nil {
-			return nil, err.Error()
-		}
-		hosted := srv.Add(spec, sess, ctl)
-		s.cluster.Placements++
-		s.nextID++
-		ls := &liveSession{
-			id:     s.nextID,
-			conn:   conn,
-			hosted: hosted,
-			out:    newOutQueue(s.cfg.QueueLen),
-		}
-		s.reg.add(ls)
-		// Best-effort: if the accept never lands, the input loop's Recv
-		// fails and tears the session down.
-		_ = conn.Send(&Envelope{Type: MsgAccept, Accept: &Accept{
-			SessionID: ls.id, Server: srv.ID, Game: spec.Name, Proto: ProtoBinary3,
-		}})
-		return ls, ""
+	srv, hosted, err := s.cluster.Place(platform.Arrival{
+		Spec: spec, Script: hello.Script, Habit: habit, SessionSeed: s.nextSeed + 1,
+	})
+	if srv == nil {
+		return nil, "no server can host this game right now"
 	}
-	return nil, "no server can host this game right now"
+	s.nextSeed++
+	if err != nil {
+		return nil, err.Error()
+	}
+	s.nextID++
+	ls := &liveSession{
+		id:     s.nextID,
+		idx:    len(s.live),
+		conn:   conn,
+		hosted: hosted,
+		out:    newOutQueue(s.cfg.QueueLen),
+	}
+	s.live = append(s.live, ls)
+	// Best-effort: if the accept never lands, the input loop's Recv
+	// fails and tears the session down.
+	_ = conn.Send(&Envelope{Type: MsgAccept, Accept: &Accept{
+		SessionID: ls.id, Server: srv.ID, Game: spec.Name, Proto: ProtoBinary3,
+	}})
+	return ls, ""
 }
 
 // tickLoop advances the cluster one virtual second per TickEvery and emits
@@ -364,9 +381,9 @@ func (s *Server) tickLoop() {
 	}
 }
 
-// tickOnce advances the simulation one second, then walks a snapshot of the
-// registry (reused buffer): one pooled frame batch per live session on frame
-// boundaries and an End for every finished session.
+// tickOnce advances the simulation one second, then walks the live sessions
+// in place: one pooled frame batch per session on frame boundaries and an
+// End for every finished session.
 //
 //cocg:hot
 func (s *Server) tickOnce() {
@@ -377,8 +394,7 @@ func (s *Server) tickOnce() {
 	}
 	s.cluster.Tick()
 	boundary := simclock.IsFrameBoundary(s.cluster.Clock.Now())
-	s.tickSnap = s.reg.snapshotInto(s.tickSnap[:0])
-	for _, ls := range s.tickSnap {
+	for _, ls := range s.live {
 		s.emitSession(ls, boundary)
 	}
 }
@@ -419,17 +435,18 @@ func (s *Server) emitSession(ls *liveSession, boundary bool) {
 	ls.inMu.Lock()
 	echoSeq, echoAt := ls.inSeq, ls.inSentAt
 	ls.inMu.Unlock()
+	enc := DefaultEncoder()
 	e := getFramesEnv()
 	f := e.Frames
 	f.SessionID = ls.id
 	f.Seq = ls.seq
 	f.FPS = fps
-	f.BitrateKbps = s.cfg.Encoder.Encode(fps, ls.hosted.Granted, loading)
+	f.BitrateKbps = enc.Encode(fps, ls.hosted.Granted, loading)
 	f.Stage = sess.StageType()
 	f.Loading = loading
 	f.EchoSeq = echoSeq
 	f.EchoSentAtMS = echoAt
-	f.Frames = s.cfg.Encoder.AppendFrames(f.Frames[:0], fps, f.BitrateKbps)
+	f.Frames = enc.AppendFrames(f.Frames[:0], fps, f.BitrateKbps)
 	displaced, how := ls.out.push(e)
 	switch how {
 	case pushCoalesced:
@@ -447,17 +464,6 @@ func (s *Server) emitSession(ls *liveSession, boundary bool) {
 // further MsgSummaryReq is answered with a fresh ClusterSummary. The feed
 // ends when the peer disconnects or the server closes.
 func (s *Server) serveSummaryFeed(conn *Conn, req *SummaryReq) {
-	s.summaryMu.Lock()
-	s.summaryConns[conn] = struct{}{}
-	s.summaryMu.Unlock()
-	defer func() {
-		s.summaryMu.Lock()
-		delete(s.summaryConns, conn)
-		s.summaryMu.Unlock()
-		_ = conn.Close()
-		conn.Release()
-	}()
-
 	if NegotiateProto(req.Proto, ProtoBinary3) == 0 {
 		_ = conn.Send(&Envelope{Type: MsgReject, Reject: &Reject{Reason: unsupportedProto(req.Proto)}})
 		return
@@ -495,16 +501,16 @@ func (s *Server) LoadSummary() ClusterSummary {
 	defer s.clusterMu.Unlock()
 	sum := ClusterSummary{
 		Servers:      len(s.cluster.Servers),
-		LiveSessions: s.reg.len(),
+		LiveSessions: len(s.live),
 		Pending:      len(s.cluster.Pending),
 		Placements:   s.cluster.Placements,
+		Completed:    int(s.completed),
 	}
 	var utilSum float64
 	for _, srv := range s.cluster.Servers {
 		if srv.Draining {
 			sum.Draining++
 		}
-		sum.Completed += len(srv.Records)
 		util := srv.Utilization()
 		worst := 0.0
 		for d := range util {
@@ -538,7 +544,11 @@ func (s *Server) LoadSummary() ClusterSummary {
 }
 
 // Sessions returns the number of currently connected sessions.
-func (s *Server) Sessions() int { return s.reg.len() }
+func (s *Server) Sessions() int {
+	s.clusterMu.Lock()
+	defer s.clusterMu.Unlock()
+	return len(s.live)
+}
 
 // String describes the server.
 func (s *Server) String() string {

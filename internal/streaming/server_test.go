@@ -6,11 +6,13 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"cocg/internal/core"
 	"cocg/internal/gamesim"
+	"cocg/internal/platform"
 )
 
 // TestSessionSpeaksBinaryByDefault pins the happy-path negotiation: the
@@ -249,4 +251,196 @@ func TestBackpressureCountsAndSeqGaps(t *testing.T) {
 	if frames == 0 {
 		t.Error("client received no frames at all")
 	}
+}
+
+// closeWithin runs Close and fails the test if it has not returned after d.
+func closeWithin(t *testing.T, s *Server, d time.Duration) {
+	t.Helper()
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("close: %v", err)
+		}
+	case <-time.After(d):
+		t.Fatalf("Close() still blocked after %v", d)
+	}
+}
+
+// TestCloseWithSilentPeer pins shutdown for a peer that connected but never
+// sent its first message: its handler is blocked in the handshake Recv, and
+// Close must force that connection down too.
+func TestCloseWithSilentPeer(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s, err := Serve("127.0.0.1:0", ServerConfig{System: testSystem(t), Policy: core.PolicyCoCG, TickEvery: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	silent, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	// Connections are accepted in order: once a later feed is answered, the
+	// silent one has its handler.
+	nc, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed := NewConn(nc)
+	if err := feed.Send(&Envelope{Type: MsgSummaryReq, SummaryReq: &SummaryReq{Proto: ProtoBinary3}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := feed.Recv(); err != nil {
+		t.Fatal(err)
+	}
+	feed.Close()
+
+	closeWithin(t, s, 2*time.Second)
+	requireCleanClose(t, s, before) // already closed: checks the goroutines
+}
+
+// TestSessionChurnUnderTicks races the server's whole lifecycle: clients
+// connect, stream a few batches and hang up while the cluster ticks every
+// millisecond and a poller reads LoadSummary and Sessions; Close lands
+// mid-churn and no goroutine the server started may outlive it.
+func TestSessionChurnUnderTicks(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s, err := Serve("127.0.0.1:0", ServerConfig{
+		System: testSystem(t), Policy: core.PolicyCoCG, Servers: 4,
+		TickEvery: time.Millisecond, QueueLen: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	var sessions atomic.Int64
+	games := []string{"Contra", "Genshin Impact"}
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				nc, err := net.Dial("tcp", s.Addr())
+				if err != nil {
+					return // the server is gone
+				}
+				c := NewConn(nc)
+				if c.Send(&Envelope{Type: MsgHello, Hello: &Hello{
+					Game: games[(g+i)%2], Script: i % 3, Proto: ProtoBinary3,
+				}}) == nil {
+					if env, err := c.Recv(); err == nil && env.Type == MsgAccept {
+						sessions.Add(1)
+						c.SetProto(ProtoBinary3)
+						var body Envelope
+						for k := 0; k < (g+i)%4; k++ {
+							if c.RecvInto(&body) != nil {
+								break
+							}
+						}
+					}
+				}
+				c.Close()
+				c.Release()
+			}
+		}(g)
+	}
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if sum := s.LoadSummary(); sum.LiveSessions < 0 || s.Sessions() < 0 {
+				t.Error("negative session count")
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); sessions.Load() < 40 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if sessions.Load() < 40 {
+		t.Fatalf("only %d sessions placed", sessions.Load())
+	}
+	closeWithin(t, s, 10*time.Second)
+	close(stop)
+	wg.Wait()
+	requireCleanClose(t, s, before)
+}
+
+// TestServingPlacesLikeTheCluster pins the serving tier to the cluster's
+// placement path: every admitted session lands on the server
+// Cluster.PickServer names for that arrival at that moment. The cluster
+// never ticks, so only placements change its state. The sequence must also
+// contain arrivals the CoCG scorer places off the first admitting server,
+// or it would not tell the distributor from a first-fit scan.
+func TestServingPlacesLikeTheCluster(t *testing.T) {
+	s, err := Serve("127.0.0.1:0", ServerConfig{
+		System: testSystem(t), Policy: core.PolicyCoCG, Servers: 4, TickEvery: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	pools := testSystem(t).HabitPools()
+	specs := []*gamesim.GameSpec{gamesim.GenshinImpact(), gamesim.Contra()}
+	offFirstFit, placed := 0, 0
+	for i := 0; i < 16; i++ {
+		spec := specs[i%len(specs)]
+		pool := pools[spec.Name]
+		a := platform.Arrival{Spec: spec, Script: i % len(spec.Scripts), Habit: pool[i%len(pool)]}
+		s.clusterMu.Lock()
+		want := s.cluster.PickServer(a)
+		firstFit := -1
+		for _, srv := range s.cluster.Servers {
+			if s.cluster.Policy.Admit(srv, a.Spec, a.Habit) {
+				firstFit = srv.ID
+				break
+			}
+		}
+		s.clusterMu.Unlock()
+
+		nc, err := net.Dial("tcp", s.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close() // the session stays live until the test ends
+		c := NewConn(nc)
+		if err := c.Send(&Envelope{Type: MsgHello, Hello: &Hello{
+			Game: spec.Name, Script: a.Script, Habit: a.Habit, Proto: ProtoBinary3,
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := c.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			if reply.Type != MsgReject {
+				t.Fatalf("arrival %d: no server admits it, server replied %q", i, reply.Type)
+			}
+			continue
+		}
+		if reply.Type != MsgAccept {
+			t.Fatalf("arrival %d: want server %d, server replied %q", i, want.ID, reply.Type)
+		}
+		if reply.Accept.Server != want.ID {
+			t.Fatalf("arrival %d (%s): placed on server %d, the cluster picks %d",
+				i, spec.Name, reply.Accept.Server, want.ID)
+		}
+		placed++
+		if want.ID != firstFit {
+			offFirstFit++
+		}
+	}
+	if offFirstFit == 0 {
+		t.Fatalf("all %d placements were first fit: the sequence does not exercise the scorer", placed)
+	}
+	t.Logf("%d placed, %d off first fit", placed, offFirstFit)
 }
