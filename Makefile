@@ -56,8 +56,9 @@ fmt:
 # takes one fuzz target per invocation, so the recipe walks them): the wire
 # codec, StepBulk, the tick-equivalence fuzzers, the scheduler's run merge and
 # one-division verdict, lazyrand's stream against math/rand, the model loader
-# (FuzzLoadModel) and the tree trainer against its legacy oracle
-# (FuzzFitMatchesLegacy), none of which any other recipe runs beyond their
+# (FuzzLoadModel), the tree trainer against its legacy oracle
+# (FuzzFitMatchesLegacy) and the bounded K-means against the plain Lloyd loop
+# (FuzzKMeansMatchesLloyd), none of which any other recipe runs beyond their
 # seed corpus.
 FUZZTIME ?= 5s
 fuzz-smoke:
@@ -102,7 +103,8 @@ bench-pairs:
 # bench-layers runs the per-layer micro-benchmarks once, with -benchmem, and
 # prints go test's own table: the placement scan, fleet summary and one
 # saturated fleet frame at 128 and 1024 servers, the prediction and
-# clustering kernels, the serving path (codec, tick walk), routing, the
+# clustering kernels, the whole offline pass (TrainSystem: the end-to-end
+# benchmark's set-up), the serving path (codec, tick walk), routing, the
 # simulation core, and model training beside the legacy trainer the tests
 # keep as its oracle (*FitLegacy), and the two shared kernels under all of
 # them — vector folds and short-lived generator seeding.
@@ -114,5 +116,5 @@ bench-pairs:
 # history only.
 bench-layers:
 	$(GO) test -run '^$$' -benchmem \
-		-bench 'FleetPlacement|FleetFrame|Evaluate|FleetLoad|ClusterLoadFullScan|Predict|KMeans|Forecast|WireFrameBatch|StreamTick|FleetRoute|ServerTick|(DTC|RF|GBDT)Fit|NewPlayerSession|SourceSeedAndDraw|VectorFold' \
+		-bench 'FleetPlacement|FleetFrame|Evaluate|FleetLoad|ClusterLoadFullScan|Predict|KMeans|TrainSystem|Forecast|WireFrameBatch|StreamTick|FleetRoute|ServerTick|(DTC|RF|GBDT)Fit|NewPlayerSession|SourceSeedAndDraw|VectorFold' \
 		. ./internal/...

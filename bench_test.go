@@ -426,6 +426,18 @@ func benchKMeans(b *testing.B, workers int) {
 func BenchmarkKMeansWorkers1(b *testing.B)   { benchKMeans(b, 1) }
 func BenchmarkKMeansWorkersMax(b *testing.B) { benchKMeans(b, 0) }
 
+// BenchmarkTrainSystem is the whole offline pass exactly as the end-to-end
+// benchmark's set-up runs it: every game's corpus recorded, profiled and
+// trained, serially.
+func BenchmarkTrainSystem(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Train(gamesim.AllGames(), core.TrainOptions{Seed: 1, Workers: 1}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // benchTrainingSet synthesizes a multiclass dataset with learnable structure
 // (the label tracks a noisy linear score over the features).
 func benchTrainingSet(b *testing.B, n int) *mlmodels.Dataset {

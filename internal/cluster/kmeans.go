@@ -103,6 +103,12 @@ type kmScratch struct {
 	d2           []float64            // k-means++ D² weights
 	centroids    []resources.Vector   // current restart's working centroids
 	ssePartial   []float64            // per-chunk SSE partials
+	// upper/lower are each point's distance bounds (see lloyd); prev holds
+	// the centroids before an update and drift how far each one moved.
+	upper []float64
+	lower []float64
+	prev  []resources.Vector
+	drift []float64
 	// bestAssign/bestCentroids snapshot the best restart so far; they are
 	// the only buffers that outlive the call, as the returned Result.
 	bestAssign    []int
@@ -121,6 +127,10 @@ func newKMScratch(n, k int) *kmScratch {
 		d2:            make([]float64, n),
 		centroids:     make([]resources.Vector, 0, k),
 		ssePartial:    make([]float64, nChunks),
+		upper:         make([]float64, n),
+		lower:         make([]float64, n),
+		prev:          make([]resources.Vector, k),
+		drift:         make([]float64, k),
 		bestAssign:    make([]int, n),
 		bestCentroids: make([]resources.Vector, k),
 	}
@@ -165,11 +175,30 @@ func KMeans(points []resources.Vector, cfg Config) (*Result, error) {
 	return best, nil
 }
 
+// boundSlack is the relative margin of the assignment bounds' skip test. It
+// sits many orders above the rounding of a computed distance, so a point the
+// test skips is one whose exact scan could not pick another centroid, ties
+// included.
+const boundSlack = 1e-9
+
+// boundsHold reports whether a point's upper bound u stays clearly below its
+// lower bound l, so no centroid but its own can be nearest.
+func boundsHold(u, l float64) bool { return u*(1+boundSlack) < l*(1-boundSlack) }
+
 // lloyd runs one k-means++ initialization followed by Lloyd iterations,
 // leaving the final assignment and centroids in the scratch. The assignment
 // and centroid-update steps fan out over fixed-size point chunks; per-chunk
 // partial sums are merged in chunk order, so the floating-point result is
 // identical at every worker count.
+//
+// The assignment step keeps Hamerly's bounds: per point, an upper bound on
+// the distance to its centroid and a lower bound on the distance to every
+// other one. When centroids move, each bound moves by the drift (the upper
+// by its own centroid's, the lower by the largest other one), inflated by
+// boundSlack so rounding can only loosen it. A point whose upper bound stays
+// clearly below its lower bound keeps its centroid without a scan; every
+// other point runs the exact strict-< scan, so the assignment, centroids,
+// SSE and iteration count are those of the plain loop.
 func lloyd(points []resources.Vector, k, maxIter, workers int, rng *rand.Rand, s *kmScratch) (sse float64, iterations int) {
 	centroids := seedPlusPlus(points, k, rng, s)
 	assign := s.assign
@@ -178,6 +207,14 @@ func lloyd(points []resources.Vector, k, maxIter, workers int, rng *rand.Rand, s
 	}
 	n := len(points)
 	nChunks := parallel.NumChunks(n)
+	upper, lower, drift := s.upper, s.lower, s.drift
+	// bounded is false on the first pass, whose scan sets every bound;
+	// maxDrift/maxDriftAt and nextDrift are the largest centroid drift, its
+	// centroid and the second largest, so a point's lower bound moves by the
+	// largest drift of a centroid other than its own.
+	bounded := false
+	var maxDrift, nextDrift float64
+	maxDriftAt := -1
 	// The chunk bodies are built once per restart, not once per iteration:
 	// closures handed to parallel.For escape to the heap, so constructing
 	// them inside the Lloyd loop would allocate on every iteration. The
@@ -188,12 +225,31 @@ func lloyd(points []resources.Vector, k, maxIter, workers int, rng *rand.Rand, s
 		changed := false
 		for i := lo; i < hi; i++ {
 			p := points[i]
-			best, bestD := 0, math.Inf(1)
-			for c, cent := range centroids {
-				if d := p.Dist2(cent); d < bestD {
-					best, bestD = c, d
+			if bounded {
+				a := assign[i]
+				other := maxDrift
+				if a == maxDriftAt {
+					other = nextDrift
+				}
+				upper[i] += drift[a]
+				lower[i] -= other
+				if boundsHold(upper[i], lower[i]) {
+					continue
+				}
+				upper[i] = math.Sqrt(p.Dist2(centroids[a]))
+				if boundsHold(upper[i], lower[i]) {
+					continue
 				}
 			}
+			best, bestD, nextD := 0, math.Inf(1), math.Inf(1)
+			for c, cent := range centroids {
+				if d := p.Dist2(cent); d < bestD {
+					best, bestD, nextD = c, d, bestD
+				} else if d < nextD {
+					nextD = d
+				}
+			}
+			upper[i], lower[i] = math.Sqrt(bestD), math.Sqrt(nextD)
 			if assign[i] != best {
 				assign[i] = best
 				changed = true
@@ -202,6 +258,12 @@ func lloyd(points []resources.Vector, k, maxIter, workers int, rng *rand.Rand, s
 		s.chunkChanged[chunk] = changed
 	}
 	updateBody := func(chunk int) {
+		// A chunk none of whose points moved keeps last iteration's
+		// partials: they are the same sums of the same points. The first
+		// pass moves every point off -1, so every chunk starts computed.
+		if !s.chunkChanged[chunk] {
+			return
+		}
 		lo, hi := parallel.ChunkBounds(chunk, n)
 		sums := s.chunkSums[chunk]
 		counts := s.chunkCounts[chunk]
@@ -217,6 +279,7 @@ func lloyd(points []resources.Vector, k, maxIter, workers int, rng *rand.Rand, s
 	for iter := 0; iter < maxIter; iter++ {
 		iterations = iter + 1
 		parallel.For(workers, nChunks, assignBody)
+		bounded = true
 		changed := false
 		for _, c := range s.chunkChanged {
 			changed = changed || c
@@ -239,9 +302,19 @@ func lloyd(points []resources.Vector, k, maxIter, workers int, rng *rand.Rand, s
 				counts[c] += s.chunkCounts[chunk][c]
 			}
 		}
+		copy(s.prev, centroids)
 		for c := range centroids {
 			if counts[c] > 0 {
 				centroids[c] = sums[c].Scale(1 / float64(counts[c]))
+			}
+		}
+		maxDrift, nextDrift, maxDriftAt = 0, 0, -1
+		for c := range centroids {
+			drift[c] = math.Sqrt(s.prev[c].Dist2(centroids[c])) * (1 + boundSlack)
+			if drift[c] > maxDrift {
+				maxDrift, nextDrift, maxDriftAt = drift[c], maxDrift, c
+			} else if drift[c] > nextDrift {
+				nextDrift = drift[c]
 			}
 		}
 	}

@@ -122,13 +122,36 @@ type Transition struct {
 // Extractor derives transitions from traces using a game profile.
 type Extractor struct {
 	P *profiler.Profile
+	// stages holds the execution-stage sequences of the corpus
+	// NewExtractor was given; any other trace is detected on demand.
+	stages map[*gamesim.Trace][]StageObs
+}
+
+// NewExtractor returns an extractor over p whose corpus is already detected:
+// stages[i] is traces[i]'s detection against p, as profiler.BuildStages
+// returns it. Extraction from those traces then reads the detection instead
+// of repeating it.
+func NewExtractor(p *profiler.Profile, traces []*gamesim.Trace, stages [][]profiler.Detected) *Extractor {
+	e := &Extractor{P: p, stages: make(map[*gamesim.Trace][]StageObs, len(traces))}
+	for i, tr := range traces {
+		e.stages[tr] = execStages(stages[i])
+	}
+	return e
 }
 
 // stagesOf returns the detected execution stages of a trace as observations,
 // dropping stages the profile could not identify.
 func (e *Extractor) stagesOf(tr *gamesim.Trace) []StageObs {
+	if obs, ok := e.stages[tr]; ok {
+		return obs
+	}
+	return execStages(e.P.DetectStages(tr.FrameVectors()))
+}
+
+// execStages keeps a detection's identified execution stages.
+func execStages(det []profiler.Detected) []StageObs {
 	var out []StageObs
-	for _, d := range e.P.DetectStages(tr.FrameVectors()) {
+	for _, d := range det {
 		if d.Loading || d.StageID < 0 {
 			continue
 		}

@@ -78,7 +78,7 @@ func (c *Context) refDurations() map[string]float64 {
 		b, _ := c.System.Bundle(game)
 		var sum float64
 		for _, tr := range b.Corpus {
-			sum += float64(len(tr.Seconds))
+			sum += float64(tr.Duration)
 		}
 		if len(b.Corpus) > 0 {
 			out[game] = sum / float64(len(b.Corpus))

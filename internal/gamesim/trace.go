@@ -8,7 +8,8 @@ import (
 )
 
 // SecondSample is one virtual second of an offline profiling run at full
-// resource supply.
+// resource supply. Only the single-session recorders keep them (see
+// Trace.Seconds).
 type SecondSample struct {
 	T         simclock.Seconds
 	Demand    resources.Vector
@@ -43,6 +44,12 @@ type Trace struct {
 	Cohort  int64 // players who queue together (MMORPG sample packing)
 	Habit   int64 // the habit seed the session was realized with
 	Session int64 // session seed: distinguishes replays by the same player
+	// Duration is how many virtual seconds the session ran; 0 for a trace
+	// loaded from frames alone (tracefile).
+	Duration simclock.Seconds
+	// Seconds is the per-second record. Record and RecordPlayer keep it for
+	// callers that replay a session second by second; the corpus recorders
+	// fold each second into its frame and keep none.
 	Seconds []SecondSample
 	Frames  []FrameSample
 	Visits  []StageVisit
@@ -78,79 +85,97 @@ func Record(spec *GameSpec, scriptIdx int, seed int64) (*Trace, error) {
 // RecordPlayer records one session of a specific player (habit seed) with a
 // specific session seed, at unconstrained supply.
 func RecordPlayer(spec *GameSpec, scriptIdx int, habitSeed, sessionSeed int64) (*Trace, error) {
+	return record(spec, scriptIdx, habitSeed, sessionSeed, true)
+}
+
+// record runs one session at unconstrained supply, folding each second into
+// its 5-second frame as it goes; keepSeconds also keeps the per-second
+// samples.
+func record(spec *GameSpec, scriptIdx int, habitSeed, sessionSeed int64, keepSeconds bool) (*Trace, error) {
 	sess, err := NewPlayerSession(spec, scriptIdx, habitSeed, sessionSeed)
 	if err != nil {
 		return nil, err
 	}
 	tr := &Trace{Game: spec.Name, Script: scriptIdx, Player: habitSeed, Habit: habitSeed, Session: sessionSeed}
 	var clk simclock.Clock
+	var fold frameFold
 	const maxTicks = int(4 * simclock.Hour) // safety bound; no script runs this long
 	for i := 0; i < maxTicks && !sess.Done(); i++ {
-		d := sess.Demand()
-		tr.Seconds = append(tr.Seconds, SecondSample{
-			T:         clk.Now(),
-			Demand:    d,
-			StageType: sess.StageType(),
-			Cluster:   sess.Cluster(),
-			Loading:   sess.Phase() == PhaseLoading,
-		})
+		d, stage, cl, loading := sess.Demand(), sess.StageType(), sess.Cluster(), sess.Phase() == PhaseLoading
+		if keepSeconds {
+			tr.Seconds = append(tr.Seconds, SecondSample{T: clk.Now(), Demand: d, StageType: stage, Cluster: cl, Loading: loading})
+		}
+		if fold.add(d, stage, cl, loading) {
+			tr.Frames = append(tr.Frames, fold.frame(len(tr.Frames)))
+		}
 		sess.Step(resources.FullServer)
 		clk.Tick()
 	}
 	if !sess.Done() {
 		return nil, fmt.Errorf("gamesim: %s script %d did not finish within %s", spec.Name, scriptIdx, simclock.Seconds(maxTicks))
 	}
-	tr.Frames = frameAggregate(tr.Seconds)
-	tr.Visits = segment(tr.Frames)
+	if fold.n > 0 {
+		tr.Frames = append(tr.Frames, fold.frame(len(tr.Frames)))
+	}
+	tr.Duration = clk.Now()
+	tr.Visits = Visits(tr.Frames)
 	return tr, nil
 }
 
-// frameAggregate folds per-second samples into 5-second frames, labeling
-// each frame with the majority ground-truth stage.
-func frameAggregate(secs []SecondSample) []FrameSample {
-	var frames []FrameSample
-	for start := 0; start < len(secs); start += int(simclock.FrameLen) {
-		end := start + int(simclock.FrameLen)
-		if end > len(secs) {
-			end = len(secs)
-		}
-		var sum resources.Vector
-		typeCount := map[int]int{}
-		clusterCount := map[int]int{}
-		loading := 0
-		for _, s := range secs[start:end] {
-			sum = sum.Add(s.Demand)
-			typeCount[s.StageType]++
-			clusterCount[s.Cluster]++
-			if s.Loading {
-				loading++
-			}
-		}
-		n := end - start
-		frames = append(frames, FrameSample{
-			Frame:     len(frames),
-			Demand:    sum.Scale(1 / float64(n)),
-			StageType: majorityKey(typeCount),
-			Cluster:   majorityKey(clusterCount),
-			Loading:   loading*2 > n,
-		})
-	}
-	return frames
+// frameFold accumulates the seconds of one frame as they are recorded.
+type frameFold struct {
+	sum      resources.Vector
+	n        int
+	loading  int
+	types    [simclock.FrameLen]int
+	clusters [simclock.FrameLen]int
 }
 
-func majorityKey(counts map[int]int) int {
+// add folds one second in and reports whether the frame is now full.
+func (f *frameFold) add(d resources.Vector, stage, cl int, loading bool) bool {
+	f.sum = f.sum.Add(d)
+	f.types[f.n], f.clusters[f.n] = stage, cl
+	if loading {
+		f.loading++
+	}
+	f.n++
+	return f.n == int(simclock.FrameLen)
+}
+
+// frame closes the fold into frame number idx, labeled with its majority
+// ground-truth stage and cluster, and resets it.
+func (f *frameFold) frame(idx int) FrameSample {
+	out := FrameSample{
+		Frame:     idx,
+		Demand:    f.sum.Scale(1 / float64(f.n)),
+		StageType: majority(f.types[:f.n]),
+		Cluster:   majority(f.clusters[:f.n]),
+		Loading:   f.loading*2 > f.n,
+	}
+	*f = frameFold{}
+	return out
+}
+
+// majority returns the most frequent value, the smallest among ties.
+func majority(vals []int) int {
 	best, bestN := 0, -1
-	for k, n := range counts {
-		if n > bestN || (n == bestN && k < best) {
-			best, bestN = k, n
+	for _, v := range vals {
+		n := 0
+		for _, w := range vals {
+			if w == v {
+				n++
+			}
+		}
+		if n > bestN || (n == bestN && v < best) {
+			best, bestN = v, n
 		}
 	}
 	return best
 }
 
-// segment groups consecutive frames with the same ground-truth stage type
-// into visits.
-func segment(frames []FrameSample) []StageVisit {
+// Visits groups consecutive frames with the same ground-truth stage type
+// and loading flag into stage visits.
+func Visits(frames []FrameSample) []StageVisit {
 	var visits []StageVisit
 	for i := 0; i < len(frames); {
 		j := i
@@ -175,7 +200,8 @@ func RecordCorpus(spec *GameSpec, playersPerScript int, seed int64) ([]*Trace, e
 	var out []*Trace
 	for si := range spec.Scripts {
 		for p := 0; p < playersPerScript; p++ {
-			tr, err := Record(spec, si, seed+int64(si*10_000+p))
+			s := seed + int64(si*10_000+p)
+			tr, err := record(spec, si, s, s, false)
 			if err != nil {
 				return nil, err
 			}
@@ -229,7 +255,7 @@ func RecordPlayerCorpus(spec *GameSpec, cfg CorpusConfig) ([]*Trace, error) {
 				// the whole-process sample chaining captures.
 				script = s % len(spec.Scripts)
 			}
-			tr, err := RecordPlayer(spec, script, habit, sessSeed)
+			tr, err := record(spec, script, habit, sessSeed, false)
 			if err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package gamesim
 
 import (
+	"reflect"
 	"testing"
 
 	"cocg/internal/resources"
@@ -15,7 +16,10 @@ func TestRecordProducesConsistentTrace(t *testing.T) {
 	if len(tr.Seconds) == 0 || len(tr.Frames) == 0 || len(tr.Visits) == 0 {
 		t.Fatal("empty trace")
 	}
-	wantFrames := (len(tr.Seconds) + int(simclock.FrameLen) - 1) / int(simclock.FrameLen)
+	if tr.Duration != simclock.Seconds(len(tr.Seconds)) {
+		t.Errorf("duration = %v, want %d seconds", tr.Duration, len(tr.Seconds))
+	}
+	wantFrames := int((tr.Duration + simclock.FrameLen - 1) / simclock.FrameLen)
 	if len(tr.Frames) != wantFrames {
 		t.Errorf("frames = %d, want %d", len(tr.Frames), wantFrames)
 	}
@@ -129,5 +133,76 @@ func TestRecordCorpus(t *testing.T) {
 func TestRecordBadScript(t *testing.T) {
 	if _, err := Record(Contra(), 99, 1); err == nil {
 		t.Error("bad script index did not error")
+	}
+}
+
+// aggregateSeconds is the frame aggregation over a kept per-second record:
+// each 5-second window's mean demand and its majority stage, cluster and
+// loading flag (ties to the smaller value).
+func aggregateSeconds(secs []SecondSample) []FrameSample {
+	var frames []FrameSample
+	for start := 0; start < len(secs); start += int(simclock.FrameLen) {
+		end := min(start+int(simclock.FrameLen), len(secs))
+		var sum resources.Vector
+		types, clusters := map[int]int{}, map[int]int{}
+		loading := 0
+		for _, s := range secs[start:end] {
+			sum = sum.Add(s.Demand)
+			types[s.StageType]++
+			clusters[s.Cluster]++
+			if s.Loading {
+				loading++
+			}
+		}
+		n := end - start
+		frames = append(frames, FrameSample{
+			Frame: len(frames), Demand: sum.Scale(1 / float64(n)),
+			StageType: mapMajority(types), Cluster: mapMajority(clusters), Loading: loading*2 > n,
+		})
+	}
+	return frames
+}
+
+func mapMajority(counts map[int]int) int {
+	best, bestN := 0, -1
+	for k, n := range counts {
+		if n > bestN || (n == bestN && k < best) {
+			best, bestN = k, n
+		}
+	}
+	return best
+}
+
+func TestFramesFoldSeconds(t *testing.T) {
+	// Frames folded while recording equal the aggregation of the kept
+	// seconds, and a corpus trace of the same session keeps the same frames,
+	// visits and duration without its seconds.
+	for _, spec := range AllGames() {
+		tr, err := RecordPlayer(spec, 0, 21, 34)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := aggregateSeconds(tr.Seconds); !reflect.DeepEqual(tr.Frames, want) {
+			t.Fatalf("%s: folded frames differ from the aggregated seconds", spec.Name)
+		}
+		folded, err := record(spec, 0, 21, 34, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if folded.Seconds != nil {
+			t.Errorf("%s: corpus trace kept %d seconds", spec.Name, len(folded.Seconds))
+		}
+		if folded.Duration != tr.Duration || !reflect.DeepEqual(folded.Frames, tr.Frames) || !reflect.DeepEqual(folded.Visits, tr.Visits) {
+			t.Errorf("%s: corpus trace differs from the recorded one", spec.Name)
+		}
+	}
+	corpus, err := RecordPlayerCorpus(Contra(), CorpusConfig{Players: 2, SessionsPerPlayer: 1, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range corpus {
+		if tr.Seconds != nil || tr.Duration == 0 {
+			t.Errorf("corpus trace: %d seconds kept, duration %v", len(tr.Seconds), tr.Duration)
+		}
 	}
 }

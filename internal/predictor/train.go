@@ -115,7 +115,7 @@ func TrainForGame(spec *gamesim.GameSpec, cfg TrainConfig) (*Trained, error) {
 	if err != nil {
 		return nil, err
 	}
-	prof, err := profiler.Build(corpus, profiler.Config{K: len(spec.Clusters), Seed: c.Seed, Workers: c.Workers})
+	prof, stages, err := profiler.BuildStages(corpus, profiler.Config{K: len(spec.Clusters), Seed: c.Seed, Workers: c.Workers})
 	if err != nil {
 		return nil, err
 	}
@@ -123,7 +123,7 @@ func TrainForGame(spec *gamesim.GameSpec, cfg TrainConfig) (*Trained, error) {
 	if c.ForceGlobal {
 		strategy = dataset.Global
 	}
-	ex := &dataset.Extractor{P: prof}
+	ex := dataset.NewExtractor(prof, corpus, stages)
 	groups := dataset.Select(strategy, ex, corpus)
 	// Runtime models serve any player, so pool the strategy's groups; the
 	// strategy still shapes the samples (e.g. whole-playthrough chaining),

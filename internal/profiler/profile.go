@@ -9,7 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"cocg/internal/cluster"
 	"cocg/internal/gamesim"
@@ -46,14 +46,14 @@ type StageSig struct {
 
 // Key returns the canonical string form of a cluster set.
 func Key(set []int) string {
-	var b strings.Builder
+	b := make([]byte, 0, 3*len(set))
 	for i, c := range set {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%d", c)
+		b = strconv.AppendInt(b, int64(c), 10)
 	}
-	return b.String()
+	return string(b)
 }
 
 // Detected is one stage occurrence found in a frame sequence.
@@ -123,31 +123,52 @@ func (c Config) withDefaults() Config {
 
 // Build constructs a game profile from offline traces.
 func Build(traces []*gamesim.Trace, cfg Config) (*Profile, error) {
+	p, _, err := BuildStages(traces, cfg)
+	return p, err
+}
+
+// BuildStages is Build that also returns every trace's stages detected
+// against the finished profile, indexed like traces: stages[i] equals
+// p.DetectStages(traces[i].FrameVectors()). Callers that go on to extract
+// stage sequences from the same corpus (dataset.NewExtractor) reuse it
+// instead of detecting the corpus again.
+//
+// The pass reads each frame once per step: the frame vectors are
+// materialised once, every frame is classified once, and each trace is
+// segmented and summarised once. Pruning only renumbers stages, so the
+// final detection is the first one with its stage IDs looked up again.
+func BuildStages(traces []*gamesim.Trace, cfg Config) (*Profile, [][]Detected, error) {
 	if len(traces) == 0 {
-		return nil, ErrNoTraces
+		return nil, nil, ErrNoTraces
 	}
 	c := cfg.withDefaults()
-	var frames []resources.Vector
+	total := 0
 	for _, tr := range traces {
-		frames = append(frames, tr.FrameVectors()...)
+		total += len(tr.Frames)
 	}
-	if len(frames) == 0 {
-		return nil, ErrNoTraces
+	if total == 0 {
+		return nil, nil, ErrNoTraces
+	}
+	frames := make([]resources.Vector, 0, total)
+	for _, tr := range traces {
+		for _, f := range tr.Frames {
+			frames = append(frames, f.Demand)
+		}
 	}
 	k := c.K
 	if k <= 0 {
 		curve, err := cluster.Sweep(frames, c.MaxK, c.Seed, c.Workers)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		k = cluster.Elbow(curve, 0.06)
 	}
 	if k > MaxClusters {
-		return nil, fmt.Errorf("profiler: %d frame clusters requested, at most %d are supported", k, MaxClusters)
+		return nil, nil, fmt.Errorf("profiler: %d frame clusters requested, at most %d are supported", k, MaxClusters)
 	}
 	res, err := cluster.KMeans(frames, cluster.Config{K: k, Seed: c.Seed, Workers: c.Workers})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	p := &Profile{
 		Game:             traces[0].Game,
@@ -163,15 +184,34 @@ func Build(traces []*gamesim.Trace, cfg Config) (*Profile, error) {
 	})
 	p.sigIndex["loading"] = LoadingStageID
 
-	for _, tr := range traces {
-		for _, d := range p.DetectStages(tr.FrameVectors()) {
-			p.absorb(d, tr.FrameVectors(), c.MinClusterShare)
+	labels := make([]int, len(frames))
+	for i, f := range frames {
+		labels[i] = res.Nearest(f)
+	}
+	stages := make([][]Detected, len(traces))
+	sets := make([][][]int, len(traces))
+	perTrace := make([][]resources.Vector, len(traces))
+	off := 0
+	for t, tr := range traces {
+		end := off + len(tr.Frames)
+		perTrace[t] = frames[off:end]
+		stages[t], sets[t] = p.detect(frames[off:end], labels[off:end])
+		for i, d := range stages[t] {
+			p.absorb(d, sets[t][i])
 		}
+		off = end
 	}
 	p.prune()
-	p.recomputeStats(traces)
+	for t := range stages {
+		for i := range stages[t] {
+			if !stages[t][i].Loading {
+				stages[t][i].StageID = p.stageID(sets[t][i])
+			}
+		}
+	}
+	p.recomputeStats(perTrace, stages)
 	p.finish()
-	return p, nil
+	return p, stages, nil
 }
 
 // finish derives what the immutable catalog determines: the game's peak
@@ -198,18 +238,17 @@ func (p *Profile) entryStage(cl int) int {
 }
 
 // recomputeStats rebuilds each catalog stage's Mean and sustained Peak from
-// the frames pooled across every occurrence (after pruning has settled the
-// final stage IDs). Pooling makes the sustained peak robust to occasional
-// short, spike-dominated occurrences.
-func (p *Profile) recomputeStats(traces []*gamesim.Trace) {
+// the frames pooled across every occurrence of the final detection (after
+// pruning has settled the stage IDs). Pooling makes the sustained peak
+// robust to occasional short, spike-dominated occurrences.
+func (p *Profile) recomputeStats(frames [][]resources.Vector, stages [][]Detected) {
 	pool := make([][]resources.Vector, len(p.Catalog))
-	for _, tr := range traces {
-		frames := tr.FrameVectors()
-		for _, d := range p.DetectStages(frames) {
+	for t, dets := range stages {
+		for _, d := range dets {
 			if d.StageID < 0 || d.StageID >= len(pool) {
 				continue
 			}
-			pool[d.StageID] = append(pool[d.StageID], frames[d.Start:d.End]...)
+			pool[d.StageID] = append(pool[d.StageID], frames[t][d.Start:d.End]...)
 		}
 	}
 	for id := range p.Catalog {
@@ -292,25 +331,69 @@ func (p *Profile) prune() {
 }
 
 // sustainedPeak returns the per-dimension 90th percentile over a segment's
-// frames.
+// frames: the ⌈0.9n⌉-th smallest value of each column, found by selection.
+// An order statistic is one value whichever algorithm finds it, so this is
+// the element a full sort of the column would put at that index.
 func sustainedPeak(seg []resources.Vector) resources.Vector {
 	var out resources.Vector
 	if len(seg) == 0 {
 		return out
 	}
 	vals := make([]float64, len(seg))
+	idx := (len(vals)*9 + 9) / 10 // ceil(0.9*n)
+	if idx > 0 {
+		idx--
+	}
 	for d := resources.Dim(0); d < resources.NumDims; d++ {
 		for i, f := range seg {
 			vals[i] = f[d]
 		}
-		sort.Float64s(vals)
-		idx := (len(vals)*9 + 9) / 10 // ceil(0.9*n)
-		if idx > 0 {
-			idx--
-		}
-		out[d] = vals[idx]
+		out[d] = selectKth(vals, idx)
 	}
 	return out
+}
+
+// selectKth returns the k-th smallest element of a (0-based), reordering a.
+// It is quickselect with a median-of-three pivot and a three-way partition,
+// so runs of equal values — a flat loading stage — end in one step.
+func selectKth(a []float64, k int) float64 {
+	lo, hi := 0, len(a)
+	for hi-lo > 1 {
+		x, y, z := a[lo], a[lo+(hi-lo)/2], a[hi-1]
+		if x > y {
+			x, y = y, x
+		}
+		if y > z {
+			y = z
+		}
+		if x > y {
+			y = x
+		}
+		pivot := y
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch v := a[i]; {
+			case v < pivot:
+				a[lt], a[i] = v, a[lt]
+				lt++
+				i++
+			case v > pivot:
+				gt--
+				a[i], a[gt] = a[gt], v
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return pivot
+		}
+	}
+	return a[lo]
 }
 
 // loadingCluster identifies which fitted cluster is the loading one: the
@@ -340,81 +423,78 @@ func (p *Profile) IsLoadingFrame(v resources.Vector) bool {
 // execution stages, labeling each execution stage with its catalog ID (or -1
 // for a signature never absorbed into the catalog).
 func (p *Profile) DetectStages(frames []resources.Vector) []Detected {
-	var out []Detected
-	i := 0
-	for i < len(frames) {
-		loading := p.IsLoadingFrame(frames[i])
-		j := i
-		for j < len(frames) && p.IsLoadingFrame(frames[j]) == loading {
-			j++
-		}
-		d := Detected{Start: i, End: j, Loading: loading}
-		seg := frames[i:j]
+	labels := make([]int, len(frames))
+	for i, f := range frames {
+		labels[i] = p.ClassifyFrame(f)
+	}
+	out, _ := p.detect(frames, labels)
+	return out
+}
+
+// detect is DetectStages over frames already classified into labels. It
+// also returns each execution stage's signature (nil for loading), from
+// which its StageID was looked up.
+func (p *Profile) detect(frames []resources.Vector, labels []int) ([]Detected, [][]int) {
+	out := p.segment(labels)
+	sets := make([][]int, len(out))
+	for i := range out {
+		d := &out[i]
+		seg := frames[d.Start:d.End]
 		d.Mean = resources.Mean(seg)
 		d.Peak = sustainedPeak(seg)
-		if loading {
+		if d.Loading {
 			d.StageID = LoadingStageID
-		} else {
-			set := p.signatureOf(seg, p.minShare)
-			if id, ok := p.sigIndex[Key(set)]; ok {
-				d.StageID = id
-			} else {
-				d.StageID = -1
-			}
+			continue
 		}
-		out = append(out, d)
+		sets[i] = p.signatureOf(labels[d.Start:d.End])
+		d.StageID = p.stageID(sets[i])
+	}
+	return out, sets
+}
+
+// segment splits a classified frame sequence into runs of loading and
+// execution frames, then removes single-frame "loading" runs between two
+// execution runs: every game's real loading takes at least two detection
+// frames (loading times are 10 s and up), so a lone loading-classified frame
+// inside execution is a sub-frame dip (a menu pause, a black-screen cutscene
+// moment) interrupting one ongoing stage. Merging keeps transient dips from
+// minting spurious stage transitions in training data. Runs alternate and
+// a merge yields an execution run, so one left-to-right pass merges every
+// dip a rescan after each merge would.
+func (p *Profile) segment(labels []int) []Detected {
+	var runs []Detected
+	for i := 0; i < len(labels); {
+		loading := labels[i] == p.LoadingClusterID
+		j := i + 1
+		for j < len(labels) && (labels[j] == p.LoadingClusterID) == loading {
+			j++
+		}
+		runs = append(runs, Detected{Start: i, End: j, Loading: loading})
 		i = j
 	}
-	return mergeDips(out, frames, p)
-}
-
-// mergeDips removes single-frame "loading" segments between two execution
-// segments: every game's real loading takes at least two detection frames
-// (loading times are 10 s and up), so a lone loading-classified frame inside
-// execution is a sub-frame dip (a menu pause, a black-screen cutscene
-// moment) interrupting one ongoing stage. Merging keeps transient dips from
-// minting spurious stage transitions in training data.
-func mergeDips(segs []Detected, frames []resources.Vector, p *Profile) []Detected {
-	changed := true
-	for changed {
-		changed = false
-		for i := 1; i+1 < len(segs); i++ {
-			mid := segs[i]
-			if !mid.Loading || mid.Frames() > 1 {
-				continue
-			}
-			l, r := segs[i-1], segs[i+1]
-			if l.Loading || r.Loading {
-				continue
-			}
-			merged := Detected{Start: l.Start, End: r.End}
-			span := frames[merged.Start:merged.End]
-			merged.Mean = resources.Mean(span)
-			merged.Peak = sustainedPeak(span)
-			set := p.signatureOf(span, p.minShare)
-			if id, ok := p.sigIndex[Key(set)]; ok {
-				merged.StageID = id
-			} else {
-				merged.StageID = -1
-			}
-			segs = append(segs[:i-1], append([]Detected{merged}, segs[i+2:]...)...)
-			changed = true
-			break
+	out := make([]Detected, 0, len(runs))
+	for i := 0; i < len(runs); i++ {
+		if r := runs[i]; r.Loading && r.Frames() == 1 && i > 0 && i+1 < len(runs) {
+			out[len(out)-1].End = runs[i+1].End
+			i++ // the execution run after the dip is merged too
+			continue
 		}
+		out = append(out, runs[i])
 	}
-	return segs
+	return out
 }
 
-// signatureOf computes the filtered cluster set of an execution segment.
-func (p *Profile) signatureOf(frames []resources.Vector, minShare float64) []int {
-	counts := map[int]int{}
-	for _, f := range frames {
-		counts[p.ClassifyFrame(f)]++
+// signatureOf computes the filtered cluster set of an execution segment from
+// its frames' cluster labels, in ascending cluster order.
+func (p *Profile) signatureOf(labels []int) []int {
+	var counts [MaxClusters]int
+	for _, c := range labels {
+		counts[c]++
 	}
 	// A cluster joins the signature only with sustained presence; brief
 	// appearances are spikes or misclassified boundary frames, which must
 	// not mint artifact multi-cluster stage types.
-	minCount := int(minShare * float64(len(frames)))
+	minCount := int(p.minShare * float64(len(labels)))
 	if minCount < 1 {
 		minCount = 1
 	}
@@ -428,28 +508,37 @@ func (p *Profile) signatureOf(frames []resources.Vector, minShare float64) []int
 		}
 	}
 	if len(set) == 0 {
-		// Degenerate segment: keep its most frequent cluster.
-		best, bestN := -1, 0
+		// Degenerate segment: keep its most frequent cluster, the lowest
+		// cluster ID among ties.
+		best := 0
 		for c, n := range counts {
-			if n > bestN {
-				best, bestN = c, n
+			if n > counts[best] {
+				best = c
 			}
 		}
 		set = append(set, best)
 	}
-	sort.Ints(set)
 	return set
 }
 
-// absorb folds one detected stage occurrence into the catalog, creating a
-// new signature when needed and updating running statistics.
-func (p *Profile) absorb(d Detected, frames []resources.Vector, minShare float64) {
+// stageID looks a signature up in the catalog, -1 when it was never
+// absorbed.
+func (p *Profile) stageID(set []int) int {
+	if id, ok := p.sigIndex[Key(set)]; ok {
+		return id
+	}
+	return -1
+}
+
+// absorb folds one detected stage occurrence, with its signature, into the
+// catalog, creating a new signature when needed and updating running
+// statistics.
+func (p *Profile) absorb(d Detected, set []int) {
 	if d.Loading {
 		s := &p.Catalog[LoadingStageID]
 		s.update(d)
 		return
 	}
-	set := p.signatureOf(frames[d.Start:d.End], minShare)
 	key := Key(set)
 	id, ok := p.sigIndex[key]
 	if !ok {

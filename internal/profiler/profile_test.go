@@ -3,6 +3,7 @@ package profiler
 import (
 	"testing"
 
+	"cocg/internal/cluster"
 	"cocg/internal/gamesim"
 	"cocg/internal/resources"
 )
@@ -224,5 +225,51 @@ func TestElbowKSelection(t *testing.T) {
 	k := p.Clusters.K()
 	if k < 2 || k > 3 {
 		t.Errorf("elbow chose K = %d for Contra, want 2 (±1)", k)
+	}
+}
+
+// tieProfile is a hand-built profile over five clusters (0 is loading) whose
+// catalog holds one single-cluster stage per execution cluster, stage ID =
+// cluster ID.
+func tieProfile() *Profile {
+	p := &Profile{
+		Clusters: &cluster.Result{Centroids: []resources.Vector{
+			resources.New(30, 5, 5, 10),
+			resources.New(20, 40, 10, 10),
+			resources.New(40, 60, 20, 20),
+			resources.New(60, 70, 30, 30),
+			resources.New(80, 90, 40, 40),
+		}},
+		LoadingClusterID: 0,
+		Catalog:          []StageSig{{ID: LoadingStageID, ClusterSet: []int{0}, Loading: true}},
+		sigIndex:         map[string]int{"loading": LoadingStageID},
+		minShare:         0.34,
+	}
+	for c := 1; c < 5; c++ {
+		p.Catalog = append(p.Catalog, StageSig{ID: c, ClusterSet: []int{c}})
+		p.sigIndex[Key([]int{c})] = c
+	}
+	p.finish()
+	return p
+}
+
+func TestSignatureTieIsDeterministic(t *testing.T) {
+	// A one-frame dip between two execution runs merges them into one
+	// nine-frame stage whose four execution clusters hold two frames each:
+	// all below the 34 % share, so the signature falls back to the most
+	// frequent cluster. Four clusters tie; the lowest ID must win every time.
+	p := tieProfile()
+	var frames []resources.Vector
+	for _, c := range []int{0, 0, 1, 1, 2, 2, 0, 3, 3, 4, 4, 0, 0} {
+		frames = append(frames, p.Clusters.Centroids[c])
+	}
+	for call := 0; call < 200; call++ {
+		det := p.DetectStages(frames)
+		if len(det) != 3 || det[1].Loading || det[1].Frames() != 9 {
+			t.Fatalf("detection = %+v, want loading, one 9-frame stage, loading", det)
+		}
+		if det[1].StageID != 1 {
+			t.Fatalf("call %d: tied signature resolved to stage %d, want 1 (lowest cluster ID)", call, det[1].StageID)
+		}
 	}
 }

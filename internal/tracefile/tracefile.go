@@ -59,8 +59,8 @@ func Write(tr *gamesim.Trace, w io.Writer) error {
 }
 
 // Read parses one trace. Per-second samples are not stored, so the loaded
-// trace carries frames and visits only — exactly what the profiler and
-// dataset extraction consume.
+// trace carries frames and visits only (Duration stays 0) — exactly what the
+// profiler and dataset extraction consume.
 func Read(r io.Reader) (*gamesim.Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
@@ -104,25 +104,8 @@ func Read(r io.Reader) (*gamesim.Trace, error) {
 	if len(tr.Frames) == 0 {
 		return nil, fmt.Errorf("tracefile: trace has no frames")
 	}
-	tr.Visits = rebuildVisits(tr.Frames)
+	tr.Visits = gamesim.Visits(tr.Frames)
 	return tr, nil
-}
-
-// rebuildVisits re-derives the stage visits from frame labels.
-func rebuildVisits(frames []gamesim.FrameSample) []gamesim.StageVisit {
-	var visits []gamesim.StageVisit
-	for i := 0; i < len(frames); {
-		j := i
-		for j < len(frames) && frames[j].StageType == frames[i].StageType &&
-			frames[j].Loading == frames[i].Loading {
-			j++
-		}
-		visits = append(visits, gamesim.StageVisit{
-			Type: frames[i].StageType, StartFrame: i, EndFrame: j, Loading: frames[i].Loading,
-		})
-		i = j
-	}
-	return visits
 }
 
 // SaveAll writes a corpus, one file per trace, into dir as

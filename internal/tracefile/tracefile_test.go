@@ -2,6 +2,7 @@ package tracefile
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -35,8 +36,11 @@ func TestRoundTrip(t *testing.T) {
 			t.Fatalf("frame %d changed", i)
 		}
 	}
-	if len(back.Visits) != len(tr.Visits) {
-		t.Errorf("visits %d vs %d", len(back.Visits), len(tr.Visits))
+	if !reflect.DeepEqual(back.Visits, tr.Visits) {
+		t.Errorf("visits %v vs %v", back.Visits, tr.Visits)
+	}
+	if back.Duration != 0 || back.Seconds != nil {
+		t.Errorf("loaded trace claims %v of %d seconds; frames alone carry neither", back.Duration, len(back.Seconds))
 	}
 }
 
