@@ -41,8 +41,10 @@ docs-check:
 	$(GO) run ./cmd/cocg-docscheck
 
 # race is the concurrency gate: formatting must be clean, the analyzers must
-# be silent, and the full suite (including the worker-count-invariance and
-# harness determinism tests) must pass under the race detector.
+# be silent, and the full suite (including the experiment harness's and the
+# trainers' worker-count-invariance tests and the serving tiers' soaks) must
+# pass under the race detector. A cluster ticks on one goroutine, so the
+# simulation core has no fan-out for it to check.
 race: fmt lint
 	$(GO) test -race ./...
 
@@ -54,7 +56,8 @@ fmt:
 
 # fuzz-smoke runs every Fuzz* target in the tree for FUZZTIME each (go test
 # takes one fuzz target per invocation, so the recipe walks them): the wire
-# codec, StepBulk, the tick-equivalence fuzzers, the scheduler's run merge and
+# codec, StepBulk, the fused tick against the general one
+# (FuzzTickEquivalence, one server, serial), the scheduler's run merge and
 # one-division verdict, lazyrand's stream against math/rand, the model loader
 # (FuzzLoadModel), the tree trainer against its legacy oracle
 # (FuzzFitMatchesLegacy) and the bounded K-means against the plain Lloyd loop

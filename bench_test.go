@@ -586,14 +586,14 @@ func fleetForBench(b *testing.B) *fleetState {
 		}
 		c.Run(fleetWarmTicks)
 		st := &fleetState{cluster: c}
-		// Harvest Poisson arrivals into a never-ticked holding cluster: Feed
-		// only enqueues, so Pending is exactly the generated arrival stream.
-		hold := platform.NewCluster(0, c.Policy)
+		// Harvest Poisson arrivals one second's draws at a time, all stamped
+		// at second 0.
 		stream := workload.NewMixStream(gen, mix, 0.5, 4321)
-		for len(hold.Pending) < fleetArrivals {
-			stream.Feed(hold)
+		var arrivals []platform.Arrival
+		for len(arrivals) < fleetArrivals {
+			arrivals = append(arrivals, stream.Schedule(0, 1)...)
 		}
-		st.arrivals = hold.Pending[:fleetArrivals]
+		st.arrivals = arrivals[:fleetArrivals]
 		fleet = st
 	})
 	if fleetErr != nil {

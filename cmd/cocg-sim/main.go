@@ -4,18 +4,19 @@
 //
 // Usage:
 //
-//	cocg-sim [-servers N] [-hours H] [-rate R] [-policy cocg|vbp|gaugur|reactive]
-//	         [-seed S] [-jobs J] [-sessions N]
+//	cocg-sim [-servers N] [-hours H] [-rate R] [-policy cocg|vbp|gaugur|reactive|all]
+//	         [-seed S] [-bundle FILE] [-sessions N]
 //
-// The arrival schedule is pregenerated and the cluster runs on the
-// event-driven driver (the fleet stops only at frame boundaries where
-// placement can happen); -sessions pre-submits N arrivals at t=0 for
-// large-population runs.
+// The arrival schedule is pregenerated and the cluster runs it on one
+// goroutine, stopping the fleet only at frame boundaries where placement can
+// happen; -sessions pre-submits N arrivals at t=0 for large-population runs.
+// -rate must be finite and non-negative.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -35,7 +36,6 @@ func main() {
 	rate := flag.Float64("rate", 0.02, "mean arrivals per simulated second")
 	policy := flag.String("policy", "cocg", "scheduling policy: cocg, vbp, gaugur, reactive, all")
 	seed := flag.Int64("seed", 1, "random seed")
-	jobs := flag.Int("jobs", 0, "tick fan-out worker goroutines (<=1 serial; any value simulates identically)")
 	bundle := flag.String("bundle", "", "load a pre-trained system from this cocg-train bundle instead of training")
 	sessions := flag.Int("sessions", 0, "arrivals pre-submitted at t=0 (round-robin over the mix), on top of the stream")
 	flag.Parse()
@@ -51,6 +51,10 @@ func main() {
 		selected = []core.PolicyKind{k}
 	} else {
 		fmt.Fprintf(os.Stderr, "cocg-sim: unknown policy %q\n", *policy)
+		os.Exit(2)
+	}
+	if *rate < 0 || math.IsNaN(*rate) || math.IsInf(*rate, 0) {
+		fmt.Fprintf(os.Stderr, "cocg-sim: -rate must be finite and non-negative, got %v\n", *rate)
 		os.Exit(2)
 	}
 
@@ -74,7 +78,6 @@ func main() {
 	for _, kind := range selected {
 		c := sys.NewCluster(*servers, kind)
 		c.StarveLimit = 5 * simclock.Minute
-		c.Jobs = *jobs
 		gen := sys.Generator(*seed + 7)
 		stream := workload.NewMixStream(gen, gamesim.AllGames(), *rate, *seed+11)
 		mix := gamesim.AllGames()

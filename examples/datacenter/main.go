@@ -33,9 +33,8 @@ func main() {
 		c.StarveLimit = 5 * simclock.Minute
 		gen := sys.Generator(31)
 		stream := workload.NewMixStream(gen, gamesim.AllGames(), rate, 77)
-		for i := simclock.Seconds(0); i < horizon; i++ {
-			stream.Feed(c)
-			c.Tick()
+		if err := c.RunEvented(horizon, stream.Schedule(0, horizon)); err != nil {
+			log.Fatal(err)
 		}
 		recs := c.Records()
 		byGame := map[string]int{}

@@ -102,10 +102,6 @@ func (v *VBP) NewController(spec *gamesim.GameSpec, habit int64) (platform.Contr
 // Regulate implements platform.Policy; VBP has no runtime regulation.
 func (v *VBP) Regulate(*platform.Server) {}
 
-// ConcurrentTickSafe implements platform.ConcurrentTicker: VBP's runtime
-// behavior is entirely per-server flat controllers.
-func (v *VBP) ConcurrentTickSafe() bool { return true }
-
 // --- GAugur ---
 
 // GAugur reproduces the baseline of Li et al. (HPDC'19) as the paper uses
@@ -198,10 +194,6 @@ func (g *GAugur) NewController(spec *gamesim.GameSpec, habit int64) (platform.Co
 // Regulate implements platform.Policy; GAugur's limits are fixed by design.
 func (g *GAugur) Regulate(*platform.Server) {}
 
-// ConcurrentTickSafe implements platform.ConcurrentTicker: fixed per-session
-// limits share nothing across servers at runtime.
-func (g *GAugur) ConcurrentTickSafe() bool { return true }
-
 // --- Reactive (the paper's "improved version") ---
 
 // Reactive perceives that games move through stages but does not predict:
@@ -283,10 +275,6 @@ func (r *Reactive) NewController(spec *gamesim.GameSpec, habit int64) (platform.
 // Regulate implements platform.Policy; the reactive scheme adjusts per game
 // only.
 func (r *Reactive) Regulate(*platform.Server) {}
-
-// ConcurrentTickSafe implements platform.ConcurrentTicker: each controller's
-// sampler state is per-session.
-func (r *Reactive) ConcurrentTickSafe() bool { return true }
 
 // MaxPeak is a helper: the flat always-peak allocation a stage-unaware
 // operator reserves for a game (the "modest way" baseline of Section V-A,

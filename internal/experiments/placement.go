@@ -46,9 +46,8 @@ func PlacementAblation(ctx *Context) (*PlacementAblationResult, error) {
 		c.StarveLimit = 5 * simclock.Minute
 		gen := ctx.System.Generator(ctx.Opt.Seed + 23)
 		stream := workload.NewMixStream(gen, gamesim.AllGames(), 0.025, ctx.Opt.Seed+29)
-		for i := simclock.Seconds(0); i < horizon; i++ {
-			stream.Feed(c)
-			c.Tick()
+		if err := c.RunEvented(horizon, stream.Schedule(0, horizon)); err != nil {
+			return nil, err
 		}
 		recs := c.Records()
 		row := PlacementRow{Strategy: strat, Sessions: len(recs)}

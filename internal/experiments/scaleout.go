@@ -44,9 +44,8 @@ func ScaleOut(ctx *Context) (*ScaleOutResult, error) {
 		c.StarveLimit = 5 * simclock.Minute
 		gen := ctx.System.Generator(ctx.Opt.Seed + int64(n))
 		stream := workload.NewMixStream(gen, gamesim.AllGames(), baseRate*float64(n), ctx.Opt.Seed+int64(10*n))
-		for i := simclock.Seconds(0); i < horizon; i++ {
-			stream.Feed(c)
-			c.Tick()
+		if err := c.RunEvented(horizon, stream.Schedule(0, horizon)); err != nil {
+			return nil, err
 		}
 		recs := c.Records()
 		row := ScaleOutRow{Servers: n, Sessions: len(recs)}

@@ -36,10 +36,9 @@ type Cluster struct {
 	// independently and the distributor places whatever fits.
 	StarveLimit simclock.Seconds
 
-	// Jobs bounds the goroutines TickSpan fans the per-server ticks over when
-	// the policy is a ConcurrentTicker. Values <= 1 run serially; every value
-	// yields bit-identical results, because the fan-out decomposes into fixed
-	// chunks over independent per-server state. Placement is always serial.
+	// Jobs is read by nothing: a cluster advances on one goroutine.
+	//
+	// Deprecated: kept only while bench/cocgbench still assigns it.
 	Jobs int
 
 	// FailedPlacements counts arrivals that won a server but could not be
@@ -255,25 +254,6 @@ func (c *Cluster) tryPlace() {
 	c.Pending = remaining
 }
 
-// Tick advances the whole cluster by one virtual second; placement attempts
-// run on frame boundaries (the paper's 5-second decision cadence). Server
-// ticks fan out over Jobs goroutines when the policy is a ConcurrentTicker —
-// servers are independent within a tick — and the fan-out is bit-identical
-// to the serial scan at every worker count.
-func (c *Cluster) Tick() {
-	if simclock.IsFrameBoundary(c.Clock.Now()) {
-		c.tryPlace()
-	}
-	c.TickSpan(1)
-}
-
-// Run advances the cluster for the given duration.
-func (c *Cluster) Run(d simclock.Seconds) {
-	for i := simclock.Seconds(0); i < d; i++ {
-		c.Tick()
-	}
-}
-
 // logf forwards to Logf when set.
 func (c *Cluster) logf(format string, args ...any) {
 	if c.Logf != nil {
@@ -295,9 +275,7 @@ func (c *Cluster) Records() []Record {
 	return out
 }
 
-// SetSink installs a completed-session record sink on every server. The sink
-// must be safe for concurrent calls when Jobs > 1 and the policy ticks
-// concurrently.
+// SetSink installs a completed-session record sink on every server.
 func (c *Cluster) SetSink(sink RecordSink) {
 	for _, srv := range c.Servers {
 		srv.Sink = sink

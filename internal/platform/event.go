@@ -3,64 +3,51 @@ package platform
 import (
 	"fmt"
 
-	"cocg/internal/parallel"
 	"cocg/internal/simclock"
 )
 
-// Event-driven cluster advancement.
+// Cluster advancement: one loop, one goroutine.
 //
-// The per-second loop (Cluster.Tick) stops the whole fleet every virtual
-// second. This driver advances between *stop points* — the simulation end
-// and the frame boundaries at which an arrival is queued or due, the only
-// seconds placement can happen — and lets every server run the span's
-// seconds back to back (Server.advanceSpan): one visit per server per span,
-// every second still a real tickAt, so the outputs are the per-second loop's
-// bit for bit.
-
-// tickChunk is the granularity of the parallel per-server fan-out: fixed
-// chunks keep the work decomposition — and therefore every per-server result
-// — independent of the worker count.
-const tickChunk = 32
+// Tick, Run and RunEvented all go through advance, which stops the whole
+// fleet only at *stop points* — the run's end and the frame boundaries at
+// which an arrival is queued or due, the only seconds placement can happen —
+// and lets every server run the span's seconds back to back
+// (Server.advanceSpan): one visit per server per span, every second still a
+// real tickAt. Servers share nothing while they tick, so running server by
+// server within a span gives the second-by-second loop's outputs bit for bit.
 
 // TickSpan advances every server by span seconds and moves the cluster
 // clock. Placement is not attempted inside the span: callers must choose
 // spans that stop at every frame boundary where pending arrivals could
-// place (RunEvented does).
+// place (advance does).
 func (c *Cluster) TickSpan(span simclock.Seconds) {
 	if span <= 0 {
 		return
 	}
 	base := c.Clock.Now()
-	jobs := c.Jobs
-	ct, okCT := c.Policy.(ConcurrentTicker)
-	if jobs > 1 && okCT && ct.ConcurrentTickSafe() && len(c.Servers) > 1 {
-		parallel.ForChunksOf(jobs, len(c.Servers), tickChunk, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				c.Servers[i].advanceSpan(c.Policy, base, span)
-			}
-		})
-	} else {
-		for _, srv := range c.Servers {
-			srv.advanceSpan(c.Policy, base, span)
-		}
+	for _, srv := range c.Servers {
+		srv.advanceSpan(c.Policy, base, span)
 	}
 	c.Clock.Advance(span)
 }
 
+// Tick advances the whole cluster by one virtual second; placement attempts
+// run on frame boundaries (the paper's 5-second decision cadence).
+func (c *Cluster) Tick() { c.advance(c.Clock.Now()+1, nil) }
+
+// Run advances the cluster for the given duration.
+func (c *Cluster) Run(d simclock.Seconds) { c.advance(c.Clock.Now()+d, nil) }
+
 // RunEvented advances the cluster for d seconds, feeding it the pregenerated
-// arrival schedule (e.g. from workload.MixStream's Schedule). It reproduces
-// the legacy Feed+Tick loop's outputs exactly — Records, Placements,
-// RejectedTicks, starvation blocking — while stopping the fleet only where
-// placement can happen: at the end, and at a frame boundary at which an arrival
-// is pending or due. Between stops every server runs its seconds back to back
-// (Server.advanceSpan), so a frame costs one visit per server however many
-// arrivals fall inside it.
+// arrival schedule (e.g. from workload.MixStream's Schedule). Its outputs —
+// Records, Placements, RejectedTicks, starvation blocking — are those of
+// submitting each arrival at its second and calling Tick once per second.
 //
 // An arrival becomes visible in Pending, in schedule order, at the first stop
 // at or after its Submitted second: the frame boundary it can first be placed
-// on, or the return. Nothing reads Pending in between — the legacy loop's
-// tryPlace acts on frame boundaries only — and on return every scheduled
-// arrival is in Pending or placed.
+// on, or the return. Nothing reads Pending in between — tryPlace acts on frame
+// boundaries only — and on return every scheduled arrival is in Pending or
+// placed.
 //
 // The schedule must be ascending in Submitted (several arrivals may share a
 // second) and lie inside [now, now+d); one that is not is refused with an
@@ -77,6 +64,14 @@ func (c *Cluster) RunEvented(d simclock.Seconds, schedule []Arrival) error {
 	if len(schedule) > 0 && prev >= end {
 		return fmt.Errorf("platform: schedule outruns the run: an arrival is submitted at %d, the run ends at %d", prev, end)
 	}
+	c.advance(end, schedule)
+	return nil
+}
+
+// advance runs the cluster up to second end, enqueueing the (validated)
+// schedule's arrivals as they fall due and attempting placement on every frame
+// boundary it stops at.
+func (c *Cluster) advance(end simclock.Seconds, schedule []Arrival) {
 	idx := 0
 	for now := c.Clock.Now(); now < end; now = c.Clock.Now() {
 		for idx < len(schedule) && schedule[idx].Submitted <= now {
@@ -102,7 +97,6 @@ func (c *Cluster) RunEvented(d simclock.Seconds, schedule []Arrival) error {
 	// The last stop is the end, where the loop no longer runs: arrivals due
 	// after the last boundary are still to be enqueued.
 	c.Pending = append(c.Pending, schedule[idx:]...)
-	return nil
 }
 
 // nextFrameBoundary returns the first frame boundary strictly after t.

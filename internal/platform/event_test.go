@@ -2,9 +2,10 @@ package platform_test
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"math"
-	"sync/atomic"
 	"testing"
 
 	"cocg/internal/gamesim"
@@ -14,11 +15,13 @@ import (
 	"cocg/internal/workload"
 )
 
-// The golden equivalence suite: the event-driven cluster driver must
-// reproduce the legacy per-second Feed+Tick loop byte-for-byte — records,
-// placement counters, queue state, per-server peaks and tick counts — at every
-// -jobs setting, both when every second is uncontended (steady policy) and
-// when requests chase measured utilization (adaptive policy).
+// The golden suite: Tick, Run and RunEvented share one advance loop, so
+// submitting each arrival at its second and calling Tick once per second must
+// reproduce RunEvented byte-for-byte — records, placement counters, queue
+// state, per-server peaks and tick counts — and both must reproduce the
+// digests taken from the per-second loop before the loops were merged, both
+// when every second is uncontended (steady policy) and when requests chase
+// measured utilization (adaptive policy).
 
 // flatSteadyCtl is a constant-request controller.
 type flatSteadyCtl struct{ req resources.Vector }
@@ -47,7 +50,7 @@ type countedPolicy interface {
 // steadyTestPolicy admits by worst-case demand sums and hands every session a
 // flat request covering its spec's WorstCaseDemand, so every second of every
 // hosted set it builds is uncontended.
-type steadyTestPolicy struct{ regulates atomic.Int64 }
+type steadyTestPolicy struct{ regulates int64 }
 
 func (p *steadyTestPolicy) Name() string { return "steady-test" }
 func (p *steadyTestPolicy) Admit(srv *platform.Server, spec *gamesim.GameSpec, _ int64) bool {
@@ -65,13 +68,12 @@ func (p *steadyTestPolicy) Admit(srv *platform.Server, spec *gamesim.GameSpec, _
 func (p *steadyTestPolicy) NewController(spec *gamesim.GameSpec, _ int64) (platform.Controller, error) {
 	return &flatSteadyCtl{req: spec.WorstCaseDemand()}, nil
 }
-func (p *steadyTestPolicy) Regulate(*platform.Server) { p.regulates.Add(1) }
-func (p *steadyTestPolicy) ConcurrentTickSafe() bool  { return true }
-func (p *steadyTestPolicy) ticks() int64              { return p.regulates.Load() }
+func (p *steadyTestPolicy) Regulate(*platform.Server) { p.regulates++ }
+func (p *steadyTestPolicy) ticks() int64              { return p.regulates }
 
 // adaptiveTestPolicy hands out adapting controllers, so a skipped second
 // would change every later request.
-type adaptiveTestPolicy struct{ regulates atomic.Int64 }
+type adaptiveTestPolicy struct{ regulates int64 }
 
 func (p *adaptiveTestPolicy) Name() string { return "adaptive-test" }
 func (p *adaptiveTestPolicy) Admit(srv *platform.Server, _ *gamesim.GameSpec, _ int64) bool {
@@ -80,9 +82,8 @@ func (p *adaptiveTestPolicy) Admit(srv *platform.Server, _ *gamesim.GameSpec, _ 
 func (p *adaptiveTestPolicy) NewController(*gamesim.GameSpec, int64) (platform.Controller, error) {
 	return &adaptiveCtl{req: resources.FullServer}, nil
 }
-func (p *adaptiveTestPolicy) Regulate(*platform.Server) { p.regulates.Add(1) }
-func (p *adaptiveTestPolicy) ConcurrentTickSafe() bool  { return true }
-func (p *adaptiveTestPolicy) ticks() int64              { return p.regulates.Load() }
+func (p *adaptiveTestPolicy) Regulate(*platform.Server) { p.regulates++ }
+func (p *adaptiveTestPolicy) ticks() int64              { return p.regulates }
 
 const (
 	goldenServers = 16
@@ -90,21 +91,27 @@ const (
 	goldenRate    = 0.02
 )
 
-// goldenRun drives one cluster over the shared seed workload, either through
-// the legacy per-second loop or the event-driven driver.
-func goldenRun(pol countedPolicy, evented bool, jobs int) *platform.Cluster {
+// goldenRun drives one cluster over the shared seed workload, either by
+// submitting each second's arrivals and calling Tick, or through RunEvented.
+func goldenRun(pol countedPolicy, evented bool) *platform.Cluster {
 	c := platform.NewCluster(goldenServers, pol)
-	c.Jobs = jobs
 	c.StarveLimit = 2 * simclock.Minute
 	gen := workload.NewGenerator(nil, 11)
-	stream := workload.NewMixStream(gen, gamesim.AllGames(), goldenRate, 23)
+	sched := workload.NewMixStream(gen, gamesim.AllGames(), goldenRate, 23).Schedule(0, goldenHorizon)
 	if evented {
-		c.RunEvented(goldenHorizon, stream.Schedule(0, goldenHorizon))
-	} else {
-		for i := simclock.Seconds(0); i < goldenHorizon; i++ {
-			stream.Feed(c)
+		if err := c.RunEvented(goldenHorizon, sched); err != nil {
+			panic(err)
+		}
+		return c
+	}
+	for _, a := range sched {
+		for c.Clock.Now() < a.Submitted {
 			c.Tick()
 		}
+		c.Submit(a)
+	}
+	for c.Clock.Now() < goldenHorizon {
+		c.Tick()
 	}
 	return c
 }
@@ -129,9 +136,43 @@ func encodeRecords(recs []platform.Record) []byte {
 	return buf.Bytes()
 }
 
-// TestEventedMatchesLegacyGolden is the tentpole equivalence gate: the
-// event-driven driver and the parallel tick fan-out must reproduce the legacy
-// serial loop's outputs byte-for-byte at -jobs 1 and 8.
+// goldenDigests are goldenDigest's values for goldenRun's workload, taken from
+// the per-second Feed+Tick loop (at -jobs 1 and 8 alike) before Tick, Run and
+// RunEvented shared one advance loop.
+var goldenDigests = map[string]string{
+	"steady-bulk":       "8894514aa1390a86effb5e6949fb97e2b3a5fe00a1eb0f7f8d1a4d42a9bddb7b",
+	"adaptive-fallback": "2d221a8d58540e43303c55307f71d47b0ad02ce0ec458b6349f4ee5d3eaed1cc",
+}
+
+// goldenDigest is the sha256 of everything a run leaves behind: the records'
+// exact bytes, the placement counters, the queue state, the clock, the
+// executed server-seconds and every server's peak utilization and tick counts.
+func goldenDigest(c *platform.Cluster, ticks int64) string {
+	h := sha256.New()
+	h.Write(encodeRecords(c.Records()))
+	put := func(v uint64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for _, v := range []int{c.Placements, c.RejectedTicks, c.FailedPlacements,
+		len(c.Pending), c.RunningSessions(), int(c.Clock.Now()), int(ticks)} {
+		put(uint64(v))
+	}
+	for _, srv := range c.Servers {
+		for _, f := range srv.PeakUtilization() {
+			put(math.Float64bits(f))
+		}
+		s, u := srv.TickCounts()
+		put(s)
+		put(u)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestEventedMatchesLegacyGolden is the driver's equivalence gate: the
+// per-second Tick loop and RunEvented must leave byte-identical outputs, and
+// both must hash to the digest the pre-merge per-second loop produced.
 func TestEventedMatchesLegacyGolden(t *testing.T) {
 	cases := []struct {
 		name string
@@ -143,59 +184,45 @@ func TestEventedMatchesLegacyGolden(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			basePol := tc.mk()
-			base := goldenRun(basePol, false, 1)
+			base := goldenRun(basePol, false)
 			baseRecs := base.Records()
 			if len(baseRecs) == 0 {
 				t.Fatal("seed workload completed no sessions; golden comparison would be vacuous")
 			}
-			baseBytes := encodeRecords(baseRecs)
-
-			variants := []struct {
-				name    string
-				evented bool
-				jobs    int
-			}{
-				{"legacy-jobs8", false, 8},
-				{"event-jobs1", true, 1},
-				{"event-jobs8", true, 8},
+			if got := goldenDigest(base, basePol.ticks()); got != goldenDigests[tc.name] {
+				t.Errorf("per-second Tick loop digest %s, want %s", got, goldenDigests[tc.name])
 			}
-			for _, v := range variants {
-				pol := tc.mk()
-				got := goldenRun(pol, v.evented, v.jobs)
-				if !bytes.Equal(encodeRecords(got.Records()), baseBytes) {
-					t.Errorf("%s: records diverge from legacy-jobs1 (%d vs %d records)",
-						v.name, len(got.Records()), len(baseRecs))
+
+			pol := tc.mk()
+			got := goldenRun(pol, true)
+			if d := goldenDigest(got, pol.ticks()); d != goldenDigests[tc.name] {
+				t.Errorf("RunEvented digest %s, want %s", d, goldenDigests[tc.name])
+			}
+			if !bytes.Equal(encodeRecords(got.Records()), encodeRecords(baseRecs)) {
+				t.Errorf("records diverge from the Tick loop (%d vs %d records)", len(got.Records()), len(baseRecs))
+			}
+			if got.Placements != base.Placements || got.RejectedTicks != base.RejectedTicks ||
+				got.FailedPlacements != base.FailedPlacements {
+				t.Errorf("counters diverge: placements %d/%d rejected %d/%d failed %d/%d",
+					got.Placements, base.Placements, got.RejectedTicks, base.RejectedTicks,
+					got.FailedPlacements, base.FailedPlacements)
+			}
+			if len(got.Pending) != len(base.Pending) || got.RunningSessions() != base.RunningSessions() {
+				t.Errorf("queue state diverges: pending %d/%d running %d/%d",
+					len(got.Pending), len(base.Pending), got.RunningSessions(), base.RunningSessions())
+			}
+			if pol.ticks() != basePol.ticks() {
+				t.Errorf("every hosting server-second must tick: %d vs %d", pol.ticks(), basePol.ticks())
+			}
+			for i, srv := range got.Servers {
+				want := base.Servers[i]
+				if srv.PeakUtilization() != want.PeakUtilization() {
+					t.Errorf("server %d peak utilization %v, Tick loop %v", i, srv.PeakUtilization(), want.PeakUtilization())
 				}
-				if got.Placements != base.Placements || got.RejectedTicks != base.RejectedTicks ||
-					got.FailedPlacements != base.FailedPlacements {
-					t.Errorf("%s: counters diverge: placements %d/%d rejected %d/%d failed %d/%d",
-						v.name, got.Placements, base.Placements,
-						got.RejectedTicks, base.RejectedTicks,
-						got.FailedPlacements, base.FailedPlacements)
-				}
-				if len(got.Pending) != len(base.Pending) || got.RunningSessions() != base.RunningSessions() {
-					t.Errorf("%s: queue state diverges: pending %d/%d running %d/%d",
-						v.name, len(got.Pending), len(base.Pending),
-						got.RunningSessions(), base.RunningSessions())
-				}
-				if got.Clock.Now() != base.Clock.Now() {
-					t.Errorf("%s: clock diverges: %d vs %d", v.name, got.Clock.Now(), base.Clock.Now())
-				}
-				if pol.ticks() != basePol.ticks() {
-					t.Errorf("%s: every hosting server-second must tick: %d vs %d",
-						v.name, pol.ticks(), basePol.ticks())
-				}
-				for i, srv := range got.Servers {
-					want := base.Servers[i]
-					if srv.PeakUtilization() != want.PeakUtilization() {
-						t.Errorf("%s: server %d peak utilization %v, legacy %v",
-							v.name, i, srv.PeakUtilization(), want.PeakUtilization())
-					}
-					gs, gu := srv.TickCounts()
-					ws, wu := want.TickCounts()
-					if gs != ws || gu != wu {
-						t.Errorf("%s: server %d tick counts %d/%d, legacy %d/%d", v.name, i, gs, gu, ws, wu)
-					}
+				gs, gu := srv.TickCounts()
+				ws, wu := want.TickCounts()
+				if gs != ws || gu != wu {
+					t.Errorf("server %d tick counts %d/%d, Tick loop %d/%d", i, gs, gu, ws, wu)
 				}
 			}
 		})
@@ -212,8 +239,9 @@ func TestRunningTotalsMatchRecompute(t *testing.T) {
 	stream := workload.NewMixStream(gen, gamesim.AllGames(), 0.05, 9)
 	departures := 0
 	for i := 0; i < 2500; i++ {
-		stream.Feed(c)
-		c.Tick()
+		if err := c.RunEvented(1, stream.Schedule(c.Clock.Now(), 1)); err != nil {
+			t.Fatal(err)
+		}
 		if i%37 != 0 {
 			continue
 		}
@@ -234,61 +262,6 @@ func TestRunningTotalsMatchRecompute(t *testing.T) {
 	}
 	if departures == 0 {
 		t.Fatal("no session ever completed; the post-sweep recompute was never exercised")
-	}
-}
-
-// TestStreamingSinksMatchSliceAggregation runs the identical workload once
-// retaining records and once streaming them into the incremental aggregators:
-// throughput must match bit-for-bit, the QoS summary up to float association,
-// and a sink-equipped server must retain nothing.
-func TestStreamingSinksMatchSliceAggregation(t *testing.T) {
-	run := func(sink platform.RecordSink) *platform.Cluster {
-		c := platform.NewCluster(goldenServers, &steadyTestPolicy{})
-		c.Jobs = 8
-		c.StarveLimit = 2 * simclock.Minute
-		if sink != nil {
-			c.SetSink(sink)
-		}
-		gen := workload.NewGenerator(nil, 11)
-		stream := workload.NewMixStream(gen, gamesim.AllGames(), goldenRate, 23)
-		c.RunEvented(goldenHorizon, stream.Schedule(0, goldenHorizon))
-		return c
-	}
-
-	recs := run(nil).Records()
-	if len(recs) == 0 {
-		t.Fatal("workload completed no sessions")
-	}
-
-	thr := &platform.ThroughputAgg{}
-	qos := &platform.QoSAgg{}
-	streamed := run(platform.TeeSink{thr, qos})
-	if got := streamed.Records(); len(got) != 0 {
-		t.Fatalf("sink-equipped cluster retained %d records", len(got))
-	}
-
-	if thr.Sessions() != len(recs) {
-		t.Fatalf("ThroughputAgg consumed %d sessions, slice run produced %d", thr.Sessions(), len(recs))
-	}
-	// One game pinned to a reference duration exercises the ref branch.
-	ref := map[string]float64{"Contra": 600}
-	for _, r := range []map[string]float64{nil, ref} {
-		if got, want := thr.Value(r), platform.Throughput(recs, r); got != want {
-			t.Errorf("ThroughputAgg.Value(%v) = %v, Throughput = %v (must be bitwise equal)", r, got, want)
-		}
-	}
-
-	want := platform.Summarize(recs)
-	got := qos.Result()
-	if got.Sessions != want.Sessions || got.ViolatedFrac != want.ViolatedFrac {
-		t.Errorf("QoSAgg sessions/violations %d/%v, Summarize %d/%v",
-			got.Sessions, got.ViolatedFrac, want.Sessions, want.ViolatedFrac)
-	}
-	const tol = 1e-12
-	if math.Abs(got.MeanFPSRatio-want.MeanFPSRatio) > tol ||
-		math.Abs(got.MeanGoodFPS-want.MeanGoodFPS) > tol ||
-		math.Abs(got.MeanDegraded-want.MeanDegraded) > tol {
-		t.Errorf("QoSAgg means diverge beyond association tolerance:\nagg:   %+v\nslice: %+v", got, want)
 	}
 }
 
@@ -340,8 +313,7 @@ func TestRunEventedRejectsUnsortedSchedule(t *testing.T) {
 }
 
 // visitLogPolicy records the order servers are ticked in: Regulate runs once
-// per executed server-second. It is not a ConcurrentTicker, so the cluster
-// ticks serially and the log is the visit order.
+// per executed server-second, so the log is the visit order.
 type visitLogPolicy struct{ visits []int }
 
 func (p *visitLogPolicy) Name() string { return "visit-log" }

@@ -40,12 +40,11 @@ type HardCapper interface {
 // predicted demand timeline is a pure function of internal state that moves
 // only when the controller completes a detection frame. Server.Add hands such
 // a controller its server's forecast-generation counter, and the controller
-// increments it — from Tick, so on the goroutine ticking that server — each
-// time a frame completes. While Server.ForecastGen and Server.Rev are
-// unchanged, every hosted forecast is unchanged, so a policy may cache
-// aggregates derived from them under that one stamp. Controllers that cannot
-// make this guarantee simply don't implement the interface and are re-read
-// every evaluation.
+// increments it from Tick each time a frame completes. While
+// Server.ForecastGen and Server.Rev are unchanged, every hosted forecast is
+// unchanged, so a policy may cache aggregates derived from them under that one
+// stamp. Controllers that cannot make this guarantee simply don't implement
+// the interface and are re-read every evaluation.
 type ForecastNotifier interface {
 	NotifyForecast(gen *uint64)
 }
@@ -61,17 +60,10 @@ type Policy interface {
 	NewController(spec *gamesim.GameSpec, habit int64) (Controller, error)
 	// Regulate may lower hosted games' requests when the server is about to
 	// oversubscribe (e.g. extend loading stages). It runs once per second
-	// after all controllers ticked.
+	// after all controllers ticked. Regulate and the controllers touch only
+	// the server they are handed: the cluster runs each server's seconds of a
+	// span back to back, one server after another.
 	Regulate(srv *Server)
-}
-
-// ConcurrentTicker is an optional Policy refinement: a marker that the
-// policy's per-second methods (Regulate, plus any Controller state it
-// shares) touch only the server they are handed, never policy-global state,
-// so distinct servers may tick on distinct goroutines. Serial entry points
-// (Admit, Score, FleetLoadInto) keep their existing single-caller contract.
-type ConcurrentTicker interface {
-	ConcurrentTickSafe() bool
 }
 
 // Hosted is one game session running on a server.
@@ -110,8 +102,7 @@ type Record struct {
 // RecordSink consumes completed-session records as they happen. A server
 // with a sink streams records into it instead of retaining them in
 // Server.Records, keeping million-session runs at O(1) memory per
-// completion. Implementations must be safe for concurrent calls when the
-// cluster ticks servers in parallel.
+// completion.
 type RecordSink interface {
 	ConsumeRecord(serverID int, r Record)
 }

@@ -9,15 +9,6 @@ import (
 	"cocg/internal/resources"
 )
 
-// cloneFleetLoad deep-copies a summary so checkpoints survive the reused
-// output buffer being overwritten by the next poll.
-func cloneFleetLoad(fl platform.FleetLoad) platform.FleetLoad {
-	out := fl
-	out.Games = append([]string(nil), fl.Games...)
-	out.GameDemand = append([]float64(nil), fl.GameDemand...)
-	return out
-}
-
 // requireBitIdentical fails unless two summaries agree exactly — float
 // fields compared by bits, not tolerance. This is the summary's core
 // guarantee: memoized per-server contributions folded in server order
@@ -48,23 +39,19 @@ func requireBitIdentical(t *testing.T, label string, got, want platform.FleetLoa
 	}
 }
 
-// fleetChurnScenario drives one cluster through admission, forecast
-// progression, drain flips, session endings, and membership churn (grow,
-// shrink, replace), polling the incremental summary at every checkpoint.
-// Each poll is verified bit-identical to a from-scratch recompute by an
-// independent policy instance (so the incremental chain under test is never
-// reset), and the per-checkpoint summaries are returned for cross-jobs
-// comparison.
-func fleetChurnScenario(t *testing.T, jobs int) []platform.FleetLoad {
-	t.Helper()
+// TestFleetLoadMatchesFullRecompute is the equivalence gate: it drives one
+// cluster through admission, forecast progression, drain flips, session
+// endings, and membership churn (grow, shrink, replace), polling the
+// incremental summary at every checkpoint. Each poll must be bit-identical to
+// a from-scratch recompute by an independent policy instance (so the
+// incremental chain under test is never reset).
+func TestFleetLoadMatchesFullRecompute(t *testing.T) {
 	specs := []*gamesim.GameSpec{gamesim.Contra(), gamesim.GenshinImpact()}
 	p := policyFor(t, specs...)
 	ref := policyFor(t, specs...)
 	c := platform.NewCluster(6, p)
-	c.Jobs = jobs
 
 	var out, full platform.FleetLoad
-	var snaps []platform.FleetLoad
 	checkpoint := func(label string) {
 		t.Helper()
 		if !p.FleetLoadInto(c.Servers, &out) {
@@ -83,7 +70,6 @@ func fleetChurnScenario(t *testing.T, jobs int) []platform.FleetLoad {
 		if head != out.MeanHeadroom {
 			t.Fatalf("%s: memoized mean %.17g vs full scan %.17g", label, out.MeanHeadroom, head)
 		}
-		snaps = append(snaps, cloneFleetLoad(out))
 	}
 	tick := func(n int) {
 		for i := 0; i < n; i++ {
@@ -129,24 +115,6 @@ func fleetChurnScenario(t *testing.T, jobs int) []platform.FleetLoad {
 	checkpoint("replaced")
 	tick(10)
 	checkpoint("ticked after replace")
-
-	return snaps
-}
-
-// TestFleetLoadMatchesFullRecompute is the equivalence gate: under
-// admission, forecast progression, drain flips, session endings, and
-// membership churn, the incremental summary must stay bit-identical to a
-// full recompute — and identical across -jobs settings, since the summary
-// runs on the serial entry points only.
-func TestFleetLoadMatchesFullRecompute(t *testing.T) {
-	serial := fleetChurnScenario(t, 1)
-	parallel := fleetChurnScenario(t, 8)
-	if len(serial) != len(parallel) {
-		t.Fatalf("checkpoint counts diverged: %d vs %d", len(serial), len(parallel))
-	}
-	for i := range serial {
-		requireBitIdentical(t, "jobs 1 vs 8", parallel[i], serial[i])
-	}
 }
 
 // TestClusterLoadDelegatesToAccountant pins that the scalar the coordinator

@@ -138,8 +138,8 @@ func FuzzMergeRuns(f *testing.F) {
 // position or an ID could mislead it: two live servers sharing one Server.ID,
 // then a server replaced in place by a new one with its predecessor's ID. The
 // long-lived policy's verdicts — through the prepared scan's cursor, through
-// serial Score, through the cluster's pick at -jobs 1 and 8 — and its fleet
-// summary must equal a fresh policy's.
+// serial Score, through the cluster's pick — and its fleet summary must equal
+// a fresh policy's.
 func TestCacheLookupIgnoresServerIDs(t *testing.T) {
 	do, co := gamesim.DOTA2(), gamesim.Contra()
 	specs := []*gamesim.GameSpec{do, co}
@@ -175,16 +175,13 @@ func TestCacheLookupIgnoresServerIDs(t *testing.T) {
 						t.Fatalf("%s: Score of server %p %s: (%v, %v), fresh policy (%v, %v)", label, srv, spec.Name, gs, gok, ws, wok)
 					}
 				}
-				for _, jobs := range []int{1, 8} {
-					a := platform.Arrival{Spec: spec, Habit: int64(i)}
-					c.Jobs, c.Policy = jobs, p
-					got := c.PickServer(a)
-					c.Policy = New(bundles, Config{})
-					if want := c.PickServer(a); got != want {
-						t.Fatalf("%s: jobs %d picked %p for %s, fresh policy %p", label, jobs, got, spec.Name, want)
-					}
-					c.Policy = p
+				a := platform.Arrival{Spec: spec, Habit: int64(i)}
+				got := c.PickServer(a)
+				c.Policy = New(bundles, Config{})
+				if want := c.PickServer(a); got != want {
+					t.Fatalf("%s: picked %p for %s, fresh policy %p", label, got, spec.Name, want)
 				}
+				c.Policy = p
 			}
 		}
 		var got, want platform.FleetLoad

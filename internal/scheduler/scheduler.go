@@ -76,11 +76,11 @@ func (c Config) withDefaults() Config {
 
 // CoCG is the paper's scheduling policy over a set of offline-trained games.
 //
-// Concurrency: every placement entry point — Admit, Score, PreparePlacement,
-// FleetLoadInto — is serial: they read and refill the forecast caches and may
-// insert into the cache map. Only the per-second side (Regulate, the
-// controllers) may run on several goroutines, one server each; see
-// ConcurrentTickSafe.
+// Concurrency: every entry point is serial. The placement side — Admit,
+// Score, PreparePlacement, FleetLoadInto — reads and refills the forecast
+// caches and may insert into the cache map; the per-second side — Regulate,
+// the controllers — touches only the server it is handed and never the
+// caches.
 type CoCG struct {
 	cfg Config
 
@@ -800,6 +800,12 @@ func (c *CoCG) ClusterLoadFullScan(servers []*platform.Server) (float64, bool) {
 // loading — users tolerate a longer loading screen far better than dropped
 // frames at a peak (Observation 4) — and only the platform's proportional
 // scaling touches executing games if that is not enough.
+//
+// Loading-steal regulation must see every second and the controllers adapt to
+// measured utilization, so no second is skipped. What makes most of them
+// cheap is the platform's per-second certificate (Server.tickAt): Regulate
+// returns at its first test whenever requests fit under the margin, and a
+// second whose realised demands fit their requests takes the fused grant pass.
 func (c *CoCG) Regulate(srv *platform.Server) {
 	// The common second: requests fit under the margin. For finite totals
 	// a-b <= 0 exactly when a <= b, so this decides what testing the clamped
@@ -824,21 +830,6 @@ func (c *CoCG) Regulate(srv *platform.Server) {
 		over = over.Sub(cut).ClampNonNegative()
 	}
 }
-
-// ConcurrentTickSafe implements platform.ConcurrentTicker: within a tick,
-// Regulate and the per-session controllers touch only the server they are
-// handed (requests, hosted predictor state, the server's own forecast
-// generation) — never the forecast caches,
-// which are read and refreshed only from the serial placement entry points
-// (Admit, Score, FleetLoadInto, PreparePlacement). Distinct servers may
-// therefore tick on distinct goroutines.
-//
-// Loading-steal regulation must see every second and the controllers adapt to
-// measured utilization, so no second is skipped. What makes most of them
-// cheap is the platform's per-second certificate (Server.tickAt): Regulate
-// returns at its first test whenever requests fit under the margin, and a
-// second whose realised demands fit their requests takes the fused grant pass.
-func (c *CoCG) ConcurrentTickSafe() bool { return true }
 
 // PredictionLatencyFor reports the simulated prediction latency for a game's
 // active models (Fig. 12).

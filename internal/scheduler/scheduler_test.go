@@ -288,7 +288,6 @@ func TestCachedEvaluateMatchesFreshRecompute(t *testing.T) {
 	p := New(bundles, Config{})
 	observer := New(bundles, Config{})
 	c := platform.NewCluster(3, p)
-	c.Jobs = 3
 	specs := []*gamesim.GameSpec{do, co}
 
 	next := 0

@@ -55,15 +55,18 @@ func (g *Generator) Next(spec *gamesim.GameSpec) platform.Arrival {
 }
 
 // PairStream keeps a cluster saturated with two games: whenever fewer than
-// backlog arrivals of a game are pending or running, it submits another.
-// This reproduces Fig. 11's setting.
+// Backlog arrivals of a game wait in the cluster's Pending queue, it submits
+// another. Running sessions do not count: however many are hosted, the
+// stream keeps arrivals queued for the distributor. This reproduces Fig. 11's
+// setting.
 type PairStream struct {
 	Gen     *Generator
 	A, B    *gamesim.GameSpec
 	Backlog int
 }
 
-// Feed tops the cluster's queue up. Call once per placement interval.
+// Feed tops the cluster's Pending queue up to Backlog arrivals per game. Every
+// caller feeds once per second, just before Cluster.Tick.
 func (p *PairStream) Feed(c *platform.Cluster) {
 	if p.Backlog <= 0 {
 		p.Backlog = 1
@@ -94,19 +97,7 @@ func NewMixStream(gen *Generator, mix []*gamesim.GameSpec, rate float64, seed in
 	return &MixStream{Gen: gen, Mix: mix, Rate: rate, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Feed submits the second's arrivals: floor(Rate) guaranteed plus one more
-// with the fractional probability.
-func (m *MixStream) Feed(c *platform.Cluster) {
-	if len(m.Mix) == 0 {
-		return
-	}
-	for _, a := range m.second() {
-		c.Submit(a)
-	}
-}
-
-// second draws one second's arrivals, in the exact draw order Feed has
-// always used, without stamping Submitted.
+// second draws one second's arrivals, without stamping Submitted.
 func (m *MixStream) second() []platform.Arrival {
 	n := int(m.Rate)
 	if m.rng.Float64() < m.Rate-float64(n) {
@@ -120,11 +111,10 @@ func (m *MixStream) second() []platform.Arrival {
 	return out
 }
 
-// Schedule pregenerates the next horizon seconds of the stream as a
-// Submitted-stamped, ascending arrival schedule for the event-driven cluster
-// driver. The draws are identical, in the same order, to calling Feed once
-// per second starting at time start — the same generator state yields the
-// same arrivals either way.
+// Schedule pregenerates the next horizon seconds of the stream, starting at
+// second start, as a Submitted-stamped, ascending arrival schedule for
+// Cluster.RunEvented. Consecutive calls continue the stream: two schedules of
+// h seconds each draw exactly what one schedule of 2h does.
 func (m *MixStream) Schedule(start, horizon simclock.Seconds) []platform.Arrival {
 	if len(m.Mix) == 0 {
 		return nil

@@ -92,24 +92,39 @@ func TestPairStreamDefaultBacklog(t *testing.T) {
 }
 
 func TestMixStreamRate(t *testing.T) {
-	c := platform.NewCluster(1, nopPolicy{})
 	gen := NewGenerator(nil, 5)
 	m := NewMixStream(gen, []*gamesim.GameSpec{gamesim.Contra(), gamesim.CSGO()}, 0.5, 6)
-	for i := 0; i < 1000; i++ {
-		m.Feed(c)
-	}
-	n := len(c.Pending)
+	n := len(m.Schedule(0, 1000))
 	if n < 350 || n > 650 {
 		t.Errorf("0.5/s for 1000s produced %d arrivals", n)
 	}
 }
 
 func TestMixStreamEmptyMix(t *testing.T) {
-	c := platform.NewCluster(1, nopPolicy{})
 	m := NewMixStream(NewGenerator(nil, 7), nil, 1, 8)
-	m.Feed(c)
-	if len(c.Pending) != 0 {
-		t.Error("empty mix produced arrivals")
+	if got := m.Schedule(0, 100); len(got) != 0 {
+		t.Errorf("empty mix produced %d arrivals", len(got))
+	}
+}
+
+// TestScheduleContinuesTheStream pins Schedule's contract: arrivals are
+// stamped ascending inside [start, start+horizon), and consecutive schedules
+// draw exactly what one schedule over both spans does.
+func TestScheduleContinuesTheStream(t *testing.T) {
+	mix := []*gamesim.GameSpec{gamesim.Contra(), gamesim.CSGO(), gamesim.DOTA2()}
+	whole := NewMixStream(NewGenerator(nil, 9), mix, 1.3, 10).Schedule(40, 200)
+	parts := NewMixStream(NewGenerator(nil, 9), mix, 1.3, 10)
+	split := append(parts.Schedule(40, 70), parts.Schedule(110, 130)...)
+	if len(whole) < 200 || len(whole) != len(split) {
+		t.Fatalf("one schedule drew %d arrivals, two drew %d; want at least one per second and equal counts", len(whole), len(split))
+	}
+	for i, a := range whole {
+		if a != split[i] {
+			t.Fatalf("arrival %d: one schedule %+v, two schedules %+v", i, a, split[i])
+		}
+		if a.Submitted < 40 || a.Submitted >= 240 || (i > 0 && a.Submitted < whole[i-1].Submitted) {
+			t.Fatalf("arrival %d submitted at %d: not ascending inside [40, 240)", i, a.Submitted)
+		}
 	}
 }
 

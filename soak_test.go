@@ -33,16 +33,17 @@ func TestSoakMixedClusterInvariants(t *testing.T) {
 			gen := sys.Generator(13)
 			stream := workload.NewMixStream(gen, gamesim.AllGames(), 0.08, 17)
 			horizon := 2 * simclock.Hour
-			for i := simclock.Seconds(0); i < horizon; i++ {
-				stream.Feed(c)
-				c.Tick()
-				if i%97 == 0 {
-					for _, srv := range c.Servers {
-						u := srv.Utilization()
-						for d := range u {
-							if u[d] > srv.Capacity[d]+1e-6 {
-								t.Fatalf("t=%d server %d over capacity: %v", i, srv.ID, u)
-							}
+			// Run the stream in 97-second legs, checking capacity after each.
+			for now := simclock.Seconds(0); now < horizon; now = c.Clock.Now() {
+				leg := min(97, horizon-now)
+				if err := c.RunEvented(leg, stream.Schedule(now, leg)); err != nil {
+					t.Fatal(err)
+				}
+				for _, srv := range c.Servers {
+					u := srv.Utilization()
+					for d := range u {
+						if u[d] > srv.Capacity[d]+1e-6 {
+							t.Fatalf("t=%d server %d over capacity: %v", c.Clock.Now(), srv.ID, u)
 						}
 					}
 				}
