@@ -107,10 +107,12 @@ bench-pairs:
 # prints go test's own table: the placement scan, fleet summary and one
 # saturated fleet frame at 128 and 1024 servers, the prediction and
 # clustering kernels, the whole offline pass (TrainSystem: the end-to-end
-# benchmark's set-up), the serving path (codec, tick walk), routing, the
-# simulation core, and model training beside the legacy trainer the tests
-# keep as its oracle (*FitLegacy), and the two shared kernels under all of
-# them — vector folds and short-lived generator seeding.
+# benchmark's set-up, one game at a time; TrainSystemWorkersMax: games
+# fanned out), the serving path (codec, tick walk), routing, the
+# simulation core, and model training (ForestTrain, GBDTTrain) beside the
+# legacy trainer the tests keep as its oracle (*FitLegacy), and the two
+# shared kernels under all of them — vector folds and short-lived generator
+# seeding.
 # Prediction is the per-call Predict alone: the pointer-walk and batch twins
 # are gone. Nothing is recorded or compared —
 # bench/cocgbench (bench-e2e above) is the judge of a performance claim; these
@@ -119,5 +121,5 @@ bench-pairs:
 # history only.
 bench-layers:
 	$(GO) test -run '^$$' -benchmem \
-		-bench 'FleetPlacement|FleetFrame|Evaluate|FleetLoad|ClusterLoadFullScan|Predict|KMeans|TrainSystem|Forecast|WireFrameBatch|StreamTick|FleetRoute|ServerTick|(DTC|RF|GBDT)Fit|NewPlayerSession|SourceSeedAndDraw|VectorFold' \
+		-bench 'FleetPlacement|FleetFrame|Evaluate|FleetLoad|ClusterLoadFullScan|Predict|KMeans|TrainSystem|Forecast|WireFrameBatch|StreamTick|FleetRoute|ServerTick|(DTC|RF|GBDT)Fit|(Forest|GBDT)Train|NewPlayerSession|SourceSeedAndDraw|VectorFold' \
 		. ./internal/...

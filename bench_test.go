@@ -383,13 +383,15 @@ func BenchmarkPairMatrix(b *testing.B) {
 	}
 }
 
-// --- Parallel-vs-serial benchmarks ---
+// --- Offline-pass and parallel-vs-serial benchmarks ---
 //
-// Each pair below runs the same workload with Workers/Jobs pinned to 1 and
-// then unpinned (0 = GOMAXPROCS), so `go test -bench 'Workers|Jobs'` shows
-// the speedup the internal/parallel pool buys on the current machine. On a
-// single-core box the two legs coincide; the determinism tests guarantee the
-// outputs match regardless.
+// A K-means run and a model fit are serial kernels, timed alone below. The
+// fan-outs that remain are over whole units: games in the offline pass and
+// experiments in the harness. Each such pair runs the same workload with
+// Workers/Jobs pinned to 1 and then unpinned (0 = GOMAXPROCS), so
+// `go test -bench 'Workers|Jobs'` shows the speedup the internal/parallel
+// pool buys on the current machine. On a single-core box the two legs
+// coincide; the determinism tests guarantee the outputs match regardless.
 
 // benchPoints synthesizes a frame cloud large enough that the chunked
 // K-means passes dominate.
@@ -412,31 +414,34 @@ func benchPoints(n int) []resources.Vector {
 	return out
 }
 
-func benchKMeans(b *testing.B, workers int) {
+func BenchmarkKMeans(b *testing.B) {
 	pts := benchPoints(8192)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cluster.KMeans(pts, cluster.Config{K: 6, Seed: 7, Workers: workers}); err != nil {
+		if _, err := cluster.KMeans(pts, cluster.Config{K: 6, Seed: 7}); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkKMeansWorkers1(b *testing.B)   { benchKMeans(b, 1) }
-func BenchmarkKMeansWorkersMax(b *testing.B) { benchKMeans(b, 0) }
+func benchTrainSystem(b *testing.B, workers int) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Train(gamesim.AllGames(), core.TrainOptions{Seed: 1, Workers: workers}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkTrainSystem is the whole offline pass exactly as the end-to-end
 // benchmark's set-up runs it: every game's corpus recorded, profiled and
-// trained, serially.
-func BenchmarkTrainSystem(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.Train(gamesim.AllGames(), core.TrainOptions{Seed: 1, Workers: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// trained, one game at a time.
+func BenchmarkTrainSystem(b *testing.B) { benchTrainSystem(b, 1) }
+
+// BenchmarkTrainSystemWorkersMax is the same pass with the games fanned out
+// over GOMAXPROCS workers.
+func BenchmarkTrainSystemWorkersMax(b *testing.B) { benchTrainSystem(b, 0) }
 
 // benchTrainingSet synthesizes a multiclass dataset with learnable structure
 // (the label tracks a noisy linear score over the features).
@@ -460,35 +465,29 @@ func benchTrainingSet(b *testing.B, n int) *mlmodels.Dataset {
 	return ds
 }
 
-func benchForest(b *testing.B, workers int) {
+func BenchmarkForestTrain(b *testing.B) {
 	ds := benchTrainingSet(b, 2000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := mlmodels.NewRandomForest(mlmodels.ForestConfig{NumTrees: 40, Seed: 3, Workers: workers})
+		f := mlmodels.NewRandomForest(mlmodels.ForestConfig{NumTrees: 40, Seed: 3})
 		if err := f.Fit(ds); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkForestTrainWorkers1(b *testing.B)   { benchForest(b, 1) }
-func BenchmarkForestTrainWorkersMax(b *testing.B) { benchForest(b, 0) }
-
-func benchGBDT(b *testing.B, workers int) {
+func BenchmarkGBDTTrain(b *testing.B) {
 	ds := benchTrainingSet(b, 2000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g := mlmodels.NewGBDT(mlmodels.GBDTConfig{NumRounds: 20, Seed: 3, Workers: workers})
+		g := mlmodels.NewGBDT(mlmodels.GBDTConfig{NumRounds: 20, Seed: 3})
 		if err := g.Fit(ds); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-func BenchmarkGBDTTrainWorkers1(b *testing.B)   { benchGBDT(b, 1) }
-func BenchmarkGBDTTrainWorkersMax(b *testing.B) { benchGBDT(b, 0) }
 
 // benchHarness renders every figure and table as concurrent jobs over the
 // shared fast context — the cmd/cocg fan-out, minus printing.

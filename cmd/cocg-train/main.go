@@ -9,10 +9,11 @@
 //	cocg-train [-o system.cocg.gz] [-players N] [-sessions N] [-seed S]
 //	           [-jobs N] [-cpuprofile cpu.out] [-memprofile mem.out] [game ...]
 //
-// The trained bundle is a pure function of the corpus parameters and -seed:
-// -jobs only bounds the training goroutines (clustering, RF bagging, GBDT
-// rounds, tree feature scans) and never changes the result, so profiling runs
-// at -jobs 1 measure the same training the production pass performs.
+// The trained bundle is a pure function of the corpus parameters and -seed.
+// -jobs bounds how many games train at once; each game trains on one
+// goroutine, so -jobs never changes the result, and a profile taken at
+// -jobs 1 measures the same training the production pass performs.
+// -players and -sessions must be at least 1, and a game may be named once.
 package main
 
 import (
@@ -25,6 +26,7 @@ import (
 
 	"cocg/internal/core"
 	"cocg/internal/gamesim"
+	"cocg/internal/parallel"
 	"cocg/internal/persist"
 	"cocg/internal/profiling"
 )
@@ -48,10 +50,14 @@ func main() {
 	sessions := flag.Int("sessions", 4, "sessions per player")
 	seed := flag.Int64("seed", 1, "random seed")
 	jobs := flag.Int("jobs", defaultJobs(),
-		"max concurrent training workers; the trained bundle does not depend on it (flag beats COCG_JOBS env, which beats the CPU-count default)")
+		"max games training at once; the trained bundle does not depend on it (flag beats COCG_JOBS env, which beats the CPU-count default)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
+	if *players < 1 || *sessions < 1 {
+		fmt.Fprintf(os.Stderr, "cocg-train: -players and -sessions must be at least 1, got %d and %d\n", *players, *sessions)
+		os.Exit(2)
+	}
 
 	stopProfiles, perr := profiling.Start(*cpuProfile, *memProfile)
 	if perr != nil {
@@ -81,7 +87,7 @@ func main() {
 
 	start := time.Now()
 	fmt.Printf("training %d games (%d players x %d sessions each, %d workers)...\n",
-		len(specs), *players, *sessions, *jobs)
+		len(specs), *players, *sessions, parallel.Workers(*jobs))
 	sys, err := core.Train(specs, core.TrainOptions{
 		Players: *players, SessionsPerPlayer: *sessions, Seed: *seed, Workers: *jobs,
 	})

@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 
-	"cocg/internal/parallel"
 	"cocg/internal/resources"
 )
 
@@ -74,7 +73,7 @@ func GraphPartition(points []resources.Vector) (*Result, error) {
 		centroids[c] = sums[c].Scale(1 / float64(counts[c]))
 	}
 	res := &Result{Centroids: centroids, Assign: assign, Iterations: 1}
-	res.SSE = sseInto(points, centroids, assign, 1, make([]float64, parallel.NumChunks(len(points))))
+	res.SSE = sumSquares(points, centroids, assign)
 	sortCentroids(res)
 	return res, nil
 }

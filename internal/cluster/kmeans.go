@@ -2,13 +2,12 @@
 // and the K-sweep of Fig. 14: K-means with k-means++ seeding (the method the
 // paper adopts) and a graph-partitioning baseline it compares against.
 //
-// Concurrency: KMeans parallelizes the Lloyd assignment step, the centroid
-// update, and the SSE reduction across fixed-size frame chunks
-// (Config.Workers), and Sweep runs its per-K clusterings concurrently.
-// Decomposition and merge order are independent of the worker count, so a
-// run with Workers=1 and Workers=64 produces bit-identical results for the
-// same seed. The k-means++ seeding pass and the restart loop stay serial:
-// they consume one RNG stream whose draw order defines the result.
+// Concurrency: KMeans runs on its caller's goroutine. Its Lloyd steps walk
+// the frames in fixed-size chunks (parallel.ChunkBounds) whose partial sums
+// merge in chunk order, which fixes the float result and lets an unchanged
+// chunk keep last iteration's partials. Sweep runs its per-K clusterings
+// concurrently; each is the same serial run, so the curve does not depend
+// on the worker count.
 package cluster
 
 import (
@@ -70,9 +69,6 @@ type Config struct {
 	MaxIter  int   // Lloyd iteration cap; defaults to 100
 	Seed     int64 // RNG seed for k-means++ seeding
 	Restarts int   // independent restarts, best SSE wins; defaults to 4
-	// Workers bounds the goroutines used for the assignment/update/SSE
-	// steps; <= 0 means GOMAXPROCS. Results do not depend on it.
-	Workers int
 }
 
 func (c *Config) withDefaults() Config {
@@ -102,7 +98,6 @@ type kmScratch struct {
 	mergeCounts  []int                // chunk-order merge of chunkCounts
 	d2           []float64            // k-means++ D² weights
 	centroids    []resources.Vector   // current restart's working centroids
-	ssePartial   []float64            // per-chunk SSE partials
 	// upper/lower are each point's distance bounds (see lloyd); prev holds
 	// the centroids before an update and drift how far each one moved.
 	upper []float64
@@ -126,7 +121,6 @@ func newKMScratch(n, k int) *kmScratch {
 		mergeCounts:   make([]int, k),
 		d2:            make([]float64, n),
 		centroids:     make([]resources.Vector, 0, k),
-		ssePartial:    make([]float64, nChunks),
 		upper:         make([]float64, n),
 		lower:         make([]float64, n),
 		prev:          make([]resources.Vector, k),
@@ -160,7 +154,7 @@ func KMeans(points []resources.Vector, cfg Config) (*Result, error) {
 	best := &Result{}
 	have := false
 	for r := 0; r < c.Restarts; r++ {
-		sse, iterations := lloyd(points, k, c.MaxIter, c.Workers, rng, scratch)
+		sse, iterations := lloyd(points, k, c.MaxIter, rng, scratch)
 		if !have || sse < best.SSE {
 			have = true
 			best.SSE = sse
@@ -187,9 +181,8 @@ func boundsHold(u, l float64) bool { return u*(1+boundSlack) < l*(1-boundSlack) 
 
 // lloyd runs one k-means++ initialization followed by Lloyd iterations,
 // leaving the final assignment and centroids in the scratch. The assignment
-// and centroid-update steps fan out over fixed-size point chunks; per-chunk
-// partial sums are merged in chunk order, so the floating-point result is
-// identical at every worker count.
+// and centroid-update steps walk fixed-size point chunks, and per-chunk
+// partial sums merge in chunk order.
 //
 // The assignment step keeps Hamerly's bounds: per point, an upper bound on
 // the distance to its centroid and a lower bound on the distance to every
@@ -199,7 +192,7 @@ func boundsHold(u, l float64) bool { return u*(1+boundSlack) < l*(1-boundSlack) 
 // clearly below its lower bound keeps its centroid without a scan; every
 // other point runs the exact strict-< scan, so the assignment, centroids,
 // SSE and iteration count are those of the plain loop.
-func lloyd(points []resources.Vector, k, maxIter, workers int, rng *rand.Rand, s *kmScratch) (sse float64, iterations int) {
+func lloyd(points []resources.Vector, k, maxIter int, rng *rand.Rand, s *kmScratch) (sse float64, iterations int) {
 	centroids := seedPlusPlus(points, k, rng, s)
 	assign := s.assign
 	for i := range assign {
@@ -215,12 +208,7 @@ func lloyd(points []resources.Vector, k, maxIter, workers int, rng *rand.Rand, s
 	bounded := false
 	var maxDrift, nextDrift float64
 	maxDriftAt := -1
-	// The chunk bodies are built once per restart, not once per iteration:
-	// closures handed to parallel.For escape to the heap, so constructing
-	// them inside the Lloyd loop would allocate on every iteration. The
-	// bounds come from parallel.ChunkBounds, so the decomposition (and
-	// therefore the merge order) is exactly what ForChunks would produce.
-	assignBody := func(chunk int) {
+	assignChunk := func(chunk int) {
 		lo, hi := parallel.ChunkBounds(chunk, n)
 		changed := false
 		for i := lo; i < hi; i++ {
@@ -257,7 +245,7 @@ func lloyd(points []resources.Vector, k, maxIter, workers int, rng *rand.Rand, s
 		}
 		s.chunkChanged[chunk] = changed
 	}
-	updateBody := func(chunk int) {
+	updateChunk := func(chunk int) {
 		// A chunk none of whose points moved keeps last iteration's
 		// partials: they are the same sums of the same points. The first
 		// pass moves every point off -1, so every chunk starts computed.
@@ -278,18 +266,20 @@ func lloyd(points []resources.Vector, k, maxIter, workers int, rng *rand.Rand, s
 	}
 	for iter := 0; iter < maxIter; iter++ {
 		iterations = iter + 1
-		parallel.For(workers, nChunks, assignBody)
-		bounded = true
 		changed := false
-		for _, c := range s.chunkChanged {
-			changed = changed || c
+		for chunk := range nChunks {
+			assignChunk(chunk)
+			changed = changed || s.chunkChanged[chunk]
 		}
+		bounded = true
 		if !changed {
 			break
 		}
 		// Recompute centroids; an emptied cluster keeps its old center,
 		// which is the standard fix and keeps K stable.
-		parallel.For(workers, nChunks, updateBody)
+		for chunk := range nChunks {
+			updateChunk(chunk)
+		}
 		sums := s.mergeSums
 		counts := s.mergeCounts
 		for c := 0; c < k; c++ {
@@ -318,7 +308,7 @@ func lloyd(points []resources.Vector, k, maxIter, workers int, rng *rand.Rand, s
 			}
 		}
 	}
-	return sseInto(points, centroids, assign, workers, s.ssePartial), iterations
+	return sumSquares(points, centroids, assign), iterations
 }
 
 // seedPlusPlus picks k initial centers with the k-means++ D² weighting,
@@ -361,22 +351,19 @@ func seedPlusPlus(points []resources.Vector, k int, rng *rand.Rand, s *kmScratch
 	return centroids
 }
 
-// sseInto reduces the sum of squared distances over fixed-size chunks into
-// the provided partials buffer, merging in chunk order so the result is
-// worker-count independent.
-func sseInto(points, centroids []resources.Vector, assign []int, workers int, partial []float64) float64 {
-	parallel.ForChunks(workers, len(points), func(chunk, lo, hi int) {
+// sumSquares returns the sum of squared distances from each point to its centroid,
+// folded per fixed-size chunk and the chunk sums added in chunk order.
+func sumSquares(points, centroids []resources.Vector, assign []int) float64 {
+	var total float64
+	for chunk := range parallel.NumChunks(len(points)) {
+		lo, hi := parallel.ChunkBounds(chunk, len(points))
 		var s float64
 		for i := lo; i < hi; i++ {
 			s += points[i].Dist2(centroids[assign[i]])
 		}
-		partial[chunk] = s
-	})
-	var s float64
-	for _, p := range partial {
-		s += p
+		total += s
 	}
-	return s
+	return total
 }
 
 // sortCentroids renumbers clusters by ascending dominant resource so IDs are
@@ -424,9 +411,7 @@ func Sweep(points []resources.Vector, maxK int, seed int64, workers int) ([]Swee
 	errs := make([]error, maxK)
 	parallel.For(workers, maxK, func(i int) {
 		k := i + 1
-		// The sweep itself is the fan-out axis; each inner run stays
-		// single-threaded so nesting cannot oversubscribe the machine.
-		res, err := KMeans(points, Config{K: k, Seed: seed, Workers: 1})
+		res, err := KMeans(points, Config{K: k, Seed: seed})
 		if err != nil {
 			errs[i] = err
 			return

@@ -243,38 +243,6 @@ func TestPropertyEachPointNearestOwnCentroid(t *testing.T) {
 	}
 }
 
-func TestKMeansWorkerCountInvariant(t *testing.T) {
-	// The parallel decomposition must not leak into results: any worker
-	// count produces bit-identical centroids, assignments, and SSE.
-	pts := threeBlobs(8)
-	ref, err := KMeans(pts, Config{K: 3, Seed: 9, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 4, 16} {
-		got, err := KMeans(pts, Config{K: 3, Seed: 9, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.SSE != ref.SSE {
-			t.Errorf("workers=%d: SSE %v != serial %v", workers, got.SSE, ref.SSE)
-		}
-		if got.Iterations != ref.Iterations {
-			t.Errorf("workers=%d: iterations %d != serial %d", workers, got.Iterations, ref.Iterations)
-		}
-		for i := range ref.Assign {
-			if got.Assign[i] != ref.Assign[i] {
-				t.Fatalf("workers=%d: assignment diverged at point %d", workers, i)
-			}
-		}
-		for c := range ref.Centroids {
-			if got.Centroids[c] != ref.Centroids[c] {
-				t.Fatalf("workers=%d: centroid %d = %v, serial %v", workers, c, got.Centroids[c], ref.Centroids[c])
-			}
-		}
-	}
-}
-
 func TestSweepWorkerCountInvariant(t *testing.T) {
 	pts := threeBlobs(9)
 	ref, err := Sweep(pts, 6, 5, 1)

@@ -88,7 +88,7 @@ func legacyLloyd(points []resources.Vector, k, maxIter int, rng *rand.Rand, s *k
 			}
 		}
 	}
-	return sseInto(points, centroids, assign, 1, s.ssePartial), iterations
+	return sumSquares(points, centroids, assign), iterations
 }
 
 // requireSameResult fails unless got and want agree bit for bit.
@@ -165,8 +165,10 @@ func TestKMeansMatchesLloyd(t *testing.T) {
 			seeds = []int64{1, 2, 3, 4}
 		}
 		for _, seed := range seeds {
-			for _, workers := range []int{1, 4} {
-				cfg := Config{K: tc.k, Seed: seed, Workers: workers}
+			// The default four restarts, then a single one: the best-of
+			// snapshot is exercised and skipped.
+			for _, restarts := range []int{0, 1} {
+				cfg := Config{K: tc.k, Seed: seed, Restarts: restarts}
 				got, err := KMeans(tc.pts, cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -205,7 +207,7 @@ func FuzzKMeansMatchesLloyd(f *testing.F) {
 		if len(pts) == 0 || len(pts) > 2048 {
 			return
 		}
-		cfg := Config{K: int(k)%len(pts) + 1, Seed: seed, Workers: 1}
+		cfg := Config{K: int(k)%len(pts) + 1, Seed: seed}
 		got, err := KMeans(pts, cfg)
 		if err != nil {
 			t.Fatal(err)

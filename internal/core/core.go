@@ -63,9 +63,9 @@ type TrainOptions struct {
 	ForceGlobal bool
 	// SchedulerConfig tunes the CoCG policy built from this system.
 	SchedulerConfig scheduler.Config
-	// Workers bounds the total goroutines the offline pass may use across
-	// per-game training, clustering, and model fitting; <= 0 means
-	// GOMAXPROCS. The trained system does not depend on it.
+	// Workers bounds how many games train at once; <= 0 means GOMAXPROCS.
+	// Each game trains on one goroutine, so this is the offline pass's
+	// whole fan-out. The trained system does not depend on it.
 	Workers int
 }
 
@@ -76,21 +76,24 @@ type System struct {
 }
 
 // Train runs the complete offline pipeline for every game. Games are
-// independent, so they train in parallel under a bounded worker group;
-// results are deterministic because each game's corpus and models derive
-// only from the shared seed, never from the worker count.
+// independent, so they train in parallel under a bounded worker group, one
+// game per goroutine; results are deterministic because each game's corpus
+// and models derive only from the shared seed, never from the worker count.
+// A game named twice is an error, reported before any training starts.
 func Train(specs []*gamesim.GameSpec, opts TrainOptions) (*System, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("core: no games to train")
 	}
+	seen := make(map[string]bool, len(specs))
+	for _, spec := range specs {
+		if seen[spec.Name] {
+			return nil, fmt.Errorf("core: game %s listed twice", spec.Name)
+		}
+		seen[spec.Name] = true
+	}
 	s := &System{Bundles: map[string]*predictor.Trained{}, opts: opts}
-	// The per-game fan-out and the within-game fan-out (clustering, RF
-	// trees, habit models) share one budget: each game's inner pass gets
-	// the whole budget only when games cannot saturate it themselves.
-	workers := parallel.Workers(opts.Workers)
-	inner := (workers + len(specs) - 1) / len(specs)
 	var mu sync.Mutex
-	g := parallel.NewGroup(workers)
+	g := parallel.NewGroup(opts.Workers)
 	for _, spec := range specs {
 		spec := spec
 		g.Go(func() error {
@@ -99,7 +102,6 @@ func Train(specs []*gamesim.GameSpec, opts TrainOptions) (*System, error) {
 				SessionsPerPlayer: opts.SessionsPerPlayer,
 				Seed:              opts.Seed,
 				ForceGlobal:       opts.ForceGlobal,
-				Workers:           inner,
 			})
 			if err != nil {
 				return fmt.Errorf("core: training %s: %w", spec.Name, err)

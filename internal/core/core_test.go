@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"cocg/internal/gamesim"
@@ -20,6 +21,20 @@ func smallSystem(t *testing.T) *System {
 func TestTrainEmpty(t *testing.T) {
 	if _, err := Train(nil, TrainOptions{}); err == nil {
 		t.Error("empty game list did not error")
+	}
+}
+
+// TestTrainRejectsDuplicateGame: a game listed twice would train twice and
+// keep one bundle. Train must name it before any game trains — here the
+// first game listed cannot train, so its error would win if one did.
+func TestTrainRejectsDuplicateGame(t *testing.T) {
+	broken := *gamesim.Contra()
+	broken.Name = "Broken"
+	broken.Clusters = broken.Clusters[:1]
+	specs := []*gamesim.GameSpec{&broken, gamesim.Contra(), gamesim.GenshinImpact(), gamesim.Contra()}
+	_, err := Train(specs, TrainOptions{Players: 1, SessionsPerPlayer: 1, Seed: 3, Workers: 1})
+	if err == nil || !strings.Contains(err.Error(), "Contra") || strings.Contains(err.Error(), "Broken") {
+		t.Fatalf("Train with Contra twice: err = %v, want one naming the duplicate", err)
 	}
 }
 

@@ -40,7 +40,6 @@ func OnlineLearning(ctx *Context) (*OnlineLearningResult, error) {
 	// others.
 	b := shared.Clone()
 	learner := predictor.NewOnlineLearner(b, 8, ctx.Opt.Seed+81)
-	learner.Workers = ctx.Opt.Jobs
 	habit := ctx.Opt.Seed + 987_654_321 // unseen player
 	script := int(uint64(habit) % uint64(len(spec.Scripts)))
 	sessions := 12

@@ -4,13 +4,10 @@
 // All three are written from scratch on the standard library so the
 // repository has no external dependencies.
 //
-// Training parallelizes through internal/parallel: RF fans bagged trees and
-// GBDT fans per-class trees and residual chunks across ForestConfig.Workers /
-// GBDTConfig.Workers goroutines. Per-tree RNG seeds are drawn serially from
-// the master seed before any fan-out and floating-point partials merge in a
-// fixed chunk order, so a fitted model is bit-identical at every worker
-// count. Fitted models are immutable and safe for concurrent Predict calls;
-// Fit itself must not run concurrently on one model value.
+// Fit runs on its caller's goroutine: a fit is a serial kernel, and training
+// parallelism lives above it, one game per worker (core.Train). Fitted
+// models are immutable and safe for concurrent Predict calls; Fit itself
+// must not run concurrently on one model value.
 package mlmodels
 
 import (

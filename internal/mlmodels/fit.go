@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-
-	"cocg/internal/parallel"
 )
 
 // Pre-sorted exact-greedy tree training (XGBoost's exact mode, sklearn's
@@ -27,8 +25,8 @@ import (
 // analyzer plus TestFitSteadyStateAllocationFree.
 //
 // Exactness contract: the new trainer must produce byte-identical
-// serialized models to the legacy builders (the tests' oracle) at every
-// Workers value. The load-bearing facts, proven by the golden suite in fit_test.go:
+// serialized models to the legacy builders (the tests' oracle). The
+// load-bearing facts, proven by the golden suite in fit_test.go:
 //
 //   - RNG: candidateFeatures consumes the node RNG identically (one
 //     rng.Shuffle iff 0 < FeatureSubset < NumFeatures) and nodes visit in
@@ -42,10 +40,10 @@ import (
 //     order IS observable. Both sides therefore share one defined total
 //     order — (value, then row position) — via the stable legacy sort (see
 //     mseVals in legacy_test.go) and this file's column index.
-//   - Ties across candidates: per-feature minima merge in candidate order
-//     under strict <, which is exactly the legacy running argmin — earliest
-//     candidate (lowest feature index when all features are candidates)
-//     wins, and within a feature the earliest boundary wins.
+//   - Ties across candidates: candidates scan in order and a feature takes
+//     the lead only under strict <, which is exactly the legacy running
+//     argmin — earliest candidate (lowest feature index when all features
+//     are candidates) wins, and within a feature the earliest boundary wins.
 type colIndex struct {
 	n, nfeat, nclass int
 
@@ -55,8 +53,8 @@ type colIndex struct {
 }
 
 // build (re)indexes ds: column-major values, labels, and each feature's
-// sorted row order. Columns sort independently, so they fan out.
-func (ci *colIndex) build(ds *Dataset, workers int) {
+// sorted row order.
+func (ci *colIndex) build(ds *Dataset) {
 	n, nf := ds.Len(), ds.NumFeatures
 	ci.n, ci.nfeat, ci.nclass = n, nf, ds.NumClasses
 	ci.vals = growF64(ci.vals, n*nf)
@@ -68,7 +66,7 @@ func (ci *colIndex) build(ds *Dataset, workers int) {
 			ci.vals[f*n+r] = v
 		}
 	}
-	parallel.For(workers, nf, func(f int) {
+	for f := 0; f < nf; f++ {
 		ord := ci.order[f*n : (f+1)*n]
 		for i := range ord {
 			ord[i] = int32(i)
@@ -88,7 +86,7 @@ func (ci *colIndex) build(ds *Dataset, workers int) {
 			}
 			return int(a) - int(b)
 		})
-	})
+	}
 }
 
 // splitCand is one candidate feature's best boundary. Beyond the score and
@@ -105,13 +103,11 @@ type splitCand struct {
 	ok    bool
 }
 
-// treeScratch is the per-goroutine arena one tree grows in. RF hands one to
-// each bagged-tree worker via fitScratch's free list; DTC and GBDT class
-// trees use one at a time.
+// treeScratch is the arena trees grow in: every tree of one Fit — the DTC,
+// each bagged RF tree, each GBDT class tree — grows here in turn.
 type treeScratch struct {
-	ci   *colIndex
-	jobs int // within-tree feature-scan fan-out; 1 = serial (the RF/GBDT mode)
-	m    int // rows in this tree's bag (distinct rows with weight > 0)
+	ci *colIndex
+	m  int // rows in this tree's bag (distinct rows with weight > 0)
 
 	cur   []int32   // nfeat segments of m row ids, value-sorted per feature
 	rows  []int32   // the m bag rows in original (stable) row order
@@ -123,7 +119,7 @@ type treeScratch struct {
 	feats []int     // candidate-feature buffer (candidateFeaturesInto)
 
 	ncnt, lcnt, rcnt []int // node / left / right class counts (len nclass)
-	snapA, snapB     []int // serial-scan boundary snapshots (see bestSplit)
+	snapA, snapB     []int // scan boundary snapshots (see bestSplit)
 
 	// cntStk holds each depth's pending child class counts: a split node
 	// derives both children's counts from its own (left = the boundary
@@ -133,43 +129,22 @@ type treeScratch struct {
 	cntStk []int
 
 	// nodes is the buffer trees grow into, in preorder with offsets into
-	// nodes itself; it holds every tree this scratch grew in the current
-	// Fit (treeRef locates each) until publish copies them out.
+	// nodes itself. It holds every tree of the current Fit back to back, in
+	// the order they grew, so it is already the fitted model's arena.
 	nodes []flatNode
 
-	// Feature-scan fan-out state. The body closure and the Shuffle swap are
-	// built once per scratch — a closure per node would put an allocation on
-	// the hottest training path — and read their arguments from the fields
-	// below; cands and cntBuf give every chunk a private result slot and
-	// count scratch.
-	scanBody  func(chunk, lo, hi int)
+	// swapFeats is the Shuffle swap, built once per scratch: a closure per
+	// node would put an allocation on the hottest training path.
 	swapFeats func(i, j int)
-	cands     []splitCand
-	cntBuf    []int
-	scanFeats []int
-	scanLo    int
-	scanHi    int
-	scanTot   float64
-	scanReg   bool
 
 	regSum, regSum2 float64 // current node's target sums (regression)
 }
 
-// minParallelScanRows gates the within-tree feature-scan fan-out: below
-// this segment width the goroutine handoff costs more than the scan. The
-// guard only picks serial vs parallel execution of identical per-feature
-// scans, so it can never change the fitted tree.
-const minParallelScanRows = 512
-
-// ensure sizes the scratch for ci and binds the per-scratch closures.
-// maxDepth bounds the grow recursion (TreeConfig.MaxDepth after defaults)
-// and sizes the count stack.
-func (ts *treeScratch) ensure(ci *colIndex, jobs, maxDepth int) {
-	if jobs < 1 {
-		jobs = 1
-	}
+// ensure sizes the scratch for ci and binds the Shuffle swap. maxDepth
+// bounds the grow recursion (TreeConfig.MaxDepth after defaults) and sizes
+// the count stack.
+func (ts *treeScratch) ensure(ci *colIndex, maxDepth int) {
 	ts.ci = ci
-	ts.jobs = jobs
 	ts.nodes = ts.nodes[:0]
 	n, nf, nc := ci.n, ci.nfeat, ci.nclass
 	// One slot of slack on cur and rows: beginBag's branchless compaction
@@ -193,14 +168,7 @@ func (ts *treeScratch) ensure(ci *colIndex, jobs, maxDepth int) {
 		maxDepth = 1
 	}
 	ts.cntStk = growInt(ts.cntStk, (maxDepth+2)*2*nc)
-	ts.cands = growCand(ts.cands, nf)
-	if jobs > 1 {
-		// Three nclass blocks per candidate: working left/right counts
-		// plus the boundary snapshot of the candidate's own best split.
-		ts.cntBuf = growInt(ts.cntBuf, nf*3*nc)
-	}
-	if ts.scanBody == nil {
-		ts.scanBody = ts.scanChunk
+	if ts.swapFeats == nil {
 		ts.swapFeats = func(i, j int) { ts.feats[i], ts.feats[j] = ts.feats[j], ts.feats[i] }
 	}
 }
@@ -441,11 +409,10 @@ func (ts *treeScratch) candidateFeaturesInto(m int, rng *rand.Rand) []int {
 
 // bestSplit scans the candidate features over [lo, hi) and returns the split
 // with the lowest impurity. nTot is the node's total weight as a float (the
-// legacy n). Candidates scan independently — serially, or chunk-parallel via
-// ForChunksOf when the scratch has jobs and the node is wide enough — and
-// their per-feature minima merge in candidate order under strict <, which
-// reproduces the legacy running argmin bit for bit: the earliest candidate
-// (lowest feature index when all features are candidates) wins score ties.
+// legacy n). Candidates scan in order and take the lead only under strict <,
+// which reproduces the legacy running argmin bit for bit: the earliest
+// candidate (lowest feature index when all features are candidates) wins
+// score ties.
 func (ts *treeScratch) bestSplit(feats []int, lo, hi int, nTot float64, reg bool) (feat int, best splitCand) {
 	if reg {
 		// Node target sums, folded over rows in stable row order exactly
@@ -458,24 +425,6 @@ func (ts *treeScratch) bestSplit(feats []int, lo, hi int, nTot float64, reg bool
 		}
 		ts.regSum, ts.regSum2 = sum, sum2
 	}
-	if ts.jobs > 1 && len(feats) > 1 && hi-lo >= minParallelScanRows {
-		ts.scanFeats, ts.scanLo, ts.scanHi, ts.scanTot, ts.scanReg = feats, lo, hi, nTot, reg
-		parallel.ForChunksOf(ts.jobs, len(feats), 1, ts.scanBody)
-		bestScore := math.Inf(1)
-		win := -1
-		for i, c := range ts.cands[:len(feats)] {
-			if c.ok && c.score < bestScore {
-				bestScore, feat, best, win = c.score, feats[i], c, i
-			}
-		}
-		if win >= 0 && !reg {
-			// Install the winner's boundary snapshot as the node's left
-			// counts (the serial path does the same via snapA/snapB).
-			nc := ts.ci.nclass
-			copy(ts.lcnt, ts.cntBuf[win*3*nc+2*nc:win*3*nc+3*nc])
-		}
-		return feat, best
-	}
 	bestScore := math.Inf(1)
 	// Boundary snapshots double-buffer: each scan writes snapCur at its
 	// improvements; when a feature takes the overall lead its snapshot is
@@ -486,7 +435,7 @@ func (ts *treeScratch) bestSplit(feats []int, lo, hi int, nTot float64, reg bool
 		if reg {
 			c = ts.scanMSE(f, lo, hi)
 		} else {
-			c = ts.scanGini(f, lo, hi, nTot, ts.lcnt, ts.rcnt, snapCur)
+			c = ts.scanGini(f, lo, hi, nTot, snapCur)
 		}
 		if c.ok && c.score < bestScore {
 			bestScore, feat, best = c.score, f, c
@@ -497,24 +446,6 @@ func (ts *treeScratch) bestSplit(feats []int, lo, hi int, nTot float64, reg bool
 		copy(ts.lcnt, snapBest)
 	}
 	return feat, best
-}
-
-// scanChunk is the hoisted ForChunksOf body for the parallel feature scan:
-// chunk size is 1, so chunk indexes both the candidate and its private
-// left/right count scratch in cntBuf.
-func (ts *treeScratch) scanChunk(chunk, clo, chi int) {
-	for i := clo; i < chi; i++ {
-		f := ts.scanFeats[i]
-		var c splitCand
-		if ts.scanReg {
-			c = ts.scanMSE(f, ts.scanLo, ts.scanHi)
-		} else {
-			nc := ts.ci.nclass
-			buf := ts.cntBuf[i*3*nc:]
-			c = ts.scanGini(f, ts.scanLo, ts.scanHi, ts.scanTot, buf[:nc], buf[nc:2*nc], buf[2*nc:3*nc])
-		}
-		ts.cands[i] = c
-	}
 }
 
 // giniNZ is gini (legacy_test.go) with zero-count classes skipped. Skipping class
@@ -543,11 +474,13 @@ func giniNZ(counts []int, n float64) float64 {
 // left one entry at a time, equal-value boundaries are skipped, and the
 // score expression is copied verbatim from bestGiniSplit — entry weights
 // stand in for the legacy builder's duplicated bootstrap rows, producing
-// the same integer counts and therefore the same floats.
+// the same integer counts and therefore the same floats. The counts move in
+// ts.lcnt/ts.rcnt; the left counts at the best boundary are copied to snap.
 //
 //cocg:hot
-func (ts *treeScratch) scanGini(f, lo, hi int, nTot float64, lcnt, rcnt, snap []int) (c splitCand) {
+func (ts *treeScratch) scanGini(f, lo, hi int, nTot float64, snap []int) (c splitCand) {
 	ci := ts.ci
+	lcnt, rcnt := ts.lcnt, ts.rcnt
 	seg := ts.cur[f*ts.m+lo : f*ts.m+hi]
 	col := ci.vals[f*ci.n : (f+1)*ci.n]
 	wlab := ts.wlab
@@ -823,44 +756,18 @@ func (ts *treeScratch) stablePartition(seg []int32) {
 }
 
 // fitScratch is the reusable training arena a model keeps across Fit calls:
-// the shared column index plus a bounded free list of tree scratches, one
-// per concurrent tree worker. The free list is a buffered channel rather
-// than a sync.Pool because the scratches must be exactly sized and never
-// dropped between Fit calls (and the poolcheck analyzer polices pools whose
-// contents are load-bearing).
+// the column index and the one tree scratch every tree of a Fit grows in.
 type fitScratch struct {
-	ci        colIndex
-	scratches []*treeScratch
-	free      chan *treeScratch
+	ci colIndex
+	ts treeScratch
 }
 
-// prepare rebuilds the column index for ds and stocks the free list with
-// par scratches, each configured for treeJobs within-tree scan workers.
-func (s *fitScratch) prepare(ds *Dataset, indexWorkers, par, treeJobs, maxDepth int) {
-	s.ci.build(ds, indexWorkers)
-	if par < 1 {
-		par = 1
-	}
-	for len(s.scratches) < par {
-		s.scratches = append(s.scratches, &treeScratch{})
-	}
-	if s.free == nil || cap(s.free) < par {
-		s.free = make(chan *treeScratch, par)
-	}
-	// Drain whatever a previous Fit left stocked, then issue exactly par
-	// freshly sized scratches.
-drain:
-	for {
-		select {
-		case <-s.free:
-		default:
-			break drain
-		}
-	}
-	for _, ts := range s.scratches[:par] {
-		ts.ensure(&s.ci, treeJobs, maxDepth)
-		s.free <- ts
-	}
+// prepare rebuilds the column index for ds, resizes the tree scratch for it
+// and returns the scratch.
+func (s *fitScratch) prepare(ds *Dataset, maxDepth int) *treeScratch {
+	s.ci.build(ds)
+	s.ts.ensure(&s.ci, maxDepth)
+	return &s.ts
 }
 
 // --- sized-buffer helpers (grow capacity, reslice to exact length) ---
@@ -889,13 +796,6 @@ func growInt(s []int, n int) []int {
 func growU8(s []uint8, n int) []uint8 {
 	if cap(s) < n {
 		return make([]uint8, n)
-	}
-	return s[:n]
-}
-
-func growCand(s []splitCand, n int) []splitCand {
-	if cap(s) < n {
-		return make([]splitCand, n)
 	}
 	return s[:n]
 }

@@ -57,8 +57,8 @@ func mustMarshal(t testing.TB, m json.Marshaler) []byte {
 }
 
 // TestDTCFitMatchesLegacyGolden proves the pre-sorted trainer reproduces
-// the legacy builder byte-for-byte across seeds, depths, feature subsets
-// (which exercise the shared RNG stream), and worker counts.
+// the legacy builder byte-for-byte across seeds, depths and feature subsets
+// (which exercise the shared RNG stream).
 func TestDTCFitMatchesLegacyGolden(t *testing.T) {
 	cfgs := []TreeConfig{
 		{Seed: 1},
@@ -66,8 +66,6 @@ func TestDTCFitMatchesLegacyGolden(t *testing.T) {
 		{Seed: 11, MaxDepth: 25},
 		{Seed: 3, FeatureSubset: 2},
 		{Seed: 5, FeatureSubset: 1, MaxDepth: 6},
-		{Seed: 1, Workers: 8},
-		{Seed: 3, FeatureSubset: 2, Workers: 8},
 	}
 	for name, ds := range goldenDatasets() {
 		for _, cfg := range cfgs {
@@ -88,13 +86,12 @@ func TestDTCFitMatchesLegacyGolden(t *testing.T) {
 
 // TestRFFitMatchesLegacyGolden covers the bagged path: bootstrap weights,
 // index compaction, and per-tree RNG streams must reproduce the legacy
-// forest — trees AND the out-of-bag estimate — at -jobs 1 and 8.
+// forest — trees AND the out-of-bag estimate.
 func TestRFFitMatchesLegacyGolden(t *testing.T) {
 	cfgs := []ForestConfig{
-		{NumTrees: 12, Seed: 2, Workers: 1},
-		{NumTrees: 12, Seed: 2, Workers: 8},
-		{NumTrees: 8, Seed: 9, Tree: TreeConfig{MaxDepth: 4}, Workers: 8},
-		{NumTrees: 8, Seed: 4, Tree: TreeConfig{FeatureSubset: 3}, Workers: 8},
+		{NumTrees: 12, Seed: 2},
+		{NumTrees: 8, Seed: 9, Tree: TreeConfig{MaxDepth: 4}},
+		{NumTrees: 8, Seed: 4, Tree: TreeConfig{FeatureSubset: 3}},
 	}
 	for name, ds := range goldenDatasets() {
 		for _, cfg := range cfgs {
@@ -107,10 +104,10 @@ func TestRFFitMatchesLegacyGolden(t *testing.T) {
 				t.Fatalf("%s %+v: fit: %v", name, cfg, err)
 			}
 			if !bytes.Equal(mustMarshal(t, got), mustMarshal(t, ref)) {
-				t.Errorf("%s workers=%d: pre-sorted RF differs from legacy builder", name, cfg.Workers)
+				t.Errorf("%s %+v: pre-sorted RF differs from legacy builder", name, cfg)
 			}
 			if got.OOBAccuracy() != ref.oob {
-				t.Errorf("%s workers=%d: OOB %v != legacy %v", name, cfg.Workers, got.OOBAccuracy(), ref.oob)
+				t.Errorf("%s %+v: OOB %v != legacy %v", name, cfg, got.OOBAccuracy(), ref.oob)
 			}
 		}
 	}
@@ -119,13 +116,12 @@ func TestRFFitMatchesLegacyGolden(t *testing.T) {
 // TestGBDTFitMatchesLegacyGolden covers the regression path, where the tie
 // order inside equal-value runs is observable in the float split scores:
 // the stable legacy sort and the column index's (value, row id) order must
-// fold residuals identically, round after round, at -jobs 1 and 8.
+// fold residuals identically, round after round.
 func TestGBDTFitMatchesLegacyGolden(t *testing.T) {
 	cfgs := []GBDTConfig{
-		{NumRounds: 8, Seed: 2, Workers: 1},
-		{NumRounds: 8, Seed: 2, Workers: 8},
-		{NumRounds: 5, Seed: 7, Tree: TreeConfig{MaxDepth: 6}, Workers: 8},
-		{NumRounds: 5, Seed: 3, Tree: TreeConfig{FeatureSubset: 2}, Workers: 8},
+		{NumRounds: 8, Seed: 2},
+		{NumRounds: 5, Seed: 7, Tree: TreeConfig{MaxDepth: 6}},
+		{NumRounds: 5, Seed: 3, Tree: TreeConfig{FeatureSubset: 2}},
 	}
 	for name, ds := range goldenDatasets() {
 		for _, cfg := range cfgs {
@@ -138,7 +134,7 @@ func TestGBDTFitMatchesLegacyGolden(t *testing.T) {
 				t.Fatalf("%s %+v: fit: %v", name, cfg, err)
 			}
 			if !bytes.Equal(mustMarshal(t, got), mustMarshal(t, ref)) {
-				t.Errorf("%s workers=%d: pre-sorted GBDT differs from legacy builder", name, cfg.Workers)
+				t.Errorf("%s %+v: pre-sorted GBDT differs from legacy builder", name, cfg)
 			}
 		}
 	}
@@ -166,14 +162,14 @@ func TestFitScratchReuse(t *testing.T) {
 		t.Error("DTC refit through a reused arena differs from a fresh fit")
 	}
 
-	rf := NewRandomForest(ForestConfig{NumTrees: 8, Seed: 3, Workers: 4})
+	rf := NewRandomForest(ForestConfig{NumTrees: 8, Seed: 3})
 	if err := rf.Fit(first); err != nil {
 		t.Fatal(err)
 	}
 	if err := rf.Fit(second); err != nil {
 		t.Fatal(err)
 	}
-	freshRF := NewRandomForest(ForestConfig{NumTrees: 8, Seed: 3, Workers: 4})
+	freshRF := NewRandomForest(ForestConfig{NumTrees: 8, Seed: 3})
 	if err := freshRF.Fit(second); err != nil {
 		t.Fatal(err)
 	}
@@ -181,14 +177,14 @@ func TestFitScratchReuse(t *testing.T) {
 		t.Error("RF refit through a reused arena differs from a fresh fit")
 	}
 
-	gb := NewGBDT(GBDTConfig{NumRounds: 4, Seed: 3, Workers: 4})
+	gb := NewGBDT(GBDTConfig{NumRounds: 4, Seed: 3})
 	if err := gb.Fit(first); err != nil {
 		t.Fatal(err)
 	}
 	if err := gb.Fit(second); err != nil {
 		t.Fatal(err)
 	}
-	freshGB := NewGBDT(GBDTConfig{NumRounds: 4, Seed: 3, Workers: 4})
+	freshGB := NewGBDT(GBDTConfig{NumRounds: 4, Seed: 3})
 	if err := freshGB.Fit(second); err != nil {
 		t.Fatal(err)
 	}
@@ -205,9 +201,7 @@ func TestFitScratchReuse(t *testing.T) {
 func TestFitSteadyStateAllocationFree(t *testing.T) {
 	ds := synthDataset(512, 3)
 	var s fitScratch
-	s.prepare(ds, 1, 1, 1, 12)
-	ts := <-s.free
-	defer func() { s.free <- ts }()
+	ts := s.prepare(ds, 12)
 	rng := rand.New(rand.NewSource(1))
 
 	classCycle := func(subset int) {
@@ -271,16 +265,16 @@ func fitBoth(t testing.TB, m legacyFitter, ds *Dataset) *oracle {
 
 // FuzzFitMatchesLegacy runs random small datasets — any size, width and
 // class count, continuous or on a duplicate-heavy value grid — through Fit
-// and the legacy oracle for every kind, depth, FeatureSubset and Workers 1/8:
+// and the legacy oracle for every kind, depth and FeatureSubset:
 // the JSON must be equal, RF's OOB estimate equal, and Predict equal to the
 // oracle's pointer walk on the training rows and on fresh queries.
 func FuzzFitMatchesLegacy(f *testing.F) {
-	f.Add(int64(1), uint8(0), uint8(60), uint8(3), uint8(2), uint8(0), uint8(0), uint8(0), false)
-	f.Add(int64(2), uint8(1), uint8(40), uint8(5), uint8(3), uint8(3), uint8(0), uint8(2), true)
-	f.Add(int64(3), uint8(2), uint8(50), uint8(2), uint8(4), uint8(1), uint8(3), uint8(0), true)
-	f.Add(int64(4), uint8(0), uint8(7), uint8(1), uint8(0), uint8(2), uint8(8), uint8(1), false)
-	f.Add(int64(5), uint8(1), uint8(0), uint8(4), uint8(1), uint8(0), uint8(2), uint8(0), false)
-	f.Fuzz(func(t *testing.T, seed int64, kind, n, nfeat, nclass, grid, depth, subset uint8, wide bool) {
+	f.Add(int64(1), uint8(0), uint8(60), uint8(3), uint8(2), uint8(0), uint8(0), uint8(0))
+	f.Add(int64(2), uint8(1), uint8(40), uint8(5), uint8(3), uint8(3), uint8(0), uint8(2))
+	f.Add(int64(3), uint8(2), uint8(50), uint8(2), uint8(4), uint8(1), uint8(3), uint8(0))
+	f.Add(int64(4), uint8(0), uint8(7), uint8(1), uint8(0), uint8(2), uint8(8), uint8(1))
+	f.Add(int64(5), uint8(1), uint8(0), uint8(4), uint8(1), uint8(0), uint8(2), uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, kind, n, nfeat, nclass, grid, depth, subset uint8) {
 		r := rand.New(rand.NewSource(seed))
 		nf, nc, g := 1+int(nfeat)%6, 1+int(nclass)%5, int(grid)%6
 		// grid 0 draws continuous values; otherwise every feature takes one
@@ -306,20 +300,15 @@ func FuzzFitMatchesLegacy(f *testing.F) {
 			samples[i] = Sample{Features: x, Label: label}
 		}
 		ds := &Dataset{Samples: samples, NumFeatures: nf, NumClasses: nc}
-		workers := 1
-		if wide {
-			workers = 8
-		}
 		tree := TreeConfig{Seed: seed, MaxDepth: int(depth) % 9, FeatureSubset: int(subset) % (nf + 1)}
 		var m legacyFitter
 		switch kind % 3 {
 		case 0:
-			tree.Workers = workers
 			m = NewDecisionTree(tree)
 		case 1:
-			m = NewRandomForest(ForestConfig{NumTrees: 6, Tree: tree, Seed: seed, Workers: workers})
+			m = NewRandomForest(ForestConfig{NumTrees: 6, Tree: tree, Seed: seed})
 		default:
-			m = NewGBDT(GBDTConfig{NumRounds: 4, Tree: tree, Seed: seed, Workers: workers})
+			m = NewGBDT(GBDTConfig{NumRounds: 4, Tree: tree, Seed: seed})
 		}
 		ref := fitBoth(t, m, ds)
 		if got, want := mustMarshal(t, m), mustMarshal(t, ref); !bytes.Equal(got, want) {
@@ -370,8 +359,8 @@ func TestRefitAllocsIndependentOfNodeCount(t *testing.T) {
 	few, many := labelled(false), labelled(true)
 	for _, mk := range []func() Classifier{
 		func() Classifier { return NewDecisionTree(TreeConfig{Seed: 1}) },
-		func() Classifier { return NewRandomForest(ForestConfig{NumTrees: 8, Seed: 1, Workers: 1}) },
-		func() Classifier { return NewGBDT(GBDTConfig{NumRounds: 6, Seed: 1, Workers: 1}) },
+		func() Classifier { return NewRandomForest(ForestConfig{NumTrees: 8, Seed: 1}) },
+		func() Classifier { return NewGBDT(GBDTConfig{NumRounds: 6, Seed: 1}) },
 	} {
 		refit := func(ds *Dataset) (allocs float64, nodes int) {
 			m := mk()

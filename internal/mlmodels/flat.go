@@ -67,35 +67,3 @@ func treeDepth(arena []flatNode, i int32) int {
 	}
 	return 1 + max(treeDepth(arena, n.left), treeDepth(arena, n.right))
 }
-
-// treeRef locates one freshly grown tree: the node span [lo, hi) it occupies
-// in the buffer of the scratch that grew it. Preorder puts the root first,
-// so lo is the offset growClass/growReg returned.
-type treeRef struct {
-	ts     *treeScratch
-	lo, hi int32
-}
-
-// publish concatenates the trees refs locate, in order, into one fresh arena
-// sized exactly, rebasing their child offsets, and returns it with each
-// tree's root offset. A published arena is never written again.
-func publish(refs []treeRef) ([]flatNode, []int32) {
-	total := 0
-	for _, r := range refs {
-		total += int(r.hi - r.lo)
-	}
-	arena := make([]flatNode, 0, total)
-	roots := make([]int32, len(refs))
-	for i, r := range refs {
-		roots[i] = int32(len(arena))
-		delta := roots[i] - r.lo
-		for _, n := range r.ts.nodes[r.lo:r.hi] {
-			if n.feature >= 0 {
-				n.left += delta
-				n.right += delta
-			}
-			arena = append(arena, n)
-		}
-	}
-	return arena, roots
-}

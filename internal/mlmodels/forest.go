@@ -3,21 +3,18 @@ package mlmodels
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"cocg/internal/lazyrand"
-	"cocg/internal/parallel"
 )
 
 // ForestConfig controls Random Forest training.
 type ForestConfig struct {
 	NumTrees int // number of bagged trees; <=0 means 50
 	Tree     TreeConfig
-	Seed     int64
-	// Workers bounds the goroutines used to train trees; <= 0 means
-	// GOMAXPROCS. Each tree derives its own RNG from a seed drawn serially
-	// from the master seed before the fan-out, so the fitted forest is
-	// identical at every worker count.
-	Workers int
+	// Seed is the master seed; each tree derives its own RNG from a seed
+	// drawn from it before any tree grows.
+	Seed int64
 }
 
 func (c ForestConfig) withDefaults() ForestConfig {
@@ -42,8 +39,8 @@ type RandomForest struct {
 	// quality estimate without sacrificing training data.
 	oob float64
 	// fit is the reusable pre-sorted training arena (see fit.go): one
-	// column index shared by every bagged tree plus a free list of
-	// per-worker tree scratches. Lazily created, never serialized.
+	// column index shared by every bagged tree plus the scratch they grow
+	// in. Lazily created, never serialized.
 	fit *fitScratch
 }
 
@@ -67,12 +64,10 @@ func (f *RandomForest) Name() string { return "RF" }
 // Fit implements Classifier. Training runs on the pre-sorted column index
 // (fit.go): the dataset is indexed once, each bagged tree compacts the
 // shared index down to its bootstrap rows (multiplicities become per-row
-// weights), and tree workers draw reusable scratches from a free list and
-// grow each tree into the scratch's node buffer, where its out-of-bag
-// predictions walk it; after the fan-out publish concatenates the trees in
-// tree order. The fitted forest — trees and OOB estimate — is byte-identical
-// to the legacy per-node-sorting builder (the tests' oracle) at every worker
-// count.
+// weights) and grows into the scratch's node buffer behind the trees before
+// it, where its out-of-bag predictions walk it. The fitted forest — trees and
+// OOB estimate — is byte-identical to the legacy per-node-sorting builder
+// (the tests' oracle).
 func (f *RandomForest) Fit(ds *Dataset) error {
 	if ds == nil || ds.Len() == 0 {
 		return ErrEmptyDataset
@@ -86,13 +81,9 @@ func (f *RandomForest) Fit(ds *Dataset) error {
 			treeCfg.FeatureSubset = 1
 		}
 	}
-	// The bagged trees own the worker budget; each member tree scans its
-	// features serially.
-	treeCfg.Workers = 1
 	n := ds.Len()
-	// Draw every tree's seed serially from the master RNG before fanning
-	// out, so the forest is a pure function of cfg.Seed regardless of how
-	// many workers train it.
+	// Every tree's seed is drawn from the master RNG before any tree grows:
+	// the legacy builder's draw order, which the exactness contract keeps.
 	seeds := make([]int64, f.cfg.NumTrees)
 	for t := range seeds {
 		seeds[t] = rng.Int63()
@@ -100,18 +91,13 @@ func (f *RandomForest) Fit(ds *Dataset) error {
 	if f.fit == nil {
 		f.fit = &fitScratch{}
 	}
-	scratches := parallel.Workers(f.cfg.Workers)
-	if scratches > f.cfg.NumTrees {
-		scratches = f.cfg.NumTrees
-	}
-	f.fit.prepare(ds, f.cfg.Workers, scratches, 1, treeCfg.MaxDepth)
-	refs := make([]treeRef, f.cfg.NumTrees)
+	ts := f.fit.prepare(ds, treeCfg.MaxDepth)
+	roots := make([]int32, f.cfg.NumTrees)
 	// oobPred[t][i] is tree t's prediction for sample i when the bootstrap
 	// missed it, or -1 when sample i was in tree t's bag.
 	oobPred := make([][]int32, f.cfg.NumTrees)
-	parallel.For(f.cfg.Workers, f.cfg.NumTrees, func(t int) {
-		treeRNG := rand.New(lazyrand.NewSource(seeds[t]))
-		ts := <-f.fit.free
+	for t, seed := range seeds {
+		treeRNG := rand.New(lazyrand.NewSource(seed))
 		// Bootstrap sample with replacement: the same n draws the legacy
 		// builder makes, recorded as per-row multiplicities instead of a
 		// duplicated index slice. The root's total weight is n.
@@ -124,9 +110,8 @@ func (f *RandomForest) Fit(ds *Dataset) error {
 		}
 		ts.beginBag()
 		root := ts.growClass(treeCfg, treeRNG, 0, ts.m, n, 0, nil)
-		// OOB predictions read ts.w (the in-bag marks) and walk the tree
-		// where it grew, so they run before the scratch goes back to the
-		// free list.
+		// OOB predictions read ts.w (the in-bag marks), so they run before
+		// the next tree's bootstrap overwrites it.
 		pred := make([]int32, n)
 		for i, s := range ds.Samples {
 			if ts.w[i] > 0 {
@@ -135,11 +120,10 @@ func (f *RandomForest) Fit(ds *Dataset) error {
 			}
 			pred[i] = flatLeaf(ts.nodes, root, s.Features).label
 		}
-		refs[t] = treeRef{ts: ts, lo: root, hi: int32(len(ts.nodes))}
-		f.fit.free <- ts
+		roots[t] = root
 		oobPred[t] = pred
-	})
-	f.nodes, f.roots = publish(refs)
+	}
+	f.nodes, f.roots = slices.Clone(ts.nodes), roots
 	f.oob = oobAccuracy(ds, oobPred)
 	f.nfeat = ds.NumFeatures
 	f.nclass = ds.NumClasses

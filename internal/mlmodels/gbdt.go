@@ -3,9 +3,9 @@ package mlmodels
 import (
 	"math"
 	"math/rand"
+	"slices"
 
 	"cocg/internal/lazyrand"
-	"cocg/internal/parallel"
 )
 
 // GBDTConfig controls gradient-boosted tree training.
@@ -13,14 +13,9 @@ type GBDTConfig struct {
 	NumRounds    int     // boosting rounds; <=0 means 60
 	LearningRate float64 // shrinkage; <=0 means 0.2
 	Tree         TreeConfig
-	Seed         int64
-	// Workers bounds the goroutines used inside each boosting round (the
-	// rounds themselves are inherently sequential): the per-class candidate
-	// trees fit concurrently and the residual/score passes fan out over
-	// sample chunks. Each class tree derives its RNG from a seed drawn
-	// serially before the fan-out, so the model is identical at every
-	// worker count. <= 0 means GOMAXPROCS.
-	Workers int
+	// Seed is the master seed; each round draws one seed per class tree
+	// from it before the round's trees grow.
+	Seed int64
 }
 
 func (c GBDTConfig) withDefaults() GBDTConfig {
@@ -50,8 +45,8 @@ type GBDT struct {
 	prior  []float64 // initial log-odds per class
 	fitted bool
 	// fit is the reusable pre-sorted training arena (see fit.go): one
-	// column index shared by every round's class trees plus a free list of
-	// per-class tree scratches. Lazily created, never serialized.
+	// column index shared by every round's class trees plus the scratch
+	// they grow in. Lazily created, never serialized.
 	fit *fitScratch
 }
 
@@ -65,12 +60,11 @@ func (g *GBDT) Name() string { return "GBDT" }
 
 // Fit implements Classifier. Training runs on the pre-sorted column index
 // (fit.go): the dataset is indexed once for all rounds (residuals change
-// every round, feature order never does), class trees draw reusable
-// scratches from a free list, and each round's trees grow by linear scans
-// into their scratch's node buffer, where the round's score update walks
-// them; publish concatenates every round's trees once boosting ends. The
-// fitted model is byte-identical to the legacy per-node-sorting builder (the
-// tests' oracle) at every worker count.
+// every round, feature order never does), and each round's class trees grow
+// by linear scans into the scratch's node buffer behind every earlier tree —
+// round-major, then class, the model's own layout — where the round's score
+// update walks them. The fitted model is byte-identical to the legacy
+// per-node-sorting builder (the tests' oracle).
 func (g *GBDT) Fit(ds *Dataset) error {
 	if ds == nil || ds.Len() == 0 {
 		return ErrEmptyDataset
@@ -80,19 +74,10 @@ func (g *GBDT) Fit(ds *Dataset) error {
 	rng := rand.New(rand.NewSource(g.cfg.Seed))
 
 	kf := float64(k)
-	workers := g.cfg.Workers
-	// The per-class trees own the worker budget; each scans its features
-	// serially.
-	treeCfg := g.cfg.Tree
-	treeCfg.Workers = 1
 	if g.fit == nil {
 		g.fit = &fitScratch{}
 	}
-	scratches := parallel.Workers(workers)
-	if scratches > k {
-		scratches = k
-	}
-	g.fit.prepare(ds, workers, scratches, 1, treeCfg.MaxDepth)
+	ts := g.fit.prepare(ds, g.cfg.Tree.MaxDepth)
 	// leaf is the Newton step for the softmax objective:
 	// (K-1)/K * sum(r) / sum(|r| * (1-|r|)), folded in stable row order —
 	// the same order the legacy builder's rows slices carry.
@@ -115,51 +100,41 @@ func (g *GBDT) Fit(ds *Dataset) error {
 	for c := range residuals {
 		residuals[c] = make([]float64, n)
 	}
-	refs := make([]treeRef, g.cfg.NumRounds*k) // round-major, then class
+	probs := make([]float64, k)
+	seeds := make([]int64, k)
+	roots := make([]int32, g.cfg.NumRounds*k) // round-major, then class
 	for round := 0; round < g.cfg.NumRounds; round++ {
-		// Residuals for every class under the current model; each sample's
-		// row is independent, so the pass fans out over sample chunks.
-		parallel.ForChunks(workers, n, func(_, lo, hi int) {
-			probs := make([]float64, k)
-			for i := lo; i < hi; i++ {
-				softmaxInto(scores[i], probs)
-				for c := 0; c < k; c++ {
-					y := 0.0
-					if ds.Samples[i].Label == c {
-						y = 1.0
-					}
-					residuals[c][i] = y - probs[c]
+		// Residuals for every class under the current model.
+		for i, s := range ds.Samples {
+			softmaxInto(scores[i], probs)
+			for c := 0; c < k; c++ {
+				y := 0.0
+				if s.Label == c {
+					y = 1.0
 				}
+				residuals[c][i] = y - probs[c]
 			}
-		})
-		// One candidate tree per class; the fits are independent given the
-		// residuals. Seeds are drawn serially so the fan-out cannot change
-		// the model.
-		seeds := make([]int64, k)
+		}
+		// One candidate tree per class. The round's seeds are drawn before
+		// any of its trees grows: the legacy builder's draw order.
 		for c := range seeds {
 			seeds[c] = rng.Int63()
 		}
-		roundRefs := refs[round*k : (round+1)*k]
-		parallel.For(workers, k, func(c int) {
-			classRNG := rand.New(lazyrand.NewSource(seeds[c]))
-			ts := <-g.fit.free
+		roundRoots := roots[round*k : (round+1)*k]
+		for c, seed := range seeds {
+			classRNG := rand.New(lazyrand.NewSource(seed))
 			ts.beginFull()
 			copy(ts.tgt[:n], residuals[c])
-			root := ts.growReg(treeCfg, classRNG, 0, n, 0, leaf)
-			roundRefs[c] = treeRef{ts: ts, lo: root, hi: int32(len(ts.nodes))}
-			g.fit.free <- ts
-		})
+			roundRoots[c] = ts.growReg(g.cfg.Tree, classRNG, 0, n, 0, leaf)
+		}
 		// Update scores with the shrunken tree outputs.
-		parallel.ForChunks(workers, n, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				for c, r := range roundRefs {
-					scores[i][c] += g.cfg.LearningRate * flatLeaf(r.ts.nodes, r.lo, ds.Samples[i].Features).leafValue()
-				}
+		for i, s := range ds.Samples {
+			for c, r := range roundRoots {
+				scores[i][c] += g.cfg.LearningRate * flatLeaf(ts.nodes, r, s.Features).leafValue()
 			}
-		})
+		}
 	}
-	nodes, roots := publish(refs)
-	g.nodes, g.roots = nodes, byRound(roots, k)
+	g.nodes, g.roots = slices.Clone(ts.nodes), byRound(roots, k)
 	g.nfeat = ds.NumFeatures
 	g.nclass = k
 	g.fitted = true

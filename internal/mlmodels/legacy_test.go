@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"cocg/internal/lazyrand"
-	"cocg/internal/parallel"
 )
 
 // The legacy trainer: the original CART builders, which re-sort every
@@ -170,8 +169,8 @@ func (f *RandomForest) fitLegacy(ds *Dataset) (*oracle, error) {
 	}
 	trees := make([]*treeNode, f.cfg.NumTrees)
 	oobPred := make([][]int32, f.cfg.NumTrees)
-	parallel.For(f.cfg.Workers, f.cfg.NumTrees, func(t int) {
-		treeRNG := rand.New(lazyrand.NewSource(seeds[t]))
+	for t, seed := range seeds {
+		treeRNG := rand.New(lazyrand.NewSource(seed))
 		inBag := make([]bool, n)
 		idx := make([]int, n)
 		for i := range idx {
@@ -189,7 +188,7 @@ func (f *RandomForest) fitLegacy(ds *Dataset) (*oracle, error) {
 			pred[i] = int32(leafOf(tree, s.Features).label)
 		}
 		oobPred[t] = pred
-	})
+	}
 	return &oracle{kind: "RF", trees: trees, nfeat: ds.NumFeatures, nclass: ds.NumClasses,
 		oob: oobAccuracy(ds, oobPred)}, nil
 }
@@ -206,7 +205,6 @@ func (g *GBDT) fitLegacy(ds *Dataset) (*oracle, error) {
 
 	trees := make([]*treeNode, 0, g.cfg.NumRounds*k)
 	kf := float64(k)
-	workers := g.cfg.Workers
 	leaf := func(rows []regTarget) float64 {
 		var num, den float64
 		for _, r := range rows {
@@ -224,35 +222,31 @@ func (g *GBDT) fitLegacy(ds *Dataset) (*oracle, error) {
 		residuals[c] = make([]regTarget, n)
 	}
 	for round := 0; round < g.cfg.NumRounds; round++ {
-		parallel.ForChunks(workers, n, func(_, lo, hi int) {
-			probs := make([]float64, k)
-			for i := lo; i < hi; i++ {
-				softmaxInto(scores[i], probs)
-				for c := 0; c < k; c++ {
-					y := 0.0
-					if ds.Samples[i].Label == c {
-						y = 1.0
-					}
-					residuals[c][i] = regTarget{idx: i, target: y - probs[c]}
+		probs := make([]float64, k)
+		for i := 0; i < n; i++ {
+			softmaxInto(scores[i], probs)
+			for c := 0; c < k; c++ {
+				y := 0.0
+				if ds.Samples[i].Label == c {
+					y = 1.0
 				}
+				residuals[c][i] = regTarget{idx: i, target: y - probs[c]}
 			}
-		})
+		}
 		seeds := make([]int64, k)
 		for c := range seeds {
 			seeds[c] = rng.Int63()
 		}
 		roundTrees := make([]*treeNode, k)
-		parallel.For(workers, k, func(c int) {
-			classRNG := rand.New(lazyrand.NewSource(seeds[c]))
+		for c, seed := range seeds {
+			classRNG := rand.New(lazyrand.NewSource(seed))
 			roundTrees[c] = buildRegTree(ds, residuals[c], g.cfg.Tree, 0, classRNG, leaf)
-		})
-		parallel.ForChunks(workers, n, func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				for c := 0; c < k; c++ {
-					scores[i][c] += g.cfg.LearningRate * leafOf(roundTrees[c], ds.Samples[i].Features).value
-				}
+		}
+		for i := 0; i < n; i++ {
+			for c := 0; c < k; c++ {
+				scores[i][c] += g.cfg.LearningRate * leafOf(roundTrees[c], ds.Samples[i].Features).value
 			}
-		})
+		}
 		trees = append(trees, roundTrees...)
 	}
 	return &oracle{kind: "GBDT", trees: trees, nfeat: ds.NumFeatures, nclass: k,

@@ -342,73 +342,3 @@ func TestOOBAccuracy(t *testing.T) {
 		t.Errorf("OOB %.3f far from held-out %.3f", oob, acc)
 	}
 }
-
-// fitPredictAll fits a fresh model with the given worker count and returns
-// its predictions over the dataset.
-func fitPredictAll(t *testing.T, mk func() Classifier, ds *Dataset) []int {
-	t.Helper()
-	m := mk()
-	if err := m.Fit(ds); err != nil {
-		t.Fatal(err)
-	}
-	out := make([]int, ds.Len())
-	for i, s := range ds.Samples {
-		p, err := m.Predict(s.Features)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[i] = p
-	}
-	return out
-}
-
-func TestForestWorkerCountInvariant(t *testing.T) {
-	// Tree seeds are drawn before the fan-out, so the fitted forest (and
-	// its OOB estimate) must be identical at every worker count.
-	ds := synthDataset(150, 11)
-	var refOOB float64
-	var ref []int
-	for i, workers := range []int{1, 2, 4, 13} {
-		f := NewRandomForest(ForestConfig{NumTrees: 20, Seed: 5, Workers: workers})
-		if err := f.Fit(ds); err != nil {
-			t.Fatal(err)
-		}
-		preds := make([]int, ds.Len())
-		for j, s := range ds.Samples {
-			p, err := f.Predict(s.Features)
-			if err != nil {
-				t.Fatal(err)
-			}
-			preds[j] = p
-		}
-		if i == 0 {
-			refOOB, ref = f.OOBAccuracy(), preds
-			continue
-		}
-		if f.OOBAccuracy() != refOOB {
-			t.Errorf("workers=%d: OOB %v != serial %v", workers, f.OOBAccuracy(), refOOB)
-		}
-		for j := range ref {
-			if preds[j] != ref[j] {
-				t.Fatalf("workers=%d: prediction diverged at sample %d", workers, j)
-			}
-		}
-	}
-}
-
-func TestGBDTWorkerCountInvariant(t *testing.T) {
-	ds := synthDataset(150, 12)
-	ref := fitPredictAll(t, func() Classifier {
-		return NewGBDT(GBDTConfig{NumRounds: 15, Seed: 5, Workers: 1})
-	}, ds)
-	for _, workers := range []int{2, 4, 13} {
-		got := fitPredictAll(t, func() Classifier {
-			return NewGBDT(GBDTConfig{NumRounds: 15, Seed: 5, Workers: workers})
-		}, ds)
-		for j := range ref {
-			if got[j] != ref[j] {
-				t.Fatalf("workers=%d: prediction diverged at sample %d", workers, j)
-			}
-		}
-	}
-}

@@ -14,13 +14,6 @@ type TreeConfig struct {
 	// split (Random Forest style). 0 considers all features.
 	FeatureSubset int
 	Seed          int64
-	// Workers bounds the goroutines used for within-tree candidate-feature
-	// scans during Fit (and for building the pre-sorted column index);
-	// <= 1 scans serially. The fitted tree is identical at every value —
-	// see fit.go's exactness contract. RF and GBDT force their member
-	// trees serial because their tree/class fan-out already owns the
-	// worker budget.
-	Workers int
 }
 
 func (c TreeConfig) withDefaults() TreeConfig {
@@ -64,13 +57,11 @@ func (t *DecisionTree) Fit(ds *Dataset) error {
 	if t.fit == nil {
 		t.fit = &fitScratch{}
 	}
-	t.fit.prepare(ds, t.cfg.Workers, 1, t.cfg.Workers, t.cfg.MaxDepth)
+	ts := t.fit.prepare(ds, t.cfg.MaxDepth)
 	rng := rand.New(rand.NewSource(t.cfg.Seed))
-	ts := <-t.fit.free
 	ts.beginFull()
 	ts.growClass(t.cfg, rng, 0, ts.m, ts.m, 0, nil)
 	t.nodes = slices.Clone(ts.nodes)
-	t.fit.free <- ts
 	t.nfeat = ds.NumFeatures
 	t.fitted = true
 	return nil

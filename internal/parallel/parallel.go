@@ -1,17 +1,18 @@
 // Package parallel is the repo's shared worker-pool substrate: bounded
-// fan-out with deterministic work decomposition, used by the K-means
-// clusterer, the RF/GBDT trainers, and the experiment harness.
+// fan-out over units that share nothing — games in the offline pass (Group),
+// K values in the clustering sweep and experiment cells (For) — plus the
+// fixed chunk decomposition the K-means steps walk serially.
 //
 // Two properties hold everywhere:
 //
 //   - Bounded concurrency: no call ever runs more than the requested number
-//     of goroutines, so nested fan-out (experiments → training → trees)
-//     cannot oversubscribe the machine.
+//     of goroutines. Training fans out one level deep: a game handed to a
+//     worker trains serially inside it.
 //   - Determinism: work is decomposed the same way regardless of the worker
 //     count. For-loops partition the index space identically at workers=1
-//     and workers=64; floating-point reductions must therefore merge
-//     per-chunk partials in chunk order (see ForChunks), never in goroutine
-//     completion order.
+//     and workers=64, and chunk boundaries (ChunkBounds, ChunkBoundsOf)
+//     depend only on the index space, so floating-point reductions that
+//     merge per-chunk partials in chunk order give one result.
 //
 // Panics inside workers are captured and re-raised on the calling
 // goroutine (wrapped in a *WorkerPanic carrying the original value and the
@@ -35,8 +36,8 @@ func Workers(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// WorkerPanic wraps a panic that escaped a worker goroutine; For, ForChunks
-// and Group re-raise it on the caller's goroutine.
+// WorkerPanic wraps a panic that escaped a worker goroutine; For,
+// ForChunksOf and Group re-raise it on the caller's goroutine.
 type WorkerPanic struct {
 	// Value is the original panic value.
 	Value any
@@ -94,14 +95,12 @@ func For(workers, n int, body func(i int)) {
 	}
 }
 
-// ChunkSize is the fixed granularity ForChunks decomposes index spaces at.
-// It is a constant — not derived from the worker count — so the chunk
-// boundaries seen by body are identical at every parallelism level; callers
-// that sum floating-point partials per chunk and merge them in chunk order
-// get bit-identical results at workers=1 and workers=N.
+// ChunkSize is the fixed granularity of the default chunk decomposition. It
+// is a constant, so a caller that sums floating-point partials per chunk and
+// merges them in chunk order gets one result however the chunks are run.
 const ChunkSize = 256
 
-// NumChunks returns how many ForChunks chunks an index space of size n
+// NumChunks returns how many ChunkSize-wide chunks an index space of size n
 // decomposes into; callers size per-chunk partial-result slices with it.
 func NumChunks(n int) int {
 	if n <= 0 {
@@ -111,11 +110,7 @@ func NumChunks(n int) int {
 }
 
 // ChunkBounds returns the half-open index range [lo, hi) of chunk c in an
-// index space of size n, under the same fixed-ChunkSize decomposition
-// ForChunks applies. Hot loops that call For once per iteration use it to
-// build their chunk body a single time (closures handed to For escape to the
-// heap, so constructing one inside an iteration loop allocates per
-// iteration) while still seeing identical chunk boundaries.
+// index space of size n, under the fixed-ChunkSize decomposition.
 func ChunkBounds(c, n int) (lo, hi int) {
 	lo = c * ChunkSize
 	hi = lo + ChunkSize
@@ -123,19 +118,6 @@ func ChunkBounds(c, n int) (lo, hi int) {
 		hi = n
 	}
 	return lo, hi
-}
-
-// ForChunks splits [0, n) into fixed-size chunks (ChunkSize indices each,
-// independent of workers) and runs body(chunk, lo, hi) for each half-open
-// [lo, hi) range, using at most workers goroutines. chunk is the chunk
-// index in [0, NumChunks(n)); bodies run concurrently, so per-chunk results
-// must be written to disjoint slots and merged by the caller in chunk order
-// when the reduction is order-sensitive (floating-point sums).
-func ForChunks(workers, n int, body func(chunk, lo, hi int)) {
-	For(workers, NumChunks(n), func(c int) {
-		lo, hi := ChunkBounds(c, n)
-		body(c, lo, hi)
-	})
 }
 
 // NumChunksOf is NumChunks under a caller-chosen chunk size: how many
@@ -167,13 +149,11 @@ func ChunkBoundsOf(c, n, size int) (lo, hi int) {
 	return lo, hi
 }
 
-// ForChunksOf is ForChunks with a caller-chosen chunk granularity, for hot
-// loops whose per-index body is expensive enough that ChunkSize (tuned for
-// cheap point-wise passes) would leave most workers idle — e.g. the
-// placement engine scores whole servers per index, so it scans a 1k-server
-// fleet in 32-wide chunks. Per-chunk state (scratch buffers, partial
-// argmaxes) may be keyed by the chunk index: each chunk runs on exactly one
-// goroutine per call.
+// ForChunksOf splits [0, n) into size-wide chunks (ChunkBoundsOf, independent
+// of workers) and runs body(chunk, lo, hi) for each, using at most workers
+// goroutines — e.g. the coordinator scores a large cluster list in 32-wide
+// chunks. Per-chunk state (scratch buffers, partial argmaxes) may be keyed by
+// the chunk index: each chunk runs on exactly one goroutine per call.
 func ForChunksOf(workers, n, size int, body func(chunk, lo, hi int)) {
 	For(workers, NumChunksOf(n, size), func(c int) {
 		lo, hi := ChunkBoundsOf(c, n, size)

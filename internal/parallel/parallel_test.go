@@ -99,23 +99,15 @@ func TestForSerialPanicPropagation(t *testing.T) {
 	For(1, 3, func(i int) { panic("serial boom") })
 }
 
-func TestForChunksFixedBoundaries(t *testing.T) {
-	// The chunk decomposition must be identical at every worker count.
+func TestChunkBoundsTile(t *testing.T) {
+	// The fixed decomposition: ChunkSize-wide chunks from 0, the last one
+	// short, tiling [0, n) exactly.
 	const n = ChunkSize*3 + 17
 	type span struct{ lo, hi int }
-	decompose := func(workers int) []span {
-		out := make([]span, NumChunks(n))
-		ForChunks(workers, n, func(c, lo, hi int) { out[c] = span{lo, hi} })
-		return out
-	}
-	ref := decompose(1)
-	for _, workers := range []int{2, 5, 32} {
-		got := decompose(workers)
-		for c := range ref {
-			if got[c] != ref[c] {
-				t.Fatalf("workers=%d chunk %d = %v, want %v", workers, c, got[c], ref[c])
-			}
-		}
+	ref := make([]span, NumChunks(n))
+	for c := range ref {
+		lo, hi := ChunkBounds(c, n)
+		ref[c] = span{lo, hi}
 	}
 	// Chunks tile [0, n) exactly.
 	covered := 0

@@ -21,10 +21,6 @@ type OnlineLearner struct {
 	MinTransitions int
 	// Seed drives retraining determinism.
 	Seed int64
-	// Workers bounds the goroutines a retraining may use (RF tree bagging,
-	// GBDT per-round fan-out, DTC feature scans); <= 0 trains
-	// single-threaded. The fitted models are identical at every setting.
-	Workers int
 
 	mu      sync.Mutex
 	byHabit map[int64][]dataset.Transition
@@ -81,11 +77,7 @@ func (l *OnlineLearner) MaybeTrain(habit int64) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	workers := l.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	models, err := TrainModelsParallel(ds, l.Seed+habit, workers)
+	models, err := TrainModels(ds, l.Seed+habit)
 	if err != nil {
 		return false, err
 	}

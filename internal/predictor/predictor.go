@@ -464,20 +464,12 @@ func PredictionLatency(m mlmodels.Classifier, catalogSize int) simclock.Seconds 
 }
 
 // TrainModels trains the paper's three algorithms (DTC, RF, GBDT) on one
-// dataset and returns them in that order. It trains single-threaded; use
-// TrainModelsParallel when the caller is not already fanned out.
+// dataset, on the caller's goroutine, and returns them in that order.
 func TrainModels(ds *mlmodels.Dataset, seed int64) ([]mlmodels.Classifier, error) {
-	return TrainModelsParallel(ds, seed, 1)
-}
-
-// TrainModelsParallel is TrainModels with a worker budget for the RF tree
-// bagging and GBDT per-round fan-out; <= 0 means GOMAXPROCS. The trained
-// models are identical at every worker count.
-func TrainModelsParallel(ds *mlmodels.Dataset, seed int64, workers int) ([]mlmodels.Classifier, error) {
 	models := []mlmodels.Classifier{
-		mlmodels.NewDecisionTree(mlmodels.TreeConfig{Seed: seed, Workers: workers}),
-		mlmodels.NewRandomForest(mlmodels.ForestConfig{NumTrees: 40, Seed: seed, Workers: workers}),
-		mlmodels.NewGBDT(mlmodels.GBDTConfig{NumRounds: 40, Seed: seed, Workers: workers}),
+		mlmodels.NewDecisionTree(mlmodels.TreeConfig{Seed: seed}),
+		mlmodels.NewRandomForest(mlmodels.ForestConfig{NumTrees: 40, Seed: seed}),
+		mlmodels.NewGBDT(mlmodels.GBDTConfig{NumRounds: 40, Seed: seed}),
 	}
 	for _, m := range models {
 		if err := m.Fit(ds); err != nil {

@@ -6,7 +6,6 @@ import (
 	"cocg/internal/dataset"
 	"cocg/internal/gamesim"
 	"cocg/internal/mlmodels"
-	"cocg/internal/parallel"
 	"cocg/internal/profiler"
 	"cocg/internal/resources"
 )
@@ -87,9 +86,6 @@ type TrainConfig struct {
 	// ForceGlobal ignores the category-aware selection strategy and pools
 	// all samples (the ablation of Section IV-B1's design).
 	ForceGlobal bool
-	// Workers bounds the goroutines used by the clustering and model
-	// training passes; <= 0 means GOMAXPROCS. Results do not depend on it.
-	Workers int
 }
 
 func (c TrainConfig) withDefaults() TrainConfig {
@@ -104,7 +100,8 @@ func (c TrainConfig) withDefaults() TrainConfig {
 
 // TrainForGame runs the full offline pipeline for one game: record a
 // player-structured corpus, build the profile, extract transitions with the
-// category's selection strategy, and train DTC/RF/GBDT.
+// category's selection strategy, and train DTC/RF/GBDT. It runs on the
+// caller's goroutine; core.Train trains games concurrently.
 func TrainForGame(spec *gamesim.GameSpec, cfg TrainConfig) (*Trained, error) {
 	c := cfg.withDefaults()
 	corpus, err := gamesim.RecordPlayerCorpus(spec, gamesim.CorpusConfig{
@@ -115,7 +112,7 @@ func TrainForGame(spec *gamesim.GameSpec, cfg TrainConfig) (*Trained, error) {
 	if err != nil {
 		return nil, err
 	}
-	prof, stages, err := profiler.BuildStages(corpus, profiler.Config{K: len(spec.Clusters), Seed: c.Seed, Workers: c.Workers})
+	prof, stages, err := profiler.BuildStages(corpus, profiler.Config{K: len(spec.Clusters), Seed: c.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -136,7 +133,7 @@ func TrainForGame(spec *gamesim.GameSpec, cfg TrainConfig) (*Trained, error) {
 	if err != nil {
 		return nil, err
 	}
-	models, err := TrainModelsParallel(ds, c.Seed, c.Workers)
+	models, err := TrainModels(ds, c.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -162,50 +159,30 @@ func TrainForGame(spec *gamesim.GameSpec, cfg TrainConfig) (*Trained, error) {
 		for _, tr := range corpus {
 			byHabit[tr.Habit] = append(byHabit[tr.Habit], ex.FromTrace(tr)...)
 		}
-		// Per-habit trainings are independent (each is seeded by
-		// c.Seed+habit), so they fan out; the habit list is materialized
-		// first because map iteration cannot be shared across goroutines.
+		// Each habit's models are seeded by c.Seed+habit; habits train in
+		// sorted order.
 		habits := make([]int64, 0, len(byHabit))
 		for habit := range byHabit {
 			habits = append(habits, habit)
 		}
 		sort.Slice(habits, func(a, b int) bool { return habits[a] < habits[b] })
-		type habitResult struct {
-			models []mlmodels.Classifier
-			acc    float64
-		}
-		results := make([]*habitResult, len(habits))
-		errs := make([]error, len(habits))
-		parallel.For(c.Workers, len(habits), func(i int) {
-			habit := habits[i]
+		t.HabitModels = map[int64][]mlmodels.Classifier{}
+		t.HabitAccuracy = map[int64]float64{}
+		for _, habit := range habits {
 			trans := byHabit[habit]
 			if len(trans) < 6 {
-				return // too little history for a dedicated model
+				continue // too little history for a dedicated model
 			}
 			hds, err := dataset.ToDataset(trans, prof.NumStageTypes())
 			if err != nil {
-				return
+				continue
 			}
 			hm, err := TrainModels(hds, c.Seed+habit)
 			if err != nil {
-				errs[i] = err
-				return
-			}
-			results[i] = &habitResult{models: hm, acc: heldOutAccuracy(hds, c.Seed+habit)}
-		})
-		for _, err := range errs {
-			if err != nil {
 				return nil, err
 			}
-		}
-		t.HabitModels = map[int64][]mlmodels.Classifier{}
-		t.HabitAccuracy = map[int64]float64{}
-		for i, r := range results {
-			if r == nil {
-				continue
-			}
-			t.HabitModels[habits[i]] = r.models
-			t.HabitAccuracy[habits[i]] = r.acc
+			t.HabitModels[habit] = hm
+			t.HabitAccuracy[habit] = heldOutAccuracy(hds, c.Seed+habit)
 		}
 	}
 	return t, nil

@@ -106,9 +106,6 @@ type Config struct {
 	// bursts cover well under a third of a stage.
 	MinClusterShare float64
 	Seed            int64
-	// Workers bounds the goroutines the clustering passes may use; <= 0
-	// means GOMAXPROCS. Profiles do not depend on it.
-	Workers int
 }
 
 func (c Config) withDefaults() Config {
@@ -157,7 +154,9 @@ func BuildStages(traces []*gamesim.Trace, cfg Config) (*Profile, [][]Detected, e
 	}
 	k := c.K
 	if k <= 0 {
-		curve, err := cluster.Sweep(frames, c.MaxK, c.Seed, c.Workers)
+		// The per-K runs share nothing, so Sweep fans out over them (0:
+		// GOMAXPROCS); training names K and never reaches this path.
+		curve, err := cluster.Sweep(frames, c.MaxK, c.Seed, 0)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -166,7 +165,7 @@ func BuildStages(traces []*gamesim.Trace, cfg Config) (*Profile, [][]Detected, e
 	if k > MaxClusters {
 		return nil, nil, fmt.Errorf("profiler: %d frame clusters requested, at most %d are supported", k, MaxClusters)
 	}
-	res, err := cluster.KMeans(frames, cluster.Config{K: k, Seed: c.Seed, Workers: c.Workers})
+	res, err := cluster.KMeans(frames, cluster.Config{K: k, Seed: c.Seed})
 	if err != nil {
 		return nil, nil, err
 	}
