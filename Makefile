@@ -34,9 +34,9 @@ vuln:
 		-unreachable -unsafeptr -unusedresult ./...
 	$(GO) test -race -count=2 ./internal/streaming/... ./internal/coordinator/...
 
-# docs-check fails when any relative markdown link in README.md or docs/
-# points at a file that no longer exists — the docs must not drift from the
-# tree they describe.
+# docs-check fails when any relative markdown link in README.md,
+# EXPERIMENTS.md, DESIGN.md, ROADMAP.md or docs/ points at a file that no
+# longer exists — the docs must not drift from the tree they describe.
 docs-check:
 	$(GO) run ./cmd/cocg-docscheck
 

@@ -1,11 +1,11 @@
 // Command cocg-docscheck is the documentation link checker wired into `make
 // docs-check` (and through it `make lint`): it walks the repo's markdown —
-// README.md plus everything under docs/ by default — and fails when any
-// relative link points at a file that does not exist, or when a fragment
-// (in-page "#section" or cross-file "FILE.md#section") names a heading
-// anchor the target does not define. External links (http/https/mailto) are
-// out of scope; the tool exists to catch the docs drifting from the tree,
-// not to audit the internet.
+// README.md, EXPERIMENTS.md, DESIGN.md, ROADMAP.md and everything under docs/
+// by default — and fails when any relative link points at a file that does
+// not exist, or when a fragment (in-page "#section" or cross-file
+// "FILE.md#section") names a heading anchor the target does not define.
+// External links (http/https/mailto) are out of scope; the tool exists to
+// catch the docs drifting from the tree, not to audit the internet.
 //
 // Usage:
 //
@@ -41,7 +41,7 @@ func main() {
 
 	targets := flag.Args()
 	if len(targets) == 0 {
-		targets = []string{"README.md", "docs"}
+		targets = []string{"README.md", "EXPERIMENTS.md", "DESIGN.md", "ROADMAP.md", "docs"}
 	}
 
 	var files []string

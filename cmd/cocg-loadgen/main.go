@@ -66,6 +66,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "cocg-loadgen: -n must be positive")
 		os.Exit(2)
 	}
+	if *c < 1 {
+		fmt.Fprintln(os.Stderr, "cocg-loadgen: -c must be positive")
+		os.Exit(2)
+	}
 
 	offered := games[0].Name
 	if *mix {

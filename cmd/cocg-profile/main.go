@@ -34,6 +34,14 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
+	if *players < 1 {
+		fmt.Fprintf(os.Stderr, "cocg-profile: -players must be at least 1, got %d\n", *players)
+		os.Exit(2)
+	}
+	if *k < 0 || *k > profiler.MaxClusters {
+		fmt.Fprintf(os.Stderr, "cocg-profile: -k must be 0 (elbow selection) or 1..%d, got %d\n", profiler.MaxClusters, *k)
+		os.Exit(2)
+	}
 
 	stopProfiles, perr := profiling.Start(*cpuProfile, *memProfile)
 	if perr != nil {

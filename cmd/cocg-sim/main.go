@@ -10,7 +10,8 @@
 // The arrival schedule is pregenerated and the cluster runs it on one
 // goroutine, stopping the fleet only at frame boundaries where placement can
 // happen; -sessions pre-submits N arrivals at t=0 for large-population runs.
-// -rate must be finite and non-negative.
+// -servers must be at least 1, -hours finite and positive, -rate finite and
+// non-negative, and -sessions non-negative.
 package main
 
 import (
@@ -53,9 +54,21 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cocg-sim: unknown policy %q\n", *policy)
 		os.Exit(2)
 	}
-	if *rate < 0 || math.IsNaN(*rate) || math.IsInf(*rate, 0) {
-		fmt.Fprintf(os.Stderr, "cocg-sim: -rate must be finite and non-negative, got %v\n", *rate)
+	usage := func(format string, v any) {
+		fmt.Fprintf(os.Stderr, "cocg-sim: "+format+"\n", v)
 		os.Exit(2)
+	}
+	if *servers < 1 {
+		usage("-servers must be at least 1, got %v", *servers)
+	}
+	if !(*hours > 0) || math.IsInf(*hours, 0) {
+		usage("-hours must be finite and positive, got %v", *hours)
+	}
+	if *rate < 0 || math.IsNaN(*rate) || math.IsInf(*rate, 0) {
+		usage("-rate must be finite and non-negative, got %v", *rate)
+	}
+	if *sessions < 0 {
+		usage("-sessions must be non-negative, got %v", *sessions)
 	}
 
 	start := time.Now()

@@ -11,7 +11,6 @@ import (
 	"cocg/internal/platform"
 	"cocg/internal/profiler"
 	"cocg/internal/resources"
-	"cocg/internal/simclock"
 	"cocg/internal/telemetry"
 )
 
@@ -238,7 +237,7 @@ func (r *Reactive) Admit(srv *platform.Server, spec *gamesim.GameSpec, habit int
 // reactiveController re-provisions to each completed frame's measurement.
 type reactiveController struct {
 	p       *profiler.Profile
-	sampler *telemetry.Sampler
+	sampler telemetry.Sampler
 	req     resources.Vector
 	loading bool
 	scale   float64
@@ -264,29 +263,13 @@ func (r *Reactive) NewController(spec *gamesim.GameSpec, habit int64) (platform.
 		return nil, fmt.Errorf("baselines: no profile for %s", spec.Name)
 	}
 	return &reactiveController{
-		p:       p,
-		sampler: telemetry.NewSampler(0, habit),
-		req:     p.PeakDemand(), // safe until the first frame lands
-		scale:   r.MarginScale,
-		abs:     r.MarginAbs,
+		p:     p,
+		req:   p.PeakDemand(), // safe until the first frame lands
+		scale: r.MarginScale,
+		abs:   r.MarginAbs,
 	}, nil
 }
 
 // Regulate implements platform.Policy; the reactive scheme adjusts per game
 // only.
 func (r *Reactive) Regulate(*platform.Server) {}
-
-// MaxPeak is a helper: the flat always-peak allocation a stage-unaware
-// operator reserves for a game (the "modest way" baseline of Section V-A,
-// used as the reference line in Fig. 10).
-func MaxPeak(p *profiler.Profile) resources.Vector { return p.PeakDemand() }
-
-// LoadingLatencyRange reports the observed loading durations for a game, in
-// seconds (Fig. 12's loading bars).
-func LoadingLatencyRange(p *profiler.Profile) (mean simclock.Seconds, ok bool) {
-	s, found := p.Stage(profiler.LoadingStageID)
-	if !found || s.Count == 0 {
-		return 0, false
-	}
-	return simclock.Seconds(s.MeanDurFrames * float64(simclock.FrameLen)), true
-}

@@ -230,14 +230,3 @@ func TestReactiveRunsSessionWithLag(t *testing.T) {
 		t.Errorf("solo reactive FPS ratio %.3f", recs[0].FPSRatio)
 	}
 }
-
-func TestMaxPeakAndLoadingRange(t *testing.T) {
-	p := profileFor(t, gamesim.DOTA2())
-	if MaxPeak(p) != p.PeakDemand() {
-		t.Error("MaxPeak mismatch")
-	}
-	mean, ok := LoadingLatencyRange(p)
-	if !ok || mean < 5 || mean > 35 {
-		t.Errorf("loading mean = %d ok=%v", mean, ok)
-	}
-}

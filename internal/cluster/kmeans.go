@@ -66,16 +66,15 @@ func (r *Result) Nearest(p resources.Vector) int {
 // Config controls a K-means run.
 type Config struct {
 	K        int   // number of clusters, >= 1
-	MaxIter  int   // Lloyd iteration cap; defaults to 100
 	Seed     int64 // RNG seed for k-means++ seeding
 	Restarts int   // independent restarts, best SSE wins; defaults to 4
 }
 
+// maxIter caps each restart's Lloyd iterations.
+const maxIter = 100
+
 func (c *Config) withDefaults() Config {
 	out := *c
-	if out.MaxIter <= 0 {
-		out.MaxIter = 100
-	}
 	if out.Restarts <= 0 {
 		out.Restarts = 4
 	}
@@ -154,7 +153,7 @@ func KMeans(points []resources.Vector, cfg Config) (*Result, error) {
 	best := &Result{}
 	have := false
 	for r := 0; r < c.Restarts; r++ {
-		sse, iterations := lloyd(points, k, c.MaxIter, rng, scratch)
+		sse, iterations := lloyd(points, k, rng, scratch)
 		if !have || sse < best.SSE {
 			have = true
 			best.SSE = sse
@@ -192,7 +191,7 @@ func boundsHold(u, l float64) bool { return u*(1+boundSlack) < l*(1-boundSlack) 
 // clearly below its lower bound keeps its centroid without a scan; every
 // other point runs the exact strict-< scan, so the assignment, centroids,
 // SSE and iteration count are those of the plain loop.
-func lloyd(points []resources.Vector, k, maxIter int, rng *rand.Rand, s *kmScratch) (sse float64, iterations int) {
+func lloyd(points []resources.Vector, k int, rng *rand.Rand, s *kmScratch) (sse float64, iterations int) {
 	centroids := seedPlusPlus(points, k, rng, s)
 	assign := s.assign
 	for i := range assign {

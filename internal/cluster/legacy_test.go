@@ -25,7 +25,7 @@ func legacyKMeans(points []resources.Vector, cfg Config) *Result {
 	best := &Result{}
 	have := false
 	for r := 0; r < c.Restarts; r++ {
-		sse, iterations := legacyLloyd(points, k, c.MaxIter, rng, s)
+		sse, iterations := legacyLloyd(points, k, rng, s)
 		if !have || sse < best.SSE {
 			have = true
 			best.SSE = sse
@@ -40,7 +40,7 @@ func legacyKMeans(points []resources.Vector, cfg Config) *Result {
 	return best
 }
 
-func legacyLloyd(points []resources.Vector, k, maxIter int, rng *rand.Rand, s *kmScratch) (float64, int) {
+func legacyLloyd(points []resources.Vector, k int, rng *rand.Rand, s *kmScratch) (float64, int) {
 	centroids := seedPlusPlus(points, k, rng, s)
 	assign := s.assign
 	for i := range assign {

@@ -58,11 +58,6 @@ type TrainOptions struct {
 	Players           int
 	SessionsPerPlayer int
 	Seed              int64
-	// ForceGlobal disables the category-aware training-set selection
-	// (ablation).
-	ForceGlobal bool
-	// SchedulerConfig tunes the CoCG policy built from this system.
-	SchedulerConfig scheduler.Config
 	// Workers bounds how many games train at once; <= 0 means GOMAXPROCS.
 	// Each game trains on one goroutine, so this is the offline pass's
 	// whole fan-out. The trained system does not depend on it.
@@ -72,7 +67,6 @@ type TrainOptions struct {
 // System is a fully trained CoCG deployment for a set of games.
 type System struct {
 	Bundles map[string]*predictor.Trained
-	opts    TrainOptions
 }
 
 // Train runs the complete offline pipeline for every game. Games are
@@ -91,7 +85,7 @@ func Train(specs []*gamesim.GameSpec, opts TrainOptions) (*System, error) {
 		}
 		seen[spec.Name] = true
 	}
-	s := &System{Bundles: map[string]*predictor.Trained{}, opts: opts}
+	s := &System{Bundles: map[string]*predictor.Trained{}}
 	var mu sync.Mutex
 	g := parallel.NewGroup(opts.Workers)
 	for _, spec := range specs {
@@ -101,7 +95,6 @@ func Train(specs []*gamesim.GameSpec, opts TrainOptions) (*System, error) {
 				Players:           opts.Players,
 				SessionsPerPlayer: opts.SessionsPerPlayer,
 				Seed:              opts.Seed,
-				ForceGlobal:       opts.ForceGlobal,
 			})
 			if err != nil {
 				return fmt.Errorf("core: training %s: %w", spec.Name, err)
@@ -163,7 +156,7 @@ func (s *System) Policy(kind PolicyKind) platform.Policy {
 	case PolicyReactive:
 		return baselines.NewReactive(s.Profiles())
 	default:
-		return scheduler.New(s.bundles(), s.opts.SchedulerConfig)
+		return scheduler.New(s.bundles(), scheduler.Config{})
 	}
 }
 

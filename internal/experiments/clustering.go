@@ -100,7 +100,7 @@ type Fig14Curve struct {
 	PaperK int
 }
 
-// Fig14Result reproduces Fig. 14: clustering SSE for K = 1..MaxK and the
+// Fig14Result reproduces Fig. 14: clustering SSE for K = 1..8 and the
 // inflection points that fix each game's cluster count.
 type Fig14Result struct {
 	Curves []Fig14Curve

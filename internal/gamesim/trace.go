@@ -215,9 +215,11 @@ func RecordCorpus(spec *GameSpec, playersPerScript int, seed int64) ([]*Trace, e
 type CorpusConfig struct {
 	Players           int   // distinct players (habit seeds)
 	SessionsPerPlayer int   // replays per player
-	CohortSize        int   // players per MMORPG cohort; <=0 means 4
 	Seed              int64 // base seed
 }
+
+// cohortSize is how many players an MMORPG cohort groups.
+const cohortSize = 4
 
 // RecordPlayerCorpus records a player-structured corpus: each player keeps a
 // stable habit across SessionsPerPlayer sessions, scripts are drawn by the
@@ -228,10 +230,6 @@ type CorpusConfig struct {
 func RecordPlayerCorpus(spec *GameSpec, cfg CorpusConfig) ([]*Trace, error) {
 	if cfg.Players < 1 || cfg.SessionsPerPlayer < 1 {
 		return nil, fmt.Errorf("gamesim: corpus needs at least one player and session")
-	}
-	cohortSize := cfg.CohortSize
-	if cohortSize <= 0 {
-		cohortSize = 4
 	}
 	var out []*Trace
 	for p := 0; p < cfg.Players; p++ {

@@ -234,7 +234,7 @@ func (ts *treeScratch) growClass(cfg TreeConfig, rng *rand.Rand, lo, hi, wTot, d
 	} else {
 		copy(ts.ncnt, cnt)
 	}
-	if d >= cfg.MaxDepth || wTot < cfg.MinSamplesSplit || ts.pureNode() {
+	if d >= cfg.MaxDepth || wTot < minSamplesSplit || ts.pureNode() {
 		return ts.leaf(ts.majorityNode(), 0)
 	}
 	feats := ts.candidateFeaturesInto(cfg.FeatureSubset, rng)
@@ -263,15 +263,15 @@ func (ts *treeScratch) growClass(cfg TreeConfig, rng *rand.Rand, lo, hi, wTot, d
 			return ts.leaf(ts.majorityNode(), 0)
 		}
 	}
-	// A child that will stop immediately (depth cap, below MinSamplesSplit,
+	// A child that will stop immediately (depth cap, below minSamplesSplit,
 	// pure — the exact checks it would run on entry) never scans a feature
 	// segment, so when BOTH children are terminal only the rows list is
 	// partitioned (the leaves' class counts come from it) and the feature
 	// segments are left stale. Stale spans are never read again: scans
 	// happen strictly before descent and sibling spans are disjoint.
 	childDeep := d+1 >= cfg.MaxDepth
-	leftTerm := childDeep || wLeft < cfg.MinSamplesSplit || pureCounts(ts.lcnt)
-	rightTerm := childDeep || wTot-wLeft < cfg.MinSamplesSplit || ts.rightPure()
+	leftTerm := childDeep || wLeft < minSamplesSplit || pureCounts(ts.lcnt)
+	rightTerm := childDeep || wTot-wLeft < minSamplesSplit || ts.rightPure()
 	ts.propagate(lo, hi, !leftTerm, !rightTerm, feat)
 	// Both children's counts derive from this node's: integer arithmetic,
 	// so exactly what countNode would tally from their rows. The right
@@ -300,7 +300,7 @@ func (ts *treeScratch) growReg(cfg TreeConfig, rng *rand.Rand, lo, hi, d int,
 	leaf func(rows []int32, tgt []float64) float64) int32 {
 
 	rows := ts.rows[lo:hi]
-	if d >= cfg.MaxDepth || hi-lo < cfg.MinSamplesSplit || ts.constTargets(rows) {
+	if d >= cfg.MaxDepth || hi-lo < minSamplesSplit || ts.constTargets(rows) {
 		return ts.leaf(0, leaf(rows, ts.tgt))
 	}
 	feats := ts.candidateFeaturesInto(cfg.FeatureSubset, rng)
@@ -317,8 +317,8 @@ func (ts *treeScratch) growReg(cfg TreeConfig, rng *rand.Rand, lo, hi, d int,
 	// leaves by depth — skipping their feature partitions drops most of the
 	// propagation cost per round.
 	childDeep := d+1 >= cfg.MaxDepth
-	leftTerm := childDeep || nLeft < cfg.MinSamplesSplit || leftConst
-	rightTerm := childDeep || (hi-lo)-nLeft < cfg.MinSamplesSplit || rightConst
+	leftTerm := childDeep || nLeft < minSamplesSplit || leftConst
+	rightTerm := childDeep || (hi-lo)-nLeft < minSamplesSplit || rightConst
 	ts.propagate(lo, hi, !leftTerm, !rightTerm, feat)
 	idx := ts.split(feat, c.thr)
 	ts.growReg(cfg, rng, lo, lo+nLeft, d+1, leaf)

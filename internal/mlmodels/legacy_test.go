@@ -255,7 +255,7 @@ func (g *GBDT) fitLegacy(ds *Dataset) (*oracle, error) {
 
 // buildClassTree grows a classification tree on the rows in idx.
 func buildClassTree(ds *Dataset, idx []int, cfg TreeConfig, d int, rng *rand.Rand) *treeNode {
-	if d >= cfg.MaxDepth || len(idx) < cfg.MinSamplesSplit || pureLabels(ds.Samples, idx) {
+	if d >= cfg.MaxDepth || len(idx) < minSamplesSplit || pureLabels(ds.Samples, idx) {
 		return &treeNode{feature: -1, label: majorityLabel(ds.Samples, idx, ds.NumClasses)}
 	}
 	feat, thr, ok := bestGiniSplit(ds, idx, cfg, rng)
@@ -390,7 +390,7 @@ type regTarget struct {
 func buildRegTree(ds *Dataset, rows []regTarget, cfg TreeConfig, d int,
 	rng *rand.Rand, leafValue func([]regTarget) float64) *treeNode {
 
-	if d >= cfg.MaxDepth || len(rows) < cfg.MinSamplesSplit || constantTargets(rows) {
+	if d >= cfg.MaxDepth || len(rows) < minSamplesSplit || constantTargets(rows) {
 		return &treeNode{feature: -1, value: leafValue(rows)}
 	}
 	feat, thr, ok := bestMSESplit(ds, rows, cfg, rng)

@@ -8,8 +8,7 @@ import (
 // TreeConfig controls CART tree induction for both the standalone DTC and
 // the trees inside RF and GBDT.
 type TreeConfig struct {
-	MaxDepth        int // depth cap; <=0 means 12
-	MinSamplesSplit int // minimum rows to attempt a split; <=0 means 2
+	MaxDepth int // depth cap; <=0 means 12
 	// FeatureSubset, when > 0, samples that many candidate features per
 	// split (Random Forest style). 0 considers all features.
 	FeatureSubset int
@@ -20,11 +19,11 @@ func (c TreeConfig) withDefaults() TreeConfig {
 	if c.MaxDepth <= 0 {
 		c.MaxDepth = 12
 	}
-	if c.MinSamplesSplit <= 0 {
-		c.MinSamplesSplit = 2
-	}
 	return c
 }
+
+// minSamplesSplit is the fewest rows a node needs to attempt a split.
+const minSamplesSplit = 2
 
 // DecisionTree is the paper's DTC: a CART classifier split on Gini impurity.
 type DecisionTree struct {

@@ -15,12 +15,6 @@ func (pr *Predictor) Loading() bool {
 	return loading
 }
 
-// CurrentStage returns the predictor's believed current stage ID.
-func (pr *Predictor) CurrentStage() int {
-	id, _ := pr.det.Current()
-	return id
-}
-
 // ForecastRev returns the predictor's forecast revision: it bumps exactly
 // when a detection frame completes, and every input a forecast reads mutates
 // only inside that step. Two forecasts between identical revisions therefore

@@ -34,24 +34,18 @@ type Config struct {
 	// FixedRedundancy, when > 0, replaces Eq. 1 with a flat percentage of
 	// the game's peak (ablation).
 	FixedRedundancy float64
-	// SwitchThreshold is how many prediction errors accumulate before the
-	// "replacing model" plan rotates to the next algorithm; <=0 means 4.
-	SwitchThreshold int
 	// PriorAccuracy is the offline-measured prediction accuracy used as the
 	// Bayesian prior for Eq. 1's P before enough session observations
 	// accumulate; <=0 means 0.9. Trained bundles fill it with the game's
 	// measured accuracy.
 	PriorAccuracy float64
-	// SensorNoise is the per-second telemetry noise fed to the sampler.
-	SensorNoise float64
-	// Seed seeds the telemetry sampler.
-	Seed int64
 }
 
+// switchThreshold is how many prediction errors accumulate before the
+// "replacing model" plan rotates to the next algorithm.
+const switchThreshold = 4
+
 func (c Config) withDefaults() Config {
-	if c.SwitchThreshold <= 0 {
-		c.SwitchThreshold = 4
-	}
 	if c.PriorAccuracy <= 0 {
 		c.PriorAccuracy = 0.9
 	}
@@ -127,13 +121,11 @@ func New(p *profiler.Profile, models []mlmodels.Classifier, cfg Config) (*Predic
 	if len(models) == 0 {
 		return nil, ErrNoModels
 	}
-	c := cfg.withDefaults()
 	pr := &Predictor{
 		profile:      p,
 		models:       models,
-		cfg:          c,
+		cfg:          cfg.withDefaults(),
 		det:          *profiler.NewDetector(p),
-		sampler:      *telemetry.NewSampler(c.SensorNoise, c.Seed),
 		predicted:    -1,
 		predictedFor: -1,
 		prevStage:    -1,
@@ -414,21 +406,15 @@ func (pr *Predictor) predictNext() int {
 	return next
 }
 
-// recordError applies the replacing-model plan: after SwitchThreshold
+// recordError applies the replacing-model plan: after switchThreshold
 // accumulated errors the next algorithm takes over.
 func (pr *Predictor) recordError(d *Decision) {
 	pr.errStreak++
-	if pr.errStreak >= pr.cfg.SwitchThreshold && len(pr.models) > 1 {
+	if pr.errStreak >= switchThreshold && len(pr.models) > 1 {
 		pr.active = (pr.active + 1) % len(pr.models)
 		pr.errStreak = 0
 		d.ModelSwitched = true
 	}
-}
-
-// PredictedAlloc returns what the predictor would reserve for a given stage —
-// exposed for the distributor's look-ahead (Algorithm 1).
-func (pr *Predictor) PredictedAlloc(stageID int) resources.Vector {
-	return pr.stageAlloc(stageID)
 }
 
 // History returns a copy of the completed-stage history.

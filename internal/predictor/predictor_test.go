@@ -283,14 +283,14 @@ func TestRehearsalCallbackFiresOnSpikes(t *testing.T) {
 
 func TestModelSwitchAfterRepeatedErrors(t *testing.T) {
 	tr := trainedFor(t, gamesim.Contra())
-	pr, err := tr.NewSessionPredictor(Config{SwitchThreshold: 2})
+	pr, err := tr.NewSessionPredictor(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := pr.ActiveModel()
 	var switched bool
 	var d Decision
-	for i := 0; i < 2; i++ {
+	for i := 0; i < switchThreshold; i++ {
 		pr.recordError(&d)
 		if d.ModelSwitched {
 			switched = true
@@ -336,14 +336,14 @@ func TestPredictedAllocCoversStagePeak(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range tr.Profile.Catalog {
-		alloc := pr.PredictedAlloc(s.ID)
+		alloc := pr.stageAlloc(s.ID)
 		capped := s.Peak.Clamp(0, 100)
 		if !capped.Fits(alloc.Add(resources.Uniform(1e-9))) {
 			t.Errorf("stage %d alloc %v below peak %v", s.ID, alloc, s.Peak)
 		}
 	}
 	// Unknown stage falls back to game peak.
-	if pr.PredictedAlloc(-5) != tr.Profile.PeakDemand() {
+	if pr.stageAlloc(-5) != tr.Profile.PeakDemand() {
 		t.Error("unknown stage alloc is not the peak fallback")
 	}
 }

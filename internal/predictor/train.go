@@ -83,9 +83,6 @@ type TrainConfig struct {
 	Players           int // corpus players; <=0 means 12
 	SessionsPerPlayer int // <=0 means 3
 	Seed              int64
-	// ForceGlobal ignores the category-aware selection strategy and pools
-	// all samples (the ablation of Section IV-B1's design).
-	ForceGlobal bool
 }
 
 func (c TrainConfig) withDefaults() TrainConfig {
@@ -117,9 +114,6 @@ func TrainForGame(spec *gamesim.GameSpec, cfg TrainConfig) (*Trained, error) {
 		return nil, err
 	}
 	strategy := dataset.StrategyFor(spec.Category)
-	if c.ForceGlobal {
-		strategy = dataset.Global
-	}
 	ex := dataset.NewExtractor(prof, corpus, stages)
 	groups := dataset.Select(strategy, ex, corpus)
 	// Runtime models serve any player, so pool the strategy's groups; the
@@ -154,7 +148,7 @@ func TrainForGame(spec *gamesim.GameSpec, cfg TrainConfig) (*Trained, error) {
 	// For the high-user-influence quadrants, also train dedicated models per
 	// habit (per player for mobile, per cohort for MMORPG): returning
 	// players get far more accurate predictions than the pooled model.
-	if !c.ForceGlobal && (strategy == dataset.PerPlayer || strategy == dataset.Cohort) {
+	if strategy == dataset.PerPlayer || strategy == dataset.Cohort {
 		byHabit := map[int64][]dataset.Transition{}
 		for _, tr := range corpus {
 			byHabit[tr.Habit] = append(byHabit[tr.Habit], ex.FromTrace(tr)...)

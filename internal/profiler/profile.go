@@ -96,27 +96,20 @@ type Profile struct {
 type Config struct {
 	// K is the number of frame clusters. When <= 0 it is chosen by the
 	// elbow criterion on an SSE sweep (Fig. 14).
-	K int
-	// MaxK bounds the elbow sweep; defaults to 8.
-	MaxK int
-	// MinClusterShare filters incidental clusters out of a stage signature:
-	// a cluster must cover at least this fraction of the stage's frames to
-	// be part of the signature. Defaults to 0.34 — genuine multi-cluster
-	// stages split close to evenly between their clusters, while transient
-	// bursts cover well under a third of a stage.
-	MinClusterShare float64
-	Seed            int64
+	K    int
+	Seed int64
 }
 
-func (c Config) withDefaults() Config {
-	if c.MaxK <= 0 {
-		c.MaxK = 8
-	}
-	if c.MinClusterShare <= 0 {
-		c.MinClusterShare = 0.34
-	}
-	return c
-}
+const (
+	// maxK bounds the elbow sweep.
+	maxK = 8
+	// minClusterShare filters incidental clusters out of a stage signature:
+	// a cluster must cover at least this fraction of the stage's frames to
+	// be part of the signature. Genuine multi-cluster stages split close to
+	// evenly between their clusters, while transient bursts cover well under
+	// a third of a stage.
+	minClusterShare = 0.34
+)
 
 // Build constructs a game profile from offline traces.
 func Build(traces []*gamesim.Trace, cfg Config) (*Profile, error) {
@@ -134,11 +127,10 @@ func Build(traces []*gamesim.Trace, cfg Config) (*Profile, error) {
 // materialised once, every frame is classified once, and each trace is
 // segmented and summarised once. Pruning only renumbers stages, so the
 // final detection is the first one with its stage IDs looked up again.
-func BuildStages(traces []*gamesim.Trace, cfg Config) (*Profile, [][]Detected, error) {
+func BuildStages(traces []*gamesim.Trace, c Config) (*Profile, [][]Detected, error) {
 	if len(traces) == 0 {
 		return nil, nil, ErrNoTraces
 	}
-	c := cfg.withDefaults()
 	total := 0
 	for _, tr := range traces {
 		total += len(tr.Frames)
@@ -156,7 +148,7 @@ func BuildStages(traces []*gamesim.Trace, cfg Config) (*Profile, [][]Detected, e
 	if k <= 0 {
 		// The per-K runs share nothing, so Sweep fans out over them (0:
 		// GOMAXPROCS); training names K and never reaches this path.
-		curve, err := cluster.Sweep(frames, c.MaxK, c.Seed, 0)
+		curve, err := cluster.Sweep(frames, maxK, c.Seed, 0)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -174,7 +166,7 @@ func BuildStages(traces []*gamesim.Trace, cfg Config) (*Profile, [][]Detected, e
 		Clusters:         res,
 		LoadingClusterID: loadingCluster(res),
 		sigIndex:         map[string]int{},
-		minShare:         c.MinClusterShare,
+		minShare:         minClusterShare,
 	}
 	p.Catalog = append(p.Catalog, StageSig{
 		ID:         LoadingStageID,

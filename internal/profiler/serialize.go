@@ -66,7 +66,7 @@ func (p *Profile) UnmarshalJSON(b []byte) error {
 	}
 	p.minShare = d.MinShare
 	if p.minShare <= 0 {
-		p.minShare = 0.34
+		p.minShare = minClusterShare
 	}
 	p.finish()
 	return nil

@@ -70,7 +70,7 @@ func (c *CoCG) serverLoadMemo(cc *serverCache, srv *platform.Server, es *EvalScr
 // FleetLoadInto implements platform.FleetSummarizer: the per-cluster summary
 // the coordinator tier routes on, with predicted demand broken out per game.
 // Each server is refreshed (O(1) when its stamp has not moved; a membership
-// change, a completed frame, a drain flip or a horizon move rebuilds it, and
+// change, a completed frame or a drain flip rebuilds it, and
 // uncacheable servers rebuild every poll), its load memo is filled if the
 // refresh did not already make it, and the memo is added into out in server
 // order. A draining server contributes its sessions' demand — they still
@@ -81,7 +81,6 @@ func (c *CoCG) serverLoadMemo(cc *serverCache, srv *platform.Server, es *EvalScr
 // entry point.
 func (c *CoCG) FleetLoadInto(servers []*platform.Server, out *platform.FleetLoad) bool {
 	c.resolve(servers)
-	h := c.cfg.HorizonFrames
 	g := len(c.games)
 	if cap(out.GameDemand) < g {
 		out.GameDemand = make([]float64, g)
@@ -93,7 +92,7 @@ func (c *CoCG) FleetLoadInto(servers []*platform.Server, out *platform.FleetLoad
 	active, idle := 0, 0
 	for i, srv := range servers {
 		cc := c.byPos[i]
-		c.refresh(cc, srv, h, &c.scratch)
+		c.refresh(cc, srv, &c.scratch)
 		c.serverLoadMemo(cc, srv, &c.scratch)
 		for j, d := range cc.gameDemand {
 			demand[j] += d

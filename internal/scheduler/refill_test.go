@@ -200,7 +200,7 @@ func TestLoadMemoColdPath(t *testing.T) {
 		for _, srv := range c.Servers {
 			if cc := p.caches[srv]; cc != nil && srv.NumHosted() > 0 {
 				hosting++
-				if cc.loadValid && cc.stamp == stampOf(srv, p.cfg.HorizonFrames) {
+				if cc.loadValid && cc.stamp == stampOf(srv) {
 					valid++
 				}
 			}
@@ -237,7 +237,7 @@ func TestLoadMemoColdPath(t *testing.T) {
 		checked := 0
 		for _, srv := range c.Servers {
 			if cc := p.caches[srv]; srv.NumHosted() > 0 && srv.Rev() == revs[srv] {
-				p.refresh(cc, srv, p.cfg.HorizonFrames, &p.scratch)
+				p.refresh(cc, srv, &p.scratch)
 				if cc.loadValid != wantValid {
 					t.Fatalf("refill made a load memo: %v, want %v", cc.loadValid, wantValid)
 				}

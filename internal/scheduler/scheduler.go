@@ -22,56 +22,36 @@ import (
 	"cocg/internal/platform"
 	"cocg/internal/predictor"
 	"cocg/internal/resources"
-	"cocg/internal/simclock"
+)
+
+// The paper's admission and regulation constants.
+const (
+	// safetyMargin keeps the admitted worst-case total this many percent
+	// points below capacity: Fig. 9 keeps combined utilization under 95 %.
+	safetyMargin = 5
+	// horizonFrames is how far ahead (in 5-second frames) the distributor
+	// sums predicted timelines: 10 minutes.
+	horizonFrames = 120
+	// loadingFloor is the fraction of a loading game's request the regulator
+	// never cuts below, so loading always progresses.
+	loadingFloor = 0.35
+	// minMeanSat is the minimum predicted mean demand-satisfaction over the
+	// admission window. Section IV-D's operators accept bounded degradation
+	// from brief peak interleaving (which the regulator then spreads over
+	// loading stages), but not sustained oversubscription.
+	minMeanSat = 0.95
+	// fpsSafety scales the hard per-game FPS floor: every co-located game
+	// must be predicted to keep fpsSafety × 30 FPS even at the worst
+	// predicted overlap (the paper's minimum playable frame rate,
+	// Section V-C2).
+	fpsSafety = 1.15
 )
 
 // Config tunes the CoCG policy.
 type Config struct {
-	// SafetyMargin keeps the admitted worst-case total this many percent
-	// points below capacity; Fig. 9 keeps combined utilization under 95 %,
-	// so the default is 5.
-	SafetyMargin float64
-	// HorizonFrames is how far ahead (in 5-second frames) the distributor
-	// sums predicted timelines; <=0 means 120 frames (10 minutes).
-	HorizonFrames int
-	// LoadingFloor is the fraction of a loading game's request the
-	// regulator never cuts below, so loading always progresses; <=0 means
-	// 0.35.
-	LoadingFloor float64
-	// MinMeanSat is the minimum predicted mean demand-satisfaction over the
-	// admission window. Section IV-D's operators accept bounded degradation
-	// from brief peak interleaving (which the regulator then spreads over
-	// loading stages), but not sustained oversubscription. <=0 means 0.95.
-	MinMeanSat float64
-	// FPSSafety scales the hard per-game FPS floor: every co-located game
-	// must be predicted to keep FPSSafety × 30 FPS even at the worst
-	// predicted overlap (the paper's minimum playable frame rate,
-	// Section V-C2). <=0 means 1.15.
-	FPSSafety float64
 	// DisableLoadingSteal turns the regulator's loading-time extension off
 	// (ablation).
 	DisableLoadingSteal bool
-	// Predictor configures the per-session predictors.
-	Predictor predictor.Config
-}
-
-func (c Config) withDefaults() Config {
-	if c.SafetyMargin <= 0 {
-		c.SafetyMargin = 5
-	}
-	if c.HorizonFrames <= 0 {
-		c.HorizonFrames = 120
-	}
-	if c.LoadingFloor <= 0 {
-		c.LoadingFloor = 0.35
-	}
-	if c.MinMeanSat <= 0 {
-		c.MinMeanSat = 0.95
-	}
-	if c.FPSSafety <= 0 {
-		c.FPSSafety = 1.15
-	}
-	return c
 }
 
 // CoCG is the paper's scheduling policy over a set of offline-trained games.
@@ -111,7 +91,7 @@ type CoCG struct {
 // derived from it, computed once instead of per hosted session per refill.
 type gameEntry struct {
 	b *predictor.Trained
-	// floor is the game's hard satisfaction floor, FPSSafety × 30 FPS over
+	// floor is the game's hard satisfaction floor, fpsSafety × 30 FPS over
 	// the best frame rate it can reach; peak is its worst-case demand.
 	floor float64
 	peak  resources.Vector
@@ -130,7 +110,7 @@ func New(bundles []*predictor.Trained, cfg Config) *CoCG {
 	}
 	sort.Strings(games)
 	c := &CoCG{
-		cfg:     cfg.withDefaults(),
+		cfg:     cfg,
 		caches:  map[*platform.Server]*serverCache{},
 		games:   games,
 		gameIdx: make(map[string]int, len(games)),
@@ -139,7 +119,7 @@ func New(bundles []*predictor.Trained, cfg Config) *CoCG {
 	for i, g := range games {
 		b := m[g]
 		c.gameIdx[g] = i
-		c.game[i] = gameEntry{b: b, floor: c.cfg.FPSSafety * 30 / b.Spec.EffectiveFPS(), peak: b.Profile.PeakDemand()}
+		c.game[i] = gameEntry{b: b, floor: fpsSafety * 30 / b.Spec.EffectiveFPS(), peak: b.Profile.PeakDemand()}
 	}
 	return c
 }
@@ -172,17 +152,16 @@ type EvalScratch struct {
 
 // stamp is everything a per-server aggregate is computed from: the membership
 // revision, the forecast generation (one counter for every hosted predictor,
-// see platform.ForecastNotifier), the horizon and the draining flag. The
-// forecast cache, its verdict memo and its fleet-load memo all revalidate
-// by comparing one stamp — O(1) however many sessions the server hosts.
+// see platform.ForecastNotifier) and the draining flag. The forecast cache,
+// its verdict memo and its fleet-load memo all revalidate by comparing one
+// stamp — O(1) however many sessions the server hosts.
 type stamp struct {
 	rev, gen uint64
-	horizon  int
 	draining bool
 }
 
-func stampOf(srv *platform.Server, h int) stamp {
-	return stamp{rev: srv.Rev(), gen: srv.ForecastGen(), horizon: h, draining: srv.Draining}
+func stampOf(srv *platform.Server) stamp {
+	return stamp{rev: srv.Rev(), gen: srv.ForecastGen(), draining: srv.Draining}
 }
 
 // serverCache is the distributor's per-server aggregate forecast: the hosted
@@ -328,8 +307,8 @@ func (c *CoCG) gameOf(hosted *platform.Hosted) (int, *Controller) {
 
 // refresh brings srv's cache up to date, refilling it when the server's stamp
 // moved — with the fleet-accounting memo if the last one was read.
-func (c *CoCG) refresh(cc *serverCache, srv *platform.Server, h int, es *EvalScratch) {
-	st := stampOf(srv, h)
+func (c *CoCG) refresh(cc *serverCache, srv *platform.Server, es *EvalScratch) {
+	st := stampOf(srv)
 	if cc.cacheable && cc.stamp == st {
 		return
 	}
@@ -345,7 +324,7 @@ func (c *CoCG) refresh(cc *serverCache, srv *platform.Server, h int, es *EvalScr
 //
 //cocg:hot
 func (c *CoCG) refill(cc *serverCache, srv *platform.Server, st stamp, es *EvalScratch, load bool) {
-	h := st.horizon
+	const h = horizonFrames
 	cc.stamp = st
 	cc.cacheable = true
 	if cc.memo == nil {
@@ -367,7 +346,7 @@ func (c *CoCG) refill(cc *serverCache, srv *platform.Server, st stamp, es *EvalS
 		if gi >= 0 {
 			floor, peak = c.game[gi].floor, c.game[gi].peak
 		} else {
-			floor, peak = c.cfg.FPSSafety*30/hosted.Spec.EffectiveFPS(), hosted.Request
+			floor, peak = fpsSafety*30/hosted.Spec.EffectiveFPS(), hosted.Request
 		}
 		if floor > cc.hostedFloor {
 			cc.hostedFloor = floor
@@ -527,7 +506,7 @@ func (c *CoCG) NewController(spec *gamesim.GameSpec, habit int64) (platform.Cont
 	if !ok {
 		return nil, fmt.Errorf("scheduler: no trained bundle for %s", spec.Name)
 	}
-	pr, err := c.game[gi].b.NewSessionPredictorForHabit(habit, c.cfg.Predictor)
+	pr, err := c.game[gi].b.NewSessionPredictorForHabit(habit, predictor.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -591,7 +570,7 @@ func (c *CoCG) evaluate(srv *platform.Server, spec *gamesim.GameSpec, es *EvalSc
 		return false, 0
 	}
 	cc := c.cacheAt(srv, es)
-	c.refresh(cc, srv, c.cfg.HorizonFrames, es)
+	c.refresh(cc, srv, es)
 
 	m := &cc.memo[gi]
 	if !m.set {
@@ -662,10 +641,10 @@ func (c *CoCG) verdict(cc *serverCache, srv *platform.Server, g *gameEntry) (boo
 	// The arriving game's expected footprint, from its profiling corpus,
 	// overlaid on the cached hosted-demand timeline.
 	cand := g.b.TypicalCurve
-	limit := srv.Capacity.Sub(resources.Uniform(c.cfg.SafetyMargin))
+	limit := srv.Capacity.Sub(resources.Uniform(safetyMargin))
 	// The judgment window is the candidate's expected lifetime (capped by
 	// the horizon): overlaps after it has finished are irrelevant.
-	window := cc.stamp.horizon
+	window := horizonFrames
 	if len(cand) > 0 && len(cand) < window {
 		window = len(cand)
 	}
@@ -674,7 +653,7 @@ func (c *CoCG) verdict(cc *serverCache, srv *platform.Server, g *gameEntry) (boo
 		return false, 0
 	}
 	meanSat := satSum / float64(window)
-	return meanSat >= c.cfg.MinMeanSat, meanSat
+	return meanSat >= minMeanSat, meanSat
 }
 
 // overlaySat's one-division path names the four dimensions; the guard stops
@@ -765,7 +744,6 @@ func overlaySat(total []predictor.Segment, cand []resources.Vector, candPeak *re
 // the cluster's is the mean over non-draining servers in server order. The
 // equivalence tests require the two to agree bitwise.
 func (c *CoCG) ClusterLoadFullScan(servers []*platform.Server) (float64, bool) {
-	h := c.cfg.HorizonFrames
 	var sum float64
 	n := 0
 	for _, srv := range servers {
@@ -773,7 +751,7 @@ func (c *CoCG) ClusterLoadFullScan(servers []*platform.Server) (float64, bool) {
 			continue
 		}
 		cc := c.cacheFor(srv)
-		c.refresh(cc, srv, h, &c.scratch)
+		c.refresh(cc, srv, &c.scratch)
 		peak := 0.0
 		for _, run := range cc.total {
 			for n := run.Frames; n > 0; n-- {
@@ -811,10 +789,10 @@ func (c *CoCG) Regulate(srv *platform.Server) {
 	// a-b <= 0 exactly when a <= b, so this decides what testing the clamped
 	// excess for zero did, without building it.
 	total := srv.RequestTotal()
-	if c.cfg.DisableLoadingSteal || total.FitsWithin(srv.Capacity, c.cfg.SafetyMargin) {
+	if c.cfg.DisableLoadingSteal || total.FitsWithin(srv.Capacity, safetyMargin) {
 		return
 	}
-	limit := srv.Capacity.Sub(resources.Uniform(c.cfg.SafetyMargin))
+	limit := srv.Capacity.Sub(resources.Uniform(safetyMargin))
 	over := total.Sub(limit).ClampNonNegative()
 	for _, hosted := range srv.Hosted {
 		if over.IsZero() {
@@ -823,27 +801,10 @@ func (c *CoCG) Regulate(srv *platform.Server) {
 		if !hosted.Controller.Loading() {
 			continue
 		}
-		floor := hosted.Request.Scale(c.cfg.LoadingFloor)
+		floor := hosted.Request.Scale(loadingFloor)
 		reducible := hosted.Request.Sub(floor).ClampNonNegative()
 		cut := reducible.Min(over)
 		hosted.Request = hosted.Request.Sub(cut)
 		over = over.Sub(cut).ClampNonNegative()
 	}
-}
-
-// PredictionLatencyFor reports the simulated prediction latency for a game's
-// active models (Fig. 12).
-func (c *CoCG) PredictionLatencyFor(game string) (simclock.Seconds, bool) {
-	gi, ok := c.gameIdx[game]
-	if !ok {
-		return 0, false
-	}
-	b := c.game[gi].b
-	var worst simclock.Seconds
-	for _, m := range b.Models {
-		if l := predictor.PredictionLatency(m, b.Profile.NumStageTypes()); l > worst {
-			worst = l
-		}
-	}
-	return worst, true
 }

@@ -197,17 +197,6 @@ func TestRegulatorDisabledByConfig(t *testing.T) {
 	}
 }
 
-func TestPredictionLatencyFor(t *testing.T) {
-	p := policyFor(t, gamesim.CSGO())
-	lat, ok := p.PredictionLatencyFor("CSGO")
-	if !ok || lat < 3 || lat > 13 {
-		t.Errorf("latency = %d, ok=%v", lat, ok)
-	}
-	if _, ok := p.PredictionLatencyFor("nope"); ok {
-		t.Error("latency for unknown game")
-	}
-}
-
 // stubController reports a fixed loading state; requests are set directly on
 // the Hosted.
 type stubController struct{ loading bool }
@@ -321,7 +310,7 @@ func TestCachedEvaluateMatchesFreshRecompute(t *testing.T) {
 				}
 			}
 			cp, rp := p.caches[srv], ref.caches[srv]
-			if cp == nil || rp == nil || cp.stamp != stampOf(srv, p.cfg.HorizonFrames) || rp.stamp != cp.stamp {
+			if cp == nil || rp == nil || cp.stamp != stampOf(srv) || rp.stamp != cp.stamp {
 				t.Fatalf("tick %d server %d: missing or stale cache after scoring", tick, srv.ID)
 			}
 			if len(cp.total) != len(rp.total) || cp.peak != rp.peak {

@@ -1,5 +1,5 @@
 // Package stats provides the small set of statistics helpers the experiment
-// harnesses and the clusterer share: means, variances, percentiles, and
+// harnesses and the clusterer share: means, extremes, percentiles, and
 // simple accuracy accounting.
 package stats
 
@@ -19,23 +19,6 @@ func Mean(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
-
-// Variance returns the population variance of xs, or 0 when len(xs) < 2.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Min returns the smallest element of xs, or 0 for an empty slice.
 func Min(xs []float64) float64 {
@@ -123,10 +106,4 @@ func (a *Accuracy) Value() float64 {
 		return 0
 	}
 	return float64(a.Correct) / float64(a.Total)
-}
-
-// Merge folds another accuracy counter into a.
-func (a *Accuracy) Merge(b Accuracy) {
-	a.Correct += b.Correct
-	a.Total += b.Total
 }

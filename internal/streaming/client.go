@@ -34,9 +34,6 @@ type ClientConfig struct {
 	Game   string
 	Script int
 	Habit  int64
-	// InputEvery sends one input batch per this many received frame
-	// batches; <=0 means 2.
-	InputEvery int
 	// Timeout bounds the whole session; <=0 means 2 minutes.
 	Timeout time.Duration
 	// Link, when set, simulates the player's last-mile network: every
@@ -51,15 +48,16 @@ type ClientConfig struct {
 	OnFrames func(f *FrameBatch)
 }
 
+// inputEvery is how many received frame batches a client answers with one
+// input batch.
+const inputEvery = 2
+
 // Play connects to a streaming server, plays one full session, and returns
 // the client-side statistics — the measurement point of the player
 // experience in Fig. 1. The handshake runs over JSON; the session body is
 // binary, received into one reused envelope so the per-batch client cost is
 // allocation-free.
 func Play(addr string, cfg ClientConfig) (*ClientStats, error) {
-	if cfg.InputEvery <= 0 {
-		cfg.InputEvery = 2
-	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 2 * time.Minute
 	}
@@ -130,7 +128,7 @@ func Play(addr string, cfg ClientConfig) (*ClientStats, error) {
 				rttSum += float64(time.Now().UnixMilli() - f.EchoSentAtMS)
 				rttN++
 			}
-			if stats.Frames%cfg.InputEvery == 0 {
+			if stats.Frames%inputEvery == 0 {
 				inputSeq++
 				input.SessionID = stats.SessionID
 				input.Seq = inputSeq
