@@ -41,9 +41,9 @@ docs-check:
 	$(GO) run ./cmd/cocg-docscheck
 
 # race is the concurrency gate: formatting must be clean, the analyzers must
-# be silent, and the full suite (including the experiment harness's and the
-# trainers' worker-count-invariance tests and the serving tiers' soaks) must
-# pass under the race detector. A cluster ticks on one goroutine, so the
+# be silent, and the full suite (including the experiment harness's
+# worker-count-invariance tests and the serving tiers' soaks) must pass under
+# the race detector. A cluster ticks on one goroutine, so the
 # simulation core has no fan-out for it to check.
 race: fmt lint
 	$(GO) test -race ./...

@@ -48,13 +48,14 @@ func (f *flatController) HardCapped() bool                       { return f.hard
 // server only when the remaining capacity exceeds that flat peak.
 type VBP struct {
 	profiles profiles
-	// Factor is the fraction of peak reserved; the paper uses 0.9.
-	Factor float64
 }
+
+// vbpFactor is the fraction of peak VBP reserves; the paper uses 0.9.
+const vbpFactor = 0.9
 
 // NewVBP builds the VBP policy over the games' offline profiles.
 func NewVBP(ps []*profiler.Profile) *VBP {
-	return &VBP{profiles: toProfiles(ps), Factor: 0.9}
+	return &VBP{profiles: toProfiles(ps)}
 }
 
 // Name implements platform.Policy.
@@ -65,16 +66,17 @@ func (v *VBP) reservation(game string) (resources.Vector, bool) {
 	if !ok {
 		return resources.Zero, false
 	}
-	return p.PeakDemand().Scale(v.Factor), true
+	return p.PeakDemand().Scale(vbpFactor), true
 }
 
-// Admit implements platform.Policy: a game joins a server only when the
-// remaining capacity covers its 90 %-of-peak reservation. VBP reservations
-// are admission-time vectors, not runtime caps.
-func (v *VBP) Admit(srv *platform.Server, spec *gamesim.GameSpec, habit int64) bool {
+// Score implements platform.Policy: a game joins a server only when the
+// remaining capacity covers its 90 %-of-peak reservation, on the first server
+// where it does (every admitting server scores 0). VBP reservations are
+// admission-time vectors, not runtime caps.
+func (v *VBP) Score(srv *platform.Server, spec *gamesim.GameSpec, habit int64) (float64, bool) {
 	res, ok := v.reservation(spec.Name)
 	if !ok {
-		return false
+		return 0, false
 	}
 	var reserved resources.Vector
 	for _, h := range srv.Hosted {
@@ -84,7 +86,7 @@ func (v *VBP) Admit(srv *platform.Server, spec *gamesim.GameSpec, habit int64) b
 		}
 		reserved = reserved.Add(r)
 	}
-	return reserved.Add(res).Fits(srv.Capacity)
+	return 0, reserved.Add(res).Fits(srv.Capacity)
 }
 
 // NewController implements platform.Policy: at runtime a VBP game may use up
@@ -110,21 +112,24 @@ func (v *VBP) Regulate(*platform.Server) {}
 // suffers at stage peaks (Fig. 13).
 type GAugur struct {
 	profiles profiles
-	// MarginFactor scales the mean consumption into the fixed limit; 1.05
-	// reproduces the reported behavior (covers typical stages, not peaks).
-	MarginFactor float64
-	// MaxGames is the pairwise co-location bound of the original system.
-	MaxGames int
-	// PeakTolerance is the statistical-multiplexing optimism of GAugur's
-	// interference model: a pair co-locates when the sum of peaks stays
-	// within PeakTolerance × capacity. Heavier pairs are predicted to
-	// interfere unacceptably and are refused (they run individually).
-	PeakTolerance float64
 }
+
+const (
+	// gaugurMargin scales the mean consumption into the fixed limit; 1.05
+	// reproduces the reported behavior (covers typical stages, not peaks).
+	gaugurMargin = 1.05
+	// gaugurMaxGames is the pairwise co-location bound of the original system.
+	gaugurMaxGames = 2
+	// gaugurPeakTolerance is the statistical-multiplexing optimism of GAugur's
+	// interference model: a pair co-locates when the sum of peaks stays
+	// within gaugurPeakTolerance × capacity. Heavier pairs are predicted to
+	// interfere unacceptably and are refused (they run individually).
+	gaugurPeakTolerance = 1.15
+)
 
 // NewGAugur builds the GAugur policy over the games' offline profiles.
 func NewGAugur(ps []*profiler.Profile) *GAugur {
-	return &GAugur{profiles: toProfiles(ps), MarginFactor: 1.05, MaxGames: 2, PeakTolerance: 1.15}
+	return &GAugur{profiles: toProfiles(ps)}
 }
 
 // Name implements platform.Policy.
@@ -147,22 +152,23 @@ func (g *GAugur) limit(game string) (resources.Vector, bool) {
 	if frames == 0 {
 		return p.PeakDemand(), true
 	}
-	return weighted.Scale(g.MarginFactor/frames).Clamp(0, 100), true
+	return weighted.Scale(gaugurMargin/frames).Clamp(0, 100), true
 }
 
-// Admit implements platform.Policy: at most MaxGames per server, the fixed
+// Score implements platform.Policy: at most two games per server, the fixed
 // limits must fit together, and the interference model must predict the
-// pair acceptable — the sum of profiled peaks within PeakTolerance ×
-// capacity. Without stage awareness the model cannot tell when peaks would
-// coincide, so it refuses heavy pairs outright (the paper: for DOTA2 +
-// Devil May Cry "other solutions can only be executed individually").
-func (g *GAugur) Admit(srv *platform.Server, spec *gamesim.GameSpec, habit int64) bool {
-	if srv.NumHosted() >= g.MaxGames {
-		return false
+// pair acceptable — the sum of profiled peaks within 1.15 × capacity. Without
+// stage awareness the model cannot tell when peaks would coincide, so it
+// refuses heavy pairs outright (the paper: for DOTA2 + Devil May Cry "other
+// solutions can only be executed individually"). Placement is first fit:
+// every admitting server scores 0.
+func (g *GAugur) Score(srv *platform.Server, spec *gamesim.GameSpec, habit int64) (float64, bool) {
+	if srv.NumHosted() >= gaugurMaxGames {
+		return 0, false
 	}
 	lim, ok := g.limit(spec.Name)
 	if !ok {
-		return false
+		return 0, false
 	}
 	p := g.profiles[spec.Name]
 	peaks := p.PeakDemand()
@@ -170,15 +176,15 @@ func (g *GAugur) Admit(srv *platform.Server, spec *gamesim.GameSpec, habit int64
 	for _, h := range srv.Hosted {
 		hp, ok := g.profiles[h.Spec.Name]
 		if !ok {
-			return false
+			return 0, false
 		}
 		peaks = peaks.Add(hp.PeakDemand())
 		limits = limits.Add(h.Request)
 	}
-	if !peaks.Fits(srv.Capacity.Scale(g.PeakTolerance)) {
-		return false
+	if !peaks.Fits(srv.Capacity.Scale(gaugurPeakTolerance)) {
+		return 0, false
 	}
-	return limits.Add(lim).Fits(srv.Capacity)
+	return 0, limits.Add(lim).Fits(srv.Capacity)
 }
 
 // NewController implements platform.Policy.
@@ -201,25 +207,29 @@ func (g *GAugur) Regulate(*platform.Server) {}
 // is exactly the gap prediction closes.
 type Reactive struct {
 	profiles profiles
-	// MarginScale/MarginAbs pad the measured frame into the next request.
-	MarginScale float64
-	MarginAbs   float64
 }
+
+// reactiveScale and reactiveAbs pad the measured frame into the next request.
+const (
+	reactiveScale = 1.2
+	reactiveAbs   = 3
+)
 
 // NewReactive builds the reactive policy over the games' offline profiles.
 func NewReactive(ps []*profiler.Profile) *Reactive {
-	return &Reactive{profiles: toProfiles(ps), MarginScale: 1.2, MarginAbs: 3}
+	return &Reactive{profiles: toProfiles(ps)}
 }
 
 // Name implements platform.Policy.
 func (r *Reactive) Name() string { return "Reactive" }
 
-// Admit implements platform.Policy: current requests plus the newcomer's
+// Score implements platform.Policy: current requests plus the newcomer's
 // mean consumption must fit (it cannot see the future, so it bets on means).
-func (r *Reactive) Admit(srv *platform.Server, spec *gamesim.GameSpec, habit int64) bool {
+// Placement is first fit: every admitting server scores 0.
+func (r *Reactive) Score(srv *platform.Server, spec *gamesim.GameSpec, habit int64) (float64, bool) {
 	p, ok := r.profiles[spec.Name]
 	if !ok {
-		return false
+		return 0, false
 	}
 	var mean resources.Vector
 	var n float64
@@ -231,7 +241,7 @@ func (r *Reactive) Admit(srv *platform.Server, spec *gamesim.GameSpec, habit int
 	if n > 0 {
 		mean = mean.Scale(1 / n)
 	}
-	return srv.RequestTotal().Add(mean.Scale(r.MarginScale)).Fits(srv.Capacity)
+	return 0, srv.RequestTotal().Add(mean.Scale(reactiveScale)).Fits(srv.Capacity)
 }
 
 // reactiveController re-provisions to each completed frame's measurement.
@@ -240,8 +250,6 @@ type reactiveController struct {
 	sampler telemetry.Sampler
 	req     resources.Vector
 	loading bool
-	scale   float64
-	abs     float64
 }
 
 func (c *reactiveController) Name() string { return "Reactive" }
@@ -249,7 +257,7 @@ func (c *reactiveController) Name() string { return "Reactive" }
 func (c *reactiveController) Tick(util resources.Vector) resources.Vector {
 	if frame, ok := c.sampler.Observe(util); ok {
 		c.loading = c.p.IsLoadingFrame(frame)
-		c.req = frame.Scale(c.scale).Add(resources.Uniform(c.abs)).Clamp(0, 100)
+		c.req = frame.Scale(reactiveScale).Add(resources.Uniform(reactiveAbs)).Clamp(0, 100)
 	}
 	return c.req
 }
@@ -263,10 +271,8 @@ func (r *Reactive) NewController(spec *gamesim.GameSpec, habit int64) (platform.
 		return nil, fmt.Errorf("baselines: no profile for %s", spec.Name)
 	}
 	return &reactiveController{
-		p:     p,
-		req:   p.PeakDemand(), // safe until the first frame lands
-		scale: r.MarginScale,
-		abs:   r.MarginAbs,
+		p:   p,
+		req: p.PeakDemand(), // safe until the first frame lands
 	}, nil
 }
 

@@ -37,6 +37,12 @@ func allProfiles(t *testing.T) []*profiler.Profile {
 	return out
 }
 
+// admits reports whether the policy would place the game on the server.
+func admits(p platform.Policy, srv *platform.Server, spec *gamesim.GameSpec, habit int64) bool {
+	_, ok := p.Score(srv, spec, habit)
+	return ok
+}
+
 func TestPolicyNames(t *testing.T) {
 	ps := allProfiles(t)
 	if NewVBP(ps).Name() != "VBP" || NewGAugur(ps).Name() != "GAugur" || NewReactive(ps).Name() != "Reactive" {
@@ -52,7 +58,7 @@ func TestVBPAdmission(t *testing.T) {
 	// Contra is tiny: many fit.
 	contra := gamesim.Contra()
 	n := 0
-	for i := int64(0); i < 20 && v.Admit(srv, contra, i); i++ {
+	for i := int64(0); i < 20 && admits(v, srv, contra, i); i++ {
 		sess, _ := gamesim.NewSession(contra, 0, i)
 		ctl, err := v.NewController(contra, i)
 		if err != nil {
@@ -69,14 +75,14 @@ func TestVBPAdmission(t *testing.T) {
 	dmc := gamesim.DevilMayCry()
 	c2 := platform.NewCluster(1, v)
 	srv2 := c2.Servers[0]
-	if !v.Admit(srv2, dmc, 1) {
+	if !admits(v, srv2, dmc, 1) {
 		t.Fatal("VBP rejected DMC on an empty server")
 	}
 	sess, _ := gamesim.NewSession(dmc, 0, 1)
 	ctl, _ := v.NewController(dmc, 1)
 	h := srv2.Add(dmc, sess, ctl)
 	h.Request = ctl.Tick(resources.Zero)
-	if v.Admit(srv2, dmc, 2) {
+	if admits(v, srv2, dmc, 2) {
 		t.Error("VBP admitted two DMC instances on one server")
 	}
 }
@@ -119,7 +125,7 @@ func TestUnknownGameErrors(t *testing.T) {
 		t.Error("Reactive controller for unknown game")
 	}
 	c := platform.NewCluster(1, NewVBP(empty))
-	if NewVBP(empty).Admit(c.Servers[0], gamesim.CSGO(), 1) {
+	if admits(NewVBP(empty), c.Servers[0], gamesim.CSGO(), 1) {
 		t.Error("VBP admitted unknown game")
 	}
 }
@@ -131,7 +137,7 @@ func TestGAugurPairBound(t *testing.T) {
 	srv := c.Servers[0]
 	contra := gamesim.Contra()
 	for i := int64(0); i < 2; i++ {
-		if !g.Admit(srv, contra, i) {
+		if !admits(g, srv, contra, i) {
 			t.Fatalf("GAugur rejected Contra #%d", i+1)
 		}
 		sess, _ := gamesim.NewSession(contra, 0, i)
@@ -140,7 +146,7 @@ func TestGAugurPairBound(t *testing.T) {
 		h.Request = ctl.Tick(resources.Zero)
 	}
 	// Third game refused regardless of size: pairwise model.
-	if g.Admit(srv, contra, 9) {
+	if admits(g, srv, contra, 9) {
 		t.Error("GAugur admitted a third game")
 	}
 }

@@ -1,6 +1,9 @@
 package coordinator
 
 import (
+	"cmp"
+	"slices"
+
 	"cocg/internal/gamesim"
 	"cocg/internal/parallel"
 )
@@ -139,61 +142,22 @@ func RankInto(views []ClusterView, spec *gamesim.GameSpec, w RouteWeights, jobs 
 		}
 	}
 	// Deterministic preference order: higher score first, lowest ID on exact
-	// ties. The comparator is a strict total order (IDs are unique), so any
-	// comparison sort yields the identical sequence — an in-place heapsort
-	// keeps the hot path allocation-free without going quadratic on large
-	// fleets. It never consults anything the parallel scan could reorder —
-	// scores live in per-view slots filled by fixed chunks — so the order is
-	// bit-identical at every worker count.
-	m := len(out)
-	if m <= 16 {
-		// Typical fleets are a handful of regions: straight insertion beats
-		// the heap's constant factor there and produces the same sequence.
-		for i := 1; i < m; i++ {
-			for j := i; j > 0 && rankBefore(sl, views, out[j], out[j-1]); j-- {
-				out[j-1], out[j] = out[j], out[j-1]
+	// ties. The comparator is a strict total order (IDs are unique), so the
+	// sort's sequence does not depend on its algorithm. It never consults
+	// anything the parallel scan could reorder — scores live in per-view slots
+	// filled by fixed chunks — so the order is bit-identical at every worker
+	// count.
+	slices.SortFunc(out, func(a, b int) int {
+		if sl[a] != sl[b] {
+			if sl[a] > sl[b] {
+				return -1
 			}
+			return 1
 		}
-	} else {
-		for i := m/2 - 1; i >= 0; i-- {
-			siftWorstDown(out, i, m, sl, views)
-		}
-		for i := m - 1; i > 0; i-- {
-			out[0], out[i] = out[i], out[0]
-			siftWorstDown(out, 0, i, sl, views)
-		}
-	}
+		return cmp.Compare(views[a].ID, views[b].ID)
+	})
 	for i := range out {
 		out[i] = views[out[i]].ID
 	}
 	*order = out
-}
-
-// rankBefore reports whether view index a precedes view index b in the
-// routing preference order: higher score first, lowest ID on exact ties.
-func rankBefore(sl []float64, views []ClusterView, a, b int) bool {
-	if sl[a] != sl[b] {
-		return sl[a] > sl[b]
-	}
-	return views[a].ID < views[b].ID
-}
-
-// siftWorstDown restores the max-heap property (worst-ranked view at the
-// root) for the subtree of out[:n] rooted at root, so the heapsort above
-// leaves out in preference order, best first.
-func siftWorstDown(out []int, root, n int, sl []float64, views []ClusterView) {
-	for {
-		c := 2*root + 1
-		if c >= n {
-			return
-		}
-		if c+1 < n && rankBefore(sl, views, out[c], out[c+1]) {
-			c++ // right child ranks after the left: it is the worse one
-		}
-		if rankBefore(sl, views, out[c], out[root]) {
-			return // root already ranks after both children
-		}
-		out[root], out[c] = out[c], out[root]
-		root = c
-	}
 }

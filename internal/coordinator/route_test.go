@@ -1,6 +1,9 @@
 package coordinator
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -135,5 +138,33 @@ func TestRankIntoSteadyStateAllocationFree(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Errorf("RankInto allocates %.1f times per call in steady state", allocs)
+	}
+}
+
+// rankGolden is the sha256 of every order TestRankGolden ranks, each written
+// as its IDs in little-endian int64 after its length.
+const rankGolden = "1f70c89f22f80f4ce7ce9e68e1bb87fc52269acf34de4a70b82d436051b5c08c"
+
+// TestRankGolden pins RankInto's orders over seeded fleets of every size
+// around the insertion/heap boundary, so a change of sorting algorithm must
+// reproduce the strict comparator's sequence exactly.
+func TestRankGolden(t *testing.T) {
+	h := sha256.New()
+	var order []int
+	var scores []float64
+	for seed := int64(0); seed < 20; seed++ {
+		for _, n := range []int{1, 7, 9, 16, 17, 64, 200} {
+			views := randomViews(seed, n)
+			for _, spec := range []*gamesim.GameSpec{nil, gamesim.Contra(), gamesim.GenshinImpact()} {
+				RankInto(views, spec, RouteWeights{}, 1, &order, &scores)
+				binary.Write(h, binary.LittleEndian, int64(len(order)))
+				for _, id := range order {
+					binary.Write(h, binary.LittleEndian, int64(id))
+				}
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != rankGolden {
+		t.Errorf("rank orders hash to %s, want %s", got, rankGolden)
 	}
 }

@@ -11,10 +11,17 @@ import (
 	"cocg/internal/workload"
 )
 
-// firstFit hides the CoCG policy's Scorer so the cluster falls back to
-// first-fit placement; admission and regulation are unchanged.
+// firstFit places first fit under the CoCG policy: it admits exactly where
+// CoCG does but scores every admitting server 0, so the cluster takes the
+// first. Control and regulation are unchanged.
 type firstFit struct {
 	platform.Policy
+}
+
+// Score implements platform.Policy.
+func (f *firstFit) Score(srv *platform.Server, spec *gamesim.GameSpec, habit int64) (float64, bool) {
+	_, ok := f.Policy.Score(srv, spec, habit)
+	return 0, ok
 }
 
 // PlacementRow is one placement strategy's outcome.

@@ -106,9 +106,6 @@ func TestRFFitMatchesLegacyGolden(t *testing.T) {
 			if !bytes.Equal(mustMarshal(t, got), mustMarshal(t, ref)) {
 				t.Errorf("%s %+v: pre-sorted RF differs from legacy builder", name, cfg)
 			}
-			if got.OOBAccuracy() != ref.oob {
-				t.Errorf("%s %+v: OOB %v != legacy %v", name, cfg, got.OOBAccuracy(), ref.oob)
-			}
 		}
 	}
 }
@@ -266,8 +263,8 @@ func fitBoth(t testing.TB, m legacyFitter, ds *Dataset) *oracle {
 // FuzzFitMatchesLegacy runs random small datasets — any size, width and
 // class count, continuous or on a duplicate-heavy value grid — through Fit
 // and the legacy oracle for every kind, depth and FeatureSubset:
-// the JSON must be equal, RF's OOB estimate equal, and Predict equal to the
-// oracle's pointer walk on the training rows and on fresh queries.
+// the JSON must be equal, and Predict equal to the oracle's pointer walk on
+// the training rows and on fresh queries.
 func FuzzFitMatchesLegacy(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(60), uint8(3), uint8(2), uint8(0), uint8(0), uint8(0))
 	f.Add(int64(2), uint8(1), uint8(40), uint8(5), uint8(3), uint8(3), uint8(0), uint8(2))
@@ -313,9 +310,6 @@ func FuzzFitMatchesLegacy(f *testing.F) {
 		ref := fitBoth(t, m, ds)
 		if got, want := mustMarshal(t, m), mustMarshal(t, ref); !bytes.Equal(got, want) {
 			t.Fatalf("%s differs from the oracle:\n%s\n%s", m.Name(), got, want)
-		}
-		if rf, ok := m.(*RandomForest); ok && rf.OOBAccuracy() != ref.oob {
-			t.Fatalf("RF OOB %v, oracle %v", rf.OOBAccuracy(), ref.oob)
 		}
 		qs := queries(r, 40, nf)
 		for _, x := range qs {

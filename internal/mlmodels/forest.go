@@ -34,23 +34,10 @@ type RandomForest struct {
 	nfeat  int
 	nclass int
 	fitted bool
-	// oob is the out-of-bag accuracy estimated during Fit: each sample is
-	// scored only by trees whose bootstrap missed it, giving a held-out
-	// quality estimate without sacrificing training data.
-	oob float64
 	// fit is the reusable pre-sorted training arena (see fit.go): one
 	// column index shared by every bagged tree plus the scratch they grow
 	// in. Lazily created, never serialized.
 	fit *fitScratch
-}
-
-// OOBAccuracy returns the out-of-bag accuracy estimate from the last Fit,
-// or -1 when no sample was ever out of bag (tiny datasets).
-func (f *RandomForest) OOBAccuracy() float64 {
-	if !f.fitted {
-		return -1
-	}
-	return f.oob
 }
 
 // NewRandomForest returns an unfitted random forest.
@@ -65,9 +52,8 @@ func (f *RandomForest) Name() string { return "RF" }
 // (fit.go): the dataset is indexed once, each bagged tree compacts the
 // shared index down to its bootstrap rows (multiplicities become per-row
 // weights) and grows into the scratch's node buffer behind the trees before
-// it, where its out-of-bag predictions walk it. The fitted forest — trees and
-// OOB estimate — is byte-identical to the legacy per-node-sorting builder
-// (the tests' oracle).
+// it. The fitted forest is byte-identical to the legacy per-node-sorting
+// builder (the tests' oracle).
 func (f *RandomForest) Fit(ds *Dataset) error {
 	if ds == nil || ds.Len() == 0 {
 		return ErrEmptyDataset
@@ -93,9 +79,6 @@ func (f *RandomForest) Fit(ds *Dataset) error {
 	}
 	ts := f.fit.prepare(ds, treeCfg.MaxDepth)
 	roots := make([]int32, f.cfg.NumTrees)
-	// oobPred[t][i] is tree t's prediction for sample i when the bootstrap
-	// missed it, or -1 when sample i was in tree t's bag.
-	oobPred := make([][]int32, f.cfg.NumTrees)
 	for t, seed := range seeds {
 		treeRNG := rand.New(lazyrand.NewSource(seed))
 		// Bootstrap sample with replacement: the same n draws the legacy
@@ -109,67 +92,13 @@ func (f *RandomForest) Fit(ds *Dataset) error {
 			w[treeRNG.Intn(n)]++
 		}
 		ts.beginBag()
-		root := ts.growClass(treeCfg, treeRNG, 0, ts.m, n, 0, nil)
-		// OOB predictions read ts.w (the in-bag marks), so they run before
-		// the next tree's bootstrap overwrites it.
-		pred := make([]int32, n)
-		for i, s := range ds.Samples {
-			if ts.w[i] > 0 {
-				pred[i] = -1
-				continue
-			}
-			pred[i] = flatLeaf(ts.nodes, root, s.Features).label
-		}
-		roots[t] = root
-		oobPred[t] = pred
+		roots[t] = ts.growClass(treeCfg, treeRNG, 0, ts.m, n, 0, nil)
 	}
 	f.nodes, f.roots = slices.Clone(ts.nodes), roots
-	f.oob = oobAccuracy(ds, oobPred)
 	f.nfeat = ds.NumFeatures
 	f.nclass = ds.NumClasses
 	f.fitted = true
 	return nil
-}
-
-// oobAccuracy aggregates the per-tree OOB predictions (-1 where the tree's
-// bag held the sample) into the forest's OOB accuracy, or -1 when no sample
-// was ever out of bag.
-func oobAccuracy(ds *Dataset, oobPred [][]int32) float64 {
-	n := ds.Len()
-	// oobVotes[i][c] counts class-c votes for sample i from trees that did
-	// not see it; integer accumulation, so merge order is irrelevant.
-	oobVotes := make([][]int, n)
-	for i := range oobVotes {
-		oobVotes[i] = make([]int, ds.NumClasses)
-	}
-	for _, pred := range oobPred {
-		for i, p := range pred {
-			if p >= 0 {
-				oobVotes[i][p]++
-			}
-		}
-	}
-	var correct, scored int
-	for i, votes := range oobVotes {
-		best, bestN, total := 0, -1, 0
-		for c, v := range votes {
-			total += v
-			if v > bestN {
-				best, bestN = c, v
-			}
-		}
-		if total == 0 {
-			continue
-		}
-		scored++
-		if best == ds.Samples[i].Label {
-			correct++
-		}
-	}
-	if scored == 0 {
-		return -1
-	}
-	return float64(correct) / float64(scored)
 }
 
 // Predict implements Classifier by majority vote over the trees; ties break

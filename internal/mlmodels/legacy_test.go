@@ -48,7 +48,6 @@ type oracle struct {
 	nfeat, nclass int
 	prior         []float64 // GBDT
 	lr            float64   // GBDT
-	oob           float64   // RF
 }
 
 // MarshalJSON writes the oracle in the models' wire format.
@@ -168,29 +167,15 @@ func (f *RandomForest) fitLegacy(ds *Dataset) (*oracle, error) {
 		seeds[t] = rng.Int63()
 	}
 	trees := make([]*treeNode, f.cfg.NumTrees)
-	oobPred := make([][]int32, f.cfg.NumTrees)
 	for t, seed := range seeds {
 		treeRNG := rand.New(lazyrand.NewSource(seed))
-		inBag := make([]bool, n)
 		idx := make([]int, n)
 		for i := range idx {
 			idx[i] = treeRNG.Intn(n)
-			inBag[idx[i]] = true
 		}
-		tree := buildClassTree(ds, idx, treeCfg, 0, treeRNG)
-		trees[t] = tree
-		pred := make([]int32, n)
-		for i, s := range ds.Samples {
-			if inBag[i] {
-				pred[i] = -1
-				continue
-			}
-			pred[i] = int32(leafOf(tree, s.Features).label)
-		}
-		oobPred[t] = pred
+		trees[t] = buildClassTree(ds, idx, treeCfg, 0, treeRNG)
 	}
-	return &oracle{kind: "RF", trees: trees, nfeat: ds.NumFeatures, nclass: ds.NumClasses,
-		oob: oobAccuracy(ds, oobPred)}, nil
+	return &oracle{kind: "RF", trees: trees, nfeat: ds.NumFeatures, nclass: ds.NumClasses}, nil
 }
 
 // fitLegacy boosts with the original builder that re-sorts every feature at

@@ -318,27 +318,3 @@ func TestSoftmax(t *testing.T) {
 		t.Errorf("softmax sum = %v", sum)
 	}
 }
-
-func TestOOBAccuracy(t *testing.T) {
-	ds := synthDataset(300, 41)
-	f := NewRandomForest(ForestConfig{NumTrees: 30, Seed: 2})
-	if f.OOBAccuracy() != -1 {
-		t.Error("unfitted OOB != -1")
-	}
-	if err := f.Fit(ds); err != nil {
-		t.Fatal(err)
-	}
-	oob := f.OOBAccuracy()
-	if oob < 0 || oob > 1 {
-		t.Fatalf("OOB = %v", oob)
-	}
-	// OOB should roughly agree with a held-out evaluation.
-	test := synthDataset(100, 42)
-	acc, err := Evaluate(f, test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := oob - acc; diff > 0.15 || diff < -0.15 {
-		t.Errorf("OOB %.3f far from held-out %.3f", oob, acc)
-	}
-}

@@ -66,31 +66,24 @@ func (c *Cluster) Submit(a Arrival) {
 	c.Pending = append(c.Pending, a)
 }
 
-// Scorer is an optional Policy refinement: when implemented, the cluster
-// places each arrival on the admitting server with the highest score instead
-// of the first that fits — CoCG scores by predicted complementarity.
-type Scorer interface {
-	Score(srv *Server, spec *gamesim.GameSpec, habit int64) (score float64, ok bool)
-}
-
-// ScratchScorer is an optional Scorer refinement for policies whose scoring
+// ScratchScorer is an optional Policy refinement for policies whose scoring
 // needs working buffers: a caller scanning the fleet itself brings its own
 // scratch (created by NewScratch, reused across rounds). ScoreScratch must
 // return exactly what Score would — scratch is storage, never state.
 // The cluster's own scan calls Score; bench/cocgbench's scoreProbe is the only
 // remaining caller, and the interface goes when bench/ is next editable.
 type ScratchScorer interface {
-	Scorer
+	Policy
 	// NewScratch returns a fresh scratch for one scoring goroutine.
 	NewScratch() any
 	// ScoreScratch is Score drawing all temporary storage from scratch.
 	ScoreScratch(srv *Server, spec *gamesim.GameSpec, habit int64, scratch any) (score float64, ok bool)
 }
 
-// PlacementPreparer is an optional Policy refinement: PreparePlacement runs
-// once before each scoring scan with the server list the scan will walk — the
-// CoCG distributor files its forecast caches by list position here, so the
-// scan finds each without hashing, and evicts those of departed servers.
+// PlacementPreparer was a Policy refinement run before each placement scan.
+//
+// Deprecated: nothing implements it and the cluster never calls it; the
+// declaration stays only while bench/cocgbench still names it.
 type PlacementPreparer interface {
 	PreparePlacement(servers []*Server)
 }
@@ -131,40 +124,24 @@ type FleetLoad struct {
 // implement it (or return false) and the caller falls back to instantaneous
 // utilization. Implementations are expected to be incremental — a poll over
 // an unchanged fleet should cost per-server revision probes, not a full
-// demand-timeline rescan — so callers may poll continuously. Like Admit and
-// Score it is a serial entry point: callers must not invoke it concurrently
-// with other policy methods on the same instance.
+// demand-timeline rescan — so callers may poll continuously. Like Score it is
+// a serial entry point: callers must not invoke it concurrently with other
+// policy methods on the same instance.
 type FleetSummarizer interface {
 	FleetLoadInto(servers []*Server, out *FleetLoad) bool
 }
 
-// pickServer chooses the server for an arrival: best score under a Scorer
-// policy, else first fit. The scan is one serial pass in server order with a
-// strict >, so exact score ties go to the lowest server ID.
+// pickServer chooses the server for an arrival: the admitting, non-draining
+// server with the highest score. The scan is one serial pass in server order
+// with a strict >, so exact score ties go to the earliest server.
 func (c *Cluster) pickServer(a Arrival) *Server {
-	sc, isScorer := c.Policy.(Scorer)
-	if !isScorer {
-		for _, srv := range c.Servers {
-			if srv.Draining {
-				continue
-			}
-			if c.Policy.Admit(srv, a.Spec, a.Habit) {
-				return srv
-			}
-		}
-		return nil
-	}
-
-	if pp, ok := c.Policy.(PlacementPreparer); ok {
-		pp.PreparePlacement(c.Servers)
-	}
 	var best *Server
 	bestScore := 0.0
 	for _, srv := range c.Servers {
 		if srv.Draining {
 			continue
 		}
-		if s, ok := sc.Score(srv, a.Spec, a.Habit); ok && (best == nil || s > bestScore) {
+		if s, ok := c.Policy.Score(srv, a.Spec, a.Habit); ok && (best == nil || s > bestScore) {
 			best, bestScore = srv, s
 		}
 	}
@@ -172,8 +149,10 @@ func (c *Cluster) pickServer(a Arrival) *Server {
 }
 
 // PickServer returns the server the policy would place the arrival on right
-// now, without placing it — nil when no server admits it. It is the dry-run
-// entry point the fleet benchmarks and placement property tests drive.
+// now — the highest-scoring admitting one, as Place would pick — without
+// placing it; nil when no server admits it. It is the dry-run entry point the
+// fleet benchmarks and placement property tests drive. Scoring may refill a
+// policy's per-server state (Server.PolicyState), never the cluster's.
 func (c *Cluster) PickServer(a Arrival) *Server {
 	return c.pickServer(a)
 }

@@ -53,17 +53,17 @@ type countedPolicy interface {
 type steadyTestPolicy struct{ regulates int64 }
 
 func (p *steadyTestPolicy) Name() string { return "steady-test" }
-func (p *steadyTestPolicy) Admit(srv *platform.Server, spec *gamesim.GameSpec, _ int64) bool {
+func (p *steadyTestPolicy) Score(srv *platform.Server, spec *gamesim.GameSpec, _ int64) (float64, bool) {
 	tot := spec.WorstCaseDemand()
 	for _, h := range srv.Hosted {
 		tot = tot.Add(h.Spec.WorstCaseDemand())
 	}
 	for d := range tot {
 		if tot[d] > srv.Capacity[d] {
-			return false
+			return 0, false
 		}
 	}
-	return true
+	return 0, true
 }
 func (p *steadyTestPolicy) NewController(spec *gamesim.GameSpec, _ int64) (platform.Controller, error) {
 	return &flatSteadyCtl{req: spec.WorstCaseDemand()}, nil
@@ -76,8 +76,8 @@ func (p *steadyTestPolicy) ticks() int64              { return p.regulates }
 type adaptiveTestPolicy struct{ regulates int64 }
 
 func (p *adaptiveTestPolicy) Name() string { return "adaptive-test" }
-func (p *adaptiveTestPolicy) Admit(srv *platform.Server, _ *gamesim.GameSpec, _ int64) bool {
-	return len(srv.Hosted) < 3
+func (p *adaptiveTestPolicy) Score(srv *platform.Server, _ *gamesim.GameSpec, _ int64) (float64, bool) {
+	return 0, len(srv.Hosted) < 3
 }
 func (p *adaptiveTestPolicy) NewController(*gamesim.GameSpec, int64) (platform.Controller, error) {
 	return &adaptiveCtl{req: resources.FullServer}, nil
@@ -317,8 +317,8 @@ func TestRunEventedRejectsUnsortedSchedule(t *testing.T) {
 type visitLogPolicy struct{ visits []int }
 
 func (p *visitLogPolicy) Name() string { return "visit-log" }
-func (p *visitLogPolicy) Admit(srv *platform.Server, _ *gamesim.GameSpec, _ int64) bool {
-	return len(srv.Hosted) == 0
+func (p *visitLogPolicy) Score(srv *platform.Server, _ *gamesim.GameSpec, _ int64) (float64, bool) {
+	return 0, len(srv.Hosted) == 0
 }
 func (p *visitLogPolicy) NewController(*gamesim.GameSpec, int64) (platform.Controller, error) {
 	return &adaptiveCtl{req: resources.FullServer}, nil

@@ -49,13 +49,16 @@ type ForecastNotifier interface {
 	NotifyForecast(gen *uint64)
 }
 
-// Policy is a complete co-location scheduling scheme: admission (the
+// Policy is a complete co-location scheduling scheme: placement (the
 // distributor), per-game control, and server-level regulation.
 type Policy interface {
 	// Name identifies the scheme in result tables.
 	Name() string
-	// Admit reports whether the game may be placed on the server now.
-	Admit(srv *Server, spec *gamesim.GameSpec, habit int64) bool
+	// Score reports whether the game may be placed on the server now and how
+	// well it would fit there: the cluster places it on the admitting server
+	// with the highest score, exact ties going to the earliest in server
+	// order. A scheme with no preference returns (0, ok), which is first fit.
+	Score(srv *Server, spec *gamesim.GameSpec, habit int64) (score float64, ok bool)
 	// NewController returns the per-session agent for an admitted game.
 	NewController(spec *gamesim.GameSpec, habit int64) (Controller, error)
 	// Regulate may lower hosted games' requests when the server is about to
@@ -139,8 +142,7 @@ type Server struct {
 	// rev counts membership changes (admissions and departures); forecastGen
 	// counts detection frames completed by hosted ForecastNotifier
 	// controllers. Together they stamp everything a cached per-server
-	// aggregate forecast depends on. The counter lives here rather than in a
-	// policy's cache because several policy instances may observe one server.
+	// aggregate forecast depends on.
 	rev         uint64
 	forecastGen uint64
 	// ticks counts the non-empty seconds this server has simulated and
@@ -150,6 +152,11 @@ type Server struct {
 	// forceGeneral sends every second down the general path; only the
 	// differential tests set it (export_test.go).
 	forceGeneral bool
+
+	// PolicyState belongs to the cluster's policy, which may keep per-server
+	// state here (CoCG's forecast cache); the platform never reads it, just as
+	// it never looks inside a Hosted's Controller.
+	PolicyState any
 }
 
 // Rev returns the server's membership revision: it bumps whenever a session

@@ -27,8 +27,8 @@ func (p *passthroughController) Loading() bool { return p.loading }
 type admitAllPolicy struct{ req resources.Vector }
 
 func (a *admitAllPolicy) Name() string { return "admit-all" }
-func (a *admitAllPolicy) Admit(*Server, *gamesim.GameSpec, int64) bool {
-	return true
+func (a *admitAllPolicy) Score(*Server, *gamesim.GameSpec, int64) (float64, bool) {
+	return 0, true
 }
 func (a *admitAllPolicy) NewController(*gamesim.GameSpec, int64) (Controller, error) {
 	return &passthroughController{req: a.req}, nil
@@ -171,7 +171,7 @@ func TestClusterPlacesAndRuns(t *testing.T) {
 // rejectPolicy refuses all admissions.
 type rejectPolicy struct{ admitAllPolicy }
 
-func (r *rejectPolicy) Admit(*Server, *gamesim.GameSpec, int64) bool { return false }
+func (r *rejectPolicy) Score(*Server, *gamesim.GameSpec, int64) (float64, bool) { return 0, false }
 
 func TestClusterKeepsPendingWhenRejected(t *testing.T) {
 	c := NewCluster(1, &rejectPolicy{})

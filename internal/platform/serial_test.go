@@ -1,7 +1,12 @@
 package platform_test
 
 import (
+	"go/ast"
 	"go/build"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"sort"
 	"testing"
 )
 
@@ -19,6 +24,57 @@ func forbidImports(t *testing.T, dirs []string, forbidden map[string]bool, why s
 				t.Errorf("package %s imports %q outside its tests: %s", pkg.Name, imp, why)
 			}
 		}
+	}
+}
+
+// TestPlatformRefinements is a ratchet on the optional interfaces the platform
+// discovers by type assertion: its non-test files may assert only the two
+// Controller refinements ForecastNotifier and HardCapper. Placement needs
+// nothing beyond Policy.Score; a new refinement has to be allowed here on
+// purpose.
+func TestPlatformRefinements(t *testing.T) {
+	allowed := map[string]bool{"ForecastNotifier": true, "HardCapper": true}
+	pkg, err := build.ImportDir(".", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asserted := map[string]bool{}
+	note := func(typ ast.Expr) {
+		if id, ok := typ.(*ast.Ident); ok {
+			asserted[id.Name] = true
+		}
+	}
+	fset := token.NewFileSet()
+	for _, name := range pkg.GoFiles {
+		f, err := parser.ParseFile(fset, filepath.Join(pkg.Dir, name), nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeAssertExpr:
+				if n.Type != nil {
+					note(n.Type)
+				}
+			case *ast.TypeSwitchStmt:
+				for _, clause := range n.Body.List {
+					for _, typ := range clause.(*ast.CaseClause).List {
+						note(typ)
+					}
+				}
+			}
+			return true
+		})
+	}
+	var extra []string
+	for name := range asserted {
+		if !allowed[name] {
+			extra = append(extra, name)
+		}
+	}
+	sort.Strings(extra)
+	if len(extra) > 0 {
+		t.Errorf("platform type-asserts %v beyond ForecastNotifier and HardCapper", extra)
 	}
 }
 

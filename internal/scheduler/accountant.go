@@ -69,18 +69,30 @@ func (c *CoCG) serverLoadMemo(cc *serverCache, srv *platform.Server, es *EvalScr
 
 // FleetLoadInto implements platform.FleetSummarizer: the per-cluster summary
 // the coordinator tier routes on, with predicted demand broken out per game.
-// Each server is refreshed (O(1) when its stamp has not moved; a membership
-// change, a completed frame or a drain flip rebuilds it, and
+// Each server's cache is refreshed (O(1) when its stamp has not moved; a
+// membership change, a completed frame or a drain flip rebuilds it, and
 // uncacheable servers rebuild every poll), its load memo is filled if the
 // refresh did not already make it, and the memo is added into out in server
 // order. A draining server contributes its sessions' demand — they still
-// consume — but no headroom. Out's GameDemand storage is reused across polls, Games
-// aliases the policy's immutable sorted list, and the cache each server
-// position resolved to is remembered, so a poll over an unchanged fleet does
-// no map lookup and no heap allocation. Like Admit and Score this is a serial
-// entry point.
+// consume — but no headroom. Out's GameDemand storage is reused across polls
+// and Games aliases the policy's immutable sorted list, so a poll over an
+// unchanged fleet does no heap allocation. Like Score this is a serial entry
+// point.
 func (c *CoCG) FleetLoadInto(servers []*platform.Server, out *platform.FleetLoad) bool {
-	c.resolve(servers)
+	return c.fleetLoad(servers, out, false)
+}
+
+// FleetLoadFull is the from-scratch reference the equivalence tests compare
+// against: it summarizes through a throwaway cache per server, so every
+// forecast and load memo is rebuilt and the servers' own caches are neither
+// read nor written.
+func (c *CoCG) FleetLoadFull(servers []*platform.Server, out *platform.FleetLoad) bool {
+	return c.fleetLoad(servers, out, true)
+}
+
+// fleetLoad folds the servers' load memos into out, reading each server's own
+// cache, or a throwaway one when fresh is set.
+func (c *CoCG) fleetLoad(servers []*platform.Server, out *platform.FleetLoad, fresh bool) bool {
 	g := len(c.games)
 	if cap(out.GameDemand) < g {
 		out.GameDemand = make([]float64, g)
@@ -90,8 +102,13 @@ func (c *CoCG) FleetLoadInto(servers []*platform.Server, out *platform.FleetLoad
 
 	var headSum float64
 	active, idle := 0, 0
-	for i, srv := range servers {
-		cc := c.byPos[i]
+	for _, srv := range servers {
+		var cc *serverCache
+		if fresh {
+			cc = &serverCache{owner: c}
+		} else {
+			cc = c.cacheOf(srv)
+		}
 		c.refresh(cc, srv, &c.scratch)
 		c.serverLoadMemo(cc, srv, &c.scratch)
 		for j, d := range cc.gameDemand {
@@ -119,44 +136,4 @@ func (c *CoCG) FleetLoadInto(servers []*platform.Server, out *platform.FleetLoad
 	out.Games = c.games
 	out.GameDemand = demand
 	return true
-}
-
-// FleetLoadFull is the from-scratch reference the equivalence tests compare
-// against: it forgets every forecast cache and load memo, then summarizes.
-func (c *CoCG) FleetLoadFull(servers []*platform.Server, out *platform.FleetLoad) bool {
-	clear(c.caches)
-	clear(c.byPos[:cap(c.byPos)])
-	return c.FleetLoadInto(servers, out)
-}
-
-// cacheSweepSlack is how far past twice the live fleet size the cache map may
-// grow before sweepCaches evicts entries for departed servers; the slack
-// keeps small fleets from sweeping on every membership wiggle.
-const cacheSweepSlack = 32
-
-// sweepCaches evicts cache entries whose server is no longer in the fleet.
-// The map keys on server identity, so without eviction a removed or replaced
-// server pins its cache (and its forecast timeline storage) forever — a real
-// leak once autoscaling makes membership churn routine. The sweep is
-// amortized: it runs only when the map has outgrown the live fleet by more
-// than half, stamps the live entries with a fresh epoch, and deletes the
-// rest. The per-position pointers (byPos) are dropped with them, so a server
-// that later returns resolves through the map again instead of through a
-// cache the map no longer knows.
-func (c *CoCG) sweepCaches(servers []*platform.Server) {
-	if len(c.caches) <= 2*len(servers)+cacheSweepSlack {
-		return
-	}
-	c.cacheEpoch++
-	for _, srv := range servers {
-		if cc := c.caches[srv]; cc != nil {
-			cc.seen = c.cacheEpoch
-		}
-	}
-	for srv, cc := range c.caches {
-		if cc.seen != c.cacheEpoch {
-			delete(c.caches, srv)
-		}
-	}
-	clear(c.byPos[:cap(c.byPos)])
 }

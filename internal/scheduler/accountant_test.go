@@ -162,7 +162,7 @@ func TestClusterLoadDelegatesToAccountant(t *testing.T) {
 
 // TestFleetLoadSteadyStateAllocationFree is the poll-path allocation gate:
 // once warm, a summary over an unchanged fleet performs zero heap
-// allocations — the revision probes, the per-position cache pointers and the
+// allocations — the revision probes, the caches the servers carry and the
 // reused output buffer all live in pre-grown storage.
 func TestFleetLoadSteadyStateAllocationFree(t *testing.T) {
 	spec := gamesim.GenshinImpact()
@@ -188,39 +188,12 @@ func TestFleetLoadSteadyStateAllocationFree(t *testing.T) {
 	// The poll a busy fleet actually pays for: every stamp moved since the
 	// last one, so every cache and every memo refills.
 	if allocs := testing.AllocsPerRun(100, func() {
-		for _, cc := range p.caches {
-			cc.stamp = stamp{}
+		for _, srv := range c.Servers {
+			srv.PolicyState.(*serverCache).stamp = stamp{}
 		}
 		p.FleetLoadInto(c.Servers, &out)
 	}); allocs != 0 {
 		t.Errorf("refilling FleetLoadInto allocates %.1f objects per poll, want 0", allocs)
-	}
-}
-
-// TestCacheSweepEvictsRemovedServers covers the satellite fix for the
-// pointer-keyed cache map: replacing fleet members must not pin their old
-// caches forever. The sweep is amortized, so the map may briefly exceed the
-// live set, but it must stay bounded under sustained churn and keep the live
-// servers' caches.
-func TestCacheSweepEvictsRemovedServers(t *testing.T) {
-	spec := gamesim.Contra()
-	p := policyFor(t, spec)
-	c := platform.NewCluster(2, p)
-	bound := 2*len(c.Servers) + cacheSweepSlack + 1
-	var fl platform.FleetLoad
-	for i := 0; i < 300; i++ {
-		c.Servers[0] = platform.NewServer(1000+i, resources.FullServer, c.Clock)
-		if !p.FleetLoadInto(c.Servers, &fl) {
-			t.Fatal("FleetLoadInto returned false")
-		}
-		if len(p.caches) > bound {
-			t.Fatalf("after %d replacements the cache map holds %d entries (bound %d): sweep not working", i+1, len(p.caches), bound)
-		}
-	}
-	for _, srv := range c.Servers {
-		if p.caches[srv] == nil {
-			t.Errorf("sweep evicted the cache of a live server %d", srv.ID)
-		}
 	}
 }
 

@@ -134,12 +134,12 @@ func FuzzMergeRuns(f *testing.F) {
 	})
 }
 
-// TestCacheLookupIgnoresServerIDs covers the no-hash cache lookup where a
-// position or an ID could mislead it: two live servers sharing one Server.ID,
-// then a server replaced in place by a new one with its predecessor's ID. The
-// long-lived policy's verdicts — through the prepared scan's cursor, through
-// serial Score, through the cluster's pick — and its fleet summary must equal
-// a fresh policy's.
+// TestCacheLookupIgnoresServerIDs covers the cache lookup where an ID could
+// mislead it: two live servers sharing one Server.ID, then a server replaced
+// in place by a new one with its predecessor's ID. The long-lived policy's
+// verdicts — through a caller's scratch, through Score, through the cluster's
+// pick — and its fleet summary must equal a fresh policy's, which works
+// through throwaway caches.
 func TestCacheLookupIgnoresServerIDs(t *testing.T) {
 	do, co := gamesim.DOTA2(), gamesim.Contra()
 	specs := []*gamesim.GameSpec{do, co}
@@ -162,12 +162,13 @@ func TestCacheLookupIgnoresServerIDs(t *testing.T) {
 	check := func(label string) {
 		t.Helper()
 		scratch := p.NewScratch()
-		p.PreparePlacement(c.Servers)
 		for round := 0; round < 2; round++ { // cold, then memoized
 			for i, spec := range specs {
 				fresh := New(bundles, Config{})
 				for _, srv := range c.Servers {
-					ws, wok := fresh.Score(srv, spec, int64(i))
+					var ws float64
+					var wok bool
+					aside(c.Servers, func() { ws, wok = fresh.Score(srv, spec, int64(i)) })
 					if gs, gok := p.ScoreScratch(srv, spec, int64(i), scratch); gs != ws || gok != wok {
 						t.Fatalf("%s: scan of server %p %s: (%v, %v), fresh policy (%v, %v)", label, srv, spec.Name, gs, gok, ws, wok)
 					}
@@ -177,11 +178,15 @@ func TestCacheLookupIgnoresServerIDs(t *testing.T) {
 				}
 				a := platform.Arrival{Spec: spec, Habit: int64(i)}
 				got := c.PickServer(a)
-				c.Policy = New(bundles, Config{})
-				if want := c.PickServer(a); got != want {
+				var want *platform.Server
+				aside(c.Servers, func() {
+					c.Policy = fresh
+					want = c.PickServer(a)
+					c.Policy = p
+				})
+				if got != want {
 					t.Fatalf("%s: picked %p for %s, fresh policy %p", label, got, spec.Name, want)
 				}
-				c.Policy = p
 			}
 		}
 		var got, want platform.FleetLoad

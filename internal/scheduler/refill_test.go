@@ -198,7 +198,7 @@ func TestLoadMemoColdPath(t *testing.T) {
 	}
 	memos := func() (valid, hosting int) {
 		for _, srv := range c.Servers {
-			if cc := p.caches[srv]; cc != nil && srv.NumHosted() > 0 {
+			if cc, _ := srv.PolicyState.(*serverCache); cc != nil && srv.NumHosted() > 0 {
 				hosting++
 				if cc.loadValid && cc.stamp == stampOf(srv) {
 					valid++
@@ -236,7 +236,7 @@ func TestLoadMemoColdPath(t *testing.T) {
 		frame()
 		checked := 0
 		for _, srv := range c.Servers {
-			if cc := p.caches[srv]; srv.NumHosted() > 0 && srv.Rev() == revs[srv] {
+			if cc := srv.PolicyState.(*serverCache); srv.NumHosted() > 0 && srv.Rev() == revs[srv] {
 				p.refresh(cc, srv, &p.scratch)
 				if cc.loadValid != wantValid {
 					t.Fatalf("refill made a load memo: %v, want %v", cc.loadValid, wantValid)
@@ -255,7 +255,8 @@ func TestLoadMemoColdPath(t *testing.T) {
 	// The cold path itself, warm: every stamp moved and no memo was read since,
 	// so each poll refills every server twice.
 	if allocs := testing.AllocsPerRun(100, func() {
-		for _, cc := range p.caches {
+		for _, srv := range c.Servers {
+			cc := srv.PolicyState.(*serverCache)
 			cc.stamp, cc.loadUsed = stamp{}, false
 		}
 		p.FleetLoadInto(c.Servers, &got)

@@ -56,23 +56,17 @@ type Config struct {
 
 // CoCG is the paper's scheduling policy over a set of offline-trained games.
 //
-// Concurrency: every entry point is serial. The placement side — Admit,
-// Score, PreparePlacement, FleetLoadInto — reads and refills the forecast
-// caches and may insert into the cache map; the per-second side — Regulate,
-// the controllers — touches only the server it is handed and never the
-// caches.
+// Each server carries its forecast cache in Server.PolicyState (see cacheOf),
+// so the cache leaves the fleet with its server.
+//
+// Concurrency: every entry point is serial. The placement side — Score and
+// FleetLoadInto — reads and refills the servers' forecast caches; the
+// per-second side — Regulate, the controllers — touches only the server it is
+// handed and never the caches.
 type CoCG struct {
 	cfg Config
 
-	// caches holds one aggregate-forecast cache per server this policy has
-	// evaluated. A Policy is per-cluster (see the package comment), so the
-	// map can key on server identity. Entries for servers that have left the
-	// fleet are evicted by sweepCaches, keyed on the epoch stamp below.
-	caches map[*platform.Server]*serverCache
-	// cacheEpoch is bumped by each sweep; live caches are stamped with it so
-	// stale entries (whose stamp lags) can be deleted.
-	cacheEpoch uint64
-	// scratch serves the serial entry points (Admit, Score).
+	// scratch serves the serial entry points (Score, FleetLoadInto).
 	scratch EvalScratch
 
 	// games lists the trained game names in sorted order; gameIdx inverts it
@@ -82,9 +76,6 @@ type CoCG struct {
 	games   []string
 	gameIdx map[string]int
 	game    []gameEntry
-	// byPos[i] is the cache of the i-th server of the list last handed to
-	// PreparePlacement or FleetLoadInto (see resolve).
-	byPos []*serverCache
 }
 
 // gameEntry is one trained game's bundle beside the two admission constants
@@ -111,7 +102,6 @@ func New(bundles []*predictor.Trained, cfg Config) *CoCG {
 	sort.Strings(games)
 	c := &CoCG{
 		cfg:     cfg,
-		caches:  map[*platform.Server]*serverCache{},
 		games:   games,
 		gameIdx: make(map[string]int, len(games)),
 		game:    make([]gameEntry, len(games)),
@@ -140,14 +130,11 @@ type EvalScratch struct {
 	runs   []predictor.Segment
 	runEnd []int
 
-	// Two lookups remembered between evaluations, both re-checked by identity
-	// so they never change a result: the game index (-1: untrained) the
-	// candidate spec resolved to under policy, and pos, where in policy.byPos
-	// a scan in server-list order finds its next server's cache.
+	// The game index (-1: untrained) the candidate spec last resolved to under
+	// policy, re-checked by identity so it never changes a result.
 	policy *CoCG
 	spec   *gamesim.GameSpec
 	gi     int
-	pos    int
 }
 
 // stamp is everything a per-server aggregate is computed from: the membership
@@ -176,8 +163,9 @@ func stampOf(srv *platform.Server) stamp {
 // total is merged from are not kept: they live in the caller's EvalScratch
 // for the length of one refill.
 type serverCache struct {
-	// srv is the server the cache describes (the key it is filed under).
-	srv *platform.Server
+	// owner is the policy that filled the cache: memo and gameDemand index its
+	// games, and gameOf trusts only its controllers' indices.
+	owner *CoCG
 	// cacheable is false when any hosted session has a foreign controller or
 	// an untrained spec: those paths read hosted.Request, which mutates every
 	// tick outside any revision counter, so the cache is rebuilt per
@@ -207,13 +195,6 @@ type serverCache struct {
 	// stamp repeated pending arrivals of the same game cost O(1) after the
 	// first.
 	memo []evalMemo
-	// pos is the byPos position the cache was last filed at: where a scan
-	// that lost its place resumes.
-	pos int
-
-	// seen stamps the cache with the epoch of the last sweep that found its
-	// server in the fleet; sweepCaches evicts entries whose stamp lags.
-	seen uint64
 
 	// Fleet-accounting memo (see accountant.go): the server's headroom and
 	// per-game demand contributions under the stamp above, valid when
@@ -237,55 +218,15 @@ type evalMemo struct {
 // guard below would also reject.
 const peakSlack = 1e-6
 
-// PreparePlacement implements platform.PlacementPreparer: it files the cache
-// of every server by list position, so the scoring scan that follows finds
-// each without hashing.
-func (c *CoCG) PreparePlacement(servers []*platform.Server) { c.resolve(servers) }
-
-// resolve makes byPos[i] the cache of servers[i], creating caches on first
-// sight. A position whose server has not changed since the last call costs
-// one pointer comparison, so over a stable fleet neither a placement round nor
-// a summary poll hashes anything.
-func (c *CoCG) resolve(servers []*platform.Server) {
-	c.sweepCaches(servers)
-	if cap(c.byPos) < len(servers) {
-		c.byPos = make([]*serverCache, len(servers))
+// cacheOf returns the forecast cache srv carries, giving it one on first
+// sight. A cache filled by another policy instance indexes that instance's
+// games, so it is replaced rather than read.
+func (c *CoCG) cacheOf(srv *platform.Server) *serverCache {
+	cc, _ := srv.PolicyState.(*serverCache)
+	if cc == nil || cc.owner != c {
+		cc = &serverCache{owner: c}
+		srv.PolicyState = cc
 	}
-	c.byPos = c.byPos[:len(servers)]
-	for i, srv := range servers {
-		if cc := c.byPos[i]; cc == nil || cc.srv != srv {
-			cc = c.cacheFor(srv)
-			cc.pos = i
-			c.byPos[i] = cc
-		}
-	}
-}
-
-// cacheFor returns srv's forecast cache, creating it on first sight.
-func (c *CoCG) cacheFor(srv *platform.Server) *serverCache {
-	cc := c.caches[srv]
-	if cc == nil {
-		cc = &serverCache{srv: srv}
-		c.caches[srv] = cc
-	}
-	return cc
-}
-
-// cacheAt is cacheFor for a scan: a caller walking the resolved server list
-// in order finds each cache at its scratch's cursor through byPos, checked by
-// identity, and only a scan that lost its place — its first server, one after
-// a skipped server, a serial Admit — goes through the map and resumes from
-// where that cache is filed. Server IDs play no part, so they may be sparse,
-// growing or duplicated.
-func (c *CoCG) cacheAt(srv *platform.Server, es *EvalScratch) *serverCache {
-	if p := es.pos; p < len(c.byPos) {
-		if cc := c.byPos[p]; cc != nil && cc.srv == srv {
-			es.pos = p + 1
-			return cc
-		}
-	}
-	cc := c.cacheFor(srv)
-	es.pos = cc.pos + 1
 	return cc
 }
 
@@ -513,7 +454,7 @@ func (c *CoCG) NewController(spec *gamesim.GameSpec, habit int64) (platform.Cont
 	return &Controller{pr: pr, policy: c, gi: gi}, nil
 }
 
-// Admit implements platform.Policy: Algorithm 1. It sums each hosted game's
+// Score implements platform.Policy: Algorithm 1. It sums each hosted game's
 // predicted demand timeline with the arriving game's typical footprint and
 // admits when (a) even the worst predicted overlap leaves every game above
 // its minimum playable frame rate, and (b) the mean predicted satisfaction
@@ -522,17 +463,11 @@ func (c *CoCG) NewController(spec *gamesim.GameSpec, habit int64) (platform.Cont
 // loading stages) but not sustained oversubscription. Because a short
 // game's whole footprint can fit inside a long game's low-consumption
 // window, the "distinguish game length" strategy of Section IV-C2 falls out
-// of the same test.
+// of the same test. Among admitting servers the cluster prefers the one whose
+// predicted timelines are most complementary to the arrival: the score is the
+// predicted mean satisfaction, tilted toward busier servers (scoreWith).
 //
 //cocg:hot
-func (c *CoCG) Admit(srv *platform.Server, spec *gamesim.GameSpec, habit int64) bool {
-	ok, _ := c.evaluate(srv, spec, &c.scratch)
-	return ok
-}
-
-// Score implements the optional placement scorer: among servers that can
-// admit the game, the cluster prefers the one whose predicted timelines are
-// most complementary to the arrival (highest predicted mean satisfaction).
 func (c *CoCG) Score(srv *platform.Server, spec *gamesim.GameSpec, habit int64) (float64, bool) {
 	return c.scoreWith(srv, spec, &c.scratch)
 }
@@ -569,7 +504,7 @@ func (c *CoCG) evaluate(srv *platform.Server, spec *gamesim.GameSpec, es *EvalSc
 	if gi < 0 {
 		return false, 0
 	}
-	cc := c.cacheAt(srv, es)
+	cc := c.cacheOf(srv)
 	c.refresh(cc, srv, es)
 
 	m := &cc.memo[gi]
@@ -741,8 +676,10 @@ func overlaySat(total []predictor.Segment, cand []resources.Vector, candPeak *re
 // headroom: a server's headroom is 1 minus its worst predicted per-dimension
 // utilization fraction over the horizon (clamped at 0), found by dividing
 // every frame of the summed timeline (each run expanded, frame by frame), and
-// the cluster's is the mean over non-draining servers in server order. The
-// equivalence tests require the two to agree bitwise.
+// the cluster's is the mean over non-draining servers in server order. Each
+// timeline is forecast afresh into a throwaway cache, so the servers' own
+// caches are neither read nor written. The equivalence tests require the two
+// to agree bitwise.
 func (c *CoCG) ClusterLoadFullScan(servers []*platform.Server) (float64, bool) {
 	var sum float64
 	n := 0
@@ -750,7 +687,7 @@ func (c *CoCG) ClusterLoadFullScan(servers []*platform.Server) (float64, bool) {
 		if srv.Draining {
 			continue
 		}
-		cc := c.cacheFor(srv)
+		cc := &serverCache{owner: c}
 		c.refresh(cc, srv, &c.scratch)
 		peak := 0.0
 		for _, run := range cc.total {

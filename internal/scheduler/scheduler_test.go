@@ -34,6 +34,27 @@ func policyFor(t testing.TB, specs ...*gamesim.GameSpec) *CoCG {
 	return New(bundles, Config{})
 }
 
+// admits reports whether the policy would place the game on the server.
+func admits(p *CoCG, srv *platform.Server, spec *gamesim.GameSpec, habit int64) bool {
+	_, ok := p.Score(srv, spec, habit)
+	return ok
+}
+
+// aside runs f with every server's PolicyState set aside and puts it back
+// afterwards: a reference or observing policy that scores the servers inside f
+// works through throwaway caches, so the long-lived cache under test is never
+// displaced.
+func aside(servers []*platform.Server, f func()) {
+	kept := make([]any, len(servers))
+	for i, srv := range servers {
+		kept[i], srv.PolicyState = srv.PolicyState, nil
+	}
+	f()
+	for i, srv := range servers {
+		srv.PolicyState = kept[i]
+	}
+}
+
 func TestPolicyName(t *testing.T) {
 	p := policyFor(t, gamesim.Contra())
 	if p.Name() != "CoCG" {
@@ -44,7 +65,7 @@ func TestPolicyName(t *testing.T) {
 func TestAdmitUnknownGame(t *testing.T) {
 	p := policyFor(t, gamesim.Contra())
 	c := platform.NewCluster(1, p)
-	if p.Admit(c.Servers[0], gamesim.CSGO(), 1) {
+	if admits(p, c.Servers[0], gamesim.CSGO(), 1) {
 		t.Error("admitted a game with no trained bundle")
 	}
 	if _, err := p.NewController(gamesim.CSGO(), 1); err == nil {
@@ -56,7 +77,7 @@ func TestAdmitEmptyServer(t *testing.T) {
 	p := policyFor(t, gamesim.Contra(), gamesim.DevilMayCry())
 	c := platform.NewCluster(1, p)
 	for _, g := range []*gamesim.GameSpec{gamesim.Contra(), gamesim.DevilMayCry()} {
-		if !p.Admit(c.Servers[0], g, 1) {
+		if !admits(p, c.Servers[0], g, 1) {
 			t.Errorf("empty server rejected %s", g.Name)
 		}
 	}
@@ -71,7 +92,7 @@ func TestAdmitRejectsOverload(t *testing.T) {
 	srv := c.Servers[0]
 	placed := 0
 	for i := int64(0); i < 4; i++ {
-		if !p.Admit(srv, spec, i) {
+		if !admits(p, srv, spec, i) {
 			break
 		}
 		sess, err := gamesim.NewSession(spec, 2, 100+i)
@@ -227,10 +248,10 @@ func TestPeakDepthGuard(t *testing.T) {
 		c.Tick()
 	}
 
-	if p.Admit(srv, ga, 2) {
+	if admits(p, srv, ga, 2) {
 		t.Error("Genshin admitted next to Devil May Cry (peak sum breaks the FPS floor)")
 	}
-	if !p.Admit(srv, do, 3) {
+	if !admits(p, srv, do, 3) {
 		t.Error("DOTA2 refused next to Devil May Cry (the paper's featured pair)")
 	}
 }
@@ -262,10 +283,10 @@ func TestScorePrefersAdmissibleServers(t *testing.T) {
 // TestCachedEvaluateMatchesFreshRecompute runs a live CoCG cluster — admits,
 // departures, and a predictor stage transition every frame — and repeatedly
 // compares the long-lived policy's cached evaluation against a fresh policy
-// instance with empty caches over the very same servers and controllers. The
-// verdicts, scores, and cached aggregate timelines must agree bit for bit,
-// which is the cache-invalidation contract: the stamp catches every mutation
-// a forecast can depend on. A second long-lived policy instance that never
+// instance scoring through throwaway caches over the very same servers and
+// controllers. The verdicts, scores, and cached aggregate timelines must agree
+// bit for bit, which is the cache-invalidation contract: the stamp catches
+// every mutation a forecast can depend on. A second policy instance that never
 // created a controller scores the same servers and must agree too — the
 // forecast generation lives on the server, not in the placing policy's cache.
 // Every hosted controller was minted by p, so the observer and the fresh
@@ -297,19 +318,26 @@ func TestCachedEvaluateMatchesFreshRecompute(t *testing.T) {
 		}
 		ref := New(bundles, Config{})
 		for _, srv := range c.Servers {
+			var rp *serverCache
 			for i, spec := range specs {
 				gs, gok := p.Score(srv, spec, int64(i))
-				ws, wok := ref.Score(srv, spec, int64(i))
+				var ws, os float64
+				var wok, ook bool
+				aside(c.Servers, func() {
+					ws, wok = ref.Score(srv, spec, int64(i))
+					rp = srv.PolicyState.(*serverCache)
+					os, ook = observer.Score(srv, spec, int64(i))
+				})
 				if gok != wok || gs != ws {
 					t.Fatalf("tick %d server %d %s: cached (%v, %v) != fresh (%v, %v)",
 						tick, srv.ID, spec.Name, gs, gok, ws, wok)
 				}
-				if os, ook := observer.Score(srv, spec, int64(i)); ook != wok || os != ws {
+				if ook != wok || os != ws {
 					t.Fatalf("tick %d server %d %s: observing policy (%v, %v) != fresh (%v, %v)",
 						tick, srv.ID, spec.Name, os, ook, ws, wok)
 				}
 			}
-			cp, rp := p.caches[srv], ref.caches[srv]
+			cp, _ := srv.PolicyState.(*serverCache)
 			if cp == nil || rp == nil || cp.stamp != stampOf(srv) || rp.stamp != cp.stamp {
 				t.Fatalf("tick %d server %d: missing or stale cache after scoring", tick, srv.ID)
 			}
@@ -431,7 +459,7 @@ func TestEvaluateSteadyStateAllocationFree(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() { p.Score(srv, spec, 1) }); n != 0 {
 		t.Errorf("memoized steady-state Score allocates %.1f/op, want 0", n)
 	}
-	cc := p.caches[srv]
+	cc, _ := srv.PolicyState.(*serverCache)
 	if cc == nil || !cc.cacheable {
 		t.Fatal("fixture server unexpectedly uncacheable")
 	}
@@ -463,7 +491,7 @@ func BenchmarkEvaluateSteadyState(b *testing.B) {
 func BenchmarkEvaluateWarmUnmemoized(b *testing.B) {
 	p, srv, spec := evalFixture(b)
 	p.Score(srv, spec, 1)
-	cc := p.caches[srv]
+	cc := srv.PolicyState.(*serverCache)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -94,12 +94,16 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 			fb.Frames = append(fb.Frames, FrameInfo{SizeBytes: uint32(a) + uint32(i), Key: key && i == 0})
 		}
 		envs := []*Envelope{
-			{Type: MsgHello, Hello: &Hello{Game: s, Script: int(a % 100), Habit: b, Proto: int(nframes % 3)}},
-			{Type: MsgAccept, Accept: &Accept{SessionID: a, Server: int(b % 1000), Game: s, Proto: int(a % 3)}},
-			{Type: MsgReject, Reject: &Reject{Reason: s}},
 			{Type: MsgInput, Input: &InputBatch{SessionID: a, Seq: b, Events: int(a % 64), SentAtMS: b, Codes: []byte(s)}},
 			{Type: MsgFrames, Frames: fb},
 			{Type: MsgEnd, End: &SessionStat{SessionID: a, DurationSec: b, AvgFPS: float64(a % 240), FPSRatio: float64(b%100) / 100, Degraded: float64(a%100) / 100}},
+			{Type: MsgSummaryReq, SummaryReq: &SummaryReq{Proto: int(a % 5)}},
+			{Type: MsgSummary, Summary: &ClusterSummary{
+				Proto: int(b % 5), Servers: int(a % 4096), Draining: int(b % 64), LiveSessions: int(a),
+				Pending: int(b), Placements: int(a / 3), Completed: int(b / 3),
+				Headroom: float64(a%1000) / 1000, UtilPct: float64(b % 100),
+				IdleServers: int(nframes % 64), Games: []string{s}, GameDemand: []float64{float64(a%1000) / 8},
+			}},
 		}
 		for _, in := range envs {
 			blob, err := in.AppendTo(nil)
@@ -137,6 +141,10 @@ func FuzzBinaryDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xEE, 1, 2, 3})
 	f.Add([]byte{tagFrames, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x80})
+	// The handshake messages' retired tags, which decode as unknown.
+	for tag := byte(1); tag <= 3; tag++ {
+		f.Add([]byte{tag, 0})
+	}
 	// A summary of the retired version-2 length: the one input that is a
 	// known error rather than "either outcome is fine".
 	old := v2LengthSummary(f)

@@ -399,7 +399,7 @@ func TestServingPlacesLikeTheCluster(t *testing.T) {
 		want := s.cluster.PickServer(a)
 		firstFit := -1
 		for _, srv := range s.cluster.Servers {
-			if s.cluster.Policy.Admit(srv, a.Spec, a.Habit) {
+			if _, ok := s.cluster.Policy.Score(srv, a.Spec, a.Habit); ok {
 				firstFit = srv.ID
 				break
 			}

@@ -53,12 +53,11 @@ func unsupportedProto(offered int) string {
 // cannot make the reader allocate unbounded memory.
 const maxWireFrame = 1 << 20
 
-// Binary message tags, one per MsgType.
+// Binary message tags, one per message type of the binary phase. Hello,
+// Accept and Reject travel only in the JSON handshake: their old tags 1–3 are
+// reserved and decode as unknown.
 const (
-	tagHello byte = iota + 1
-	tagAccept
-	tagReject
-	tagInput
+	tagInput byte = iota + 4
 	tagFrames
 	tagEnd
 	tagSummaryReq
@@ -78,22 +77,6 @@ func (e *Envelope) AppendTo(buf []byte) ([]byte, error) {
 	buf = append(buf, 0, 0, 0, 0) // length prefix, patched below
 	var err error
 	switch e.Type {
-	case MsgHello:
-		buf = append(buf, tagHello)
-		buf = appendString(buf, e.Hello.Game)
-		buf = appendSvarint(buf, int64(e.Hello.Script))
-		buf = appendSvarint(buf, e.Hello.Habit)
-		buf = appendSvarint(buf, int64(e.Hello.Proto))
-	case MsgAccept:
-		buf = append(buf, tagAccept)
-		buf = appendSvarint(buf, e.Accept.SessionID)
-		buf = appendSvarint(buf, int64(e.Accept.Server))
-		buf = appendString(buf, e.Accept.Game)
-		buf = appendSvarint(buf, int64(e.Accept.Proto))
-		buf = appendString(buf, e.Accept.Cluster)
-	case MsgReject:
-		buf = append(buf, tagReject)
-		buf = appendString(buf, e.Reject.Reason)
 	case MsgInput:
 		in := e.Input
 		buf = append(buf, tagInput)
@@ -184,46 +167,6 @@ func (e *Envelope) DecodeFrom(data []byte) error {
 	}
 	r := wireReader{data: data[1:]}
 	switch data[0] {
-	case tagHello:
-		h := e.Hello
-		if h == nil {
-			h = &Hello{} //cocg:lint-ignore hotalloc first-decode payload; pooled envelopes reuse the attached struct in steady state
-		}
-		h.Game = r.str()
-		h.Script = int(r.svarint())
-		h.Habit = r.svarint()
-		h.Proto = int(r.svarint())
-		if !r.done() {
-			return r.fail()
-		}
-		e.setPayload(MsgHello)
-		e.Hello = h
-	case tagAccept:
-		a := e.Accept
-		if a == nil {
-			a = &Accept{} //cocg:lint-ignore hotalloc first-decode payload; pooled envelopes reuse the attached struct in steady state
-		}
-		a.SessionID = r.svarint()
-		a.Server = int(r.svarint())
-		a.Game = r.str()
-		a.Proto = int(r.svarint())
-		a.Cluster = r.str()
-		if !r.done() {
-			return r.fail()
-		}
-		e.setPayload(MsgAccept)
-		e.Accept = a
-	case tagReject:
-		rej := e.Reject
-		if rej == nil {
-			rej = &Reject{} //cocg:lint-ignore hotalloc first-decode payload; pooled envelopes reuse the attached struct in steady state
-		}
-		rej.Reason = r.str()
-		if !r.done() {
-			return r.fail()
-		}
-		e.setPayload(MsgReject)
-		e.Reject = rej
 	case tagInput:
 		in := e.Input
 		if in == nil {

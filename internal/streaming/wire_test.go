@@ -14,12 +14,10 @@ import (
 	"cocg/internal/core"
 )
 
-// wireEnvelopes is one of every message type with every field exercised.
+// wireEnvelopes is one of every binary-phase message type with every field
+// exercised.
 func wireEnvelopes() []*Envelope {
 	return []*Envelope{
-		{Type: MsgHello, Hello: &Hello{Game: "Contra", Script: 2, Habit: -77, Proto: ProtoBinary3}},
-		{Type: MsgAccept, Accept: &Accept{SessionID: 9, Server: 1, Game: "Genshin Impact", Proto: ProtoBinary3, Cluster: "us-east"}},
-		{Type: MsgReject, Reject: &Reject{Reason: "no server can host this game right now"}},
 		{Type: MsgInput, Input: &InputBatch{SessionID: 9, Seq: 41, Events: 3, SentAtMS: 171234, Codes: []byte{7, 14, 21}}},
 		{Type: MsgFrames, Frames: &FrameBatch{
 			SessionID: 9, Seq: 5, FPS: 59.5, BitrateKbps: 8123.25, Stage: 3,
@@ -95,7 +93,7 @@ func TestBinaryDecodeReusesStorage(t *testing.T) {
 }
 
 func TestBinaryDecodeRejectsCorruptInput(t *testing.T) {
-	good, err := wireEnvelopes()[4].AppendTo(nil) // frames
+	good, err := wireEnvelopes()[1].AppendTo(nil) // frames
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,9 +104,13 @@ func TestBinaryDecodeRejectsCorruptInput(t *testing.T) {
 		"truncated":       body[:len(body)-3],
 		"trailing bytes":  append(append([]byte{}, body...), 0, 0),
 		"huge count":      {tagFrames, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x80},
-		"string overrun":  {tagHello, 0xFF, 0x01, 'x'},
+		"bytes overrun":   {tagInput, 0, 0, 0, 0, 0xFF, 0x01, 'x'},
 		"frames no float": {tagFrames, 2, 2, 1, 2},
 		"v2 summary":      v2LengthSummary(t),
+		// The handshake messages' retired tags.
+		"tag 1 (hello)":  {1, 0},
+		"tag 2 (accept)": {2, 0},
+		"tag 3 (reject)": {3, 0},
 	}
 	for name, data := range cases {
 		var e Envelope
@@ -215,7 +217,7 @@ func TestConnBinaryConversation(t *testing.T) {
 			_, err = cb.Recv() // binary input batch
 		}
 		if err == nil {
-			err = cb.Send(wireEnvelopes()[4]) // binary frames
+			err = cb.Send(wireEnvelopes()[1]) // binary frames
 		}
 		done <- err
 	}()
@@ -228,14 +230,14 @@ func TestConnBinaryConversation(t *testing.T) {
 		t.Fatalf("accept: %v %v", acc, err)
 	}
 	ca.SetProto(NegotiateProto(ProtoBinary3, acc.Accept.Proto))
-	if err := ca.Send(wireEnvelopes()[3]); err != nil {
+	if err := ca.Send(wireEnvelopes()[0]); err != nil {
 		t.Fatal(err)
 	}
 	frames, err := ca.Recv()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(frames, wireEnvelopes()[4]) {
+	if !reflect.DeepEqual(frames, wireEnvelopes()[1]) {
 		t.Errorf("binary frames changed in flight: %+v", frames)
 	}
 	if err := <-done; err != nil {

@@ -11,8 +11,10 @@ import (
 // nopPolicy admits nothing, so arrivals pile up in Pending.
 type nopPolicy struct{}
 
-func (nopPolicy) Name() string                                          { return "nop" }
-func (nopPolicy) Admit(*platform.Server, *gamesim.GameSpec, int64) bool { return false }
+func (nopPolicy) Name() string { return "nop" }
+func (nopPolicy) Score(*platform.Server, *gamesim.GameSpec, int64) (float64, bool) {
+	return 0, false
+}
 func (nopPolicy) NewController(*gamesim.GameSpec, int64) (platform.Controller, error) {
 	return nil, nil
 }
