@@ -26,7 +26,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:9555", "listen address")
 	servers := flag.Int("servers", 2, "backend game servers")
 	policy := flag.String("policy", "cocg", "scheduling policy")
-	speed := flag.Float64("speed", 100, "simulation speed: virtual seconds per real second")
+	speed := flag.Float64("speed", 100, "simulation speed: virtual seconds per real second, held on average (a late tick is caught up, up to 10 virtual seconds at once; seconds beyond that are skipped and counted in cocg_stream_ticks_skipped_total)")
 	seed := flag.Int64("seed", 1, "random seed")
 	bundle := flag.String("bundle", "", "load a pre-trained system from this cocg-train bundle instead of training")
 	metricsAddr := flag.String("metrics", "", "serve /metrics and /status on this address (e.g. :9556)")

@@ -207,6 +207,9 @@ func (g *GAugur) Regulate(*platform.Server) {}
 // is exactly the gap prediction closes.
 type Reactive struct {
 	profiles profiles
+	// admitReq is each game's duration-weighted mean footprint, scaled by
+	// reactiveScale: what Score adds to a server's requests.
+	admitReq map[string]resources.Vector
 }
 
 // reactiveScale and reactiveAbs pad the measured frame into the next request.
@@ -217,7 +220,21 @@ const (
 
 // NewReactive builds the reactive policy over the games' offline profiles.
 func NewReactive(ps []*profiler.Profile) *Reactive {
-	return &Reactive{profiles: toProfiles(ps)}
+	r := &Reactive{profiles: toProfiles(ps), admitReq: make(map[string]resources.Vector, len(ps))}
+	for _, p := range ps {
+		var mean resources.Vector
+		var n float64
+		for _, s := range p.Catalog {
+			w := s.MeanDurFrames * float64(s.Count)
+			mean = mean.Add(s.Mean.Scale(w))
+			n += w
+		}
+		if n > 0 {
+			mean = mean.Scale(1 / n)
+		}
+		r.admitReq[p.Game] = mean.Scale(reactiveScale)
+	}
+	return r
 }
 
 // Name implements platform.Policy.
@@ -227,21 +244,11 @@ func (r *Reactive) Name() string { return "Reactive" }
 // mean consumption must fit (it cannot see the future, so it bets on means).
 // Placement is first fit: every admitting server scores 0.
 func (r *Reactive) Score(srv *platform.Server, spec *gamesim.GameSpec, habit int64) (float64, bool) {
-	p, ok := r.profiles[spec.Name]
+	req, ok := r.admitReq[spec.Name]
 	if !ok {
 		return 0, false
 	}
-	var mean resources.Vector
-	var n float64
-	for _, s := range p.Catalog {
-		w := s.MeanDurFrames * float64(s.Count)
-		mean = mean.Add(s.Mean.Scale(w))
-		n += w
-	}
-	if n > 0 {
-		mean = mean.Scale(1 / n)
-	}
-	return 0, srv.RequestTotal().Add(mean.Scale(reactiveScale)).Fits(srv.Capacity)
+	return 0, srv.RequestTotal().Add(req).Fits(srv.Capacity)
 }
 
 // reactiveController re-provisions to each completed frame's measurement.

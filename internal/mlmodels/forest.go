@@ -79,8 +79,11 @@ func (f *RandomForest) Fit(ds *Dataset) error {
 	}
 	ts := f.fit.prepare(ds, treeCfg.MaxDepth)
 	roots := make([]int32, f.cfg.NumTrees)
+	// One generator for the fit, re-seeded per tree: Seed forgets the whole
+	// ring, so each tree draws the stream a fresh source would give it.
+	treeRNG := rand.New(lazyrand.NewSource(0))
 	for t, seed := range seeds {
-		treeRNG := rand.New(lazyrand.NewSource(seed))
+		treeRNG.Seed(seed)
 		// Bootstrap sample with replacement: the same n draws the legacy
 		// builder makes, recorded as per-row multiplicities instead of a
 		// duplicated index slice. The root's total weight is n.

@@ -103,6 +103,9 @@ func (g *GBDT) Fit(ds *Dataset) error {
 	probs := make([]float64, k)
 	seeds := make([]int64, k)
 	roots := make([]int32, g.cfg.NumRounds*k) // round-major, then class
+	// One generator for the fit, re-seeded per tree: Seed forgets the whole
+	// ring, so each tree draws the stream a fresh source would give it.
+	classRNG := rand.New(lazyrand.NewSource(0))
 	for round := 0; round < g.cfg.NumRounds; round++ {
 		// Residuals for every class under the current model.
 		for i, s := range ds.Samples {
@@ -122,7 +125,7 @@ func (g *GBDT) Fit(ds *Dataset) error {
 		}
 		roundRoots := roots[round*k : (round+1)*k]
 		for c, seed := range seeds {
-			classRNG := rand.New(lazyrand.NewSource(seed))
+			classRNG.Seed(seed)
 			ts.beginFull()
 			copy(ts.tgt[:n], residuals[c])
 			roundRoots[c] = ts.growReg(g.cfg.Tree, classRNG, 0, n, 0, leaf)

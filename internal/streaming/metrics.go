@@ -32,6 +32,11 @@ type snapshot struct {
 	FramesCoalesced uint64 `json:"frames_coalesced"`
 	FramesDropped   uint64 `json:"frames_dropped"`
 	SummariesServed uint64 `json:"summaries_served"`
+
+	// Pacing counters (monotonic since start): virtual seconds run, and
+	// seconds the tick loop skipped past its catch-up bound.
+	Ticks        uint64 `json:"ticks"`
+	TicksSkipped uint64 `json:"ticks_skipped"`
 }
 
 type serverSnapshot struct {
@@ -62,6 +67,8 @@ func (s *Server) snapshot() snapshot {
 	out.FramesCoalesced = s.framesCoalesced.Load()
 	out.FramesDropped = s.framesDropped.Load()
 	out.SummariesServed = s.summariesServed.Load()
+	out.Ticks = s.ticks.Load()
+	out.TicksSkipped = s.ticksSkipped.Load()
 	return out
 }
 
@@ -84,6 +91,10 @@ func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE cocg_stream_frames_dropped_total counter\ncocg_stream_frames_dropped_total %d\n", snap.FramesDropped)
 	fmt.Fprintf(w, "# HELP cocg_stream_summaries_served_total Cluster load summaries served to coordinators.\n")
 	fmt.Fprintf(w, "# TYPE cocg_stream_summaries_served_total counter\ncocg_stream_summaries_served_total %d\n", snap.SummariesServed)
+	fmt.Fprintf(w, "# HELP cocg_stream_ticks_total Virtual seconds the simulation has run.\n")
+	fmt.Fprintf(w, "# TYPE cocg_stream_ticks_total counter\ncocg_stream_ticks_total %d\n", snap.Ticks)
+	fmt.Fprintf(w, "# HELP cocg_stream_ticks_skipped_total Virtual seconds skipped because the tick loop fell more than two frames behind.\n")
+	fmt.Fprintf(w, "# TYPE cocg_stream_ticks_skipped_total counter\ncocg_stream_ticks_skipped_total %d\n", snap.TicksSkipped)
 	fmt.Fprintf(w, "# HELP cocg_server_hosted Games hosted per backend server.\n")
 	fmt.Fprintf(w, "# TYPE cocg_server_hosted gauge\n")
 	for _, srv := range snap.Servers {

@@ -13,7 +13,8 @@ import (
 func TestMetricsEndpoint(t *testing.T) {
 	s := startServer(t)
 	// Play one quick session so the counters move.
-	if _, err := Play(s.Addr(), ClientConfig{Game: "Contra", Script: 0}); err != nil {
+	stats, err := Play(s.Addr(), ClientConfig{Game: "Contra", Script: 0})
+	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.MetricsHandler())
@@ -32,6 +33,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"cocg_completed_sessions_total 1",
 		"cocg_server_hosted{server=\"0\"}",
 		"cocg_server_utilization{server=\"1\",dim=\"gpu\"}",
+		"cocg_stream_ticks_total ",
+		"cocg_stream_ticks_skipped_total ",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q in:\n%s", want, text)
@@ -49,12 +52,21 @@ func TestMetricsEndpoint(t *testing.T) {
 		Servers    []struct {
 			ID int `json:"id"`
 		} `json:"servers"`
+		Ticks        *uint64 `json:"ticks"`
+		TicksSkipped *uint64 `json:"ticks_skipped"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
 		t.Fatal(err)
 	}
 	if snap.Placements != 1 || snap.Completed != 1 || len(snap.Servers) != 2 {
 		t.Errorf("status = %+v", snap)
+	}
+	if snap.Ticks == nil || snap.TicksSkipped == nil {
+		t.Fatalf("/status lacks the pacing counters: %+v", snap)
+	}
+	// A whole session ran, so the simulation ticked at least that long.
+	if *snap.Ticks < uint64(stats.Final.DurationSec) {
+		t.Errorf("/status ticks = %d after a %d s session", *snap.Ticks, stats.Final.DurationSec)
 	}
 }
 

@@ -23,7 +23,9 @@ type ServerConfig struct {
 	// Servers is the number of backend game servers; <=0 means 2.
 	Servers int
 	// TickEvery is the real duration of one virtual second; <=0 means
-	// 10 ms (a 100x-speed simulation — tests and demos don't wait).
+	// 10 ms (a 100x-speed simulation — tests and demos don't wait). The
+	// server runs every second it owes on this cadence: a late wake-up
+	// catches up back to back, up to two frames at once (see tickLoop).
 	TickEvery time.Duration
 	// SessionSeed seeds arriving sessions.
 	SessionSeed int64
@@ -39,7 +41,8 @@ type ServerConfig struct {
 //
 // Concurrency model: one lock, clusterMu, guards the cluster, placement,
 // the live-session slice and the connection set; the simulation and the
-// delivery walk after it run serially under it on the tick goroutine. The
+// delivery walk after it run serially under it on the tick goroutine, which
+// takes it once per wake-up however many seconds it catches up. The
 // walk builds frame batches in pooled envelopes and pushes them to
 // per-session bounded queues; one writer goroutine per session drains its
 // queue to the wire. Every connection is in the set from Accept until its
@@ -74,6 +77,11 @@ type Server struct {
 	framesCoalesced atomic.Uint64
 	framesDropped   atomic.Uint64
 	summariesServed atomic.Uint64
+
+	// Pacing counters: virtual seconds run, and seconds owed past the
+	// catch-up bound that the tick loop skipped.
+	ticks        atomic.Uint64
+	ticksSkipped atomic.Uint64
 
 	// fleetLoad is the reusable output buffer for the policy's fleet
 	// summary; guarded by clusterMu like the cluster itself.
@@ -127,6 +135,18 @@ func putFramesEnv(e *Envelope) {
 
 // Serve starts a streaming server listening on addr (e.g. "127.0.0.1:0").
 func Serve(addr string, cfg ServerConfig) (*Server, error) {
+	return serve(addr, cfg, tickSource{now: time.Now})
+}
+
+// tickSource wakes the tick loop and tells it the time. A nil wake means a
+// TickEvery ticker; tests inject synthetic wake-ups and a synthetic clock.
+type tickSource struct {
+	wake <-chan time.Time
+	now  func() time.Time
+}
+
+// serve is Serve with an injected tick source.
+func serve(addr string, cfg ServerConfig, src tickSource) (*Server, error) {
 	if cfg.System == nil {
 		return nil, errors.New("streaming: ServerConfig.System is required")
 	}
@@ -154,7 +174,7 @@ func Serve(addr string, cfg ServerConfig) (*Server, error) {
 	s.cluster.SetSink(&s.completed)
 	s.wg.Add(2)
 	go s.acceptLoop()
-	go s.tickLoop()
+	go s.tickLoop(src, src.now())
 	return s, nil
 }
 
@@ -365,38 +385,75 @@ func (s *Server) place(conn *Conn, spec *gamesim.GameSpec, hello *Hello) (*liveS
 	return ls, ""
 }
 
-// tickLoop advances the cluster one virtual second per TickEvery and emits
-// frame batches to every live session.
-func (s *Server) tickLoop() {
+// maxCatchUp bounds the virtual seconds one wake-up may run to catch up:
+// two frames. Seconds owed beyond it are skipped and counted, so a host that
+// cannot keep the cadence falls behind instead of spiralling.
+const maxCatchUp = 2 * int64(simclock.FrameLen)
+
+// catchUp is the fixed-timestep arithmetic: at elapsed real time since the
+// epoch, with done seconds already run or skipped, the loop owes
+// ⌊elapsed/every⌋ − done seconds; it runs up to maxCatchUp of them and
+// skips the rest.
+func catchUp(elapsed, every time.Duration, done int64) (run, skipped int64) {
+	owed := int64(elapsed/every) - done
+	if owed <= 0 {
+		return 0, 0
+	}
+	if owed > maxCatchUp {
+		return maxCatchUp, owed - maxCatchUp
+	}
+	return owed, 0
+}
+
+// tickLoop paces the simulation at one virtual second per TickEvery from
+// epoch. A wake-up that comes late runs every second the loop owes back to
+// back, so virtual time keeps the wall clock's pace instead of losing each
+// late tick.
+func (s *Server) tickLoop(src tickSource, epoch time.Time) {
 	defer s.wg.Done()
-	ticker := time.NewTicker(s.cfg.TickEvery)
-	defer ticker.Stop()
+	wake := src.wake
+	if wake == nil {
+		ticker := time.NewTicker(s.cfg.TickEvery)
+		defer ticker.Stop()
+		wake = ticker.C
+	}
+	var done int64
 	for {
 		select {
 		case <-s.done:
 			return
-		case <-ticker.C:
-			s.tickOnce()
+		case <-wake:
+			run, skipped := catchUp(src.now().Sub(epoch), s.cfg.TickEvery, done)
+			done += run + skipped
+			s.ticksSkipped.Add(uint64(skipped))
+			s.runTicks(run)
 		}
 	}
 }
 
-// tickOnce advances the simulation one second, then walks the live sessions
-// in place: one pooled frame batch per session on frame boundaries and an
-// End for every finished session.
+// tickOnce runs one virtual second.
+func (s *Server) tickOnce() { s.runTicks(1) }
+
+// runTicks runs n virtual seconds under one hold of the cluster lock. Each
+// second advances the simulation, then walks the live sessions in place: one
+// pooled frame batch per session on frame boundaries and an End for every
+// finished session.
 //
 //cocg:hot
-func (s *Server) tickOnce() {
+func (s *Server) runTicks(n int64) {
 	s.clusterMu.Lock()
 	defer s.clusterMu.Unlock()
 	if s.closed {
 		return
 	}
-	s.cluster.Tick()
-	boundary := simclock.IsFrameBoundary(s.cluster.Clock.Now())
-	for _, ls := range s.live {
-		s.emitSession(ls, boundary)
+	for i := int64(0); i < n; i++ {
+		s.cluster.Tick()
+		boundary := simclock.IsFrameBoundary(s.cluster.Clock.Now())
+		for _, ls := range s.live {
+			s.emitSession(ls, boundary)
+		}
 	}
+	s.ticks.Add(uint64(n))
 }
 
 // emitSession delivers one tick's worth of messages to one session: the End
