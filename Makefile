@@ -104,8 +104,9 @@ bench-pairs:
 	bash scripts/bench-pairs.sh $(PARENT) $(WORKLOAD) $(N)
 
 # bench-layers runs the per-layer micro-benchmarks once, with -benchmem, and
-# prints go test's own table: the placement scan, fleet summary and one
-# saturated fleet frame at 128 and 1024 servers, the prediction and
+# prints go test's own table: the placement scan, fleet summary, one
+# saturated fleet frame at 128 and 1024 servers and that 1024-server fleet's
+# placement round (Score calls and ns per round), the prediction and
 # clustering kernels, the whole offline pass (TrainSystem: the end-to-end
 # benchmark's set-up, one game at a time; TrainSystemWorkersMax: games
 # fanned out), the serving path (codec, tick walk), routing, the
@@ -121,5 +122,5 @@ bench-pairs:
 # history only.
 bench-layers:
 	$(GO) test -run '^$$' -benchmem \
-		-bench 'FleetPlacement|FleetFrame|Evaluate|FleetLoad|ClusterLoadFullScan|Predict|KMeans|TrainSystem|Forecast|WireFrameBatch|StreamTick|FleetRoute|ServerTick|(DTC|RF|GBDT)Fit|(Forest|GBDT)Train|NewPlayerSession|SourceSeedAndDraw|VectorFold' \
+		-bench 'FleetPlacement|FleetFrame|FleetRound|Evaluate|FleetLoad|ClusterLoadFullScan|Predict|KMeans|TrainSystem|Forecast|WireFrameBatch|StreamTick|FleetRoute|ServerTick|(DTC|RF|GBDT)Fit|(Forest|GBDT)Train|NewPlayerSession|SourceSeedAndDraw|VectorFold' \
 		. ./internal/...

@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"cocg/internal/cluster"
 	"cocg/internal/core"
@@ -652,8 +653,17 @@ func fleetFrameFor(b *testing.B, servers int) *fleetFrame {
 	if f := fleetFrames[servers]; f != nil {
 		return f
 	}
+	f := newFleetFrame(b, ctxForBench(b).System.NewCluster(servers, core.PolicyCoCG))
+	fleetFrames[servers] = f
+	return f
+}
+
+// newFleetFrame drives the cluster, whose policy must be a FleetSummarizer,
+// to saturation under the fleet's per-server arrival rate.
+func newFleetFrame(b *testing.B, c *platform.Cluster) *fleetFrame {
+	b.Helper()
+	servers := len(c.Servers)
 	ctx := ctxForBench(b)
-	c := ctx.System.NewCluster(servers, core.PolicyCoCG)
 	c.StarveLimit = 5 * simclock.Minute
 	f := &fleetFrame{
 		c:      c,
@@ -666,7 +676,6 @@ func fleetFrameFor(b *testing.B, servers int) *fleetFrame {
 	if len(c.Pending) == 0 {
 		b.Fatalf("%d servers: the queue is empty after %d frames; the fleet is not saturated", servers, fleetFrameWarm)
 	}
-	fleetFrames[servers] = f
 	return f
 }
 
@@ -695,3 +704,65 @@ func benchFleetFrame(b *testing.B, servers int) {
 
 func BenchmarkFleetFrame128(b *testing.B) { benchFleetFrame(b, 128) }
 func BenchmarkFleetFrame1k(b *testing.B)  { benchFleetFrame(b, 1024) }
+
+// --- One placement round ---
+//
+// A frame that starts on a boundary with arrivals pending runs exactly one
+// placement round (Cluster.tryPlace) and then ticks. roundProbe wraps the
+// fleet's CoCG policy to count the round's Score calls and to time it: the
+// round runs from the frame's start to the frame's first Regulate, which
+// follows the first server's controller ticks. It forwards FleetSummarizer so
+// the frame's poll still runs.
+
+type roundProbe struct {
+	platform.Policy
+	calls   int
+	start   time.Time
+	open    bool
+	elapsed time.Duration
+}
+
+func (p *roundProbe) Score(srv *platform.Server, spec *gamesim.GameSpec) (float64, bool) {
+	p.calls++
+	return p.Policy.Score(srv, spec)
+}
+
+func (p *roundProbe) Regulate(srv *platform.Server) {
+	if p.open {
+		p.elapsed += time.Since(p.start)
+		p.open = false
+	}
+	p.Policy.Regulate(srv)
+}
+
+func (p *roundProbe) FleetLoadInto(servers []*platform.Server, out *platform.FleetLoad) bool {
+	return p.Policy.(platform.FleetSummarizer).FleetLoadInto(servers, out)
+}
+
+var (
+	fleetRound      *fleetFrame
+	fleetRoundProbe *roundProbe
+)
+
+// BenchmarkFleetRound1k runs the saturated 1024-server fleet one frame per
+// iteration and reports what that frame's placement round cost: its Score
+// calls and its wall time. ns/op is the whole frame, as in FleetFrame1k.
+func BenchmarkFleetRound1k(b *testing.B) {
+	if fleetRound == nil {
+		probe := &roundProbe{Policy: ctxForBench(b).System.Policy(core.PolicyCoCG)}
+		fleetRound, fleetRoundProbe = newFleetFrame(b, platform.NewCluster(fleetServers, probe)), probe
+	}
+	f, p := fleetRound, fleetRoundProbe
+	p.calls, p.elapsed = 0, 0
+	pending := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pending += len(f.c.Pending)
+		p.start, p.open = time.Now(), true
+		f.frame(b)
+	}
+	b.ReportMetric(float64(p.calls)/float64(b.N), "score-calls/round")
+	b.ReportMetric(float64(p.elapsed.Nanoseconds())/float64(b.N), "ns/round")
+	b.ReportMetric(float64(pending)/float64(b.N), "pending/round")
+}

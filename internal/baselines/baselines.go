@@ -73,7 +73,7 @@ func (v *VBP) reservation(game string) (resources.Vector, bool) {
 // remaining capacity covers its 90 %-of-peak reservation, on the first server
 // where it does (every admitting server scores 0). VBP reservations are
 // admission-time vectors, not runtime caps.
-func (v *VBP) Score(srv *platform.Server, spec *gamesim.GameSpec, habit int64) (float64, bool) {
+func (v *VBP) Score(srv *platform.Server, spec *gamesim.GameSpec) (float64, bool) {
 	res, ok := v.reservation(spec.Name)
 	if !ok {
 		return 0, false
@@ -162,7 +162,7 @@ func (g *GAugur) limit(game string) (resources.Vector, bool) {
 // refuses heavy pairs outright (the paper: for DOTA2 + Devil May Cry "other
 // solutions can only be executed individually"). Placement is first fit:
 // every admitting server scores 0.
-func (g *GAugur) Score(srv *platform.Server, spec *gamesim.GameSpec, habit int64) (float64, bool) {
+func (g *GAugur) Score(srv *platform.Server, spec *gamesim.GameSpec) (float64, bool) {
 	if srv.NumHosted() >= gaugurMaxGames {
 		return 0, false
 	}
@@ -243,7 +243,7 @@ func (r *Reactive) Name() string { return "Reactive" }
 // Score implements platform.Policy: current requests plus the newcomer's
 // mean consumption must fit (it cannot see the future, so it bets on means).
 // Placement is first fit: every admitting server scores 0.
-func (r *Reactive) Score(srv *platform.Server, spec *gamesim.GameSpec, habit int64) (float64, bool) {
+func (r *Reactive) Score(srv *platform.Server, spec *gamesim.GameSpec) (float64, bool) {
 	req, ok := r.admitReq[spec.Name]
 	if !ok {
 		return 0, false

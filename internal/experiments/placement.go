@@ -19,8 +19,8 @@ type firstFit struct {
 }
 
 // Score implements platform.Policy.
-func (f *firstFit) Score(srv *platform.Server, spec *gamesim.GameSpec, habit int64) (float64, bool) {
-	_, ok := f.Policy.Score(srv, spec, habit)
+func (f *firstFit) Score(srv *platform.Server, spec *gamesim.GameSpec) (float64, bool) {
+	_, ok := f.Policy.Score(srv, spec)
 	return 0, ok
 }
 

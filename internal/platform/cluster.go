@@ -49,6 +49,9 @@ type Cluster struct {
 
 	// Logf, when non-nil, receives diagnostic messages (dropped arrivals).
 	Logf func(format string, args ...any)
+
+	// round is the current placement round's scoreboard.
+	round scoreboard
 }
 
 // NewCluster builds a cluster of n full-capacity servers under the policy.
@@ -131,30 +134,19 @@ type FleetSummarizer interface {
 	FleetLoadInto(servers []*Server, out *FleetLoad) bool
 }
 
-// pickServer chooses the server for an arrival: the admitting, non-draining
-// server with the highest score. The scan is one serial pass in server order
-// with a strict >, so exact score ties go to the earliest server.
-func (c *Cluster) pickServer(a Arrival) *Server {
-	var best *Server
-	bestScore := 0.0
-	for _, srv := range c.Servers {
-		if srv.Draining {
-			continue
-		}
-		if s, ok := c.Policy.Score(srv, a.Spec, a.Habit); ok && (best == nil || s > bestScore) {
-			best, bestScore = srv, s
-		}
-	}
-	return best
-}
-
 // PickServer returns the server the policy would place the arrival on right
 // now — the highest-scoring admitting one, as Place would pick — without
-// placing it; nil when no server admits it. It is the dry-run entry point the
-// fleet benchmarks and placement property tests drive. Scoring may refill a
-// policy's per-server state (Server.PolicyState), never the cluster's.
+// placing it; nil when no server admits it. It is a one-arrival placement
+// round (every server scored once), the dry-run entry point the fleet
+// benchmarks and placement property tests drive. Scoring may refill a
+// policy's per-server state (Server.PolicyState), never the cluster's
+// servers.
 func (c *Cluster) PickServer(a Arrival) *Server {
-	return c.pickServer(a)
+	c.round.begin()
+	if i := c.pick(a.Spec); i >= 0 {
+		return c.Servers[i]
+	}
+	return nil
 }
 
 // Drain marks a server as draining; returns false for an unknown ID.
@@ -179,18 +171,27 @@ func (c *Cluster) Undrain(serverID int) bool {
 	return false
 }
 
-// Place runs the distributor for one arrival and hosts it: pickServer, then
-// the session, its controller and Server.Add. It counts Placements and
-// FailedPlacements. It returns nil, nil, nil when no server admits the
-// arrival; an arrival that won a server but could not be materialized
-// (malformed script index, controller construction error) returns that
-// server with the error. The simulation queue and the streaming front end
-// both place through it.
+// Place runs the distributor for one arrival and hosts it: a one-arrival
+// placement round picks the server, then the session, its controller and
+// Server.Add. It counts Placements and FailedPlacements. It returns nil, nil,
+// nil when no server admits the arrival; an arrival that won a server but
+// could not be materialized (malformed script index, controller construction
+// error) returns that server with the error. The simulation queue and the
+// streaming front end both place through it.
 func (c *Cluster) Place(a Arrival) (*Server, *Hosted, error) {
-	srv := c.pickServer(a)
-	if srv == nil {
+	c.round.begin()
+	return c.place(a)
+}
+
+// place is Place inside the current round: the round's scoreboard picks the
+// server, and a session hosted here is logged so the round's boards re-score
+// that server before their next pick.
+func (c *Cluster) place(a Arrival) (*Server, *Hosted, error) {
+	i := c.pick(a.Spec)
+	if i < 0 {
 		return nil, nil, nil
 	}
+	srv := c.Servers[i]
 	sess, err := gamesim.NewPlayerSession(a.Spec, a.Script, a.Habit, a.SessionSeed)
 	if err != nil {
 		c.FailedPlacements++
@@ -204,16 +205,18 @@ func (c *Cluster) Place(a Arrival) (*Server, *Hosted, error) {
 		return srv, nil, err
 	}
 	c.Placements++
+	c.round.hosted = append(c.round.hosted, i)
 	return srv, srv.Add(a.Spec, sess, ctl), nil
 }
 
-// tryPlace attempts to place pending arrivals FIFO; each arrival is offered
-// to every server once per attempt round. An arrival that wins a server
-// leaves the queue even when it cannot be materialized — retrying it would
-// fail identically. With StarveLimit set, an arrival that has waited past it
-// blocks younger arrivals until it lands, so a heavy game is never starved
-// by a stream of small ones.
+// tryPlace is one placement round: it attempts to place pending arrivals
+// FIFO, each offered to every admitting server through the round's
+// scoreboard. An arrival that wins a server leaves the queue even when it
+// cannot be materialized — retrying it would fail identically. With
+// StarveLimit set, an arrival that has waited past it blocks younger arrivals
+// until it lands, so a heavy game is never starved by a stream of small ones.
 func (c *Cluster) tryPlace() {
+	c.round.begin()
 	remaining := c.Pending[:0]
 	blocked := false
 	for _, a := range c.Pending {
@@ -221,7 +224,7 @@ func (c *Cluster) tryPlace() {
 			remaining = append(remaining, a)
 			continue
 		}
-		if srv, _, _ := c.Place(a); srv != nil {
+		if srv, _, _ := c.place(a); srv != nil {
 			continue
 		}
 		c.RejectedTicks++
@@ -268,4 +271,118 @@ func (c *Cluster) RunningSessions() int {
 		n += srv.NumHosted()
 	}
 	return n
+}
+
+// scoreboard holds one placement round's verdicts: one board per game offered
+// in the round, each indexed by server position. Inside a round the clock
+// does not move and no server ticks, so Server.Add is the only thing that
+// changes a server, and Policy.Score is a function of the server and the
+// game. A board filled by one scan therefore stays exact except at the
+// servers that hosted a session since, and those are re-scored before the
+// board's next pick. An arrival that wins a server but cannot be materialized
+// changes nothing, so the next arrival of its game wins the same server, as a
+// fresh scan would. The slices are reused across rounds, so a warm round that
+// places nothing allocates nothing.
+type scoreboard struct {
+	boards []board
+	// hosted lists, in order, the positions of the servers that hosted a
+	// session this round.
+	hosted []int
+}
+
+// board is one game's verdicts over the fleet, indexed by server position.
+type board struct {
+	spec  *gamesim.GameSpec
+	score []float64
+	ok    []bool
+	// seen is the prefix of scoreboard.hosted the board is up to date with.
+	seen int
+}
+
+// begin opens a new round: every verdict of the last one is stale.
+func (r *scoreboard) begin() {
+	r.boards = r.boards[:0]
+	r.hosted = r.hosted[:0]
+}
+
+// find returns the round's board for spec, nil when the round has none yet.
+func (r *scoreboard) find(spec *gamesim.GameSpec) *board {
+	for i := range r.boards {
+		if r.boards[i].spec == spec {
+			return &r.boards[i]
+		}
+	}
+	return nil
+}
+
+// open adds an empty board for spec over n servers, reusing the storage a
+// board of an earlier round left behind.
+func (r *scoreboard) open(spec *gamesim.GameSpec, n int) *board {
+	k := len(r.boards)
+	if k == cap(r.boards) || cap(r.boards[:k+1][k].score) < n {
+		r.grow(n)
+	}
+	r.boards = r.boards[:k+1]
+	b := &r.boards[k]
+	b.spec, b.score, b.ok, b.seen = spec, b.score[:n], b.ok[:n], len(r.hosted)
+	return b
+}
+
+// grow makes room for one more board of n servers. It runs only when a round
+// offers more games, or the fleet has more servers, than any round before (a
+// cold event, never steady state); noinline keeps its allocations from being
+// attributed into the //cocg:hot pick by inlining.
+//
+//go:noinline
+func (r *scoreboard) grow(n int) {
+	k := len(r.boards)
+	if k == cap(r.boards) {
+		r.boards = append(r.boards, board{})[:k]
+	}
+	if b := &r.boards[:k+1][k]; cap(b.score) < n {
+		b.score, b.ok = make([]float64, n), make([]bool, n)
+	}
+}
+
+// pick returns the position of the server the round places an arrival of
+// spec on — the admitting, non-draining server with the highest score, exact
+// ties going to the earliest — or -1 when none admits it. The round's first
+// arrival of a game fills that game's board with one scan; a later one
+// re-scores only the servers that hosted a session since the board was last
+// brought up to date. The argmax is one pass in server order with a strict >.
+//
+//cocg:hot
+func (c *Cluster) pick(spec *gamesim.GameSpec) int {
+	r := &c.round
+	b := r.find(spec)
+	if b == nil {
+		b = r.open(spec, len(c.Servers))
+		for i := range c.Servers {
+			c.rate(b, i)
+		}
+	} else {
+		for _, i := range r.hosted[b.seen:] {
+			c.rate(b, i)
+		}
+		b.seen = len(r.hosted)
+	}
+	best := -1
+	for i, ok := range b.ok {
+		if ok && (best < 0 || b.score[i] > b.score[best]) {
+			best = i
+		}
+	}
+	return best
+}
+
+// rate writes the verdict for the server at position i into the board; a
+// draining server does not admit and is never asked.
+//
+//cocg:hot
+func (c *Cluster) rate(b *board, i int) {
+	if srv := c.Servers[i]; !srv.Draining {
+		b.score[i], b.ok[i] = c.Policy.Score(srv, b.spec)
+	} else {
+		b.score[i], b.ok[i] = 0, false
+	}
 }

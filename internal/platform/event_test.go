@@ -53,7 +53,7 @@ type countedPolicy interface {
 type steadyTestPolicy struct{ regulates int64 }
 
 func (p *steadyTestPolicy) Name() string { return "steady-test" }
-func (p *steadyTestPolicy) Score(srv *platform.Server, spec *gamesim.GameSpec, _ int64) (float64, bool) {
+func (p *steadyTestPolicy) Score(srv *platform.Server, spec *gamesim.GameSpec) (float64, bool) {
 	tot := spec.WorstCaseDemand()
 	for _, h := range srv.Hosted {
 		tot = tot.Add(h.Spec.WorstCaseDemand())
@@ -76,7 +76,7 @@ func (p *steadyTestPolicy) ticks() int64              { return p.regulates }
 type adaptiveTestPolicy struct{ regulates int64 }
 
 func (p *adaptiveTestPolicy) Name() string { return "adaptive-test" }
-func (p *adaptiveTestPolicy) Score(srv *platform.Server, _ *gamesim.GameSpec, _ int64) (float64, bool) {
+func (p *adaptiveTestPolicy) Score(srv *platform.Server, _ *gamesim.GameSpec) (float64, bool) {
 	return 0, len(srv.Hosted) < 3
 }
 func (p *adaptiveTestPolicy) NewController(*gamesim.GameSpec, int64) (platform.Controller, error) {
@@ -317,7 +317,7 @@ func TestRunEventedRejectsUnsortedSchedule(t *testing.T) {
 type visitLogPolicy struct{ visits []int }
 
 func (p *visitLogPolicy) Name() string { return "visit-log" }
-func (p *visitLogPolicy) Score(srv *platform.Server, _ *gamesim.GameSpec, _ int64) (float64, bool) {
+func (p *visitLogPolicy) Score(srv *platform.Server, _ *gamesim.GameSpec) (float64, bool) {
 	return 0, len(srv.Hosted) == 0
 }
 func (p *visitLogPolicy) NewController(*gamesim.GameSpec, int64) (platform.Controller, error) {

@@ -58,7 +58,10 @@ type Policy interface {
 	// well it would fit there: the cluster places it on the admitting server
 	// with the highest score, exact ties going to the earliest in server
 	// order. A scheme with no preference returns (0, ok), which is first fit.
-	Score(srv *Server, spec *gamesim.GameSpec, habit int64) (score float64, ok bool)
+	// The verdict is a function of the server and the game alone: within one
+	// placement round the cluster asks each server once per game and again
+	// only after that server hosts a new session (Cluster's scoreboard).
+	Score(srv *Server, spec *gamesim.GameSpec) (score float64, ok bool)
 	// NewController returns the per-session agent for an admitted game.
 	NewController(spec *gamesim.GameSpec, habit int64) (Controller, error)
 	// Regulate may lower hosted games' requests when the server is about to

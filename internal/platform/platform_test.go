@@ -27,7 +27,7 @@ func (p *passthroughController) Loading() bool { return p.loading }
 type admitAllPolicy struct{ req resources.Vector }
 
 func (a *admitAllPolicy) Name() string { return "admit-all" }
-func (a *admitAllPolicy) Score(*Server, *gamesim.GameSpec, int64) (float64, bool) {
+func (a *admitAllPolicy) Score(*Server, *gamesim.GameSpec) (float64, bool) {
 	return 0, true
 }
 func (a *admitAllPolicy) NewController(*gamesim.GameSpec, int64) (Controller, error) {
@@ -171,7 +171,7 @@ func TestClusterPlacesAndRuns(t *testing.T) {
 // rejectPolicy refuses all admissions.
 type rejectPolicy struct{ admitAllPolicy }
 
-func (r *rejectPolicy) Score(*Server, *gamesim.GameSpec, int64) (float64, bool) { return 0, false }
+func (r *rejectPolicy) Score(*Server, *gamesim.GameSpec) (float64, bool) { return 0, false }
 
 func TestClusterKeepsPendingWhenRejected(t *testing.T) {
 	c := NewCluster(1, &rejectPolicy{})
@@ -316,7 +316,7 @@ type occupancyScorer struct {
 	cap int
 }
 
-func (s *occupancyScorer) Score(srv *Server, spec *gamesim.GameSpec, habit int64) (float64, bool) {
+func (s *occupancyScorer) Score(srv *Server, spec *gamesim.GameSpec) (float64, bool) {
 	if srv.NumHosted() >= s.cap {
 		return 0, false
 	}
@@ -332,7 +332,7 @@ type tableScorer struct {
 	admits []bool
 }
 
-func (s *tableScorer) Score(srv *Server, _ *gamesim.GameSpec, _ int64) (float64, bool) {
+func (s *tableScorer) Score(srv *Server, _ *gamesim.GameSpec) (float64, bool) {
 	if srv.Draining {
 		s.t.Errorf("draining server %d was scored", srv.ID)
 	}

@@ -13,6 +13,10 @@
 // per server and needs no structure of its own. Because it accumulates in
 // server order, its mean headroom carries the bits of ClusterLoadFullScan's,
 // and a rebuild from nothing (FleetLoadFull) reproduces every field exactly.
+// Per-game demand sums each session's forecast one run at a time (fracSum: a
+// multiply per run, not an add per frame), so it is the per-frame sum only to
+// rounding; the memo and the rebuild both fold through fracSum, so they still
+// agree bit for bit.
 package scheduler
 
 import (
@@ -37,18 +41,17 @@ func worstFrac(v, capacity resources.Vector) float64 {
 }
 
 // fracSum is one session's contribution to its game's predicted demand: the
-// worst per-dimension capacity fraction of every forecast frame, summed in
-// frame order. The fraction is computed once per run and re-added Frames
-// times, so the sum keeps the bits of the per-frame fold.
+// worst per-dimension capacity fraction of every forecast frame, summed over
+// the forecast. Each run contributes its fraction times its frame count in one
+// multiply, so the sum can differ from a frame-by-frame fold in its last bits
+// (a relative 1e-12 at most over a horizon; TestFracSumMatchesPerFrameFold).
+// Nothing decides on those bits: GameDemand is an observability figure.
 //
 //cocg:hot
 func fracSum(runs []predictor.Segment, capacity resources.Vector) float64 {
 	var sum float64
 	for i := range runs {
-		w := worstFrac(runs[i].Demand, capacity)
-		for n := runs[i].Frames; n > 0; n-- {
-			sum += w
-		}
+		sum += worstFrac(runs[i].Demand, capacity) * float64(runs[i].Frames)
 	}
 	return sum
 }

@@ -2,10 +2,12 @@ package scheduler
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"cocg/internal/gamesim"
 	"cocg/internal/platform"
+	"cocg/internal/predictor"
 	"cocg/internal/resources"
 )
 
@@ -247,5 +249,36 @@ func TestFleetLoadGameDemandAttribution(t *testing.T) {
 	}
 	if math.Abs(fl.GameDemand[gi]-before) > 1e-12 {
 		t.Errorf("draining dropped demand from %v to %v; sessions still consume", before, fl.GameDemand[gi])
+	}
+}
+
+// TestFracSumMatchesPerFrameFold bounds fracSum's one multiply per run against
+// the frame-by-frame fold it replaced: on random forecasts of 120 frames split
+// into random runs, the two agree to a relative 1e-12.
+func TestFracSumMatchesPerFrameFold(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	for trial := 0; trial < 2000; trial++ {
+		var runs []predictor.Segment
+		for left := 120; left > 0; {
+			n := 1 + rng.Intn(left)
+			var d resources.Vector
+			for k := range d {
+				d[k] = 150 * rng.Float64()
+			}
+			runs = append(runs, predictor.Segment{Frames: n, Demand: d})
+			left -= n
+		}
+		var want float64
+		for _, r := range runs {
+			w := worstFrac(r.Demand, resources.FullServer)
+			for n := 0; n < r.Frames; n++ {
+				want += w
+			}
+		}
+		got := fracSum(runs, resources.FullServer)
+		if rel := math.Abs(got-want) / want; rel > 1e-12 {
+			t.Fatalf("trial %d: fracSum %.17g, per-frame fold %.17g (relative error %.3g over %d runs)",
+				trial, got, want, rel, len(runs))
+		}
 	}
 }

@@ -168,11 +168,11 @@ func TestCacheLookupIgnoresServerIDs(t *testing.T) {
 				for _, srv := range c.Servers {
 					var ws float64
 					var wok bool
-					aside(c.Servers, func() { ws, wok = fresh.Score(srv, spec, int64(i)) })
+					aside(c.Servers, func() { ws, wok = fresh.Score(srv, spec) })
 					if gs, gok := p.ScoreScratch(srv, spec, int64(i), scratch); gs != ws || gok != wok {
 						t.Fatalf("%s: scan of server %p %s: (%v, %v), fresh policy (%v, %v)", label, srv, spec.Name, gs, gok, ws, wok)
 					}
-					if gs, gok := p.Score(srv, spec, int64(i)); gs != ws || gok != wok {
+					if gs, gok := p.Score(srv, spec); gs != ws || gok != wok {
 						t.Fatalf("%s: Score of server %p %s: (%v, %v), fresh policy (%v, %v)", label, srv, spec.Name, gs, gok, ws, wok)
 					}
 				}

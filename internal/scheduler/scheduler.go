@@ -468,7 +468,7 @@ func (c *CoCG) NewController(spec *gamesim.GameSpec, habit int64) (platform.Cont
 // predicted mean satisfaction, tilted toward busier servers (scoreWith).
 //
 //cocg:hot
-func (c *CoCG) Score(srv *platform.Server, spec *gamesim.GameSpec, habit int64) (float64, bool) {
+func (c *CoCG) Score(srv *platform.Server, spec *gamesim.GameSpec) (float64, bool) {
 	return c.scoreWith(srv, spec, &c.scratch)
 }
 

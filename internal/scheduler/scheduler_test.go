@@ -35,8 +35,8 @@ func policyFor(t testing.TB, specs ...*gamesim.GameSpec) *CoCG {
 }
 
 // admits reports whether the policy would place the game on the server.
-func admits(p *CoCG, srv *platform.Server, spec *gamesim.GameSpec, habit int64) bool {
-	_, ok := p.Score(srv, spec, habit)
+func admits(p *CoCG, srv *platform.Server, spec *gamesim.GameSpec) bool {
+	_, ok := p.Score(srv, spec)
 	return ok
 }
 
@@ -65,7 +65,7 @@ func TestPolicyName(t *testing.T) {
 func TestAdmitUnknownGame(t *testing.T) {
 	p := policyFor(t, gamesim.Contra())
 	c := platform.NewCluster(1, p)
-	if admits(p, c.Servers[0], gamesim.CSGO(), 1) {
+	if admits(p, c.Servers[0], gamesim.CSGO()) {
 		t.Error("admitted a game with no trained bundle")
 	}
 	if _, err := p.NewController(gamesim.CSGO(), 1); err == nil {
@@ -77,7 +77,7 @@ func TestAdmitEmptyServer(t *testing.T) {
 	p := policyFor(t, gamesim.Contra(), gamesim.DevilMayCry())
 	c := platform.NewCluster(1, p)
 	for _, g := range []*gamesim.GameSpec{gamesim.Contra(), gamesim.DevilMayCry()} {
-		if !admits(p, c.Servers[0], g, 1) {
+		if !admits(p, c.Servers[0], g) {
 			t.Errorf("empty server rejected %s", g.Name)
 		}
 	}
@@ -92,7 +92,7 @@ func TestAdmitRejectsOverload(t *testing.T) {
 	srv := c.Servers[0]
 	placed := 0
 	for i := int64(0); i < 4; i++ {
-		if !admits(p, srv, spec, i) {
+		if !admits(p, srv, spec) {
 			break
 		}
 		sess, err := gamesim.NewSession(spec, 2, 100+i)
@@ -248,10 +248,10 @@ func TestPeakDepthGuard(t *testing.T) {
 		c.Tick()
 	}
 
-	if admits(p, srv, ga, 2) {
+	if admits(p, srv, ga) {
 		t.Error("Genshin admitted next to Devil May Cry (peak sum breaks the FPS floor)")
 	}
-	if !admits(p, srv, do, 3) {
+	if !admits(p, srv, do) {
 		t.Error("DOTA2 refused next to Devil May Cry (the paper's featured pair)")
 	}
 }
@@ -261,7 +261,7 @@ func TestScorePrefersAdmissibleServers(t *testing.T) {
 	p := policyFor(t, spec)
 	c := platform.NewCluster(2, p)
 	// Score must be ok on an empty server and carry a consolidation bias.
-	s0, ok0 := p.Score(c.Servers[0], spec, 1)
+	s0, ok0 := p.Score(c.Servers[0], spec)
 	if !ok0 {
 		t.Fatal("empty server not scorable")
 	}
@@ -271,7 +271,7 @@ func TestScorePrefersAdmissibleServers(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		c.Tick()
 	}
-	s1, ok1 := p.Score(c.Servers[1], spec, 2)
+	s1, ok1 := p.Score(c.Servers[1], spec)
 	if !ok1 {
 		t.Fatal("busy-but-light server not scorable")
 	}
@@ -319,14 +319,14 @@ func TestCachedEvaluateMatchesFreshRecompute(t *testing.T) {
 		ref := New(bundles, Config{})
 		for _, srv := range c.Servers {
 			var rp *serverCache
-			for i, spec := range specs {
-				gs, gok := p.Score(srv, spec, int64(i))
+			for _, spec := range specs {
+				gs, gok := p.Score(srv, spec)
 				var ws, os float64
 				var wok, ook bool
 				aside(c.Servers, func() {
-					ws, wok = ref.Score(srv, spec, int64(i))
+					ws, wok = ref.Score(srv, spec)
 					rp = srv.PolicyState.(*serverCache)
-					os, ook = observer.Score(srv, spec, int64(i))
+					os, ook = observer.Score(srv, spec)
 				})
 				if gok != wok || gs != ws {
 					t.Fatalf("tick %d server %d %s: cached (%v, %v) != fresh (%v, %v)",
@@ -455,8 +455,8 @@ func evalFixture(tb testing.TB) (*CoCG, *platform.Server, *gamesim.GameSpec) {
 
 func TestEvaluateSteadyStateAllocationFree(t *testing.T) {
 	p, srv, spec := evalFixture(t)
-	p.Score(srv, spec, 1) // fill the cache and memo
-	if n := testing.AllocsPerRun(200, func() { p.Score(srv, spec, 1) }); n != 0 {
+	p.Score(srv, spec) // fill the cache and memo
+	if n := testing.AllocsPerRun(200, func() { p.Score(srv, spec) }); n != 0 {
 		t.Errorf("memoized steady-state Score allocates %.1f/op, want 0", n)
 	}
 	cc, _ := srv.PolicyState.(*serverCache)
@@ -465,14 +465,14 @@ func TestEvaluateSteadyStateAllocationFree(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, func() {
 		clear(cc.memo)
-		p.Score(srv, spec, 1)
+		p.Score(srv, spec)
 	}); n != 0 {
 		t.Errorf("warm unmemoized Score allocates %.1f/op, want 0", n)
 	}
 	// The refill — every frame's first evaluation in a busy fleet.
 	if n := testing.AllocsPerRun(200, func() {
 		cc.stamp = stamp{}
-		p.Score(srv, spec, 1)
+		p.Score(srv, spec)
 	}); n != 0 {
 		t.Errorf("refilling Score allocates %.1f/op, want 0", n)
 	}
@@ -480,22 +480,22 @@ func TestEvaluateSteadyStateAllocationFree(t *testing.T) {
 
 func BenchmarkEvaluateSteadyState(b *testing.B) {
 	p, srv, spec := evalFixture(b)
-	p.Score(srv, spec, 1)
+	p.Score(srv, spec)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Score(srv, spec, 1)
+		p.Score(srv, spec)
 	}
 }
 
 func BenchmarkEvaluateWarmUnmemoized(b *testing.B) {
 	p, srv, spec := evalFixture(b)
-	p.Score(srv, spec, 1)
+	p.Score(srv, spec)
 	cc := srv.PolicyState.(*serverCache)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		clear(cc.memo)
-		p.Score(srv, spec, 1)
+		p.Score(srv, spec)
 	}
 }

@@ -52,6 +52,9 @@ type Server struct {
 	cfg     ServerConfig
 	cluster *platform.Cluster
 	ln      net.Listener
+	// habits is the System's returning-player habit pool per game, built once:
+	// a Hello without a habit is given one from its game's pool.
+	habits map[string][]int64
 
 	// clusterMu guards the cluster, placement state, the tick walk, live,
 	// conns, completed and fleetLoad.
@@ -167,6 +170,7 @@ func serve(addr string, cfg ServerConfig, src tickSource) (*Server, error) {
 		cfg:      cfg,
 		cluster:  cfg.System.NewCluster(cfg.Servers, cfg.Policy),
 		ln:       ln,
+		habits:   cfg.System.HabitPools(),
 		nextSeed: cfg.SessionSeed,
 		conns:    make(map[*Conn]struct{}),
 		done:     make(chan struct{}),
@@ -352,7 +356,7 @@ func (s *Server) place(conn *Conn, spec *gamesim.GameSpec, hello *Hello) (*liveS
 	}
 	habit := hello.Habit
 	if habit == 0 {
-		if pool := s.cfg.System.HabitPools()[spec.Name]; len(pool) > 0 {
+		if pool := s.habits[spec.Name]; len(pool) > 0 {
 			habit = pool[int(s.nextID)%len(pool)]
 		} else {
 			habit = s.nextSeed + 991

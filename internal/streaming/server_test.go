@@ -399,7 +399,7 @@ func TestServingPlacesLikeTheCluster(t *testing.T) {
 		want := s.cluster.PickServer(a)
 		firstFit := -1
 		for _, srv := range s.cluster.Servers {
-			if _, ok := s.cluster.Policy.Score(srv, a.Spec, a.Habit); ok {
+			if _, ok := s.cluster.Policy.Score(srv, a.Spec); ok {
 				firstFit = srv.ID
 				break
 			}
@@ -443,4 +443,45 @@ func TestServingPlacesLikeTheCluster(t *testing.T) {
 		t.Fatalf("all %d placements were first fit: the sequence does not exercise the scorer", placed)
 	}
 	t.Logf("%d placed, %d off first fit", placed, offFirstFit)
+}
+
+// TestServingAssignsPoolHabits pins the habit a Hello without one is given:
+// the n-th session placed plays habit pool[n mod len(pool)] of its game's
+// returning-player pool, the pools the server builds once at start.
+func TestServingAssignsPoolHabits(t *testing.T) {
+	s, err := Serve("127.0.0.1:0", ServerConfig{
+		System: testSystem(t), Policy: core.PolicyCoCG, Servers: 4, TickEvery: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	pools := testSystem(t).HabitPools()
+	specs := []*gamesim.GameSpec{gamesim.Contra(), gamesim.GenshinImpact(), gamesim.Contra()}
+	for n, spec := range specs {
+		nc, err := net.Dial("tcp", s.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close() // the session stays live until the test ends
+		c := NewConn(nc)
+		if err := c.Send(&Envelope{Type: MsgHello, Hello: &Hello{Game: spec.Name, Proto: ProtoBinary3}}); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := c.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reply.Type != MsgAccept {
+			t.Fatalf("session %d (%s): server replied %q, want accept", n, spec.Name, reply.Type)
+		}
+		pool := pools[spec.Name]
+		want := pool[n%len(pool)]
+		s.clusterMu.Lock()
+		got := s.live[len(s.live)-1].hosted.Session.PlayerID
+		s.clusterMu.Unlock()
+		if got != want {
+			t.Fatalf("session %d (%s): plays habit %d, want pool[%d mod %d] = %d", n, spec.Name, got, n, len(pool), want)
+		}
+	}
 }

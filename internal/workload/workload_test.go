@@ -12,7 +12,7 @@ import (
 type nopPolicy struct{}
 
 func (nopPolicy) Name() string { return "nop" }
-func (nopPolicy) Score(*platform.Server, *gamesim.GameSpec, int64) (float64, bool) {
+func (nopPolicy) Score(*platform.Server, *gamesim.GameSpec) (float64, bool) {
 	return 0, false
 }
 func (nopPolicy) NewController(*gamesim.GameSpec, int64) (platform.Controller, error) {
