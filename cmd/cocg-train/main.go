@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"strconv"
 	"time"
 
 	"cocg/internal/core"
@@ -31,26 +30,13 @@ import (
 	"cocg/internal/profiling"
 )
 
-// defaultJobs resolves the -jobs default: the COCG_JOBS environment
-// variable when it parses as a positive integer, else the CPU count. An
-// explicit -jobs flag overrides both.
-func defaultJobs() int {
-	if s := os.Getenv("COCG_JOBS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-		fmt.Fprintf(os.Stderr, "cocg-train: ignoring invalid COCG_JOBS=%q\n", s)
-	}
-	return runtime.NumCPU()
-}
-
 func main() {
 	out := flag.String("o", "system.cocg.gz", "output bundle path")
 	players := flag.Int("players", 12, "players per game in the profiling corpus")
 	sessions := flag.Int("sessions", 4, "sessions per player")
 	seed := flag.Int64("seed", 1, "random seed")
-	jobs := flag.Int("jobs", defaultJobs(),
-		"max games training at once; the trained bundle does not depend on it (flag beats COCG_JOBS env, which beats the CPU-count default)")
+	jobs := flag.Int("jobs", runtime.NumCPU(),
+		"max games training at once; the trained bundle does not depend on it")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()

@@ -14,9 +14,8 @@
 // concurrently (and bounds the worker pool inside training and clustering).
 // Results stream in the fixed presentation order regardless of completion
 // order, and every experiment derives its randomness from -seed alone, so
-// the output is identical at -jobs 1 and -jobs 64. The default comes from
-// the COCG_JOBS environment variable when set, else the CPU count; the
-// explicit flag beats the environment.
+// the output is identical at -jobs 1 and -jobs 64. The default is the CPU
+// count.
 package main
 
 import (
@@ -25,7 +24,6 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -90,27 +88,14 @@ var order = []string{
 	"ablation-interval", "ablation-placement", "ablation-clustering",
 }
 
-// defaultJobs resolves the -jobs default: the COCG_JOBS environment
-// variable when it parses as a positive integer, else the CPU count. An
-// explicit -jobs flag overrides both.
-func defaultJobs() int {
-	if s := os.Getenv("COCG_JOBS"); s != "" {
-		if n, err := strconv.Atoi(s); err == nil && n > 0 {
-			return n
-		}
-		fmt.Fprintf(os.Stderr, "cocg: ignoring invalid COCG_JOBS=%q\n", s)
-	}
-	return runtime.NumCPU()
-}
-
 func main() {
 	seed := flag.Int64("seed", 1, "random seed for the whole run")
 	fast := flag.Bool("fast", false, "shrink corpora and durations for a quick smoke run")
 	list := flag.Bool("list", false, "list experiment names and exit")
 	csvDir := flag.String("csv", "", "also dump figure series as CSV files into this directory")
 	charts := flag.Bool("charts", true, "render ASCII charts for figure series")
-	jobs := flag.Int("jobs", defaultJobs(),
-		"max concurrent experiment jobs and training workers; results do not depend on it (flag beats COCG_JOBS env, which beats the CPU-count default)")
+	jobs := flag.Int("jobs", runtime.NumCPU(),
+		"max concurrent experiment jobs and training workers; results do not depend on it")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()

@@ -28,7 +28,7 @@ func main() {
 	cluster := sys.NewCluster(1, core.PolicyCoCG)
 	cluster.StarveLimit = 5 * simclock.Minute
 	gen := sys.Generator(99)
-	stream := &workload.PairStream{Gen: gen, A: gamesim.GenshinImpact(), B: gamesim.DOTA2(), Backlog: 1}
+	stream := &workload.PairStream{Gen: gen, A: gamesim.GenshinImpact(), B: gamesim.DOTA2()}
 
 	srv := cluster.Servers[0]
 	lastHosted := -1

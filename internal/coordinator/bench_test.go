@@ -28,21 +28,19 @@ func fleetViews(n int) []ClusterView {
 // ns/op is the per-session routing latency the coordinator adds before the
 // first dial; the custom metric is the decision throughput a single
 // goroutine sustains.
-func benchFleetRoute(b *testing.B, n, jobs int) {
+func benchFleetRoute(b *testing.B, n int) {
 	views := fleetViews(n)
 	spec := gamesim.GenshinImpact()
 	var order []int
 	var scores []float64
-	RankInto(views, spec, RouteWeights{}, jobs, &order, &scores) // warm the buffers
+	RankInto(views, spec, RouteWeights{}, 1, &order, &scores) // warm the buffers
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RankInto(views, spec, RouteWeights{}, jobs, &order, &scores)
+		RankInto(views, spec, RouteWeights{}, 1, &order, &scores)
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "decisions/s")
 }
 
-func BenchmarkFleetRoute4(b *testing.B)         { benchFleetRoute(b, 4, 1) }
-func BenchmarkFleetRoute64(b *testing.B)        { benchFleetRoute(b, 64, 1) }
-func BenchmarkFleetRoute64Jobs4(b *testing.B)   { benchFleetRoute(b, 64, 4) }
-func BenchmarkFleetRoute1024Jobs4(b *testing.B) { benchFleetRoute(b, 1024, 4) }
+func BenchmarkFleetRoute4(b *testing.B)  { benchFleetRoute(b, 4) }
+func BenchmarkFleetRoute64(b *testing.B) { benchFleetRoute(b, 64) }

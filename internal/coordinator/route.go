@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"cocg/internal/gamesim"
-	"cocg/internal/parallel"
 )
 
 // ClusterView is the immutable per-cluster snapshot one routing decision
@@ -80,11 +79,6 @@ func LatencySensitivity(spec *gamesim.GameSpec) float64 {
 	return s
 }
 
-// routeChunk is RankInto's fan-out granularity: views are scored in fixed
-// 8-wide chunks so the decomposition — and therefore every float the scan
-// produces — is independent of the worker count.
-const routeChunk = 8
-
 // Rank scores every healthy cluster view and returns their IDs in preference
 // order: primary routing choice first, then each failover candidate. The
 // score is
@@ -104,12 +98,10 @@ func Rank(views []ClusterView, spec *gamesim.GameSpec, w RouteWeights) []int {
 
 // RankInto is Rank with caller-owned storage: order and scores are reset and
 // reused, so a hot routing path allocates nothing in steady state. After the
-// call *order holds the preference-ordered cluster IDs. With jobs > 1 the
-// scoring fans out in fixed chunks and the result is bit-identical at every
-// jobs value. The coordinator never fans out — it routes over a handful of
-// regions; jobs and the fan-out stay only because bench/cocgbench's
-// coordinator.rank_ns probe calls RankInto (with 1), and they go when bench/
-// is next editable (ROADMAP item 2).
+// call *order holds the preference-ordered cluster IDs. The views are scored
+// in one serial loop. jobs is ignored: it stays only because bench/cocgbench's
+// coordinator.rank_ns probe passes it, and it goes when bench/ is next
+// editable (ROADMAP item 2).
 //
 //cocg:hot
 func RankInto(views []ClusterView, spec *gamesim.GameSpec, w RouteWeights, jobs int, order *[]int, scores *[]float64) {
@@ -120,20 +112,9 @@ func RankInto(views []ClusterView, spec *gamesim.GameSpec, w RouteWeights, jobs 
 		*scores = make([]float64, n) //cocg:lint-ignore hotalloc grow path; fires once per fleet-size increase, steady state reuses the buffer
 	}
 	sl := (*scores)[:n]
-	if jobs <= 1 {
-		// Inline serial scan: the steady-state routing path stays off the
-		// allocator (no closure, no fan-out machinery).
-		for i := range views {
-			v := &views[i]
-			sl[i] = v.Headroom - w.Latency*(v.LatencyMS/w.RefLatencyMS)*sens
-		}
-	} else {
-		parallel.ForChunksOf(jobs, n, routeChunk, func(chunk, lo, hi int) { //cocg:lint-ignore hotalloc fan-out closure; only reached when jobs > 1, the serial hot path above stays allocation-free
-			for i := lo; i < hi; i++ {
-				v := &views[i]
-				sl[i] = v.Headroom - w.Latency*(v.LatencyMS/w.RefLatencyMS)*sens
-			}
-		})
+	for i := range views {
+		v := &views[i]
+		sl[i] = v.Headroom - w.Latency*(v.LatencyMS/w.RefLatencyMS)*sens
 	}
 	out := (*order)[:0]
 	for i := range views {
@@ -143,10 +124,7 @@ func RankInto(views []ClusterView, spec *gamesim.GameSpec, w RouteWeights, jobs 
 	}
 	// Deterministic preference order: higher score first, lowest ID on exact
 	// ties. The comparator is a strict total order (IDs are unique), so the
-	// sort's sequence does not depend on its algorithm. It never consults
-	// anything the parallel scan could reorder — scores live in per-view slots
-	// filled by fixed chunks — so the order is bit-identical at every worker
-	// count.
+	// sort's sequence does not depend on its algorithm.
 	slices.SortFunc(out, func(a, b int) int {
 		if sl[a] != sl[b] {
 			if sl[a] > sl[b] {

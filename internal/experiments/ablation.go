@@ -120,7 +120,7 @@ func LoadingStealAblation(ctx *Context) (*StealAblationResult, error) {
 		c := platform.NewCluster(1, pol)
 		c.StarveLimit = 5 * simclock.Minute
 		gen := ctx.System.Generator(ctx.Opt.Seed + 17)
-		stream := &workload.PairStream{Gen: gen, A: gamesim.GenshinImpact(), B: gamesim.DOTA2(), Backlog: 1}
+		stream := &workload.PairStream{Gen: gen, A: gamesim.GenshinImpact(), B: gamesim.DOTA2()}
 		for i := simclock.Seconds(0); i < horizon; i++ {
 			stream.Feed(c)
 			c.Tick()

@@ -44,7 +44,7 @@ func Fig9(ctx *Context) (*Fig9Result, error) {
 	c := ctx.System.NewCluster(1, core.PolicyCoCG)
 	c.StarveLimit = 5 * simclock.Minute
 	gen := ctx.System.Generator(ctx.Opt.Seed + 5)
-	stream := &workload.PairStream{Gen: gen, A: ga, B: do, Backlog: 1}
+	stream := &workload.PairStream{Gen: gen, A: ga, B: do}
 	out := &Fig9Result{}
 	horizon := ctx.horizon()
 	for i := simclock.Seconds(0); i < horizon; i++ {
@@ -163,7 +163,7 @@ func Fig11(ctx *Context) (*Fig11Result, error) {
 			c := ctx.System.NewCluster(1, kind)
 			c.StarveLimit = 5 * simclock.Minute
 			gen := ctx.System.Generator(ctx.Opt.Seed + int64(100+pi))
-			stream := &workload.PairStream{Gen: gen, A: pair[0], B: pair[1], Backlog: 1}
+			stream := &workload.PairStream{Gen: gen, A: pair[0], B: pair[1]}
 			for i := simclock.Seconds(0); i < horizon; i++ {
 				stream.Feed(c)
 				c.Tick()
@@ -266,8 +266,8 @@ func Fig13(ctx *Context) (*Fig13Result, error) {
 		c.StarveLimit = 5 * simclock.Minute
 		gen := ctx.System.Generator(ctx.Opt.Seed + 13)
 		streams := []*workload.PairStream{
-			{Gen: gen, A: games[0], B: games[1], Backlog: 1},
-			{Gen: gen, A: games[2], B: games[3], Backlog: 1},
+			{Gen: gen, A: games[0], B: games[1]},
+			{Gen: gen, A: games[2], B: games[3]},
 		}
 		for i := simclock.Seconds(0); i < horizon; i++ {
 			for _, s := range streams {

@@ -47,7 +47,7 @@ func PairMatrix(ctx *Context) (*PairMatrixResult, error) {
 			c := ctx.System.NewCluster(1, core.PolicyCoCG)
 			c.StarveLimit = 5 * simclock.Minute
 			gen := ctx.System.Generator(ctx.Opt.Seed + int64(i*10+j))
-			stream := &workload.PairStream{Gen: gen, A: a, B: b, Backlog: 1}
+			stream := &workload.PairStream{Gen: gen, A: a, B: b}
 			row := PairMatrixRow{A: a.Name, B: b.Name}
 			for t := simclock.Seconds(0); t < horizon; t++ {
 				stream.Feed(c)

@@ -1,7 +1,11 @@
 // Package parallel is the repo's shared worker-pool substrate: bounded
 // fan-out over units that share nothing — games in the offline pass (Group),
 // K values in the clustering sweep and experiment cells (For) — plus the
-// fixed chunk decomposition the K-means steps walk serially.
+// fixed chunk decomposition the K-means steps walk serially. Nothing beneath
+// those units fans out: a cluster's advance loop, the coordinator's routing
+// scan and one game's training each run on their caller's goroutine, and
+// import guards in the platform package's tests keep this package out of
+// them.
 //
 // Two properties hold everywhere:
 //
@@ -10,9 +14,9 @@
 //     worker trains serially inside it.
 //   - Determinism: work is decomposed the same way regardless of the worker
 //     count. For-loops partition the index space identically at workers=1
-//     and workers=64, and chunk boundaries (ChunkBounds, ChunkBoundsOf)
-//     depend only on the index space, so floating-point reductions that
-//     merge per-chunk partials in chunk order give one result.
+//     and workers=64, and chunk boundaries (ChunkBounds) depend only on the
+//     index space, so floating-point reductions that merge per-chunk
+//     partials in chunk order give one result.
 //
 // Panics inside workers are captured and re-raised on the calling
 // goroutine (wrapped in a *WorkerPanic carrying the original value and the
@@ -36,8 +40,8 @@ func Workers(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// WorkerPanic wraps a panic that escaped a worker goroutine; For,
-// ForChunksOf and Group re-raise it on the caller's goroutine.
+// WorkerPanic wraps a panic that escaped a worker goroutine; For and Group
+// re-raise it on the caller's goroutine.
 type WorkerPanic struct {
 	// Value is the original panic value.
 	Value any
@@ -118,47 +122,6 @@ func ChunkBounds(c, n int) (lo, hi int) {
 		hi = n
 	}
 	return lo, hi
-}
-
-// NumChunksOf is NumChunks under a caller-chosen chunk size: how many
-// size-wide chunks an index space of n decomposes into. size <= 0 falls back
-// to ChunkSize.
-func NumChunksOf(n, size int) int {
-	if size <= 0 {
-		size = ChunkSize
-	}
-	if n <= 0 {
-		return 0
-	}
-	return (n + size - 1) / size
-}
-
-// ChunkBoundsOf is ChunkBounds under a caller-chosen chunk size. Like the
-// fixed-size decomposition, the boundaries depend only on (n, size) — never
-// on the worker count — so order-sensitive reductions that merge per-chunk
-// partials in chunk order stay bit-identical at every parallelism level.
-func ChunkBoundsOf(c, n, size int) (lo, hi int) {
-	if size <= 0 {
-		size = ChunkSize
-	}
-	lo = c * size
-	hi = lo + size
-	if hi > n {
-		hi = n
-	}
-	return lo, hi
-}
-
-// ForChunksOf splits [0, n) into size-wide chunks (ChunkBoundsOf, independent
-// of workers) and runs body(chunk, lo, hi) for each, using at most workers
-// goroutines — e.g. the coordinator scores a large cluster list in 32-wide
-// chunks. Per-chunk state (scratch buffers, partial argmaxes) may be keyed by
-// the chunk index: each chunk runs on exactly one goroutine per call.
-func ForChunksOf(workers, n, size int, body func(chunk, lo, hi int)) {
-	For(workers, NumChunksOf(n, size), func(c int) {
-		lo, hi := ChunkBoundsOf(c, n, size)
-		body(c, lo, hi)
-	})
 }
 
 // Group runs error-returning tasks with bounded concurrency: an errgroup

@@ -206,70 +206,3 @@ func TestGroupPanicPropagation(t *testing.T) {
 	g.Wait()
 	t.Fatal("Wait returned instead of panicking")
 }
-
-func TestForChunksOfFixedBoundaries(t *testing.T) {
-	// Caller-chosen granularity: boundaries depend only on (n, size), never
-	// on the worker count, and tile [0, n) exactly.
-	type span struct{ lo, hi int }
-	for _, size := range []int{1, 32, 100} {
-		n := size*3 + size/2 + 1
-		decompose := func(workers int) []span {
-			out := make([]span, NumChunksOf(n, size))
-			ForChunksOf(workers, n, size, func(c, lo, hi int) { out[c] = span{lo, hi} })
-			return out
-		}
-		ref := decompose(1)
-		for _, workers := range []int{2, 7, 32} {
-			got := decompose(workers)
-			for c := range ref {
-				if got[c] != ref[c] {
-					t.Fatalf("size=%d workers=%d chunk %d = %v, want %v", size, workers, c, got[c], ref[c])
-				}
-			}
-		}
-		covered := 0
-		for c, s := range ref {
-			lo, hi := ChunkBoundsOf(c, n, size)
-			if s.lo != lo || s.hi != hi || s.lo != c*size {
-				t.Errorf("size=%d chunk %d = %v, ChunkBoundsOf says [%d,%d)", size, c, s, lo, hi)
-			}
-			covered += s.hi - s.lo
-		}
-		if covered != n {
-			t.Errorf("size=%d: chunks cover %d of %d indices", size, covered, n)
-		}
-	}
-}
-
-func TestChunkSizeOfFallback(t *testing.T) {
-	// size <= 0 falls back to the fixed ChunkSize decomposition.
-	if NumChunksOf(ChunkSize*2+1, 0) != NumChunks(ChunkSize*2+1) {
-		t.Error("NumChunksOf(size=0) disagrees with NumChunks")
-	}
-	lo, hi := ChunkBoundsOf(1, ChunkSize*2+1, -3)
-	wantLo, wantHi := ChunkBounds(1, ChunkSize*2+1)
-	if lo != wantLo || hi != wantHi {
-		t.Errorf("ChunkBoundsOf fallback [%d,%d), want [%d,%d)", lo, hi, wantLo, wantHi)
-	}
-	if NumChunksOf(0, 8) != 0 || NumChunksOf(-5, 8) != 0 {
-		t.Error("NumChunksOf of empty space should be 0")
-	}
-}
-
-func TestForChunksOfCoversEveryIndexOnce(t *testing.T) {
-	const n, size = 205, 32
-	var mu sync.Mutex
-	seen := make([]int, n)
-	ForChunksOf(4, n, size, func(c, lo, hi int) {
-		mu.Lock()
-		defer mu.Unlock()
-		for i := lo; i < hi; i++ {
-			seen[i]++
-		}
-	})
-	for i, v := range seen {
-		if v != 1 {
-			t.Fatalf("index %d visited %d times", i, v)
-		}
-	}
-}

@@ -69,17 +69,14 @@ func (c *Cluster) Submit(a Arrival) {
 	c.Pending = append(c.Pending, a)
 }
 
-// ScratchScorer is an optional Policy refinement for policies whose scoring
-// needs working buffers: a caller scanning the fleet itself brings its own
-// scratch (created by NewScratch, reused across rounds). ScoreScratch must
-// return exactly what Score would — scratch is storage, never state.
-// The cluster's own scan calls Score; bench/cocgbench's scoreProbe is the only
-// remaining caller, and the interface goes when bench/ is next editable.
+// ScratchScorer was a Policy refinement scoring through caller-owned
+// scratch: ScoreScratch returned exactly what Score would.
+//
+// Deprecated: nothing implements it and the cluster never calls it; the
+// declaration stays only while bench/cocgbench still names it.
 type ScratchScorer interface {
 	Policy
-	// NewScratch returns a fresh scratch for one scoring goroutine.
 	NewScratch() any
-	// ScoreScratch is Score drawing all temporary storage from scratch.
 	ScoreScratch(srv *Server, spec *gamesim.GameSpec, habit int64, scratch any) (score float64, ok bool)
 }
 

@@ -36,19 +36,6 @@ type HardCapper interface {
 	HardCapped() bool
 }
 
-// ForecastNotifier is an optional Controller refinement: a controller whose
-// predicted demand timeline is a pure function of internal state that moves
-// only when the controller completes a detection frame. Server.Add hands such
-// a controller its server's forecast-generation counter, and the controller
-// increments it from Tick each time a frame completes. While
-// Server.ForecastGen and Server.Rev are unchanged, every hosted forecast is
-// unchanged, so a policy may cache aggregates derived from them under that one
-// stamp. Controllers that cannot make this guarantee simply don't implement
-// the interface and are re-read every evaluation.
-type ForecastNotifier interface {
-	NotifyForecast(gen *uint64)
-}
-
 // Policy is a complete co-location scheduling scheme: placement (the
 // distributor), per-game control, and server-level regulation.
 type Policy interface {
@@ -142,12 +129,11 @@ type Server struct {
 	utilTotal resources.Vector
 	// peakUtil tracks the highest total grant observed, for reporting.
 	peakUtil resources.Vector
-	// rev counts membership changes (admissions and departures); forecastGen
-	// counts detection frames completed by hosted ForecastNotifier
-	// controllers. Together they stamp everything a cached per-server
-	// aggregate forecast depends on.
-	rev         uint64
-	forecastGen uint64
+	// rev counts membership changes (admissions and departures) and
+	// SyncTotals calls. With ticks and Draining it stamps everything a cached
+	// per-server aggregate depends on: hosted state moves only inside a tick
+	// or through a revision.
+	rev uint64
 	// ticks counts the non-empty seconds this server has simulated and
 	// uncontended those among them that met tickAt's certificate; the
 	// difference is the seconds on which demand met a cap or capacity.
@@ -162,15 +148,11 @@ type Server struct {
 	PolicyState any
 }
 
-// Rev returns the server's membership revision: it bumps whenever a session
-// is added or swept out, never otherwise. Policies key per-server forecast
-// caches on it.
+// Rev returns the server's revision: it bumps whenever a session is added or
+// swept out and on every SyncTotals, never otherwise. Between ticks, hosted
+// state changes only under a new revision, so a policy may key a per-server
+// cache on (Rev, the first TickCounts result, Draining).
 func (s *Server) Rev() uint64 { return s.rev }
-
-// ForecastGen returns the server's forecast generation: it moves exactly when
-// a hosted ForecastNotifier controller completes a detection frame, so with
-// an unchanged Rev it stamps every hosted forecast in O(1).
-func (s *Server) ForecastGen() uint64 { return s.forecastGen }
 
 // TickCounts returns how many non-empty virtual seconds the server has
 // simulated and how many of those were uncontended: every realised demand
@@ -197,9 +179,6 @@ func (s *Server) Add(spec *gamesim.GameSpec, sess *gamesim.Session, ctl Controll
 	s.nextID++
 	s.rev++
 	s.Hosted = append(s.Hosted, h)
-	if fn, ok := ctl.(ForecastNotifier); ok {
-		fn.NotifyForecast(&s.forecastGen)
-	}
 	return h
 }
 
@@ -222,8 +201,12 @@ func (s *Server) RequestTotal() resources.Vector { return s.reqTotal }
 // SyncTotals re-derives the running request/utilization totals from the
 // hosted list. The tick loop maintains them itself; callers that mutate
 // Hosted state directly (test harnesses crafting a scenario) must call this
-// before probing RequestTotal or Utilization.
-func (s *Server) SyncTotals() { s.recomputeTotals() }
+// before probing RequestTotal or Utilization; it bumps Rev, so caches keyed
+// on it see the change.
+func (s *Server) SyncTotals() {
+	s.rev++
+	s.recomputeTotals()
+}
 
 // recomputeTotals re-derives both running totals with the canonical
 // fold-in-hosted-order sums. Called after membership shrinks: a departed

@@ -203,46 +203,39 @@ func TestServerUtilizationAccessors(t *testing.T) {
 	}
 }
 
-// frameController is a ForecastNotifier that completes a "frame" on every
-// third tick.
-type frameController struct {
-	passthroughController
-	gen   *uint64
-	ticks int
-}
-
-func (f *frameController) NotifyForecast(gen *uint64) { f.gen = gen }
-func (f *frameController) Tick(resources.Vector) resources.Vector {
-	if f.ticks++; f.ticks%3 == 0 {
-		*f.gen++
-	}
-	return f.req
-}
-
-// TestServerAddHandsOutForecastGen: the counter is handed over inside
-// Server.Add itself — callers that bypass Cluster.tryPlace get it too — and
-// only notifying controllers can move it.
-func TestServerAddHandsOutForecastGen(t *testing.T) {
+// TestServerStampsItself pins the server side of the (Rev, ticks) stamp that
+// policy caches key on: a bare Server.Add and SyncTotals move Rev, every
+// non-empty tick moves ticks and nothing else, and an empty tick moves
+// neither.
+func TestServerStampsItself(t *testing.T) {
 	srv, _ := newTestServer(t)
-	addSession(t, srv, gamesim.Contra(), 1, resources.Uniform(30))
-	for i := 0; i < 6; i++ {
-		srv.Tick(&admitAllPolicy{})
+	stamp := func() (uint64, uint64) {
+		ticks, _ := srv.TickCounts()
+		return srv.Rev(), ticks
 	}
-	if got := srv.ForecastGen(); got != 0 {
-		t.Fatalf("ForecastGen = %d with no notifying controller hosted", got)
+	srv.Tick(&admitAllPolicy{})
+	if rev, ticks := stamp(); rev != 0 || ticks != 0 {
+		t.Fatalf("empty tick moved the stamp to (%d, %d)", rev, ticks)
 	}
-	for seed := int64(2); seed <= 3; seed++ {
+	for seed := int64(1); seed <= 2; seed++ {
 		sess, err := gamesim.NewSession(gamesim.Contra(), 0, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv.Add(gamesim.Contra(), sess, &frameController{passthroughController: passthroughController{req: resources.Uniform(30)}})
-	}
-	for i := 1; i <= 7; i++ {
-		srv.Tick(&admitAllPolicy{})
-		if got, want := srv.ForecastGen(), uint64(2*(i/3)); got != want {
-			t.Fatalf("after %d ticks ForecastGen = %d, want %d", i, got, want)
+		srv.Add(gamesim.Contra(), sess, &passthroughController{req: resources.Uniform(30)})
+		if rev, ticks := stamp(); rev != uint64(seed) || ticks != 0 {
+			t.Fatalf("after %d bare Adds the stamp is (%d, %d), want (%d, 0)", seed, rev, ticks, seed)
 		}
+	}
+	for i := uint64(1); i <= 7; i++ {
+		srv.Tick(&admitAllPolicy{})
+		if rev, ticks := stamp(); rev != 2 || ticks != i {
+			t.Fatalf("after %d ticks the stamp is (%d, %d), want (2, %d)", i, rev, ticks, i)
+		}
+	}
+	srv.SyncTotals()
+	if rev, ticks := stamp(); rev != 3 || ticks != 7 {
+		t.Fatalf("after SyncTotals the stamp is (%d, %d), want (3, 7)", rev, ticks)
 	}
 }
 

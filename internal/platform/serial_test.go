@@ -28,12 +28,12 @@ func forbidImports(t *testing.T, dirs []string, forbidden map[string]bool, why s
 }
 
 // TestPlatformRefinements is a ratchet on the optional interfaces the platform
-// discovers by type assertion: its non-test files may assert only the two
-// Controller refinements ForecastNotifier and HardCapper. Placement needs
-// nothing beyond Policy.Score; a new refinement has to be allowed here on
-// purpose.
+// discovers by type assertion: its non-test files may assert only the
+// Controller refinement HardCapper. Placement needs nothing beyond
+// Policy.Score, and a policy cache stamps itself off the server's own
+// counters; a new refinement has to be allowed here on purpose.
 func TestPlatformRefinements(t *testing.T) {
-	allowed := map[string]bool{"ForecastNotifier": true, "HardCapper": true}
+	allowed := map[string]bool{"HardCapper": true}
 	pkg, err := build.ImportDir(".", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestPlatformRefinements(t *testing.T) {
 	}
 	sort.Strings(extra)
 	if len(extra) > 0 {
-		t.Errorf("platform type-asserts %v beyond ForecastNotifier and HardCapper", extra)
+		t.Errorf("platform type-asserts %v beyond HardCapper", extra)
 	}
 }
 
@@ -87,6 +87,15 @@ func TestSimulationCoreIsSerial(t *testing.T) {
 	forbidImports(t, []string{".", "../scheduler", "../baselines"},
 		map[string]bool{"sync": true, "sync/atomic": true, "cocg/internal/parallel": true},
 		"a cluster advances on one goroutine")
+}
+
+// TestRoutingIsSerial keeps the coordinator's routing decision one serial
+// loop: it ranks a handful of regions per session, where a fan-out costs more
+// than the scan it splits.
+func TestRoutingIsSerial(t *testing.T) {
+	forbidImports(t, []string{"../coordinator"},
+		map[string]bool{"cocg/internal/parallel": true},
+		"RankInto scores every region on the caller's goroutine")
 }
 
 // TestTrainingKernelsAreSerial keeps the offline pass's fan-out at the game:

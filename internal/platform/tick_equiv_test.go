@@ -175,7 +175,8 @@ func (f *serverPrint) vec(hosted int, field string, v resources.Vector) {
 
 func fingerprint(srv *platform.Server) *serverPrint {
 	f := &serverPrint{}
-	f.ints(-1, "rev/gen/hosted/records", srv.Rev(), srv.ForecastGen(), uint64(srv.NumHosted()), uint64(len(srv.Records)))
+	ticks, _ := srv.TickCounts()
+	f.ints(-1, "rev/ticks/hosted/records", srv.Rev(), ticks, uint64(srv.NumHosted()), uint64(len(srv.Records)))
 	f.vec(-1, "RequestTotal", srv.RequestTotal())
 	f.vec(-1, "Utilization", srv.Utilization())
 	f.vec(-1, "PeakUtilization", srv.PeakUtilization())

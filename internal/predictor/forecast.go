@@ -20,10 +20,9 @@ func (pr *Predictor) Loading() bool {
 // only inside that step. Two forecasts between identical revisions therefore
 // return identical timelines, which is what lets the distributor cache
 // per-server aggregate forecasts (see scheduler.CoCG) instead of
-// re-forecasting every hosted session for every candidate. The scheduler's
-// controller reports each completed frame to its hosting server
-// (platform.ForecastNotifier), so the cache compares one per-server counter
-// instead of polling this one per session.
+// re-forecasting every hosted session for every candidate. A frame completes
+// only inside a server tick, so the cache compares the server's own tick
+// count (platform.Server.TickCounts) instead of polling this per session.
 func (pr *Predictor) ForecastRev() uint64 { return pr.rev }
 
 // Segment is one run of a forecast timeline: Frames consecutive detection

@@ -1,11 +1,11 @@
 // Fleet load accounting: the backing store for FleetLoadInto. The
 // distributor's per-server forecast caches (scheduler.go) already hold every
-// quantity a fleet summary needs under one (Server.Rev, Server.ForecastGen,
-// horizon, draining) stamp; this file adds a per-server load memo on top of
-// that stamp and folds the memos into the cluster summary in one pass in
-// server order. A poll costs one stamp comparison per server plus a refill
-// of every server whose stamp moved. A busy fleet dirties every hosting
-// server once per frame, so the memo is what a poll costs in practice, and it
+// quantity a fleet summary needs under one (Server.Rev, ticks, Draining)
+// stamp; this file adds a per-server load memo on top of that stamp and folds
+// the memos into the cluster summary in one pass in server order. A poll
+// costs one stamp comparison per server plus a refill of every server whose
+// stamp moved. A busy fleet dirties every hosting server every second, so
+// the memo is what a poll costs in practice, and it
 // is made where the data is hot: a refill whose predecessor's memo was read
 // computes the new one off the runs it has just forecast (refill), and a
 // policy nobody polls never computes any; only the first poll after a quiet
@@ -63,7 +63,7 @@ func fracSum(runs []predictor.Segment, capacity resources.Vector) float64 {
 // did not — nothing had read the previous memo — the server is refilled once
 // more, memo included: the same pure function of the stamped state, so the
 // same aggregates, and only the first poll after a quiet spell pays for it.
-func (c *CoCG) serverLoadMemo(cc *serverCache, srv *platform.Server, es *EvalScratch) {
+func (c *CoCG) serverLoadMemo(cc *serverCache, srv *platform.Server, es *evalScratch) {
 	if !cc.loadValid {
 		c.refill(cc, srv, cc.stamp, es, true)
 	}
@@ -73,8 +73,8 @@ func (c *CoCG) serverLoadMemo(cc *serverCache, srv *platform.Server, es *EvalScr
 // FleetLoadInto implements platform.FleetSummarizer: the per-cluster summary
 // the coordinator tier routes on, with predicted demand broken out per game.
 // Each server's cache is refreshed (O(1) when its stamp has not moved; a
-// membership change, a completed frame or a drain flip rebuilds it, and
-// uncacheable servers rebuild every poll), its load memo is filled if the
+// membership change, a simulated second or a drain flip rebuilds it), its
+// load memo is filled if the
 // refresh did not already make it, and the memo is added into out in server
 // order. A draining server contributes its sessions' demand — they still
 // consume — but no headroom. Out's GameDemand storage is reused across polls

@@ -137,9 +137,8 @@ func FuzzMergeRuns(f *testing.F) {
 // TestCacheLookupIgnoresServerIDs covers the cache lookup where an ID could
 // mislead it: two live servers sharing one Server.ID, then a server replaced
 // in place by a new one with its predecessor's ID. The long-lived policy's
-// verdicts — through a caller's scratch, through Score, through the cluster's
-// pick — and its fleet summary must equal a fresh policy's, which works
-// through throwaway caches.
+// verdicts — through Score and through the cluster's pick — and its fleet
+// summary must equal a fresh policy's, which works through throwaway caches.
 func TestCacheLookupIgnoresServerIDs(t *testing.T) {
 	do, co := gamesim.DOTA2(), gamesim.Contra()
 	specs := []*gamesim.GameSpec{do, co}
@@ -161,7 +160,6 @@ func TestCacheLookupIgnoresServerIDs(t *testing.T) {
 	}
 	check := func(label string) {
 		t.Helper()
-		scratch := p.NewScratch()
 		for round := 0; round < 2; round++ { // cold, then memoized
 			for i, spec := range specs {
 				fresh := New(bundles, Config{})
@@ -169,9 +167,6 @@ func TestCacheLookupIgnoresServerIDs(t *testing.T) {
 					var ws float64
 					var wok bool
 					aside(c.Servers, func() { ws, wok = fresh.Score(srv, spec) })
-					if gs, gok := p.ScoreScratch(srv, spec, int64(i), scratch); gs != ws || gok != wok {
-						t.Fatalf("%s: scan of server %p %s: (%v, %v), fresh policy (%v, %v)", label, srv, spec.Name, gs, gok, ws, wok)
-					}
 					if gs, gok := p.Score(srv, spec); gs != ws || gok != wok {
 						t.Fatalf("%s: Score of server %p %s: (%v, %v), fresh policy (%v, %v)", label, srv, spec.Name, gs, gok, ws, wok)
 					}

@@ -67,7 +67,7 @@ type CoCG struct {
 	cfg Config
 
 	// scratch serves the serial entry points (Score, FleetLoadInto).
-	scratch EvalScratch
+	scratch evalScratch
 
 	// games lists the trained game names in sorted order; gameIdx inverts it
 	// and game is parallel to it. The fleet summary's per-game demand columns
@@ -114,12 +114,11 @@ func New(bundles []*predictor.Trained, cfg Config) *CoCG {
 	return c
 }
 
-// EvalScratch owns the reusable buffers one admission-evaluating goroutine
-// needs: the forecast scratch a cache refill generates each hosted game's
-// runs with, the runs themselves and the cursors it merges them through. A
-// zero value is ready to use; a scratch must not be shared between concurrent
-// evaluations.
-type EvalScratch struct {
+// evalScratch owns the reusable buffers admission evaluation needs: the
+// forecast scratch a cache refill generates each hosted game's runs with, the
+// runs themselves and the cursors it merges them through. A zero value is
+// ready to use.
+type evalScratch struct {
 	fc  predictor.ForecastScratch
 	cur []runCursor
 	// runs holds every hosted session's forecast as stage runs, back to back
@@ -137,18 +136,20 @@ type EvalScratch struct {
 	gi     int
 }
 
-// stamp is everything a per-server aggregate is computed from: the membership
-// revision, the forecast generation (one counter for every hosted predictor,
-// see platform.ForecastNotifier) and the draining flag. The forecast cache,
+// stamp is everything a per-server aggregate is computed from: the server's
+// revision, its simulated-second count and the draining flag. A hosted
+// predictor's forecast, and a foreign controller's request, move only inside
+// a tick, and membership only under a new revision, so the forecast cache,
 // its verdict memo and its fleet-load memo all revalidate by comparing one
 // stamp — O(1) however many sessions the server hosts.
 type stamp struct {
-	rev, gen uint64
-	draining bool
+	rev, ticks uint64
+	draining   bool
 }
 
 func stampOf(srv *platform.Server) stamp {
-	return stamp{rev: srv.Rev(), gen: srv.ForecastGen(), draining: srv.Draining}
+	ticks, _ := srv.TickCounts()
+	return stamp{rev: srv.Rev(), ticks: ticks, draining: srv.Draining}
 }
 
 // serverCache is the distributor's per-server aggregate forecast: the hosted
@@ -157,21 +158,20 @@ func stampOf(srv *platform.Server) stamp {
 // instead of re-forecasting every hosted session per candidate per server.
 //
 // Validity is stamped, never pushed: the cache is rebuilt whenever the
-// server's stamp disagrees with the one it was filled under. In a busy fleet
-// that is every frame — each hosted predictor completes one — so the refill
-// below, not the warm hit, is the steady state. The per-session runs the
-// total is merged from are not kept: they live in the caller's EvalScratch
+// server's stamp disagrees with the one it was filled under. A hosting
+// server's stamp moves every simulated second, so in a busy fleet every
+// placement frame refills it, and the refill below, not the warm hit, is the
+// steady state. The per-session runs the
+// total is merged from are not kept: they live in the policy's evalScratch
 // for the length of one refill.
 type serverCache struct {
 	// owner is the policy that filled the cache: memo and gameDemand index its
 	// games, and gameOf trusts only its controllers' indices.
 	owner *CoCG
-	// cacheable is false when any hosted session has a foreign controller or
-	// an untrained spec: those paths read hosted.Request, which mutates every
-	// tick outside any revision counter, so the cache is rebuilt per
-	// evaluation. The zero value is uncacheable, so a new cache fills itself.
-	cacheable bool
-	stamp     stamp
+	// filled is set by the first refill: a new cache's zero stamp equals a
+	// never-ticked idle server's, so the stamp alone cannot tell it is empty.
+	filled bool
+	stamp  stamp
 
 	// hostedFloor is the max FPS-floor over hosted games (order-independent,
 	// so caching it is exact).
@@ -248,9 +248,9 @@ func (c *CoCG) gameOf(hosted *platform.Hosted) (int, *Controller) {
 
 // refresh brings srv's cache up to date, refilling it when the server's stamp
 // moved — with the fleet-accounting memo if the last one was read.
-func (c *CoCG) refresh(cc *serverCache, srv *platform.Server, es *EvalScratch) {
+func (c *CoCG) refresh(cc *serverCache, srv *platform.Server, es *evalScratch) {
 	st := stampOf(srv)
-	if cc.cacheable && cc.stamp == st {
+	if cc.filled && cc.stamp == st {
 		return
 	}
 	c.refill(cc, srv, st, es, cc.loadUsed)
@@ -264,10 +264,9 @@ func (c *CoCG) refresh(cc *serverCache, srv *platform.Server, es *EvalScratch) {
 // after they are forecast — and otherwise leaves it invalid.
 //
 //cocg:hot
-func (c *CoCG) refill(cc *serverCache, srv *platform.Server, st stamp, es *EvalScratch, load bool) {
+func (c *CoCG) refill(cc *serverCache, srv *platform.Server, st stamp, es *evalScratch, load bool) {
 	const h = horizonFrames
-	cc.stamp = st
-	cc.cacheable = true
+	cc.stamp, cc.filled = st, true
 	if cc.memo == nil {
 		cc.allocMemos(len(c.games))
 	}
@@ -291,9 +290,6 @@ func (c *CoCG) refill(cc *serverCache, srv *platform.Server, st stamp, es *EvalS
 		}
 		if floor > cc.hostedFloor {
 			cc.hostedFloor = floor
-		}
-		if gi < 0 || ctl == nil {
-			cc.cacheable = false
 		}
 		cc.hostedPeaks = append(cc.hostedPeaks, peak)
 		cc.sumPeaks = cc.sumPeaks.Add(peak)
@@ -346,7 +342,7 @@ func (cc *serverCache) allocMemos(games int) {
 }
 
 //go:noinline
-func (es *EvalScratch) growCursors(n int) { es.cur = make([]runCursor, n) }
+func (es *evalScratch) growCursors(n int) { es.cur = make([]runCursor, n) }
 
 // runCursor is one session's place in mergeRuns: the run it is in, where its
 // runs end, and how many of that run's frames are still to be merged (none
@@ -413,9 +409,6 @@ func (c *CoCG) Name() string { return "CoCG" }
 // per-second ticks to the predictor's frame loop.
 type Controller struct {
 	pr *predictor.Predictor
-	// gen is the hosting server's forecast-generation counter (nil until the
-	// controller is hosted), bumped whenever pr completes a frame.
-	gen *uint64
 	// policy minted the controller, for game policy.games[gi] (see gameOf).
 	policy *CoCG
 	gi     int
@@ -426,14 +419,9 @@ func (ctl *Controller) Name() string { return "CoCG" }
 
 // Tick implements platform.Controller.
 func (ctl *Controller) Tick(util resources.Vector) resources.Vector {
-	if _, frame := ctl.pr.Observe(util); frame && ctl.gen != nil {
-		*ctl.gen++
-	}
+	ctl.pr.Observe(util)
 	return ctl.pr.Alloc()
 }
-
-// NotifyForecast implements platform.ForecastNotifier.
-func (ctl *Controller) NotifyForecast(gen *uint64) { ctl.gen = gen }
 
 // Loading implements platform.Controller.
 func (ctl *Controller) Loading() bool { return ctl.pr.Loading() }
@@ -465,25 +453,11 @@ func (c *CoCG) NewController(spec *gamesim.GameSpec, habit int64) (platform.Cont
 // window, the "distinguish game length" strategy of Section IV-C2 falls out
 // of the same test. Among admitting servers the cluster prefers the one whose
 // predicted timelines are most complementary to the arrival: the score is the
-// predicted mean satisfaction, tilted toward busier servers (scoreWith).
+// predicted mean satisfaction, tilted toward busier servers.
 //
 //cocg:hot
 func (c *CoCG) Score(srv *platform.Server, spec *gamesim.GameSpec) (float64, bool) {
-	return c.scoreWith(srv, spec, &c.scratch)
-}
-
-// NewScratch implements platform.ScratchScorer, which only bench/cocgbench's
-// scoreProbe still calls.
-func (c *CoCG) NewScratch() any { return &EvalScratch{} }
-
-// ScoreScratch implements platform.ScratchScorer: Score with all temporary
-// storage drawn from the caller's scratch.
-func (c *CoCG) ScoreScratch(srv *platform.Server, spec *gamesim.GameSpec, habit int64, scratch any) (float64, bool) {
-	return c.scoreWith(srv, spec, scratch.(*EvalScratch))
-}
-
-func (c *CoCG) scoreWith(srv *platform.Server, spec *gamesim.GameSpec, es *EvalScratch) (float64, bool) {
-	ok, meanSat := c.evaluate(srv, spec, es)
+	ok, meanSat := c.evaluate(srv, spec, &c.scratch)
 	if !ok {
 		return 0, false
 	}
@@ -499,7 +473,7 @@ func (c *CoCG) scoreWith(srv *platform.Server, spec *gamesim.GameSpec, es *EvalS
 // allocations. Every float it produces is computed by the same operation
 // sequence as the original per-call recompute, so admission decisions are
 // bit-identical to the uncached implementation.
-func (c *CoCG) evaluate(srv *platform.Server, spec *gamesim.GameSpec, es *EvalScratch) (bool, float64) {
+func (c *CoCG) evaluate(srv *platform.Server, spec *gamesim.GameSpec, es *evalScratch) (bool, float64) {
 	gi := c.candidate(spec, es)
 	if gi < 0 {
 		return false, 0
@@ -518,7 +492,7 @@ func (c *CoCG) evaluate(srv *platform.Server, spec *gamesim.GameSpec, es *EvalSc
 // candidate returns the arriving game's index, -1 when the policy has no
 // bundle for it. A scan offers one spec to every server, so the name is
 // looked up only when the scratch last resolved a different spec.
-func (c *CoCG) candidate(spec *gamesim.GameSpec, es *EvalScratch) int {
+func (c *CoCG) candidate(spec *gamesim.GameSpec, es *evalScratch) int {
 	if es.spec != spec || es.policy != c {
 		gi, ok := c.gameIdx[spec.Name]
 		if !ok {

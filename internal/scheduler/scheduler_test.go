@@ -128,7 +128,7 @@ func TestCoLocationKeepsQoS(t *testing.T) {
 		ga.Name: bundleFor(t, ga).Habits(),
 		do.Name: bundleFor(t, do).Habits(),
 	}, 7)
-	stream := &workload.PairStream{Gen: gen, A: ga, B: do, Backlog: 1}
+	stream := &workload.PairStream{Gen: gen, A: ga, B: do}
 	for i := 0; i < 3600; i++ {
 		stream.Feed(c)
 		c.Tick()
@@ -288,7 +288,7 @@ func TestScorePrefersAdmissibleServers(t *testing.T) {
 // bit for bit, which is the cache-invalidation contract: the stamp catches
 // every mutation a forecast can depend on. A second policy instance that never
 // created a controller scores the same servers and must agree too — the
-// forecast generation lives on the server, not in the placing policy's cache.
+// stamp lives on the server, not in the placing policy's cache.
 // Every hosted controller was minted by p, so the observer and the fresh
 // policy both resolve them by name (gameOf's other-instance fallback) while p
 // takes the index they carry.
@@ -360,18 +360,97 @@ func TestCachedEvaluateMatchesFreshRecompute(t *testing.T) {
 	}
 }
 
-// TestForecastGenTracksHostedRevs is the O(1)-staleness contract: on every
-// tick a server's ForecastGen advances by exactly the number of detection
-// frames its hosted predictors completed — so it moves iff some hosted
-// ForecastRev moved — whether the session arrived through the cluster queue or
-// through a bare Server.Add, and a foreign controller never moves it.
-func TestForecastGenTracksHostedRevs(t *testing.T) {
+// rampController is a foreign controller whose request moves every tick —
+// the state a refill reads off hosted.Request for sessions it cannot forecast.
+type rampController struct {
+	stubController
+	n int
+}
+
+func (r *rampController) Tick(resources.Vector) resources.Vector {
+	r.n++
+	return resources.Uniform(float64(r.n%4) * 5)
+}
+
+// TestCacheRefillsExactlyWhenStampMoves is the O(1)-staleness contract: a
+// server's forecast cache refills exactly when the server's (Rev, ticks,
+// Draining) moved since the cache last filled — whether sessions arrived
+// through the cluster queue or a bare Server.Add, and with a foreign
+// controller hosted — and what it serves always equals a fresh refill. The
+// caches under test are the test's own, so the cluster's placement never
+// refreshes them behind its back.
+func TestCacheRefillsExactlyWhenStampMoves(t *testing.T) {
 	do, co := gamesim.DOTA2(), gamesim.Contra()
 	p := policyFor(t, do, co)
-	c := platform.NewCluster(2, p)
+	c := platform.NewCluster(3, p)
 
-	// Server 0 fills through the queue; server 1 only ever sees direct Adds,
-	// one of them a controller the policy does not know.
+	type raw struct {
+		rev, ticks uint64
+		draining   bool
+	}
+	rawOf := func(srv *platform.Server) raw {
+		ticks, _ := srv.TickCounts()
+		return raw{srv.Rev(), ticks, srv.Draining}
+	}
+	caches := make([]*serverCache, len(c.Servers))
+	last := make([]raw, len(c.Servers))
+	for i := range caches {
+		caches[i] = &serverCache{owner: p}
+	}
+	// refills refreshes server i's cache and reports whether it refilled: a
+	// refill always rewrites the peak, which is never negative.
+	poison := resources.Uniform(-1)
+	refills := func(i int) bool {
+		t.Helper()
+		srv, cc := c.Servers[i], caches[i]
+		kept := cc.peak
+		cc.peak = poison
+		p.refresh(cc, srv, &p.scratch)
+		refilled := cc.peak != poison
+		if !refilled {
+			cc.peak = kept
+		}
+		fresh := &serverCache{owner: p}
+		p.refresh(fresh, srv, &p.scratch)
+		if len(cc.total) != len(fresh.total) || cc.peak != fresh.peak || cc.sumPeaks != fresh.sumPeaks || cc.hostedFloor != fresh.hostedFloor {
+			t.Fatalf("server %d: cache serves %d runs peaking at %v, a fresh refill %d at %v", i, len(cc.total), cc.peak, len(fresh.total), fresh.peak)
+		}
+		for k := range cc.total {
+			if cc.total[k] != fresh.total[k] {
+				t.Fatalf("server %d run %d: cached %v != fresh %v", i, k, cc.total[k], fresh.total[k])
+			}
+		}
+		return refilled
+	}
+	filled := 0
+	check := func(label string) {
+		t.Helper()
+		for i, srv := range c.Servers {
+			now := rawOf(srv)
+			moved := !caches[i].filled || now != last[i]
+			if got := refills(i); got != moved {
+				t.Fatalf("%s: server %d refilled=%v, stamp moved=%v (%+v -> %+v)", label, i, got, moved, last[i], now)
+			} else if got {
+				filled++
+			}
+			last[i] = now
+		}
+	}
+
+	// Every server is a never-ticked idle one, whose stamp is a new cache's
+	// zero stamp: each cache must still fill itself.
+	check("fresh caches")
+	for i, cc := range caches {
+		if cc.memo == nil || rawOf(c.Servers[i]) != (raw{}) {
+			t.Fatalf("server %d: fresh cache on a never-ticked idle server did not fill", i)
+		}
+	}
+	if !admits(p, c.Servers[0], co) {
+		t.Fatal("never-ticked idle server rejected a game")
+	}
+
+	// Servers 0 and 2 fill through the queue; server 1 only ever sees direct
+	// Adds, one of them a controller the policy does not know.
 	c.Drain(1)
 	for i := 0; i < 3; i++ {
 		c.Submit(platform.Arrival{Spec: co, Script: i % len(co.Scripts), Habit: int64(i), SessionSeed: int64(40 + i)})
@@ -386,46 +465,48 @@ func TestForecastGenTracksHostedRevs(t *testing.T) {
 		t.Fatal(err)
 	}
 	direct.Add(do, sess, ctl)
-	stubSess, err := gamesim.NewSession(co, 0, 8)
+	foreign, err := gamesim.NewSession(do, 1, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct.Add(co, stubSess, &stubController{})
+	direct.Add(do, foreign, &rampController{})
 
-	type watched struct {
-		pr  *predictor.Predictor
-		rev uint64
-	}
-	moved, quiet := 0, 0
+	foreignTicks := 0
 	for tick := 0; tick < 1500; tick++ {
-		var before [2][]watched
-		var gen [2]uint64
-		for i, srv := range c.Servers {
-			gen[i] = srv.ForecastGen()
-			for _, hosted := range srv.Hosted {
-				if native, ok := hosted.Controller.(*Controller); ok {
-					before[i] = append(before[i], watched{native.pr, native.pr.ForecastRev()})
-				}
+		c.Tick()
+		check("after a tick")
+		before := filled
+		check("within the second")
+		if filled != before {
+			t.Fatalf("tick %d: a cache refilled within one second", tick)
+		}
+		for _, h := range direct.Hosted {
+			if _, ok := h.Controller.(*rampController); ok {
+				foreignTicks++
 			}
 		}
-		c.Tick()
-		for i, srv := range c.Servers {
-			var frames uint64
-			for _, w := range before[i] {
-				frames += w.pr.ForecastRev() - w.rev // sessions that departed this tick included
+		switch tick {
+		case 60:
+			direct.SyncTotals()
+			if !refills(1) {
+				t.Fatal("SyncTotals left the cache valid")
 			}
-			if got := srv.ForecastGen() - gen[i]; got != frames {
-				t.Fatalf("tick %d server %d: ForecastGen advanced by %d, hosted ForecastRevs by %d", tick, srv.ID, got, frames)
+			last[1] = rawOf(direct)
+		case 90:
+			c.Undrain(1)
+			if !refills(1) {
+				t.Fatal("an undrain left the cache valid")
 			}
-			if frames > 0 {
-				moved++
-			} else if len(before[i]) > 0 {
-				quiet++
+			c.Drain(1)
+			if !refills(1) {
+				t.Fatal("a drain left the cache valid")
 			}
+			last[1] = rawOf(direct)
 		}
 	}
-	if c.Placements != 3 || moved == 0 || quiet == 0 {
-		t.Fatalf("scenario proved nothing: %d placements, %d moving and %d quiet server-ticks", c.Placements, moved, quiet)
+	if c.Placements != 3 || len(c.Records()) == 0 || foreignTicks < 200 {
+		t.Fatalf("scenario proved nothing: %d placements, %d departures, %d seconds hosting the foreign controller",
+			c.Placements, len(c.Records()), foreignTicks)
 	}
 }
 
@@ -460,8 +541,8 @@ func TestEvaluateSteadyStateAllocationFree(t *testing.T) {
 		t.Errorf("memoized steady-state Score allocates %.1f/op, want 0", n)
 	}
 	cc, _ := srv.PolicyState.(*serverCache)
-	if cc == nil || !cc.cacheable {
-		t.Fatal("fixture server unexpectedly uncacheable")
+	if cc == nil || !cc.filled {
+		t.Fatal("fixture server's cache unexpectedly empty")
 	}
 	if n := testing.AllocsPerRun(200, func() {
 		clear(cc.memo)

@@ -54,29 +54,28 @@ func (g *Generator) Next(spec *gamesim.GameSpec) platform.Arrival {
 	}
 }
 
+// pairBacklog is how many arrivals of each game a PairStream keeps queued.
+const pairBacklog = 1
+
 // PairStream keeps a cluster saturated with two games: whenever fewer than
-// Backlog arrivals of a game wait in the cluster's Pending queue, it submits
-// another. Running sessions do not count: however many are hosted, the
-// stream keeps arrivals queued for the distributor. This reproduces Fig. 11's
-// setting.
+// pairBacklog arrivals of a game wait in the cluster's Pending queue, it
+// submits another. Running sessions do not count: however many are hosted,
+// the stream keeps arrivals queued for the distributor. This reproduces
+// Fig. 11's setting.
 type PairStream struct {
-	Gen     *Generator
-	A, B    *gamesim.GameSpec
-	Backlog int
+	Gen  *Generator
+	A, B *gamesim.GameSpec
 }
 
-// Feed tops the cluster's Pending queue up to Backlog arrivals per game. Every
-// caller feeds once per second, just before Cluster.Tick.
+// Feed tops the cluster's Pending queue up to pairBacklog arrivals per game.
+// Every caller feeds once per second, just before Cluster.Tick.
 func (p *PairStream) Feed(c *platform.Cluster) {
-	if p.Backlog <= 0 {
-		p.Backlog = 1
-	}
 	countPending := map[string]int{}
 	for _, a := range c.Pending {
 		countPending[a.Spec.Name]++
 	}
 	for _, spec := range []*gamesim.GameSpec{p.A, p.B} {
-		for countPending[spec.Name] < p.Backlog {
+		for countPending[spec.Name] < pairBacklog {
 			c.Submit(p.Gen.Next(spec))
 			countPending[spec.Name]++
 		}

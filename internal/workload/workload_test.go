@@ -65,21 +65,21 @@ func TestGeneratorFreshHabitsWithoutPool(t *testing.T) {
 func TestPairStreamKeepsBacklog(t *testing.T) {
 	c := platform.NewCluster(1, nopPolicy{})
 	gen := NewGenerator(nil, 3)
-	s := &PairStream{Gen: gen, A: gamesim.CSGO(), B: gamesim.Contra(), Backlog: 2}
+	s := &PairStream{Gen: gen, A: gamesim.CSGO(), B: gamesim.Contra()}
 	s.Feed(c)
-	if len(c.Pending) != 4 {
-		t.Fatalf("pending = %d, want 4", len(c.Pending))
+	if len(c.Pending) != 2 {
+		t.Fatalf("pending = %d, want 2", len(c.Pending))
 	}
 	// Feeding again adds nothing: the backlog is already full.
 	s.Feed(c)
-	if len(c.Pending) != 4 {
+	if len(c.Pending) != 2 {
 		t.Errorf("pending after refeed = %d", len(c.Pending))
 	}
 	counts := map[string]int{}
 	for _, a := range c.Pending {
 		counts[a.Spec.Name]++
 	}
-	if counts["CSGO"] != 2 || counts["Contra"] != 2 {
+	if counts["CSGO"] != 1 || counts["Contra"] != 1 {
 		t.Errorf("backlog mix = %v", counts)
 	}
 }
@@ -88,8 +88,8 @@ func TestPairStreamDefaultBacklog(t *testing.T) {
 	c := platform.NewCluster(1, nopPolicy{})
 	s := &PairStream{Gen: NewGenerator(nil, 4), A: gamesim.Contra(), B: gamesim.Contra()}
 	s.Feed(c)
-	if s.Backlog != 1 {
-		t.Errorf("default backlog = %d", s.Backlog)
+	if len(c.Pending) != 1 {
+		t.Errorf("one game fed twice queued %d arrivals, want a backlog of 1", len(c.Pending))
 	}
 }
 
