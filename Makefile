@@ -36,7 +36,9 @@ vuln:
 
 # docs-check fails when any relative markdown link in README.md,
 # EXPERIMENTS.md, DESIGN.md, ROADMAP.md or docs/ points at a file that no
-# longer exists — the docs must not drift from the tree they describe.
+# longer exists, or a backticked Test…/Benchmark…/Fuzz… name there is not a
+# prefix of any test func — the docs must not drift from the tree they
+# describe.
 docs-check:
 	$(GO) run ./cmd/cocg-docscheck
 

@@ -15,7 +15,7 @@
 // load generator connect to -addr exactly as they would to a single
 // cocg-server; the Accept they receive carries the chosen region in its
 // "cluster" field. The probes pull each cluster's extended load summary
-// (mean headroom, idle/draining server counts, and the per-game predicted
+// (mean headroom, the idle server count, and the per-game predicted
 // demand breakdown the incremental fleet accountant maintains), and -metrics
 // re-exports it per cluster alongside summary staleness and probe-failure
 // counters. See docs/FLEET.md for the routing policy, failover semantics,

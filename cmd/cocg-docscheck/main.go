@@ -3,9 +3,11 @@
 // README.md, EXPERIMENTS.md, DESIGN.md, ROADMAP.md and everything under docs/
 // by default — and fails when any relative link points at a file that does
 // not exist, or when a fragment (in-page "#section" or cross-file
-// "FILE.md#section") names a heading anchor the target does not define.
-// External links (http/https/mailto) are out of scope; the tool exists to
-// catch the docs drifting from the tree, not to audit the internet.
+// "FILE.md#section") names a heading anchor the target does not define, or
+// a code span cites a Test…/Benchmark…/Fuzz… name that prefixes no func in a
+// _test.go file under -root. External links (http/https/mailto) are out of
+// scope; the tool exists to catch the docs drifting from the tree, not to
+// audit the internet.
 //
 // Usage:
 //
@@ -17,7 +19,7 @@
 // Anchors are computed GitHub-style: the heading lowercased, everything but
 // letters, digits, spaces, underscores and dashes stripped, spaces turned
 // into dashes, and duplicate headings suffixed -1, -2, ... in order. Exits 0
-// when every link and anchor resolves, 2 with a file:line listing otherwise.
+// when everything resolves, 2 with a file:line listing otherwise.
 package main
 
 import (
@@ -34,6 +36,13 @@ import (
 // ![alt](target). Reference-style definitions ("[id]: target") are rare in
 // this repo and intentionally out of scope.
 var linkPattern = regexp.MustCompile(`!?\[[^\]]*\]\(([^)\s]+)[^)]*\)`)
+
+// testNamePattern matches a Go test, benchmark or fuzz function name;
+// funcPattern a top-level func declaration.
+var (
+	testNamePattern = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9_]\w*`)
+	funcPattern     = regexp.MustCompile(`(?m)^func (\w+)\(`)
+)
 
 func main() {
 	root := flag.String("root", ".", "repository root that rooted (/...) links resolve against")
@@ -71,10 +80,15 @@ func main() {
 		}
 	}
 
+	funcs, err := testFuncs(*root)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cocg-docscheck: %v\n", err)
+		os.Exit(2)
+	}
 	broken := 0
 	checked := 0
 	for _, file := range files {
-		b, c, err := checkFile(file, *root)
+		b, c, err := checkFile(file, *root, funcs)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "cocg-docscheck: %v\n", err)
 			os.Exit(2)
@@ -83,10 +97,33 @@ func main() {
 		checked += c
 	}
 	if broken > 0 {
-		fmt.Fprintf(os.Stderr, "cocg-docscheck: %d broken link(s) across %d file(s)\n", broken, len(files))
+		fmt.Fprintf(os.Stderr, "cocg-docscheck: %d broken link(s) or test name(s) across %d file(s)\n", broken, len(files))
 		os.Exit(2)
 	}
-	fmt.Printf("cocg-docscheck: %d links across %d markdown files all resolve\n", checked, len(files))
+	fmt.Printf("cocg-docscheck: %d links and test names across %d markdown files all resolve\n", checked, len(files))
+}
+
+// testFuncs lists every top-level func declared in a _test.go file under
+// root (hidden directories skipped), each after a newline, so a cited name
+// is a prefix of some func exactly when "\n"+name occurs in the list.
+func testFuncs(root string) (string, error) {
+	var list strings.Builder
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && p != root && strings.HasPrefix(d.Name(), "."):
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(p, "_test.go"):
+			return nil
+		}
+		data, err := os.ReadFile(p)
+		for _, m := range funcPattern.FindAllSubmatch(data, -1) {
+			list.WriteString("\n" + string(m[1]))
+		}
+		return err
+	})
+	return list.String(), err
 }
 
 // anchorCache memoizes per-file heading anchors: the same target (this
@@ -147,8 +184,9 @@ func slugify(s string) string {
 	return b.String()
 }
 
-// checkFile scans one markdown file and reports its broken relative links.
-func checkFile(file, root string) (broken, checked int, err error) {
+// checkFile scans one markdown file and reports its broken relative links
+// and the test names its code spans cite that no func in funcs starts with.
+func checkFile(file, root, funcs string) (broken, checked int, err error) {
 	data, err := os.ReadFile(file)
 	if err != nil {
 		return 0, 0, err
@@ -161,6 +199,16 @@ func checkFile(file, root string) (broken, checked int, err error) {
 		}
 		if inFence {
 			continue // code blocks show literal syntax, not navigable links
+		}
+		spans := strings.Split(line, "`") // the odd pieces are code spans
+		for k := 1; k < len(spans)-1; k += 2 {
+			for _, name := range testNamePattern.FindAllString(spans[k], -1) {
+				checked++
+				if !strings.Contains(funcs, "\n"+name) {
+					fmt.Fprintf(os.Stderr, "%s:%d: `%s` names no test func\n", file, i+1, name)
+					broken++
+				}
+			}
 		}
 		for _, m := range linkPattern.FindAllStringSubmatch(line, -1) {
 			target := strings.TrimSpace(m[1])

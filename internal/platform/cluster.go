@@ -91,24 +91,19 @@ type PlacementPreparer interface {
 // FleetLoad is the per-cluster summary the coordinator tier and the
 // (upcoming) autoscaler consume: the mean predicted headroom routing scores
 // on, plus — because one scalar cannot say *which* game the demand belongs to
-// or how many machines could drain — predicted demand broken out per game and
-// counts of idle and draining servers. Slice fields follow a split
-// ownership: Games is owned by the summarizer (a stable, sorted, immutable
-// list — callers must not mutate it), while GameDemand is caller storage the
-// summarizer overwrites in place, so a steady-state poll allocates nothing.
+// or how many machines sit empty — predicted demand broken out per game and
+// the count of idle servers. Slice fields follow a split ownership: Games is
+// owned by the summarizer (a stable, sorted, immutable list — callers must
+// not mutate it), while GameDemand is caller storage the summarizer
+// overwrites in place, so a steady-state poll allocates nothing.
 type FleetLoad struct {
 	// Servers is the total server count the summary covers.
 	Servers int
-	// Active counts non-draining servers (the placement rotation);
-	// MeanHeadroom averages over exactly these.
-	Active int
-	// Idle counts active servers hosting zero sessions — the pool a
-	// scale-down pass can drain without migrating anything.
+	// Idle counts servers hosting zero sessions — the pool a scale-down
+	// pass could retire without migrating anything.
 	Idle int
-	// Draining counts servers out of rotation finishing their sessions.
-	Draining int
-	// MeanHeadroom is the mean predicted free-capacity fraction over active
-	// servers, in [0,1] (1 = idle); 0 when no server is active.
+	// MeanHeadroom is the mean predicted free-capacity fraction over all
+	// servers, in [0,1] (1 = idle); 0 for an empty cluster.
 	MeanHeadroom float64
 	// Games lists the policy's known game names in sorted order; GameDemand
 	// is parallel to it: the fleet's predicted demand for that game over the
@@ -144,28 +139,6 @@ func (c *Cluster) PickServer(a Arrival) *Server {
 		return c.Servers[i]
 	}
 	return nil
-}
-
-// Drain marks a server as draining; returns false for an unknown ID.
-func (c *Cluster) Drain(serverID int) bool {
-	for _, srv := range c.Servers {
-		if srv.ID == serverID {
-			srv.Draining = true
-			return true
-		}
-	}
-	return false
-}
-
-// Undrain returns a drained server to rotation.
-func (c *Cluster) Undrain(serverID int) bool {
-	for _, srv := range c.Servers {
-		if srv.ID == serverID {
-			srv.Draining = false
-			return true
-		}
-	}
-	return false
 }
 
 // Place runs the distributor for one arrival and hosts it: a one-arrival
@@ -342,8 +315,8 @@ func (r *scoreboard) grow(n int) {
 }
 
 // pick returns the position of the server the round places an arrival of
-// spec on — the admitting, non-draining server with the highest score, exact
-// ties going to the earliest — or -1 when none admits it. The round's first
+// spec on — the admitting server with the highest score, exact ties going
+// to the earliest — or -1 when none admits it. The round's first
 // arrival of a game fills that game's board with one scan; a later one
 // re-scores only the servers that hosted a session since the board was last
 // brought up to date. The argmax is one pass in server order with a strict >.
@@ -354,12 +327,12 @@ func (c *Cluster) pick(spec *gamesim.GameSpec) int {
 	b := r.find(spec)
 	if b == nil {
 		b = r.open(spec, len(c.Servers))
-		for i := range c.Servers {
-			c.rate(b, i)
+		for i, srv := range c.Servers {
+			b.score[i], b.ok[i] = c.Policy.Score(srv, spec)
 		}
 	} else {
 		for _, i := range r.hosted[b.seen:] {
-			c.rate(b, i)
+			b.score[i], b.ok[i] = c.Policy.Score(c.Servers[i], spec)
 		}
 		b.seen = len(r.hosted)
 	}
@@ -370,16 +343,4 @@ func (c *Cluster) pick(spec *gamesim.GameSpec) int {
 		}
 	}
 	return best
-}
-
-// rate writes the verdict for the server at position i into the board; a
-// draining server does not admit and is never asked.
-//
-//cocg:hot
-func (c *Cluster) rate(b *board, i int) {
-	if srv := c.Servers[i]; !srv.Draining {
-		b.score[i], b.ok[i] = c.Policy.Score(srv, b.spec)
-	} else {
-		b.score[i], b.ok[i] = 0, false
-	}
 }

@@ -109,10 +109,6 @@ type Server struct {
 	// Sink, when non-nil, receives each completed session's record instead
 	// of Server.Records retaining it.
 	Sink RecordSink
-	// Draining marks a server being taken out of rotation: running sessions
-	// finish normally (cloud games cannot migrate — Section I), but the
-	// cluster places nothing new on it.
-	Draining bool
 
 	clock  *simclock.Clock
 	nextID int
@@ -130,7 +126,7 @@ type Server struct {
 	// peakUtil tracks the highest total grant observed, for reporting.
 	peakUtil resources.Vector
 	// rev counts membership changes (admissions and departures) and
-	// SyncTotals calls. With ticks and Draining it stamps everything a cached
+	// SyncTotals calls. With ticks it stamps everything a cached
 	// per-server aggregate depends on: hosted state moves only inside a tick
 	// or through a revision.
 	rev uint64
@@ -151,7 +147,7 @@ type Server struct {
 // Rev returns the server's revision: it bumps whenever a session is added or
 // swept out and on every SyncTotals, never otherwise. Between ticks, hosted
 // state changes only under a new revision, so a policy may key a per-server
-// cache on (Rev, the first TickCounts result, Draining).
+// cache on (Rev, the first TickCounts result).
 func (s *Server) Rev() uint64 { return s.rev }
 
 // TickCounts returns how many non-empty virtual seconds the server has

@@ -239,28 +239,6 @@ func TestServerStampsItself(t *testing.T) {
 	}
 }
 
-func TestDrainStopsPlacement(t *testing.T) {
-	pol := &admitAllPolicy{req: resources.FullServer}
-	c := NewCluster(1, pol)
-	if !c.Drain(0) {
-		t.Fatal("Drain(0) failed")
-	}
-	if c.Drain(99) || c.Undrain(99) {
-		t.Error("unknown server drained")
-	}
-	c.Submit(Arrival{Spec: gamesim.Contra(), Script: 0, Habit: 1, SessionSeed: 2})
-	c.Run(60)
-	if c.Placements != 0 || len(c.Pending) != 1 {
-		t.Errorf("placed %d on a draining server (pending %d)", c.Placements, len(c.Pending))
-	}
-	// Undrain and the arrival lands.
-	c.Undrain(0)
-	c.Run(10)
-	if c.Placements != 1 {
-		t.Errorf("placements after undrain = %d", c.Placements)
-	}
-}
-
 // brokenControllerPolicy admits everything but cannot build controllers.
 type brokenControllerPolicy struct{ admitAllPolicy }
 
@@ -316,40 +294,33 @@ func (s *occupancyScorer) Score(srv *Server, spec *gamesim.GameSpec) (float64, b
 	return float64(srv.NumHosted() % 3), true
 }
 
-// tableScorer answers Score from a per-server table and fails the test when
-// asked about a draining server.
+// tableScorer answers Score from a per-server table.
 type tableScorer struct {
 	admitAllPolicy
-	t      *testing.T
 	scores []float64
 	admits []bool
 }
 
 func (s *tableScorer) Score(srv *Server, _ *gamesim.GameSpec) (float64, bool) {
-	if srv.Draining {
-		s.t.Errorf("draining server %d was scored", srv.ID)
-	}
 	return s.scores[srv.ID], s.admits[srv.ID]
 }
 
-// TestPickServerLowestIDAmongTiesSkipsDraining is the placement scan's
-// contract: over random fleets whose scores come from three values (so exact
-// ties are the rule), PickServer returns the lowest-ID server among the
-// admitting, non-draining ones with the highest score, and nil when there is
-// none.
-func TestPickServerLowestIDAmongTiesSkipsDraining(t *testing.T) {
+// TestPickServerLowestIDAmongTies is the placement scan's contract: over
+// random fleets whose scores come from three values (so exact ties are the
+// rule), PickServer returns the lowest-ID server among the admitting ones
+// with the highest score, and nil when there is none.
+func TestPickServerLowestIDAmongTies(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := Arrival{Spec: gamesim.Contra()}
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(70)
-		pol := &tableScorer{t: t, scores: make([]float64, n), admits: make([]bool, n)}
+		pol := &tableScorer{scores: make([]float64, n), admits: make([]bool, n)}
 		c := NewCluster(n, pol)
 		want := -1
-		for i, srv := range c.Servers {
+		for i := range c.Servers {
 			pol.scores[i] = float64(rng.Intn(3)) - 1 // a negative best must still win
 			pol.admits[i] = rng.Intn(4) > 0
-			srv.Draining = rng.Intn(4) == 0
-			if pol.admits[i] && !srv.Draining && (want < 0 || pol.scores[i] > pol.scores[want]) {
+			if pol.admits[i] && (want < 0 || pol.scores[i] > pol.scores[want]) {
 				want = i
 			}
 		}
@@ -415,20 +386,5 @@ func BenchmarkRunningSessions(b *testing.B) {
 		if c.RunningSessions() != 64*2 {
 			b.Fatal("wrong session count")
 		}
-	}
-}
-
-func TestDrainingServerFinishesSessions(t *testing.T) {
-	pol := &admitAllPolicy{req: resources.FullServer}
-	c := NewCluster(1, pol)
-	c.Submit(Arrival{Spec: gamesim.Contra(), Script: 0, Habit: 3, SessionSeed: 4})
-	c.Run(10)
-	if c.Servers[0].NumHosted() != 1 {
-		t.Fatal("session not placed")
-	}
-	c.Drain(0)
-	c.Run(20 * simclock.Minute)
-	if len(c.Servers[0].Records) != 1 {
-		t.Error("draining server did not finish its session")
 	}
 }

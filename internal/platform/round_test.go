@@ -10,15 +10,12 @@ import (
 )
 
 // refPick is the per-arrival scan a placement round replaced: every
-// non-draining server scored afresh for every arrival, the highest score
-// winning and exact ties going to the earliest server.
+// server scored afresh for every arrival, the highest score winning and
+// exact ties going to the earliest server.
 func refPick(c *Cluster, a Arrival) *Server {
 	var best *Server
 	bestScore := 0.0
 	for _, srv := range c.Servers {
-		if srv.Draining {
-			continue
-		}
 		if s, ok := c.Policy.Score(srv, a.Spec); ok && (best == nil || s > bestScore) {
 			best, bestScore = srv, s
 		}
@@ -127,20 +124,22 @@ func requireSameCluster(t *testing.T, label string, got, want *Cluster) {
 
 // TestRoundMatchesPerArrivalScan drives seeded queues through tryPlace and
 // through the per-arrival reference scan, round after round with the fleet
-// ticking, servers draining and undraining, a StarveLimit block and
-// malformed-script arrivals, and requires identical placements, counters and
-// pending order.
+// ticking, a StarveLimit block and malformed-script arrivals, and requires
+// identical placements, counters and pending order.
 func TestRoundMatchesPerArrivalScan(t *testing.T) {
 	games := []*gamesim.GameSpec{gamesim.Contra(), gamesim.GenshinImpact(), gamesim.CSGO()}
+	// rejects says whether the policy can turn an arrival away; admit-all
+	// never does, so its queues must place and never reject.
 	policies := []struct {
-		name string
-		make func(t *testing.T, rng *rand.Rand, n int) Policy
+		name    string
+		rejects bool
+		make    func(rng *rand.Rand, n int) Policy
 	}{
-		{"admit-all", func(*testing.T, *rand.Rand, int) Policy { return &admitAllPolicy{} }},
-		{"occupancy", func(*testing.T, *rand.Rand, int) Policy { return &occupancyScorer{cap: 3} }},
-		{"mix", func(*testing.T, *rand.Rand, int) Policy { return &mixScorer{cap: 4} }},
-		{"table", func(t *testing.T, rng *rand.Rand, n int) Policy {
-			pol := &tableScorer{t: t, scores: make([]float64, n), admits: make([]bool, n)}
+		{"admit-all", false, func(*rand.Rand, int) Policy { return &admitAllPolicy{} }},
+		{"occupancy", true, func(*rand.Rand, int) Policy { return &occupancyScorer{cap: 3} }},
+		{"mix", true, func(*rand.Rand, int) Policy { return &mixScorer{cap: 4} }},
+		{"table", true, func(rng *rand.Rand, n int) Policy {
+			pol := &tableScorer{scores: make([]float64, n), admits: make([]bool, n)}
 			for i := range pol.scores {
 				pol.scores[i] = float64(rng.Intn(3)) - 1
 				pol.admits[i] = rng.Intn(4) > 0
@@ -158,7 +157,7 @@ func TestRoundMatchesPerArrivalScan(t *testing.T) {
 			n := 1 + rng.Intn(12)
 			// Both clusters share one policy instance: every test policy is
 			// stateless, and tableScorer's table must be the same on both.
-			pol := pc.make(t, rng, n)
+			pol := pc.make(rng, n)
 			got, want := NewCluster(n, pol), NewCluster(n, pol)
 			if seed%3 == 0 {
 				got.StarveLimit, want.StarveLimit = 2*simclock.FrameLen, 2*simclock.FrameLen
@@ -172,10 +171,6 @@ func TestRoundMatchesPerArrivalScan(t *testing.T) {
 					}
 					got.Submit(a)
 					want.Submit(a)
-				}
-				for i := range got.Servers {
-					d := rng.Intn(5) == 0
-					got.Servers[i].Draining, want.Servers[i].Draining = d, d
 				}
 				queued, placed, rejected, failed := len(got.Pending), got.Placements, got.RejectedTicks, got.FailedPlacements
 				got.tryPlace()
@@ -191,8 +186,11 @@ func TestRoundMatchesPerArrivalScan(t *testing.T) {
 				want.TickSpan(simclock.FrameLen)
 			}
 		}
-		if outcomes[0] == placedBefore || outcomes[1] == rejectedBefore {
-			t.Errorf("%s: the queues never both place and reject an arrival", pc.name)
+		if outcomes[0] == placedBefore {
+			t.Errorf("%s: the queues never place an arrival", pc.name)
+		}
+		if rejected := outcomes[1] != rejectedBefore; rejected != pc.rejects {
+			t.Errorf("%s: an arrival rejected in some round is %v, want %v", pc.name, rejected, pc.rejects)
 		}
 	}
 	for i, what := range []string{"placed", "rejected", "failed", "blocked"} {
@@ -220,11 +218,10 @@ func TestRoundScoresEachServerOncePerGame(t *testing.T) {
 		t.Fatalf("%d rejected arrivals of one game: %d Score calls, %d rejections; want %d and %d", k, rej.calls, c.RejectedTicks, n, k)
 	}
 	c.Submit(Arrival{Spec: genshin})
-	c.Servers[3].Draining = true
 	rej.calls = 0
 	c.tryPlace()
-	if want := 2 * (n - 1); rej.calls != want {
-		t.Fatalf("a round offering two games with one server draining made %d Score calls, want %d", rej.calls, want)
+	if want := 2 * n; rej.calls != want {
+		t.Fatalf("a round offering two games made %d Score calls, want %d", rej.calls, want)
 	}
 
 	adm := &countingPolicy{Policy: &admitAllPolicy{}}

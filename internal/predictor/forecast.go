@@ -15,16 +15,6 @@ func (pr *Predictor) Loading() bool {
 	return loading
 }
 
-// ForecastRev returns the predictor's forecast revision: it bumps exactly
-// when a detection frame completes, and every input a forecast reads mutates
-// only inside that step. Two forecasts between identical revisions therefore
-// return identical timelines, which is what lets the distributor cache
-// per-server aggregate forecasts (see scheduler.CoCG) instead of
-// re-forecasting every hosted session for every candidate. A frame completes
-// only inside a server tick, so the cache compares the server's own tick
-// count (platform.Server.TickCounts) instead of polling this per session.
-func (pr *Predictor) ForecastRev() uint64 { return pr.rev }
-
 // Segment is one run of a forecast timeline: Frames consecutive detection
 // frames at one Demand. A stage is forecast at a single level, so a timeline
 // is a handful of runs (a 120-frame horizon is typically 6-14) and consumers
@@ -45,38 +35,24 @@ type ForecastScratch struct {
 	runs []Segment
 }
 
-// ForecastCurve projects the session's expected allocation over the next
-// `frames` detection frames: the remainder of the current stage, then
-// model-predicted stages separated by typical loading gaps.
-func (pr *Predictor) ForecastCurve(frames int) []resources.Vector {
-	var s ForecastScratch
-	return expandRuns(make([]resources.Vector, 0, frames), pr.forecastRuns(nil, frames, true, &s))
-}
-
-// ForecastDemand is ForecastCurve without the allocation headroom: the raw
-// sustained-peak demand timeline. This is what Algorithm 1's distributor
-// sums to find future peak overlaps — headroom would double-count the
-// safety margin.
-func (pr *Predictor) ForecastDemand(frames int) []resources.Vector {
-	var s ForecastScratch
-	return pr.ForecastDemandInto(frames, make([]resources.Vector, 0, frames), &s)
-}
-
-// ForecastDemandInto is ForecastDemand into caller-provided storage: the
-// timeline is appended to dst[:0]'s backing array (grown as needed) and
-// returned, with all intermediate state drawn from scratch. Steady-state
-// calls allocate nothing, which keeps the admission path allocation-free.
+// ForecastDemandInto projects the session's raw sustained-peak demand over
+// the next `frames` detection frames, one vector per frame: the per-frame
+// expansion of AppendForecastRuns. The timeline is appended to dst[:0]'s
+// backing array (grown as needed) and returned, with all intermediate state
+// drawn from scratch, so steady-state calls allocate nothing.
 func (pr *Predictor) ForecastDemandInto(frames int, dst []resources.Vector, scratch *ForecastScratch) []resources.Vector {
-	scratch.runs = pr.forecastRuns(scratch.runs[:0], frames, false, scratch)
+	scratch.runs = pr.forecastRuns(scratch.runs[:0], frames, scratch)
 	return expandRuns(dst[:0], scratch.runs)
 }
 
 // AppendForecastRuns appends the raw demand timeline of the next `frames`
 // detection frames to dst as runs, in time order; the appended run lengths
-// sum to frames. It is the form the distributor consumes: ForecastDemandInto
-// is exactly its per-frame expansion.
+// sum to frames. The remainder of the current stage comes first, then
+// model-predicted stages separated by typical loading gaps. It is the form
+// Algorithm 1's distributor sums to find future peak overlaps; it carries no
+// allocation headroom, which would double-count the safety margin.
 func (pr *Predictor) AppendForecastRuns(dst []Segment, frames int, scratch *ForecastScratch) []Segment {
-	return pr.forecastRuns(dst, frames, false, scratch)
+	return pr.forecastRuns(dst, frames, scratch)
 }
 
 // expandRuns appends every run's demand, once per frame, to dst.
@@ -92,15 +68,6 @@ func expandRuns(dst []resources.Vector, runs []Segment) []resources.Vector {
 	return dst
 }
 
-// padDemand applies the second-level allocation headroom when forecasting
-// allocations rather than raw demand.
-func padDemand(v resources.Vector, headroom bool) resources.Vector {
-	if !headroom {
-		return v
-	}
-	return v.Scale(allocHeadroomScale).Add(resources.Uniform(allocHeadroomAbs)).Clamp(0, 100)
-}
-
 // forecastRuns is the one forecast generator: it appends the projected
 // timeline to dst as stage runs, cutting the last run at the horizon. The
 // arithmetic is identical at every call site and with every scratch (buffer
@@ -108,7 +75,7 @@ func padDemand(v resources.Vector, headroom bool) resources.Vector {
 // compare it against freshly allocated runs byte for byte.
 //
 //cocg:hot
-func (pr *Predictor) forecastRuns(dst []Segment, frames int, headroom bool, scratch *ForecastScratch) []Segment {
+func (pr *Predictor) forecastRuns(dst []Segment, frames int, scratch *ForecastScratch) []Segment {
 	left := frames
 	// run appends up to n frames at demand d, never past the horizon.
 	run := func(n int, d resources.Vector) {
@@ -127,7 +94,7 @@ func (pr *Predictor) forecastRuns(dst []Segment, frames int, headroom bool, scra
 	if loadFrames < 1 {
 		loadFrames = 2
 	}
-	loadAlloc := padDemand(catalog[profiler.LoadingStageID].Peak, headroom)
+	loadPeak := catalog[profiler.LoadingStageID].Peak
 
 	// Working copy of the stage history for iterative prediction.
 	hist := append(scratch.hist[:0], pr.hist...)
@@ -135,23 +102,23 @@ func (pr *Predictor) forecastRuns(dst []Segment, frames int, headroom bool, scra
 
 	// Phase 1: the rest of the current stage (or loading).
 	if pr.Loading() {
-		run(loadFrames, loadAlloc)
+		run(loadFrames, loadPeak)
 	} else if pr.haveStage {
 		remaining := 2
-		alloc := pr.peakM
+		peak := pr.peakM
 		if pr.curID >= 0 && pr.curID < len(catalog) {
 			s := &catalog[pr.curID]
 			remaining = int(s.MeanDurFrames+0.5) - pr.curFrames
 			if remaining < 1 {
 				remaining = 1
 			}
-			alloc = padDemand(s.Peak, headroom)
+			peak = s.Peak
 		}
-		run(remaining, alloc)
+		run(remaining, peak)
 		hist = append(hist, dataset.StageObs{
 			ID:     pr.curID,
 			Frames: pr.curFrames,
-			Mean:   pr.curSum.Scale(1 / float64(maxInt(1, pr.curFrames))),
+			Mean:   pr.curSum.Scale(1 / float64(max(1, pr.curFrames))),
 		})
 		pos++
 	}
@@ -175,28 +142,21 @@ func (pr *Predictor) forecastRuns(dst []Segment, frames int, headroom bool, scra
 		}
 		// Loading gap, then the predicted stage; a stage the catalog does not
 		// know runs two frames at the safe peak.
-		run(loadFrames, loadAlloc)
+		run(loadFrames, loadPeak)
 		obs := dataset.StageObs{ID: next, Frames: 2}
-		alloc := pr.peakM
+		peak := pr.peakM
 		if next < len(catalog) {
 			s := &catalog[next]
 			if obs.Frames = int(s.MeanDurFrames + 0.5); obs.Frames < 1 {
 				obs.Frames = 2
 			}
 			obs.Mean = s.Mean
-			alloc = padDemand(s.Peak, headroom)
+			peak = s.Peak
 		}
-		run(obs.Frames, alloc)
+		run(obs.Frames, peak)
 		hist = append(hist, obs)
 		pos++
 	}
 	scratch.hist = hist[:0]
 	return dst
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -18,18 +18,20 @@ import (
 // one longer than any caller uses.
 var goldenHorizons = []int{1, 7, 120, 240}
 
-// forecastGolden pins ForecastDemand and ForecastCurve bit for bit. Each
-// digest covers one game: every script is played as a live session (seed
+// forecastGolden pins the per-frame demand forecast bit for bit. Each digest
+// covers one game: every script is played as a live session (seed
 // 1000+script, the predictor's allocation granted every second) and, after
-// every completed detection frame, both timelines at every golden horizon are
-// hashed as little-endian float64 bits. The digests were taken from the dense
-// per-frame generator before the run-length generator replaced it.
+// every completed detection frame, the demand timeline at every golden
+// horizon is hashed as little-endian float64 bits. The digests were taken
+// from a tree whose demand and allocation timelines both still matched the
+// dense per-frame generator's digests from before the run-length generator
+// replaced it.
 var forecastGolden = map[string]string{
-	"DOTA2":          "098c45381ff140cd57d5958693d12ac9480e9f7bafcdd29ff378fcf0a988144d",
-	"CSGO":           "09622e758b236ccb1c1478d401f54cb177670b2c222e00074cebacdaae605f88",
-	"Genshin Impact": "92f2d095e008803fb7906a678ab05419ebf3c3e9f815ac8a12861028a6cdf24d",
-	"Devil May Cry":  "2f5f6b756e989097c8fbf9334c36a0d0dd91436238fe49f17a42894a4318fff2",
-	"Contra":         "db16e15e1c40826372229ab2e41a41a524a491da678f88650134030328d29ff9",
+	"DOTA2":          "34e13888b95baa00bc32177ab9f907841e5c68a15b3a0c0fb427dda04985dd00",
+	"CSGO":           "a44da699980956715edd5ac9847354efbc7bbe606157b709119d7115825eb164",
+	"Genshin Impact": "ef43184b2ac30788c4987bc35948027e4e8e1cf342d7a2e9ae85e475dfc90281",
+	"Devil May Cry":  "786e8b5e1ce4162261ab744c96f006afc3919698656415315d380a0527652002",
+	"Contra":         "1b6de7a341c8f98700333123f0e58881ad9c1bf048e4112f7b9305fad364792b",
 }
 
 func hashCurve(h hash.Hash, curve []resources.Vector) {
@@ -45,7 +47,8 @@ func hashCurve(h hash.Hash, curve []resources.Vector) {
 // TestForecastGolden replays the recorded sessions and requires (1) the dense
 // timelines to hash to the checked-in digests, (2) the run-length generator's
 // expansion to be that timeline, with run lengths summing to the horizon, and
-// (3) two calls at one ForecastRev to return equal runs.
+// (3) the runs to stay equal over every second that completes no detection
+// frame.
 func TestForecastGolden(t *testing.T) {
 	for _, spec := range gamesim.AllGames() {
 		tr := trainedFor(t, spec)
@@ -62,16 +65,14 @@ func TestForecastGolden(t *testing.T) {
 			}
 			var scratch ForecastScratch
 			var runs []Segment
-			prev, prevRev := pr.AppendForecastRuns(nil, 120, &scratch), pr.ForecastRev()
+			prev := pr.AppendForecastRuns(nil, 120, &scratch)
 			for i := 0; i < 4*3600 && !sess.Done(); i++ {
 				_, ok := pr.Observe(sess.Demand())
 				sess.Step(pr.Alloc())
-				// Every second: runs are a pure function of ForecastRev.
+				// Every second: runs move only when a detection frame completes.
 				runs = pr.AppendForecastRuns(runs[:0], 120, &scratch)
-				if rev := pr.ForecastRev(); rev != prevRev {
-					prevRev = rev
-				} else if !slices.Equal(runs, prev) {
-					t.Fatalf("%s script %d t=%d: runs changed with ForecastRev unchanged at %d", spec.Name, script, i, rev)
+				if !ok && !slices.Equal(runs, prev) {
+					t.Fatalf("%s script %d t=%d: runs changed with no detection frame completed", spec.Name, script, i)
 				}
 				prev = append(prev[:0], runs...)
 				if !ok {
@@ -79,9 +80,8 @@ func TestForecastGolden(t *testing.T) {
 				}
 				frames++
 				for _, n := range goldenHorizons {
-					dense := pr.ForecastDemand(n)
+					dense := pr.ForecastDemandInto(n, nil, &ForecastScratch{})
 					hashCurve(h, dense)
-					hashCurve(h, pr.ForecastCurve(n))
 
 					runs = pr.AppendForecastRuns(runs[:0], n, &scratch)
 					total := 0
@@ -95,7 +95,7 @@ func TestForecastGolden(t *testing.T) {
 						t.Fatalf("%s script %d t=%d: run lengths sum to %d, want horizon %d", spec.Name, script, i, total, n)
 					}
 					if !slices.Equal(expandRuns(nil, runs), dense) {
-						t.Fatalf("%s script %d t=%d horizon %d: expanded runs differ from ForecastDemand", spec.Name, script, i, n)
+						t.Fatalf("%s script %d t=%d horizon %d: expanded runs differ from ForecastDemandInto", spec.Name, script, i, n)
 					}
 				}
 			}

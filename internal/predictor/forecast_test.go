@@ -7,11 +7,12 @@ import (
 	"cocg/internal/resources"
 )
 
-// TestForecastDemandIntoMatchesFresh drives a live session and, at every few
-// seconds, compares the scratch-reusing forecast against a freshly allocated
-// one: buffer reuse must never change a value. It simultaneously checks the
-// ForecastRev contract the distributor's cache rests on — while the revision
-// is unchanged, the forecast timeline is bit-identical to the previous one.
+// TestForecastDemandIntoMatchesFresh drives a live session and, every second,
+// compares the scratch-reusing forecast against one made with a fresh scratch
+// into fresh storage: buffer reuse must never change a value. It also checks
+// the contract the distributor's tick-stamped cache rests on: over a second
+// in which Observe completes no detection frame, the forecast timeline is
+// bit-identical to the previous one.
 func TestForecastDemandIntoMatchesFresh(t *testing.T) {
 	tr := trainedFor(t, gamesim.Contra())
 	sess, err := gamesim.NewSession(tr.Spec, 0, 77)
@@ -27,15 +28,14 @@ func TestForecastDemandIntoMatchesFresh(t *testing.T) {
 	var scratch ForecastScratch
 	var buf []resources.Vector
 	var prev []resources.Vector
-	prevRev := pr.ForecastRev()
-	revBumps := 0
+	frames := 0
 	checks := 0
 	for i := 0; i < 4*3600 && !sess.Done(); i++ {
 		demand := sess.Demand()
-		pr.Observe(demand)
+		_, completed := pr.Observe(demand)
 		sess.Step(pr.Alloc())
 
-		fresh := pr.ForecastDemand(horizon)
+		fresh := pr.ForecastDemandInto(horizon, nil, &ForecastScratch{})
 		buf = pr.ForecastDemandInto(horizon, buf, &scratch)
 		if len(fresh) != len(buf) {
 			t.Fatalf("t=%d: reused forecast length %d != fresh %d", i, len(buf), len(fresh))
@@ -45,27 +45,25 @@ func TestForecastDemandIntoMatchesFresh(t *testing.T) {
 				t.Fatalf("t=%d frame %d: reused %v != fresh %v", i, ti, buf[ti], fresh[ti])
 			}
 		}
-		rev := pr.ForecastRev()
-		if rev == prevRev && prev != nil {
+		if !completed && prev != nil {
 			for ti := range fresh {
 				if fresh[ti] != prev[ti] {
-					t.Fatalf("t=%d frame %d: forecast changed (%v -> %v) with ForecastRev unchanged at %d",
-						i, ti, prev[ti], fresh[ti], rev)
+					t.Fatalf("t=%d frame %d: forecast changed (%v -> %v) with no detection frame completed",
+						i, ti, prev[ti], fresh[ti])
 				}
 			}
 		}
-		if rev != prevRev {
-			revBumps++
+		if completed {
+			frames++
 		}
-		prevRev = rev
 		prev = append(prev[:0], fresh...)
 		checks++
 	}
 	if checks == 0 {
 		t.Fatal("session produced no forecasts")
 	}
-	if revBumps == 0 {
-		t.Fatal("ForecastRev never advanced over a whole session")
+	if frames == 0 {
+		t.Fatal("no detection frame completed over a whole session")
 	}
 }
 

@@ -99,12 +99,6 @@ type Predictor struct {
 	alloc     resources.Vector
 	peakM     resources.Vector
 	haveStage bool
-	// rev counts completed detection frames: every piece of state a demand
-	// forecast reads (detector belief, stage history, running stage stats,
-	// pending prediction, active model) mutates only inside step, so a
-	// forecast is guaranteed unchanged while rev is unchanged. The
-	// distributor's per-server forecast cache invalidates on each bump.
-	rev uint64
 	// featBuf backs predictNext's feature assembly across frames.
 	featBuf []float64
 	// recovering is set while the session runs on a re-matched stage after
@@ -197,7 +191,12 @@ func (pr *Predictor) stageAlloc(id int) resources.Vector {
 
 // Observe feeds one second of telemetry. When the second completes a frame,
 // the full detection/prediction step runs and the resulting Decision is
-// returned with ok = true.
+// returned with ok = true. Every piece of state a demand forecast reads
+// (detector belief, stage history, running stage stats, pending prediction,
+// active model) mutates only inside that step, so a forecast is unchanged
+// while Observe returns ok = false. A frame completes only inside a server
+// tick, which is why the distributor's per-server forecast cache can key on
+// the server's tick count (see scheduler.CoCG).
 func (pr *Predictor) Observe(util resources.Vector) (Decision, bool) {
 	frame, ok := pr.sampler.Observe(util)
 	if !ok {
@@ -209,7 +208,6 @@ func (pr *Predictor) Observe(util resources.Vector) (Decision, bool) {
 // step runs the stage-judgment / prediction / adjustment pipeline of Fig. 8
 // on one frame.
 func (pr *Predictor) step(frame resources.Vector) Decision {
-	pr.rev++
 	ev := pr.det.Observe(frame)
 	d := Decision{Event: ev, PredictedNext: -1}
 

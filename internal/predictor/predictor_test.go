@@ -373,22 +373,16 @@ func TestForecastCurveProperties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var scratch ForecastScratch
 	for _, frames := range []int{1, 10, 120} {
-		curve := pr.ForecastCurve(frames)
-		if len(curve) != frames {
-			t.Fatalf("ForecastCurve(%d) length %d", frames, len(curve))
-		}
-		demand := pr.ForecastDemand(frames)
+		demand := pr.ForecastDemandInto(frames, nil, &scratch)
 		if len(demand) != frames {
-			t.Fatalf("ForecastDemand(%d) length %d", frames, len(demand))
+			t.Fatalf("ForecastDemandInto(%d) length %d", frames, len(demand))
 		}
-		for i := range curve {
-			for d := range curve[i] {
-				if curve[i][d] < 0 || curve[i][d] > 100 {
-					t.Fatalf("curve[%d] out of range: %v", i, curve[i])
-				}
-				if demand[i][d] > curve[i][d]+1e-9 {
-					t.Fatalf("demand above padded allocation at %d: %v vs %v", i, demand[i], curve[i])
+		for i := range demand {
+			for d := range demand[i] {
+				if demand[i][d] < 0 || demand[i][d] > 100 {
+					t.Fatalf("demand[%d] out of range: %v", i, demand[i])
 				}
 			}
 		}
@@ -398,7 +392,7 @@ func TestForecastCurveProperties(t *testing.T) {
 func TestForecastAfterSomeHistory(t *testing.T) {
 	tr := trainedFor(t, gamesim.DevilMayCry())
 	_, pr, _ := drive(t, tr, 2, 4242, Config{})
-	curve := pr.ForecastDemand(60)
+	curve := pr.ForecastDemandInto(60, nil, &ForecastScratch{})
 	if len(curve) != 60 {
 		t.Fatalf("length %d", len(curve))
 	}

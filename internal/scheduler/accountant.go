@@ -1,8 +1,8 @@
 // Fleet load accounting: the backing store for FleetLoadInto. The
 // distributor's per-server forecast caches (scheduler.go) already hold every
-// quantity a fleet summary needs under one (Server.Rev, ticks, Draining)
-// stamp; this file adds a per-server load memo on top of that stamp and folds
-// the memos into the cluster summary in one pass in server order. A poll
+// quantity a fleet summary needs under one (Server.Rev, ticks) stamp; this
+// file adds a per-server load memo on top of that stamp and folds the memos
+// into the cluster summary in one pass in server order. A poll
 // costs one stamp comparison per server plus a refill of every server whose
 // stamp moved. A busy fleet dirties every hosting server every second, so
 // the memo is what a poll costs in practice, and it
@@ -73,11 +73,9 @@ func (c *CoCG) serverLoadMemo(cc *serverCache, srv *platform.Server, es *evalScr
 // FleetLoadInto implements platform.FleetSummarizer: the per-cluster summary
 // the coordinator tier routes on, with predicted demand broken out per game.
 // Each server's cache is refreshed (O(1) when its stamp has not moved; a
-// membership change, a simulated second or a drain flip rebuilds it), its
-// load memo is filled if the
-// refresh did not already make it, and the memo is added into out in server
-// order. A draining server contributes its sessions' demand — they still
-// consume — but no headroom. Out's GameDemand storage is reused across polls
+// membership change or a simulated second rebuilds it), its load memo is
+// filled if the refresh did not already make it, and the memo is added into
+// out in server order. Out's GameDemand storage is reused across polls
 // and Games aliases the policy's immutable sorted list, so a poll over an
 // unchanged fleet does no heap allocation. Like Score this is a serial entry
 // point.
@@ -104,7 +102,7 @@ func (c *CoCG) fleetLoad(servers []*platform.Server, out *platform.FleetLoad, fr
 	clear(demand)
 
 	var headSum float64
-	active, idle := 0, 0
+	idle := 0
 	for _, srv := range servers {
 		var cc *serverCache
 		if fresh {
@@ -117,10 +115,6 @@ func (c *CoCG) fleetLoad(servers []*platform.Server, out *platform.FleetLoad, fr
 		for j, d := range cc.gameDemand {
 			demand[j] += d
 		}
-		if srv.Draining {
-			continue
-		}
-		active++
 		if srv.NumHosted() == 0 {
 			idle++
 		}
@@ -128,14 +122,8 @@ func (c *CoCG) fleetLoad(servers []*platform.Server, out *platform.FleetLoad, fr
 	}
 
 	out.Servers = len(servers)
-	out.Active = active
 	out.Idle = idle
-	out.Draining = len(servers) - active
-	if active > 0 {
-		out.MeanHeadroom = headSum / float64(active)
-	} else {
-		out.MeanHeadroom = 0 // every server draining: no admittable capacity
-	}
+	out.MeanHeadroom = headSum / max(1, float64(len(servers))) // 0 for no servers
 	out.Games = c.games
 	out.GameDemand = demand
 	return true

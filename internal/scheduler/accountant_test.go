@@ -18,8 +18,7 @@ import (
 // changed.
 func requireBitIdentical(t *testing.T, label string, got, want platform.FleetLoad) {
 	t.Helper()
-	if got.Servers != want.Servers || got.Active != want.Active ||
-		got.Idle != want.Idle || got.Draining != want.Draining {
+	if got.Servers != want.Servers || got.Idle != want.Idle {
 		t.Fatalf("%s: counts diverged:\n got %+v\nwant %+v", label, got, want)
 	}
 	if math.Float64bits(got.MeanHeadroom) != math.Float64bits(want.MeanHeadroom) {
@@ -42,8 +41,7 @@ func requireBitIdentical(t *testing.T, label string, got, want platform.FleetLoa
 }
 
 // TestFleetLoadMatchesFullRecompute is the equivalence gate: it drives one
-// cluster through admission, forecast progression, drain flips, session
-// endings, and membership churn (grow, shrink, replace), polling the
+// cluster through admission, forecast progression, session endings, and membership churn (grow, shrink, replace), polling the
 // incremental summary at every checkpoint. Each poll must be bit-identical to
 // a from-scratch recompute by an independent policy instance (so the
 // incremental chain under test is never reset).
@@ -80,7 +78,7 @@ func TestFleetLoadMatchesFullRecompute(t *testing.T) {
 	}
 
 	checkpoint("empty")
-	if out.Active != 6 || out.Idle != 6 || out.Draining != 0 {
+	if out.Servers != 6 || out.Idle != 6 {
 		t.Fatalf("empty cluster counts: %+v", out)
 	}
 
@@ -91,16 +89,6 @@ func TestFleetLoadMatchesFullRecompute(t *testing.T) {
 	checkpoint("admitted")
 	tick(30)
 	checkpoint("forecasts advanced")
-
-	c.Drain(2)
-	checkpoint("one draining")
-	if out.Draining != 1 || out.Active != len(c.Servers)-1 {
-		t.Fatalf("drain counts: %+v", out)
-	}
-	c.Drain(3)
-	c.Undrain(2)
-	tick(7)
-	checkpoint("drain moved")
 
 	tick(400)
 	checkpoint("sessions ended")
@@ -201,8 +189,7 @@ func TestFleetLoadSteadyStateAllocationFree(t *testing.T) {
 
 // TestFleetLoadGameDemandAttribution sanity-checks the per-game breakdown:
 // an idle fleet predicts zero demand, hosting sessions of one game raises
-// that game's demand and no other's, and draining servers keep contributing
-// demand (their sessions still consume) while leaving the active pool.
+// that game's demand and no other's.
 func TestFleetLoadGameDemandAttribution(t *testing.T) {
 	contra, genshin := gamesim.Contra(), gamesim.GenshinImpact()
 	p := policyFor(t, contra, genshin)
@@ -237,18 +224,6 @@ func TestFleetLoadGameDemandAttribution(t *testing.T) {
 	}
 	if fl.GameDemand[1-gi] != 0 {
 		t.Errorf("unhosted game shows demand %v", fl.GameDemand[1-gi])
-	}
-
-	before := fl.GameDemand[gi]
-	for _, srv := range c.Servers {
-		srv.Draining = true
-	}
-	p.FleetLoadInto(c.Servers, &fl)
-	if fl.Active != 0 || fl.Draining != len(c.Servers) || fl.MeanHeadroom != 0 {
-		t.Errorf("all-draining summary: %+v", fl)
-	}
-	if math.Abs(fl.GameDemand[gi]-before) > 1e-12 {
-		t.Errorf("draining dropped demand from %v to %v; sessions still consume", before, fl.GameDemand[gi])
 	}
 }
 

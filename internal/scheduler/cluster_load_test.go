@@ -62,16 +62,3 @@ func TestClusterLoadDropsUnderLoad(t *testing.T) {
 		prev = head
 	}
 }
-
-// TestClusterLoadAllDraining pins the degenerate case: a cluster whose every
-// server is draining has no admittable capacity, i.e. zero headroom.
-func TestClusterLoadAllDraining(t *testing.T) {
-	p := policyFor(t, gamesim.Contra())
-	c := platform.NewCluster(2, p)
-	for _, srv := range c.Servers {
-		srv.Draining = true
-	}
-	if head := meanHeadroom(t, p, c); head != 0 {
-		t.Errorf("all-draining cluster: headroom %.3f, want 0", head)
-	}
-}

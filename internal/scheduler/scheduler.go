@@ -137,19 +137,16 @@ type evalScratch struct {
 }
 
 // stamp is everything a per-server aggregate is computed from: the server's
-// revision, its simulated-second count and the draining flag. A hosted
-// predictor's forecast, and a foreign controller's request, move only inside
-// a tick, and membership only under a new revision, so the forecast cache,
-// its verdict memo and its fleet-load memo all revalidate by comparing one
-// stamp — O(1) however many sessions the server hosts.
-type stamp struct {
-	rev, ticks uint64
-	draining   bool
-}
+// revision and its simulated-second count. A hosted predictor's forecast, and
+// a foreign controller's request, move only inside a tick, and membership
+// only under a new revision, so the forecast cache, its verdict memo and its
+// fleet-load memo all revalidate by comparing one stamp — O(1) however many
+// sessions the server hosts.
+type stamp struct{ rev, ticks uint64 }
 
 func stampOf(srv *platform.Server) stamp {
 	ticks, _ := srv.TickCounts()
-	return stamp{rev: srv.Rev(), ticks: ticks, draining: srv.Draining}
+	return stamp{rev: srv.Rev(), ticks: ticks}
 }
 
 // serverCache is the distributor's per-server aggregate forecast: the hosted
@@ -650,17 +647,13 @@ func overlaySat(total []predictor.Segment, cand []resources.Vector, candPeak *re
 // headroom: a server's headroom is 1 minus its worst predicted per-dimension
 // utilization fraction over the horizon (clamped at 0), found by dividing
 // every frame of the summed timeline (each run expanded, frame by frame), and
-// the cluster's is the mean over non-draining servers in server order. Each
+// the cluster's is the mean over all servers in server order. Each
 // timeline is forecast afresh into a throwaway cache, so the servers' own
 // caches are neither read nor written. The equivalence tests require the two
 // to agree bitwise.
 func (c *CoCG) ClusterLoadFullScan(servers []*platform.Server) (float64, bool) {
 	var sum float64
-	n := 0
 	for _, srv := range servers {
-		if srv.Draining {
-			continue
-		}
 		cc := &serverCache{owner: c}
 		c.refresh(cc, srv, &c.scratch)
 		peak := 0.0
@@ -676,12 +669,8 @@ func (c *CoCG) ClusterLoadFullScan(servers []*platform.Server) (float64, bool) {
 			head = 0
 		}
 		sum += head
-		n++
 	}
-	if n == 0 {
-		return 0, true // every server draining: no admittable capacity
-	}
-	return sum / float64(n), true
+	return sum / max(1, float64(len(servers))), true
 }
 
 // Regulate implements platform.Policy: when the hosted games' combined

@@ -373,10 +373,10 @@ func (r *rampController) Tick(resources.Vector) resources.Vector {
 }
 
 // TestCacheRefillsExactlyWhenStampMoves is the O(1)-staleness contract: a
-// server's forecast cache refills exactly when the server's (Rev, ticks,
-// Draining) moved since the cache last filled — whether sessions arrived
-// through the cluster queue or a bare Server.Add, and with a foreign
-// controller hosted — and what it serves always equals a fresh refill. The
+// server's forecast cache refills exactly when the server's (Rev, ticks)
+// moved since the cache last filled — whether sessions arrived through the
+// cluster queue or a bare Server.Add, and with a foreign controller hosted —
+// and what it serves always equals a fresh refill. The
 // caches under test are the test's own, so the cluster's placement never
 // refreshes them behind its back.
 func TestCacheRefillsExactlyWhenStampMoves(t *testing.T) {
@@ -384,13 +384,10 @@ func TestCacheRefillsExactlyWhenStampMoves(t *testing.T) {
 	p := policyFor(t, do, co)
 	c := platform.NewCluster(3, p)
 
-	type raw struct {
-		rev, ticks uint64
-		draining   bool
-	}
+	type raw struct{ rev, ticks uint64 }
 	rawOf := func(srv *platform.Server) raw {
 		ticks, _ := srv.TickCounts()
-		return raw{srv.Rev(), ticks, srv.Draining}
+		return raw{srv.Rev(), ticks}
 	}
 	caches := make([]*serverCache, len(c.Servers))
 	last := make([]raw, len(c.Servers))
@@ -449,9 +446,8 @@ func TestCacheRefillsExactlyWhenStampMoves(t *testing.T) {
 		t.Fatal("never-ticked idle server rejected a game")
 	}
 
-	// Servers 0 and 2 fill through the queue; server 1 only ever sees direct
-	// Adds, one of them a controller the policy does not know.
-	c.Drain(1)
+	// Arrivals fill through the queue; server 1 also takes direct Adds, one
+	// of them a controller the policy does not know.
 	for i := 0; i < 3; i++ {
 		c.Submit(platform.Arrival{Spec: co, Script: i % len(co.Scripts), Habit: int64(i), SessionSeed: int64(40 + i)})
 	}
@@ -490,16 +486,6 @@ func TestCacheRefillsExactlyWhenStampMoves(t *testing.T) {
 			direct.SyncTotals()
 			if !refills(1) {
 				t.Fatal("SyncTotals left the cache valid")
-			}
-			last[1] = rawOf(direct)
-		case 90:
-			c.Undrain(1)
-			if !refills(1) {
-				t.Fatal("an undrain left the cache valid")
-			}
-			c.Drain(1)
-			if !refills(1) {
-				t.Fatal("a drain left the cache valid")
 			}
 			last[1] = rawOf(direct)
 		}

@@ -99,7 +99,7 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 			{Type: MsgEnd, End: &SessionStat{SessionID: a, DurationSec: b, AvgFPS: float64(a % 240), FPSRatio: float64(b%100) / 100, Degraded: float64(a%100) / 100}},
 			{Type: MsgSummaryReq, SummaryReq: &SummaryReq{Proto: int(a % 5)}},
 			{Type: MsgSummary, Summary: &ClusterSummary{
-				Proto: int(b % 5), Servers: int(a % 4096), Draining: int(b % 64), LiveSessions: int(a),
+				Proto: int(b % 5), Servers: int(a % 4096), LiveSessions: int(a),
 				Pending: int(b), Placements: int(a / 3), Completed: int(b / 3),
 				Headroom: float64(a%1000) / 1000, UtilPct: float64(b % 100),
 				IdleServers: int(nframes % 64), Games: []string{s}, GameDemand: []float64{float64(a%1000) / 8},

@@ -160,10 +160,8 @@ type ClusterSummary struct {
 	// Proto is the wire protocol version the server chose for the feed; set
 	// only on the first reply (the negotiation point), 0 afterwards.
 	Proto int `json:"proto,omitempty"`
-	// Servers is the backend server count; Draining of them are out of
-	// placement rotation.
-	Servers  int `json:"servers"`
-	Draining int `json:"draining,omitempty"`
+	// Servers is the backend server count.
+	Servers int `json:"servers"`
 	// LiveSessions counts connected streaming sessions; Pending counts
 	// arrivals waiting for a server; Placements and Completed are monotonic.
 	LiveSessions int `json:"live_sessions"`
@@ -176,8 +174,8 @@ type ClusterSummary struct {
 	// UtilPct is the current mean of per-server worst-dimension utilization,
 	// in percent — the reactive complement to the forecast-backed Headroom.
 	UtilPct float64 `json:"util_pct"`
-	// IdleServers counts non-draining servers hosting zero sessions — the
-	// pool an autoscaler can drain without migrating anything.
+	// IdleServers counts servers hosting zero sessions — the pool an
+	// autoscaler could retire without migrating anything.
 	IdleServers int `json:"idle_servers,omitempty"`
 	// Games and GameDemand break predicted demand out per game: GameDemand[i]
 	// is the fleet's predicted demand for Games[i] over the forecast horizon,

@@ -569,9 +569,6 @@ func (s *Server) LoadSummary() ClusterSummary {
 	}
 	var utilSum float64
 	for _, srv := range s.cluster.Servers {
-		if srv.Draining {
-			sum.Draining++
-		}
 		util := srv.Utilization()
 		worst := 0.0
 		for d := range util {

@@ -122,7 +122,7 @@ func (e *Envelope) AppendTo(buf []byte) ([]byte, error) {
 		buf = append(buf, tagSummary)
 		buf = appendSvarint(buf, int64(sm.Proto))
 		buf = appendSvarint(buf, int64(sm.Servers))
-		buf = appendSvarint(buf, int64(sm.Draining))
+		buf = appendSvarint(buf, 0) // reserved: the retired Draining count's slot
 		buf = appendSvarint(buf, int64(sm.LiveSessions))
 		buf = appendSvarint(buf, int64(sm.Pending))
 		buf = appendSvarint(buf, int64(sm.Placements))
@@ -257,7 +257,7 @@ func (e *Envelope) DecodeFrom(data []byte) error {
 		}
 		sm.Proto = int(r.svarint())
 		sm.Servers = int(r.svarint())
-		sm.Draining = int(r.svarint())
+		r.svarint() // reserved slot: a peer may still send a count here; it is discarded
 		sm.LiveSessions = int(r.svarint())
 		sm.Pending = int(r.svarint())
 		sm.Placements = int(r.svarint())

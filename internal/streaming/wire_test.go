@@ -3,6 +3,7 @@ package streaming
 import (
 	"bufio"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"net"
@@ -27,7 +28,7 @@ func wireEnvelopes() []*Envelope {
 		{Type: MsgEnd, End: &SessionStat{SessionID: 9, DurationSec: 900, AvgFPS: 58.2, FPSRatio: 0.97, Degraded: 0.01}},
 		{Type: MsgSummaryReq, SummaryReq: &SummaryReq{Proto: ProtoBinary3}},
 		{Type: MsgSummary, Summary: &ClusterSummary{
-			Proto: ProtoBinary3, Servers: 16, Draining: 2, LiveSessions: 41,
+			Proto: ProtoBinary3, Servers: 16, LiveSessions: 41,
 			Pending: 3, Placements: 977, Completed: 936, Headroom: 0.375, UtilPct: 61.5,
 			IdleServers: 4, Games: []string{"Contra", "Genshin Impact"},
 			GameDemand: []float64{0.5, 3.25},
@@ -54,6 +55,62 @@ func TestBinaryRoundTripAllTypes(t *testing.T) {
 		}
 		if !reflect.DeepEqual(in, &out) {
 			t.Errorf("%s round trip changed the message:\n in: %+v\nout: %+v", in.Type, in, &out)
+		}
+	}
+}
+
+// summaryGolden is wireEnvelopes()'s summary as one binary frame, written
+// when the slot after Servers still carried a draining-server count (here
+// 0). The slot stays reserved, so the layout and these bytes do not move.
+const summaryGolden = "42000000080620005206a20fd00e000000000000d83f0000000000c04e40" +
+	"080206436f6e747261000000000000e03f0e47656e7368696e20496d706163740000000000000a40"
+
+// summaryEnvelope returns wireEnvelopes()'s summary message.
+func summaryEnvelope(t *testing.T) *Envelope {
+	t.Helper()
+	for _, e := range wireEnvelopes() {
+		if e.Type == MsgSummary {
+			return e
+		}
+	}
+	t.Fatal("wireEnvelopes has no summary")
+	return nil
+}
+
+func TestSummaryWireGolden(t *testing.T) {
+	blob, err := summaryEnvelope(t).AppendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(blob); got != summaryGolden {
+		t.Errorf("summary frame moved:\n got %s\nwant %s", got, summaryGolden)
+	}
+}
+
+// TestSummaryReservedSlotIgnored decodes summaries whose reserved slot holds
+// a non-zero count, as a peer that still reports draining servers sends
+// them: every other field must come out intact.
+func TestSummaryReservedSlotIgnored(t *testing.T) {
+	want := summaryEnvelope(t)
+	blob, err := want.AppendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Body: tag, Proto, Servers, then the slot, each one byte here.
+	const slot = 4 + 3
+	if blob[slot] != 0 {
+		t.Fatalf("reserved slot at byte %d holds %#x, want 0", slot, blob[slot])
+	}
+	for _, v := range []int64{1, 2, 300, -1} {
+		body := append([]byte(nil), blob[4:slot]...)
+		body = appendSvarint(body, v)
+		body = append(body, blob[slot+1:]...)
+		var out Envelope
+		if err := out.DecodeFrom(body); err != nil {
+			t.Fatalf("slot %d: decode: %v", v, err)
+		}
+		if !reflect.DeepEqual(want, &out) {
+			t.Errorf("slot %d changed the summary:\n in: %+v\nout: %+v", v, want.Summary, out.Summary)
 		}
 	}
 }
