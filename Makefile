@@ -119,9 +119,8 @@ bench-pairs:
 # Prediction is the per-call Predict alone: the pointer-walk and batch twins
 # are gone. Nothing is recorded or compared —
 # bench/cocgbench (bench-e2e above) is the judge of a performance claim; these
-# numbers say where inside a layer the time goes. BENCH_PR3.json …
-# BENCH_PR10.json are the per-layer records earlier PRs took and stay as
-# history only.
+# numbers say where inside a layer the time goes. docs/PERFORMANCE.md's
+# per-layer history keeps the headline figures earlier PRs recorded.
 bench-layers:
 	$(GO) test -run '^$$' -benchmem \
 		-bench 'FleetPlacement|FleetFrame|FleetRound|Evaluate|FleetLoad|ClusterLoadFullScan|Predict|KMeans|TrainSystem|Forecast|WireFrameBatch|StreamTick|FleetRoute|ServerTick|(DTC|RF|GBDT)Fit|(Forest|GBDT)Train|NewPlayerSession|SourceSeedAndDraw|VectorFold' \

@@ -34,8 +34,7 @@ var (
 
 // ctxForBench trains the five-game system once for all benchmarks. It also
 // turns on allocation reporting, so every experiment benchmark publishes
-// allocs/op and B/op alongside ns/op — the quantities the benchmark
-// trajectory in BENCH_PR3.json tracks across PRs.
+// allocs/op and B/op alongside ns/op.
 func ctxForBench(b *testing.B) *experiments.Context {
 	b.Helper()
 	b.ReportAllocs()

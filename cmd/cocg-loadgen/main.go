@@ -31,6 +31,7 @@ import (
 
 	"cocg/internal/gamesim"
 	"cocg/internal/parallel"
+	"cocg/internal/stats"
 	"cocg/internal/streaming"
 )
 
@@ -149,7 +150,6 @@ func main() {
 		}
 		lat = append(lat, r.gaps...)
 	}
-	sort.Float64s(lat)
 
 	fmt.Printf("finished in %.2f s (peak %d sessions in flight)\n", elapsed.Seconds(), peak.Load())
 	fmt.Printf("  sessions: %d completed, %d failed — %.2f sessions/sec\n",
@@ -161,7 +161,7 @@ func main() {
 		frames, float64(frames)/elapsed.Seconds())
 	if len(lat) > 0 {
 		fmt.Printf("  delivery: p50 %.2f ms, p99 %.2f ms between batches\n",
-			percentile(lat, 0.50), percentile(lat, 0.99))
+			stats.Percentile(lat, 50), stats.Percentile(lat, 99))
 	}
 	if rttN > 0 {
 		fmt.Printf("  input:    mean RTT %.1f ms across %d sessions\n", rttSum/float64(rttN), rttN)
@@ -182,17 +182,4 @@ func main() {
 	if completed == 0 {
 		os.Exit(1)
 	}
-}
-
-// percentile returns the p-quantile (0..1) of a sorted sample by
-// nearest-rank; the sample must be non-empty.
-func percentile(sorted []float64, p float64) float64 {
-	idx := int(p*float64(len(sorted))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }

@@ -46,15 +46,17 @@ type Config struct {
 	// DownAfter is how many consecutive probe failures mark a cluster
 	// unhealthy; <=0 means 2. A single successful probe restores it.
 	DownAfter int
-	// DialTimeout bounds cluster dials (probes and session attempts);
-	// <=0 means 2 s.
-	DialTimeout time.Duration
-	// ProbeTimeout bounds one probe round trip; <=0 means 2 s.
-	ProbeTimeout time.Duration
 	// Logf, when non-nil, receives diagnostic messages (state transitions,
 	// failovers).
 	Logf func(format string, args ...any)
 }
+
+const (
+	// dialTimeout bounds cluster dials (probes and session attempts).
+	dialTimeout = 2 * time.Second
+	// probeTimeout bounds one probe round trip.
+	probeTimeout = 2 * time.Second
+)
 
 // Coordinator is a running control plane: one TCP listener for sessions,
 // one health prober per cluster, and the routing state in between.
@@ -93,12 +95,6 @@ func Serve(addr string, cfg Config) (*Coordinator, error) {
 	}
 	if cfg.DownAfter <= 0 {
 		cfg.DownAfter = 2
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 2 * time.Second
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 2 * time.Second
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -253,7 +249,7 @@ func (co *Coordinator) handle(client *streaming.Conn) {
 // fastest down-detector there is); an explicit Reject does not — a full
 // cluster is healthy, just busy.
 func (co *Coordinator) admitOn(m *member, hello *streaming.Envelope) (*streaming.Conn, *streaming.Envelope, string) {
-	nc, err := net.DialTimeout("tcp", m.addr, co.cfg.DialTimeout)
+	nc, err := net.DialTimeout("tcp", m.addr, dialTimeout)
 	if err != nil {
 		m.transport.Add(1)
 		co.probeFailed(m, err)

@@ -141,11 +141,11 @@ func (co *Coordinator) probeLoop(m *member) {
 // of the feed is binary. A cluster that answers with a Reject (or a version
 // this build does not speak) fails the probe like any transport error.
 func (co *Coordinator) probeOnce(m *member, feed *streaming.Conn) *streaming.Conn {
-	deadline := time.Now().Add(co.cfg.ProbeTimeout)
+	deadline := time.Now().Add(probeTimeout)
 	var req streaming.SummaryReq
 	opening := feed == nil
 	if opening {
-		nc, err := net.DialTimeout("tcp", m.addr, co.cfg.DialTimeout)
+		nc, err := net.DialTimeout("tcp", m.addr, dialTimeout)
 		if err != nil {
 			co.probeFailed(m, err)
 			return nil

@@ -157,7 +157,7 @@ func (co *Coordinator) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	for _, c := range snap.Clusters {
 		fmt.Fprintf(w, "cocg_coord_cluster_probe_failures_total{cluster=%q} %d\n", c.Name, c.ProbeFailures)
 	}
-	fmt.Fprintf(w, "# HELP cocg_coord_cluster_idle_servers Idle (zero-session, non-draining) servers per cluster from the last summary.\n")
+	fmt.Fprintf(w, "# HELP cocg_coord_cluster_idle_servers Servers hosting zero sessions per cluster, from the last summary.\n")
 	fmt.Fprintf(w, "# TYPE cocg_coord_cluster_idle_servers gauge\n")
 	for _, c := range snap.Clusters {
 		fmt.Fprintf(w, "cocg_coord_cluster_idle_servers{cluster=%q} %d\n", c.Name, c.Summary.IdleServers)

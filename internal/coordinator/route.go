@@ -29,25 +29,22 @@ type ClusterView struct {
 	LiveSessions int
 }
 
-// RouteWeights tunes the routing score. The zero value selects the defaults
-// noted per field.
+// RouteWeights tunes the routing score. The zero value selects the default
+// noted on the field.
 type RouteWeights struct {
-	// Latency is the score cost of RefLatencyMS of round-trip time for a
+	// Latency is the score cost of refLatencyMS of round-trip time for a
 	// fully latency-sensitive game (sensitivity 1.0); <=0 means 0.5 — i.e.
-	// with the default reference, 100 ms of RTT outweighs half a cluster of
-	// predicted headroom.
+	// 100 ms of RTT outweighs half a cluster of predicted headroom.
 	Latency float64
-	// RefLatencyMS is the round-trip time that costs exactly Latency score
-	// points; <=0 means 100.
-	RefLatencyMS float64
 }
+
+// refLatencyMS is the round-trip time that costs exactly Latency score
+// points.
+const refLatencyMS = 100
 
 func (w RouteWeights) withDefaults() RouteWeights {
 	if w.Latency <= 0 {
 		w.Latency = 0.5
-	}
-	if w.RefLatencyMS <= 0 {
-		w.RefLatencyMS = 100
 	}
 	return w
 }
@@ -83,7 +80,7 @@ func LatencySensitivity(spec *gamesim.GameSpec) float64 {
 // order: primary routing choice first, then each failover candidate. The
 // score is
 //
-//	Headroom − Latency × (LatencyMS / RefLatencyMS) × LatencySensitivity(spec)
+//	Headroom − Latency × (LatencyMS / refLatencyMS) × LatencySensitivity(spec)
 //
 // — predicted load headroom traded against user→region latency, weighted by
 // how much this game cares. The views are scored serially, then ordered by
@@ -114,7 +111,7 @@ func RankInto(views []ClusterView, spec *gamesim.GameSpec, w RouteWeights, jobs 
 	sl := (*scores)[:n]
 	for i := range views {
 		v := &views[i]
-		sl[i] = v.Headroom - w.Latency*(v.LatencyMS/w.RefLatencyMS)*sens
+		sl[i] = v.Headroom - w.Latency*(v.LatencyMS/refLatencyMS)*sens
 	}
 	out := (*order)[:0]
 	for i := range views {

@@ -11,7 +11,8 @@ import (
 	"strings"
 )
 
-// HotAlloc gates the zero-allocation invariants proven in BENCH_PR3–PR6.
+// HotAlloc gates the zero-allocation invariants of the serving, routing,
+// placement and inference paths.
 // A function annotated
 //
 //	//cocg:hot

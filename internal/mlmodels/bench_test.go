@@ -108,8 +108,7 @@ func benchFitDataset(b *testing.B) *Dataset {
 // dataset every iteration, so after the first fit the pre-sorted path runs
 // entirely in its reused arena — the online learner's retraining shape. The
 // legacy builders — the tests' oracle — are benchmarked through the same
-// harness (the *FitLegacy variants below); BENCH_PR9.json recorded them as
-// its baseline.
+// harness (the *FitLegacy variants below) as the "before" of each fit.
 func benchFit(b *testing.B, fit func(*Dataset) error, ds *Dataset) {
 	b.Helper()
 	b.ReportAllocs()

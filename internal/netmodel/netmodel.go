@@ -11,17 +11,18 @@ import (
 	"math/rand"
 )
 
-// Link models one client's access path.
+// Link models one client's access path. FiberLink, CableLink and
+// MobileLink build the three the model knows.
 type Link struct {
-	// BaseLatencyMS is the one-way propagation delay.
-	BaseLatencyMS float64
-	// JitterMS is the standard deviation of per-delivery latency noise.
-	JitterMS float64
-	// BandwidthKbps caps the video stream; queuing delay grows as the
+	// baseLatencyMS is the one-way propagation delay.
+	baseLatencyMS float64
+	// jitterMS is the standard deviation of per-delivery latency noise.
+	jitterMS float64
+	// bandwidthKbps caps the video stream; queuing delay grows as the
 	// encoder output approaches it.
-	BandwidthKbps float64
-	// LossRate is the probability a delivery is dropped entirely.
-	LossRate float64
+	bandwidthKbps float64
+	// lossRate is the probability a delivery is dropped entirely.
+	lossRate float64
 
 	rng *rand.Rand
 	// backlogKb is queued-but-unsent data from previous seconds.
@@ -31,21 +32,21 @@ type Link struct {
 // FiberLink models a metropolitan fiber connection: the paper's <3 ms
 // network budget is achievable here.
 func FiberLink(seed int64) *Link {
-	return NewLink(Link{BaseLatencyMS: 2, JitterMS: 0.5, BandwidthKbps: 100_000}, seed)
+	return newLink(Link{baseLatencyMS: 2, jitterMS: 0.5, bandwidthKbps: 100_000}, seed)
 }
 
 // CableLink models a typical cable/DOCSIS access path.
 func CableLink(seed int64) *Link {
-	return NewLink(Link{BaseLatencyMS: 8, JitterMS: 2, BandwidthKbps: 40_000, LossRate: 0.001}, seed)
+	return newLink(Link{baseLatencyMS: 8, jitterMS: 2, bandwidthKbps: 40_000, lossRate: 0.001}, seed)
 }
 
 // MobileLink models a good 4G/5G connection: workable bandwidth but jittery.
 func MobileLink(seed int64) *Link {
-	return NewLink(Link{BaseLatencyMS: 25, JitterMS: 8, BandwidthKbps: 15_000, LossRate: 0.005}, seed)
+	return newLink(Link{baseLatencyMS: 25, jitterMS: 8, bandwidthKbps: 15_000, lossRate: 0.005}, seed)
 }
 
-// NewLink returns a link with the given parameters and its own RNG.
-func NewLink(params Link, seed int64) *Link {
+// newLink returns a link with the given parameters and its own RNG.
+func newLink(params Link, seed int64) *Link {
 	params.rng = rand.New(rand.NewSource(seed))
 	return &params
 }
@@ -63,12 +64,12 @@ type Delivery struct {
 
 // Send models transmitting kbps worth of one second's video over the link.
 func (l *Link) Send(kbps float64) Delivery {
-	if l.LossRate > 0 && l.rng.Float64() < l.LossRate {
+	if l.lossRate > 0 && l.rng.Float64() < l.lossRate {
 		return Delivery{}
 	}
-	// The link drains BandwidthKbps per second; what does not fit queues.
+	// The link drains bandwidthKbps per second; what does not fit queues.
 	l.backlogKb += kbps
-	drained := l.BandwidthKbps
+	drained := l.bandwidthKbps
 	if l.backlogKb <= drained {
 		l.backlogKb = 0
 	} else {
@@ -76,10 +77,10 @@ func (l *Link) Send(kbps float64) Delivery {
 	}
 	// Queuing delay: time to flush the remaining backlog at line rate.
 	queueMS := 0.0
-	if l.BandwidthKbps > 0 {
-		queueMS = l.backlogKb / l.BandwidthKbps * 1000
+	if l.bandwidthKbps > 0 {
+		queueMS = l.backlogKb / l.bandwidthKbps * 1000
 	}
-	lat := l.BaseLatencyMS + math.Abs(l.rng.NormFloat64())*l.JitterMS + queueMS
+	lat := l.baseLatencyMS + math.Abs(l.rng.NormFloat64())*l.jitterMS + queueMS
 	return Delivery{
 		Delivered: true,
 		LatencyMS: lat,

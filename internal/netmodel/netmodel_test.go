@@ -58,7 +58,7 @@ func TestBacklogDrains(t *testing.T) {
 }
 
 func TestLossAccounting(t *testing.T) {
-	l := NewLink(Link{BaseLatencyMS: 5, BandwidthKbps: 50_000, LossRate: 0.5}, 4)
+	l := newLink(Link{baseLatencyMS: 5, bandwidthKbps: 50_000, lossRate: 0.5}, 4)
 	var s Stats
 	for i := 0; i < 1000; i++ {
 		s.Observe(l.Send(5000))
@@ -80,7 +80,7 @@ func TestStatsEmpty(t *testing.T) {
 
 func TestPropertyLatencyAtLeastBase(t *testing.T) {
 	f := func(seed int64, kbpsRaw uint16) bool {
-		l := NewLink(Link{BaseLatencyMS: 10, JitterMS: 3, BandwidthKbps: 20_000}, seed)
+		l := newLink(Link{baseLatencyMS: 10, jitterMS: 3, bandwidthKbps: 20_000}, seed)
 		d := l.Send(float64(kbpsRaw))
 		return !d.Delivered || d.LatencyMS >= 10
 	}

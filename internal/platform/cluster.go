@@ -44,11 +44,8 @@ type Cluster struct {
 	// FailedPlacements counts arrivals that won a server but could not be
 	// materialized (malformed script index, controller construction error).
 	// Such arrivals leave the queue — retrying one would fail identically
-	// every round — but are counted and logged rather than silently dropped.
+	// every round — but are counted rather than silently dropped.
 	FailedPlacements int
-
-	// Logf, when non-nil, receives diagnostic messages (dropped arrivals).
-	Logf func(format string, args ...any)
 
 	// round is the current placement round's scoreboard.
 	round scoreboard
@@ -97,8 +94,6 @@ type PlacementPreparer interface {
 // not mutate it), while GameDemand is caller storage the summarizer
 // overwrites in place, so a steady-state poll allocates nothing.
 type FleetLoad struct {
-	// Servers is the total server count the summary covers.
-	Servers int
 	// Idle counts servers hosting zero sessions — the pool a scale-down
 	// pass could retire without migrating anything.
 	Idle int
@@ -165,13 +160,11 @@ func (c *Cluster) place(a Arrival) (*Server, *Hosted, error) {
 	sess, err := gamesim.NewPlayerSession(a.Spec, a.Script, a.Habit, a.SessionSeed)
 	if err != nil {
 		c.FailedPlacements++
-		c.logf("platform: dropping arrival %s (script %d): %v", a.Spec.Name, a.Script, err)
 		return srv, nil, err
 	}
 	ctl, err := c.Policy.NewController(a.Spec, a.Habit)
 	if err != nil {
 		c.FailedPlacements++
-		c.logf("platform: dropping arrival %s: no controller: %v", a.Spec.Name, err)
 		return srv, nil, err
 	}
 	c.Placements++
@@ -204,13 +197,6 @@ func (c *Cluster) tryPlace() {
 		}
 	}
 	c.Pending = remaining
-}
-
-// logf forwards to Logf when set.
-func (c *Cluster) logf(format string, args ...any) {
-	if c.Logf != nil {
-		c.Logf(format, args...)
-	}
 }
 
 // Records returns all completed-session records across servers, sized in one

@@ -2,7 +2,6 @@ package platform
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -247,11 +246,7 @@ func (b *brokenControllerPolicy) NewController(*gamesim.GameSpec, int64) (Contro
 }
 
 func TestFailedPlacementIsCountedAndLogged(t *testing.T) {
-	var logged []string
 	c := NewCluster(1, &brokenControllerPolicy{})
-	c.Logf = func(format string, args ...any) {
-		logged = append(logged, fmt.Sprintf(format, args...))
-	}
 	c.Submit(Arrival{Spec: gamesim.Contra(), Script: 0, Habit: 1, SessionSeed: 2})
 	c.Run(10)
 	if c.FailedPlacements != 1 {
@@ -265,8 +260,12 @@ func TestFailedPlacementIsCountedAndLogged(t *testing.T) {
 	if len(c.Pending) != 0 {
 		t.Errorf("pending = %d, want 0", len(c.Pending))
 	}
-	if len(logged) != 1 {
-		t.Fatalf("logged %d messages, want 1: %q", len(logged), logged)
+	// Place hands the failure to its caller (the streaming tier's Reject).
+	if srv, h, err := c.Place(Arrival{Spec: gamesim.Contra(), Habit: 1}); srv == nil || h != nil || err == nil {
+		t.Errorf("Place = (%v, %v, %v), want the won server, no session and the error", srv, h, err)
+	}
+	if c.FailedPlacements != 2 {
+		t.Errorf("FailedPlacements after Place = %d, want 2", c.FailedPlacements)
 	}
 }
 
@@ -275,7 +274,7 @@ func TestFailedPlacementBadScript(t *testing.T) {
 	c.Submit(Arrival{Spec: gamesim.Contra(), Script: 9999, Habit: 1, SessionSeed: 2})
 	c.Run(10)
 	if c.FailedPlacements != 1 || c.Placements != 0 || len(c.Pending) != 0 {
-		t.Errorf("failed=%d placed=%d pending=%d, want 1/0/0 (nil Logf must not panic)",
+		t.Errorf("failed=%d placed=%d pending=%d, want 1/0/0",
 			c.FailedPlacements, c.Placements, len(c.Pending))
 	}
 }

@@ -121,7 +121,6 @@ func (c *CoCG) fleetLoad(servers []*platform.Server, out *platform.FleetLoad, fr
 		headSum += cc.headroom
 	}
 
-	out.Servers = len(servers)
 	out.Idle = idle
 	out.MeanHeadroom = headSum / max(1, float64(len(servers))) // 0 for no servers
 	out.Games = c.games

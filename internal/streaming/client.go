@@ -33,7 +33,6 @@ type ClientStats struct {
 type ClientConfig struct {
 	Game   string
 	Script int
-	Habit  int64
 	// Timeout bounds the whole session; <=0 means 2 minutes.
 	Timeout time.Duration
 	// Link, when set, simulates the player's last-mile network: every
@@ -73,7 +72,7 @@ func Play(addr string, cfg ClientConfig) (*ClientStats, error) {
 	defer func() { _ = conn.Close() }() // teardown; session errors surface first
 
 	if err := conn.Send(&Envelope{Type: MsgHello, Hello: &Hello{
-		Game: cfg.Game, Script: cfg.Script, Habit: cfg.Habit, Proto: ProtoBinary3,
+		Game: cfg.Game, Script: cfg.Script, Proto: ProtoBinary3,
 	}}); err != nil {
 		return nil, err
 	}

@@ -29,12 +29,12 @@ type ServerConfig struct {
 	TickEvery time.Duration
 	// SessionSeed seeds arriving sessions.
 	SessionSeed int64
-	// QueueLen is the per-session outbound queue capacity; <=0 means 64.
-	// When a client falls this far behind, frame batches are coalesced and
-	// then dropped oldest-first (see outQueue) rather than buffered without
-	// bound.
-	QueueLen int
 }
+
+// outQueueLen is the per-session outbound queue capacity. When a client
+// falls this far behind, frame batches are coalesced and then dropped
+// oldest-first (see outQueue) rather than buffered without bound.
+const outQueueLen = 64
 
 // Server is the cloud end of Fig. 1: it hosts game sessions on a scheduled
 // cluster and streams encoded frames to connected clients.
@@ -158,9 +158,6 @@ func serve(addr string, cfg ServerConfig, src tickSource) (*Server, error) {
 	}
 	if cfg.TickEvery <= 0 {
 		cfg.TickEvery = 10 * time.Millisecond
-	}
-	if cfg.QueueLen <= 0 {
-		cfg.QueueLen = 64
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -378,7 +375,7 @@ func (s *Server) place(conn *Conn, spec *gamesim.GameSpec, hello *Hello) (*liveS
 		idx:    len(s.live),
 		conn:   conn,
 		hosted: hosted,
-		out:    newOutQueue(s.cfg.QueueLen),
+		out:    newOutQueue(outQueueLen),
 	}
 	s.live = append(s.live, ls)
 	// Best-effort: if the accept never lands, the input loop's Recv

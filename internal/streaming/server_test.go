@@ -144,16 +144,17 @@ func TestCloseWithLiveSessionsLeaksNothing(t *testing.T) {
 // TestBackpressureCountsAndSeqGaps pins the overload story end to end. A
 // real TCP socket would hide it — the kernel buffers the whole (small)
 // simulated stream — so the session rides an unbuffered net.Pipe: the writer
-// blocks the moment the peer stops reading, the tiny outbound queue fills,
-// and the tick walk must resolve the overload through the coalesce/drop
-// policy (visible in the counters) while the client sees sequence gaps and a
-// clean End, never unbounded buffering.
+// blocks the moment the peer stops reading, the outbound queue's
+// outQueueLen slots fill, and the tick walk must resolve the overload
+// through the coalesce/drop policy (visible in the counters) while the
+// client sees sequence gaps and a clean End, never unbounded buffering. The
+// peer stalls on a channel, not a timer, so the overload does not depend on
+// how fast the host runs the walk.
 func TestBackpressureCountsAndSeqGaps(t *testing.T) {
 	s, err := Serve("127.0.0.1:0", ServerConfig{
 		System:    testSystem(t),
 		Policy:    core.PolicyCoCG,
 		TickEvery: time.Hour, // the test owns the tick cadence
-		QueueLen:  2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -194,8 +195,12 @@ func TestBackpressureCountsAndSeqGaps(t *testing.T) {
 		s.writeLoop(ls)
 	}()
 
-	// The peer drains lazily while the server produces frame batches about
-	// twenty times faster than the client consumes them.
+	// The peer reads a few batches, then stops reading until the whole
+	// session has been delivered. Genshin Impact's ~200 batches overfill
+	// what the stalled path can hold (the batches read, the one the writer
+	// is blocked on, and the queue's outQueueLen).
+	const readFirst = 4
+	resume := make(chan struct{})
 	var gaps, frames int
 	var lastSeq int64
 	sawEnd := make(chan struct{})
@@ -203,6 +208,9 @@ func TestBackpressureCountsAndSeqGaps(t *testing.T) {
 		defer close(sawEnd)
 		var env Envelope
 		for {
+			if frames == readFirst {
+				<-resume
+			}
 			if err := peer.RecvInto(&env); err != nil {
 				return
 			}
@@ -215,25 +223,17 @@ func TestBackpressureCountsAndSeqGaps(t *testing.T) {
 					gaps++
 				}
 				lastSeq = env.Frames.Seq
-				time.Sleep(10 * time.Millisecond)
 			}
 		}
 	}()
 	for i := 0; i < 500_000 && !ls.hosted.Session.Done(); i++ {
 		s.tickOnce()
-		if i%5 == 4 {
-			// One frame boundary per 5 ticks: pace production to roughly a
-			// batch per millisecond — still an order of magnitude faster
-			// than the peer consumes — so the writer goroutine interleaves
-			// with the walk instead of the whole session elapsing between
-			// two peer reads.
-			time.Sleep(time.Millisecond)
-		}
 	}
 	if !ls.hosted.Session.Done() {
 		t.Fatal("session never finished")
 	}
 	s.tickOnce() // deliver the End
+	close(resume)
 	select {
 	case <-sawEnd:
 	case <-time.After(10 * time.Second):
@@ -241,9 +241,14 @@ func TestBackpressureCountsAndSeqGaps(t *testing.T) {
 	}
 	<-writerDone
 
+	// Every batch past the full queue is coalesced into its newest slot;
+	// the End, which is never coalesced, then evicts the oldest batch.
 	snap := s.snapshot()
-	if snap.FramesCoalesced+snap.FramesDropped == 0 {
-		t.Error("overloaded session triggered no backpressure")
+	if snap.FramesCoalesced == 0 {
+		t.Error("overloaded session coalesced no batches")
+	}
+	if snap.FramesDropped == 0 {
+		t.Error("the End pushed into a full queue dropped no batch")
 	}
 	if gaps == 0 {
 		t.Errorf("client saw no sequence gaps despite backpressure (%d frames)", frames)
@@ -309,7 +314,7 @@ func TestSessionChurnUnderTicks(t *testing.T) {
 	before := runtime.NumGoroutine()
 	s, err := Serve("127.0.0.1:0", ServerConfig{
 		System: testSystem(t), Policy: core.PolicyCoCG, Servers: 4,
-		TickEvery: time.Millisecond, QueueLen: 4,
+		TickEvery: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
