@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fmt fuzz-smoke lint vuln docs-check bench bench-e2e bench-e2e-compare bench-pairs bench-layers
+.PHONY: all build test race fmt fuzz-smoke lint vuln docs-check loc bench bench-e2e bench-e2e-compare bench-pairs bench-layers
 
 all: build test
 
@@ -73,6 +73,12 @@ fuzz-smoke:
 			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
 		done; \
 	done
+
+# loc prints the size the ROADMAP's Size line and the simplicity criteria
+# quote: the line count (plain wc -l) of every non-test .go file under
+# internal/ and cmd/, testdata included.
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

@@ -282,15 +282,9 @@ func Fig13(ctx *Context) (*Fig13Result, error) {
 		var sum float64
 		var n int
 		for _, g := range games {
-			recs := byGame[g.Name]
-			row := Fig13Row{Game: g.Name, Policy: kind.String(), Sessions: len(recs)}
-			for _, r := range recs {
-				row.FPSRatio += r.FPSRatio
-				row.GoodFPS += r.GoodFPSFrac
-			}
-			if len(recs) > 0 {
-				row.FPSRatio /= float64(len(recs))
-				row.GoodFPS /= float64(len(recs))
+			q := platform.Summarize(byGame[g.Name])
+			row := Fig13Row{Game: g.Name, Policy: kind.String(), Sessions: q.Sessions, FPSRatio: q.MeanFPSRatio, GoodFPS: q.MeanGoodFPS}
+			if q.Sessions > 0 {
 				sum += row.FPSRatio
 				n++
 			}

@@ -68,12 +68,7 @@ func PairMatrix(ctx *Context) (*PairMatrixResult, error) {
 			recs := c.Records()
 			row.CoLocated = row.CoResidencySec > 0
 			row.Throughput = platform.Throughput(recs, ref)
-			for _, r := range recs {
-				row.Degraded += r.Degraded
-			}
-			if len(recs) > 0 {
-				row.Degraded /= float64(len(recs))
-			}
+			row.Degraded = platform.Summarize(recs).MeanDegraded
 			out.Rows = append(out.Rows, row)
 		}
 	}

@@ -57,14 +57,8 @@ func PlacementAblation(ctx *Context) (*PlacementAblationResult, error) {
 			return nil, err
 		}
 		recs := c.Records()
-		row := PlacementRow{Strategy: strat, Sessions: len(recs)}
+		row := PlacementRow{Strategy: strat, Sessions: len(recs), Degraded: platform.Summarize(recs).MeanDegraded}
 		row.Throughput = platform.Throughput(recs, ref)
-		for _, r := range recs {
-			row.Degraded += r.Degraded
-		}
-		if len(recs) > 0 {
-			row.Degraded /= float64(len(recs))
-		}
 		out.Rows = append(out.Rows, row)
 	}
 	return out, nil

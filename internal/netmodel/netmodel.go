@@ -80,7 +80,13 @@ func (l *Link) Send(kbps float64) Delivery {
 	if l.bandwidthKbps > 0 {
 		queueMS = l.backlogKb / l.bandwidthKbps * 1000
 	}
-	lat := l.baseLatencyMS + math.Abs(l.rng.NormFloat64())*l.jitterMS + queueMS
+	// Jitter is drawn only on a jittery link, as loss is only on a lossy one,
+	// so a zero Link (no rng) delivers without drawing.
+	jitter := 0.0
+	if l.jitterMS > 0 {
+		jitter = math.Abs(l.rng.NormFloat64()) * l.jitterMS
+	}
+	lat := l.baseLatencyMS + jitter + queueMS
 	return Delivery{
 		Delivered: true,
 		LatencyMS: lat,

@@ -71,6 +71,15 @@ func TestLossAccounting(t *testing.T) {
 	}
 }
 
+// TestZeroLinkSends pins that a zero Link, which has no random source, neither
+// jitters nor loses: it delivers at once instead of panicking on a draw.
+func TestZeroLinkSends(t *testing.T) {
+	d := (&Link{}).Send(500)
+	if !d.Delivered || d.LatencyMS != 0 || d.Stutter {
+		t.Errorf("zero link delivered %+v, want delivered at 0 ms", d)
+	}
+}
+
 func TestStatsEmpty(t *testing.T) {
 	var s Stats
 	if s.MeanLatencyMS() != 0 || s.StutterRate() != 0 || s.WorstLatencyMS() != 0 {

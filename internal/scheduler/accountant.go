@@ -63,9 +63,9 @@ func fracSum(runs []predictor.Segment, capacity resources.Vector) float64 {
 // did not — nothing had read the previous memo — the server is refilled once
 // more, memo included: the same pure function of the stamped state, so the
 // same aggregates, and only the first poll after a quiet spell pays for it.
-func (c *CoCG) serverLoadMemo(cc *serverCache, srv *platform.Server, es *evalScratch) {
+func (c *CoCG) serverLoadMemo(cc *serverCache, srv *platform.Server) {
 	if !cc.loadValid {
-		c.refill(cc, srv, cc.stamp, es, true)
+		c.refill(cc, srv, cc.stamp, true)
 	}
 	cc.loadUsed = true
 }
@@ -106,12 +106,12 @@ func (c *CoCG) fleetLoad(servers []*platform.Server, out *platform.FleetLoad, fr
 	for _, srv := range servers {
 		var cc *serverCache
 		if fresh {
-			cc = &serverCache{owner: c}
+			cc = &serverCache{}
 		} else {
 			cc = c.cacheOf(srv)
 		}
-		c.refresh(cc, srv, &c.scratch)
-		c.serverLoadMemo(cc, srv, &c.scratch)
+		c.refresh(cc, srv)
+		c.serverLoadMemo(cc, srv)
 		for j, d := range cc.gameDemand {
 			demand[j] += d
 		}

@@ -43,12 +43,11 @@ func requireBitIdentical(t *testing.T, label string, got, want platform.FleetLoa
 // TestFleetLoadMatchesFullRecompute is the equivalence gate: it drives one
 // cluster through admission, forecast progression, session endings, and membership churn (grow, shrink, replace), polling the
 // incremental summary at every checkpoint. Each poll must be bit-identical to
-// a from-scratch recompute by an independent policy instance (so the
-// incremental chain under test is never reset).
+// a from-scratch recompute through throwaway caches (so the incremental chain
+// under test is never reset).
 func TestFleetLoadMatchesFullRecompute(t *testing.T) {
 	specs := []*gamesim.GameSpec{gamesim.Contra(), gamesim.GenshinImpact()}
 	p := policyFor(t, specs...)
-	ref := policyFor(t, specs...)
 	c := platform.NewCluster(6, p)
 
 	var out, full platform.FleetLoad
@@ -57,17 +56,13 @@ func TestFleetLoadMatchesFullRecompute(t *testing.T) {
 		if !p.FleetLoadInto(c.Servers, &out) {
 			t.Fatalf("%s: FleetLoadInto returned false", label)
 		}
-		if !ref.FleetLoadFull(c.Servers, &full) {
+		if !p.FleetLoadFull(c.Servers, &full) {
 			t.Fatalf("%s: FleetLoadFull returned false", label)
 		}
 		requireBitIdentical(t, label, out, full)
 		// The full scan divides every frame of every timeline and shares
 		// only the server order with the memoized fold: same bits.
-		head, ok := ref.ClusterLoadFullScan(c.Servers)
-		if !ok {
-			t.Fatalf("%s: ClusterLoadFullScan returned false", label)
-		}
-		if head != out.MeanHeadroom {
+		if head := p.ClusterLoadFullScan(c.Servers); head != out.MeanHeadroom {
 			t.Fatalf("%s: memoized mean %.17g vs full scan %.17g", label, out.MeanHeadroom, head)
 		}
 	}
@@ -135,10 +130,7 @@ func TestClusterLoadDelegatesToAccountant(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		c.Tick()
 	}
-	head, ok := policyFor(t, specs...).ClusterLoadFullScan(c.Servers)
-	if !ok {
-		t.Fatal("ClusterLoadFullScan returned false")
-	}
+	head := p.ClusterLoadFullScan(c.Servers)
 	var fl platform.FleetLoad
 	for poll := 0; poll < 2; poll++ {
 		if !p.FleetLoadInto(c.Servers, &fl) {

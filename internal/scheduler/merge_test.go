@@ -30,7 +30,7 @@ func addRuns(total []resources.Vector, runs []predictor.Segment) {
 
 // randomSessions draws k sessions' run lists over h frames: ragged stage runs,
 // runs cut on a shared five-frame grid (so several sessions' runs end on the
-// same frame), and single flat runs like a foreign controller's. Demands mix
+// same frame), and single flat runs covering the whole horizon. Demands mix
 // exact zeros with values whose sums round.
 func randomSessions(rng *rand.Rand, k, h int) (runs []predictor.Segment, runEnd []int) {
 	demand := func() resources.Vector {
@@ -113,7 +113,7 @@ func TestMergeRunsMatchesDenseFold(t *testing.T) {
 			}
 		}
 	}
-	// One foreign session: a single run of the whole horizon.
+	// One session holding one demand: a single run of the whole horizon.
 	flat := []predictor.Segment{{Frames: 120, Demand: resources.Uniform(12.5)}}
 	checkMerge(t, flat, []int{1}, 120)
 	merged, _ := mergeRuns(nil, flat, []int{1}, 120, make([]runCursor, 1))
@@ -138,12 +138,11 @@ func FuzzMergeRuns(f *testing.F) {
 // mislead it: two live servers sharing one Server.ID, then a server replaced
 // in place by a new one with its predecessor's ID. The long-lived policy's
 // verdicts — through Score and through the cluster's pick — and its fleet
-// summary must equal a fresh policy's, which works through throwaway caches.
+// summary must equal what it computes through throwaway caches.
 func TestCacheLookupIgnoresServerIDs(t *testing.T) {
 	do, co := gamesim.DOTA2(), gamesim.Contra()
 	specs := []*gamesim.GameSpec{do, co}
-	bundles := []*predictor.Trained{bundleFor(t, do), bundleFor(t, co)}
-	p := New(bundles, Config{})
+	p := policyFor(t, do, co)
 	c := platform.NewCluster(4, p)
 	c.Servers[1].ID = c.Servers[0].ID
 	host := func(srv *platform.Server, spec *gamesim.GameSpec, seed int64) {
@@ -162,31 +161,26 @@ func TestCacheLookupIgnoresServerIDs(t *testing.T) {
 		t.Helper()
 		for round := 0; round < 2; round++ { // cold, then memoized
 			for i, spec := range specs {
-				fresh := New(bundles, Config{})
 				for _, srv := range c.Servers {
 					var ws float64
 					var wok bool
-					aside(c.Servers, func() { ws, wok = fresh.Score(srv, spec) })
+					aside(c.Servers, func() { ws, wok = p.Score(srv, spec) })
 					if gs, gok := p.Score(srv, spec); gs != ws || gok != wok {
-						t.Fatalf("%s: Score of server %p %s: (%v, %v), fresh policy (%v, %v)", label, srv, spec.Name, gs, gok, ws, wok)
+						t.Fatalf("%s: Score of server %p %s: (%v, %v), fresh caches (%v, %v)", label, srv, spec.Name, gs, gok, ws, wok)
 					}
 				}
 				a := platform.Arrival{Spec: spec, Habit: int64(i)}
 				got := c.PickServer(a)
 				var want *platform.Server
-				aside(c.Servers, func() {
-					c.Policy = fresh
-					want = c.PickServer(a)
-					c.Policy = p
-				})
+				aside(c.Servers, func() { want = c.PickServer(a) })
 				if got != want {
-					t.Fatalf("%s: picked %p for %s, fresh policy %p", label, got, spec.Name, want)
+					t.Fatalf("%s: picked %p for %s, fresh caches %p", label, got, spec.Name, want)
 				}
 			}
 		}
 		var got, want platform.FleetLoad
 		p.FleetLoadInto(c.Servers, &got)
-		New(bundles, Config{}).FleetLoadFull(c.Servers, &want)
+		p.FleetLoadFull(c.Servers, &want)
 		requireBitIdentical(t, label, got, want)
 	}
 

@@ -180,7 +180,6 @@ func FuzzVerdictUniform(f *testing.F) {
 func TestLoadMemoColdPath(t *testing.T) {
 	specs := []*gamesim.GameSpec{gamesim.Contra(), gamesim.GenshinImpact(), gamesim.DOTA2()}
 	p := policyFor(t, specs...)
-	ref := policyFor(t, specs...)
 	c := platform.NewCluster(8, p)
 	c.StarveLimit = 2 * simclock.Minute
 	next := int64(0)
@@ -218,7 +217,7 @@ func TestLoadMemoColdPath(t *testing.T) {
 	}
 	var got, want platform.FleetLoad
 	for i := 0; i < 20; i++ {
-		if !p.FleetLoadInto(c.Servers, &got) || !ref.FleetLoadFull(c.Servers, &want) {
+		if !p.FleetLoadInto(c.Servers, &got) || !p.FleetLoadFull(c.Servers, &want) {
 			t.Fatal("summary returned false")
 		}
 		requireBitIdentical(t, "poll", got, want)
@@ -237,7 +236,7 @@ func TestLoadMemoColdPath(t *testing.T) {
 		checked := 0
 		for _, srv := range c.Servers {
 			if cc := srv.PolicyState.(*serverCache); srv.NumHosted() > 0 && srv.Rev() == revs[srv] {
-				p.refresh(cc, srv, &p.scratch)
+				p.refresh(cc, srv)
 				if cc.loadValid != wantValid {
 					t.Fatalf("refill made a load memo: %v, want %v", cc.loadValid, wantValid)
 				}
@@ -263,6 +262,6 @@ func TestLoadMemoColdPath(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("cold-memo FleetLoadInto allocates %.1f objects per poll, want 0", allocs)
 	}
-	ref.FleetLoadFull(c.Servers, &want)
+	p.FleetLoadFull(c.Servers, &want)
 	requireBitIdentical(t, "after the allocation runs", got, want)
 }

@@ -59,6 +59,13 @@ type Config struct {
 // Each server carries its forecast cache in Server.PolicyState (see cacheOf),
 // so the cache leaves the fleet with its server.
 //
+// A CoCG instance scores only its own cluster: every session on a server it
+// scores or summarizes carries a *Controller this instance minted (so of a
+// game it was trained on), and a refill forecasts each one through that
+// controller's predictor and reads its game off the controller's index.
+// Servers shared with another instance, or hosting another policy's
+// controllers, are outside the contract.
+//
 // Concurrency: every entry point is serial. The placement side — Score and
 // FleetLoadInto — reads and refills the servers' forecast caches; the
 // per-second side — Regulate, the controllers — touches only the server it is
@@ -129,19 +136,17 @@ type evalScratch struct {
 	runs   []predictor.Segment
 	runEnd []int
 
-	// The game index (-1: untrained) the candidate spec last resolved to under
-	// policy, re-checked by identity so it never changes a result.
-	policy *CoCG
-	spec   *gamesim.GameSpec
-	gi     int
+	// The game index (-1: untrained) the candidate spec last resolved to,
+	// re-checked by identity so it never changes a result.
+	spec *gamesim.GameSpec
+	gi   int
 }
 
 // stamp is everything a per-server aggregate is computed from: the server's
-// revision and its simulated-second count. A hosted predictor's forecast, and
-// a foreign controller's request, move only inside a tick, and membership
-// only under a new revision, so the forecast cache, its verdict memo and its
-// fleet-load memo all revalidate by comparing one stamp — O(1) however many
-// sessions the server hosts.
+// revision and its simulated-second count. A hosted predictor's forecast
+// moves only inside a tick, and membership only under a new revision, so the
+// forecast cache, its verdict memo and its fleet-load memo all revalidate by
+// comparing one stamp — O(1) however many sessions the server hosts.
 type stamp struct{ rev, ticks uint64 }
 
 func stampOf(srv *platform.Server) stamp {
@@ -162,9 +167,6 @@ func stampOf(srv *platform.Server) stamp {
 // total is merged from are not kept: they live in the policy's evalScratch
 // for the length of one refill.
 type serverCache struct {
-	// owner is the policy that filled the cache: memo and gameDemand index its
-	// games, and gameOf trusts only its controllers' indices.
-	owner *CoCG
 	// filled is set by the first refill: a new cache's zero stamp equals a
 	// never-ticked idle server's, so the stamp alone cannot tell it is empty.
 	filled bool
@@ -174,13 +176,9 @@ type serverCache struct {
 	// so caching it is exact).
 	hostedFloor float64
 	// hostedPeaks holds each hosted game's worst-case demand in hosted
-	// order; the exact peak-depth guard re-sums them per candidate to keep
-	// the original summation order.
+	// order; the peak-depth guard re-sums them per candidate to keep the
+	// original summation order.
 	hostedPeaks []resources.Vector
-	// sumPeaks is the order-insensitive total of hostedPeaks backing the
-	// O(1) pre-filter; it may differ from the exact ordered sum by float
-	// rounding, which the pre-filter's slack absorbs.
-	sumPeaks resources.Vector
 	// total is the hosted games' summed demand timeline as runs covering the
 	// horizon (see mergeRuns), and peak its per-dimension maximum.
 	total []predictor.Segment
@@ -209,48 +207,25 @@ type evalMemo struct {
 	meanSat float64
 }
 
-// peakSlack bounds the summation-order rounding between sumPeaks and the
-// exact ordered peak sum: the pre-filter only skips a server when it exceeds
-// the scaled capacity by more than this, so every skip is one the exact
-// guard below would also reject.
-const peakSlack = 1e-6
-
 // cacheOf returns the forecast cache srv carries, giving it one on first
-// sight. A cache filled by another policy instance indexes that instance's
-// games, so it is replaced rather than read.
+// sight.
 func (c *CoCG) cacheOf(srv *platform.Server) *serverCache {
 	cc, _ := srv.PolicyState.(*serverCache)
-	if cc == nil || cc.owner != c {
-		cc = &serverCache{owner: c}
+	if cc == nil {
+		cc = &serverCache{}
 		srv.PolicyState = cc
 	}
 	return cc
 }
 
-// gameOf resolves a hosted session to its trained game index (-1 when the
-// policy has no bundle for it) and its native controller (nil when foreign).
-// A controller this policy minted carries its index; one from another CoCG
-// instance indexes that instance's games, so it is looked up by name like a
-// foreign one.
-func (c *CoCG) gameOf(hosted *platform.Hosted) (int, *Controller) {
-	ctl, _ := hosted.Controller.(*Controller)
-	if ctl != nil && ctl.policy == c {
-		return ctl.gi, ctl
-	}
-	if gi, ok := c.gameIdx[hosted.Spec.Name]; ok {
-		return gi, ctl
-	}
-	return -1, ctl
-}
-
 // refresh brings srv's cache up to date, refilling it when the server's stamp
 // moved — with the fleet-accounting memo if the last one was read.
-func (c *CoCG) refresh(cc *serverCache, srv *platform.Server, es *evalScratch) {
+func (c *CoCG) refresh(cc *serverCache, srv *platform.Server) {
 	st := stampOf(srv)
 	if cc.filled && cc.stamp == st {
 		return
 	}
-	c.refill(cc, srv, st, es, cc.loadUsed)
+	c.refill(cc, srv, st, cc.loadUsed)
 }
 
 // refill rebuilds the cache's aggregates under stamp st. It walks srv.Hosted
@@ -261,8 +236,9 @@ func (c *CoCG) refresh(cc *serverCache, srv *platform.Server, es *evalScratch) {
 // after they are forecast — and otherwise leaves it invalid.
 //
 //cocg:hot
-func (c *CoCG) refill(cc *serverCache, srv *platform.Server, st stamp, es *evalScratch, load bool) {
+func (c *CoCG) refill(cc *serverCache, srv *platform.Server, st stamp, load bool) {
 	const h = horizonFrames
+	es := &c.scratch
 	cc.stamp, cc.filled = st, true
 	if cc.memo == nil {
 		cc.allocMemos(len(c.games))
@@ -275,40 +251,18 @@ func (c *CoCG) refill(cc *serverCache, srv *platform.Server, st stamp, es *evalS
 	es.runs = es.runs[:0]
 	es.runEnd = es.runEnd[:0]
 	cc.hostedFloor = 0
-	cc.sumPeaks = resources.Zero
 	for _, hosted := range srv.Hosted {
-		gi, ctl := c.gameOf(hosted)
-		var floor float64
-		var peak resources.Vector
-		if gi >= 0 {
-			floor, peak = c.game[gi].floor, c.game[gi].peak
-		} else {
-			floor, peak = fpsSafety*30/hosted.Spec.EffectiveFPS(), hosted.Request
+		ctl := hosted.Controller.(*Controller)
+		g := &c.game[ctl.gi]
+		if g.floor > cc.hostedFloor {
+			cc.hostedFloor = g.floor
 		}
-		if floor > cc.hostedFloor {
-			cc.hostedFloor = floor
-		}
-		cc.hostedPeaks = append(cc.hostedPeaks, peak)
-		cc.sumPeaks = cc.sumPeaks.Add(peak)
+		cc.hostedPeaks = append(cc.hostedPeaks, g.peak)
 		start := len(es.runs)
-		if ctl != nil {
-			es.runs = ctl.pr.AppendForecastRuns(es.runs, h, &es.fc)
-		} else {
-			// Foreign controller: assume its game holds its current request
-			// forever (the conservative flat timeline).
-			es.runs = append(es.runs, predictor.Segment{Frames: h, Demand: hosted.Request})
-		}
+		es.runs = ctl.pr.AppendForecastRuns(es.runs, h, &es.fc)
 		es.runEnd = append(es.runEnd, len(es.runs))
-		if load && gi >= 0 {
-			fh := float64(h)
-			var sum float64
-			if ctl != nil {
-				sum = fracSum(es.runs[start:], srv.Capacity)
-			} else {
-				// The flat timeline above, summed as one product.
-				sum = worstFrac(hosted.Request, srv.Capacity) * fh
-			}
-			cc.gameDemand[gi] += sum / fh
+		if load {
+			cc.gameDemand[ctl.gi] += fracSum(es.runs[start:], srv.Capacity) / h
 		}
 	}
 	if cap(es.cur) < len(es.runEnd) {
@@ -406,9 +360,8 @@ func (c *CoCG) Name() string { return "CoCG" }
 // per-second ticks to the predictor's frame loop.
 type Controller struct {
 	pr *predictor.Predictor
-	// policy minted the controller, for game policy.games[gi] (see gameOf).
-	policy *CoCG
-	gi     int
+	// gi indexes the minting policy's games (see refill).
+	gi int
 }
 
 // Name implements platform.Controller.
@@ -436,7 +389,7 @@ func (c *CoCG) NewController(spec *gamesim.GameSpec, habit int64) (platform.Cont
 	if err != nil {
 		return nil, err
 	}
-	return &Controller{pr: pr, policy: c, gi: gi}, nil
+	return &Controller{pr: pr, gi: gi}, nil
 }
 
 // Score implements platform.Policy: Algorithm 1. It sums each hosted game's
@@ -454,7 +407,7 @@ func (c *CoCG) NewController(spec *gamesim.GameSpec, habit int64) (platform.Cont
 //
 //cocg:hot
 func (c *CoCG) Score(srv *platform.Server, spec *gamesim.GameSpec) (float64, bool) {
-	ok, meanSat := c.evaluate(srv, spec, &c.scratch)
+	ok, meanSat := c.evaluate(srv, spec)
 	if !ok {
 		return 0, false
 	}
@@ -470,13 +423,13 @@ func (c *CoCG) Score(srv *platform.Server, spec *gamesim.GameSpec) (float64, boo
 // allocations. Every float it produces is computed by the same operation
 // sequence as the original per-call recompute, so admission decisions are
 // bit-identical to the uncached implementation.
-func (c *CoCG) evaluate(srv *platform.Server, spec *gamesim.GameSpec, es *evalScratch) (bool, float64) {
-	gi := c.candidate(spec, es)
+func (c *CoCG) evaluate(srv *platform.Server, spec *gamesim.GameSpec) (bool, float64) {
+	gi := c.candidate(spec)
 	if gi < 0 {
 		return false, 0
 	}
 	cc := c.cacheOf(srv)
-	c.refresh(cc, srv, es)
+	c.refresh(cc, srv)
 
 	m := &cc.memo[gi]
 	if !m.set {
@@ -489,13 +442,14 @@ func (c *CoCG) evaluate(srv *platform.Server, spec *gamesim.GameSpec, es *evalSc
 // candidate returns the arriving game's index, -1 when the policy has no
 // bundle for it. A scan offers one spec to every server, so the name is
 // looked up only when the scratch last resolved a different spec.
-func (c *CoCG) candidate(spec *gamesim.GameSpec, es *evalScratch) int {
-	if es.spec != spec || es.policy != c {
+func (c *CoCG) candidate(spec *gamesim.GameSpec) int {
+	es := &c.scratch
+	if es.spec != spec {
 		gi, ok := c.gameIdx[spec.Name]
 		if !ok {
 			gi = -1
 		}
-		es.policy, es.spec, es.gi = c, spec, gi
+		es.spec, es.gi = spec, gi
 	}
 	return es.gi
 }
@@ -524,18 +478,8 @@ func (c *CoCG) verdict(cc *serverCache, srv *platform.Server, g *gameEntry) (boo
 	// sustained violations the regulator cannot fix (execution stages have
 	// no time to steal). This is what leaves some heavy pairs "unable to
 	// run on the same machine" (Section V-B2).
-	//
-	// Pre-filter first: the cached order-insensitive peak total makes the
-	// guard O(1) per dimension, skipping provably-infeasible servers before
-	// any per-hosted work. The slack keeps the skip sound under summation
-	// rounding; anything that passes still faces the exact ordered guard.
 	candPeak := g.peak
 	scaledCap := srv.Capacity.Scale(2 - satFloor)
-	for d := range candPeak {
-		if candPeak[d]+cc.sumPeaks[d] > scaledCap[d]+peakSlack {
-			return false, 0
-		}
-	}
 	peakSum := candPeak
 	for _, peak := range cc.hostedPeaks {
 		peakSum = peakSum.Add(peak)
@@ -651,11 +595,11 @@ func overlaySat(total []predictor.Segment, cand []resources.Vector, candPeak *re
 // timeline is forecast afresh into a throwaway cache, so the servers' own
 // caches are neither read nor written. The equivalence tests require the two
 // to agree bitwise.
-func (c *CoCG) ClusterLoadFullScan(servers []*platform.Server) (float64, bool) {
+func (c *CoCG) ClusterLoadFullScan(servers []*platform.Server) float64 {
 	var sum float64
 	for _, srv := range servers {
-		cc := &serverCache{owner: c}
-		c.refresh(cc, srv, &c.scratch)
+		cc := &serverCache{}
+		c.refresh(cc, srv)
 		peak := 0.0
 		for _, run := range cc.total {
 			for n := run.Frames; n > 0; n-- {
@@ -670,7 +614,7 @@ func (c *CoCG) ClusterLoadFullScan(servers []*platform.Server) (float64, bool) {
 		}
 		sum += head
 	}
-	return sum / max(1, float64(len(servers))), true
+	return sum / max(1, float64(len(servers)))
 }
 
 // Regulate implements platform.Policy: when the hosted games' combined
