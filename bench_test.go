@@ -734,8 +734,8 @@ func (p *roundProbe) Regulate(srv *platform.Server) {
 	p.Policy.Regulate(srv)
 }
 
-func (p *roundProbe) FleetLoadInto(servers []*platform.Server, out *platform.FleetLoad) bool {
-	return p.Policy.(platform.FleetSummarizer).FleetLoadInto(servers, out)
+func (p *roundProbe) FleetLoadInto(servers []*platform.Server, out *platform.FleetLoad) {
+	p.Policy.(platform.FleetSummarizer).FleetLoadInto(servers, out)
 }
 
 var (

@@ -31,12 +31,10 @@ func toProfiles(ps []*profiler.Profile) profiles {
 // (GAugur's limits) that never receives work-conserving spillover; when
 // soft, it is an admission-time reservation only (VBP).
 type flatController struct {
-	name string
 	req  resources.Vector
 	hard bool
 }
 
-func (f *flatController) Name() string                           { return f.name }
 func (f *flatController) Tick(resources.Vector) resources.Vector { return f.req }
 func (f *flatController) Loading() bool                          { return false }
 func (f *flatController) HardCapped() bool                       { return f.hard }
@@ -57,9 +55,6 @@ const vbpFactor = 0.9
 func NewVBP(ps []*profiler.Profile) *VBP {
 	return &VBP{profiles: toProfiles(ps)}
 }
-
-// Name implements platform.Policy.
-func (v *VBP) Name() string { return "VBP" }
 
 func (v *VBP) reservation(game string) (resources.Vector, bool) {
 	p, ok := v.profiles[game]
@@ -97,7 +92,7 @@ func (v *VBP) NewController(spec *gamesim.GameSpec, habit int64) (platform.Contr
 	if !ok {
 		return nil, fmt.Errorf("baselines: no profile for %s", spec.Name)
 	}
-	return &flatController{name: "VBP", req: p.PeakDemand().Scale(1.1).Clamp(0, 100)}, nil
+	return &flatController{req: p.PeakDemand().Scale(1.1).Clamp(0, 100)}, nil
 }
 
 // Regulate implements platform.Policy; VBP has no runtime regulation.
@@ -131,9 +126,6 @@ const (
 func NewGAugur(ps []*profiler.Profile) *GAugur {
 	return &GAugur{profiles: toProfiles(ps)}
 }
-
-// Name implements platform.Policy.
-func (g *GAugur) Name() string { return "GAugur" }
 
 // limit is the fixed per-session allocation GAugur's performance model
 // assigns: scaled mean consumption over the whole game.
@@ -193,7 +185,7 @@ func (g *GAugur) NewController(spec *gamesim.GameSpec, habit int64) (platform.Co
 	if !ok {
 		return nil, fmt.Errorf("baselines: no profile for %s", spec.Name)
 	}
-	return &flatController{name: "GAugur", req: lim, hard: true}, nil
+	return &flatController{req: lim, hard: true}, nil
 }
 
 // Regulate implements platform.Policy; GAugur's limits are fixed by design.
@@ -237,9 +229,6 @@ func NewReactive(ps []*profiler.Profile) *Reactive {
 	return r
 }
 
-// Name implements platform.Policy.
-func (r *Reactive) Name() string { return "Reactive" }
-
 // Score implements platform.Policy: current requests plus the newcomer's
 // mean consumption must fit (it cannot see the future, so it bets on means).
 // Placement is first fit: every admitting server scores 0.
@@ -258,8 +247,6 @@ type reactiveController struct {
 	req     resources.Vector
 	loading bool
 }
-
-func (c *reactiveController) Name() string { return "Reactive" }
 
 func (c *reactiveController) Tick(util resources.Vector) resources.Vector {
 	if frame, ok := c.sampler.Observe(util); ok {

@@ -43,13 +43,6 @@ func admits(p platform.Policy, srv *platform.Server, spec *gamesim.GameSpec) boo
 	return ok
 }
 
-func TestPolicyNames(t *testing.T) {
-	ps := allProfiles(t)
-	if NewVBP(ps).Name() != "VBP" || NewGAugur(ps).Name() != "GAugur" || NewReactive(ps).Name() != "Reactive" {
-		t.Error("policy names wrong")
-	}
-}
-
 func TestVBPAdmission(t *testing.T) {
 	ps := allProfiles(t)
 	v := NewVBP(ps)

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"cocg/internal/baselines"
 	"cocg/internal/gamesim"
 	"cocg/internal/platform"
+	"cocg/internal/scheduler"
 )
 
 func smallSystem(t *testing.T) *System {
@@ -57,16 +60,21 @@ func TestSystemAccessors(t *testing.T) {
 
 func TestPolicyKinds(t *testing.T) {
 	s := smallSystem(t)
-	wantNames := map[PolicyKind]string{
-		PolicyCoCG: "CoCG", PolicyVBP: "VBP", PolicyGAugur: "GAugur", PolicyReactive: "Reactive",
+	want := map[PolicyKind]struct {
+		name   string
+		policy platform.Policy
+	}{
+		PolicyCoCG:     {"CoCG", (*scheduler.CoCG)(nil)},
+		PolicyVBP:      {"VBP", (*baselines.VBP)(nil)},
+		PolicyGAugur:   {"GAugur", (*baselines.GAugur)(nil)},
+		PolicyReactive: {"Reactive", (*baselines.Reactive)(nil)},
 	}
-	for kind, want := range wantNames {
-		if kind.String() != want {
-			t.Errorf("kind string = %q, want %q", kind.String(), want)
+	for kind, w := range want {
+		if kind.String() != w.name {
+			t.Errorf("kind string = %q, want %q", kind.String(), w.name)
 		}
-		p := s.Policy(kind)
-		if p.Name() != want {
-			t.Errorf("policy name = %q, want %q", p.Name(), want)
+		if got, wantT := reflect.TypeOf(s.Policy(kind)), reflect.TypeOf(w.policy); got != wantT {
+			t.Errorf("%v: policy type = %v, want %v", kind, got, wantT)
 		}
 	}
 	if len(AllPolicies()) != 4 {

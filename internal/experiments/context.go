@@ -132,5 +132,4 @@ func (t *table) String() string {
 }
 
 func f1(x float64) string  { return fmt.Sprintf("%.1f", x) }
-func f2(x float64) string  { return fmt.Sprintf("%.2f", x) }
 func pct(x float64) string { return fmt.Sprintf("%.1f%%", 100*x) }

@@ -318,3 +318,42 @@ func TestSoftmax(t *testing.T) {
 		t.Errorf("softmax sum = %v", sum)
 	}
 }
+
+// majorityAccuracy is the accuracy on test of always predicting train's most
+// frequent label — the absolute floor any real model must clear.
+func majorityAccuracy(train, test *Dataset) float64 {
+	counts := make([]int, train.NumClasses)
+	for _, s := range train.Samples {
+		counts[s.Label]++
+	}
+	best := 0
+	for c, n := range counts {
+		if n > counts[best] {
+			best = c
+		}
+	}
+	hits := 0
+	for _, s := range test.Samples {
+		if s.Label == best {
+			hits++
+		}
+	}
+	return float64(hits) / float64(test.Len())
+}
+
+func TestTreesBeatFloorBaselines(t *testing.T) {
+	// On the XOR task the majority floor is ~50 %; the trees must clear it
+	// comfortably.
+	ds := xorDataset(600, 34)
+	train, test := ds.Split(0.75, 7)
+	floorAcc := majorityAccuracy(train, test)
+	for _, m := range allModels() {
+		if err := m.Fit(train); err != nil {
+			t.Fatal(err)
+		}
+		acc, _ := Evaluate(m, test)
+		if acc <= floorAcc+0.2 {
+			t.Errorf("%s accuracy %.3f does not clear the majority floor %.3f", m.Name(), acc, floorAcc)
+		}
+	}
+}

@@ -88,15 +88,11 @@ type PlacementPreparer interface {
 // FleetLoad is the per-cluster summary the coordinator tier and the
 // (upcoming) autoscaler consume: the mean predicted headroom routing scores
 // on, plus — because one scalar cannot say *which* game the demand belongs to
-// or how many machines sit empty — predicted demand broken out per game and
-// the count of idle servers. Slice fields follow a split ownership: Games is
-// owned by the summarizer (a stable, sorted, immutable list — callers must
-// not mutate it), while GameDemand is caller storage the summarizer
-// overwrites in place, so a steady-state poll allocates nothing.
+// — predicted demand broken out per game. Slice fields follow a split
+// ownership: Games is owned by the summarizer (a stable, sorted, immutable
+// list — callers must not mutate it), while GameDemand is caller storage the
+// summarizer overwrites in place, so a steady-state poll allocates nothing.
 type FleetLoad struct {
-	// Idle counts servers hosting zero sessions — the pool a scale-down
-	// pass could retire without migrating anything.
-	Idle int
 	// MeanHeadroom is the mean predicted free-capacity fraction over all
 	// servers, in [0,1] (1 = idle); 0 for an empty cluster.
 	MeanHeadroom float64
@@ -111,14 +107,13 @@ type FleetLoad struct {
 // FleetSummarizer is an optional Policy refinement for the multi-cluster
 // coordinator tier: FleetLoadInto fills the policy's forward-looking cluster
 // summary into caller storage. Policies without forward-looking models do not
-// implement it (or return false) and the caller falls back to instantaneous
-// utilization. Implementations are expected to be incremental — a poll over
+// implement it, and the caller falls back to instantaneous utilization. Implementations are expected to be incremental — a poll over
 // an unchanged fleet should cost per-server revision probes, not a full
 // demand-timeline rescan — so callers may poll continuously. Like Score it is
 // a serial entry point: callers must not invoke it concurrently with other
 // policy methods on the same instance.
 type FleetSummarizer interface {
-	FleetLoadInto(servers []*Server, out *FleetLoad) bool
+	FleetLoadInto(servers []*Server, out *FleetLoad)
 }
 
 // PickServer returns the server the policy would place the arrival on right

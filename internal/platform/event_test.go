@@ -26,14 +26,12 @@ import (
 // flatSteadyCtl is a constant-request controller.
 type flatSteadyCtl struct{ req resources.Vector }
 
-func (f *flatSteadyCtl) Name() string                           { return "flat-steady" }
 func (f *flatSteadyCtl) Tick(resources.Vector) resources.Vector { return f.req }
 func (f *flatSteadyCtl) Loading() bool                          { return false }
 
 // adaptiveCtl tracks measured utilization: every Tick call is observable.
 type adaptiveCtl struct{ req resources.Vector }
 
-func (a *adaptiveCtl) Name() string  { return "adaptive" }
 func (a *adaptiveCtl) Loading() bool { return false }
 func (a *adaptiveCtl) Tick(util resources.Vector) resources.Vector {
 	a.req = util.Scale(1.25).Add(resources.Uniform(6)).Clamp(0, 100)
@@ -52,7 +50,6 @@ type countedPolicy interface {
 // hosted set it builds is uncontended.
 type steadyTestPolicy struct{ regulates int64 }
 
-func (p *steadyTestPolicy) Name() string { return "steady-test" }
 func (p *steadyTestPolicy) Score(srv *platform.Server, spec *gamesim.GameSpec) (float64, bool) {
 	tot := spec.WorstCaseDemand()
 	for _, h := range srv.Hosted {
@@ -75,7 +72,6 @@ func (p *steadyTestPolicy) ticks() int64              { return p.regulates }
 // would change every later request.
 type adaptiveTestPolicy struct{ regulates int64 }
 
-func (p *adaptiveTestPolicy) Name() string { return "adaptive-test" }
 func (p *adaptiveTestPolicy) Score(srv *platform.Server, _ *gamesim.GameSpec) (float64, bool) {
 	return 0, len(srv.Hosted) < 3
 }
@@ -316,7 +312,6 @@ func TestRunEventedRejectsUnsortedSchedule(t *testing.T) {
 // per executed server-second, so the log is the visit order.
 type visitLogPolicy struct{ visits []int }
 
-func (p *visitLogPolicy) Name() string { return "visit-log" }
 func (p *visitLogPolicy) Score(srv *platform.Server, _ *gamesim.GameSpec) (float64, bool) {
 	return 0, len(srv.Hosted) == 0
 }

@@ -19,8 +19,6 @@ import (
 // it observes the game's measured utilization (its demand capped by what was
 // granted) and returns the allocation cap it requests for the next second.
 type Controller interface {
-	// Name identifies the policy that produced the controller.
-	Name() string
 	// Tick observes one second of utilization and returns the requested cap.
 	Tick(util resources.Vector) resources.Vector
 	// Loading reports the controller's belief that the game is loading —
@@ -39,8 +37,6 @@ type HardCapper interface {
 // Policy is a complete co-location scheduling scheme: placement (the
 // distributor), per-game control, and server-level regulation.
 type Policy interface {
-	// Name identifies the scheme in result tables.
-	Name() string
 	// Score reports whether the game may be placed on the server now and how
 	// well it would fit there: the cluster places it on the admitting server
 	// with the highest score, exact ties going to the earliest in server

@@ -16,7 +16,6 @@ type passthroughController struct {
 	loading bool
 }
 
-func (p *passthroughController) Name() string { return "test" }
 func (p *passthroughController) Tick(resources.Vector) resources.Vector {
 	return p.req
 }
@@ -25,7 +24,6 @@ func (p *passthroughController) Loading() bool { return p.loading }
 // admitAllPolicy admits everything with full-capacity requests.
 type admitAllPolicy struct{ req resources.Vector }
 
-func (a *admitAllPolicy) Name() string { return "admit-all" }
 func (a *admitAllPolicy) Score(*Server, *gamesim.GameSpec) (float64, bool) {
 	return 0, true
 }

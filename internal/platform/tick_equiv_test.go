@@ -61,7 +61,6 @@ type funcCtl struct {
 	f       func(sec int, util resources.Vector) resources.Vector
 }
 
-func (c *funcCtl) Name() string  { return "func" }
 func (c *funcCtl) Loading() bool { return c.loading }
 func (c *funcCtl) Tick(util resources.Vector) resources.Vector {
 	c.sec++

@@ -283,15 +283,6 @@ func Mean(vs []Vector) Vector {
 	return sum.Scale(1 / float64(len(vs)))
 }
 
-// Sum returns the component-wise sum of the vectors in vs.
-func Sum(vs []Vector) Vector {
-	var sum Vector
-	for _, v := range vs {
-		sum = sum.Add(v)
-	}
-	return sum
-}
-
 // PeakOf returns the component-wise maximum over vs, or Zero when vs is
 // empty. The paper calls this the peak consumption M of a game.
 func PeakOf(vs []Vector) Vector {

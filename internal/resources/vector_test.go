@@ -195,9 +195,6 @@ func TestAggregates(t *testing.T) {
 	if got := Mean(vs); got != New(20, 15, 40, 30) {
 		t.Errorf("Mean = %v", got)
 	}
-	if got := Sum(vs); got != New(40, 30, 80, 60) {
-		t.Errorf("Sum = %v", got)
-	}
 	if got := PeakOf(vs); got != New(30, 20, 50, 40) {
 		t.Errorf("PeakOf = %v", got)
 	}

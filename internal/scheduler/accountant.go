@@ -79,21 +79,21 @@ func (c *CoCG) serverLoadMemo(cc *serverCache, srv *platform.Server) {
 // and Games aliases the policy's immutable sorted list, so a poll over an
 // unchanged fleet does no heap allocation. Like Score this is a serial entry
 // point.
-func (c *CoCG) FleetLoadInto(servers []*platform.Server, out *platform.FleetLoad) bool {
-	return c.fleetLoad(servers, out, false)
+func (c *CoCG) FleetLoadInto(servers []*platform.Server, out *platform.FleetLoad) {
+	c.fleetLoad(servers, out, false)
 }
 
 // FleetLoadFull is the from-scratch reference the equivalence tests compare
 // against: it summarizes through a throwaway cache per server, so every
 // forecast and load memo is rebuilt and the servers' own caches are neither
 // read nor written.
-func (c *CoCG) FleetLoadFull(servers []*platform.Server, out *platform.FleetLoad) bool {
-	return c.fleetLoad(servers, out, true)
+func (c *CoCG) FleetLoadFull(servers []*platform.Server, out *platform.FleetLoad) {
+	c.fleetLoad(servers, out, true)
 }
 
 // fleetLoad folds the servers' load memos into out, reading each server's own
 // cache, or a throwaway one when fresh is set.
-func (c *CoCG) fleetLoad(servers []*platform.Server, out *platform.FleetLoad, fresh bool) bool {
+func (c *CoCG) fleetLoad(servers []*platform.Server, out *platform.FleetLoad, fresh bool) {
 	g := len(c.games)
 	if cap(out.GameDemand) < g {
 		out.GameDemand = make([]float64, g)
@@ -102,7 +102,6 @@ func (c *CoCG) fleetLoad(servers []*platform.Server, out *platform.FleetLoad, fr
 	clear(demand)
 
 	var headSum float64
-	idle := 0
 	for _, srv := range servers {
 		var cc *serverCache
 		if fresh {
@@ -115,15 +114,10 @@ func (c *CoCG) fleetLoad(servers []*platform.Server, out *platform.FleetLoad, fr
 		for j, d := range cc.gameDemand {
 			demand[j] += d
 		}
-		if srv.NumHosted() == 0 {
-			idle++
-		}
 		headSum += cc.headroom
 	}
 
-	out.Idle = idle
 	out.MeanHeadroom = headSum / max(1, float64(len(servers))) // 0 for no servers
 	out.Games = c.games
 	out.GameDemand = demand
-	return true
 }

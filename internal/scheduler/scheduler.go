@@ -353,9 +353,6 @@ func mergeRuns(dst, runs []predictor.Segment, runEnd []int, h int, cur []runCurs
 	return dst, peak
 }
 
-// Name implements platform.Policy.
-func (c *CoCG) Name() string { return "CoCG" }
-
 // Controller is the per-session agent: a thin adapter from the platform's
 // per-second ticks to the predictor's frame loop.
 type Controller struct {
@@ -363,9 +360,6 @@ type Controller struct {
 	// gi indexes the minting policy's games (see refill).
 	gi int
 }
-
-// Name implements platform.Controller.
-func (ctl *Controller) Name() string { return "CoCG" }
 
 // Tick implements platform.Controller.
 func (ctl *Controller) Tick(util resources.Vector) resources.Vector {

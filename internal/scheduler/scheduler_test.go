@@ -54,13 +54,6 @@ func aside(servers []*platform.Server, f func()) {
 	}
 }
 
-func TestPolicyName(t *testing.T) {
-	p := policyFor(t, gamesim.Contra())
-	if p.Name() != "CoCG" {
-		t.Errorf("Name = %q", p.Name())
-	}
-}
-
 func TestAdmitUnknownGame(t *testing.T) {
 	p := policyFor(t, gamesim.Contra())
 	c := platform.NewCluster(1, p)
@@ -221,7 +214,6 @@ func TestRegulatorDisabledByConfig(t *testing.T) {
 // the Hosted.
 type stubController struct{ loading bool }
 
-func (s *stubController) Name() string                           { return "stub" }
 func (s *stubController) Tick(resources.Vector) resources.Vector { return resources.Zero }
 func (s *stubController) Loading() bool                          { return s.loading }
 

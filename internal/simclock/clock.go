@@ -53,10 +53,6 @@ func (c *Clock) Advance(d Seconds) Seconds {
 // Tick advances the clock by one second.
 func (c *Clock) Tick() Seconds { return c.Advance(Second) }
 
-// Reset rewinds the clock to t=0; only tests and experiment harnesses that
-// reuse a simulation should call it.
-func (c *Clock) Reset() { c.now = 0 }
-
 // FrameIndex returns which 5-second frame the time t falls into.
 func FrameIndex(t Seconds) int64 { return int64(t / FrameLen) }
 

@@ -35,15 +35,6 @@ func TestAdvanceNegativePanics(t *testing.T) {
 	c.Advance(-1)
 }
 
-func TestReset(t *testing.T) {
-	var c Clock
-	c.Advance(100)
-	c.Reset()
-	if c.Now() != 0 {
-		t.Errorf("Now after Reset = %d", c.Now())
-	}
-}
-
 func TestString(t *testing.T) {
 	cases := map[Seconds]string{
 		0:                     "0:00:00",

@@ -1,6 +1,6 @@
 // Package stats provides the small set of statistics helpers the experiment
-// harnesses and the clusterer share: means, extremes, percentiles, and
-// simple accuracy accounting.
+// harnesses and the clusterer share: means, percentiles, and simple
+// accuracy accounting.
 package stats
 
 import (
@@ -18,43 +18,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Min returns the smallest element of xs, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element of xs, or 0 for an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear

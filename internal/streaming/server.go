@@ -548,12 +548,12 @@ func (s *Server) serveSummaryFeed(conn *Conn, req *SummaryReq) {
 }
 
 // LoadSummary snapshots the cluster's load under the cluster lock: the
-// per-cluster rollup the coordinator tier routes sessions on. Headroom, the
-// idle server count and the per-game predicted-demand breakdown come from
-// the policy's forecast caches when it implements platform.FleetSummarizer
-// (the CoCG distributor's stamped per-server demand timelines). For policies
-// without forward-looking state Headroom falls back to 1 − mean
-// worst-dimension utilization.
+// per-cluster rollup the coordinator tier routes sessions on. The idle server
+// count is counted here for every policy. Headroom and the per-game
+// predicted-demand breakdown come from the policy's forecast caches when it
+// implements platform.FleetSummarizer (the CoCG distributor's stamped
+// per-server demand timelines). For policies without forward-looking state
+// Headroom falls back to 1 − mean worst-dimension utilization.
 func (s *Server) LoadSummary() ClusterSummary {
 	s.clusterMu.Lock()
 	defer s.clusterMu.Unlock()
@@ -574,26 +574,24 @@ func (s *Server) LoadSummary() ClusterSummary {
 			}
 		}
 		utilSum += worst
+		if srv.NumHosted() == 0 {
+			sum.IdleServers++
+		}
 	}
 	if n := len(s.cluster.Servers); n > 0 {
 		sum.UtilPct = utilSum / float64(n)
 	}
 	if fs, ok := s.cluster.Policy.(platform.FleetSummarizer); ok {
-		if fs.FleetLoadInto(s.cluster.Servers, &s.fleetLoad) {
-			fl := &s.fleetLoad
-			sum.Headroom = fl.MeanHeadroom
-			sum.IdleServers = fl.Idle
-			// Games is the summarizer's immutable sorted list (safe to
-			// alias); GameDemand is the reused poll buffer the next
-			// LoadSummary overwrites, so the escaping summary gets a copy.
-			sum.Games = fl.Games
-			sum.GameDemand = append([]float64(nil), fl.GameDemand...)
-			return sum
-		}
-	}
-	sum.Headroom = 1 - sum.UtilPct/100
-	if sum.Headroom < 0 {
-		sum.Headroom = 0
+		fs.FleetLoadInto(s.cluster.Servers, &s.fleetLoad)
+		fl := &s.fleetLoad
+		sum.Headroom = fl.MeanHeadroom
+		// Games is the summarizer's immutable sorted list (safe to
+		// alias); GameDemand is the reused poll buffer the next
+		// LoadSummary overwrites, so the escaping summary gets a copy.
+		sum.Games = fl.Games
+		sum.GameDemand = append([]float64(nil), fl.GameDemand...)
+	} else {
+		sum.Headroom = max(0, 1-sum.UtilPct/100)
 	}
 	return sum
 }

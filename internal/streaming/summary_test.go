@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"cocg/internal/core"
+	"cocg/internal/gamesim"
 )
 
 // TestSummaryFeedNegotiatesAndServes drives the coordinator-facing load feed
@@ -140,5 +141,45 @@ func TestCloseUnblocksSummaryFeeds(t *testing.T) {
 	}
 	if _, err := feed.Recv(); err == nil {
 		t.Error("feed still alive after server close")
+	}
+}
+
+// TestSummaryIdleServersUnderEveryPolicy pins the idle count to the cluster
+// itself: with k of N servers hosting one session each, the summary reports
+// N − k idle servers whether or not the policy summarizes its fleet (CoCG
+// does, the reactive baseline does not).
+func TestSummaryIdleServersUnderEveryPolicy(t *testing.T) {
+	const n = 5
+	hostOn := []int{1, 3}
+	for _, kind := range []core.PolicyKind{core.PolicyReactive, core.PolicyCoCG} {
+		s, err := Serve("127.0.0.1:0", ServerConfig{
+			System:    testSystem(t),
+			Policy:    kind,
+			Servers:   n,
+			TickEvery: time.Hour, // nothing ticks while we look
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.clusterMu.Lock()
+		spec := gamesim.Contra()
+		for i, srvIdx := range hostOn {
+			sess, err := gamesim.NewSession(spec, 0, int64(i+1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctl, err := s.cluster.Policy.NewController(spec, int64(i+1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.cluster.Servers[srvIdx].Add(spec, sess, ctl)
+		}
+		s.clusterMu.Unlock()
+		if got := s.LoadSummary().IdleServers; got != n-len(hostOn) {
+			t.Errorf("%v: summary reports %d idle servers, want %d", kind, got, n-len(hostOn))
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

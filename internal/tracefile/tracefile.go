@@ -133,24 +133,6 @@ func SaveAll(traces []*gamesim.Trace, dir string) ([]string, error) {
 	return paths, nil
 }
 
-// LoadAll reads every path into a corpus.
-func LoadAll(paths []string) ([]*gamesim.Trace, error) {
-	var out []*gamesim.Trace
-	for _, p := range paths {
-		f, err := os.Open(p)
-		if err != nil {
-			return nil, err
-		}
-		tr, err := Read(f)
-		_ = f.Close() // read-only file; a Read error dominates
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", p, err)
-		}
-		out = append(out, tr)
-	}
-	return out, nil
-}
-
 func safe(name string) string {
 	out := make([]rune, 0, len(name))
 	for _, r := range name {

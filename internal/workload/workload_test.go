@@ -11,7 +11,6 @@ import (
 // nopPolicy admits nothing, so arrivals pile up in Pending.
 type nopPolicy struct{}
 
-func (nopPolicy) Name() string { return "nop" }
 func (nopPolicy) Score(*platform.Server, *gamesim.GameSpec) (float64, bool) {
 	return 0, false
 }
