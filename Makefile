@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race fmt fuzz-smoke lint vuln docs-check loc bench bench-e2e bench-e2e-compare bench-pairs bench-layers
+.PHONY: all build test race fmt fuzz-smoke lint vuln docs-check loc bench bench-e2e bench-e2e-compare bench-pairs bench-micro-pairs bench-layers
 
 all: build test
 
@@ -110,6 +110,16 @@ N ?= 10
 bench-pairs:
 	@test -n "$(PARENT)" -a -n "$(WORKLOAD)" || { echo "usage: make bench-pairs PARENT=<rev> WORKLOAD=<name> [N=10]"; exit 2; }
 	bash scripts/bench-pairs.sh $(PARENT) $(WORKLOAD) $(N)
+
+# bench-micro-pairs is bench-pairs for one package's go test benchmarks: the
+# parent's and the change's test binaries (go test -c, each from its own
+# tree) run the benchmarks matching BENCH in N alternating pairs
+# (scripts/bench-micro-pairs.sh). It prints every pair, both sides' medians
+# and quartiles, and pairs won, per benchmark and unit:
+#   make bench-micro-pairs PARENT=HEAD~1 PKG=./internal/streaming BENCH=StreamTick N=10
+bench-micro-pairs:
+	@test -n "$(PARENT)" -a -n "$(PKG)" -a -n "$(BENCH)" || { echo "usage: make bench-micro-pairs PARENT=<rev> PKG=<pkg> BENCH=<regex> [N=10]"; exit 2; }
+	bash scripts/bench-micro-pairs.sh $(PARENT) $(PKG) '$(BENCH)' $(N)
 
 # bench-layers runs the per-layer micro-benchmarks once, with -benchmem, and
 # prints go test's own table: the placement scan, fleet summary, one

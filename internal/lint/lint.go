@@ -54,7 +54,6 @@ func All() []*Analyzer {
 		RawGo,
 		LockOrder,
 		GoLeak,
-		PoolCheck,
 		AtomicMix,
 		HotAlloc,
 		HotInline,

@@ -229,14 +229,6 @@ func TestGoLeakInternalOnly(t *testing.T) {
 	}
 }
 
-func TestPoolCheckGolden(t *testing.T) {
-	checkGolden(t, loadTestdata(t, "poolcheck", "cocg/internal/poollike"), []*Analyzer{PoolCheck})
-}
-
-func TestPoolCheckDeferGolden(t *testing.T) {
-	checkGolden(t, loadTestdata(t, "poolcheck_defer", "cocg/internal/pooldeferlike"), []*Analyzer{PoolCheck})
-}
-
 func TestAtomicMixGolden(t *testing.T) {
 	checkGolden(t, loadTestdata(t, "atomicmix", "cocg/internal/atomiclike"), []*Analyzer{AtomicMix})
 }

@@ -65,7 +65,7 @@ func BenchmarkWireFrameBatchDecode(b *testing.B) {
 // warms them past the loading screen, returning the server and its live
 // slice. The simulation is then left untouched so every measured
 // op sees the identical steady state.
-func benchSessions(b *testing.B, n int) (*Server, []*liveSession) {
+func benchSessions(b testing.TB, n int) (*Server, []*liveSession) {
 	b.Helper()
 	s, err := Serve("127.0.0.1:0", ServerConfig{
 		System:    testSystem(b),
@@ -97,44 +97,88 @@ func benchSessions(b *testing.B, n int) (*Server, []*liveSession) {
 	for t := 0; t < 80; t++ {
 		s.tickOnce()
 	}
+	w := newDeliveryWalk()
 	for _, ls := range s.live {
-		for {
-			e, ok := ls.out.tryPop()
-			if !ok {
-				break
-			}
-			putFramesEnv(e)
+		for w.drain(b, ls) {
 		}
 	}
 	return s, s.live
 }
 
+// deliveryWalk is a session writer minus the socket: one frame-batch
+// envelope, one End and one wire buffer, reused across every session it
+// drains.
+type deliveryWalk struct {
+	batch FrameBatch
+	env   Envelope
+	end   SessionStat
+	buf   []byte
+}
+
+func newDeliveryWalk() *deliveryWalk {
+	w := &deliveryWalk{}
+	w.env = Envelope{Type: MsgFrames, Frames: &w.batch}
+	return w
+}
+
+// drain pops, assembles and encodes one queued message of ls to wire bytes,
+// as writeLoop does before its Send; it reports false once the queue is
+// empty.
+func (w *deliveryWalk) drain(tb testing.TB, ls *liveSession) bool {
+	var rec frameRec
+	isEnd, ok := ls.out.tryPop(&rec, &w.end)
+	if !ok {
+		return false
+	}
+	env := &w.env
+	if isEnd {
+		env = &Envelope{Type: MsgEnd, End: &w.end}
+	} else {
+		w.batch.SessionID = ls.id
+		rec.assemble(&w.batch)
+	}
+	var err error
+	if w.buf, err = env.AppendTo(w.buf[:0]); err != nil {
+		tb.Fatal(err)
+	}
+	return true
+}
+
+// TestStreamTickAllocationFree gates what BenchmarkStreamTick* only
+// reports: once warm, a session's delivery cycle — the tick walk's emit, the
+// writer's pop, assemble and wire encode — allocates nothing.
+func TestStreamTickAllocationFree(t *testing.T) {
+	s, snap := benchSessions(t, 32)
+	w := newDeliveryWalk()
+	cycle := func() {
+		for _, ls := range snap {
+			s.emitSession(ls, true)
+			for w.drain(t, ls) {
+			}
+		}
+	}
+	cycle() // sizes the batch's frames and the buffer
+	if n := testing.AllocsPerRun(50, cycle); n != 0 {
+		t.Errorf("warm delivery cycle allocates %.1f times per walk of %d sessions", n, len(snap))
+	}
+}
+
 // benchStreamTick measures one steady-state delivery walk over n live
-// sessions: every session gets a frame batch emitted through the pooled
-// pipeline, pushed to its bounded queue, drained, and encoded to wire bytes —
+// sessions: every session gets a frame record emitted by the tick walk,
+// pushed to its bounded queue, popped, assembled and encoded to wire bytes —
 // exactly what the per-session writer does, minus the socket. The simulation
 // clock is frozen, so every op is identical.
 func benchStreamTick(b *testing.B, n int) {
 	s, snap := benchSessions(b, n)
-	var buf []byte
+	w := newDeliveryWalk()
 	walk := func() {
 		for _, ls := range snap {
 			s.emitSession(ls, true)
-			for {
-				e, ok := ls.out.tryPop()
-				if !ok {
-					break
-				}
-				var err error
-				buf, err = e.AppendTo(buf[:0])
-				putFramesEnv(e)
-				if err != nil {
-					b.Fatal(err)
-				}
+			for w.drain(b, ls) {
 			}
 		}
 	}
-	walk() // sizes the pools and the buffer before measuring
+	walk() // sizes the batch's frames and the buffer before measuring
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

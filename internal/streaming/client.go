@@ -147,7 +147,6 @@ func Play(addr string, cfg ClientConfig) (*ClientStats, error) {
 			if rttN > 0 {
 				stats.MeanRTTMS = rttSum / float64(rttN)
 			}
-			conn.Release()
 			return stats, nil
 		default:
 			return nil, fmt.Errorf("streaming: unexpected mid-session message %q", recv.Type)

@@ -6,44 +6,44 @@ import (
 
 // Encoder models the server-side video encoder of the GA pipeline: the
 // output bitrate scales with the achieved frame rate and with scene motion
-// (a busy battle costs more bits than a loading screen), capped by the
-// configured ceiling — the knobs a real cloud-gaming encoder exposes.
-type Encoder struct {
-	// BaseKbps is the bitrate of a 60 FPS medium-motion scene.
-	BaseKbps float64
-	// MaxKbps caps the output (network budget).
-	MaxKbps float64
-	// MinKbps is the floor for any non-black frame output.
-	MinKbps float64
-}
+// (a busy battle costs more bits than a loading screen), capped by a
+// network ceiling. Its settings are those of a 1080p60 cloud-game stream.
+type Encoder struct{}
 
-// DefaultEncoder returns settings typical of a 1080p60 cloud-game stream.
-func DefaultEncoder() Encoder {
-	return Encoder{BaseKbps: 8000, MaxKbps: 20000, MinKbps: 300}
-}
+const (
+	// baseKbps is the bitrate of a 60 FPS medium-motion scene.
+	baseKbps = 8000
+	// maxKbps caps the output (network budget).
+	maxKbps = 20000
+	// minKbps is the floor for any non-black frame output.
+	minKbps = 300
+)
+
+// DefaultEncoder returns the encoder.
+func DefaultEncoder() Encoder { return Encoder{} }
 
 // Encode returns the bitrate for one second of video at the given achieved
 // FPS and scene demand. Loading screens are near-static and compress to
 // almost nothing — the delivery-side reason loading stages are cheap.
 func (e Encoder) Encode(fps float64, demand resources.Vector, loading bool) float64 {
 	if fps <= 0 {
-		return e.MinKbps
+		return minKbps
 	}
 	if loading {
 		// A static loading screen: intra refreshes only.
-		return clamp(e.MinKbps*2, e.MinKbps, e.MaxKbps)
+		return clamp(minKbps*2, minKbps, maxKbps)
 	}
 	// Motion scales with GPU load: a 90 % GPU battle scene moves a lot.
 	motion := 0.5 + demand[resources.GPU]/100
-	rate := e.BaseKbps * (fps / 60) * motion
-	return clamp(rate, e.MinKbps, e.MaxKbps)
+	rate := baseKbps * (fps / 60) * motion
+	return clamp(rate, minKbps, maxKbps)
 }
 
 // AppendFrames appends the per-frame records for one encoded second — one
 // FrameInfo per delivered frame, sizes summing to the second's bitrate, the
 // first frame an intra (key) frame carrying keyframeWeight deltas' worth of
-// bits — and returns the extended slice. The tick pipeline calls it with the
-// pooled batch's reused backing array, so steady-state encoding allocates
+// bits — and returns the extended slice. A session's writer calls it with
+// its one batch's reused backing array, so steady-state encoding allocates
 // nothing. The split is pure integer math on (fps, kbps): deterministic for
 // a deterministic simulation.
 func (e Encoder) AppendFrames(dst []FrameInfo, fps, kbps float64) []FrameInfo {

@@ -110,19 +110,20 @@ func TestTickLoopRunsEverySecondOwed(t *testing.T) {
 		}
 		batches := 0
 		for {
-			e, ok := ls.out.tryPop()
+			var rec frameRec
+			var end SessionStat
+			isEnd, ok := ls.out.tryPop(&rec, &end)
 			if !ok {
 				break
 			}
-			if e.Type != MsgFrames {
-				t.Fatalf("%s: got %q, want frame batches only", step.name, e.Type)
+			if isEnd {
+				t.Fatalf("%s: got an End, want frame batches only", step.name)
 			}
-			if e.Frames.Seq != seq+1 {
-				t.Fatalf("%s: batch seq %d after seq %d", step.name, e.Frames.Seq, seq)
+			if rec.seq != seq+1 {
+				t.Fatalf("%s: batch seq %d after seq %d", step.name, rec.seq, seq)
 			}
 			seq++
 			batches++
-			putFramesEnv(e)
 		}
 		if batches != step.batches {
 			t.Errorf("%s: %d frame batches, want %d", step.name, batches, step.batches)

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 )
 
 // MsgType discriminates wire messages.
@@ -127,9 +126,9 @@ type FrameBatch struct {
 	EchoSeq int64 `json:"echo_seq"`
 	// EchoSentAtMS echoes that input's send timestamp.
 	EchoSentAtMS int64 `json:"echo_sent_at_ms"`
-	// Frames lists the per-frame encoder output for this second. The tick
-	// pipeline reuses the backing array across batches (see Envelope
-	// pooling in server.go), so receivers must not retain it.
+	// Frames lists the per-frame encoder output for this second. A session's
+	// writer reuses the backing array across its batches (see
+	// Server.writeLoop), so receivers must not retain it.
 	Frames []FrameInfo `json:"frames,omitempty"`
 }
 
@@ -185,11 +184,6 @@ type ClusterSummary struct {
 	GameDemand []float64 `json:"game_demand,omitempty"`
 }
 
-// wirebufPool recycles the per-connection binary codec buffers across
-// sessions, so a server admitting thousands of short sessions per second
-// does not allocate fresh framing buffers for each.
-var wirebufPool = sync.Pool{New: func() any { return make([]byte, 0, 4096) }}
-
 // Conn wraps a TCP connection with protocol framing. It is safe for one
 // concurrent reader and one concurrent writer (the protocol is full-duplex);
 // SetProto may only be called at the negotiation point, before the other
@@ -223,8 +217,9 @@ func (c *Conn) SetProto(p int) {
 		return
 	}
 	c.binary = true
-	c.wbuf = wirebufPool.Get().([]byte)[:0] //cocg:lint-ignore poolcheck connection-lifetime borrow; Conn.Release returns both buffers to the pool
-	c.rbuf = wirebufPool.Get().([]byte)[:0] //cocg:lint-ignore poolcheck connection-lifetime borrow; Conn.Release returns both buffers to the pool
+	// The codec buffers are the connection's own, sized past any frame batch.
+	c.wbuf = make([]byte, 0, 4096)
+	c.rbuf = make([]byte, 0, 4096)
 }
 
 // Send writes one envelope in the connection's current framing.
@@ -289,8 +284,7 @@ func (c *Conn) RecvInto(e *Envelope) error {
 }
 
 // Close closes the underlying connection. It is safe to call while a reader
-// or writer is blocked (the server uses this to force teardown), so it does
-// not recycle codec buffers — Release does, from the owning goroutine.
+// or writer is blocked (the server uses this to force teardown).
 func (c *Conn) Close() error { return c.c.Close() }
 
 // RelayTo copies raw bytes from this connection to dst until EOF or error,
@@ -303,19 +297,11 @@ func (c *Conn) RelayTo(dst *Conn) (int64, error) {
 	return io.Copy(dst.c, c.r)
 }
 
-// Release returns the connection's codec buffers to the shared pool. Only
-// the goroutine that owns both directions may call it, after the last Send
-// and Recv have returned; the Conn must not be used afterwards.
-func (c *Conn) Release() {
-	if c.wbuf != nil {
-		wirebufPool.Put(c.wbuf[:0])
-		c.wbuf = nil
-	}
-	if c.rbuf != nil {
-		wirebufPool.Put(c.rbuf[:0])
-		c.rbuf = nil
-	}
-}
+// Release does nothing: a Conn's codec buffers are its own and are
+// collected with it.
+//
+// Deprecated: there is nothing to release; drop the call.
+func (c *Conn) Release() {}
 
 // validate checks that the payload matches the declared type.
 func (e *Envelope) validate() error {

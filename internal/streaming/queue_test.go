@@ -5,88 +5,108 @@ import (
 	"testing"
 )
 
-func framesEnvSeq(seq int64) *Envelope {
-	return &Envelope{Type: MsgFrames, Frames: &FrameBatch{Seq: seq}}
+// popSeq pops one message without blocking and returns its batch Seq, or -1
+// for the End; ok is false when the queue is empty.
+func popSeq(q *outQueue) (seq int64, ok bool) {
+	var r frameRec
+	var end SessionStat
+	isEnd, ok := q.tryPop(&r, &end)
+	if isEnd {
+		return -1, ok
+	}
+	return r.seq, ok
 }
 
 func TestOutQueueFIFO(t *testing.T) {
 	q := newOutQueue(4)
 	for i := int64(1); i <= 3; i++ {
-		if displaced, how := q.push(framesEnvSeq(i)); displaced != nil || how != pushOK {
-			t.Fatalf("push %d: displaced=%v how=%d", i, displaced, how)
+		if how := q.push(frameRec{seq: i}); how != pushOK {
+			t.Fatalf("push %d: how=%d", i, how)
 		}
 	}
 	for i := int64(1); i <= 3; i++ {
-		e, ok := q.tryPop()
-		if !ok || e.Frames.Seq != i {
-			t.Fatalf("pop %d: %+v ok=%v", i, e, ok)
+		if seq, ok := popSeq(q); !ok || seq != i {
+			t.Fatalf("pop %d: seq %d ok=%v", i, seq, ok)
 		}
 	}
-	if _, ok := q.tryPop(); ok {
+	if _, ok := popSeq(q); ok {
 		t.Fatal("pop from empty queue succeeded")
+	}
+	// A drained ring starts over at slot 0.
+	if q.head != 0 {
+		t.Fatalf("drained ring head = %d, want 0", q.head)
 	}
 }
 
 // TestOutQueueCoalescesNewestFrames pins the first backpressure stage: a
-// full queue whose newest entry is a frame batch swaps it for the incoming
-// one, keeping queue depth and the oldest (least stale) entries intact.
+// full queue swaps its newest batch for the incoming one, keeping queue
+// depth and the oldest (least stale) entries intact.
 func TestOutQueueCoalescesNewestFrames(t *testing.T) {
 	q := newOutQueue(2)
-	q.push(framesEnvSeq(1))
-	q.push(framesEnvSeq(2))
-	displaced, how := q.push(framesEnvSeq(3))
-	if how != pushCoalesced || displaced == nil || displaced.Frames.Seq != 2 {
-		t.Fatalf("coalesce: displaced=%+v how=%d", displaced, how)
+	q.push(frameRec{seq: 1})
+	q.push(frameRec{seq: 2})
+	if how := q.push(frameRec{seq: 3}); how != pushCoalesced {
+		t.Fatalf("coalesce: how=%d", how)
 	}
-	if e, _ := q.tryPop(); e.Frames.Seq != 1 {
-		t.Fatalf("oldest = %d", e.Frames.Seq)
+	if seq, _ := popSeq(q); seq != 1 {
+		t.Fatalf("oldest = %d", seq)
 	}
-	if e, _ := q.tryPop(); e.Frames.Seq != 3 {
-		t.Fatalf("newest = %d", e.Frames.Seq)
+	if seq, _ := popSeq(q); seq != 3 {
+		t.Fatalf("newest = %d", seq)
 	}
 }
 
 // TestOutQueueEndEvictsOldestFrame pins the second stage: an End always
-// lands, evicting the oldest frame batch, and is never itself displaced.
+// lands, evicting the oldest batch from a full queue, and is never itself
+// displaced.
 func TestOutQueueEndEvictsOldestFrame(t *testing.T) {
 	q := newOutQueue(2)
-	q.push(framesEnvSeq(1))
-	q.push(framesEnvSeq(2))
-	end := &Envelope{Type: MsgEnd, End: &SessionStat{SessionID: 5}}
-	displaced, how := q.push(end)
-	if how != pushDropped || displaced == nil || displaced.Frames.Seq != 1 {
-		t.Fatalf("end push: displaced=%+v how=%d", displaced, how)
+	q.push(frameRec{seq: 1})
+	q.push(frameRec{seq: 2})
+	if dropped := q.pushEnd(SessionStat{SessionID: 5}); !dropped {
+		t.Fatal("End into a full queue evicted nothing")
 	}
-	if e, _ := q.tryPop(); e.Frames.Seq != 2 {
-		t.Fatalf("surviving frame = %+v", e)
+	if seq, _ := popSeq(q); seq != 2 {
+		t.Fatalf("surviving batch = %d", seq)
 	}
-	if e, _ := q.tryPop(); e.Type != MsgEnd {
-		t.Fatalf("end lost: %+v", e)
+	var r frameRec
+	var end SessionStat
+	if isEnd, ok := q.tryPop(&r, &end); !isEnd || !ok || end.SessionID != 5 {
+		t.Fatalf("end lost: isEnd=%v ok=%v %+v", isEnd, ok, end)
 	}
-	// A frame batch arriving after the End coalesces with nothing (newest
-	// is the End) and evicts nothing (no frames queued): it is refused.
+	// A batch arriving after the End is refused: the End stays last.
 	q2 := newOutQueue(1)
-	q2.push(&Envelope{Type: MsgEnd, End: &SessionStat{}})
-	displaced, how = q2.push(framesEnvSeq(9))
-	if how != pushDropped || displaced == nil || displaced.Type != MsgFrames {
-		t.Fatalf("frame after end: displaced=%+v how=%d", displaced, how)
+	if dropped := q2.pushEnd(SessionStat{}); dropped {
+		t.Fatal("End into an empty queue reported a drop")
 	}
-	if e, _ := q2.tryPop(); e.Type != MsgEnd {
-		t.Fatalf("end displaced by late frame: %+v", e)
+	if how := q2.push(frameRec{seq: 9}); how != pushDropped {
+		t.Fatalf("frame after end: how=%d", how)
+	}
+	if seq, ok := popSeq(q2); !ok || seq != -1 {
+		t.Fatalf("end displaced by late frame: seq %d ok=%v", seq, ok)
+	}
+	if _, ok := popSeq(q2); ok {
+		t.Fatal("End popped twice")
 	}
 }
 
 func TestOutQueueCloseUnblocksAndDrains(t *testing.T) {
 	q := newOutQueue(4)
-	q.push(framesEnvSeq(1))
+	q.push(frameRec{seq: 1})
+	q.pushEnd(SessionStat{})
 	q.close()
-	if e, ok := q.pop(); !ok || e.Frames.Seq != 1 {
-		t.Fatalf("queued message lost at close: %+v ok=%v", e, ok)
+	var r frameRec
+	var end SessionStat
+	if isEnd, ok := q.pop(&r, &end); !ok || isEnd || r.seq != 1 {
+		t.Fatalf("queued batch lost at close: seq %d isEnd=%v ok=%v", r.seq, isEnd, ok)
 	}
-	if _, ok := q.pop(); ok {
+	if isEnd, ok := q.pop(&r, &end); !ok || !isEnd {
+		t.Fatalf("queued End lost at close: isEnd=%v ok=%v", isEnd, ok)
+	}
+	if _, ok := q.pop(&r, &end); ok {
 		t.Fatal("closed empty queue still popping")
 	}
-	if displaced, how := q.push(framesEnvSeq(2)); how != pushClosed || displaced == nil {
+	if how := q.push(frameRec{seq: 2}); how != pushClosed {
 		t.Fatalf("push after close: how=%d", how)
 	}
 	// A consumer blocked in pop must wake on close.
@@ -95,7 +115,9 @@ func TestOutQueueCloseUnblocksAndDrains(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if _, ok := q2.pop(); ok {
+		var r frameRec
+		var end SessionStat
+		if _, ok := q2.pop(&r, &end); ok {
 			t.Error("blocked pop returned a message from an empty queue")
 		}
 	}()

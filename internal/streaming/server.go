@@ -43,11 +43,12 @@ const outQueueLen = 64
 // the live-session slice and the connection set; the simulation and the
 // delivery walk after it run serially under it on the tick goroutine, which
 // takes it once per wake-up however many seconds it catches up. The
-// walk builds frame batches in pooled envelopes and pushes them to
-// per-session bounded queues; one writer goroutine per session drains its
-// queue to the wire. Every connection is in the set from Accept until its
-// handler returns, so Close reaches each one — session, summary feed, or a
-// peer that has not finished its handshake.
+// walk pushes each session's frame records to its own bounded queue; one
+// writer goroutine per session drains its queue, encodes each batch's frames
+// into the one envelope it owns and sends it, outside the lock. Every
+// connection is in the set from Accept until its handler returns, so Close
+// reaches each one — session, summary feed, or a peer that has not finished
+// its handshake.
 type Server struct {
 	cfg     ServerConfig
 	cluster *platform.Cluster
@@ -116,25 +117,6 @@ type completedCount int
 
 // ConsumeRecord implements platform.RecordSink.
 func (n *completedCount) ConsumeRecord(int, platform.Record) { *n++ }
-
-// framesEnvPool recycles frame-batch envelopes (and their FrameBatch and
-// per-frame slice backing arrays) between the tick walk and the session
-// writers, so steady-state delivery allocates nothing per batch.
-var framesEnvPool = sync.Pool{
-	New: func() any { return &Envelope{Type: MsgFrames, Frames: &FrameBatch{}} },
-}
-
-func getFramesEnv() *Envelope { return framesEnvPool.Get().(*Envelope) }
-
-// putFramesEnv recycles a frame-batch envelope; other message types (the
-// one End per session) and nil are ignored.
-func putFramesEnv(e *Envelope) {
-	if e == nil || e.Type != MsgFrames || e.Frames == nil {
-		return
-	}
-	e.Frames.Frames = e.Frames.Frames[:0]
-	framesEnvPool.Put(e)
-}
 
 // Serve starts a streaming server listening on addr (e.g. "127.0.0.1:0").
 func Serve(addr string, cfg ServerConfig) (*Server, error) {
@@ -245,7 +227,6 @@ func (s *Server) handle(conn *Conn) {
 		delete(s.conns, conn)
 		s.clusterMu.Unlock()
 		_ = conn.Close()
-		conn.Release()
 	}()
 	env, err := conn.Recv()
 	if err != nil {
@@ -324,19 +305,28 @@ func (s *Server) readLoop(ls *liveSession) {
 	}
 }
 
-// writeLoop drains the session's outbound queue to the wire, recycling
-// pooled envelopes after each send. It exits after delivering the End
-// message, on a send error, or when the queue is closed and drained.
+// writeLoop drains the session's outbound queue to the wire. It owns the
+// session's one frame-batch envelope: each popped record is assembled into
+// it, frames encoded, just before the Send. It exits after delivering the
+// End message, on a send error, or when the queue is closed and drained.
 func (s *Server) writeLoop(ls *liveSession) {
+	batch := FrameBatch{SessionID: ls.id}
+	env := Envelope{Type: MsgFrames, Frames: &batch}
+	var (
+		rec frameRec
+		end SessionStat
+	)
 	for {
-		e, ok := ls.out.pop()
+		isEnd, ok := ls.out.pop(&rec, &end)
 		if !ok {
 			return
 		}
-		err := ls.conn.Send(e)
-		isEnd := e.Type == MsgEnd
-		putFramesEnv(e)
-		if err != nil || isEnd {
+		if isEnd {
+			_ = ls.conn.Send(&Envelope{Type: MsgEnd, End: &end}) // the session is over either way
+			return
+		}
+		rec.assemble(&batch)
+		if ls.conn.Send(&env) != nil {
 			return
 		}
 		s.framesSent.Add(1)
@@ -437,8 +427,8 @@ func (s *Server) tickOnce() { s.runTicks(1) }
 
 // runTicks runs n virtual seconds under one hold of the cluster lock. Each
 // second advances the simulation, then walks the live sessions in place: one
-// pooled frame batch per session on frame boundaries and an End for every
-// finished session.
+// frame record per session on frame boundaries and an End for every finished
+// session.
 //
 //cocg:hot
 func (s *Server) runTicks(n int64) {
@@ -459,7 +449,7 @@ func (s *Server) runTicks(n int64) {
 
 // emitSession delivers one tick's worth of messages to one session: the End
 // with final statistics when the game finished, else (on frame boundaries)
-// one pooled frame batch, pushed under the queue's backpressure policy.
+// one frame record, pushed under the queue's backpressure policy.
 //
 //cocg:hot
 func (s *Server) emitSession(ls *liveSession, boundary bool) {
@@ -469,19 +459,17 @@ func (s *Server) emitSession(ls *liveSession, boundary bool) {
 	sess := ls.hosted.Session
 	if sess.Done() {
 		ls.ended = true
-		displaced, _ := ls.out.push(&Envelope{Type: MsgEnd, End: &SessionStat{ //cocg:lint-ignore hotalloc once per session end, not per tick; the per-tick frame batches are pooled
+		// An End entering a full queue evicts the oldest frame batch; that
+		// is a drop the counters must see too.
+		if ls.out.pushEnd(SessionStat{
 			SessionID:   ls.id,
 			DurationSec: int64(sess.Elapsed()),
 			AvgFPS:      sess.AvgFPS(),
 			FPSRatio:    sess.FPSRatio(),
 			Degraded:    sess.DegradedFraction(),
-		}})
-		// An End entering a full queue evicts the oldest frame batch; that
-		// is a drop the counters must see too.
-		if displaced != nil && displaced.Type == MsgFrames {
+		}) {
 			s.framesDropped.Add(1)
 		}
-		putFramesEnv(displaced)
 		return
 	}
 	if !boundary {
@@ -493,26 +481,20 @@ func (s *Server) emitSession(ls *liveSession, boundary bool) {
 	ls.inMu.Lock()
 	echoSeq, echoAt := ls.inSeq, ls.inSentAt
 	ls.inMu.Unlock()
-	enc := DefaultEncoder()
-	e := getFramesEnv()
-	f := e.Frames
-	f.SessionID = ls.id
-	f.Seq = ls.seq
-	f.FPS = fps
-	f.BitrateKbps = enc.Encode(fps, ls.hosted.Granted, loading)
-	f.Stage = sess.StageType()
-	f.Loading = loading
-	f.EchoSeq = echoSeq
-	f.EchoSentAtMS = echoAt
-	f.Frames = enc.AppendFrames(f.Frames[:0], fps, f.BitrateKbps)
-	displaced, how := ls.out.push(e)
-	switch how {
+	switch ls.out.push(frameRec{
+		seq:          ls.seq,
+		fps:          fps,
+		kbps:         DefaultEncoder().Encode(fps, ls.hosted.Granted, loading),
+		stage:        sess.StageType(),
+		loading:      loading,
+		echoSeq:      echoSeq,
+		echoSentAtMS: echoAt,
+	}) {
 	case pushCoalesced:
 		s.framesCoalesced.Add(1)
 	case pushDropped:
 		s.framesDropped.Add(1)
 	}
-	putFramesEnv(displaced)
 }
 
 // serveSummaryFeed runs one coordinator load/health feed: the first

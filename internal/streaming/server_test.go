@@ -347,7 +347,6 @@ func TestSessionChurnUnderTicks(t *testing.T) {
 					}
 				}
 				c.Close()
-				c.Release()
 			}
 		}(g)
 	}

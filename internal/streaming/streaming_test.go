@@ -166,10 +166,10 @@ func TestEncoderModel(t *testing.T) {
 		t.Errorf("30 FPS bitrate %.0f not below 60 FPS %.0f", slow, full)
 	}
 	// Caps hold.
-	if r := e.Encode(240, resources.Uniform(100), false); r > e.MaxKbps {
+	if r := e.Encode(240, resources.Uniform(100), false); r > maxKbps {
 		t.Errorf("bitrate %.0f above cap", r)
 	}
-	if r := e.Encode(1, resources.Uniform(0), false); r < e.MinKbps {
+	if r := e.Encode(1, resources.Uniform(0), false); r < minKbps {
 		t.Errorf("bitrate %.0f below floor", r)
 	}
 }
