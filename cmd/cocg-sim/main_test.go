@@ -1,12 +1,48 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"os"
 	"os/exec"
+	"regexp"
 	"strings"
 	"testing"
 )
+
+// goldenDigest is the SHA-256 of the masked `cocg-sim -policy all -seed 1`
+// report. Moving it is a visible edit of this line, made only when the
+// simulation's output is meant to change.
+const goldenDigest = "49c0c6223d7f0e3cf5039be8b38e6b6af7edcd9a391e04dd2b6c809b58ada03e"
+
+// The report's wall-clock text: the training time line and each policy's
+// run time.
+var (
+	readyLine = regexp.MustCompile(`(?m)^system ready in .*\n`)
+	ranIn     = regexp.MustCompile(` \(ran in [^)]*\)`)
+)
+
+// TestGoldenAllPolicies runs every policy at the default shape and checks
+// the output, wall-clock text masked, against goldenDigest.
+func TestGoldenAllPolicies(t *testing.T) {
+	var out strings.Builder
+	if err := run([]string{"-policy", "all", "-seed", "1"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	masked := ranIn.ReplaceAllString(readyLine.ReplaceAllString(out.String(), ""), "")
+	sum := sha256.Sum256([]byte(masked))
+	if got := hex.EncodeToString(sum[:]); got != goldenDigest {
+		path := "(not saved)"
+		if f, err := os.CreateTemp("", "cocg-sim-golden-*.txt"); err == nil {
+			if _, err := f.WriteString(masked); err == nil {
+				path = f.Name()
+			}
+			_ = f.Close()
+		}
+		t.Errorf("masked output digest = %s, want %s; masked output in %s", got, goldenDigest, path)
+	}
+}
 
 // runMainEnv makes the test binary run main instead of the tests, so a test
 // can drive the command end to end in a child process.
