@@ -8,8 +8,8 @@ package cocg_test
 // scale.
 
 import (
-	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -308,11 +308,11 @@ func BenchmarkAblationClustering(b *testing.B) {
 	ctx := ctxForBench(b)
 	var n int
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.GraphPartitionAblation(ctx)
+		r, err := experiments.GraphPartitionAblation(ctx)
 		if err != nil {
 			b.Fatal(err)
 		}
-		n = len(rows)
+		n = len(r.Rows)
 	}
 	b.ReportMetric(float64(n), "games-compared")
 }
@@ -493,26 +493,19 @@ func BenchmarkGBDTTrain(b *testing.B) {
 // shared fast context — the cmd/cocg fan-out, minus printing.
 func benchHarness(b *testing.B, jobs int) {
 	ctx := ctxForBench(b)
-	runners := []func(*experiments.Context) (fmt.Stringer, error){
-		func(c *experiments.Context) (fmt.Stringer, error) { return experiments.TableI(c) },
-		func(c *experiments.Context) (fmt.Stringer, error) { return experiments.Fig2(c) },
-		func(c *experiments.Context) (fmt.Stringer, error) { return experiments.Fig5(c) },
-		func(c *experiments.Context) (fmt.Stringer, error) { return experiments.Fig6(c) },
-		func(c *experiments.Context) (fmt.Stringer, error) { return experiments.Fig9(c) },
-		func(c *experiments.Context) (fmt.Stringer, error) { return experiments.Fig10(c) },
-		func(c *experiments.Context) (fmt.Stringer, error) { return experiments.Fig11(c) },
-		func(c *experiments.Context) (fmt.Stringer, error) { return experiments.Fig12(c) },
-		func(c *experiments.Context) (fmt.Stringer, error) { return experiments.Fig13(c) },
-		func(c *experiments.Context) (fmt.Stringer, error) { return experiments.Fig14(c) },
-		func(c *experiments.Context) (fmt.Stringer, error) { return experiments.Fig15(c) },
+	var figures []experiments.Experiment
+	for _, e := range experiments.All {
+		if e.Name == "table1" || strings.HasPrefix(e.Name, "fig") {
+			figures = append(figures, e)
+		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g := parallel.NewGroup(jobs)
-		for _, run := range runners {
-			run := run
+		for _, e := range figures {
+			e := e
 			g.Go(func() error {
-				_, err := run(ctx)
+				_, err := e.Run(ctx)
 				return err
 			})
 		}

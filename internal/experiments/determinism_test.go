@@ -7,45 +7,18 @@ import (
 	"cocg/internal/parallel"
 )
 
-// harness lists every experiment the cmd/cocg driver can run, in its
-// presentation order, so the determinism test exercises the same job set.
-var harness = []struct {
-	name string
-	run  func(*Context) (fmt.Stringer, error)
-}{
-	{"table1", func(c *Context) (fmt.Stringer, error) { return TableI(c) }},
-	{"fig2", func(c *Context) (fmt.Stringer, error) { return Fig2(c) }},
-	{"fig5", func(c *Context) (fmt.Stringer, error) { return Fig5(c) }},
-	{"fig6", func(c *Context) (fmt.Stringer, error) { return Fig6(c) }},
-	{"fig9", func(c *Context) (fmt.Stringer, error) { return Fig9(c) }},
-	{"fig10", func(c *Context) (fmt.Stringer, error) { return Fig10(c) }},
-	{"fig11", func(c *Context) (fmt.Stringer, error) { return Fig11(c) }},
-	{"fig12", func(c *Context) (fmt.Stringer, error) { return Fig12(c) }},
-	{"fig13", func(c *Context) (fmt.Stringer, error) { return Fig13(c) }},
-	{"fig14", func(c *Context) (fmt.Stringer, error) { return Fig14(c) }},
-	{"fig15", func(c *Context) (fmt.Stringer, error) { return Fig15(c) }},
-	{"pairs", func(c *Context) (fmt.Stringer, error) { return PairMatrix(c) }},
-	{"scaleout", func(c *Context) (fmt.Stringer, error) { return ScaleOut(c) }},
-	{"online", func(c *Context) (fmt.Stringer, error) { return OnlineLearning(c) }},
-	{"ablation-category", func(c *Context) (fmt.Stringer, error) { return CategoryAblation(c) }},
-	{"ablation-redundancy", func(c *Context) (fmt.Stringer, error) { return RedundancyAblation(c) }},
-	{"ablation-steal", func(c *Context) (fmt.Stringer, error) { return LoadingStealAblation(c) }},
-	{"ablation-interval", func(c *Context) (fmt.Stringer, error) { return FrameIntervalAblation(c) }},
-	{"ablation-placement", func(c *Context) (fmt.Stringer, error) { return PlacementAblation(c) }},
-}
-
 // runHarness renders every experiment, either serially or as concurrent
 // jobs over the shared context — the same fan-out cmd/cocg performs.
 func runHarness(t *testing.T, ctx *Context, jobs int) map[string]string {
 	t.Helper()
-	out := make([]string, len(harness))
+	out := make([]string, len(All))
 	g := parallel.NewGroup(jobs)
-	for i := range harness {
+	for i := range All {
 		i := i
 		g.Go(func() error {
-			res, err := harness[i].run(ctx)
+			res, err := All[i].Run(ctx)
 			if err != nil {
-				return fmt.Errorf("%s: %w", harness[i].name, err)
+				return fmt.Errorf("%s: %w", All[i].Name, err)
 			}
 			out[i] = res.String()
 			return nil
@@ -55,8 +28,8 @@ func runHarness(t *testing.T, ctx *Context, jobs int) map[string]string {
 		t.Fatal(err)
 	}
 	m := map[string]string{}
-	for i, h := range harness {
-		m[h.name] = out[i]
+	for i, e := range All {
+		m[e.Name] = out[i]
 	}
 	return m
 }
@@ -77,18 +50,18 @@ func TestHarnessDeterministicAcrossJobCounts(t *testing.T) {
 	}
 	serial := runHarness(t, ctx1, 1)
 	parallel8 := runHarness(t, ctx8, 8)
-	for _, h := range harness {
-		if serial[h.name] != parallel8[h.name] {
+	for _, e := range All {
+		if serial[e.Name] != parallel8[e.Name] {
 			t.Errorf("%s renders differently at jobs=1 and jobs=8:\n--- jobs=1 ---\n%s\n--- jobs=8 ---\n%s",
-				h.name, serial[h.name], parallel8[h.name])
+				e.Name, serial[e.Name], parallel8[e.Name])
 		}
 	}
 	// A re-run over the already-used jobs=8 context must also match: no
 	// experiment may have mutated shared state.
 	again := runHarness(t, ctx8, 8)
-	for _, h := range harness {
-		if again[h.name] != parallel8[h.name] {
-			t.Errorf("%s is not idempotent over a shared context", h.name)
+	for _, e := range All {
+		if again[e.Name] != parallel8[e.Name] {
+			t.Errorf("%s is not idempotent over a shared context", e.Name)
 		}
 	}
 }

@@ -469,6 +469,8 @@ type QoSSummary struct {
 	MeanFPSRatio float64
 	MeanGoodFPS  float64
 	MeanDegraded float64
+	// MeanP5FPS is the mean of the sessions' 5th-percentile FPS.
+	MeanP5FPS float64
 	// ViolatedFrac is the fraction of sessions degraded for more than 5 %
 	// of their execution time — the operator tolerance of Section IV-D.
 	ViolatedFrac float64
@@ -486,6 +488,7 @@ func Summarize(records []Record) QoSSummary {
 		out.MeanFPSRatio += r.FPSRatio
 		out.MeanGoodFPS += r.GoodFPSFrac
 		out.MeanDegraded += r.Degraded
+		out.MeanP5FPS += r.P5FPS
 		if r.Degraded > 0.05 {
 			viol++
 		}
@@ -494,6 +497,7 @@ func Summarize(records []Record) QoSSummary {
 	out.MeanFPSRatio /= n
 	out.MeanGoodFPS /= n
 	out.MeanDegraded /= n
+	out.MeanP5FPS /= n
 	out.ViolatedFrac = float64(viol) / n
 	return out
 }
