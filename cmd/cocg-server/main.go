@@ -13,7 +13,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"time"
 
 	"cocg/internal/core"
@@ -32,11 +31,7 @@ func main() {
 	metricsAddr := flag.String("metrics", "", "serve /metrics and /status on this address (e.g. :9556)")
 	flag.Parse()
 
-	kinds := map[string]core.PolicyKind{
-		"cocg": core.PolicyCoCG, "vbp": core.PolicyVBP,
-		"gaugur": core.PolicyGAugur, "reactive": core.PolicyReactive,
-	}
-	kind, ok := kinds[strings.ToLower(*policy)]
+	kind, ok := core.PolicyByName(*policy)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "cocg-server: unknown policy %q\n", *policy)
 		os.Exit(2)
