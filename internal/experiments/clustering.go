@@ -67,9 +67,8 @@ func Fig6(ctx *Context) (*ClusteringResult, error) { return StageTypesOf(ctx, "D
 
 // String renders the clustering result.
 func (r *ClusteringResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Stage types of %s by clustering (K=%d, loading cluster %d)\n", r.Game, r.K, r.Loading)
-	ct := &table{header: []string{"cluster", "centroid"}}
+	ct := &table{title: fmt.Sprintf("Stage types of %s by clustering (K=%d, loading cluster %d)", r.Game, r.K, r.Loading),
+		header: []string{"cluster", "centroid"}}
 	for i, c := range r.Centroids {
 		mark := ""
 		if i == r.Loading {
@@ -77,7 +76,6 @@ func (r *ClusteringResult) String() string {
 		}
 		ct.add(fmt.Sprintf("%d%s", i, mark), c.String())
 	}
-	b.WriteString(ct.String())
 	st := &table{header: []string{"stage", "clusters", "occurrences", "mean dur (s)", "mean demand", "sustained peak"}}
 	for _, s := range r.Stages {
 		name := fmt.Sprint(s.ID)
@@ -87,8 +85,7 @@ func (r *ClusteringResult) String() string {
 		st.add(name, profiler.Key(s.ClusterSet), fmt.Sprint(s.Count), f1(s.MeanDurSec),
 			s.MeanDemand.String(), s.PeakDemand.String())
 	}
-	b.WriteString(st.String())
-	return b.String()
+	return ct.String() + st.String()
 }
 
 // Fig14Curve is one game's SSE-vs-K sweep.
@@ -118,7 +115,7 @@ func Fig14(ctx *Context) (*Fig14Result, error) {
 		for _, tr := range b.Corpus {
 			frames = append(frames, tr.FrameVectors()...)
 		}
-		curve, err := cluster.Sweep(frames, 8, ctx.Opt.Seed, ctx.workers())
+		curve, err := cluster.Sweep(frames, 8, ctx.Opt.Seed, ctx.Opt.Jobs)
 		if err != nil {
 			return nil, err
 		}
@@ -134,9 +131,8 @@ func Fig14(ctx *Context) (*Fig14Result, error) {
 
 // String renders the sweep as one row per game.
 func (r *Fig14Result) String() string {
-	var b strings.Builder
-	b.WriteString("Fig. 14: K-means SSE vs K (elbow picks the cluster count)\n")
-	t := &table{header: []string{"Game", "SSE K=1..8", "elbow", "paper"}}
+	t := &table{title: "Fig. 14: K-means SSE vs K (elbow picks the cluster count)",
+		header: []string{"Game", "SSE K=1..8", "elbow", "paper"}}
 	for _, c := range r.Curves {
 		var sse []string
 		for _, p := range c.Points {
@@ -144,8 +140,7 @@ func (r *Fig14Result) String() string {
 		}
 		t.add(c.Game, strings.Join(sse, " "), fmt.Sprint(c.Elbow), fmt.Sprint(c.PaperK))
 	}
-	b.WriteString(t.String())
-	return b.String()
+	return t.String()
 }
 
 // GraphPartitionComparison quantifies Section V-D1's claim that K-means

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"cocg/internal/gamesim"
 	"cocg/internal/profiler"
@@ -30,10 +29,7 @@ type TableIResult struct {
 // discovered stage types, reproducing the "# of stage type" column.
 func TableI(ctx *Context) (*TableIResult, error) {
 	out := &TableIResult{}
-	players := 4
-	if ctx.Opt.Fast {
-		players = 2
-	}
+	players := scaled(ctx.Opt.Fast, 4, 2)
 	for _, spec := range gamesim.AllGames() {
 		for si, script := range spec.Scripts {
 			var traces []*gamesim.Trace
@@ -64,13 +60,11 @@ func TableI(ctx *Context) (*TableIResult, error) {
 
 // String renders the table.
 func (r *TableIResult) String() string {
-	t := &table{header: []string{"Game", "Script", "Description", "#types(paper)", "#types(profiled)"}}
+	t := &table{title: "Table I: Evaluated workloads and stage types per script",
+		header: []string{"Game", "Script", "Description", "#types(paper)", "#types(profiled)"}}
 	for _, row := range r.Rows {
 		t.add(row.Game, row.Script, row.Description,
 			fmt.Sprint(row.SpecTypes), fmt.Sprint(row.ProfiledTypes))
 	}
-	var b strings.Builder
-	b.WriteString("Table I: Evaluated workloads and stage types per script\n")
-	b.WriteString(t.String())
-	return b.String()
+	return t.String()
 }

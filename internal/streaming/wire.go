@@ -156,7 +156,7 @@ func (e *Envelope) AppendTo(buf []byte) ([]byte, error) {
 // DecodeFrom decodes one binary frame body (tag + payload, without the
 // length prefix) into e. Payload structs already attached to e are reused —
 // including the FrameBatch.Frames and InputBatch.Codes backing arrays — so a
-// pooled envelope decodes with zero allocations in steady state; payload
+// reused envelope decodes with zero allocations in steady state; payload
 // pointers of other message types are cleared. Corrupt input yields an
 // error, never a panic, and never a partially valid envelope.
 //
@@ -170,7 +170,7 @@ func (e *Envelope) DecodeFrom(data []byte) error {
 	case tagInput:
 		in := e.Input
 		if in == nil {
-			in = &InputBatch{} //cocg:lint-ignore hotalloc first-decode payload; pooled envelopes reuse the attached struct in steady state
+			in = &InputBatch{} //cocg:lint-ignore hotalloc first decode of this payload type; RecvInto callers reuse one envelope per connection, so it is allocated once per connection
 		}
 		in.SessionID = r.svarint()
 		in.Seq = r.svarint()
@@ -192,7 +192,7 @@ func (e *Envelope) DecodeFrom(data []byte) error {
 	case tagFrames:
 		f := e.Frames
 		if f == nil {
-			f = &FrameBatch{} //cocg:lint-ignore hotalloc first-decode payload; pooled envelopes reuse the attached struct in steady state
+			f = &FrameBatch{} //cocg:lint-ignore hotalloc first decode of this payload type; RecvInto callers reuse one envelope per connection, so it is allocated once per connection
 		}
 		f.SessionID = r.svarint()
 		f.Seq = r.svarint()
@@ -227,7 +227,7 @@ func (e *Envelope) DecodeFrom(data []byte) error {
 	case tagEnd:
 		st := e.End
 		if st == nil {
-			st = &SessionStat{} //cocg:lint-ignore hotalloc first-decode payload; pooled envelopes reuse the attached struct in steady state
+			st = &SessionStat{} //cocg:lint-ignore hotalloc first decode of this payload type; RecvInto callers reuse one envelope per connection, so it is allocated once per connection
 		}
 		st.SessionID = r.svarint()
 		st.DurationSec = r.svarint()
@@ -242,7 +242,7 @@ func (e *Envelope) DecodeFrom(data []byte) error {
 	case tagSummaryReq:
 		sr := e.SummaryReq
 		if sr == nil {
-			sr = &SummaryReq{} //cocg:lint-ignore hotalloc first-decode payload; pooled envelopes reuse the attached struct in steady state
+			sr = &SummaryReq{} //cocg:lint-ignore hotalloc first decode of this payload type; RecvInto callers reuse one envelope per connection, so it is allocated once per connection
 		}
 		sr.Proto = int(r.svarint())
 		if !r.done() {
@@ -253,7 +253,7 @@ func (e *Envelope) DecodeFrom(data []byte) error {
 	case tagSummary:
 		sm := e.Summary
 		if sm == nil {
-			sm = &ClusterSummary{} //cocg:lint-ignore hotalloc first-decode payload; pooled envelopes reuse the attached struct in steady state
+			sm = &ClusterSummary{} //cocg:lint-ignore hotalloc first decode of this payload type; RecvInto callers reuse one envelope per connection, so it is allocated once per connection
 		}
 		sm.Proto = int(r.svarint())
 		sm.Servers = int(r.svarint())
