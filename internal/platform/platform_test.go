@@ -136,11 +136,11 @@ func TestThroughputEq2(t *testing.T) {
 
 func TestSummarize(t *testing.T) {
 	records := []Record{
-		{FPSRatio: 1, GoodFPSFrac: 1, Degraded: 0.01},
-		{FPSRatio: 0.5, GoodFPSFrac: 0.5, Degraded: 0.2},
+		{FPSRatio: 1, GoodFPSFrac: 1, Degraded: 0.01, P5FPS: 60},
+		{FPSRatio: 0.5, GoodFPSFrac: 0.5, Degraded: 0.2, P5FPS: 30},
 	}
 	s := Summarize(records)
-	if s.Sessions != 2 || s.MeanFPSRatio != 0.75 || s.ViolatedFrac != 0.5 {
+	if s.Sessions != 2 || s.MeanFPSRatio != 0.75 || s.MeanP5FPS != 45 || s.ViolatedFrac != 0.5 {
 		t.Errorf("summary = %+v", s)
 	}
 	if Summarize(nil).Sessions != 0 {
