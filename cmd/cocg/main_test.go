@@ -3,10 +3,16 @@ package main
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
+	"fmt"
 	"os"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
+
+	"cocg/internal/experiments"
 )
 
 // goldenDigest is the SHA-256 of the masked `cocg -seed 1` report: the
@@ -57,5 +63,50 @@ func checkDigest(t *testing.T, out, want string) {
 			_ = f.Close()
 		}
 		t.Errorf("masked output digest = %s, want %s; masked output in %s", got, want, path)
+	}
+}
+
+// TestRunJobsStopsOnFailure hands the job runner an experiment that panics
+// and one that errors, each second in a list of slow ones: the runner must
+// return without hanging, name the experiment in its error, and leave no job
+// running once it has returned.
+func TestRunJobsStopsOnFailure(t *testing.T) {
+	slow := experiments.Experiment{Name: "slow", Run: func(*experiments.Context) (fmt.Stringer, error) {
+		time.Sleep(20 * time.Millisecond)
+		return nil, nil
+	}}
+	for _, bad := range []experiments.Experiment{
+		{Name: "panics", Run: func(*experiments.Context) (fmt.Stringer, error) { panic("boom") }},
+		{Name: "errs", Run: func(*experiments.Context) (fmt.Stringer, error) { return nil, errors.New("no result") }},
+	} {
+		for _, jobs := range []int{1, 2} {
+			t.Run(fmt.Sprintf("%s/jobs=%d", bad.Name, jobs), func(t *testing.T) {
+				targets := []experiments.Experiment{slow, bad}
+				for len(targets) < 50 {
+					targets = append(targets, slow)
+				}
+				before := runtime.NumGoroutine()
+				done := make(chan error, 1)
+				go func() { done <- runJobs(nil, targets, jobs, func(string, fmt.Stringer, time.Duration) {}) }()
+				var err error
+				select {
+				case err = <-done:
+				case <-time.After(10 * time.Second):
+					t.Fatal("runner still blocked after 10 s")
+				}
+				if err == nil || !strings.HasPrefix(err.Error(), bad.Name+": ") {
+					t.Fatalf("runner error %v, want one naming %q", err, bad.Name)
+				}
+				// The 48 slow jobs left would take at least 480 ms: a runner
+				// that still queued them would not settle within 200 ms.
+				deadline := time.Now().Add(200 * time.Millisecond)
+				for runtime.NumGoroutine() > before {
+					if time.Now().After(deadline) {
+						t.Fatalf("goroutines: %d before the runner, %d after it returned", before, runtime.NumGoroutine())
+					}
+					time.Sleep(time.Millisecond)
+				}
+			})
+		}
 	}
 }
