@@ -1,6 +1,7 @@
 package coordinator
 
 import (
+	"encoding/json"
 	"fmt"
 	"net"
 	"runtime"
@@ -112,6 +113,30 @@ func TestFleetRoutesToNearestCluster(t *testing.T) {
 	}
 	if got := co.members[1].admitted.Load(); got != 1 {
 		t.Errorf("near cluster admitted %d sessions, want 1", got)
+	}
+
+	// The same three counters, as an operator's scrape reads them.
+	page := string(get(co.MetricsHandler(), "/metrics"))
+	for _, want := range []string{
+		"\ncocg_coord_routing_decisions_total 1\n",
+		"\ncocg_coord_admissions_total 1\n",
+		"\ncocg_coord_cluster_admitted_total{cluster=\"near\"} 1\n",
+	} {
+		if !strings.Contains(page, want) {
+			t.Errorf("/metrics lacks %q in:\n%s", want[1:], page)
+		}
+	}
+	var status struct {
+		Clusters []struct {
+			Name   string `json:"name"`
+			Probed bool   `json:"probed"`
+		} `json:"clusters"`
+	}
+	if err := json.Unmarshal(get(co.MetricsHandler(), "/status"), &status); err != nil {
+		t.Fatalf("/status: %v", err)
+	}
+	if len(status.Clusters) != 2 || !status.Clusters[0].Probed || !status.Clusters[1].Probed {
+		t.Errorf("/status clusters = %+v, want far and near, both probed", status.Clusters)
 	}
 }
 
