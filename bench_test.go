@@ -656,7 +656,6 @@ func newFleetFrame(b *testing.B, c *platform.Cluster) *fleetFrame {
 	b.Helper()
 	servers := len(c.Servers)
 	ctx := ctxForBench(b)
-	c.StarveLimit = 5 * simclock.Minute
 	f := &fleetFrame{
 		c:      c,
 		stream: workload.NewMixStream(ctx.System.Generator(8), gamesim.AllGames(), fleetFrameRatePer1k*float64(servers)/1024, 12),

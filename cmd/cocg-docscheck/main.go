@@ -47,60 +47,58 @@ var (
 func main() {
 	root := flag.String("root", ".", "repository root that rooted (/...) links resolve against")
 	flag.Parse()
-
-	targets := flag.Args()
-	if len(targets) == 0 {
-		targets = []string{"README.md", "EXPERIMENTS.md", "DESIGN.md", "ROADMAP.md", "docs"}
-	}
-
-	var files []string
-	for _, tgt := range targets {
-		path := filepath.Join(*root, tgt)
-		info, err := os.Stat(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cocg-docscheck: %v\n", err)
-			os.Exit(2)
-		}
-		if !info.IsDir() {
-			files = append(files, path)
-			continue
-		}
-		err = filepath.WalkDir(path, func(p string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
-			}
-			if !d.IsDir() && strings.HasSuffix(p, ".md") {
-				files = append(files, p)
-			}
-			return nil
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cocg-docscheck: %v\n", err)
-			os.Exit(2)
-		}
-	}
-
-	funcs, err := testFuncs(*root)
+	broken, checked, files, err := check(*root, flag.Args())
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "cocg-docscheck: %v\n", err)
 		os.Exit(2)
 	}
-	broken := 0
-	checked := 0
-	for _, file := range files {
-		b, c, err := checkFile(file, *root, funcs)
+	if broken > 0 {
+		fmt.Fprintf(os.Stderr, "cocg-docscheck: %d broken link(s) or test name(s) across %d file(s)\n", broken, files)
+		os.Exit(2)
+	}
+	fmt.Printf("cocg-docscheck: %d links and test names across %d markdown files all resolve\n", checked, files)
+}
+
+// check runs the whole check over the targets (the default set when there
+// are none) under root, listing each broken link or test name on stderr.
+func check(root string, targets []string) (broken, checked, files int, err error) {
+	if len(targets) == 0 {
+		targets = []string{"README.md", "EXPERIMENTS.md", "DESIGN.md", "ROADMAP.md", "docs"}
+	}
+	var paths []string
+	for _, tgt := range targets {
+		path := filepath.Join(root, tgt)
+		info, err := os.Stat(path)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cocg-docscheck: %v\n", err)
-			os.Exit(2)
+			return 0, 0, 0, err
+		}
+		if !info.IsDir() {
+			paths = append(paths, path)
+			continue
+		}
+		err = filepath.WalkDir(path, func(p string, d fs.DirEntry, err error) error {
+			if err == nil && !d.IsDir() && strings.HasSuffix(p, ".md") {
+				paths = append(paths, p)
+			}
+			return err
+		})
+		if err != nil {
+			return 0, 0, 0, err
+		}
+	}
+	funcs, err := testFuncs(root)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	for _, file := range paths {
+		b, c, err := checkFile(file, root, funcs)
+		if err != nil {
+			return 0, 0, 0, err
 		}
 		broken += b
 		checked += c
 	}
-	if broken > 0 {
-		fmt.Fprintf(os.Stderr, "cocg-docscheck: %d broken link(s) or test name(s) across %d file(s)\n", broken, len(files))
-		os.Exit(2)
-	}
-	fmt.Printf("cocg-docscheck: %d links and test names across %d markdown files all resolve\n", checked, len(files))
+	return broken, checked, len(paths), nil
 }
 
 // testFuncs lists every top-level func declared in a _test.go file under

@@ -40,3 +40,16 @@ func TestCheckFileFlagsMissingTestNames(t *testing.T) {
 		t.Errorf("broken %d of %d checked, want 1 of 3 (only TestMissing)", broken, checked)
 	}
 }
+
+// TestRepositoryDocsResolve runs the check `make docs-check` runs over the
+// repository root, so a doc citing a deleted test, benchmark or heading
+// fails go test ./... and not only make lint.
+func TestRepositoryDocsResolve(t *testing.T) {
+	broken, checked, files, err := check(filepath.Join("..", ".."), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if broken > 0 || checked == 0 {
+		t.Errorf("%d of %d links and test names across %d markdown files are broken (listed above)", broken, checked, files)
+	}
+}

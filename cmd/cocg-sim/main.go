@@ -101,7 +101,6 @@ func run(args []string, stdout io.Writer) error {
 	horizon := simclock.Seconds(*hours * 3600)
 	for _, kind := range selected {
 		c := sys.NewCluster(*servers, kind)
-		c.StarveLimit = 5 * simclock.Minute
 		gen := sys.Generator(*seed + 7)
 		stream := workload.NewMixStream(gen, gamesim.AllGames(), *rate, *seed+11)
 		mix := gamesim.AllGames()

@@ -26,7 +26,6 @@ func main() {
 	}
 
 	cluster := sys.NewCluster(1, core.PolicyCoCG)
-	cluster.StarveLimit = 5 * simclock.Minute
 	gen := sys.Generator(99)
 	stream := &workload.PairStream{Gen: gen, A: gamesim.GenshinImpact(), B: gamesim.DOTA2()}
 

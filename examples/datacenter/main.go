@@ -30,7 +30,6 @@ func main() {
 
 	for _, kind := range core.AllPolicies() {
 		c := sys.NewCluster(servers, kind)
-		c.StarveLimit = 5 * simclock.Minute
 		gen := sys.Generator(31)
 		stream := workload.NewMixStream(gen, gamesim.AllGames(), rate, 77)
 		if err := c.RunEvented(horizon, stream.Schedule(0, horizon)); err != nil {

@@ -11,9 +11,6 @@ import (
 	"cocg/internal/workload"
 )
 
-// starveLimit bounds how long an arrival waits in every experiment window.
-const starveLimit = 5 * simclock.Minute
-
 // closedLoop runs the closed-loop co-location window: a cluster of servers
 // under pol, and one PairStream per pair, all drawing from one generator
 // seeded seed. Each second of the horizon the streams feed in order, the
@@ -22,7 +19,6 @@ func closedLoop(ctx *Context, servers int, pol platform.Policy, seed int64,
 	pairs [][2]*gamesim.GameSpec, each func(*platform.Cluster)) *platform.Cluster {
 
 	c := platform.NewCluster(servers, pol)
-	c.StarveLimit = starveLimit
 	gen := ctx.System.Generator(seed)
 	streams := make([]*workload.PairStream, len(pairs))
 	for i, p := range pairs {
@@ -49,7 +45,6 @@ func mixWindow(ctx *Context, servers int, pol platform.Policy, genSeed int64,
 	rate float64, streamSeed int64) ([]platform.Record, error) {
 
 	c := platform.NewCluster(servers, pol)
-	c.StarveLimit = starveLimit
 	horizon := ctx.horizon() / 2
 	stream := workload.NewMixStream(ctx.System.Generator(genSeed), gamesim.AllGames(), rate, streamSeed)
 	if err := c.RunEvented(horizon, stream.Schedule(0, horizon)); err != nil {

@@ -31,9 +31,10 @@ type Cluster struct {
 	RejectedTicks int
 
 	// StarveLimit, when positive, makes an arrival that has waited this
-	// long block younger arrivals until it lands (anti-starvation). Zero
-	// reproduces the paper's setting: every pending request keeps retrying
-	// independently and the distributor places whatever fits.
+	// long block younger arrivals until it lands (anti-starvation).
+	// NewCluster sets starveLimit. Zero turns the block off: every pending
+	// request keeps retrying independently and the distributor places
+	// whatever fits.
 	StarveLimit simclock.Seconds
 
 	// Jobs is read by nothing: a cluster advances on one goroutine.
@@ -47,13 +48,18 @@ type Cluster struct {
 	// every round — but are counted rather than silently dropped.
 	FailedPlacements int
 
-	// round is the current placement round's scoreboard.
-	round scoreboard
+	// board holds the placement verdicts of every game offered so far.
+	board scoreboard
 }
 
-// NewCluster builds a cluster of n full-capacity servers under the policy.
+// starveLimit is the five-minute wait after which an arrival blocks younger
+// ones: the setting every experiment and program runs with.
+const starveLimit = 5 * simclock.Minute
+
+// NewCluster builds a cluster of n full-capacity servers under the policy,
+// with StarveLimit set to starveLimit.
 func NewCluster(n int, policy Policy) *Cluster {
-	c := &Cluster{Policy: policy, Clock: &simclock.Clock{}}
+	c := &Cluster{Policy: policy, Clock: &simclock.Clock{}, StarveLimit: starveLimit}
 	for i := 0; i < n; i++ {
 		c.Servers = append(c.Servers, NewServer(i, resources.FullServer, c.Clock))
 	}
@@ -118,40 +124,29 @@ type FleetSummarizer interface {
 
 // PickServer returns the server the policy would place the arrival on right
 // now — the highest-scoring admitting one, as Place would pick — without
-// placing it; nil when no server admits it. It is a one-arrival placement
-// round (every server scored once), the dry-run entry point the fleet
-// benchmarks and placement property tests drive. Scoring may refill a
-// policy's per-server state (Server.PolicyState), never the cluster's
-// servers.
+// placing it; nil when no server admits it. It is the dry-run entry point
+// the fleet benchmarks and placement property tests drive. Scoring may
+// refill a policy's per-server state (Server.PolicyState), never the
+// cluster's servers.
 func (c *Cluster) PickServer(a Arrival) *Server {
-	c.round.begin()
 	if i := c.pick(a.Spec); i >= 0 {
 		return c.Servers[i]
 	}
 	return nil
 }
 
-// Place runs the distributor for one arrival and hosts it: a one-arrival
-// placement round picks the server, then the session, its controller and
-// Server.Add. It counts Placements and FailedPlacements. It returns nil, nil,
-// nil when no server admits the arrival; an arrival that won a server but
-// could not be materialized (malformed script index, controller construction
-// error) returns that server with the error. The simulation queue and the
-// streaming front end both place through it.
+// Place runs the distributor for one arrival and hosts it: PickServer picks
+// the server, then the session, its controller and Server.Add. It counts
+// Placements and FailedPlacements. It returns nil, nil, nil when no server
+// admits the arrival; an arrival that won a server but could not be
+// materialized (malformed script index, controller construction error)
+// returns that server with the error. The simulation queue and the streaming
+// front end both place through it.
 func (c *Cluster) Place(a Arrival) (*Server, *Hosted, error) {
-	c.round.begin()
-	return c.place(a)
-}
-
-// place is Place inside the current round: the round's scoreboard picks the
-// server, and a session hosted here is logged so the round's boards re-score
-// that server before their next pick.
-func (c *Cluster) place(a Arrival) (*Server, *Hosted, error) {
-	i := c.pick(a.Spec)
-	if i < 0 {
+	srv := c.PickServer(a)
+	if srv == nil {
 		return nil, nil, nil
 	}
-	srv := c.Servers[i]
 	sess, err := gamesim.NewPlayerSession(a.Spec, a.Script, a.Habit, a.SessionSeed)
 	if err != nil {
 		c.FailedPlacements++
@@ -163,18 +158,16 @@ func (c *Cluster) place(a Arrival) (*Server, *Hosted, error) {
 		return srv, nil, err
 	}
 	c.Placements++
-	c.round.hosted = append(c.round.hosted, i)
 	return srv, srv.Add(a.Spec, sess, ctl), nil
 }
 
 // tryPlace is one placement round: it attempts to place pending arrivals
-// FIFO, each offered to every admitting server through the round's
+// FIFO, each offered to every admitting server through the cluster's
 // scoreboard. An arrival that wins a server leaves the queue even when it
 // cannot be materialized — retrying it would fail identically. With
 // StarveLimit set, an arrival that has waited past it blocks younger arrivals
 // until it lands, so a heavy game is never starved by a stream of small ones.
 func (c *Cluster) tryPlace() {
-	c.round.begin()
 	remaining := c.Pending[:0]
 	blocked := false
 	for _, a := range c.Pending {
@@ -182,7 +175,7 @@ func (c *Cluster) tryPlace() {
 			remaining = append(remaining, a)
 			continue
 		}
-		if srv, _, _ := c.place(a); srv != nil {
+		if srv, _, _ := c.Place(a); srv != nil {
 			continue
 		}
 		c.RejectedTicks++
@@ -224,102 +217,78 @@ func (c *Cluster) RunningSessions() int {
 	return n
 }
 
-// scoreboard holds one placement round's verdicts: one board per game offered
-// in the round, each indexed by server position. Inside a round the clock
-// does not move and no server ticks, so Server.Add is the only thing that
-// changes a server, and Policy.Score is a function of the server and the
-// game. A board filled by one scan therefore stays exact except at the
-// servers that hosted a session since, and those are re-scored before the
-// board's next pick. An arrival that wins a server but cannot be materialized
-// changes nothing, so the next arrival of its game wins the same server, as a
-// fresh scan would. The slices are reused across rounds, so a warm round that
-// places nothing allocates nothing.
-type scoreboard struct {
-	boards []board
-	// hosted lists, in order, the positions of the servers that hosted a
-	// session this round.
-	hosted []int
-}
+// scoreboard holds the cluster's placement verdicts for as long as the
+// cluster lives: one board per game name offered, each indexed by server
+// position. Policy.Score is a function of the game's name and the server's
+// Stamp, so a verdict stays exact until that server's stamp moves (an
+// admission, a departure, a non-empty tick), and pick re-scores exactly the
+// servers whose stamp moved. An idle server's verdicts therefore outlive the
+// placement round, and a round over an unchanged fleet calls Score zero times
+// and allocates nothing. An arrival that wins a server but cannot be
+// materialized changes nothing, so the next arrival of its game wins the same
+// server, as a fresh scan would.
+type scoreboard []board
 
 // board is one game's verdicts over the fleet, indexed by server position.
 type board struct {
-	spec  *gamesim.GameSpec
-	score []float64
-	ok    []bool
-	// seen is the prefix of scoreboard.hosted the board is up to date with.
-	seen int
+	game     string
+	verdicts []verdict
 }
 
-// begin opens a new round: every verdict of the last one is stale.
-func (r *scoreboard) begin() {
-	r.boards = r.boards[:0]
-	r.hosted = r.hosted[:0]
+// verdict is one Score result and the stamp of the server it was taken on;
+// a verdict under the zero Stamp was never taken.
+type verdict struct {
+	stamp Stamp
+	score float64
+	ok    bool
 }
 
-// find returns the round's board for spec, nil when the round has none yet.
-func (r *scoreboard) find(spec *gamesim.GameSpec) *board {
-	for i := range r.boards {
-		if r.boards[i].spec == spec {
-			return &r.boards[i]
+// find returns the board of the game, nil when the game was never offered.
+func (r scoreboard) find(game string) *board {
+	for i := range r {
+		if r[i].game == game {
+			return &r[i]
 		}
 	}
 	return nil
 }
 
-// open adds an empty board for spec over n servers, reusing the storage a
-// board of an earlier round left behind.
-func (r *scoreboard) open(spec *gamesim.GameSpec, n int) *board {
-	k := len(r.boards)
-	if k == cap(r.boards) || cap(r.boards[:k+1][k].score) < n {
-		r.grow(n)
+// grow returns the game's board with a verdict for each of n servers,
+// opening the board on the game's first offer. It runs only then or when the
+// fleet outgrows the board (a cold event, never steady state); noinline keeps
+// its allocations from being attributed into the //cocg:hot pick by inlining.
+//
+//go:noinline
+func (r *scoreboard) grow(game string, n int) *board {
+	b := r.find(game)
+	if b == nil {
+		*r = append(*r, board{game: game})
+		b = &(*r)[len(*r)-1]
 	}
-	r.boards = r.boards[:k+1]
-	b := &r.boards[k]
-	b.spec, b.score, b.ok, b.seen = spec, b.score[:n], b.ok[:n], len(r.hosted)
+	b.verdicts = append(b.verdicts, make([]verdict, n-len(b.verdicts))...)
 	return b
 }
 
-// grow makes room for one more board of n servers. It runs only when a round
-// offers more games, or the fleet has more servers, than any round before (a
-// cold event, never steady state); noinline keeps its allocations from being
-// attributed into the //cocg:hot pick by inlining.
-//
-//go:noinline
-func (r *scoreboard) grow(n int) {
-	k := len(r.boards)
-	if k == cap(r.boards) {
-		r.boards = append(r.boards, board{})[:k]
-	}
-	if b := &r.boards[:k+1][k]; cap(b.score) < n {
-		b.score, b.ok = make([]float64, n), make([]bool, n)
-	}
-}
-
-// pick returns the position of the server the round places an arrival of
-// spec on — the admitting server with the highest score, exact ties going
-// to the earliest — or -1 when none admits it. The round's first
-// arrival of a game fills that game's board with one scan; a later one
-// re-scores only the servers that hosted a session since the board was last
-// brought up to date. The argmax is one pass in server order with a strict >.
+// pick returns the position of the server an arrival of spec is placed on —
+// the admitting server with the highest score, exact ties going to the
+// earliest — or -1 when none admits it. One pass in server order re-scores
+// each server whose stamp moved since its verdict was taken and keeps the
+// argmax with a strict >.
 //
 //cocg:hot
 func (c *Cluster) pick(spec *gamesim.GameSpec) int {
-	r := &c.round
-	b := r.find(spec)
-	if b == nil {
-		b = r.open(spec, len(c.Servers))
-		for i, srv := range c.Servers {
-			b.score[i], b.ok[i] = c.Policy.Score(srv, spec)
-		}
-	} else {
-		for _, i := range r.hosted[b.seen:] {
-			b.score[i], b.ok[i] = c.Policy.Score(c.Servers[i], spec)
-		}
-		b.seen = len(r.hosted)
+	b := c.board.find(spec.Name)
+	if b == nil || len(b.verdicts) < len(c.Servers) {
+		b = c.board.grow(spec.Name, len(c.Servers))
 	}
 	best := -1
-	for i, ok := range b.ok {
-		if ok && (best < 0 || b.score[i] > b.score[best]) {
+	for i, srv := range c.Servers {
+		v := &b.verdicts[i]
+		if st := srv.Stamp(); v.stamp != st {
+			v.stamp = st
+			v.score, v.ok = c.Policy.Score(srv, spec)
+		}
+		if v.ok && (best < 0 || v.score > b.verdicts[best].score) {
 			best = i
 		}
 	}

@@ -231,6 +231,7 @@ func TestEventedMatchesLegacyGolden(t *testing.T) {
 func TestRunningTotalsMatchRecompute(t *testing.T) {
 	pol := &adaptiveTestPolicy{}
 	c := platform.NewCluster(8, pol)
+	c.StarveLimit = 0 // every rejected arrival keeps retrying
 	gen := workload.NewGenerator(nil, 5)
 	stream := workload.NewMixStream(gen, gamesim.AllGames(), 0.05, 9)
 	departures := 0

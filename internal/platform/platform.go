@@ -41,9 +41,9 @@ type Policy interface {
 	// well it would fit there: the cluster places it on the admitting server
 	// with the highest score, exact ties going to the earliest in server
 	// order. A scheme with no preference returns (0, ok), which is first fit.
-	// The verdict is a function of the server and the game alone: within one
-	// placement round the cluster asks each server once per game and again
-	// only after that server hosts a new session (Cluster's scoreboard).
+	// The verdict is a function of the game's name and the server's Stamp
+	// alone: the cluster keeps each verdict until that server's stamp moves
+	// (Cluster's scoreboard).
 	Score(srv *Server, spec *gamesim.GameSpec) (score float64, ok bool)
 	// NewController returns the per-session agent for an admitted game.
 	NewController(spec *gamesim.GameSpec, habit int64) (Controller, error)
@@ -140,11 +140,21 @@ type Server struct {
 	PolicyState any
 }
 
-// Rev returns the server's revision: it bumps whenever a session is added or
-// swept out and on every SyncTotals, never otherwise. Between ticks, hosted
-// state changes only under a new revision, so a policy may key a per-server
-// cache on (Rev, the first TickCounts result).
-func (s *Server) Rev() uint64 { return s.rev }
+// Stamp names one state of a server's hosted sessions: hosted state moves
+// only inside a non-empty tick or under a new revision, so two equal stamps
+// of one server mean nothing a verdict or a forecast reads has changed. The
+// stamp also names the server itself, so neither the zero Stamp nor another
+// server's stamp equals it. Stamps are comparable with ==.
+type Stamp struct {
+	srv *Server
+	// Rev bumps whenever a session is added or swept out and on every
+	// SyncTotals, never otherwise; Ticks is the first TickCounts result.
+	Rev, Ticks uint64
+}
+
+// Stamp returns the server's current stamp, the key every per-server cache
+// (the cluster's scoreboard, CoCG's forecast cache) revalidates on.
+func (s *Server) Stamp() Stamp { return Stamp{srv: s, Rev: s.rev, Ticks: s.ticks} }
 
 // TickCounts returns how many non-empty virtual seconds the server has
 // simulated and how many of those were uncontended: every realised demand
@@ -193,8 +203,8 @@ func (s *Server) RequestTotal() resources.Vector { return s.reqTotal }
 // SyncTotals re-derives the running request/utilization totals from the
 // hosted list. The tick loop maintains them itself; callers that mutate
 // Hosted state directly (test harnesses crafting a scenario) must call this
-// before probing RequestTotal or Utilization; it bumps Rev, so caches keyed
-// on it see the change.
+// before probing RequestTotal or Utilization; it moves the Stamp, so caches
+// keyed on it see the change.
 func (s *Server) SyncTotals() {
 	s.rev++
 	s.recomputeTotals()

@@ -200,15 +200,22 @@ func TestServerUtilizationAccessors(t *testing.T) {
 	}
 }
 
-// TestServerStampsItself pins the server side of the (Rev, ticks) stamp that
-// policy caches key on: a bare Server.Add and SyncTotals move Rev, every
-// non-empty tick moves ticks and nothing else, and an empty tick moves
-// neither.
+// TestServerStampsItself pins the server side of the Stamp that the
+// cluster's scoreboard and policy caches key on: a bare Server.Add and
+// SyncTotals move Rev, every non-empty tick moves Ticks and nothing else, an
+// empty tick moves neither, and the stamp names its server, so it never
+// equals the zero Stamp.
 func TestServerStampsItself(t *testing.T) {
 	srv, _ := newTestServer(t)
 	stamp := func() (uint64, uint64) {
-		ticks, _ := srv.TickCounts()
-		return srv.Rev(), ticks
+		st := srv.Stamp()
+		if st.srv != srv || st == (Stamp{}) {
+			t.Fatalf("stamp %+v does not name its server", st)
+		}
+		if ticks, _ := srv.TickCounts(); st.Ticks != ticks {
+			t.Fatalf("stamp carries %d ticks, TickCounts %d", st.Ticks, ticks)
+		}
+		return st.Rev, st.Ticks
 	}
 	srv.Tick(&admitAllPolicy{})
 	if rev, ticks := stamp(); rev != 0 || ticks != 0 {

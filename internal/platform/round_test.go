@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cocg/internal/gamesim"
+	"cocg/internal/resources"
 	"cocg/internal/simclock"
 )
 
@@ -201,9 +202,10 @@ func TestRoundMatchesPerArrivalScan(t *testing.T) {
 }
 
 // TestRoundScoresEachServerOncePerGame pins the round's cost: k rejected
-// arrivals of one game over n servers cost n Score calls, not k·n; a second
-// game costs another n; and after a placement only the placed server is
-// re-scored.
+// arrivals of one game over n servers cost n Score calls, not k·n; the next
+// round, offering a second game too, costs n more for the new game's board
+// and nothing for the first game's, whose servers did not move; and after a
+// placement only the placed server is re-scored.
 func TestRoundScoresEachServerOncePerGame(t *testing.T) {
 	const n, k = 16, 5
 	contra, genshin := gamesim.Contra(), gamesim.GenshinImpact()
@@ -220,8 +222,8 @@ func TestRoundScoresEachServerOncePerGame(t *testing.T) {
 	c.Submit(Arrival{Spec: genshin})
 	rej.calls = 0
 	c.tryPlace()
-	if want := 2 * n; rej.calls != want {
-		t.Fatalf("a round offering two games made %d Score calls, want %d", rej.calls, want)
+	if want := n; rej.calls != want {
+		t.Fatalf("a round adding a second game made %d Score calls, want %d", rej.calls, want)
 	}
 
 	adm := &countingPolicy{Policy: &admitAllPolicy{}}
@@ -239,17 +241,64 @@ func TestRoundScoresEachServerOncePerGame(t *testing.T) {
 }
 
 // TestWarmRoundAllocatesNothing is the round's allocation gate: once a round
-// has sized its boards, a round in which nothing places allocates nothing.
+// has sized its boards, a round over an unchanged fleet calls Score zero times
+// and allocates nothing.
 func TestWarmRoundAllocatesNothing(t *testing.T) {
-	c := NewCluster(64, &rejectPolicy{})
+	pol := &countingPolicy{Policy: &rejectPolicy{}}
+	c := NewCluster(64, pol)
 	for i, spec := range []*gamesim.GameSpec{gamesim.Contra(), gamesim.GenshinImpact(), gamesim.Contra()} {
 		c.Submit(Arrival{Spec: spec, SessionSeed: int64(i)})
 	}
 	c.tryPlace()
+	pol.calls = 0
 	if n := testing.AllocsPerRun(100, c.tryPlace); n != 0 {
 		t.Errorf("a warm round that places nothing allocated %.1f times, want 0", n)
+	}
+	if pol.calls != 0 {
+		t.Errorf("warm rounds over an unchanged fleet made %d Score calls, want 0", pol.calls)
 	}
 	if len(c.Pending) != 3 {
 		t.Fatalf("%d pending after rejected rounds, want 3", len(c.Pending))
 	}
+}
+
+// TestBoardRescoresExactlyMovedStamps pins what retakes a verdict: an Add or
+// a non-empty tick of its server, never an empty tick; and a server replaced
+// at the same position of Cluster.Servers is re-scored even when its stamp
+// numbers equal the old server's.
+func TestBoardRescoresExactlyMovedStamps(t *testing.T) {
+	const n = 6
+	pol := &countingPolicy{Policy: &rejectPolicy{}}
+	c := NewCluster(n, pol)
+	for i, spec := range []*gamesim.GameSpec{gamesim.Contra(), gamesim.GenshinImpact()} {
+		c.Submit(Arrival{Spec: spec, SessionSeed: int64(i)})
+	}
+	round := func(label string, want int) {
+		t.Helper()
+		pol.calls = 0
+		c.tryPlace()
+		if pol.calls != want {
+			t.Fatalf("%s: %d Score calls, want %d", label, pol.calls, want)
+		}
+	}
+	round("first round", 2*n)
+	for _, srv := range c.Servers {
+		srv.Tick(pol)
+	}
+	round("after an empty tick", 0)
+	addSession(t, c.Servers[2], gamesim.Contra(), 1, resources.Uniform(10))
+	round("after an Add", 2)
+	for _, srv := range c.Servers {
+		srv.Tick(pol)
+	}
+	round("after a tick of one hosting server", 2)
+
+	old := c.Servers[4]
+	c.Servers[4] = NewServer(old.ID, old.Capacity, c.Clock)
+	if o, r := old.Stamp(), c.Servers[4].Stamp(); o.Rev != r.Rev || o.Ticks != r.Ticks {
+		t.Fatalf("replacement stamp (%d, %d), old (%d, %d): the numbers should match", r.Rev, r.Ticks, o.Rev, o.Ticks)
+	}
+	round("after replacing a server", 2)
+	c.Servers = append(c.Servers, NewServer(n, resources.FullServer, c.Clock))
+	round("after the fleet grew", 2)
 }

@@ -174,8 +174,8 @@ func (f *serverPrint) vec(hosted int, field string, v resources.Vector) {
 
 func fingerprint(srv *platform.Server) *serverPrint {
 	f := &serverPrint{}
-	ticks, _ := srv.TickCounts()
-	f.ints(-1, "rev/ticks/hosted/records", srv.Rev(), ticks, uint64(srv.NumHosted()), uint64(len(srv.Records)))
+	st := srv.Stamp()
+	f.ints(-1, "rev/ticks/hosted/records", st.Rev, st.Ticks, uint64(srv.NumHosted()), uint64(len(srv.Records)))
 	f.vec(-1, "RequestTotal", srv.RequestTotal())
 	f.vec(-1, "Utilization", srv.Utilization())
 	f.vec(-1, "PeakUtilization", srv.PeakUtilization())

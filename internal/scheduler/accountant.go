@@ -1,6 +1,6 @@
 // Fleet load accounting: the backing store for FleetLoadInto. The
 // distributor's per-server forecast caches (scheduler.go) already hold every
-// quantity a fleet summary needs under one (Server.Rev, ticks) stamp; this
+// quantity a fleet summary needs under one platform.Stamp; this
 // file adds a per-server load memo on top of that stamp and folds the memos
 // into the cluster summary in one pass in server order. A poll
 // costs one stamp comparison per server plus a refill of every server whose
@@ -105,7 +105,7 @@ func (c *CoCG) fleetLoad(servers []*platform.Server, out *platform.FleetLoad, fr
 	for _, srv := range servers {
 		var cc *serverCache
 		if fresh {
-			cc = &serverCache{}
+			cc = c.newCache()
 		} else {
 			cc = c.cacheOf(srv)
 		}

@@ -159,7 +159,7 @@ func TestFleetLoadSteadyStateAllocationFree(t *testing.T) {
 	// last one, so every cache and every memo refills.
 	if allocs := testing.AllocsPerRun(100, func() {
 		for _, srv := range c.Servers {
-			srv.PolicyState.(*serverCache).stamp = stamp{}
+			srv.PolicyState.(*serverCache).stamp = platform.Stamp{}
 		}
 		p.FleetLoadInto(c.Servers, &out)
 	}); allocs != 0 {

@@ -199,7 +199,7 @@ func TestLoadMemoColdPath(t *testing.T) {
 		for _, srv := range c.Servers {
 			if cc, _ := srv.PolicyState.(*serverCache); cc != nil && srv.NumHosted() > 0 {
 				hosting++
-				if cc.loadValid && cc.stamp == stampOf(srv) {
+				if cc.loadValid && cc.stamp == srv.Stamp() {
 					valid++
 				}
 			}
@@ -229,12 +229,12 @@ func TestLoadMemoColdPath(t *testing.T) {
 	for _, wantValid := range []bool{true, false} {
 		revs := map[*platform.Server]uint64{}
 		for _, srv := range c.Servers {
-			revs[srv] = srv.Rev()
+			revs[srv] = srv.Stamp().Rev
 		}
 		frame()
 		checked := 0
 		for _, srv := range c.Servers {
-			if cc := srv.PolicyState.(*serverCache); srv.NumHosted() > 0 && srv.Rev() == revs[srv] {
+			if cc := srv.PolicyState.(*serverCache); srv.NumHosted() > 0 && srv.Stamp().Rev == revs[srv] {
 				p.refresh(cc, srv)
 				if cc.loadValid != wantValid {
 					t.Fatalf("refill made a load memo: %v, want %v", cc.loadValid, wantValid)
@@ -255,7 +255,7 @@ func TestLoadMemoColdPath(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() {
 		for _, srv := range c.Servers {
 			cc := srv.PolicyState.(*serverCache)
-			cc.stamp, cc.loadUsed = stamp{}, false
+			cc.stamp, cc.loadUsed = platform.Stamp{}, false
 		}
 		p.FleetLoadInto(c.Servers, &got)
 	}); allocs != 0 {

@@ -78,7 +78,7 @@ type CoCG struct {
 
 	// games lists the trained game names in sorted order; gameIdx inverts it
 	// and game is parallel to it. The fleet summary's per-game demand columns
-	// and the verdict memos use these indices, and FleetLoad.Games aliases the
+	// and the controllers use these indices, and FleetLoad.Games aliases the
 	// slice (all three immutable after New).
 	games   []string
 	gameIdx map[string]int
@@ -142,35 +142,23 @@ type evalScratch struct {
 	gi   int
 }
 
-// stamp is everything a per-server aggregate is computed from: the server's
-// revision and its simulated-second count. A hosted predictor's forecast
-// moves only inside a tick, and membership only under a new revision, so the
-// forecast cache, its verdict memo and its fleet-load memo all revalidate by
-// comparing one stamp — O(1) however many sessions the server hosts.
-type stamp struct{ rev, ticks uint64 }
-
-func stampOf(srv *platform.Server) stamp {
-	ticks, _ := srv.TickCounts()
-	return stamp{rev: srv.Rev(), ticks: ticks}
-}
-
 // serverCache is the distributor's per-server aggregate forecast: the hosted
 // games' summed demand timeline plus the peak/floor aggregates Algorithm 1's
 // guards read, so evaluating a candidate only adds the candidate's own curve
 // instead of re-forecasting every hosted session per candidate per server.
 //
 // Validity is stamped, never pushed: the cache is rebuilt whenever the
-// server's stamp disagrees with the one it was filled under. A hosting
-// server's stamp moves every simulated second, so in a busy fleet every
-// placement frame refills it, and the refill below, not the warm hit, is the
-// steady state. The per-session runs the
-// total is merged from are not kept: they live in the policy's evalScratch
-// for the length of one refill.
+// server's Stamp disagrees with the one it was filled under, and a new
+// cache's zero stamp matches no server. Hosted state moves only under a new
+// stamp, so the check is O(1) however many sessions the server hosts. The
+// verdicts read off the cache are kept by the cluster's scoreboard, under the
+// same stamp. A hosting server's stamp moves every simulated second, so in a
+// busy fleet every placement frame refills it, and the refill below, not the
+// warm hit, is the steady state. The per-session runs the total is merged
+// from are not kept: they live in the policy's evalScratch for the length of
+// one refill.
 type serverCache struct {
-	// filled is set by the first refill: a new cache's zero stamp equals a
-	// never-ticked idle server's, so the stamp alone cannot tell it is empty.
-	filled bool
-	stamp  stamp
+	stamp platform.Stamp
 
 	// hostedFloor is the max FPS-floor over hosted games (order-independent,
 	// so caching it is exact).
@@ -184,13 +172,6 @@ type serverCache struct {
 	total []predictor.Segment
 	peak  resources.Vector
 
-	// memo caches evaluate's verdict per candidate game index under the
-	// current stamp: Algorithm 1 is a pure function of the stamped server
-	// state and the candidate's immutable training bundle, so within one
-	// stamp repeated pending arrivals of the same game cost O(1) after the
-	// first.
-	memo []evalMemo
-
 	// Fleet-accounting memo (see accountant.go): the server's headroom and
 	// per-game demand contributions under the stamp above, valid when
 	// loadValid. loadUsed records that a summary read the memo since the last
@@ -201,31 +182,28 @@ type serverCache struct {
 	gameDemand          []float64
 }
 
-// evalMemo is one memoized evaluate verdict.
-type evalMemo struct {
-	set, ok bool
-	meanSat float64
-}
-
 // cacheOf returns the forecast cache srv carries, giving it one on first
 // sight.
 func (c *CoCG) cacheOf(srv *platform.Server) *serverCache {
 	cc, _ := srv.PolicyState.(*serverCache)
 	if cc == nil {
-		cc = &serverCache{}
+		cc = c.newCache()
 		srv.PolicyState = cc
 	}
 	return cc
 }
 
+// newCache returns an empty forecast cache with its fleet-load columns.
+func (c *CoCG) newCache() *serverCache {
+	return &serverCache{gameDemand: make([]float64, len(c.games))}
+}
+
 // refresh brings srv's cache up to date, refilling it when the server's stamp
 // moved — with the fleet-accounting memo if the last one was read.
 func (c *CoCG) refresh(cc *serverCache, srv *platform.Server) {
-	st := stampOf(srv)
-	if cc.filled && cc.stamp == st {
-		return
+	if st := srv.Stamp(); cc.stamp != st {
+		c.refill(cc, srv, st, cc.loadUsed)
 	}
-	c.refill(cc, srv, st, cc.loadUsed)
 }
 
 // refill rebuilds the cache's aggregates under stamp st. It walks srv.Hosted
@@ -236,14 +214,10 @@ func (c *CoCG) refresh(cc *serverCache, srv *platform.Server) {
 // after they are forecast — and otherwise leaves it invalid.
 //
 //cocg:hot
-func (c *CoCG) refill(cc *serverCache, srv *platform.Server, st stamp, load bool) {
+func (c *CoCG) refill(cc *serverCache, srv *platform.Server, st platform.Stamp, load bool) {
 	const h = horizonFrames
 	es := &c.scratch
-	cc.stamp, cc.filled = st, true
-	if cc.memo == nil {
-		cc.allocMemos(len(c.games))
-	}
-	clear(cc.memo)
+	cc.stamp = st
 	if load {
 		clear(cc.gameDemand)
 	}
@@ -282,16 +256,10 @@ func (c *CoCG) refill(cc *serverCache, srv *platform.Server, st stamp, load bool
 	}
 }
 
-// allocMemos and growCursors are refill's two allocations, both cold — once
-// per cache, once per new high-water session count — and kept out of line so
-// hotalloc does not charge them to the steady state.
+// growCursors is refill's one allocation, cold — once per new high-water
+// session count — and kept out of line so hotalloc does not charge it to the
+// steady state.
 //
-//go:noinline
-func (cc *serverCache) allocMemos(games int) {
-	cc.memo = make([]evalMemo, games)
-	cc.gameDemand = make([]float64, games)
-}
-
 //go:noinline
 func (es *evalScratch) growCursors(n int) { es.cur = make([]runCursor, n) }
 
@@ -424,13 +392,7 @@ func (c *CoCG) evaluate(srv *platform.Server, spec *gamesim.GameSpec) (bool, flo
 	}
 	cc := c.cacheOf(srv)
 	c.refresh(cc, srv)
-
-	m := &cc.memo[gi]
-	if !m.set {
-		m.set = true
-		m.ok, m.meanSat = c.verdict(cc, srv, &c.game[gi])
-	}
-	return m.ok, m.meanSat
+	return c.verdict(cc, srv, &c.game[gi])
 }
 
 // candidate returns the arriving game's index, -1 when the policy has no

@@ -116,6 +116,7 @@ func TestCoLocationKeepsQoS(t *testing.T) {
 	ga, do := gamesim.GenshinImpact(), gamesim.DOTA2()
 	p := policyFor(t, ga, do)
 	c := platform.NewCluster(1, p)
+	c.StarveLimit = 0 // every rejected arrival keeps retrying
 	gen := workload.NewGenerator(map[string][]int64{
 		ga.Name: bundleFor(t, ga).Habits(),
 		do.Name: bundleFor(t, do).Habits(),
@@ -282,6 +283,7 @@ func TestCachedEvaluateMatchesFreshRecompute(t *testing.T) {
 	do, co := gamesim.DOTA2(), gamesim.Contra()
 	p := policyFor(t, do, co)
 	c := platform.NewCluster(3, p)
+	c.StarveLimit = 0 // every rejected arrival keeps retrying
 	specs := []*gamesim.GameSpec{do, co}
 
 	next := 0
@@ -316,7 +318,7 @@ func TestCachedEvaluateMatchesFreshRecompute(t *testing.T) {
 				}
 			}
 			cp, _ := srv.PolicyState.(*serverCache)
-			if cp == nil || rp == nil || cp.stamp != stampOf(srv) || rp.stamp != cp.stamp {
+			if cp == nil || rp == nil || cp.stamp != srv.Stamp() || rp.stamp != cp.stamp {
 				t.Fatalf("tick %d server %d: missing or stale cache after scoring", tick, srv.ID)
 			}
 			if len(cp.total) != len(rp.total) || cp.peak != rp.peak {
@@ -339,8 +341,8 @@ func TestCachedEvaluateMatchesFreshRecompute(t *testing.T) {
 }
 
 // TestCacheRefillsExactlyWhenStampMoves is the O(1)-staleness contract: a
-// server's forecast cache refills exactly when the server's (Rev, ticks)
-// moved since the cache last filled — whether sessions arrived through the
+// server's forecast cache refills exactly when the server's Stamp moved
+// since the cache last filled — whether sessions arrived through the
 // cluster queue or a bare Server.Add — and what it serves always equals a
 // fresh refill. The
 // caches under test are the test's own, so the cluster's placement never
@@ -350,13 +352,9 @@ func TestCacheRefillsExactlyWhenStampMoves(t *testing.T) {
 	p := policyFor(t, do, co)
 	c := platform.NewCluster(3, p)
 
-	type raw struct{ rev, ticks uint64 }
-	rawOf := func(srv *platform.Server) raw {
-		ticks, _ := srv.TickCounts()
-		return raw{srv.Rev(), ticks}
-	}
 	caches := make([]*serverCache, len(c.Servers))
-	last := make([]raw, len(c.Servers))
+	// last starts at the zero Stamp, which matches no server.
+	last := make([]platform.Stamp, len(c.Servers))
 	for i := range caches {
 		caches[i] = &serverCache{}
 	}
@@ -389,8 +387,8 @@ func TestCacheRefillsExactlyWhenStampMoves(t *testing.T) {
 	check := func(label string) {
 		t.Helper()
 		for i, srv := range c.Servers {
-			now := rawOf(srv)
-			moved := !caches[i].filled || now != last[i]
+			now := srv.Stamp()
+			moved := now != last[i]
 			if got := refills(i); got != moved {
 				t.Fatalf("%s: server %d refilled=%v, stamp moved=%v (%+v -> %+v)", label, i, got, moved, last[i], now)
 			} else if got {
@@ -400,11 +398,11 @@ func TestCacheRefillsExactlyWhenStampMoves(t *testing.T) {
 		}
 	}
 
-	// Every server is a never-ticked idle one, whose stamp is a new cache's
-	// zero stamp: each cache must still fill itself.
+	// Every server is a never-ticked idle one, whose stamp numbers are a new
+	// cache's zero stamp's: each cache must still fill itself.
 	check("fresh caches")
 	for i, cc := range caches {
-		if cc.memo == nil || rawOf(c.Servers[i]) != (raw{}) {
+		if st := c.Servers[i].Stamp(); cc.stamp != st || st.Rev != 0 || st.Ticks != 0 {
 			t.Fatalf("server %d: fresh cache on a never-ticked idle server did not fill", i)
 		}
 	}
@@ -441,7 +439,7 @@ func TestCacheRefillsExactlyWhenStampMoves(t *testing.T) {
 			if !refills(1) {
 				t.Fatal("SyncTotals left the cache valid")
 			}
-			last[1] = rawOf(direct)
+			last[1] = direct.Stamp()
 		}
 	}
 	if c.Placements != 3 || len(c.Records()) == 0 {
@@ -475,23 +473,17 @@ func evalFixture(tb testing.TB) (*CoCG, *platform.Server, *gamesim.GameSpec) {
 
 func TestEvaluateSteadyStateAllocationFree(t *testing.T) {
 	p, srv, spec := evalFixture(t)
-	p.Score(srv, spec) // fill the cache and memo
+	p.Score(srv, spec) // fill the cache
 	if n := testing.AllocsPerRun(200, func() { p.Score(srv, spec) }); n != 0 {
-		t.Errorf("memoized steady-state Score allocates %.1f/op, want 0", n)
+		t.Errorf("steady-state Score allocates %.1f/op, want 0", n)
 	}
 	cc, _ := srv.PolicyState.(*serverCache)
-	if cc == nil || !cc.filled {
+	if cc == nil || cc.stamp != srv.Stamp() {
 		t.Fatal("fixture server's cache unexpectedly empty")
-	}
-	if n := testing.AllocsPerRun(200, func() {
-		clear(cc.memo)
-		p.Score(srv, spec)
-	}); n != 0 {
-		t.Errorf("warm unmemoized Score allocates %.1f/op, want 0", n)
 	}
 	// The refill — every frame's first evaluation in a busy fleet.
 	if n := testing.AllocsPerRun(200, func() {
-		cc.stamp = stamp{}
+		cc.stamp = platform.Stamp{}
 		p.Score(srv, spec)
 	}); n != 0 {
 		t.Errorf("refilling Score allocates %.1f/op, want 0", n)
@@ -504,18 +496,6 @@ func BenchmarkEvaluateSteadyState(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Score(srv, spec)
-	}
-}
-
-func BenchmarkEvaluateWarmUnmemoized(b *testing.B) {
-	p, srv, spec := evalFixture(b)
-	p.Score(srv, spec)
-	cc := srv.PolicyState.(*serverCache)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		clear(cc.memo)
 		p.Score(srv, spec)
 	}
 }

@@ -29,7 +29,6 @@ func TestSoakMixedClusterInvariants(t *testing.T) {
 		kind := kind
 		t.Run(kind.String(), func(t *testing.T) {
 			c := sys.NewCluster(8, kind)
-			c.StarveLimit = 5 * simclock.Minute
 			gen := sys.Generator(13)
 			stream := workload.NewMixStream(gen, gamesim.AllGames(), 0.08, 17)
 			horizon := 2 * simclock.Hour
