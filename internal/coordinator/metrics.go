@@ -47,6 +47,10 @@ type clusterSnapshot struct {
 	Rejected      uint64 `json:"rejected"`
 	Transport     uint64 `json:"transport_failures"`
 	ProbeFailures uint64 `json:"probe_failures"`
+
+	// label is the cluster's label pair, {"cluster", Name}: every
+	// per-cluster sample emits it, so no family allocates a label slice.
+	label [2]string
 }
 
 func (co *Coordinator) snapshot() fleetSnapshot {
@@ -61,7 +65,7 @@ func (co *Coordinator) snapshot() fleetSnapshot {
 	for _, m := range co.members {
 		m.mu.Lock()
 		cs := clusterSnapshot{
-			ID: m.id, Name: m.name, Addr: m.addr,
+			ID: m.id, Name: m.name, Addr: m.addr, label: [2]string{"cluster", m.name},
 			Healthy: m.healthy, Probed: m.probed, LatencyMS: m.lat,
 			Summary: m.summary,
 		}
@@ -126,10 +130,12 @@ var metrics = []obs.Metric[fleetSnapshot]{
 	{Name: "cocg_coord_cluster_game_demand", Type: obs.Gauge, Prec: 4,
 		Help: "Predicted demand per game over the forecast horizon, in servers' worth of capacity.",
 		Samples: func(s fleetSnapshot, emit obs.Emit) {
+			labels := []string{"cluster", "", "game", ""}
 			for _, c := range s.Clusters {
 				for i, g := range c.Summary.Games {
 					if i < len(c.Summary.GameDemand) {
-						emit(c.Summary.GameDemand[i], "cluster", c.Name, "game", g)
+						labels[1], labels[3] = c.Name, g
+						emit(c.Summary.GameDemand[i], labels...)
 					}
 				}
 			}
@@ -141,7 +147,7 @@ func perCluster(name, typ string, prec int, help string, value func(*clusterSnap
 	return obs.Metric[fleetSnapshot]{Name: name, Type: typ, Help: help, Prec: prec,
 		Samples: func(s fleetSnapshot, emit obs.Emit) {
 			for i := range s.Clusters {
-				emit(value(&s.Clusters[i]), "cluster", s.Clusters[i].Name)
+				emit(value(&s.Clusters[i]), s.Clusters[i].label[:]...)
 			}
 		}}
 }

@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -23,7 +24,7 @@ func goldenSnapshot() fleetSnapshot {
 		Failovers: 2, MarkedDown: 1, FleetSessions: 9,
 		Clusters: []clusterSnapshot{
 			{
-				ID: 0, Name: "us-east", Addr: "10.0.0.1:9500", Healthy: true, Probed: true,
+				ID: 0, Name: "us-east", label: [2]string{"cluster", "us-east"}, Addr: "10.0.0.1:9500", Healthy: true, Probed: true,
 				LatencyMS: 12.5, SummaryAgeSec: 0.0125,
 				Summary: streaming.ClusterSummary{
 					Servers: 8, LiveSessions: 9, Pending: 1, Placements: 40, Completed: 31,
@@ -34,7 +35,7 @@ func goldenSnapshot() fleetSnapshot {
 				Routed: 20, Admitted: 18, Rejected: 1, Transport: 1, ProbeFailures: 4,
 			},
 			{
-				ID: 1, Name: `eu-"west"`, Addr: "10.0.0.2:9500", LatencyMS: 80,
+				ID: 1, Name: `eu-"west"`, label: [2]string{"cluster", `eu-"west"`}, Addr: "10.0.0.2:9500", LatencyMS: 80,
 				SummaryAgeSec: -1,
 				Routed:        11, Admitted: 9, Rejected: 2,
 			},
@@ -102,5 +103,49 @@ func TestFleetDocMatchesMetrics(t *testing.T) {
 		if strings.HasPrefix(name, "cocg_coord_") && !served[name] {
 			t.Errorf("docs/FLEET.md lists %s, which the coordinator does not serve", name)
 		}
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps nothing of the body, so the
+// bytes a request allocates are the handler's own.
+type discardWriter struct {
+	header http.Header
+	n      int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.header }
+func (w *discardWriter) Write(p []byte) (int, error) { w.n = len(p); return len(p), nil }
+func (w *discardWriter) WriteHeader(int)             {}
+
+// TestMetricsScrapeSizedFromLast checks that a /metrics scrape renders into
+// a buffer sized from the previous page: after the first scrape, each one
+// allocates at most a quarter more bytes than the page it serves, where a
+// buffer grown from nil doubles its way up and allocates about twice the
+// page.
+func TestMetricsScrapeSizedFromLast(t *testing.T) {
+	snap := goldenSnapshot()
+	h := obs.Handler(metrics, func() fleetSnapshot { return snap })
+	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
+	w := &discardWriter{header: http.Header{}}
+	h.ServeHTTP(w, req)
+	page := w.n
+	if page == 0 {
+		t.Fatal("the first scrape served an empty page")
+	}
+	const runs = 100
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		h.ServeHTTP(w, req)
+	}
+	runtime.ReadMemStats(&after)
+	perScrape := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("a %d-byte page allocates %.0f bytes, %.0f objects per scrape", page, perScrape, float64(after.Mallocs-before.Mallocs)/runs)
+	if w.n != page {
+		t.Fatalf("page changed size between scrapes: %d then %d bytes", page, w.n)
+	}
+	if perScrape > 1.25*float64(page) {
+		t.Errorf("a scrape allocates %.0f bytes for a %d-byte page, want at most 1.25x", perScrape, page)
 	}
 }

@@ -185,18 +185,35 @@ func Contra() *GameSpec {
 	}
 }
 
+// catalog lists the suite's constructors by game name, in the paper's
+// listing order, so GameByName can build just the one it is asked for.
+var catalog = [...]struct {
+	name string
+	spec func() *GameSpec
+}{
+	{"DOTA2", DOTA2},
+	{"CSGO", CSGO},
+	{"Genshin Impact", GenshinImpact},
+	{"Devil May Cry", DevilMayCry},
+	{"Contra", Contra},
+}
+
 // AllGames returns fresh specs for the full evaluated suite, in the paper's
 // listing order.
 func AllGames() []*GameSpec {
-	return []*GameSpec{DOTA2(), CSGO(), GenshinImpact(), DevilMayCry(), Contra()}
+	games := make([]*GameSpec, len(catalog))
+	for i, g := range catalog {
+		games[i] = g.spec()
+	}
+	return games
 }
 
-// GameByName returns the spec with the given name, or an error listing the
-// known games.
+// GameByName returns a fresh spec of the game with the given name, or an
+// error listing the known games.
 func GameByName(name string) (*GameSpec, error) {
-	for _, g := range AllGames() {
-		if g.Name == name {
-			return g, nil
+	for _, g := range catalog {
+		if g.name == name {
+			return g.spec(), nil
 		}
 	}
 	return nil, fmt.Errorf("gamesim: unknown game %q (known: DOTA2, CSGO, Genshin Impact, Devil May Cry, Contra)", name)

@@ -1,6 +1,7 @@
 package gamesim
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -148,6 +149,40 @@ func TestGameByName(t *testing.T) {
 	}
 	if _, err := GameByName("Tetris"); err == nil {
 		t.Error("unknown game did not error")
+	}
+}
+
+// TestGameByNameBuildsOneSpec pins that GameByName builds only the game it
+// is asked for: a fresh spec equal to AllGames' entry, for exactly its
+// constructor's allocations (61 for every name while it built all five
+// specs and kept one: DOTA2 11, CSGO 12, Genshin Impact 12, Devil May Cry
+// 16, Contra 9 since). An unknown name keeps its error text.
+func TestGameByNameBuildsOneSpec(t *testing.T) {
+	all := AllGames()
+	if len(all) != len(catalog) {
+		t.Fatalf("AllGames returns %d specs, the catalog lists %d", len(all), len(catalog))
+	}
+	for i, want := range all {
+		name := want.Name
+		if catalog[i].name != name {
+			t.Fatalf("catalog entry %d is named %q, its spec %q", i, catalog[i].name, name)
+		}
+		got, err := GameByName(name)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("GameByName(%q) = %v, %v; want AllGames' spec", name, got, err)
+		}
+		if again, _ := GameByName(name); again == got {
+			t.Errorf("GameByName(%q) returned the same spec twice; each call must build a fresh one", name)
+		}
+		byName := testing.AllocsPerRun(50, func() { _, _ = GameByName(name) })
+		built := testing.AllocsPerRun(50, func() { _ = catalog[i].spec() })
+		if byName != built {
+			t.Errorf("GameByName(%q) allocates %.0f objects, its constructor alone %.0f", name, byName, built)
+		}
+	}
+	const wantErr = `gamesim: unknown game "Tetris" (known: DOTA2, CSGO, Genshin Impact, Devil May Cry, Contra)`
+	if _, err := GameByName("Tetris"); err == nil || err.Error() != wantErr {
+		t.Errorf("GameByName(Tetris) error %v, want %s", err, wantErr)
 	}
 }
 

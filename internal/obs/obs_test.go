@@ -19,7 +19,7 @@ func TestLabelValueEscaping(t *testing.T) {
 		{"zürich", `"zürich"`},
 		{"", `""`},
 	} {
-		if got := `"` + labelEscaper.Replace(c.in) + `"`; got != c.want {
+		if got := `"` + string(appendLabelValue(nil, c.in)) + `"`; got != c.want {
 			t.Errorf("label value %q renders as %s, want %s", c.in, got, c.want)
 		}
 	}

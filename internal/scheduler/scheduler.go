@@ -147,18 +147,25 @@ type evalScratch struct {
 // guards read, so evaluating a candidate only adds the candidate's own curve
 // instead of re-forecasting every hosted session per candidate per server.
 //
-// Validity is stamped, never pushed: the cache is rebuilt whenever the
-// server's Stamp disagrees with the one it was filled under, and a new
-// cache's zero stamp matches no server. Hosted state moves only under a new
-// stamp, so the check is O(1) however many sessions the server hosts. The
-// verdicts read off the cache are kept by the cluster's scoreboard, under the
-// same stamp. A hosting server's stamp moves every simulated second, so in a
-// busy fleet every placement frame refills it, and the refill below, not the
-// warm hit, is the steady state. The per-session runs the total is merged
-// from are not kept: they live in the policy's evalScratch for the length of
-// one refill.
+// Validity is stamped, never pushed, under two keys. The membership
+// aggregates (hostedFloor, hostedPeaks) depend only on which games the server
+// hosts, so they are retaken only when the server or its Stamp's Rev moved
+// (members). The forecast aggregates (total, peak, the load memo) are
+// rebuilt whenever the server's full Stamp disagrees with the one they were
+// filled under (stamp). A new cache's zero stamps match no server. Hosted
+// state moves only under a new stamp, so either check is O(1) however many
+// sessions the server hosts. The verdicts read off the cache are kept by the
+// cluster's scoreboard, under the same stamp. A hosting server's stamp moves
+// every simulated second, so in a busy fleet every placement frame that gets
+// past the guards refills it, and the refill below, not the warm hit, is the
+// steady state; a candidate the guards reject never refills (evaluate). The
+// per-session runs the total is merged from are not kept: they live in the
+// policy's evalScratch for the length of one refill.
 type serverCache struct {
 	stamp platform.Stamp
+	// members is the stamp the membership aggregates were taken under; only
+	// its server and Rev are compared (retakeMembers).
+	members platform.Stamp
 
 	// hostedFloor is the max FPS-floor over hosted games (order-independent,
 	// so caching it is exact).
@@ -198,20 +205,22 @@ func (c *CoCG) newCache() *serverCache {
 	return &serverCache{gameDemand: make([]float64, len(c.games))}
 }
 
-// refresh brings srv's cache up to date, refilling it when the server's stamp
-// moved — with the fleet-accounting memo if the last one was read.
+// refresh brings srv's forecast aggregates up to date, refilling them when
+// the server's stamp moved — with the fleet-accounting memo if the last one
+// was read.
 func (c *CoCG) refresh(cc *serverCache, srv *platform.Server) {
 	if st := srv.Stamp(); cc.stamp != st {
 		c.refill(cc, srv, st, cc.loadUsed)
 	}
 }
 
-// refill rebuilds the cache's aggregates under stamp st. It walks srv.Hosted
-// once in order and forecasts each session once, into the scratch, so every
-// cached float is produced by the exact operation sequence the uncached
-// evaluate used. With load set it also fills the fleet-accounting memo (see
-// accountant.go) — each session's demand share is read off its runs right
-// after they are forecast — and otherwise leaves it invalid.
+// refill rebuilds the cache's forecast aggregates under stamp st. It walks
+// srv.Hosted once in order and forecasts each session once, into the
+// scratch, so every cached float is produced by the exact operation sequence
+// the uncached evaluate used. With load set it also fills the
+// fleet-accounting memo (see accountant.go) — each session's demand share is
+// read off its runs right after they are forecast — and otherwise leaves it
+// invalid.
 //
 //cocg:hot
 func (c *CoCG) refill(cc *serverCache, srv *platform.Server, st platform.Stamp, load bool) {
@@ -221,17 +230,10 @@ func (c *CoCG) refill(cc *serverCache, srv *platform.Server, st platform.Stamp, 
 	if load {
 		clear(cc.gameDemand)
 	}
-	cc.hostedPeaks = cc.hostedPeaks[:0]
 	es.runs = es.runs[:0]
 	es.runEnd = es.runEnd[:0]
-	cc.hostedFloor = 0
 	for _, hosted := range srv.Hosted {
 		ctl := hosted.Controller.(*Controller)
-		g := &c.game[ctl.gi]
-		if g.floor > cc.hostedFloor {
-			cc.hostedFloor = g.floor
-		}
-		cc.hostedPeaks = append(cc.hostedPeaks, g.peak)
 		start := len(es.runs)
 		es.runs = ctl.pr.AppendForecastRuns(es.runs, h, &es.fc)
 		es.runEnd = append(es.runEnd, len(es.runs))
@@ -255,6 +257,42 @@ func (c *CoCG) refill(cc *serverCache, srv *platform.Server, st platform.Stamp, 
 		}
 	}
 }
+
+// retakeMembers brings the cache's membership aggregates up to date with
+// srv, whose current stamp is st: they are retaken from srv.Hosted, in
+// order, exactly when the server or its Rev differs from the ones they were
+// taken under. A tick moves neither, so a server whose membership stands
+// keeps them however often its forecast is refilled.
+//
+//cocg:hot
+func (c *CoCG) retakeMembers(cc *serverCache, srv *platform.Server, st platform.Stamp) {
+	seen := cc.members
+	seen.Ticks = st.Ticks
+	if seen == st {
+		return
+	}
+	cc.members = st
+	n := len(srv.Hosted)
+	if cap(cc.hostedPeaks) < n {
+		cc.growPeaks(n)
+	}
+	cc.hostedPeaks = cc.hostedPeaks[:n]
+	cc.hostedFloor = 0
+	for i, hosted := range srv.Hosted {
+		g := &c.game[hosted.Controller.(*Controller).gi]
+		if g.floor > cc.hostedFloor {
+			cc.hostedFloor = g.floor
+		}
+		cc.hostedPeaks[i] = g.peak
+	}
+}
+
+// growPeaks is retakeMembers' one allocation, cold — once per new high-water
+// session count on the server — and kept out of line so hotalloc does not
+// charge it to the steady state.
+//
+//go:noinline
+func (cc *serverCache) growPeaks(n int) { cc.hostedPeaks = make([]resources.Vector, n) }
 
 // growCursors is refill's one allocation, cold — once per new high-water
 // session count — and kept out of line so hotalloc does not charge it to the
@@ -379,20 +417,29 @@ func (c *CoCG) Score(srv *platform.Server, spec *gamesim.GameSpec) (float64, boo
 }
 
 // evaluate runs the Algorithm 1 feasibility test and returns the predicted
-// mean satisfaction over the candidate's lifetime. It reads the server's
-// cached aggregate forecast (refreshed on stamp mismatch), so the
-// steady-state cost per candidate is the horizon loop alone — and zero heap
-// allocations. Every float it produces is computed by the same operation
-// sequence as the original per-call recompute, so admission decisions are
+// mean satisfaction over the candidate's lifetime. The forecast-free guards
+// run first, off the membership aggregates, so a server they reject is never
+// re-forecast; only a candidate that passes them refreshes the server's
+// cached aggregate forecast (on stamp mismatch) and overlays it. The
+// steady-state cost per candidate is the guards plus, past them, the horizon
+// loop — and zero heap allocations. Every float it produces is computed by
+// the same operation sequence as the original per-call recompute, and
+// neither half reads what the other caches, so admission decisions are
 // bit-identical to the uncached implementation.
 func (c *CoCG) evaluate(srv *platform.Server, spec *gamesim.GameSpec) (bool, float64) {
 	gi := c.candidate(spec)
 	if gi < 0 {
 		return false, 0
 	}
+	g := &c.game[gi]
 	cc := c.cacheOf(srv)
+	c.retakeMembers(cc, srv, srv.Stamp())
+	satFloor, ok := guard(cc, srv, g)
+	if !ok {
+		return false, 0
+	}
 	c.refresh(cc, srv)
-	return c.verdict(cc, srv, &c.game[gi])
+	return verdict(cc, srv, g, satFloor)
 }
 
 // candidate returns the arriving game's index, -1 when the policy has no
@@ -410,11 +457,12 @@ func (c *CoCG) candidate(spec *gamesim.GameSpec) int {
 	return es.gi
 }
 
-// verdict is the uncached Algorithm 1 feasibility test against a refreshed
-// server cache.
+// guard is Algorithm 1's forecast-free half: the FPS floor and the
+// peak-depth guard, read off the cache's membership aggregates alone. It
+// returns the satisfaction floor the forecast half holds every frame to.
 //
 //cocg:hot
-func (c *CoCG) verdict(cc *serverCache, srv *platform.Server, g *gameEntry) (bool, float64) {
+func guard(cc *serverCache, srv *platform.Server, g *gameEntry) (float64, bool) {
 	// The hard satisfaction floor: the most demanding frame lock among the
 	// games that would share the server. A 60 FPS-locked game needs half
 	// its demand satisfied to stay above 30 FPS; an uncapped 200 FPS game
@@ -424,7 +472,7 @@ func (c *CoCG) verdict(cc *serverCache, srv *platform.Server, g *gameEntry) (boo
 		satFloor = cc.hostedFloor
 	}
 	if satFloor > 1 {
-		return false, 0
+		return 0, false
 	}
 
 	// Peak-depth guard: prediction staggers peaks, but it cannot guarantee
@@ -434,16 +482,23 @@ func (c *CoCG) verdict(cc *serverCache, srv *platform.Server, g *gameEntry) (boo
 	// sustained violations the regulator cannot fix (execution stages have
 	// no time to steal). This is what leaves some heavy pairs "unable to
 	// run on the same machine" (Section V-B2).
-	candPeak := g.peak
 	scaledCap := srv.Capacity.Scale(2 - satFloor)
-	peakSum := candPeak
+	peakSum := g.peak
 	for _, peak := range cc.hostedPeaks {
 		peakSum = peakSum.Add(peak)
 	}
 	if !peakSum.Fits(scaledCap) {
-		return false, 0
+		return 0, false
 	}
+	return satFloor, true
+}
 
+// verdict is Algorithm 1's forecast half, run once guard has passed with
+// satFloor: the candidate's curve over the refreshed cached timeline, then
+// the mean-satisfaction test.
+//
+//cocg:hot
+func verdict(cc *serverCache, srv *platform.Server, g *gameEntry, satFloor float64) (bool, float64) {
 	// The arriving game's expected footprint, from its profiling corpus,
 	// overlaid on the cached hosted-demand timeline.
 	cand := g.b.TypicalCurve
@@ -454,7 +509,7 @@ func (c *CoCG) verdict(cc *serverCache, srv *platform.Server, g *gameEntry) (boo
 	if len(cand) > 0 && len(cand) < window {
 		window = len(cand)
 	}
-	satSum, ok := overlaySat(cc.total, cand, &candPeak, limit, window, satFloor, uniformLimit(limit))
+	satSum, ok := overlaySat(cc.total, cand, &g.peak, limit, window, satFloor, uniformLimit(limit))
 	if !ok {
 		return false, 0
 	}

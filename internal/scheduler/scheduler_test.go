@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"slices"
 	"testing"
 
 	"cocg/internal/gamesim"
@@ -276,9 +277,12 @@ func TestScorePrefersAdmissibleServers(t *testing.T) {
 // departures, and a predictor stage transition every frame — and repeatedly
 // compares the long-lived policy's cached evaluation against the same policy
 // scoring through throwaway caches over the very same servers and
-// controllers. The verdicts, scores, and cached aggregate timelines must agree
-// bit for bit, which is the cache-invalidation contract: the stamp catches
-// every mutation a forecast can depend on.
+// controllers. The verdicts and scores must agree bit for bit, and so must
+// the cached aggregates: the membership ones after every Score, the forecast
+// ones whenever the cache is stamped current. That is the cache-invalidation
+// contract: the stamp catches every mutation a forecast can depend on, and
+// the membership guards run first, so a Score they reject leaves the
+// forecast cache as it was while a Score past them refreshes it.
 func TestCachedEvaluateMatchesFreshRecompute(t *testing.T) {
 	do, co := gamesim.DOTA2(), gamesim.Contra()
 	p := policyFor(t, do, co)
@@ -286,7 +290,7 @@ func TestCachedEvaluateMatchesFreshRecompute(t *testing.T) {
 	c.StarveLimit = 0 // every rejected arrival keeps retrying
 	specs := []*gamesim.GameSpec{do, co}
 
-	next := 0
+	next, guarded, passed := 0, 0, 0
 	for tick := 0; tick < 2400; tick++ {
 		if tick%40 == 0 {
 			spec := specs[next%len(specs)]
@@ -303,31 +307,54 @@ func TestCachedEvaluateMatchesFreshRecompute(t *testing.T) {
 			continue
 		}
 		for _, srv := range c.Servers {
-			var rp *serverCache
 			for _, spec := range specs {
+				var before platform.Stamp
+				if cp, _ := srv.PolicyState.(*serverCache); cp != nil {
+					before = cp.stamp
+				}
 				gs, gok := p.Score(srv, spec)
 				var ws float64
-				var wok bool
+				var wok, pass bool
+				var rp *serverCache
 				aside(c.Servers, func() {
 					ws, wok = p.Score(srv, spec)
 					rp = srv.PolicyState.(*serverCache)
+					_, pass = guard(rp, srv, &p.game[p.gameIdx[spec.Name]])
 				})
 				if gok != wok || gs != ws {
 					t.Fatalf("tick %d server %d %s: cached (%v, %v) != fresh (%v, %v)",
 						tick, srv.ID, spec.Name, gs, gok, ws, wok)
 				}
+				cp := srv.PolicyState.(*serverCache)
+				if cp.hostedFloor != rp.hostedFloor || !slices.Equal(cp.hostedPeaks, rp.hostedPeaks) {
+					t.Fatalf("tick %d server %d: cached membership (%v, %v) != fresh (%v, %v)",
+						tick, srv.ID, cp.hostedFloor, cp.hostedPeaks, rp.hostedFloor, rp.hostedPeaks)
+				}
+				if pass {
+					passed++
+					if cp.stamp != srv.Stamp() {
+						t.Fatalf("tick %d server %d %s: a Score past the guards left the forecast cache stale", tick, srv.ID, spec.Name)
+					}
+				} else {
+					guarded++
+					if cp.stamp != before {
+						t.Fatalf("tick %d server %d %s: a guard-rejected Score refilled the forecast cache", tick, srv.ID, spec.Name)
+					}
+				}
 			}
-			cp, _ := srv.PolicyState.(*serverCache)
-			if cp == nil || rp == nil || cp.stamp != srv.Stamp() || rp.stamp != cp.stamp {
-				t.Fatalf("tick %d server %d: missing or stale cache after scoring", tick, srv.ID)
+			cp := srv.PolicyState.(*serverCache)
+			if cp.stamp != srv.Stamp() {
+				continue
 			}
-			if len(cp.total) != len(rp.total) || cp.peak != rp.peak {
-				t.Fatalf("tick %d server %d: %d runs peaking at %v != %d at %v", tick, srv.ID, len(cp.total), cp.peak, len(rp.total), rp.peak)
+			fresh := p.newCache()
+			p.refresh(fresh, srv)
+			if len(cp.total) != len(fresh.total) || cp.peak != fresh.peak {
+				t.Fatalf("tick %d server %d: %d runs peaking at %v != %d at %v", tick, srv.ID, len(cp.total), cp.peak, len(fresh.total), fresh.peak)
 			}
 			for ti := range cp.total {
-				if cp.total[ti] != rp.total[ti] {
+				if cp.total[ti] != fresh.total[ti] {
 					t.Fatalf("tick %d server %d run %d: cached timeline %v != fresh %v",
-						tick, srv.ID, ti, cp.total[ti], rp.total[ti])
+						tick, srv.ID, ti, cp.total[ti], fresh.total[ti])
 				}
 			}
 		}
@@ -337,6 +364,9 @@ func TestCachedEvaluateMatchesFreshRecompute(t *testing.T) {
 	}
 	if len(c.Records()) == 0 {
 		t.Error("no session departed; the membership-revision stamp went unexercised")
+	}
+	if guarded == 0 || passed == 0 {
+		t.Errorf("%d guard-rejected and %d passing Scores: both orders must be exercised", guarded, passed)
 	}
 }
 
@@ -373,7 +403,7 @@ func TestCacheRefillsExactlyWhenStampMoves(t *testing.T) {
 		}
 		fresh := &serverCache{}
 		p.refresh(fresh, srv)
-		if len(cc.total) != len(fresh.total) || cc.peak != fresh.peak || cc.hostedFloor != fresh.hostedFloor {
+		if len(cc.total) != len(fresh.total) || cc.peak != fresh.peak {
 			t.Fatalf("server %d: cache serves %d runs peaking at %v, a fresh refill %d at %v", i, len(cc.total), cc.peak, len(fresh.total), fresh.peak)
 		}
 		for k := range cc.total {
@@ -447,13 +477,16 @@ func TestCacheRefillsExactlyWhenStampMoves(t *testing.T) {
 	}
 }
 
-// evalFixture builds a warm one-server CoCG cluster hosting two games, so
-// evaluate's steady state — valid stamps, no refill — can be measured.
-func evalFixture(tb testing.TB) (*CoCG, *platform.Server, *gamesim.GameSpec) {
-	ga, do := gamesim.GenshinImpact(), gamesim.DOTA2()
-	p := policyFor(tb, ga, do)
+// evalFixture builds a warm one-server CoCG cluster hosting Genshin Impact
+// and DOTA2, so evaluate's steady state — valid stamps, no refill — can be
+// measured. It returns a candidate that passes the membership guards there
+// (Contra), so scoring it reads the forecast, and one they reject (a second
+// DOTA2: the three peaks together break the FPS floor).
+func evalFixture(tb testing.TB) (p *CoCG, srv *platform.Server, pass, reject *gamesim.GameSpec) {
+	ga, do, co := gamesim.GenshinImpact(), gamesim.DOTA2(), gamesim.Contra()
+	p = policyFor(tb, ga, do, co)
 	c := platform.NewCluster(1, p)
-	srv := c.Servers[0]
+	srv = c.Servers[0]
 	for i, spec := range []*gamesim.GameSpec{ga, do} {
 		sess, err := gamesim.NewSession(spec, 0, int64(9+i))
 		if err != nil {
@@ -468,30 +501,45 @@ func evalFixture(tb testing.TB) (*CoCG, *platform.Server, *gamesim.GameSpec) {
 	for i := 0; i < 31; i++ {
 		c.Tick()
 	}
-	return p, srv, do
+	return p, srv, co, do
 }
 
 func TestEvaluateSteadyStateAllocationFree(t *testing.T) {
-	p, srv, spec := evalFixture(t)
+	p, srv, spec, reject := evalFixture(t)
 	p.Score(srv, spec) // fill the cache
+	cc, _ := srv.PolicyState.(*serverCache)
+	if cc == nil || cc.stamp != srv.Stamp() {
+		t.Fatal("a Score past the guards left the fixture server's cache unfilled")
+	}
 	if n := testing.AllocsPerRun(200, func() { p.Score(srv, spec) }); n != 0 {
 		t.Errorf("steady-state Score allocates %.1f/op, want 0", n)
 	}
-	cc, _ := srv.PolicyState.(*serverCache)
-	if cc == nil || cc.stamp != srv.Stamp() {
-		t.Fatal("fixture server's cache unexpectedly empty")
-	}
-	// The refill — every frame's first evaluation in a busy fleet.
+	// The refill — every frame's first evaluation past the guards in a busy
+	// fleet.
 	if n := testing.AllocsPerRun(200, func() {
 		cc.stamp = platform.Stamp{}
 		p.Score(srv, spec)
 	}); n != 0 {
 		t.Errorf("refilling Score allocates %.1f/op, want 0", n)
 	}
+	// A Score the guards reject, with the membership aggregates retaken each
+	// time: it allocates nothing and never touches the forecast.
+	if _, ok := guard(cc, srv, &p.game[p.gameIdx[reject.Name]]); ok {
+		t.Fatalf("the fixture's %s passes the guards; the rejected path goes unmeasured", reject.Name)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		cc.stamp, cc.members = platform.Stamp{}, platform.Stamp{}
+		p.Score(srv, reject)
+	}); n != 0 {
+		t.Errorf("guard-rejected Score allocates %.1f/op, want 0", n)
+	}
+	if cc.stamp != (platform.Stamp{}) {
+		t.Error("a guard-rejected Score refilled the forecast cache")
+	}
 }
 
 func BenchmarkEvaluateSteadyState(b *testing.B) {
-	p, srv, spec := evalFixture(b)
+	p, srv, spec, _ := evalFixture(b)
 	p.Score(srv, spec)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -91,15 +91,20 @@ var metrics = []obs.Metric[snapshot]{
 		Samples: func(s snapshot, emit obs.Emit) { emit(float64(s.TicksSkipped)) }},
 	{Name: "cocg_server_hosted", Type: obs.Gauge, Help: "Games hosted per backend server.",
 		Samples: func(s snapshot, emit obs.Emit) {
+			labels := []string{"server", ""}
 			for _, srv := range s.Servers {
-				emit(float64(srv.Hosted), "server", strconv.Itoa(srv.ID))
+				labels[1] = strconv.Itoa(srv.ID)
+				emit(float64(srv.Hosted), labels...)
 			}
 		}},
 	{Name: "cocg_server_utilization", Type: obs.Gauge, Help: "Per-dimension utilization percent.", Prec: 2,
 		Samples: func(s snapshot, emit obs.Emit) {
+			labels := []string{"server", "", "dim", ""}
 			for _, srv := range s.Servers {
+				labels[1] = strconv.Itoa(srv.ID)
 				for d := resources.Dim(0); d < resources.NumDims; d++ {
-					emit(srv.Util[d], "server", strconv.Itoa(srv.ID), "dim", d.String())
+					labels[3] = d.String()
+					emit(srv.Util[d], labels...)
 				}
 			}
 		}},
