@@ -273,7 +273,7 @@ func (s *Server) tickAt(p Policy, now simclock.Seconds) {
 		s.scratch.grow(n)
 	}
 	demands := s.scratch.demands[:n]
-	var reqTotal, utilPrev resources.Vector
+	var reqTotal resources.Vector
 	for i, h := range s.Hosted {
 		d := h.Session.Demand()
 		demands[i] = d
@@ -282,12 +282,12 @@ func (s *Server) tickAt(p Policy, now simclock.Seconds) {
 		util := d.Min(h.lastGrant)
 		h.Request = h.Controller.Tick(util).ClampNonNegative()
 		reqTotal = reqTotal.Add(h.Request)
-		utilPrev = utilPrev.Add(h.Granted)
 	}
-	// Publish the running totals the regulator may probe: requests are this
-	// second's, grants are still last second's — exactly what the fold-based
-	// recompute would return at this point.
-	s.reqTotal, s.utilTotal = reqTotal, utilPrev
+	// Publish the request total the regulator may probe. Grants are still
+	// last second's, and utilTotal already holds their in-order fold: the
+	// previous tick ended with it, sweep and SyncTotals recompute it, and Add
+	// appends a zero grant.
+	s.reqTotal = reqTotal
 	p.Regulate(s)
 
 	// Effective needs under the (possibly regulated) requests; the request

@@ -265,6 +265,77 @@ func TestTickUncontendedMatchesGeneral(t *testing.T) {
 	}
 }
 
+// utilProbe wraps a policy and, every second the server asks it to regulate,
+// requires Utilization to be the in-order fold of the hosted sessions' last
+// grants, bit for bit: the total tickAt publishes without re-summing them.
+type utilProbe struct {
+	platform.Policy
+	tb     testing.TB
+	checks int
+}
+
+func (u *utilProbe) Regulate(srv *platform.Server) {
+	u.tb.Helper()
+	var want resources.Vector
+	for _, h := range srv.Hosted {
+		want = want.Add(h.Granted)
+	}
+	got := srv.Utilization()
+	for d := range got {
+		if math.Float64bits(got[d]) != math.Float64bits(want[d]) {
+			u.tb.Fatalf("%d hosted: Utilization()[%d] = %#x, in-order fold of Granted %#x",
+				len(srv.Hosted), d, math.Float64bits(got[d]), math.Float64bits(want[d]))
+		}
+	}
+	u.checks++
+	u.Policy.Regulate(srv)
+}
+
+// TestRegulateSeesLastGrantsFold runs both sides of a tick pair under every
+// policy through admissions mid-run, contended seconds, departures swept
+// while other sessions stay and a SyncTotals, and checks at every Regulate
+// that the published utilization is the in-order fold of last second's
+// grants.
+func TestRegulateSeesLastGrantsFold(t *testing.T) {
+	games := gamesim.AllGames()
+	for _, kind := range equivPolicies {
+		t.Run(kind.String(), func(t *testing.T) {
+			p := newTickPair(t, kind, resources.FullServer)
+			probes := [2]*utilProbe{}
+			for i := range p.pol {
+				probes[i] = &utilProbe{Policy: p.pol[i], tb: t}
+				p.pol[i] = probes[i]
+			}
+			added, sweptWhileHosting := 0, false
+			for sec := 0; added < 8 || p.srv[0].NumHosted() > 0; sec++ {
+				if sec > 6*3600 {
+					t.Fatal("sessions did not finish in six virtual hours")
+				}
+				if sec%150 == 0 && added < 8 {
+					g := games[added%len(games)]
+					p.add(t, host{spec: g, script: added % len(g.Scripts), seed: int64(300 + added)})
+					added++
+				}
+				if sec == 400 {
+					for _, srv := range p.srv {
+						srv.SyncTotals()
+					}
+				}
+				recs := len(p.srv[0].Records)
+				p.tick(t)
+				if len(p.srv[0].Records) > recs && p.srv[0].NumHosted() > 0 {
+					sweptWhileHosting = true
+				}
+			}
+			seconds, uncontended := p.srv[0].TickCounts()
+			if probes[0].checks == 0 || probes[1].checks != probes[0].checks || uncontended == seconds || !sweptWhileHosting {
+				t.Fatalf("scenario proved little: %d and %d checks, %d of %d seconds uncontended, swept while hosting %v",
+					probes[0].checks, probes[1].checks, uncontended, seconds, sweptWhileHosting)
+			}
+		})
+	}
+}
+
 // TestTickCertificateEdges pins the boundary cases of the certificate, each
 // asserted to have actually occurred on the side it belongs to.
 func TestTickCertificateEdges(t *testing.T) {

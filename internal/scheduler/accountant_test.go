@@ -225,15 +225,53 @@ func TestFracSumMatchesPerFrameFold(t *testing.T) {
 		}
 		var want float64
 		for _, r := range runs {
-			w := worstFrac(r.Demand, resources.FullServer)
+			w := perDimensionWorstFrac(r.Demand, resources.FullServer)
 			for n := 0; n < r.Frames; n++ {
 				want += w
 			}
 		}
-		got := fracSum(runs, resources.FullServer)
+		got := fracSum(runs, resources.FullServer[0])
 		if rel := math.Abs(got-want) / want; rel > 1e-12 {
 			t.Fatalf("trial %d: fracSum %.17g, per-frame fold %.17g (relative error %.3g over %d runs)",
 				trial, got, want, rel, len(runs))
 		}
 	}
+}
+
+// perDimensionWorstFrac is worstFrac's reference: one division per dimension
+// with a positive capacity, the largest quotient above zero kept.
+func perDimensionWorstFrac(v, capacity resources.Vector) float64 {
+	worst := 0.0
+	for d := range v {
+		if capd := capacity[d]; capd > 0 {
+			if f := v[d] / capd; f > worst {
+				worst = f
+			}
+		}
+	}
+	return worst
+}
+
+// FuzzWorstFracOneDivision holds worstFrac's one division of the largest
+// component to the per-dimension reference, bit for bit, under the same
+// positive capacity in every dimension: NaN, signed zeros, negatives,
+// subnormals and infinities among the components.
+func FuzzWorstFracOneDivision(f *testing.F) {
+	f.Add(12.5, 99.9, 0.0, 100.0, 100.0)
+	f.Add(math.NaN(), math.Copysign(0, -1), -3.0, 5e-324, 100.0)
+	f.Add(math.Inf(1), 1e308, 1e-310, 7.0, 0.5)
+	f.Add(-1.0, math.NaN(), math.Copysign(0, -1), 0.0, 1e-300)
+	f.Add(3.0, math.Nextafter(3, 4), 3.0, math.Nextafter(3, 2), 3.0)
+	f.Add(1e-320, 2e-320, 0.0, 0.0, 1e300)
+	f.Fuzz(func(t *testing.T, a, b, c, d, capacity float64) {
+		if !(capacity > 0) {
+			t.Skip()
+		}
+		v := resources.Vector{a, b, c, d}
+		got, want := worstFrac(v, capacity), perDimensionWorstFrac(v, resources.Uniform(capacity))
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("worstFrac(%v, %v) = %x (%.17g), per-dimension %x (%.17g)",
+				v, capacity, math.Float64bits(got), got, math.Float64bits(want), want)
+		}
+	})
 }

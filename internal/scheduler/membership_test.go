@@ -28,7 +28,7 @@ func TestMembershipRetakenExactlyOnRev(t *testing.T) {
 	n := len(c.Servers)
 	caches := make([]*serverCache, n)
 	for i := range caches {
-		caches[i] = &serverCache{}
+		caches[i] = p.newCache()
 	}
 	// What each cache was last retaken under; a nil server matches none.
 	lastSrv := make([]*platform.Server, n)
@@ -46,7 +46,7 @@ func TestMembershipRetakenExactlyOnRev(t *testing.T) {
 		if !retook {
 			cc.hostedFloor = kept
 		}
-		fresh := &serverCache{}
+		fresh := p.newCache()
 		p.retakeMembers(fresh, srv, srv.Stamp())
 		if cc.hostedFloor != fresh.hostedFloor || !slices.Equal(cc.hostedPeaks, fresh.hostedPeaks) {
 			t.Fatalf("server %d: cache holds floor %v and peaks %v, a fresh retake %v and %v",
@@ -162,12 +162,12 @@ func refreshFirstScore(p *CoCG, srv *platform.Server, spec *gamesim.GameSpec) (f
 		return 0, false
 	}
 	cand := g.b.TypicalCurve
-	limit := srv.Capacity.Sub(resources.Uniform(safetyMargin))
+	limit := srv.Capacity[0] - safetyMargin
 	window := horizonFrames
 	if len(cand) > 0 && len(cand) < window {
 		window = len(cand)
 	}
-	satSum, ok := overlaySat(cc.total, cand, &g.peak, limit, window, satFloor, uniformLimit(limit))
+	satSum, ok := overlaySat(cc.total, cand, &g.peak, limit, window, satFloor)
 	if !ok {
 		return 0, false
 	}
@@ -195,7 +195,7 @@ func (r *refreshFirst) Score(srv *platform.Server, spec *gamesim.GameSpec) (floa
 		r.t.Fatalf("server %d %s: Score (%v, %v), refresh-first reference (%v, %v)", srv.ID, spec.Name, got, gok, want, wok)
 	}
 	r.calls++
-	members := &serverCache{}
+	members := r.newCache()
 	r.retakeMembers(members, srv, srv.Stamp())
 	if _, pass := guard(members, srv, &r.game[r.gameIdx[spec.Name]]); !pass {
 		r.guarded++

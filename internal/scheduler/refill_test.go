@@ -37,10 +37,10 @@ func perDimensionVerdict(total []resources.Vector, cand []resources.Vector, cand
 	return satSum, true
 }
 
-// checkOverlay runs overlaySat the way verdict does — the one-division path
-// exactly when uniformLimit allows it — and, when it does, the per-dimension
-// path too, against the dense reference: bit-equal sums, equal verdicts.
-func checkOverlay(t *testing.T, runs []predictor.Segment, cand []resources.Vector, candPeak, limit resources.Vector, window int, satFloor float64) {
+// checkOverlay runs overlaySat, the one-division verdict, against the dense
+// per-dimension reference with the same limit in every dimension: bit-equal
+// sums, equal verdicts.
+func checkOverlay(t *testing.T, runs []predictor.Segment, cand []resources.Vector, candPeak resources.Vector, limit float64, window int, satFloor float64) {
 	t.Helper()
 	var dense []resources.Vector
 	for _, r := range runs {
@@ -48,25 +48,18 @@ func checkOverlay(t *testing.T, runs []predictor.Segment, cand []resources.Vecto
 			dense = append(dense, r.Demand)
 		}
 	}
-	want, wok := perDimensionVerdict(dense, cand, candPeak, limit, window, satFloor)
-	uniform := uniformLimit(limit)
-	modes := []bool{uniform}
-	if uniform {
-		modes = append(modes, false)
-	}
-	for _, mode := range modes {
-		got, gok := overlaySat(runs, cand, &candPeak, limit, window, satFloor, mode)
-		if gok != wok || math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("limit %v, window %d, floor %v, one-division %v: (%x %.17g, %v), dense per-dimension walk (%x %.17g, %v)",
-				limit, window, satFloor, mode, math.Float64bits(got), got, gok, math.Float64bits(want), want, wok)
-		}
+	want, wok := perDimensionVerdict(dense, cand, candPeak, resources.Uniform(limit), window, satFloor)
+	got, gok := overlaySat(runs, cand, &candPeak, limit, window, satFloor)
+	if gok != wok || math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("limit %v, window %d, floor %v: (%x %.17g, %v), dense per-dimension walk (%x %.17g, %v)",
+			limit, window, satFloor, math.Float64bits(got), got, gok, math.Float64bits(want), want, wok)
 	}
 }
 
 // randomOverlay draws a hosted timeline, a candidate curve and a floor whose
 // sums sit around the limit: below, exactly on it, one ulp either side, and
 // well above, per dimension and frame.
-func randomOverlay(rng *rand.Rand, limit resources.Vector, h int) (runs []predictor.Segment, cand []resources.Vector, candPeak resources.Vector, floor float64) {
+func randomOverlay(rng *rand.Rand, limit float64, h int) (runs []predictor.Segment, cand []resources.Vector, candPeak resources.Vector, floor float64) {
 	near := func(l float64) float64 {
 		switch rng.Intn(6) {
 		case 0:
@@ -88,7 +81,7 @@ func randomOverlay(rng *rand.Rand, limit resources.Vector, h int) (runs []predic
 		}
 		var d resources.Vector
 		for k := range d {
-			d[k] = near(math.Abs(limit[k])) * rng.Float64()
+			d[k] = near(limit) * rng.Float64()
 		}
 		runs = append(runs, predictor.Segment{Frames: n, Demand: d})
 		left -= n
@@ -102,7 +95,7 @@ func randomOverlay(rng *rand.Rand, limit resources.Vector, h int) (runs []predic
 			}
 			for k := range cand[t] {
 				// Aim the sum, not the addend: hosted + add lands near the limit.
-				cand[t][k] = near(math.Abs(limit[k])) - r.Demand[k]
+				cand[t][k] = near(limit) - r.Demand[k]
 				if cand[t][k] < 0 {
 					cand[t][k] = 0
 				}
@@ -117,22 +110,11 @@ func randomOverlay(rng *rand.Rand, limit resources.Vector, h int) (runs []predic
 }
 
 // TestVerdictUniformMatchesPerDimension pins the one-division verdict: with
-// equal positive limits it returns the per-dimension walk's bits — sums on
-// the limit, an ulp above and below it, far above — and limits that are
-// unequal, zero or negative fall back to the per-dimension loop.
+// the same positive limit in every dimension it returns the per-dimension
+// walk's bits — sums on the limit, an ulp above and below it, far above.
 func TestVerdictUniformMatchesPerDimension(t *testing.T) {
-	for _, l := range []resources.Vector{resources.Uniform(95), {95, 95, 95, 94.99999}, resources.Uniform(0), resources.Uniform(-5), {95, 0, 95, 95}, {1e-300, 1e-300, 1e-300, 1e-300}} {
-		want := l[0] > 0 && l[1] == l[0] && l[2] == l[0] && l[3] == l[0]
-		if uniformLimit(l) != want {
-			t.Errorf("uniformLimit(%v) = %v, want %v", l, !want, want)
-		}
-	}
 	rng := rand.New(rand.NewSource(5))
-	limits := []resources.Vector{
-		resources.Uniform(95), resources.Uniform(100), resources.Uniform(0.125), resources.Uniform(1e-300),
-		{95, 90, 95, 95}, resources.Uniform(0), resources.Uniform(-5), {95, -1, 0, 95},
-	}
-	for _, limit := range limits {
+	for _, limit := range []float64{95, 100, 0.125, 1e-300} {
 		for trial := 0; trial < 400; trial++ {
 			h := 1 + rng.Intn(120)
 			runs, cand, candPeak, floor := randomOverlay(rng, limit, h)
@@ -140,43 +122,39 @@ func TestVerdictUniformMatchesPerDimension(t *testing.T) {
 		}
 	}
 	// Every dimension exactly on the limit, then each one ulp over in turn.
-	on := resources.Uniform(95)
 	for d := -1; d < int(resources.NumDims); d++ {
 		hosted := resources.Uniform(60)
 		add := resources.Uniform(35)
 		if d >= 0 {
 			add[d] = math.Nextafter(35, 36)
 		}
-		checkOverlay(t, []predictor.Segment{{Frames: 3, Demand: hosted}}, []resources.Vector{add, add}, add, on, 3, 0)
+		checkOverlay(t, []predictor.Segment{{Frames: 3, Demand: hosted}}, []resources.Vector{add, add}, add, 95, 3, 0)
 	}
 }
 
 func FuzzVerdictUniform(f *testing.F) {
 	f.Add(int64(1), 95.0, uint8(120))
-	f.Add(int64(2), 0.0, uint8(1))
-	f.Add(int64(3), -4.0, uint8(17))
+	f.Add(int64(2), 0.5, uint8(1))
+	f.Add(int64(3), 4.0, uint8(17))
 	f.Add(int64(4), 1e-300, uint8(60))
-	f.Fuzz(func(t *testing.T, seed int64, l float64, horizon uint8) {
-		if math.IsNaN(l) || math.IsInf(l, 0) {
+	f.Fuzz(func(t *testing.T, seed int64, limit float64, horizon uint8) {
+		// cacheOf admits only servers whose limit is positive and finite.
+		if !(limit > 0) || math.IsInf(limit, 1) {
 			t.Skip()
 		}
 		h := 1 + int(horizon)%120
 		rng := rand.New(rand.NewSource(seed))
-		limit := resources.Uniform(l)
-		if seed%5 == 0 {
-			limit[rng.Intn(4)] = l / 2
-		}
 		runs, cand, candPeak, floor := randomOverlay(rng, limit, h)
 		checkOverlay(t, runs, cand, candPeak, limit, 1+rng.Intn(h), floor)
 	})
 }
 
-// TestLoadMemoColdPath covers both ways the fleet-load memo is produced. A
-// policy that places for fifty frames and is never polled computes none; the
-// first poll then builds every memo by refilling each server once more, and
-// from the next frame on each refill computes it off the runs it has just
-// forecast. Every summary must equal a from-scratch one bitwise, and a warm
-// poll must not allocate.
+// TestLoadMemoColdPath drives a policy that places for fifty frames unpolled,
+// then polls it every frame. Every refill takes the fleet-load contributions
+// off the runs it has just forecast, so every summary — the first, off caches
+// no poll has read, and each after a frame — must equal a from-scratch one
+// bitwise, and neither a warm poll nor one that refills every server may
+// allocate.
 func TestLoadMemoColdPath(t *testing.T) {
 	specs := []*gamesim.GameSpec{gamesim.Contra(), gamesim.GenshinImpact(), gamesim.DOTA2()}
 	p := policyFor(t, specs...)
@@ -195,25 +173,11 @@ func TestLoadMemoColdPath(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	memos := func() (valid, hosting int) {
-		for _, srv := range c.Servers {
-			if cc, _ := srv.PolicyState.(*serverCache); cc != nil && srv.NumHosted() > 0 {
-				hosting++
-				if cc.loadValid && cc.stamp == srv.Stamp() {
-					valid++
-				}
-			}
-		}
-		return valid, hosting
-	}
 	for i := 0; i < 50; i++ {
 		frame()
 	}
 	if c.Placements == 0 {
 		t.Fatal("nothing was placed; the scenario proves nothing")
-	}
-	if valid, hosting := memos(); valid != 0 || hosting == 0 {
-		t.Fatalf("before any poll %d of %d hosting servers carry a load memo; the admission path must not pay for it", valid, hosting)
 	}
 	var got, want platform.FleetLoad
 	for i := 0; i < 20; i++ {
@@ -222,44 +186,19 @@ func TestLoadMemoColdPath(t *testing.T) {
 		requireBitIdentical(t, "poll", got, want)
 		frame()
 	}
-	// The rule itself: the refill after a read memo makes the next one, the
-	// refill after an unread memo does not. (A server placed on mid-frame may
-	// have been refilled by the scan already; it is skipped.)
-	p.FleetLoadInto(c.Servers, &got)
-	for _, wantValid := range []bool{true, false} {
-		revs := map[*platform.Server]uint64{}
-		for _, srv := range c.Servers {
-			revs[srv] = srv.Stamp().Rev
-		}
-		frame()
-		checked := 0
-		for _, srv := range c.Servers {
-			if cc := srv.PolicyState.(*serverCache); srv.NumHosted() > 0 && srv.Stamp().Rev == revs[srv] {
-				p.refresh(cc, srv)
-				if cc.loadValid != wantValid {
-					t.Fatalf("refill made a load memo: %v, want %v", cc.loadValid, wantValid)
-				}
-				checked++
-			}
-		}
-		if checked == 0 {
-			t.Fatal("every server changed hands; the rule went untested")
-		}
-	}
 	p.FleetLoadInto(c.Servers, &got)
 	if allocs := testing.AllocsPerRun(100, func() { p.FleetLoadInto(c.Servers, &got) }); allocs != 0 {
 		t.Errorf("warm FleetLoadInto allocates %.1f objects per poll, want 0", allocs)
 	}
-	// The cold path itself, warm: every stamp moved and no memo was read since,
-	// so each poll refills every server twice.
+	// Every stamp moved since the last poll, so each poll refills every
+	// server once.
 	if allocs := testing.AllocsPerRun(100, func() {
 		for _, srv := range c.Servers {
-			cc := srv.PolicyState.(*serverCache)
-			cc.stamp, cc.loadUsed = platform.Stamp{}, false
+			srv.PolicyState.(*serverCache).stamp = platform.Stamp{}
 		}
 		p.FleetLoadInto(c.Servers, &got)
 	}); allocs != 0 {
-		t.Errorf("cold-memo FleetLoadInto allocates %.1f objects per poll, want 0", allocs)
+		t.Errorf("cold FleetLoadInto allocates %.1f objects per poll, want 0", allocs)
 	}
 	p.FleetLoadFull(c.Servers, &want)
 	requireBitIdentical(t, "after the allocation runs", got, want)

@@ -150,9 +150,9 @@ type evalScratch struct {
 // Validity is stamped, never pushed, under two keys. The membership
 // aggregates (hostedFloor, hostedPeaks) depend only on which games the server
 // hosts, so they are retaken only when the server or its Stamp's Rev moved
-// (members). The forecast aggregates (total, peak, the load memo) are
-// rebuilt whenever the server's full Stamp disagrees with the one they were
-// filled under (stamp). A new cache's zero stamps match no server. Hosted
+// (members). The forecast aggregates (total, peak and the fleet-load columns)
+// are rebuilt whenever the server's full Stamp disagrees with the one they
+// were filled under (stamp). A new cache's zero stamps match no server. Hosted
 // state moves only under a new stamp, so either check is O(1) however many
 // sessions the server hosts. The verdicts read off the cache are kept by the
 // cluster's scoreboard, under the same stamp. A hosting server's stamp moves
@@ -179,21 +179,23 @@ type serverCache struct {
 	total []predictor.Segment
 	peak  resources.Vector
 
-	// Fleet-accounting memo (see accountant.go): the server's headroom and
-	// per-game demand contributions under the stamp above, valid when
-	// loadValid. loadUsed records that a summary read the memo since the last
-	// refill: the next refill then computes it off the runs it has just
-	// forecast, and a policy nobody polls never pays for it.
-	loadValid, loadUsed bool
-	headroom            float64
-	gameDemand          []float64
+	// Fleet accounting (see accountant.go): the server's predicted headroom
+	// and per-game demand contributions, taken by every refill off the runs
+	// it has just forecast.
+	headroom   float64
+	gameDemand []float64
 }
 
 // cacheOf returns the forecast cache srv carries, giving it one on first
-// sight.
+// sight. Algorithm 1 holds a machine to one limit on every resource, so it
+// refuses a server whose capacity differs across dimensions or does not
+// exceed the safety margin.
 func (c *CoCG) cacheOf(srv *platform.Server) *serverCache {
 	cc, _ := srv.PolicyState.(*serverCache)
 	if cc == nil {
+		if l := srv.Capacity[0]; !(l > safetyMargin) || srv.Capacity != resources.Uniform(l) {
+			panic(fmt.Sprintf("scheduler: server %d has capacity %v; CoCG needs one capacity above %d in every dimension", srv.ID, srv.Capacity, safetyMargin))
+		}
 		cc = c.newCache()
 		srv.PolicyState = cc
 	}
@@ -206,30 +208,26 @@ func (c *CoCG) newCache() *serverCache {
 }
 
 // refresh brings srv's forecast aggregates up to date, refilling them when
-// the server's stamp moved — with the fleet-accounting memo if the last one
-// was read.
+// the server's stamp moved.
 func (c *CoCG) refresh(cc *serverCache, srv *platform.Server) {
 	if st := srv.Stamp(); cc.stamp != st {
-		c.refill(cc, srv, st, cc.loadUsed)
+		c.refill(cc, srv, st)
 	}
 }
 
 // refill rebuilds the cache's forecast aggregates under stamp st. It walks
 // srv.Hosted once in order and forecasts each session once, into the
 // scratch, so every cached float is produced by the exact operation sequence
-// the uncached evaluate used. With load set it also fills the
-// fleet-accounting memo (see accountant.go) — each session's demand share is
-// read off its runs right after they are forecast — and otherwise leaves it
-// invalid.
+// the uncached evaluate used. Each session's demand share (see accountant.go)
+// is read off its runs right after they are forecast, and the headroom off
+// the merged peak.
 //
 //cocg:hot
-func (c *CoCG) refill(cc *serverCache, srv *platform.Server, st platform.Stamp, load bool) {
+func (c *CoCG) refill(cc *serverCache, srv *platform.Server, st platform.Stamp) {
 	const h = horizonFrames
 	es := &c.scratch
 	cc.stamp = st
-	if load {
-		clear(cc.gameDemand)
-	}
+	clear(cc.gameDemand)
 	es.runs = es.runs[:0]
 	es.runEnd = es.runEnd[:0]
 	for _, hosted := range srv.Hosted {
@@ -237,25 +235,17 @@ func (c *CoCG) refill(cc *serverCache, srv *platform.Server, st platform.Stamp, 
 		start := len(es.runs)
 		es.runs = ctl.pr.AppendForecastRuns(es.runs, h, &es.fc)
 		es.runEnd = append(es.runEnd, len(es.runs))
-		if load {
-			cc.gameDemand[ctl.gi] += fracSum(es.runs[start:], srv.Capacity) / h
-		}
+		cc.gameDemand[ctl.gi] += fracSum(es.runs[start:], srv.Capacity[0]) / h
 	}
 	if cap(es.cur) < len(es.runEnd) {
 		es.growCursors(len(es.runEnd))
 	}
 	cc.total, cc.peak = mergeRuns(cc.total[:0], es.runs, es.runEnd, h, es.cur)
-	cc.loadValid, cc.loadUsed = load, false
-	if load {
-		// Headroom divides the summed timeline's per-dimension peak once:
-		// correctly rounded division by a positive capacity is monotone, so
-		// max_t(x_t/c) == max_t(x_t)/c exactly and the bits match
-		// ClusterLoadFullScan's divide-every-frame scan.
-		cc.headroom = 1 - worstFrac(cc.peak, srv.Capacity)
-		if cc.headroom < 0 {
-			cc.headroom = 0
-		}
-	}
+	// Headroom divides the summed timeline's peak once: correctly rounded
+	// division by a positive capacity is monotone, so max_t(x_t/c) ==
+	// max_t(x_t)/c exactly and the bits match ClusterLoadFullScan's
+	// divide-every-frame scan.
+	cc.headroom = max(0, 1-worstFrac(cc.peak, srv.Capacity[0]))
 }
 
 // retakeMembers brings the cache's membership aggregates up to date with
@@ -502,14 +492,14 @@ func verdict(cc *serverCache, srv *platform.Server, g *gameEntry, satFloor float
 	// The arriving game's expected footprint, from its profiling corpus,
 	// overlaid on the cached hosted-demand timeline.
 	cand := g.b.TypicalCurve
-	limit := srv.Capacity.Sub(resources.Uniform(safetyMargin))
+	limit := srv.Capacity[0] - safetyMargin
 	// The judgment window is the candidate's expected lifetime (capped by
 	// the horizon): overlaps after it has finished are irrelevant.
 	window := horizonFrames
 	if len(cand) > 0 && len(cand) < window {
 		window = len(cand)
 	}
-	satSum, ok := overlaySat(cc.total, cand, &g.peak, limit, window, satFloor, uniformLimit(limit))
+	satSum, ok := overlaySat(cc.total, cand, &g.peak, limit, window, satFloor)
 	if !ok {
 		return false, 0
 	}
@@ -517,16 +507,9 @@ func verdict(cc *serverCache, srv *platform.Server, g *gameEntry, satFloor float
 	return meanSat >= minMeanSat, meanSat
 }
 
-// overlaySat's one-division path names the four dimensions; the guard stops
-// compiling when resources.NumDims is not the 4 it unrolls.
+// overlaySat names the four dimensions; the guard stops compiling when
+// resources.NumDims is not the 4 it unrolls.
 var _ [0]struct{} = [resources.NumDims - 4]struct{}{}
-
-// uniformLimit reports whether every dimension has the same positive limit —
-// a server whose capacity is the same in every dimension, the fleet's only
-// shape today — which is when a frame's satisfaction takes one division.
-func uniformLimit(limit resources.Vector) bool {
-	return limit[0] > 0 && limit == resources.Uniform(limit[0])
-}
 
 // overlaySat walks the first window frames of the hosted timeline total with
 // the candidate's curve cand laid over it (candPeak past the curve's end) and
@@ -535,16 +518,15 @@ func uniformLimit(limit resources.Vector) bool {
 // order within and across runs: every frame's satisfaction is computed and
 // summed exactly as a dense walk would.
 //
-// A frame's satisfaction is the least limit[d]/sum[d] over the dimensions
-// whose sum exceeds a positive limit, 1 when none does. With uniform set
-// (uniformLimit(limit) must hold) it is taken as L/max_d(sum[d]) instead: a
-// correctly rounded quotient is monotone in its divisor, so the least
-// quotient is the quotient by the greatest sum, bit for bit, for one division
-// in place of up to four.
+// A frame's satisfaction is the least limit/sum[d] over the dimensions whose
+// sum exceeds the limit, which is positive (cacheOf), 1 when none does. It is
+// taken as limit/max_d(sum[d]): a correctly rounded quotient is monotone in
+// its divisor, so the least quotient is the quotient by the greatest sum, bit
+// for bit, for one division in place of up to four.
 //
 //cocg:hot
 func overlaySat(total []predictor.Segment, cand []resources.Vector, candPeak *resources.Vector,
-	limit resources.Vector, window int, satFloor float64, uniform bool) (float64, bool) {
+	limit float64, window int, satFloor float64) (float64, bool) {
 	var satSum float64
 	t := 0
 	for i := 0; t < window; i++ {
@@ -561,33 +543,23 @@ func overlaySat(total []predictor.Segment, cand []resources.Vector, candPeak *re
 				add = &cand[t]
 			}
 			sat := 1.0
-			if uniform {
-				// worst starts at the limit, so only a sum above it (a NaN
-				// never is) can move it.
-				worst := limit[0]
-				if sum := hosted[0] + add[0]; sum > worst {
-					worst = sum
-				}
-				if sum := hosted[1] + add[1]; sum > worst {
-					worst = sum
-				}
-				if sum := hosted[2] + add[2]; sum > worst {
-					worst = sum
-				}
-				if sum := hosted[3] + add[3]; sum > worst {
-					worst = sum
-				}
-				if worst > limit[0] {
-					sat = limit[0] / worst
-				}
-			} else {
-				for d := range hosted {
-					if sum := hosted[d] + add[d]; sum > limit[d] && sum > 0 {
-						if s := limit[d] / sum; s < sat {
-							sat = s
-						}
-					}
-				}
+			// worst starts at the limit, so only a sum above it (a NaN never
+			// is) can move it.
+			worst := limit
+			if sum := hosted[0] + add[0]; sum > worst {
+				worst = sum
+			}
+			if sum := hosted[1] + add[1]; sum > worst {
+				worst = sum
+			}
+			if sum := hosted[2] + add[2]; sum > worst {
+				worst = sum
+			}
+			if sum := hosted[3] + add[3]; sum > worst {
+				worst = sum
+			}
+			if worst > limit {
+				sat = limit / worst
 			}
 			if sat < satFloor {
 				return 0, false
@@ -609,21 +581,17 @@ func overlaySat(total []predictor.Segment, cand []resources.Vector, candPeak *re
 func (c *CoCG) ClusterLoadFullScan(servers []*platform.Server) float64 {
 	var sum float64
 	for _, srv := range servers {
-		cc := &serverCache{}
+		cc := c.newCache()
 		c.refresh(cc, srv)
 		peak := 0.0
 		for _, run := range cc.total {
 			for n := run.Frames; n > 0; n-- {
-				if f := worstFrac(run.Demand, srv.Capacity); f > peak {
+				if f := worstFrac(run.Demand, srv.Capacity[0]); f > peak {
 					peak = f
 				}
 			}
 		}
-		head := 1 - peak
-		if head < 0 {
-			head = 0
-		}
-		sum += head
+		sum += max(0, 1-peak)
 	}
 	return sum / max(1, float64(len(servers)))
 }

@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"cocg/internal/platform"
 	"cocg/internal/predictor"
 	"cocg/internal/resources"
+	"cocg/internal/simclock"
 	"cocg/internal/workload"
 )
 
@@ -63,6 +65,35 @@ func TestAdmitUnknownGame(t *testing.T) {
 	}
 	if _, err := p.NewController(gamesim.CSGO(), 1); err == nil {
 		t.Error("controller for unknown game did not error")
+	}
+}
+
+// TestCacheOfRefusesNonUniformCapacity pins the one capacity shape CoCG
+// judges: the same figure in every dimension, above the safety margin.
+// Scoring any other server panics on first sight instead of holding it to a
+// limit it does not have.
+func TestCacheOfRefusesNonUniformCapacity(t *testing.T) {
+	spec := gamesim.Contra()
+	p := policyFor(t, spec)
+	clock := &simclock.Clock{}
+	scores := func(capacity resources.Vector) (panicked bool) {
+		defer func() { panicked = recover() != nil }()
+		p.Score(platform.NewServer(0, capacity, clock), spec)
+		return false
+	}
+	for _, capacity := range []resources.Vector{
+		{100, 100, 100, 90}, {100, 100, math.Nextafter(100, 0), 100},
+		resources.Uniform(safetyMargin), resources.Uniform(1), resources.Uniform(0),
+		resources.Uniform(-100), resources.Uniform(math.NaN()),
+	} {
+		if !scores(capacity) {
+			t.Errorf("capacity %v: CoCG scored the server, want a panic", capacity)
+		}
+	}
+	for _, capacity := range []resources.Vector{resources.FullServer, resources.Uniform(math.Nextafter(safetyMargin, 6))} {
+		if scores(capacity) {
+			t.Errorf("capacity %v: CoCG refused the server", capacity)
+		}
 	}
 }
 
@@ -386,7 +417,7 @@ func TestCacheRefillsExactlyWhenStampMoves(t *testing.T) {
 	// last starts at the zero Stamp, which matches no server.
 	last := make([]platform.Stamp, len(c.Servers))
 	for i := range caches {
-		caches[i] = &serverCache{}
+		caches[i] = p.newCache()
 	}
 	// refills refreshes server i's cache and reports whether it refilled: a
 	// refill always rewrites the peak, which is never negative.
@@ -401,7 +432,7 @@ func TestCacheRefillsExactlyWhenStampMoves(t *testing.T) {
 		if !refilled {
 			cc.peak = kept
 		}
-		fresh := &serverCache{}
+		fresh := p.newCache()
 		p.refresh(fresh, srv)
 		if len(cc.total) != len(fresh.total) || cc.peak != fresh.peak {
 			t.Fatalf("server %d: cache serves %d runs peaking at %v, a fresh refill %d at %v", i, len(cc.total), cc.peak, len(fresh.total), fresh.peak)

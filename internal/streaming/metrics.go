@@ -39,6 +39,7 @@ type serverSnapshot struct {
 	Hosted int              `json:"hosted"`
 	Util   resources.Vector `json:"utilization"`
 	Peak   resources.Vector `json:"peak_utilization"`
+	label  string           // ID as label text (Server.serverLabels)
 }
 
 func (s *Server) snapshot() snapshot {
@@ -49,13 +50,18 @@ func (s *Server) snapshot() snapshot {
 		Pending:      len(s.cluster.Pending),
 		Completed:    int(s.completed),
 	}
-	for _, srv := range s.cluster.Servers {
-		out.Servers = append(out.Servers, serverSnapshot{
+	out.Servers = make([]serverSnapshot, len(s.cluster.Servers))
+	for i, srv := range s.cluster.Servers {
+		if i == len(s.serverLabels) {
+			s.serverLabels = append(s.serverLabels, strconv.Itoa(srv.ID))
+		}
+		out.Servers[i] = serverSnapshot{
 			ID:     srv.ID,
 			Hosted: srv.NumHosted(),
 			Util:   srv.Utilization(),
 			Peak:   srv.PeakUtilization(),
-		})
+			label:  s.serverLabels[i],
+		}
 	}
 	s.clusterMu.Unlock()
 	out.FramesSent = s.framesSent.Load()
@@ -93,7 +99,7 @@ var metrics = []obs.Metric[snapshot]{
 		Samples: func(s snapshot, emit obs.Emit) {
 			labels := []string{"server", ""}
 			for _, srv := range s.Servers {
-				labels[1] = strconv.Itoa(srv.ID)
+				labels[1] = srv.label
 				emit(float64(srv.Hosted), labels...)
 			}
 		}},
@@ -101,7 +107,7 @@ var metrics = []obs.Metric[snapshot]{
 		Samples: func(s snapshot, emit obs.Emit) {
 			labels := []string{"server", "", "dim", ""}
 			for _, srv := range s.Servers {
-				labels[1] = strconv.Itoa(srv.ID)
+				labels[1] = srv.label
 				for d := resources.Dim(0); d < resources.NumDims; d++ {
 					labels[3] = d.String()
 					emit(srv.Util[d], labels...)

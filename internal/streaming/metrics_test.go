@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"cocg/internal/core"
 	"cocg/internal/obs"
 	"cocg/internal/resources"
 )
@@ -149,14 +150,44 @@ func TestFinishedSessionsKeepNoRecords(t *testing.T) {
 	}
 }
 
+// discardWriter is an http.ResponseWriter that keeps nothing, so a scrape's
+// allocations are the handler's own.
+type discardWriter struct{ h http.Header }
+
+func (d *discardWriter) Header() http.Header         { return d.h }
+func (d *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (d *discardWriter) WriteHeader(int)             {}
+
+// TestMetricsScrapeAllocationsFlat bounds what a /metrics scrape of 128
+// backends allocates: each backend's label is formatted once, not per sample
+// per scrape, so the count does not grow with the fleet (it was 70 here, and
+// 1 865 at 1 024 backends, when every sample formatted its ID).
+func TestMetricsScrapeAllocationsFlat(t *testing.T) {
+	s, err := Serve("127.0.0.1:0", ServerConfig{
+		System: testSystem(t), Policy: core.PolicyCoCG, Servers: 128,
+		TickEvery: time.Hour, // no tick allocates beside the scrape
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	h := s.MetricsHandler()
+	req := httptest.NewRequest(http.MethodGet, "/metrics", nil)
+	w := &discardWriter{h: http.Header{}}
+	h.ServeHTTP(w, req) // formats the labels, sizes the page buffer
+	if allocs := testing.AllocsPerRun(50, func() { h.ServeHTTP(w, req) }); allocs > 16 {
+		t.Errorf("a scrape of 128 backends allocates %.0f objects, want at most 16", allocs)
+	}
+}
+
 // goldenSnapshot is a fabricated two-server view whose utilizations sit on
 // the two-decimal rounding boundary of the text format.
 func goldenSnapshot() snapshot {
 	return snapshot{
 		LiveSessions: 3, Placements: 17, Pending: 2, Completed: 14,
 		Servers: []serverSnapshot{
-			{ID: 0, Hosted: 2, Util: resources.New(12.345, 99.995, 0.004, 100), Peak: resources.New(50.5, 100, 0.25, 100)},
-			{ID: 1, Hosted: 1, Util: resources.New(0.005, 33.333333, 66.666666, 0), Peak: resources.New(1, 2, 3, 4)},
+			{ID: 0, label: "0", Hosted: 2, Util: resources.New(12.345, 99.995, 0.004, 100), Peak: resources.New(50.5, 100, 0.25, 100)},
+			{ID: 1, label: "1", Hosted: 1, Util: resources.New(0.005, 33.333333, 66.666666, 0), Peak: resources.New(1, 2, 3, 4)},
 		},
 		FramesSent: 123456, FramesCoalesced: 7, FramesDropped: 1, SummariesServed: 42,
 		Ticks: 9000, TicksSkipped: 11,

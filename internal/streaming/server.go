@@ -90,6 +90,9 @@ type Server struct {
 	// fleetLoad is the reusable output buffer for the policy's fleet
 	// summary; guarded by clusterMu like the cluster itself.
 	fleetLoad platform.FleetLoad
+	// serverLabels[i] is backend i's ID as label text, formatted by the first
+	// snapshot to reach it so no scrape formats one; guarded by clusterMu.
+	serverLabels []string
 }
 
 // liveSession ties a hosted game to its client connection. idx, seq and

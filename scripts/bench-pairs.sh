@@ -9,8 +9,13 @@
 # first, on seeds 1, 2, 3 in rotation. Every tree builds its own binary from
 # its own source, as the benchmark driver does. For each end-to-end metric of
 # BENCHMARK.json the script prints both sides' median and quartiles, the pair
-# ratios (change / parent), and how many pairs the change won; then whether
-# the output digests agreed pair by pair. Run it on an otherwise idle machine.
+# ratios (change / parent) with their median and quartiles, and how many pairs
+# the change won; then whether the output digests agreed pair by pair. Each
+# run also records the host's steal time (the steal column of /proc/stat,
+# read before and after it): the script prints it for every run and flags a
+# pair when either run lost more than 1 % of wall time x nproc to steal, a
+# pair that measures the host rather than the change. Run it on an otherwise
+# idle machine.
 set -euo pipefail
 parent=${1:?usage: bench-pairs.sh PARENT WORKLOAD [N]}
 workload=${2:?usage: bench-pairs.sh PARENT WORKLOAD [N]}
@@ -22,9 +27,14 @@ mkdir -p "$dir/parent" "$dir/$workload"
 git archive "$parent" | tar -x -C "$dir/parent"
 trap 'rm -rf "$dir/parent"' EXIT # a second module's sources must not linger in the tree
 
-run() { # side tree pair seed
+steal() { awk '$1 == "cpu" {print $9; exit}' /proc/stat 2>/dev/null || echo 0; }
+run() { # side tree pair seed; records "steal-before steal-after start end"
+	local s0 t0 rc=0
+	s0=$(steal) t0=$(date +%s.%N)
 	bash "$2/bench/run.sh" --workload "$workload" --seed "$4" --trace 0 \
-		>"$dir/$workload/$1.$3.json" 2>"$dir/$workload/$1.$3.err"
+		>"$dir/$workload/$1.$3.json" 2>"$dir/$workload/$1.$3.err" || rc=$?
+	echo "$s0 $(steal) $t0 $(date +%s.%N)" >"$dir/$workload/$1.$3.steal"
+	return "$rc"
 }
 for ((i = 1; i <= n; i++)); do
 	seed=$(((i - 1) % 3 + 1))
@@ -70,7 +80,7 @@ grep -o '{"name": "[a-z0-9_]*", "unit": "[^"]*", "better": "[a-z]*", "bound"' BE
 		echo "$metric ($better is better)"
 		echo "  parent $(for ((i = 1; i <= n; i++)); do value "$dir/$workload/parent.$i.json" "$metric"; done | spread)"
 		echo "  change $(for ((i = 1; i <= n; i++)); do value "$dir/$workload/change.$i.json" "$metric"; done | spread)"
-		echo "  ratios$ratios  median $(tr ' ' '\n' <<<"${ratios# }" | spread | cut -d' ' -f1)"
+		echo "  ratios$ratios  median [quartiles] $(tr ' ' '\n' <<<"${ratios# }" | spread)"
 		echo "  change won $won, lost $lost of $n pairs"
 	done
 agreed=0
@@ -78,3 +88,18 @@ for ((i = 1; i <= n; i++)); do
 	[[ -n $(digest "$dir/$workload/parent.$i.err") && $(digest "$dir/$workload/parent.$i.err") == $(digest "$dir/$workload/change.$i.err") ]] && agreed=$((agreed + 1))
 done
 echo "output digests agreed in $agreed of $n pairs"
+hz=$(getconf CLK_TCK 2>/dev/null || echo 100)
+cpus=$(nproc)
+echo "host steal per run (jiffies at $hz/s over wall seconds; a pair is flagged past 1 % of wall x $cpus CPUs)"
+flagged=0
+for ((i = 1; i <= n; i++)); do
+	line=$(for side in parent change; do
+		awk -v side="$side" -v hz="$hz" -v cpus="$cpus" '{
+			d = $2 - $1; w = $4 - $3
+			printf "%s %d / %.1f s%s  ", side, d, w, (d > 0.01 * w * hz * cpus) ? " (over)" : ""
+		}' "$dir/$workload/$side.$i.steal"
+	done)
+	[[ $line == *"(over)"* ]] && flagged=$((flagged + 1)) && line+="FLAGGED"
+	echo "  pair $i: $line"
+done
+echo "pairs flagged for steal: $flagged of $n"
