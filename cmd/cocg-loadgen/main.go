@@ -160,8 +160,8 @@ func main() {
 	fmt.Printf("  frames:   %d batches — %.0f frames/sec aggregate\n",
 		frames, float64(frames)/elapsed.Seconds())
 	if len(lat) > 0 {
-		fmt.Printf("  delivery: p50 %.2f ms, p99 %.2f ms between batches\n",
-			stats.Percentile(lat, 50), stats.Percentile(lat, 99))
+		q := stats.Percentiles(lat, 50, 99)
+		fmt.Printf("  delivery: p50 %.2f ms, p99 %.2f ms between batches\n", q[0], q[1])
 	}
 	if rttN > 0 {
 		fmt.Printf("  input:    mean RTT %.1f ms across %d sessions\n", rttSum/float64(rttN), rttN)

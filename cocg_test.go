@@ -71,7 +71,7 @@ func TestFacadeSession(t *testing.T) {
 	}
 	full := cocg.Vector{100, 100, 100, 100}
 	for i := 0; i < 4*3600 && !sess.Done(); i++ {
-		sess.Step(full)
+		sess.Step(full.Load())
 	}
 	if !sess.Done() {
 		t.Fatal("facade session did not finish")

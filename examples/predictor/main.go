@@ -102,7 +102,8 @@ func main() {
 					sess.Elapsed(), d.PredictedNext, pr.Accuracy())
 			}
 		}
-		sess.Step(pr.Alloc())
+		alloc := pr.Alloc()
+		sess.Step(alloc.Load())
 	}
 	fmt.Printf("done: FPS %.0f%% of best, prediction accuracy %.0f%%\n",
 		100*sess.FPSRatio(), 100*pr.Accuracy())

@@ -56,9 +56,10 @@ func main() {
 			fmt.Printf("t=%s loading detected; predicted next stage %d; pre-provisioning %s\n",
 				sess.Elapsed(), d.PredictedNext, d.Alloc)
 		}
-		allocSum = allocSum.Add(pr.Alloc())
+		alloc := pr.Alloc()
+		allocSum = allocSum.Add(alloc)
 		ticks++
-		sess.Step(pr.Alloc())
+		sess.Step(alloc.Load())
 	}
 
 	// 3. The outcome: QoS held, resources saved.

@@ -237,7 +237,7 @@ func (r *Reactive) Score(srv *platform.Server, spec *gamesim.GameSpec) (float64,
 	if !ok {
 		return 0, false
 	}
-	return 0, srv.RequestTotal().Add(req).Fits(srv.Capacity)
+	return 0, srv.RequestTotal().Add(req.Load()).Fits(srv.Capacity.Load())
 }
 
 // reactiveController re-provisions to each completed frame's measurement.
@@ -248,10 +248,11 @@ type reactiveController struct {
 	loading bool
 }
 
+//cocg:hot
 func (c *reactiveController) Tick(util resources.Vector) resources.Vector {
-	if frame, ok := c.sampler.Observe(util); ok {
-		c.loading = c.p.IsLoadingFrame(frame)
-		c.req = frame.Scale(reactiveScale).Add(resources.Uniform(reactiveAbs)).Clamp(0, 100)
+	if frame, ok := c.sampler.Observe(util.Load()); ok {
+		c.loading = c.p.IsLoadingFrame(frame.Vector())
+		c.req = frame.Vector().Scale(reactiveScale).Add(resources.Uniform(reactiveAbs)).Clamp(0, 100)
 	}
 	return c.req
 }

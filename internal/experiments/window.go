@@ -79,10 +79,11 @@ func soloSession(b *predictor.Trained, s int, habit, seed int64, cfg predictor.C
 	for i := 0; i < 4*3600 && !sess.Done(); i++ {
 		demand := sess.Demand()
 		d, ok := pr.Observe(demand)
+		alloc := pr.Alloc()
 		if each != nil {
-			each(demand, d, ok, pr.Alloc())
+			each(demand.Vector(), d, ok, alloc)
 		}
-		sess.Step(pr.Alloc())
+		sess.Step(alloc.Load())
 	}
 	return sess, pr, nil
 }

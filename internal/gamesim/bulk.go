@@ -120,7 +120,7 @@ func ceilSeconds(x float64) int {
 //
 //cocg:hot
 func (s *Session) StepBulk(granted resources.Vector, n int) int {
-	g := granted.ClampNonNegative()
+	g := granted.Load().ClampNonNegative()
 	consumed := 0
 	for consumed < n {
 		if s.phase == PhaseDone {
@@ -129,7 +129,7 @@ func (s *Session) StepBulk(granted resources.Vector, n int) int {
 			break
 		}
 		if !s.envelopeCovered(g) {
-			s.Step(granted)
+			s.Step(granted.Load())
 			consumed++
 			continue
 		}
@@ -145,14 +145,9 @@ func (s *Session) StepBulk(granted resources.Vector, n int) int {
 // envelopeCovered reports whether the (non-negative) grant dominates the
 // current demand envelope — the certificate that satisfaction will be exactly
 // 1.0 without looking at a single jitter draw.
-func (s *Session) envelopeCovered(g resources.Vector) bool {
+func (s *Session) envelopeCovered(g resources.V4) bool {
 	wc := s.DemandEnvelope()
-	for d := range wc {
-		if g[d] < wc[d] {
-			return false
-		}
-	}
-	return true
+	return !(g.C0 < wc[0] || g.C1 < wc[1] || g.C2 < wc[2] || g.C3 < wc[3])
 }
 
 // fastRun advances up to k seconds of the sat == 1.0 specialization of Step,

@@ -15,7 +15,7 @@ import (
 func normalized(s *Session) Session {
 	c := *s
 	c.rng = nil
-	c.demand = resources.Zero
+	c.demand = resources.V4{}
 	c.demandValid = false
 	return c
 }
@@ -83,7 +83,7 @@ func TestStepBulkMatchesStep(t *testing.T) {
 					g := grantFor(chunk, ref, prng)
 					n := 1 + prng.Intn(137)
 					for i := 0; i < n; i++ {
-						ref.Step(g)
+						ref.Step(g.Load())
 					}
 					consumed := bulk.StepBulk(g, n)
 					if consumed > n {
@@ -112,7 +112,7 @@ func TestStepBulkCrossesSpikeOnset(t *testing.T) {
 		}
 		// Advance into execution under full supply.
 		for s.Phase() != PhaseExec {
-			s.Step(resources.FullServer)
+			s.Step(resources.FullServer.Load())
 		}
 		// Pin the onset a few seconds out so the window spans it.
 		s.spikeCountdown = 3
@@ -120,7 +120,7 @@ func TestStepBulkCrossesSpikeOnset(t *testing.T) {
 	}
 	ref, bulk := mk(), mk()
 	for i := 0; i < 40; i++ {
-		ref.Step(resources.FullServer)
+		ref.Step(resources.FullServer.Load())
 	}
 	bulk.StepBulk(resources.FullServer, 40)
 	if ref.spikeLeft == 0 && ref.spikeCountdown > 1<<20 {
@@ -143,7 +143,7 @@ func TestStepBulkRunToCompletion(t *testing.T) {
 		}
 		steps := 0
 		for !ref.Done() && steps < 40_000 {
-			ref.Step(resources.FullServer)
+			ref.Step(resources.FullServer.Load())
 			steps++
 		}
 		if !ref.Done() {
@@ -176,8 +176,8 @@ func TestStepSatisfiedMatchesStep(t *testing.T) {
 						// A throttled second on both, to move off the all-satisfied
 						// trajectory.
 						g := grantFor(2+prng.Intn(3), ref, prng)
-						ref.Step(g)
-						fast.Step(g)
+						ref.Step(g.Load())
+						fast.Step(g.Load())
 					} else {
 						d := ref.Demand()
 						ref.Step(d)
@@ -218,7 +218,7 @@ func FuzzStepBulkEquivalence(f *testing.F) {
 			g := grantFor(chunk, ref, prng)
 			n := 1 + prng.Intn(211)
 			for i := 0; i < n; i++ {
-				ref.Step(g)
+				ref.Step(g.Load())
 			}
 			bulk.StepBulk(g, n)
 			steps += n

@@ -94,7 +94,7 @@ type Session struct {
 
 	// Tick demand cache so Demand() and Step() agree within one tick.
 	demandValid bool
-	demand      resources.Vector
+	demand      resources.V4
 
 	// Accounting.
 	elapsed      simclock.Seconds
@@ -254,12 +254,14 @@ func (s *Session) PlanTypes() []int {
 // within a tick: repeated calls before Step return the same vector. It runs
 // once per session-second, so it is straight-line (docs/PERFORMANCE.md,
 // "Vector arithmetic and the compiler"): the cluster read through a pointer,
-// one demandNoise per dimension, the [0, 100] clamp on scalars.
-func (s *Session) Demand() resources.Vector {
+// one demandNoise per dimension, the [0, 100] clamp on scalars, a V4 out.
+//
+//cocg:hot
+func (s *Session) Demand() resources.V4 {
 	if s.demandValid {
 		return s.demand
 	}
-	var d resources.Vector
+	var d resources.V4
 	if s.phase != PhaseDone {
 		c := &s.Spec.Clusters[s.curCluster]
 		base := &c.Demand
@@ -270,11 +272,11 @@ func (s *Session) Demand() resources.Vector {
 			}
 		}
 		seed, t, jitter := s.noiseSeed, int64(s.elapsed), c.Jitter
-		d = resources.Vector{
-			clampPercent(base[0] + demandNoise(seed, t, 0)*jitter),
-			clampPercent(base[1] + demandNoise(seed, t, 1)*jitter),
-			clampPercent(base[2] + demandNoise(seed, t, 2)*jitter),
-			clampPercent(base[3] + demandNoise(seed, t, 3)*jitter),
+		d = resources.V4{
+			C0: clampPercent(base[0] + demandNoise(seed, t, 0)*jitter),
+			C1: clampPercent(base[1] + demandNoise(seed, t, 1)*jitter),
+			C2: clampPercent(base[2] + demandNoise(seed, t, 2)*jitter),
+			C3: clampPercent(base[3] + demandNoise(seed, t, 3)*jitter),
 		}
 	}
 	s.demand = d
@@ -345,7 +347,7 @@ func (s *Session) spikeAdvance() {
 // Execution stages always consume wall-clock time (an under-provisioned game
 // drops frames, it does not pause), while loading progress scales with the
 // satisfied fraction of the CPU demand, so throttled loading takes longer.
-func (s *Session) Step(granted resources.Vector) {
+func (s *Session) Step(granted resources.V4) {
 	demand := s.Demand() // ensure the tick's demand is realized
 	s.demandValid = false
 	if s.phase == PhaseDone {
@@ -360,8 +362,8 @@ func (s *Session) Step(granted resources.Vector) {
 		s.loadSeconds++
 		// Loading is CPU-bound: progress is the satisfied CPU fraction.
 		cpuSat := 1.0
-		if demand[resources.CPU] > 0 {
-			cpuSat = math.Min(1, granted[resources.CPU]/demand[resources.CPU])
+		if demand.C0 > 0 {
+			cpuSat = math.Min(1, granted.C0/demand.C0)
 			cpuSat = math.Max(0, cpuSat)
 		}
 		s.loadLeft -= cpuSat

@@ -44,10 +44,10 @@ func TestSessionGolden(t *testing.T) {
 					put(uint64(st))
 				}
 				for i := 0; i < 200; i++ {
-					for _, v := range s.Demand() {
+					for _, v := range s.Demand().Vector() {
 						put(math.Float64bits(v))
 					}
-					s.Step(resources.FullServer)
+					s.Step(resources.FullServer.Load())
 				}
 			}
 		}

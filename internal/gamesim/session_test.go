@@ -14,7 +14,7 @@ func runToCompletion(t *testing.T, s *Session) int {
 		if s.Done() {
 			return i
 		}
-		s.Step(resources.FullServer)
+		s.Step(resources.FullServer.Load())
 	}
 	t.Fatal("session did not complete within 4 simulated hours")
 	return 0
@@ -59,8 +59,8 @@ func TestSessionDeterministicForSeed(t *testing.T) {
 		if da != db {
 			t.Fatalf("tick %d: demands differ: %v vs %v", i, da, db)
 		}
-		a.Step(resources.FullServer)
-		b.Step(resources.FullServer)
+		a.Step(resources.FullServer.Load())
+		b.Step(resources.FullServer.Load())
 	}
 }
 
@@ -72,7 +72,7 @@ func TestDemandStableWithinTick(t *testing.T) {
 		if d1 != d2 {
 			t.Fatalf("tick %d: Demand not stable: %v vs %v", i, d1, d2)
 		}
-		s.Step(resources.FullServer)
+		s.Step(resources.FullServer.Load())
 	}
 }
 
@@ -144,7 +144,7 @@ func TestThrottledLoadingExtends(t *testing.T) {
 func TestLoadingDemandShape(t *testing.T) {
 	s, _ := NewSession(DOTA2(), 0, 13)
 	// The session starts in loading; its demand must be CPU-heavy, GPU-light.
-	d := s.Demand()
+	d := s.Demand().Vector()
 	if d[resources.GPU] > 15 {
 		t.Errorf("loading GPU demand = %v", d[resources.GPU])
 	}
@@ -218,7 +218,7 @@ func TestStageTypeGroundTruth(t *testing.T) {
 				t.Fatal("exec phase reports loading stage type")
 			}
 		}
-		s.Step(resources.FullServer)
+		s.Step(resources.FullServer.Load())
 	}
 	if !sawLoading || !sawExec {
 		t.Error("session skipped a phase")
@@ -229,7 +229,7 @@ func TestDoneSessionIsInert(t *testing.T) {
 	s, _ := NewSession(Contra(), 0, 23)
 	runToCompletion(t, s)
 	e := s.Elapsed()
-	s.Step(resources.FullServer)
+	s.Step(resources.FullServer.Load())
 	if s.Elapsed() != e {
 		t.Error("Step advanced a done session")
 	}
@@ -247,13 +247,13 @@ func TestPropertyDemandInRange(t *testing.T) {
 			return false
 		}
 		for i := 0; i < 500 && !s.Done(); i++ {
-			d := s.Demand()
+			d := s.Demand().Vector()
 			for dim := range d {
 				if d[dim] < 0 || d[dim] > 100 {
 					return false
 				}
 			}
-			s.Step(resources.FullServer)
+			s.Step(resources.FullServer.Load())
 		}
 		return true
 	}
@@ -274,7 +274,7 @@ func TestPropertySessionsAlwaysTerminate(t *testing.T) {
 			if s.Done() {
 				return true
 			}
-			s.Step(resources.FullServer)
+			s.Step(resources.FullServer.Load())
 		}
 		return false
 	}
@@ -297,7 +297,7 @@ func TestFPSPercentiles(t *testing.T) {
 	// Run the first two minutes at full supply, the rest throttled to 50 %.
 	i := 0
 	for ; i < 120 && !s.Done(); i++ {
-		s.Step(resources.FullServer)
+		s.Step(resources.FullServer.Load())
 	}
 	for ; i < 4*3600 && !s.Done(); i++ {
 		s.Step(s.Demand().Scale(0.5))
@@ -375,7 +375,7 @@ func TestPropertyPlanAlternatesLoadingAndExec(t *testing.T) {
 		prev := s.Phase()
 		transitions := 0
 		for i := 0; i < 4*3600 && !s.Done(); i++ {
-			s.Step(resources.FullServer)
+			s.Step(resources.FullServer.Load())
 			cur := s.Phase()
 			if cur != prev && cur != PhaseDone {
 				transitions++

@@ -103,12 +103,12 @@ func record(spec *GameSpec, scriptIdx int, habitSeed, sessionSeed int64, keepSec
 	for i := 0; i < maxTicks && !sess.Done(); i++ {
 		d, stage, cl, loading := sess.Demand(), sess.StageType(), sess.Cluster(), sess.Phase() == PhaseLoading
 		if keepSeconds {
-			tr.Seconds = append(tr.Seconds, SecondSample{T: clk.Now(), Demand: d, StageType: stage, Cluster: cl, Loading: loading})
+			tr.Seconds = append(tr.Seconds, SecondSample{T: clk.Now(), Demand: d.Vector(), StageType: stage, Cluster: cl, Loading: loading})
 		}
 		if fold.add(d, stage, cl, loading) {
 			tr.Frames = append(tr.Frames, fold.frame(len(tr.Frames)))
 		}
-		sess.Step(resources.FullServer)
+		sess.Step(resources.FullServer.Load())
 		clk.Tick()
 	}
 	if !sess.Done() {
@@ -132,8 +132,8 @@ type frameFold struct {
 }
 
 // add folds one second in and reports whether the frame is now full.
-func (f *frameFold) add(d resources.Vector, stage, cl int, loading bool) bool {
-	f.sum = f.sum.Add(d)
+func (f *frameFold) add(d resources.V4, stage, cl int, loading bool) bool {
+	f.sum.Store(f.sum.Load().Add(d))
 	f.types[f.n], f.clusters[f.n] = stage, cl
 	if loading {
 		f.loading++

@@ -57,6 +57,7 @@ func All() []*Analyzer {
 		AtomicMix,
 		HotAlloc,
 		HotInline,
+		HotVector,
 	}
 }
 

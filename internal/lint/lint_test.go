@@ -379,6 +379,13 @@ func Recursive(n int) int {
 	}
 }
 
+// TestHotVectorGolden checks that exactly the resources.Vector locals of
+// //cocg:hot bodies are reported: not V4 locals, not the function's own
+// parameters or results, not struct fields, not unannotated functions.
+func TestHotVectorGolden(t *testing.T) {
+	checkGolden(t, loadTestdata(t, "hotvector", "cocg/internal/vectorlike"), []*Analyzer{HotVector})
+}
+
 // TestFindingJSONSchema pins the machine-readable shape `cocg-lint -json`
 // emits for CI annotation: exactly file/line/col/analyzer/message.
 func TestFindingJSONSchema(t *testing.T) {

@@ -114,8 +114,9 @@ func TestLoadedSystemSchedulesIdentically(t *testing.T) {
 		if prA.Alloc() != prB.Alloc() {
 			t.Fatalf("tick %d: allocation divergence: %v vs %v", i, prA.Alloc(), prB.Alloc())
 		}
-		sessA.Step(prA.Alloc())
-		sessB.Step(prB.Alloc())
+		allocA, allocB := prA.Alloc(), prB.Alloc()
+		sessA.Step(allocA.Load())
+		sessB.Step(allocB.Load())
 	}
 }
 

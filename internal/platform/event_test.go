@@ -248,7 +248,7 @@ func TestRunningTotalsMatchRecompute(t *testing.T) {
 				req = req.Add(h.Request)
 				util = util.Add(h.Granted)
 			}
-			if srv.RequestTotal() != req {
+			if srv.RequestTotal().Vector() != req {
 				t.Fatalf("t=%d server %d: RequestTotal %v != fold %v", i, srv.ID, srv.RequestTotal(), req)
 			}
 			if srv.Utilization() != util {

@@ -198,7 +198,7 @@ func (s *Server) PeakUtilization() resources.Vector { return s.peakUtil }
 // RequestTotal returns the sum of current controller requests. The total is
 // maintained incrementally but is bit-identical to summing h.Request over
 // Hosted in order.
-func (s *Server) RequestTotal() resources.Vector { return s.reqTotal }
+func (s *Server) RequestTotal() resources.V4 { return s.reqTotal.Load() }
 
 // SyncTotals re-derives the running request/utilization totals from the
 // hosted list. The tick loop maintains them itself; callers that mutate
@@ -214,21 +214,22 @@ func (s *Server) SyncTotals() {
 // fold-in-hosted-order sums. Called after membership shrinks: a departed
 // session's contribution cannot be subtracted bitwise, so the fold restarts.
 func (s *Server) recomputeTotals() {
-	var req, util resources.Vector
+	var req, util resources.V4
 	for _, h := range s.Hosted {
-		req = req.Add(h.Request)
-		util = util.Add(h.Granted)
+		req = req.Add(h.Request.Load())
+		util = util.Add(h.Granted.Load())
 	}
-	s.reqTotal, s.utilTotal = req, util
+	s.reqTotal.Store(req)
+	s.utilTotal.Store(util)
 }
 
 // tickScratch holds Server.Tick's per-hosted working vectors, grown once and
 // reused so steady-state ticks allocate nothing.
 type tickScratch struct {
-	demands  []resources.Vector
-	needs    []resources.Vector
-	grants   []resources.Vector
-	deficits []resources.Vector
+	demands  []resources.V4
+	needs    []resources.V4
+	grants   []resources.V4
+	deficits []resources.V4
 }
 
 // grow resizes every scratch slice to at least n entries. It runs only when
@@ -238,10 +239,10 @@ type tickScratch struct {
 //
 //go:noinline
 func (t *tickScratch) grow(n int) {
-	t.demands = make([]resources.Vector, n)
-	t.needs = make([]resources.Vector, n)
-	t.grants = make([]resources.Vector, n)
-	t.deficits = make([]resources.Vector, n)
+	t.demands = make([]resources.V4, n)
+	t.needs = make([]resources.V4, n)
+	t.grants = make([]resources.V4, n)
+	t.deficits = make([]resources.V4, n)
 }
 
 // Tick advances the server by one virtual second under the given policy:
@@ -261,6 +262,7 @@ func (s *Server) Tick(p Policy) {
 // within capacity. On such a second the grant computation is the identity, and
 // one fused pass replaces the general path's four; any other second takes the
 // general path. docs/PERFORMANCE.md ("The scratch-backed tick") has the proof.
+// Its vectors are V4s, loaded from and stored to the Hosted fields.
 //
 //cocg:hot
 func (s *Server) tickAt(p Policy, now simclock.Seconds) {
@@ -273,21 +275,22 @@ func (s *Server) tickAt(p Policy, now simclock.Seconds) {
 		s.scratch.grow(n)
 	}
 	demands := s.scratch.demands[:n]
-	var reqTotal resources.Vector
+	var reqTotal resources.V4
 	for i, h := range s.Hosted {
 		d := h.Session.Demand()
 		demands[i] = d
 		// Measured utilization is demand capped by the previous grant: a
 		// throttled game cannot consume more than it was given.
-		util := d.Min(h.lastGrant)
-		h.Request = h.Controller.Tick(util).ClampNonNegative()
-		reqTotal = reqTotal.Add(h.Request)
+		h.Request = h.Controller.Tick(d.Min(h.lastGrant.Load()).Vector())
+		req := h.Request.Load().ClampNonNegative()
+		h.Request.Store(req)
+		reqTotal = reqTotal.Add(req)
 	}
 	// Publish the request total the regulator may probe. Grants are still
 	// last second's, and utilTotal already holds their in-order fold: the
 	// previous tick ended with it, sweep and SyncTotals recompute it, and Add
 	// appends a zero grant.
-	s.reqTotal = reqTotal
+	s.reqTotal.Store(reqTotal)
 	p.Regulate(s)
 
 	// Effective needs under the (possibly regulated) requests; the request
@@ -295,22 +298,23 @@ func (s *Server) tickAt(p Policy, now simclock.Seconds) {
 	// stays true while every demand is within its request, compared as
 	// !(d <= r) so that a NaN request fails it.
 	needs := s.scratch.needs[:n]
-	var total resources.Vector
-	reqTotal = resources.Zero
+	var total resources.V4
+	reqTotal = resources.V4{}
 	covered := !s.forceGeneral
 	for i, h := range s.Hosted {
-		needs[i] = demands[i].Min(h.Request)
-		total = total.Add(needs[i])
-		reqTotal = reqTotal.Add(h.Request)
-		for d := range needs[i] {
-			if !(demands[i][d] <= h.Request[d]) {
-				covered = false
-			}
+		d, req := demands[i], h.Request.Load()
+		need := d.Min(req)
+		needs[i] = need
+		total = total.Add(need)
+		reqTotal = reqTotal.Add(req)
+		if !(d.C0 <= req.C0 && d.C1 <= req.C1 && d.C2 <= req.C2 && d.C3 <= req.C3) {
+			covered = false
 		}
 	}
-	s.reqTotal = reqTotal
+	s.reqTotal.Store(reqTotal)
+	capacity := s.Capacity.Load()
 
-	if covered && total.Fits(s.Capacity) {
+	if covered && total.Fits(capacity) {
 		// Uncontended: the general path below would compute exactly this. With
 		// needs == demands every scale is 1 (x*1 == x), every deficit is
 		// d-d == +0 so no share is taken (and d+0 == d for the non-negative
@@ -320,13 +324,13 @@ func (s *Server) tickAt(p Policy, now simclock.Seconds) {
 		s.uncontended++
 		finished := false
 		for i, h := range s.Hosted {
-			h.Granted = demands[i]
-			h.lastGrant = h.Request
+			h.Granted.Store(demands[i])
+			h.lastGrant.Store(h.Request.Load())
 			h.Session.StepSatisfied()
 			finished = finished || h.Session.Done()
 		}
-		s.peakUtil = s.peakUtil.Max(total)
-		s.utilTotal = total
+		s.peakUtil.Store(s.peakUtil.Load().Max(total))
+		s.utilTotal.Store(total)
 		if finished {
 			s.sweep(now)
 		}
@@ -334,21 +338,14 @@ func (s *Server) tickAt(p Policy, now simclock.Seconds) {
 	}
 
 	// Per-dimension scale factor when needs exceed capacity.
-	var scale resources.Vector
-	for d := range scale {
-		if total[d] > s.Capacity[d] && total[d] > 0 {
-			scale[d] = s.Capacity[d] / total[d]
-		} else {
-			scale[d] = 1
-		}
+	scale := resources.V4{
+		C0: scaleFor(total.C0, capacity.C0), C1: scaleFor(total.C1, capacity.C1),
+		C2: scaleFor(total.C2, capacity.C2), C3: scaleFor(total.C3, capacity.C3),
 	}
 	grants := s.scratch.grants[:n]
-	var granted resources.Vector
+	var granted resources.V4
 	for i := range s.Hosted {
-		g := needs[i]
-		for d := range g {
-			g[d] *= scale[d]
-		}
+		g := mul(needs[i], scale)
 		grants[i] = g
 		granted = granted.Add(g)
 	}
@@ -358,45 +355,55 @@ func (s *Server) tickAt(p Policy, now simclock.Seconds) {
 	// limit / GPU time-slice behaves the same way). Caps therefore bind
 	// only when the server is actually contended — except for hard-capped
 	// controllers (fixed partitions), which never receive spare capacity.
-	leftover := s.Capacity.Sub(granted).ClampNonNegative()
-	var deficitTotal resources.Vector
+	leftover := capacity.Sub(granted).ClampNonNegative()
+	var deficitTotal resources.V4
 	deficits := s.scratch.deficits[:n]
 	for i, h := range s.Hosted {
-		deficits[i] = resources.Zero
+		deficits[i] = resources.V4{}
 		if hc, ok := h.Controller.(HardCapper); ok && hc.HardCapped() {
 			continue
 		}
 		deficits[i] = demands[i].Sub(grants[i]).ClampNonNegative()
 		deficitTotal = deficitTotal.Add(deficits[i])
 	}
-	var share resources.Vector
-	for d := range share {
-		if deficitTotal[d] > 0 {
-			share[d] = leftover[d] / deficitTotal[d]
-			if share[d] > 1 {
-				share[d] = 1
-			}
-		}
+	share := resources.V4{
+		C0: shareOf(leftover.C0, deficitTotal.C0), C1: shareOf(leftover.C1, deficitTotal.C1),
+		C2: shareOf(leftover.C2, deficitTotal.C2), C3: shareOf(leftover.C3, deficitTotal.C3),
 	}
-	granted = resources.Zero
+	granted = resources.V4{}
 	finished := false
 	for i, h := range s.Hosted {
-		extra := deficits[i]
-		for d := range extra {
-			extra[d] *= share[d]
-		}
-		g := grants[i].Add(extra)
-		h.Granted = g
-		h.lastGrant = h.Request.Max(g) // the game could use up to this
+		g := grants[i].Add(mul(deficits[i], share))
+		h.Granted.Store(g)
+		h.lastGrant.Store(h.Request.Load().Max(g)) // the game could use up to this
 		granted = granted.Add(g)
 		h.Session.Step(g)
 		finished = finished || h.Session.Done()
 	}
-	s.peakUtil = s.peakUtil.Max(granted)
-	s.utilTotal = granted
+	s.peakUtil.Store(s.peakUtil.Load().Max(granted))
+	s.utilTotal.Store(granted)
 	if finished {
 		s.sweep(now)
 	}
+}
+
+// scaleFor, shareOf and mul are the general path's per-component steps.
+func scaleFor(total, capacity float64) float64 {
+	if total > capacity && total > 0 {
+		return capacity / total
+	}
+	return 1
+}
+
+func shareOf(leftover, deficit float64) float64 {
+	if !(deficit > 0) {
+		return 0
+	}
+	return min(leftover/deficit, 1) // NaN stays NaN, as a "> 1" clamp keeps it
+}
+
+func mul(a, b resources.V4) resources.V4 {
+	return resources.V4{C0: a.C0 * b.C0, C1: a.C1 * b.C1, C2: a.C2 * b.C2, C3: a.C3 * b.C3}
 }
 
 // sweep moves completed sessions into records; both tick paths call it, and

@@ -176,7 +176,7 @@ func fingerprint(srv *platform.Server) *serverPrint {
 	f := &serverPrint{}
 	st := srv.Stamp()
 	f.ints(-1, "rev/ticks/hosted/records", st.Rev, st.Ticks, uint64(srv.NumHosted()), uint64(len(srv.Records)))
-	f.vec(-1, "RequestTotal", srv.RequestTotal())
+	f.vec(-1, "RequestTotal", srv.RequestTotal().Vector())
 	f.vec(-1, "Utilization", srv.Utilization())
 	f.vec(-1, "PeakUtilization", srv.PeakUtilization())
 	for i, h := range srv.Hosted {
@@ -196,7 +196,7 @@ func fingerprint(srv *platform.Server) *serverPrint {
 			s.LoadExtended(), s.LastFPS(), s.LastSatisfaction(), s.AvgFPS(), s.FPSRatio(),
 			s.GoodFPSFraction(), s.FPSPercentile(5), s.FPSPercentile(50), s.DegradedFraction())
 		// The next second's demand also proves the session RNGs agree.
-		f.vec(i, "next Demand", s.Demand())
+		f.vec(i, "next Demand", s.Demand().Vector())
 		f.vec(i, "DemandEnvelope", s.DemandEnvelope())
 	}
 	return f
@@ -206,7 +206,7 @@ func fingerprint(srv *platform.Server) *serverPrint {
 func demandsOf(srv *platform.Server) []resources.Vector {
 	out := make([]resources.Vector, len(srv.Hosted))
 	for i, h := range srv.Hosted {
-		out[i] = h.Session.Demand()
+		out[i] = h.Session.Demand().Vector()
 	}
 	return out
 }

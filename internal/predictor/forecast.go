@@ -77,13 +77,15 @@ func expandRuns(dst []resources.Vector, runs []Segment) []resources.Vector {
 //cocg:hot
 func (pr *Predictor) forecastRuns(dst []Segment, frames int, scratch *ForecastScratch) []Segment {
 	left := frames
-	// run appends up to n frames at demand d, never past the horizon.
-	run := func(n int, d resources.Vector) {
+	// run appends up to n frames at demand *d, never past the horizon. Every
+	// demand is a catalog or predictor field, read in place.
+	run := func(n int, d *resources.Vector) {
 		if n > left {
 			n = left
 		}
 		if n > 0 {
-			dst = append(dst, Segment{Frames: n, Demand: d})
+			dst = append(dst, Segment{Frames: n})
+			dst[len(dst)-1].Demand.Store(d.Load())
 			left -= n
 		}
 	}
@@ -94,7 +96,7 @@ func (pr *Predictor) forecastRuns(dst []Segment, frames int, scratch *ForecastSc
 	if loadFrames < 1 {
 		loadFrames = 2
 	}
-	loadPeak := catalog[profiler.LoadingStageID].Peak
+	loadPeak := &catalog[profiler.LoadingStageID].Peak
 
 	// Working copy of the stage history for iterative prediction.
 	hist := append(scratch.hist[:0], pr.hist...)
@@ -105,21 +107,18 @@ func (pr *Predictor) forecastRuns(dst []Segment, frames int, scratch *ForecastSc
 		run(loadFrames, loadPeak)
 	} else if pr.haveStage {
 		remaining := 2
-		peak := pr.peakM
+		peak := &pr.peakM
 		if pr.curID >= 0 && pr.curID < len(catalog) {
 			s := &catalog[pr.curID]
 			remaining = int(s.MeanDurFrames+0.5) - pr.curFrames
 			if remaining < 1 {
 				remaining = 1
 			}
-			peak = s.Peak
+			peak = &s.Peak
 		}
 		run(remaining, peak)
-		hist = append(hist, dataset.StageObs{
-			ID:     pr.curID,
-			Frames: pr.curFrames,
-			Mean:   pr.curSum.Scale(1 / float64(max(1, pr.curFrames))),
-		})
+		hist = append(hist, dataset.StageObs{ID: pr.curID, Frames: pr.curFrames})
+		hist[len(hist)-1].Mean.Store(pr.curSum.Scale(1 / float64(max(1, pr.curFrames))))
 		pos++
 	}
 
@@ -137,21 +136,21 @@ func (pr *Predictor) forecastRuns(dst []Segment, frames int, scratch *ForecastSc
 		}
 		if next < 0 {
 			// No usable prediction: fill the rest with the safe peak.
-			run(left, pr.peakM)
+			run(left, &pr.peakM)
 			break
 		}
 		// Loading gap, then the predicted stage; a stage the catalog does not
 		// know runs two frames at the safe peak.
 		run(loadFrames, loadPeak)
 		obs := dataset.StageObs{ID: next, Frames: 2}
-		peak := pr.peakM
+		peak := &pr.peakM
 		if next < len(catalog) {
 			s := &catalog[next]
 			if obs.Frames = int(s.MeanDurFrames + 0.5); obs.Frames < 1 {
 				obs.Frames = 2
 			}
 			obs.Mean = s.Mean
-			peak = s.Peak
+			peak = &s.Peak
 		}
 		run(obs.Frames, peak)
 		hist = append(hist, obs)

@@ -68,7 +68,8 @@ func TestForecastGolden(t *testing.T) {
 			prev := pr.AppendForecastRuns(nil, 120, &scratch)
 			for i := 0; i < 4*3600 && !sess.Done(); i++ {
 				_, ok := pr.Observe(sess.Demand())
-				sess.Step(pr.Alloc())
+				alloc := pr.Alloc()
+				sess.Step(alloc.Load())
 				// Every second: runs move only when a detection frame completes.
 				runs = pr.AppendForecastRuns(runs[:0], 120, &scratch)
 				if !ok && !slices.Equal(runs, prev) {

@@ -33,7 +33,8 @@ func TestForecastDemandIntoMatchesFresh(t *testing.T) {
 	for i := 0; i < 4*3600 && !sess.Done(); i++ {
 		demand := sess.Demand()
 		_, completed := pr.Observe(demand)
-		sess.Step(pr.Alloc())
+		alloc := pr.Alloc()
+		sess.Step(alloc.Load())
 
 		fresh := pr.ForecastDemandInto(horizon, nil, &ForecastScratch{})
 		buf = pr.ForecastDemandInto(horizon, buf, &scratch)
@@ -85,7 +86,8 @@ func forecastBenchPredictors(b *testing.B) []*Predictor {
 			}
 			for i := 0; i < 200+137*(gi+3*script) && !sess.Done(); i++ {
 				pr.Observe(sess.Demand())
-				sess.Step(pr.Alloc())
+				alloc := pr.Alloc()
+				sess.Step(alloc.Load())
 			}
 			prs = append(prs, pr)
 		}

@@ -29,7 +29,8 @@ func TestOnlineLearnerColdStartGraduates(t *testing.T) {
 		}
 		for i := 0; i < 4*3600 && !sess.Done(); i++ {
 			pr.Observe(sess.Demand())
-			sess.Step(pr.Alloc())
+			alloc := pr.Alloc()
+			sess.Step(alloc.Load())
 		}
 		sessions++
 		if _, err := learner.Observe(coldHabit, pr); err != nil {
@@ -72,7 +73,8 @@ func TestOnlineLearnerNoRetrainWithoutNewData(t *testing.T) {
 	}
 	for i := 0; i < 4*3600 && !sess.Done(); i++ {
 		pr.Observe(sess.Demand())
-		sess.Step(pr.Alloc())
+		alloc := pr.Alloc()
+		sess.Step(alloc.Load())
 	}
 	learner.RecordSession(habit, pr.History())
 	if learner.TransitionCount(habit) == 0 {

@@ -81,7 +81,7 @@ type Predictor struct {
 	pos       int // execution stage index within the session
 	curID     int
 	curFrames int
-	curSum    resources.Vector
+	curSum    resources.V4
 
 	predicted     int // stage predicted at the last loading boundary
 	predictedFor  int // prediction made for the currently running stage
@@ -107,6 +107,8 @@ type Predictor struct {
 	// resources cannot simply be set to a regular value"). A fresh
 	// prediction cycle at the next loading boundary clears it.
 	recovering bool
+	// dec is the last completed frame's Decision, which Observe returns.
+	dec Decision
 }
 
 // New builds a predictor from a profile and trained models (tried in order
@@ -197,19 +199,32 @@ func (pr *Predictor) stageAlloc(id int) resources.Vector {
 // while Observe returns ok = false. A frame completes only inside a server
 // tick, which is why the distributor's per-server forecast cache can key on
 // the server's tick count (see scheduler.CoCG).
-func (pr *Predictor) Observe(util resources.Vector) (Decision, bool) {
-	frame, ok := pr.sampler.Observe(util)
-	if !ok {
+//
+//cocg:inline
+func (pr *Predictor) Observe(util resources.V4) (Decision, bool) {
+	if !pr.observe(util) {
 		return Decision{}, false
 	}
-	return pr.step(frame), true
+	return pr.dec, true
+}
+
+// observe samples util and reports whether that completed a frame (stepped).
+//
+//cocg:hot
+func (pr *Predictor) observe(util resources.V4) bool {
+	frame, ok := pr.sampler.Observe(util)
+	if ok {
+		pr.step(frame)
+	}
+	return ok
 }
 
 // step runs the stage-judgment / prediction / adjustment pipeline of Fig. 8
-// on one frame.
-func (pr *Predictor) step(frame resources.Vector) Decision {
-	ev := pr.det.Observe(frame)
-	d := Decision{Event: ev, PredictedNext: -1}
+// on one frame and records the outcome in pr.dec.
+func (pr *Predictor) step(frame resources.V4) {
+	d := &pr.dec
+	d.Event, d.PredictedNext, d.Callback, d.ModelSwitched = pr.det.Observe(frame.Vector()), -1, false, false
+	ev := d.Event
 
 	switch ev.Kind {
 	case profiler.EventSame:
@@ -228,7 +243,7 @@ func (pr *Predictor) step(frame resources.Vector) Decision {
 			if correct {
 				pr.errStreak = 0
 			} else {
-				pr.recordError(&d)
+				pr.recordError(d)
 			}
 		}
 		pr.predictedFor = -1
@@ -291,7 +306,7 @@ func (pr *Predictor) step(frame resources.Vector) Decision {
 		// allocation (Eq. 1).
 		d.Callback = true
 		pr.recovering = true
-		pr.recordError(&d)
+		pr.recordError(d)
 		if ev.Candidate >= 0 {
 			pr.det.ForceStage(ev.Candidate)
 			pr.curID = ev.Candidate
@@ -301,7 +316,7 @@ func (pr *Predictor) step(frame resources.Vector) Decision {
 			// No catalog match: hold the stage but provision for what we
 			// actually observe plus redundancy.
 			pr.accumulate(frame)
-			pr.alloc = frame.Add(pr.redundancy()).Max(pr.alloc).Clamp(0, 100)
+			pr.alloc = frame.Vector().Add(pr.redundancy()).Max(pr.alloc).Clamp(0, 100)
 		}
 	}
 	// Settle the entry identification once it has survived (or been
@@ -317,7 +332,7 @@ func (pr *Predictor) step(frame resources.Vector) Decision {
 			pr.hist = pr.hist[:len(pr.hist)-1]
 			pr.pos--
 			pr.curFrames += last.Frames
-			pr.curSum = pr.curSum.Add(last.Mean.Scale(float64(last.Frames)))
+			pr.curSum = pr.curSum.Add(last.Mean.Load().Scale(float64(last.Frames)))
 			if len(pr.hist) > 0 {
 				pr.prevStage = pr.hist[len(pr.hist)-1].ID
 			} else {
@@ -335,26 +350,25 @@ func (pr *Predictor) step(frame resources.Vector) Decision {
 		pr.entryFresh = false
 	}
 	d.Alloc = pr.alloc
-	return d
 }
 
 // accumulate folds a frame into the running stats of the current stage.
-func (pr *Predictor) accumulate(frame resources.Vector) {
+func (pr *Predictor) accumulate(frame resources.V4) {
 	pr.curFrames++
 	pr.curSum = pr.curSum.Add(frame)
 }
 
 // openStage starts tracking a newly entered stage.
-func (pr *Predictor) openStage(id int, frame resources.Vector) {
+func (pr *Predictor) openStage(id int, frame resources.V4) {
 	pr.curID = id
 	pr.curFrames = 0
-	pr.curSum = resources.Zero
+	pr.curSum = resources.V4{}
 	pr.haveStage = true
 	pr.accumulate(frame)
 }
 
 // reopenStage resumes the stage that a false loading detection interrupted.
-func (pr *Predictor) reopenStage(id int, frame resources.Vector) {
+func (pr *Predictor) reopenStage(id int, frame resources.V4) {
 	if len(pr.hist) > 0 && pr.hist[len(pr.hist)-1].ID == id {
 		// Pull the stage back out of history and continue it.
 		last := pr.hist[len(pr.hist)-1]
@@ -362,7 +376,7 @@ func (pr *Predictor) reopenStage(id int, frame resources.Vector) {
 		pr.pos--
 		pr.curID = last.ID
 		pr.curFrames = last.Frames
-		pr.curSum = last.Mean.Scale(float64(last.Frames))
+		pr.curSum = last.Mean.Load().Scale(float64(last.Frames))
 		pr.haveStage = true
 		pr.accumulate(frame)
 		return
@@ -378,13 +392,13 @@ func (pr *Predictor) finishStage() {
 	pr.hist = append(pr.hist, dataset.StageObs{
 		ID:     pr.curID,
 		Frames: pr.curFrames,
-		Mean:   pr.curSum.Scale(1 / float64(pr.curFrames)),
+		Mean:   pr.curSum.Scale(1 / float64(pr.curFrames)).Vector(),
 	})
 	pr.prevStage = pr.curID
 	pr.pos++
 	pr.haveStage = false
 	pr.curFrames = 0
-	pr.curSum = resources.Zero
+	pr.curSum = resources.V4{}
 }
 
 // predictNext runs the active model on the session's stage history. It

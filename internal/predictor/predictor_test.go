@@ -66,7 +66,8 @@ func driveLoop(t *testing.T, sess *gamesim.Session, pr *Predictor) (*gamesim.Ses
 		if d, ok := pr.Observe(demand); ok {
 			decisions = append(decisions, d)
 		}
-		sess.Step(pr.Alloc())
+		alloc := pr.Alloc()
+		sess.Step(alloc.Load())
 	}
 	if !sess.Done() {
 		t.Fatal("session did not finish")

@@ -11,6 +11,7 @@ package resources
 import (
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // Dim indexes one resource dimension of a Vector.
@@ -64,58 +65,71 @@ var Zero Vector
 // dimension.
 var FullServer = Uniform(100)
 
-// The arithmetic below is written component by component with constant
-// indices, not as `for d := range v`: the compiler keeps a [4]float64 in
-// memory and does not unroll the loop (docs/PERFORMANCE.md, "Vector arithmetic
-// and the compiler"). Each method performs the same IEEE operation on the
-// same operands as the loop it replaced (kept in vector_test.go as the
-// reference) and must stay inlinable, which //cocg:inline makes `make lint`
-// check. The guard stops compiling when NumDims is not the 4 they unroll.
-var _ [0]struct{} = [NumDims - 4]struct{}{}
+// V4 is a Vector's components as four fields, which the compiler keeps in
+// registers where a Vector temporary stalls on store forwarding
+// (docs/PERFORMANCE.md, "Vector arithmetic and the compiler"). Its methods
+// match the loops in vector_test.go bit for bit, stay inlinable
+// (//cocg:inline), and back Vector's methods of the same names.
+type V4 struct{ C0, C1, C2, C3 float64 }
+
+// The guards stop compiling unless V4 has NumDims fields and Vector's size.
+var (
+	_ [0]struct{} = [NumDims - 4]struct{}{}
+	_ [0]struct{} = [unsafe.Sizeof(V4{}) - unsafe.Sizeof(Vector{})]struct{}{}
+)
+
+// Load reads v as four scalar loads (the two types share one layout).
+//
+//cocg:inline
+func (v *Vector) Load() V4 { return *(*V4)(unsafe.Pointer(v)) }
+
+// Store writes w into v as four scalar stores.
+//
+//cocg:inline
+func (v *Vector) Store(w V4) { *(*V4)(unsafe.Pointer(v)) = w }
+
+// Vector returns v as a Vector value.
+//
+//cocg:inline
+func (v V4) Vector() Vector { return Vector{v.C0, v.C1, v.C2, v.C3} }
 
 // Add returns v + w component-wise.
 //
 //cocg:inline
-func (v Vector) Add(w Vector) Vector {
-	return Vector{v[0] + w[0], v[1] + w[1], v[2] + w[2], v[3] + w[3]}
-}
+func (v V4) Add(w V4) V4 { return V4{v.C0 + w.C0, v.C1 + w.C1, v.C2 + w.C2, v.C3 + w.C3} }
 
 // Sub returns v - w component-wise.
 //
 //cocg:inline
-func (v Vector) Sub(w Vector) Vector {
-	return Vector{v[0] - w[0], v[1] - w[1], v[2] - w[2], v[3] - w[3]}
-}
+func (v V4) Sub(w V4) V4 { return V4{v.C0 - w.C0, v.C1 - w.C1, v.C2 - w.C2, v.C3 - w.C3} }
 
 // Scale returns v with every component multiplied by k.
 //
 //cocg:inline
-func (v Vector) Scale(k float64) Vector {
-	return Vector{v[0] * k, v[1] * k, v[2] * k, v[3] * k}
-}
+func (v V4) Scale(k float64) V4 { return V4{v.C0 * k, v.C1 * k, v.C2 * k, v.C3 * k} }
 
-// Min, Max, Clamp and ClampNonNegative are compare-selects rather than
+// Min, Max and ClampNonNegative are compare-selects rather than
 // math.Min/math.Max calls: those are assembly stubs on amd64, so they never
-// inline and every call site would copy both vectors through memory. On
-// finite operands the results are identical except that a (-0, +0) pair
-// keeps the receiver's zero instead of math's sign rule; a NaN component in
-// w is ignored rather than propagated. The simulator produces neither.
+// inline. On finite operands the results are identical except that a
+// (-0, +0) pair keeps the receiver's zero instead of math's sign rule; a NaN
+// component in w is ignored rather than propagated. The simulator produces
+// neither.
 
 // Min returns the component-wise minimum of v and w.
 //
 //cocg:inline
-func (v Vector) Min(w Vector) Vector {
-	if w[0] < v[0] {
-		v[0] = w[0]
+func (v V4) Min(w V4) V4 {
+	if w.C0 < v.C0 {
+		v.C0 = w.C0
 	}
-	if w[1] < v[1] {
-		v[1] = w[1]
+	if w.C1 < v.C1 {
+		v.C1 = w.C1
 	}
-	if w[2] < v[2] {
-		v[2] = w[2]
+	if w.C2 < v.C2 {
+		v.C2 = w.C2
 	}
-	if w[3] < v[3] {
-		v[3] = w[3]
+	if w.C3 < v.C3 {
+		v.C3 = w.C3
 	}
 	return v
 }
@@ -123,21 +137,73 @@ func (v Vector) Min(w Vector) Vector {
 // Max returns the component-wise maximum of v and w.
 //
 //cocg:inline
-func (v Vector) Max(w Vector) Vector {
-	if w[0] > v[0] {
-		v[0] = w[0]
+func (v V4) Max(w V4) V4 {
+	if w.C0 > v.C0 {
+		v.C0 = w.C0
 	}
-	if w[1] > v[1] {
-		v[1] = w[1]
+	if w.C1 > v.C1 {
+		v.C1 = w.C1
 	}
-	if w[2] > v[2] {
-		v[2] = w[2]
+	if w.C2 > v.C2 {
+		v.C2 = w.C2
 	}
-	if w[3] > v[3] {
-		v[3] = w[3]
+	if w.C3 > v.C3 {
+		v.C3 = w.C3
 	}
 	return v
 }
+
+// ClampNonNegative zeroes any negative component: Max against +0, whose
+// test 0 > x is x < 0.
+//
+//cocg:inline
+func (v V4) ClampNonNegative() V4 { return v.Max(V4{}) }
+
+// Fits reports whether v fits within capacity cap in every dimension. A NaN
+// component on either side compares false and so "fits", as it always has.
+//
+//cocg:inline
+func (v V4) Fits(cap V4) bool {
+	return !(v.C0 > cap.C0 || v.C1 > cap.C1 || v.C2 > cap.C2 || v.C3 > cap.C3)
+}
+
+// FitsWithin reports whether v fits within cap with headroom slack percent
+// reserved in every dimension (i.e. v <= cap - slack).
+//
+//cocg:inline
+func (v V4) FitsWithin(cap V4, slack float64) bool {
+	return !(v.C0 > cap.C0-slack || v.C1 > cap.C1-slack || v.C2 > cap.C2-slack || v.C3 > cap.C3-slack)
+}
+
+// IsZero reports whether every component of v is zero (either sign).
+//
+//cocg:inline
+func (v V4) IsZero() bool { return v == V4{} }
+
+// Add returns v + w component-wise.
+//
+//cocg:inline
+func (v Vector) Add(w Vector) Vector { return v.Load().Add(w.Load()).Vector() }
+
+// Sub returns v - w component-wise.
+//
+//cocg:inline
+func (v Vector) Sub(w Vector) Vector { return v.Load().Sub(w.Load()).Vector() }
+
+// Scale returns v with every component multiplied by k.
+//
+//cocg:inline
+func (v Vector) Scale(k float64) Vector { return v.Load().Scale(k).Vector() }
+
+// Min returns the component-wise minimum of v and w.
+//
+//cocg:inline
+func (v Vector) Min(w Vector) Vector { return v.Load().Min(w.Load()).Vector() }
+
+// Max returns the component-wise maximum of v and w.
+//
+//cocg:inline
+func (v Vector) Max(w Vector) Vector { return v.Load().Max(w.Load()).Vector() }
 
 // Clamp limits every component of v to the range [lo, hi]. It stays a loop:
 // unrolled it is eight branches, past the inliner's budget.
@@ -156,36 +222,19 @@ func (v Vector) Clamp(lo, hi float64) Vector {
 // ClampNonNegative zeroes any negative component.
 //
 //cocg:inline
-func (v Vector) ClampNonNegative() Vector {
-	if v[0] < 0 {
-		v[0] = 0
-	}
-	if v[1] < 0 {
-		v[1] = 0
-	}
-	if v[2] < 0 {
-		v[2] = 0
-	}
-	if v[3] < 0 {
-		v[3] = 0
-	}
-	return v
-}
+func (v Vector) ClampNonNegative() Vector { return v.Load().ClampNonNegative().Vector() }
 
-// Fits reports whether v fits within capacity cap in every dimension. A NaN
-// component on either side compares false and so "fits", as it always has.
+// Fits reports whether v fits within capacity cap in every dimension.
 //
 //cocg:inline
-func (v Vector) Fits(cap Vector) bool {
-	return !(v[0] > cap[0] || v[1] > cap[1] || v[2] > cap[2] || v[3] > cap[3])
-}
+func (v Vector) Fits(cap Vector) bool { return v.Load().Fits(cap.Load()) }
 
 // FitsWithin reports whether v fits within cap with headroom slack percent
 // reserved in every dimension (i.e. v <= cap - slack).
 //
 //cocg:inline
 func (v Vector) FitsWithin(cap Vector, slack float64) bool {
-	return !(v[0] > cap[0]-slack || v[1] > cap[1]-slack || v[2] > cap[2]-slack || v[3] > cap[3]-slack)
+	return v.Load().FitsWithin(cap.Load(), slack)
 }
 
 // MaxComponent returns the largest component of v and its dimension.
@@ -218,7 +267,7 @@ func (v Vector) L2() float64 {
 
 // Dist returns the Euclidean distance between v and w; this is the metric the
 // frame clusterer uses.
-func (v Vector) Dist(w Vector) float64 { return v.Sub(w).L2() }
+func (v Vector) Dist(w Vector) float64 { return math.Sqrt(v.Dist2(w)) }
 
 // Dist2 returns the squared Euclidean distance between v and w.
 func (v Vector) Dist2(w Vector) float64 {
@@ -235,34 +284,39 @@ func (v Vector) Dist2(w Vector) float64 {
 func (v Vector) Ratio(w Vector) Vector {
 	var out Vector
 	for d := range v {
-		switch {
-		case w[d] != 0:
-			out[d] = v[d] / w[d]
-		case v[d] == 0:
-			out[d] = 1
-		default:
-			out[d] = math.Inf(1)
-		}
+		out[d] = ratio(v[d], w[d])
 	}
 	return out
+}
+
+func ratio(x, y float64) float64 {
+	switch {
+	case y != 0:
+		return x / y
+	case x == 0:
+		return 1
+	}
+	return math.Inf(1)
 }
 
 // MinRatio returns the smallest component of v.Ratio(w); when v is a grant
 // and w a demand this is the fraction of the demand that was satisfied in the
 // tightest dimension, which drives the FPS model.
-func (v Vector) MinRatio(w Vector) float64 {
-	r := v.Ratio(w)
-	m := r[0]
-	for d := Dim(1); d < NumDims; d++ {
-		if r[d] < m {
-			m = r[d]
+func (v V4) MinRatio(w V4) float64 {
+	m := ratio(v.C0, w.C0)
+	for _, r := range [...]float64{ratio(v.C1, w.C1), ratio(v.C2, w.C2), ratio(v.C3, w.C3)} {
+		if r < m {
+			m = r
 		}
 	}
 	return m
 }
 
+// MinRatio is V4.MinRatio on Vectors.
+func (v Vector) MinRatio(w Vector) float64 { return v.Load().MinRatio(w.Load()) }
+
 // IsZero reports whether every component of v is zero.
-func (v Vector) IsZero() bool { return v == Zero }
+func (v Vector) IsZero() bool { return v.Load().IsZero() }
 
 // String formats the vector as "cpu=12.3 gpu=45.6 gpumem=7.8 mem=9.0".
 func (v Vector) String() string {

@@ -336,6 +336,7 @@ var loopReference = struct {
 	clampNonNegative   func(v Vector) Vector
 	fits               func(v, cap Vector) bool
 	fitsWithin         func(v, cap Vector, slack float64) bool
+	minRatio           func(v, w Vector) float64
 }{
 	add: func(v, w Vector) Vector {
 		for d := range v {
@@ -395,14 +396,103 @@ var loopReference = struct {
 		}
 		return true
 	},
+	minRatio: func(v, w Vector) float64 {
+		var r Vector
+		for d := range v {
+			switch {
+			case w[d] != 0:
+				r[d] = v[d] / w[d]
+			case v[d] == 0:
+				r[d] = 1
+			default:
+				r[d] = math.Inf(1)
+			}
+		}
+		m := r[0]
+		for d := 1; d < len(r); d++ {
+			if r[d] < m {
+				m = r[d]
+			}
+		}
+		return m
+	},
 }
 
-// TestVectorOpsMatchLoopReference compares every straight-line method with
-// its loop form on operands that include both zeros, infinities, NaN on either
-// side, negatives, and values one ulp either side of the clamp and capacity
-// bounds. Vectors are rotations of the value list, so every component index
-// sees every ordered pair of values with different neighbours beside it — a
-// transposed index in an unrolled body cannot pass.
+// sameVec reports whether a and b carry the same bits in every component.
+func sameVec(a, b Vector) bool {
+	for d := range a {
+		if math.Float64bits(a[d]) != math.Float64bits(b[d]) {
+			return false
+		}
+	}
+	return true
+}
+
+// v4Ops applies every V4 method to the Vector operands v and w (k is the
+// scale, slack the FitsWithin reserve) and returns the results as Vectors, in
+// the order of vectorOps.
+func v4Ops(v, w Vector, k, slack float64) (vecs [6]Vector, preds [3]bool) {
+	a, b := v.Load(), w.Load()
+	vecs = [6]Vector{
+		a.Add(b).Vector(), a.Sub(b).Vector(), a.Min(b).Vector(), a.Max(b).Vector(),
+		a.Scale(k).Vector(), a.ClampNonNegative().Vector(),
+	}
+	return vecs, [3]bool{a.Fits(b), a.FitsWithin(b, slack), a.IsZero()}
+}
+
+// vectorOps is v4Ops through the Vector methods.
+func vectorOps(v, w Vector, k, slack float64) (vecs [6]Vector, preds [3]bool) {
+	vecs = [6]Vector{v.Add(w), v.Sub(w), v.Min(w), v.Max(w), v.Scale(k), v.ClampNonNegative()}
+	return vecs, [3]bool{v.Fits(w), v.FitsWithin(w, slack), v.IsZero()}
+}
+
+// refOps is v4Ops through the loop reference.
+func refOps(v, w Vector, k, slack float64) (vecs [6]Vector, preds [3]bool) {
+	ref := loopReference
+	vecs = [6]Vector{ref.add(v, w), ref.sub(v, w), ref.min(v, w), ref.max(v, w), ref.scale(v, k), ref.clampNonNegative(v)}
+	return vecs, [3]bool{ref.fits(v, w), ref.fitsWithin(v, w, slack), v == Zero}
+}
+
+// checkOps requires the V4 methods, the Vector methods and the loop
+// reference to agree bit for bit on one operand set.
+func checkOps(t *testing.T, v, w Vector, k, slack float64) {
+	t.Helper()
+	names := [...]string{"Add", "Sub", "Min", "Max", "Scale", "ClampNonNegative", "Fits", "FitsWithin", "IsZero"}
+	refV, refP := refOps(v, w, k, slack)
+	want := math.Float64bits(loopReference.minRatio(v, w))
+	if got := math.Float64bits(v.Load().MinRatio(w.Load())); got != want {
+		t.Errorf("V4.MinRatio(%v, %v) = %x, loop %x", v, w, got, want)
+	}
+	if got := math.Float64bits(v.MinRatio(w)); got != want {
+		t.Errorf("Vector.MinRatio(%v, %v) = %x, loop %x", v, w, got, want)
+	}
+	for _, side := range []struct {
+		name  string
+		ops   func(v, w Vector, k, slack float64) ([6]Vector, [3]bool)
+		vecs  [6]Vector
+		preds [3]bool
+	}{{name: "V4", ops: v4Ops}, {name: "Vector", ops: vectorOps}} {
+		vecs, preds := side.ops(v, w, k, slack)
+		for i := range vecs {
+			if !sameVec(vecs[i], refV[i]) {
+				t.Errorf("%s.%s(%v, %v, k=%v) = %v, loop %v", side.name, names[i], v, w, k, vecs[i], refV[i])
+			}
+		}
+		for i := range preds {
+			if preds[i] != refP[i] {
+				t.Errorf("%s.%s(%v, %v, slack=%v) = %v, loop %v", side.name, names[6+i], v, w, slack, preds[i], refP[i])
+			}
+		}
+	}
+}
+
+// TestVectorOpsMatchLoopReference compares every straight-line method, of V4
+// and of Vector, with its loop form on operands that include both zeros,
+// infinities, NaN on either side, negatives, and values one ulp either side
+// of the clamp and capacity bounds. Vectors are rotations of the value list,
+// so every component index sees every ordered pair of values with different
+// neighbours beside it — a transposed field or index in an unrolled body
+// cannot pass.
 func TestVectorOpsMatchLoopReference(t *testing.T) {
 	inf, nan, negZero := math.Inf(1), math.NaN(), math.Copysign(0, -1)
 	vals := []float64{
@@ -418,45 +508,18 @@ func TestVectorOpsMatchLoopReference(t *testing.T) {
 		}
 		return v
 	}
-	sameVec := func(a, b Vector) bool {
-		for d := range a {
-			if math.Float64bits(a[d]) != math.Float64bits(b[d]) {
-				return false
-			}
-		}
-		return true
-	}
-	ref := loopReference
 	for i := range vals {
 		v := rot(i)
-		if got, want := v.ClampNonNegative(), ref.clampNonNegative(v); !sameVec(got, want) {
-			t.Errorf("ClampNonNegative(%v) = %v, loop %v", v, got, want)
-		}
 		for j := range vals {
 			w := rot(j)
-			for _, op := range []struct {
-				name      string
-				got, want Vector
-			}{
-				{"Add", v.Add(w), ref.add(v, w)},
-				{"Sub", v.Sub(w), ref.sub(v, w)},
-				{"Min", v.Min(w), ref.min(v, w)},
-				{"Max", v.Max(w), ref.max(v, w)},
-				{"Scale", v.Scale(vals[j]), ref.scale(v, vals[j])},
-			} {
-				if !sameVec(op.got, op.want) {
-					t.Errorf("%s(%v, %v) = %v, loop %v", op.name, v, w, op.got, op.want)
-				}
-			}
-			if got, want := v.Fits(w), ref.fits(v, w); got != want {
-				t.Errorf("Fits(%v, %v) = %v, loop %v", v, w, got, want)
-			}
 			for _, slack := range []float64{0, 0.1, 5, negZero, nan, inf} {
-				if got, want := v.FitsWithin(w, slack), ref.fitsWithin(v, w, slack); got != want {
-					t.Errorf("FitsWithin(%v, %v, %v) = %v, loop %v", v, w, slack, got, want)
-				}
+				checkOps(t, v, w, vals[j], slack)
 			}
 		}
+	}
+	// IsZero sees both zeros in every position, and a NaN beside them.
+	for _, v := range []Vector{Zero, {negZero, 0, negZero, 0}, {0, 0, 0, nan}, {0, 0, math.SmallestNonzeroFloat64, 0}} {
+		checkOps(t, v, v, 1, 0)
 	}
 
 	// The boundary the scheduler's safety margin sits on: exactly cap - slack
@@ -472,6 +535,32 @@ func TestVectorOpsMatchLoopReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestLoadStoreRoundTrip requires Load and Store to move every component's
+// bits unchanged, −0 and NaN payloads included, in the order of the fields.
+func TestLoadStoreRoundTrip(t *testing.T) {
+	payload := math.Float64frombits(0x7ff8_dead_beef_0001)
+	in := Vector{math.Copysign(0, -1), payload, math.Inf(-1), math.Nextafter(95, 100)}
+	v := in.Load()
+	if got := [4]float64{v.C0, v.C1, v.C2, v.C3}; !sameVec(got, in) {
+		t.Fatalf("Load(%v) = %v", in, v)
+	}
+	var out Vector
+	out.Store(v)
+	if !sameVec(out, in) || !sameVec(v.Vector(), in) {
+		t.Fatalf("Store(Load(%v)) = %v, Vector() = %v", in, out, v.Vector())
+	}
+}
+
+// FuzzV4MatchesVector holds every V4 method to its Vector twin and the loop
+// reference, bit for bit, on arbitrary operands.
+func FuzzV4MatchesVector(f *testing.F) {
+	f.Add(1.0, -2.0, 95.0, math.Nextafter(100, 200), 0.0, math.Inf(1), -0.5, 100.0, 0.5, 5.0)
+	f.Add(math.NaN(), math.Copysign(0, -1), 0.0, -1e-300, math.NaN(), 0.0, math.Copysign(0, -1), 1e300, math.NaN(), math.NaN())
+	f.Fuzz(func(t *testing.T, v0, v1, v2, v3, w0, w1, w2, w3, k, slack float64) {
+		checkOps(t, Vector{v0, v1, v2, v3}, Vector{w0, w1, w2, w3}, k, slack)
+	})
 }
 
 // BenchmarkVectorFold is the tick's inner shape: a running sum of a hosted
@@ -491,6 +580,33 @@ func BenchmarkVectorFold(b *testing.B) {
 			peak = peak.Max(v)
 		}
 		if sum.Sub(peak).ClampNonNegative().FitsWithin(FullServer, 5) {
+			fit++
+		}
+	}
+	if fit != b.N {
+		b.Fatalf("fold fitted %d of %d times", fit, b.N)
+	}
+}
+
+// BenchmarkVectorFoldV4 is BenchmarkVectorFold in registers: V4 locals, the
+// operands read from storage with Load.
+func BenchmarkVectorFoldV4(b *testing.B) {
+	r := rand.New(rand.NewSource(1))
+	vs := make([]Vector, 16)
+	for i := range vs {
+		vs[i] = randVec(r).Scale(1.0 / 16)
+	}
+	capacity := FullServer.Load()
+	fit := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var sum, peak V4
+		for j := range vs {
+			v := vs[j].Load()
+			sum = sum.Add(v)
+			peak = peak.Max(v)
+		}
+		if sum.Sub(peak).ClampNonNegative().FitsWithin(capacity, 5) {
 			fit++
 		}
 	}

@@ -25,9 +25,9 @@ import (
 // above zero (NaN included) count as none. It divides the largest component
 // once: correctly rounded division by a positive constant is monotone, so that
 // is the largest per-dimension quotient, bit for bit.
-func worstFrac(v resources.Vector, capacity float64) float64 {
+func worstFrac(v resources.V4, capacity float64) float64 {
 	worst := 0.0
-	for _, x := range v {
+	for _, x := range [...]float64{v.C0, v.C1, v.C2, v.C3} {
 		if x > worst {
 			worst = x
 		}
@@ -46,7 +46,7 @@ func worstFrac(v resources.Vector, capacity float64) float64 {
 func fracSum(runs []predictor.Segment, capacity float64) float64 {
 	var sum float64
 	for i := range runs {
-		sum += worstFrac(runs[i].Demand, capacity) * float64(runs[i].Frames)
+		sum += worstFrac(runs[i].Demand.Load(), capacity) * float64(runs[i].Frames)
 	}
 	return sum
 }

@@ -268,7 +268,7 @@ func FuzzWorstFracOneDivision(f *testing.F) {
 			t.Skip()
 		}
 		v := resources.Vector{a, b, c, d}
-		got, want := worstFrac(v, capacity), perDimensionWorstFrac(v, resources.Uniform(capacity))
+		got, want := worstFrac(v.Load(), capacity), perDimensionWorstFrac(v, resources.Uniform(capacity))
 		if math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("worstFrac(%v, %v) = %x (%.17g), per-dimension %x (%.17g)",
 				v, capacity, math.Float64bits(got), got, math.Float64bits(want), want)

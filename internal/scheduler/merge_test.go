@@ -73,7 +73,8 @@ func checkMerge(t *testing.T, runs []predictor.Segment, runEnd []int, h int) {
 		addRuns(dense, runs[start:end])
 		start = end
 	}
-	merged, peak := mergeRuns(nil, runs, runEnd, h, make([]runCursor, len(runEnd)))
+	merged, peak4 := mergeRuns(nil, runs, runEnd, h, make([]runCursor, len(runEnd)))
+	peak := peak4.Vector()
 	frame, covered := 0, 0
 	for i, run := range merged {
 		if run.Frames <= 0 {

@@ -177,7 +177,7 @@ type serverCache struct {
 	// total is the hosted games' summed demand timeline as runs covering the
 	// horizon (see mergeRuns), and peak its per-dimension maximum.
 	total []predictor.Segment
-	peak  resources.Vector
+	peak  resources.V4
 
 	// Fleet accounting (see accountant.go): the server's predicted headroom
 	// and per-game demand contributions, taken by every refill off the runs
@@ -303,10 +303,11 @@ type runCursor struct{ at, end, left int }
 // the additions a dense per-frame accumulation gives every frame of the run,
 // so expanding the result reproduces that accumulation bit for bit. It also
 // returns the sum's per-dimension peak (from zero, as resources.PeakOf). cur
-// is scratch for at least len(runEnd) cursors.
+// is scratch for at least len(runEnd) cursors. The sum is a V4, stored into
+// the appended run.
 //
 //cocg:hot
-func mergeRuns(dst, runs []predictor.Segment, runEnd []int, h int, cur []runCursor) ([]predictor.Segment, resources.Vector) {
+func mergeRuns(dst, runs []predictor.Segment, runEnd []int, h int, cur []runCursor) ([]predictor.Segment, resources.V4) {
 	cur = cur[:len(runEnd)]
 	start := 0
 	for i, end := range runEnd {
@@ -316,10 +317,10 @@ func mergeRuns(dst, runs []predictor.Segment, runEnd []int, h int, cur []runCurs
 		}
 		start = end
 	}
-	var peak resources.Vector
+	var peak resources.V4
 	for t := 0; t < h; {
 		n := h - t
-		var sum resources.Vector
+		var sum resources.V4
 		for i := range cur {
 			c := &cur[i]
 			if c.left <= 0 {
@@ -328,14 +329,10 @@ func mergeRuns(dst, runs []predictor.Segment, runEnd []int, h int, cur []runCurs
 			if c.left < n {
 				n = c.left
 			}
-			// In place, component by component: the same additions as an
-			// inlined Vector.Add, without its two operand copies.
-			d := &runs[c.at].Demand
-			for k := range sum {
-				sum[k] += d[k]
-			}
+			sum = sum.Add(runs[c.at].Demand.Load())
 		}
-		dst = append(dst, predictor.Segment{Frames: n, Demand: sum})
+		dst = append(dst, predictor.Segment{Frames: n})
+		dst[len(dst)-1].Demand.Store(sum)
 		peak = peak.Max(sum)
 		for i := range cur {
 			c := &cur[i]
@@ -358,8 +355,10 @@ type Controller struct {
 }
 
 // Tick implements platform.Controller.
+//
+//cocg:hot
 func (ctl *Controller) Tick(util resources.Vector) resources.Vector {
-	ctl.pr.Observe(util)
+	ctl.pr.Observe(util.Load())
 	return ctl.pr.Alloc()
 }
 
@@ -472,10 +471,10 @@ func guard(cc *serverCache, srv *platform.Server, g *gameEntry) (float64, bool) 
 	// sustained violations the regulator cannot fix (execution stages have
 	// no time to steal). This is what leaves some heavy pairs "unable to
 	// run on the same machine" (Section V-B2).
-	scaledCap := srv.Capacity.Scale(2 - satFloor)
-	peakSum := g.peak
-	for _, peak := range cc.hostedPeaks {
-		peakSum = peakSum.Add(peak)
+	scaledCap := srv.Capacity.Load().Scale(2 - satFloor)
+	peakSum := g.peak.Load()
+	for i := range cc.hostedPeaks {
+		peakSum = peakSum.Add(cc.hostedPeaks[i].Load())
 	}
 	if !peakSum.Fits(scaledCap) {
 		return 0, false
@@ -584,9 +583,9 @@ func (c *CoCG) ClusterLoadFullScan(servers []*platform.Server) float64 {
 		cc := c.newCache()
 		c.refresh(cc, srv)
 		peak := 0.0
-		for _, run := range cc.total {
-			for n := run.Frames; n > 0; n-- {
-				if f := worstFrac(run.Demand, srv.Capacity[0]); f > peak {
+		for i := range cc.total {
+			for n := cc.total[i].Frames; n > 0; n-- {
+				if f := worstFrac(cc.total[i].Demand.Load(), srv.Capacity[0]); f > peak {
 					peak = f
 				}
 			}
@@ -607,15 +606,17 @@ func (c *CoCG) ClusterLoadFullScan(servers []*platform.Server) float64 {
 // cheap is the platform's per-second certificate (Server.tickAt): Regulate
 // returns at its first test whenever requests fit under the margin, and a
 // second whose realised demands fit their requests takes the fused grant pass.
+//
+//cocg:hot
 func (c *CoCG) Regulate(srv *platform.Server) {
 	// The common second: requests fit under the margin. For finite totals
 	// a-b <= 0 exactly when a <= b, so this decides what testing the clamped
 	// excess for zero did, without building it.
-	total := srv.RequestTotal()
-	if c.cfg.DisableLoadingSteal || total.FitsWithin(srv.Capacity, safetyMargin) {
+	total, capacity := srv.RequestTotal(), srv.Capacity.Load()
+	if c.cfg.DisableLoadingSteal || total.FitsWithin(capacity, safetyMargin) {
 		return
 	}
-	limit := srv.Capacity.Sub(resources.Uniform(safetyMargin))
+	limit := capacity.Sub(resources.V4{C0: safetyMargin, C1: safetyMargin, C2: safetyMargin, C3: safetyMargin})
 	over := total.Sub(limit).ClampNonNegative()
 	for _, hosted := range srv.Hosted {
 		if over.IsZero() {
@@ -624,10 +625,11 @@ func (c *CoCG) Regulate(srv *platform.Server) {
 		if !hosted.Controller.Loading() {
 			continue
 		}
-		floor := hosted.Request.Scale(loadingFloor)
-		reducible := hosted.Request.Sub(floor).ClampNonNegative()
+		req := hosted.Request.Load()
+		floor := req.Scale(loadingFloor)
+		reducible := req.Sub(floor).ClampNonNegative()
 		cut := reducible.Min(over)
-		hosted.Request = hosted.Request.Sub(cut)
+		hosted.Request.Store(req.Sub(cut))
 		over = over.Sub(cut).ClampNonNegative()
 	}
 }

@@ -421,7 +421,7 @@ func TestCacheRefillsExactlyWhenStampMoves(t *testing.T) {
 	}
 	// refills refreshes server i's cache and reports whether it refilled: a
 	// refill always rewrites the peak, which is never negative.
-	poison := resources.Uniform(-1)
+	poison := resources.V4{C0: -1, C1: -1, C2: -1, C3: -1}
 	refills := func(i int) bool {
 		t.Helper()
 		srv, cc := c.Servers[i], caches[i]

@@ -22,27 +22,33 @@ func Mean(xs []float64) float64 {
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
 // interpolation between closest ranks. It returns 0 for an empty slice.
-func Percentile(xs []float64, p float64) float64 {
+func Percentile(xs []float64, p float64) float64 { return Percentiles(xs, p)[0] }
+
+// Percentiles returns Percentile(xs, p) for each p in ps, sorting xs once.
+func Percentiles(xs []float64, ps ...float64) []float64 {
+	out := make([]float64, len(ps))
 	if len(xs) == 0 {
-		return 0
+		return out
 	}
 	sorted := make([]float64, len(xs))
 	copy(sorted, xs)
 	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
+	for i, p := range ps {
+		rank := p / 100 * float64(len(sorted)-1)
+		lo, hi := int(math.Floor(rank)), int(math.Ceil(rank))
+		switch {
+		case p <= 0:
+			out[i] = sorted[0]
+		case p >= 100:
+			out[i] = sorted[len(sorted)-1]
+		case lo == hi:
+			out[i] = sorted[lo]
+		default:
+			frac := rank - float64(lo)
+			out[i] = sorted[lo]*(1-frac) + sorted[hi]*frac
+		}
 	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return out
 }
 
 // Median returns the 50th percentile of xs.

@@ -94,3 +94,55 @@ func TestPropertyPercentileMonotonic(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// percentileRef is Percentile as it was before Percentiles: a copy and a sort
+// per call. It is the oracle TestPercentilesMatchPerCall holds the one-sort
+// form to.
+func percentileRef(xs []float64, p float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sorted := slices.Clone(xs)
+	slices.Sort(sorted)
+	if p <= 0 {
+		return sorted[0]
+	}
+	if p >= 100 {
+		return sorted[len(sorted)-1]
+	}
+	rank := p / 100 * float64(len(sorted)-1)
+	lo, hi := int(math.Floor(rank)), int(math.Ceil(rank))
+	if lo == hi {
+		return sorted[lo]
+	}
+	frac := rank - float64(lo)
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
+// TestPercentilesMatchPerCall requires every entry of one Percentiles call
+// to carry the bits of a separate per-call percentile, for p at and past both
+// ends, interior ranks (exact and interpolated), a single sample and an
+// empty slice.
+func TestPercentilesMatchPerCall(t *testing.T) {
+	ps := []float64{-5, 0, 1, 25, 50, 62.5, 90, 99, 99.9, 100, 150}
+	for _, xs := range [][]float64{
+		nil,
+		{7.25},
+		{3, 1, 2},
+		{0.1, 0.7, 0.2, 1e-9, 5e3, 0.3, math.Copysign(0, -1), 42, 0.3, 17},
+	} {
+		got := Percentiles(xs, ps...)
+		if len(got) != len(ps) {
+			t.Fatalf("Percentiles(%v) returned %d values for %d ranks", xs, len(got), len(ps))
+		}
+		for i, p := range ps {
+			want := percentileRef(xs, p)
+			if math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Errorf("Percentiles(%v)[p=%v] = %v, per-call %v", xs, p, got[i], want)
+			}
+			if one := Percentile(xs, p); math.Float64bits(one) != math.Float64bits(want) {
+				t.Errorf("Percentile(%v, %v) = %v, per-call %v", xs, p, one, want)
+			}
+		}
+	}
+}

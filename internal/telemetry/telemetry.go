@@ -13,17 +13,19 @@ import (
 type Sampler struct {
 	// sum is the in-order running sum of the n observations of the current
 	// frame — the same fold resources.Mean performs over a buffer.
-	sum resources.Vector
+	sum resources.V4
 	n   int
 }
 
 // Observe records one second of utilization. When the observation completes
 // a frame, the frame's mean vector is returned with ok = true.
-func (s *Sampler) Observe(v resources.Vector) (frame resources.Vector, ok bool) {
+//
+//cocg:hot
+func (s *Sampler) Observe(v resources.V4) (frame resources.V4, ok bool) {
 	s.sum = s.sum.Add(v)
 	s.n++
 	if s.n < int(simclock.FrameLen) {
-		return resources.Zero, false
+		return resources.V4{}, false
 	}
 	frame = s.sum.Scale(1 / float64(s.n))
 	s.Reset()
@@ -34,4 +36,4 @@ func (s *Sampler) Observe(v resources.Vector) (frame resources.Vector, ok bool) 
 func (s *Sampler) Pending() int { return s.n }
 
 // Reset discards any partial frame.
-func (s *Sampler) Reset() { s.sum, s.n = resources.Zero, 0 }
+func (s *Sampler) Reset() { s.sum, s.n = resources.V4{}, 0 }

@@ -7,9 +7,11 @@ import (
 	"cocg/internal/simclock"
 )
 
+func v4(a, b, c, d float64) resources.V4 { return resources.V4{C0: a, C1: b, C2: c, C3: d} }
+
 func TestSamplerEmitsEveryFrameLen(t *testing.T) {
 	var s Sampler
-	v := resources.New(10, 20, 30, 40)
+	v := v4(10, 20, 30, 40)
 	for i := 0; i < int(simclock.FrameLen)-1; i++ {
 		if _, ok := s.Observe(v); ok {
 			t.Fatalf("frame emitted after %d seconds", i+1)
@@ -30,13 +32,13 @@ func TestSamplerEmitsEveryFrameLen(t *testing.T) {
 func TestSamplerAveragesWithinFrame(t *testing.T) {
 	var s Sampler
 	for i := 0; i < 4; i++ {
-		s.Observe(resources.New(0, 0, 0, 0))
+		s.Observe(v4(0, 0, 0, 0))
 	}
-	frame, ok := s.Observe(resources.New(50, 100, 0, 0))
+	frame, ok := s.Observe(v4(50, 100, 0, 0))
 	if !ok {
 		t.Fatal("no frame")
 	}
-	if frame != resources.New(10, 20, 0, 0) {
+	if frame != v4(10, 20, 0, 0) {
 		t.Errorf("frame = %v", frame)
 	}
 }
@@ -51,11 +53,11 @@ func TestSamplerFrameIsMeanOfObservations(t *testing.T) {
 		x := float64(i)
 		v := resources.New(0.1+x/3, 1e-9*x, 97.3-x/7, 33.3333*x)
 		obs = append(obs, v)
-		frame, ok := s.Observe(v)
+		frame, ok := s.Observe(v.Load())
 		if !ok {
 			continue
 		}
-		if want := resources.Mean(obs); frame != want {
+		if want := resources.Mean(obs); frame.Vector() != want {
 			t.Fatalf("frame ending at second %d = %v, want Mean = %v", i, frame, want)
 		}
 		obs = obs[:0]
@@ -64,8 +66,8 @@ func TestSamplerFrameIsMeanOfObservations(t *testing.T) {
 
 func TestSamplerReset(t *testing.T) {
 	var s Sampler
-	s.Observe(resources.New(1, 1, 1, 1))
-	s.Observe(resources.New(1, 1, 1, 1))
+	s.Observe(v4(1, 1, 1, 1))
+	s.Observe(v4(1, 1, 1, 1))
 	if s.Pending() != 2 {
 		t.Fatalf("Pending = %d", s.Pending())
 	}

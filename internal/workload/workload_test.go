@@ -138,7 +138,7 @@ func TestArrivalsAreRunnable(t *testing.T) {
 			t.Fatalf("%s arrival not runnable: %v", spec.Name, err)
 		}
 		for i := 0; i < 10; i++ {
-			sess.Step(resources.FullServer)
+			sess.Step(resources.FullServer.Load())
 		}
 	}
 }
